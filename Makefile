@@ -1,7 +1,8 @@
 # Repository CI targets. `make ci` is what a PR must keep green: vet,
 # build, the full test suite under the race detector (guarding the
 # parallel per-zone simulation engine in internal/core and the sweep
-# pool in internal/par), and the gated benchmark snapshot (bench-json),
+# pool in internal/par), a short fuzz pass, the bench/ module's build
+# and self-tests, and the gated benchmark snapshot (bench-json),
 # which both keeps the BenchmarkCoreRun* variants runnable and fails
 # the build when allocs/op or B/op regress >20% — or ns/op >2x, a
 # wide tripwire because wall-clock on a loaded box is noise — against
@@ -9,9 +10,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench-smoke bench bench-json chaos-smoke recovery-smoke obs-smoke daemon-smoke slo-smoke
+.PHONY: ci vet build test race fuzz bench-module bench-smoke bench bench-json chaos-smoke recovery-smoke obs-smoke daemon-smoke slo-smoke
 
-ci: vet build race bench-json chaos-smoke recovery-smoke obs-smoke daemon-smoke slo-smoke
+ci: vet build race fuzz bench-module bench-json chaos-smoke recovery-smoke obs-smoke daemon-smoke slo-smoke
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +25,17 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# A short fuzz pass over the operator's checkpoint restore, beyond its
+# seed corpus (internal/operator/testdata/fuzz): corrupt payloads must
+# be errors, never panics.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzOperatorFromSnapshot$$' -fuzztime 10s ./internal/operator/
+
+# The benchmark (bench/) is a separate module importing core, operator,
+# daemon, and obs: keep it compiling and its self-tests green.
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # One iteration of the core-engine benchmarks: catches bit-rot in the
 # bench harness without paying for a full measurement run. The

@@ -153,6 +153,11 @@ func run() int {
 		}
 	}
 
+	// Install the handler before serving: a supervisor may signal as soon
+	// as the "serving" line appears, and the default disposition would
+	// kill the process with no drain and no final checkpoint.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
 	srv, err := d.Serve(*addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "daemon:", err)
@@ -160,8 +165,6 @@ func run() int {
 	}
 	fmt.Fprintf(os.Stderr, "daemon: serving http on %s\n", srv.Addr())
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
 	drained := make(chan error, 1)
 	draining := false
 	for {

@@ -49,7 +49,7 @@ func main() {
 		ckptEvery = flag.Int("checkpoint-every", 60, "checkpoint cadence in ticks")
 		stopAfter = flag.Int("stop-after-tick", 0, "halt right after this tick completes (simulated crash for recovery drills; 0 = run to the end)")
 
-		obsAddr    = flag.String("obs-addr", "", "serve /metrics, /events, /debug/vars, and /debug/pprof on this address while the run executes (e.g. 127.0.0.1:8080; :0 picks a free port, printed to stderr)")
+		obsAddr    = flag.String("obs-addr", "", "serve /metrics, /events, and /debug/pprof on this address while the run executes (e.g. 127.0.0.1:8080; :0 picks a free port, printed to stderr)")
 		obsLinger  = flag.Duration("obs-linger", 0, "keep the -obs-addr server up this long after the run finishes (for scraping a completed run)")
 		obsEvents  = flag.String("obs-events", "", "append every flight-recorder event to this JSONL file")
 		obsRing    = flag.Int("obs-ring", 0, "flight-recorder ring capacity in events (0 = default 4096; size it to the run when gating on zero overwrites)")

@@ -203,6 +203,48 @@ func TestStormControlCapsSameTickFailovers(t *testing.T) {
 	}
 }
 
+// parkWindow is one failover the budget parked: zone's park starting
+// at tick from, due at tick due.
+type parkWindow struct {
+	zone      string
+	from, due int
+}
+
+// parkWindows lists the parked failovers of an event stream.
+func parkWindows(events []obs.Event) []parkWindow {
+	var ws []parkWindow
+	for _, e := range events {
+		if e.Kind == obs.EventDeferred {
+			ws = append(ws, parkWindow{zone: e.Subject, from: e.Tick, due: int(e.Value)})
+		}
+	}
+	return ws
+}
+
+// TestParkedFailoverHoldsItsGap: a failover the budget parks holds the
+// zone's whole gap until it comes due — re-leasing it through the
+// normal path in the meantime would let the deferred stampede through
+// one tick later.
+func TestParkedFailoverHoldsItsGap(t *testing.T) {
+	cfg := blackoutConfig()
+	cfg.FailoverBudgetPerTick = 1
+	_, events := recordedEvents(t, cfg)
+	windows := parkWindows(events)
+	if len(windows) == 0 {
+		t.Fatal("budget 1 under a domain blackout parked nothing")
+	}
+	for _, e := range events {
+		if e.Kind != obs.EventGrant {
+			continue
+		}
+		for _, w := range windows {
+			if e.Subject == w.zone && e.Tick >= w.from && e.Tick < w.due {
+				t.Errorf("zone %s leased at tick %d inside its park [%d, %d)", w.zone, e.Tick, w.from, w.due)
+			}
+		}
+	}
+}
+
 // TestBrownoutShedsByPriority: blacking out the larger domain while
 // brownout mode is on must engage shedding — brownout ticks accrue,
 // shed zones release their leases, and the accounting (player-ticks,
@@ -281,8 +323,9 @@ func TestChaosFeaturesAreDeterministic(t *testing.T) {
 
 // TestCheckpointResumeMidRegionBlackout is satellite coverage for crash
 // recovery under correlated faults: a run killed in the middle of a
-// region blackout — with storm control actively deferring failovers and
-// brownout engaged — must resume to a bit-identical Result.
+// region blackout, while storm control holds parked failovers, must
+// resume to a bit-identical Result — the parked state rides the
+// checkpoint.
 func TestCheckpointResumeMidRegionBlackout(t *testing.T) {
 	mk := func() Config {
 		cfg := blackoutConfig()
@@ -294,16 +337,35 @@ func TestCheckpointResumeMidRegionBlackout(t *testing.T) {
 		cfg.TrackCenters = true
 		return cfg
 	}
-	ref, err := Run(mk())
-	if err != nil {
-		t.Fatal(err)
+	ref, events := recordedEvents(t, mk())
+	const stop = 485 // inside the eu blackout, with failovers parked
+
+	// The stop tick must fall inside a park that is still held: deferred
+	// at or before the stop, due after it, and not dropped by a shed.
+	parked := 0
+	for _, w := range parkWindows(events) {
+		if w.from > stop || w.due <= stop {
+			continue
+		}
+		shed := false
+		for _, e := range events {
+			if e.Kind == obs.EventShed && e.Subject == w.zone && e.Tick > w.from && e.Tick <= stop {
+				shed = true
+			}
+		}
+		if !shed {
+			parked++
+		}
+	}
+	if parked == 0 {
+		t.Fatalf("no failover is parked at tick %d — the checkpoint carries no park", stop)
 	}
 
 	dir := t.TempDir()
 	stopped := mk()
 	stopped.CheckpointDir = dir
 	stopped.CheckpointEveryTicks = 50
-	stopped.StopAfterTick = 495 // inside both blackout windows
+	stopped.StopAfterTick = stop
 	if _, err := Run(stopped); !errors.Is(err, ErrStopped) {
 		t.Fatalf("stopped run returned %v, want ErrStopped", err)
 	}
@@ -315,8 +377,8 @@ func TestCheckpointResumeMidRegionBlackout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ResumedFromTick != 495 {
-		t.Fatalf("resumed from tick %d, want 495", res.ResumedFromTick)
+	if res.ResumedFromTick != stop {
+		t.Fatalf("resumed from tick %d, want %d", res.ResumedFromTick, stop)
 	}
 	assertResultsEqual(t, ref, res)
 	if ref.Resilience.RegionBlackouts != 2 {

@@ -8,6 +8,7 @@ import (
 	"mmogdc/internal/datacenter"
 	"mmogdc/internal/faults"
 	"mmogdc/internal/predict"
+	"mmogdc/internal/provision"
 )
 
 // This file implements checkpoint/resume for the batch engine: the
@@ -48,6 +49,9 @@ type engineState struct {
 	tracker   *outageTracker
 	plan      *faults.Plan
 	samples   int
+	// counts are the acquisition counters the zones' steps share; they
+	// sit among the Resilience fields in the byte layout.
+	counts *provision.Counts
 	// brownoutActive and capLossStart point at Run's live brownout /
 	// time-to-full-recovery state, so a resume re-enters an in-progress
 	// impairment episode instead of restarting its clock.
@@ -103,15 +107,15 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 	e.Int(r.PartialOutages)
 	e.Int(r.CapacityRecovered)
 	e.Int(r.ServiceRecovered)
-	e.Int(r.Failovers)
-	e.Int(r.FailoverLeases)
-	e.Int(r.Retries)
-	e.Int(r.Rejections)
-	e.Int(r.PartialGrants)
+	e.Int(s.counts.Failovers)
+	e.Int(s.counts.FailoverLeases)
+	e.Int(s.counts.Retries)
+	e.Int(s.counts.Rejections)
+	e.Int(s.counts.PartialGrants)
 	e.Int(r.DroppedSamples)
 	e.F64(r.CapacityLostCPUTicks)
 	e.Int(r.RegionBlackouts)
-	e.Int(r.FailoversDeferred)
+	e.Int(s.counts.Deferred)
 	e.Int(r.BrownoutTicks)
 	e.Int(r.ShedLeases)
 	e.F64(r.ShedPlayerTicks)
@@ -153,9 +157,10 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 		}
 	}
 
-	// Zones: predictor state, LOCF sample, backoff, and the lease list
-	// as (center, position) references into the books above — zone
-	// lease order also fixes float summation order.
+	// Zones: predictor state, LOCF sample, the step's backoff and
+	// parked failover, and the lease list as (center, position)
+	// references into the books above — zone lease order also fixes
+	// float summation order.
 	for i := range s.zones {
 		z := &s.zones[i]
 		if z.predictor == nil {
@@ -169,15 +174,10 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 			e.Bytes(st.Snapshot())
 		}
 		e.F64(z.lastObs)
-		e.Int(z.retries)
-		e.Int(z.retryAt)
-		e.Int(z.failoverAt)
-		e.Int(len(z.pendingLost))
-		for _, name := range z.pendingLost {
-			e.Str(name)
-		}
-		refs := make([]int, 0, 2*len(z.leases))
-		for _, l := range z.leases {
+		z.step.Encode(e)
+		leases := z.step.Leases()
+		refs := make([]int, 0, 2*len(leases))
+		for _, l := range leases {
 			p, ok := leasePos[l]
 			if !ok {
 				// A zone holding a lease absent from every live book can
@@ -297,15 +297,15 @@ func (s *engineState) restore(payload []byte) (int, error) {
 	r.PartialOutages = d.Int()
 	r.CapacityRecovered = d.Int()
 	r.ServiceRecovered = d.Int()
-	r.Failovers = d.Int()
-	r.FailoverLeases = d.Int()
-	r.Retries = d.Int()
-	r.Rejections = d.Int()
-	r.PartialGrants = d.Int()
+	s.counts.Failovers = d.Int()
+	s.counts.FailoverLeases = d.Int()
+	s.counts.Retries = d.Int()
+	s.counts.Rejections = d.Int()
+	s.counts.PartialGrants = d.Int()
 	r.DroppedSamples = d.Int()
 	r.CapacityLostCPUTicks = d.F64()
 	r.RegionBlackouts = d.Int()
-	r.FailoversDeferred = d.Int()
+	s.counts.Deferred = d.Int()
 	r.BrownoutTicks = d.Int()
 	r.ShedLeases = d.Int()
 	r.ShedPlayerTicks = d.F64()
@@ -373,19 +373,8 @@ func (s *engineState) restore(payload []byte) (int, error) {
 			snap = d.Bytes()
 		}
 		z.lastObs = d.F64()
-		z.retries = d.Int()
-		z.retryAt = d.Int()
-		z.failoverAt = d.Int()
-		nPending := d.Int()
-		if d.Err() != nil {
-			break
-		}
-		if nPending < 0 || nPending > len(s.cfg.Centers) {
-			return 0, fmt.Errorf("core: resume: zone %s parks %d failovers", z.tag, nPending)
-		}
-		z.pendingLost = z.pendingLost[:0]
-		for j := 0; j < nPending; j++ {
-			z.pendingLost = append(z.pendingLost, d.Str())
+		if err := z.step.Decode(d); err != nil {
+			return fail(err)
 		}
 		refs := d.Ints()
 		if d.Err() != nil {
@@ -406,14 +395,15 @@ func (s *engineState) restore(payload []byte) (int, error) {
 		if len(refs)%2 != 0 {
 			return 0, fmt.Errorf("core: resume: zone %s has a dangling lease reference", z.tag)
 		}
-		z.leases = z.leases[:0]
+		leases := make([]*datacenter.Lease, 0, len(refs)/2)
 		for k := 0; k+1 < len(refs); k += 2 {
 			ci, pos := refs[k], refs[k+1]
 			if ci < 0 || ci >= len(books) || pos < 0 || pos >= len(books[ci]) {
 				return 0, fmt.Errorf("core: resume: zone %s references lease (%d,%d) outside the books", z.tag, ci, pos)
 			}
-			z.leases = append(z.leases, books[ci][pos])
+			leases = append(leases, books[ci][pos])
 		}
+		z.step.SetLeases(leases)
 	}
 
 	hasPlan := d.Bool()

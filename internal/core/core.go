@@ -36,15 +36,8 @@ import (
 	"mmogdc/internal/obs"
 	"mmogdc/internal/par"
 	"mmogdc/internal/predict"
+	"mmogdc/internal/provision"
 	"mmogdc/internal/trace"
-)
-
-// Backoff policy for injected grant rejections: after the n-th
-// consecutive rejected acquisition a zone waits 1, 2, 4, then 8 ticks
-// before asking again (bounded exponential backoff).
-const (
-	maxRetryExp     = 4
-	maxBackoffTicks = 8
 )
 
 // SignificantUnderPct is the |Υ| threshold (in percent) above which an
@@ -237,7 +230,9 @@ type zoneState struct {
 	group     *trace.Group
 	region    trace.Region
 	predictor predict.Predictor
-	leases    []*datacenter.Lease
+	// step is the zone's provisioning step: its lease book, backoff,
+	// and parked failover.
+	step provision.Step
 	// tag is the zone's request/accounting tag ("game/group"), built
 	// once at construction — the tick loop must never format it.
 	tag string
@@ -255,17 +250,6 @@ type zoneState struct {
 	// lastObs carries the last monitoring sample that actually
 	// arrived; dropouts feed it to the predictor instead (LOCF).
 	lastObs float64
-	// retries and retryAt implement the bounded backoff after
-	// injected grant rejections: the zone skips acquisitions until
-	// tick retryAt.
-	retries int
-	retryAt int
-	// pendingLost and failoverAt implement storm control: when the
-	// per-tick failover budget is exhausted, the centers that dropped
-	// this zone are parked here and the failover re-acquisition runs at
-	// tick failoverAt (deterministically jittered).
-	pendingLost []string
-	failoverAt  int
 }
 
 // zonePartial is one zone's contribution to a tick, produced by the
@@ -297,70 +281,6 @@ type workerArena struct {
 	_       [56]byte // pad to a 64-byte cache line
 }
 
-// activeAlloc sums the zone's live leases at time now, pruning dead
-// ones.
-func (z *zoneState) activeAlloc(now time.Time) datacenter.Vector {
-	var sum datacenter.Vector
-	live := z.leases[:0]
-	for _, l := range z.leases {
-		if l.Active(now) {
-			sum = sum.Add(l.Alloc)
-			live = append(live, l)
-		}
-	}
-	z.leases = live
-	return sum
-}
-
-// allocAt sums the leases that will still be active at time t, without
-// pruning. The acquire phase sizes requests against the allocation
-// surviving to the *next* scoring instant, so leases are renewed
-// before they lapse rather than one tick after.
-func (z *zoneState) allocAt(t time.Time) datacenter.Vector {
-	var sum datacenter.Vector
-	for _, l := range z.leases {
-		if l.Active(t) {
-			sum = sum.Add(l.Alloc)
-		}
-	}
-	return sum
-}
-
-// backOff schedules zone z's next acquisition attempt after an
-// injected rejection at tick t: 1, 2, 4, then 8 ticks out, capped.
-func backOff(z *zoneState, t int) {
-	if z.retries < maxRetryExp {
-		z.retries++
-	}
-	backoff := 1 << (z.retries - 1)
-	if backoff > maxBackoffTicks {
-		backoff = maxBackoffTicks
-	}
-	z.retryAt = t + backoff
-}
-
-// failoverJitter spreads deferred failovers over the next 1–4 ticks
-// with a stateless hash of (zone, tick) — deterministic for any worker
-// count (the acquire phase is sequential), different per zone and per
-// deferral so a blackout's victims do not re-stampede in lockstep.
-func failoverJitter(zone, t int) int {
-	h := uint64(zone)*0x9e3779b97f4a7c15 ^ uint64(t)*0xbf58476d1ce4e5b9 ^ 0x5707bac0ff
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
-	return int(h & 3) // 0..3 extra ticks beyond the minimum 1
-}
-
-// containsName reports whether the tiny name list holds name.
-func containsName(list []string, name string) bool {
-	for _, n := range list {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // sanitizePrediction guards the simulation against misbehaving
 // predictors: negative, NaN, or infinite forecasts are treated as
 // zero demand (the operator requests nothing rather than poisoning
@@ -385,16 +305,27 @@ func demandVector(g *mmog.Game, players float64) datacenter.Vector {
 }
 
 // Run executes the simulation and returns its metrics.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
+
+// run is Run with an optional decision log installed on the run's
+// matcher in place of the Provenance-sized one, so a test can read the
+// whole decision stream back.
+func run(cfg Config, decisions *ecosystem.DecisionLog) (*Result, error) {
 	if len(cfg.Workloads) == 0 {
 		return nil, fmt.Errorf("core: no workloads")
 	}
 	// zones is the flat zone-state arena: one value slice in canonical
-	// order, never reallocated after this setup loop (pointers into it
-	// are only taken afterwards). gameNames lists the distinct games in
-	// workload order; the per-game accumulators are flat slices indexed
-	// by zoneState.gameIdx.
-	var zones []zoneState
+	// order, sized up front and never reallocated after this setup loop
+	// (pointers into it are only taken afterwards). gameNames lists the
+	// distinct games in workload order; the per-game accumulators are
+	// flat slices indexed by zoneState.gameIdx.
+	nzones := 0
+	for _, w := range cfg.Workloads {
+		if w.Dataset != nil {
+			nzones += len(w.Dataset.Groups)
+		}
+	}
+	zones := make([]zoneState, 0, nzones)
 	var gameNameList []string
 	samples := 0
 	gameNames := map[string]bool{}
@@ -513,8 +444,11 @@ func Run(cfg Config) (*Result, error) {
 	if plan != nil {
 		matcher.SetFaultInjector(plan)
 	}
-	if cfg.Provenance > 0 {
-		matcher.SetDecisionLog(ecosystem.NewDecisionLog(cfg.Provenance))
+	if decisions == nil && cfg.Provenance > 0 {
+		decisions = ecosystem.NewDecisionLog(cfg.Provenance)
+	}
+	if decisions != nil {
+		matcher.SetDecisionLog(decisions)
 	}
 	res := &Result{CenterStats: map[string]*CenterStats{}}
 	if cfg.TrackCenters {
@@ -582,14 +516,19 @@ func Run(cfg Config) (*Result, error) {
 	tracker := newOutageTracker(cfg.Centers, resil)
 	ro := newRunObs(cfg.Obs)
 
-	tagToZone := make(map[string]int, len(zones))
+	// One provisioning step per zone, all sharing the run's counters and
+	// telemetry; the bootstrap and acquire phases drive them in acquire
+	// order.
+	var counts provision.Counts
+	tel := ro.telemetry()
 	for i := range zones {
-		tagToZone[zones[i].tag] = i
+		z := &zones[i]
+		z.step = provision.New(provision.Config{
+			Matcher: matcher, Tag: z.tag, Origin: z.region.Location,
+			MaxDistanceKm: z.game.LatencyKm, JitterKey: i,
+			Counts: &counts, Telemetry: tel,
+		})
 	}
-	// lostCenters[i] names the centers that dropped zone i's leases at
-	// the current tick — the same-tick failover re-acquires from
-	// everywhere else.
-	lostCenters := make([][]string, len(zones))
 
 	// Brownout and recovery tracking. zoneShed marks the zones whose
 	// demand is deliberately unserved this tick; brownoutActive and
@@ -604,26 +543,13 @@ func Run(cfg Config) (*Result, error) {
 	capLossStart := -1
 
 	// applyFailures fires the scheduled and injected outages and
-	// recoveries due at tick t: the capacity vanishes, the operator
-	// fails the lost leases over within the same tick. Tick-0 outages
-	// fire before the bootstrap acquire, so a center that is down from
-	// the start never hands out leases. Recoveries apply first so
-	// windows meeting at one tick compose through the refcount.
+	// recoveries due at tick t: the capacity vanishes, and each zone's
+	// step finds its released leases when it prunes, failing them over
+	// within the same tick. Tick-0 outages fire before the bootstrap
+	// acquire, so a center that is down from the start never hands out
+	// leases. Recoveries apply first so windows meeting at one tick
+	// compose through the refcount.
 	applyFailures := func(t int) {
-		for i := range lostCenters {
-			lostCenters[i] = lostCenters[i][:0]
-		}
-		noteLost := func(dropped []*datacenter.Lease, center string) {
-			for _, l := range dropped {
-				zi, ok := tagToZone[l.Tag]
-				if !ok {
-					continue
-				}
-				if !containsName(lostCenters[zi], center) {
-					lostCenters[zi] = append(lostCenters[zi], center)
-				}
-			}
-		}
 		for _, f := range cfg.Failures {
 			if t == f.AtTick+f.DurationTicks {
 				centersByName[f.Center].Recover()
@@ -646,7 +572,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		for _, f := range cfg.Failures {
 			if t == f.AtTick {
-				noteLost(centersByName[f.Center].Fail(), f.Center)
+				centersByName[f.Center].Fail()
 				ro.outage(t, f.Center, 1)
 			}
 		}
@@ -656,9 +582,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		for _, o := range plan.FailuresAt(t) {
 			if c := centersByName[o.Center]; o.Fraction >= 1 {
-				noteLost(c.Fail(), o.Center)
+				c.Fail()
 			} else {
-				noteLost(c.Degrade(o.Fraction), o.Center)
+				c.Degrade(o.Fraction)
 			}
 			ro.outage(t, o.Center, o.Fraction)
 		}
@@ -674,7 +600,7 @@ func Run(cfg Config) (*Result, error) {
 		cfg: &cfg, zones: zones, res: res,
 		overSum: &overSum, underSum: &underSum, overTicks: &overTicks,
 		gameNames: gameNameList, gameUnder: gameUnderSum,
-		tracker: tracker, plan: plan, samples: samples,
+		tracker: tracker, plan: plan, samples: samples, counts: &counts,
 		brownoutActive: &brownoutActive, capLossStart: &capLossStart,
 	}
 	var ckptMgr *checkpoint.Manager
@@ -753,25 +679,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		for _, zi := range acquireOrder {
-			z := &zones[zi]
-			want := partials[zi].need
-			if want.IsZero() {
-				continue
-			}
-			asp := ro.beginZoneAcquire(0, z.tag, nil, false)
-			leases, unmet, out := matcher.AllocateDetailed(ecosystem.Request{
-				Tag:           z.tag,
-				Origin:        z.region.Location,
-				MaxDistanceKm: z.game.LatencyKm,
-				Demand:        want,
-			}, start)
-			z.leases = append(z.leases, leases...)
-			resil.Rejections += out.Rejections
-			resil.PartialGrants += out.PartialGrants
-			ro.acquired(0, z.tag, leases, out, nil, asp)
-			if out.Rejections > 0 && !unmet.IsZero() {
-				backOff(z, 0)
-			}
+			zones[zi].step.Acquire(0, start, partials[zi].need, true)
 		}
 		ro.endBootstrap()
 	}
@@ -800,7 +708,7 @@ func Run(cfg Config) (*Result, error) {
 				pt.alloc = z.staticAlloc.Scale(z.home.AvailableFraction())
 			}
 		} else {
-			pt.alloc = z.activeAlloc(curNow)
+			pt.alloc = z.step.Prune(curNow)
 		}
 		raw := z.group.Load.At(curTick)
 		loadVal := raw
@@ -830,7 +738,7 @@ func Run(cfg Config) (*Result, error) {
 		z.predictor.Observe(z.lastObs)
 		predicted := sanitizePrediction(z.predictor.Predict())
 		want := demandVector(z.game, predicted*(1+cfg.SafetyMargin))
-		have := z.allocAt(curNow.Add(tick))
+		have := z.step.AllocAt(curNow.Add(tick))
 		pt.need = want.Sub(have).ClampNonNegative()
 	}
 	observePhase := func(lo, hi, w int) {
@@ -959,7 +867,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			for i := range zones {
 				z := &zones[i]
-				for _, l := range z.leases {
+				for _, l := range z.step.Leases() {
 					if l.Active(now) {
 						res.CenterStats[l.Center.Name].AllocatedByRegion[z.region.Name] += l.Alloc[datacenter.CPU]
 					}
@@ -1023,13 +931,7 @@ func Run(cfg Config) (*Result, error) {
 						continue
 					}
 					zoneShed[zi] = true
-					released := 0
-					for _, l := range z.leases {
-						if !l.Released() && l.Center.Release(l) {
-							released++
-						}
-					}
-					z.leases = z.leases[:0]
+					released := z.step.Release()
 					if released > 0 || z.lastObs > 0 {
 						resil.ShedLeases += released
 						resil.ShedPlayerTicks += z.lastObs
@@ -1074,87 +976,20 @@ func Run(cfg Config) (*Result, error) {
 		for _, zi := range acquireOrder {
 			z := &zones[zi]
 			if zoneShed != nil && zoneShed[zi] {
-				// Shed in brownout: the demand is deliberately unserved,
-				// and any parked failover is moot — the leases are gone.
-				z.pendingLost = z.pendingLost[:0]
+				// Shed in brownout: the demand is deliberately unserved.
 				if z.lastObs > 0 {
 					anyUnmet = true
 				}
 				continue
 			}
-			lost := lostCenters[zi]
-			need := partials[zi].need
-			if len(z.pendingLost) > 0 && t >= z.failoverAt {
-				// A deferred failover comes due: fold the parked centers
-				// into this tick's exclusion list.
-				for _, name := range z.pendingLost {
-					if !containsName(lost, name) {
-						lostCenters[zi] = append(lostCenters[zi], name)
-					}
-				}
-				lost = lostCenters[zi]
-				z.pendingLost = z.pendingLost[:0]
-			}
-			if len(lost) == 0 && t < z.retryAt {
-				// Backed off after injected rejections: don't hammer
-				// the ecosystem; the demand goes unserved this tick. A
-				// failover overrides the backoff — lost capacity is
-				// urgent.
-				if !need.IsZero() {
-					anyUnmet = true
-				}
-				continue
-			}
-			if need.IsZero() {
-				continue
-			}
-			if len(lost) > 0 && cfg.FailoverBudgetPerTick > 0 && failoversNow >= cfg.FailoverBudgetPerTick {
-				// Storm control: the per-tick failover budget is spent —
-				// park the lost centers and come back after a short
-				// deterministic jitter, so a region blackout does not
-				// stampede every zone onto the survivors at once.
-				for _, name := range lost {
-					if !containsName(z.pendingLost, name) {
-						z.pendingLost = append(z.pendingLost, name)
-					}
-				}
-				z.failoverAt = t + 1 + failoverJitter(zi, t)
-				resil.FailoversDeferred++
-				ro.failoverDeferred(t, z.tag, z.failoverAt)
-				anyUnmet = true
-				continue
-			}
-			retry := z.retries > 0
-			asp := ro.beginZoneAcquire(t, z.tag, lost, retry)
-			if retry {
-				resil.Retries++
-				ro.retried(t, z.tag, asp)
-			}
-			leases, unmet, out := matcher.AllocateDetailed(ecosystem.Request{
-				Tag:           z.tag,
-				Origin:        z.region.Location,
-				MaxDistanceKm: z.game.LatencyKm,
-				Demand:        need,
-				Exclude:       lost,
-			}, now)
-			if out.Decision != nil {
-				out.Decision.Tick = t
-			}
-			z.leases = append(z.leases, leases...)
-			resil.Rejections += out.Rejections
-			resil.PartialGrants += out.PartialGrants
-			ro.acquired(t, z.tag, leases, out, lost, asp)
-			if len(lost) > 0 {
+			// Storm control: once the tick's failover budget is spent, a
+			// zone that lost capacity parks instead of failing over.
+			admit := cfg.FailoverBudgetPerTick == 0 || failoversNow < cfg.FailoverBudgetPerTick
+			a := z.step.Acquire(t, now, partials[zi].need, admit)
+			if a.Failover {
 				failoversNow++
-				resil.Failovers++
-				resil.FailoverLeases += len(leases)
 			}
-			if out.Rejections > 0 && !unmet.IsZero() {
-				backOff(z, t)
-			} else {
-				z.retries = 0
-			}
-			if !unmet.IsZero() {
+			if a.Unmet {
 				anyUnmet = true
 			}
 		}
@@ -1177,6 +1012,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	tracker.finish(res.Ticks)
+	resil.Failovers, resil.FailoverLeases, resil.FailoversDeferred = counts.Failovers, counts.FailoverLeases, counts.Deferred
+	resil.Retries, resil.Rejections, resil.PartialGrants = counts.Retries, counts.Rejections, counts.PartialGrants
 
 	res.AvgUnderByGame = map[string]float64{}
 	for gi, w := range cfg.Workloads {

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"strings"
 	"time"
 
 	"mmogdc/internal/datacenter"
-	"mmogdc/internal/ecosystem"
 	"mmogdc/internal/obs"
 	"mmogdc/internal/par"
+	"mmogdc/internal/provision"
 )
 
 // runObs is the engine's observability harness: every instrument the
@@ -32,17 +31,11 @@ type runObs struct {
 	ckptWrites *obs.Counter
 
 	// Provisioning counters (the Resilience bridge: incremented at the
-	// same sites as the Result.Resilience fields).
+	// same sites as the Result.Resilience fields). The acquisition
+	// counters live in tel, where the zones' steps publish.
 	ticks          *obs.Counter
 	disruptive     *obs.Counter
 	unmet          *obs.Counter
-	grants         *obs.Counter
-	grantLeases    *obs.Counter
-	failovers      *obs.Counter
-	failoverLeases *obs.Counter
-	retries        *obs.Counter
-	rejections     *obs.Counter
-	partialGrants  *obs.Counter
 	droppedSamples *obs.Counter
 	outagesFull    *obs.Counter
 	outagesPartial *obs.Counter
@@ -50,7 +43,7 @@ type runObs struct {
 	regionDark     *obs.Counter
 	brownoutTicks  *obs.Counter
 	shedLeases     *obs.Counter
-	deferred       *obs.Counter
+	tel            *provision.Telemetry
 
 	// Live-run gauges, set once per tick on the sequential reduce path.
 	tickGauge *obs.Gauge
@@ -75,18 +68,9 @@ type runObs struct {
 	obsSp   *obs.Span
 	acqSp   *obs.Span
 	curTick int
-	// Event-detail interning: grant/failover details are derived from
-	// center names, a tiny closed set, so the single-center case (the
-	// overwhelming majority) is cached and the name-dedup scratch is
-	// reused — steady-state telemetry then allocates nothing per event.
-	centersBuf    []string
-	centersDetail map[string]string
-	lostDetail    map[string]string
-	// lastReject chains a retry span back to the rejection that caused
-	// the backoff; outageDepth/outageWin track the open async outage
-	// window per center (overlapping windows compose by depth, like the
-	// engine's refcounted center health).
-	lastReject  map[string]obs.SpanID
+	// outageDepth/outageWin track the open async outage window per
+	// center (overlapping windows compose by depth, like the engine's
+	// refcounted center health); failover spans link to them.
 	outageDepth map[string]int
 	outageWin   map[string]obs.SpanID
 	outageName  map[string]string
@@ -124,20 +108,26 @@ func newRunObs(o *obs.Obs) *runObs {
 		"Ticks with a significant under-allocation (|Y| > 1%) on any resource.")
 	ro.unmet = r.Counter("mmogdc_unmet_ticks_total",
 		"Ticks where the ecosystem could not serve the full demand.")
-	ro.grants = r.Counter("mmogdc_grants_total",
-		"Acquisitions that won at least one lease.")
-	ro.grantLeases = r.Counter("mmogdc_grant_leases_total",
-		"Leases acquired across all grants.")
-	ro.failovers = r.Counter("mmogdc_failovers_total",
-		"Zone-ticks that re-acquired capacity lost to a failed or degraded center.")
-	ro.failoverLeases = r.Counter("mmogdc_failover_leases_total",
-		"Leases won by failover re-acquisitions.")
-	ro.retries = r.Counter("mmogdc_retries_total",
-		"Backed-off re-attempts after injected grant rejections.")
-	ro.rejections = r.Counter("mmogdc_rejections_total",
-		"Grant attempts vetoed by the fault injector.")
-	ro.partialGrants = r.Counter("mmogdc_partial_grants_total",
-		"Grants the fault injector trimmed to a fraction.")
+	ro.tel = &provision.Telemetry{
+		Recorder: o.Recorder,
+		Spans:    ro,
+		Grants: r.Counter("mmogdc_grants_total",
+			"Acquisitions that won at least one lease."),
+		GrantLeases: r.Counter("mmogdc_grant_leases_total",
+			"Leases acquired across all grants."),
+		Failovers: r.Counter("mmogdc_failovers_total",
+			"Zone-ticks that re-acquired capacity lost to a failed or degraded center."),
+		FailoverLeases: r.Counter("mmogdc_failover_leases_total",
+			"Leases won by failover re-acquisitions."),
+		Retries: r.Counter("mmogdc_retries_total",
+			"Backed-off re-attempts after injected grant rejections."),
+		Rejections: r.Counter("mmogdc_rejections_total",
+			"Grant attempts vetoed by the fault injector."),
+		PartialGrants: r.Counter("mmogdc_partial_grants_total",
+			"Grants the fault injector trimmed to a fraction."),
+		Deferred: r.Counter("mmogdc_failovers_deferred_total",
+			"Failover re-acquisitions deferred by the per-tick failover budget."),
+	}
 	ro.droppedSamples = r.Counter("mmogdc_dropped_samples_total",
 		"Monitoring samples lost and carried forward (LOCF).")
 	ro.outagesFull = r.Counter("mmogdc_outages_total",
@@ -152,8 +142,6 @@ func newRunObs(o *obs.Obs) *runObs {
 		"Ticks spent in brownout mode (surviving capacity below demand).")
 	ro.shedLeases = r.Counter("mmogdc_shed_leases_total",
 		"Leases released by brownout priority shedding.")
-	ro.deferred = r.Counter("mmogdc_failovers_deferred_total",
-		"Failover re-acquisitions deferred by the per-tick failover budget.")
 
 	ro.tickGauge = r.Gauge("mmogdc_tick", "Current simulation tick.")
 	ro.allocCPU = r.Gauge("mmogdc_allocated_cpu_units",
@@ -172,12 +160,8 @@ func newRunObs(o *obs.Obs) *runObs {
 	ro.poolSkips = r.Counter("mmogdc_pool_helper_skips_total",
 		"Helper dispatches skipped because every resident worker was busy.")
 
-	ro.centersDetail = map[string]string{}
-	ro.lostDetail = map[string]string{}
-
 	if o.Tracer != nil {
 		ro.trc = o.Tracer
-		ro.lastReject = map[string]obs.SpanID{}
 		ro.outageDepth = map[string]int{}
 		ro.outageWin = map[string]obs.SpanID{}
 		ro.outageName = map[string]string{}
@@ -185,32 +169,13 @@ func newRunObs(o *obs.Obs) *runObs {
 	return ro
 }
 
-// centersJoinedDetail builds the "centers: a,b" grant detail, caching
-// the one-center case (multi-center grants are rare enough to allocate).
-func (ro *runObs) centersJoinedDetail(centers []string) string {
-	if len(centers) == 1 {
-		d, ok := ro.centersDetail[centers[0]]
-		if !ok {
-			d = "centers: " + centers[0]
-			ro.centersDetail[centers[0]] = d
-		}
-		return d
+// telemetry is where the zones' steps publish their acquisitions (nil
+// when disabled).
+func (ro *runObs) telemetry() *provision.Telemetry {
+	if ro == nil {
+		return nil
 	}
-	return "centers: " + strings.Join(centers, ",")
-}
-
-// lostJoinedDetail builds the "lost: a,b" failover detail with the
-// same one-center caching.
-func (ro *runObs) lostJoinedDetail(lost []string) string {
-	if len(lost) == 1 {
-		d, ok := ro.lostDetail[lost[0]]
-		if !ok {
-			d = "lost: " + lost[0]
-			ro.lostDetail[lost[0]] = d
-		}
-		return d
-	}
-	return "lost: " + strings.Join(lost, ",")
+	return ro.tel
 }
 
 // now reads the obs clock; the zero Time when disabled (no clock call).
@@ -318,11 +283,11 @@ func (ro *runObs) beginAcquireSpan(start time.Time) {
 	ro.acqSp.SetTick(ro.curTick)
 }
 
-// beginZoneAcquire opens one zone's acquisition span. A failover links
-// to the open outage window of the first center that dropped the zone;
-// a retry links to the rejection span it backs off from — the
-// failover→retry causality chains the audit tool follows.
-func (ro *runObs) beginZoneAcquire(t int, tag string, lost []string, retry bool) *obs.Span {
+// BeginAcquire opens one zone's acquisition span (provision.Spans). A
+// failover links to the open outage window of the first center that
+// dropped the zone; a retry links to the rejection span it backs off
+// from — the failover→retry causality chains the audit tool follows.
+func (ro *runObs) BeginAcquire(t int, tag string, lost []string, retry bool, rejected obs.SpanID) *obs.Span {
 	if ro == nil || ro.trc == nil {
 		return nil
 	}
@@ -340,9 +305,18 @@ func (ro *runObs) beginZoneAcquire(t int, tag string, lost []string, retry bool)
 	case len(lost) > 0:
 		sp.SetLink(ro.outageWin[lost[0]])
 	case retry:
-		sp.SetLink(ro.lastReject[tag])
+		sp.SetLink(rejected)
 	}
 	return sp
+}
+
+// Enclosing returns the acquire-phase span, which a parked failover's
+// event carries (provision.Spans).
+func (ro *runObs) Enclosing() obs.SpanID {
+	if ro == nil {
+		return 0
+	}
+	return ro.acqSp.ID()
 }
 
 func (ro *runObs) acquireDone(from, to time.Time) {
@@ -490,16 +464,6 @@ func (ro *runObs) shed(t int, tag string, players float64, leases int) {
 	ro.o.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventShed, Subject: tag, Value: players, Span: ro.tickSp.ID()})
 }
 
-// failoverDeferred records storm control pushing a zone's failover
-// re-acquisition to tick until.
-func (ro *runObs) failoverDeferred(t int, tag string, until int) {
-	if ro == nil {
-		return
-	}
-	ro.deferred.Inc()
-	ro.o.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventDeferred, Subject: tag, Value: float64(until), Span: ro.acqSp.ID()})
-}
-
 // droppedSample records one monitoring dropout.
 func (ro *runObs) droppedSample(t int, tag string) {
 	if ro == nil {
@@ -507,77 +471,6 @@ func (ro *runObs) droppedSample(t int, tag string) {
 	}
 	ro.droppedSamples.Inc()
 	ro.o.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventDropped, Subject: tag, Span: ro.tickSp.ID()})
-}
-
-// retried records one backed-off re-attempt, stamped with the zone's
-// acquire span (which links back to the rejection it retries).
-func (ro *runObs) retried(t int, tag string, sp *obs.Span) {
-	if ro == nil {
-		return
-	}
-	ro.retries.Inc()
-	ro.o.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventRetry, Subject: tag, Span: sp.ID()})
-}
-
-// acquired records the outcome of one AllocateDetailed call: grants,
-// injected rejections/trims, and the failover case — and closes the
-// zone's acquire span, remembering rejection spans so the next retry
-// links to them.
-func (ro *runObs) acquired(t int, tag string, leases []*datacenter.Lease, out ecosystem.Outcome, lost []string, sp *obs.Span) {
-	if ro == nil {
-		return
-	}
-	span := sp.ID()
-	ro.rejections.Add(int64(out.Rejections))
-	ro.partialGrants.Add(int64(out.PartialGrants))
-	if out.Rejections > 0 {
-		ro.o.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventRejection, Subject: tag, Value: float64(out.Rejections), Span: span})
-		if ro.lastReject != nil && span != 0 {
-			ro.lastReject[tag] = span
-		}
-	}
-	if len(leases) > 0 {
-		ro.grants.Inc()
-		ro.grantLeases.Add(int64(len(leases)))
-		cpu := 0.0
-		centers := ro.centersBuf[:0]
-		for _, l := range leases {
-			cpu += l.Alloc[datacenter.CPU]
-			seen := false
-			for _, c := range centers {
-				if c == l.Center.Name {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				centers = append(centers, l.Center.Name)
-			}
-		}
-		ro.centersBuf = centers
-		ro.o.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventGrant, Subject: tag,
-			Detail: ro.centersJoinedDetail(centers), Value: cpu, Span: span})
-	}
-	if len(lost) > 0 {
-		ro.failovers.Inc()
-		ro.failoverLeases.Add(int64(len(leases)))
-		ro.o.Recorder.Record(obs.Event{
-			Tick: t, Kind: obs.EventFailover, Subject: tag,
-			Detail: ro.lostJoinedDetail(lost), Value: float64(len(leases)), Span: span,
-		})
-	}
-	if out.Decision != nil {
-		// The decision event shares the acquire span with the grant /
-		// failover / rejection events above — that span is the join
-		// key from outcome to ranking. Building the walk Detail
-		// allocates, but only on the provenance-enabled path.
-		ro.o.Recorder.Record(obs.Event{
-			Tick: t, Kind: obs.EventDecision, Subject: tag,
-			Detail: out.Decision.WalkDetail(), Value: float64(out.Decision.Seq), Span: span,
-		})
-	}
-	sp.SetValue(float64(len(leases)))
-	sp.End()
 }
 
 // breach records one tick with a significant under-allocation: the

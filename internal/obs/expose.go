@@ -11,7 +11,7 @@ import (
 
 // This file renders the registry: the Prometheus text exposition
 // format served on /metrics, and a JSON-friendly snapshot for
-// machine-readable run summaries (-metrics-out) and /debug/vars.
+// machine-readable run summaries (-metrics-out).
 // Both renderings are deterministic — families sorted by name, series
 // by canonical label key — so outputs are diffable across runs.
 

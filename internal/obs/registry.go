@@ -3,7 +3,7 @@
 // with labeled series and Prometheus text exposition), a bounded
 // flight recorder of structured provisioning events, an injectable
 // monotonic clock for deterministic micro-timing, and an opt-in HTTP
-// server exposing /metrics, /debug/pprof, and /debug/vars.
+// server exposing /metrics, /events, and /debug/pprof.
 //
 // The layer is strictly write-only with respect to the simulation: the
 // engines publish into it but never read back, so a run with obs

@@ -2,14 +2,11 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -17,34 +14,16 @@ import (
 //
 //	/metrics                 Prometheus text exposition of the registry
 //	/events                  flight-recorder contents as a JSON document
-//	/debug/vars              expvar (includes the registry snapshot)
 //	/debug/pprof/...         the standard runtime profiles
 //
 // Everything hangs off a private mux — importing net/http/pprof also
 // registers on http.DefaultServeMux, but we never serve that mux, so
-// an embedding application's routes are not polluted.
-
-// expvar publication is process-global and panics on duplicate names;
-// publish once, reading through an atomic pointer so tests (and
-// successive runs in one process) can each own the live bundle.
-var (
-	expvarOnce sync.Once
-	currentObs atomic.Pointer[Obs]
-)
-
-func (o *Obs) publishExpvar() {
-	currentObs.Store(o)
-	expvarOnce.Do(func() {
-		expvar.Publish("mmogdc_metrics", expvar.Func(func() any {
-			return currentObs.Load().Reg().Snapshot()
-		}))
-	})
-}
+// an embedding application's routes are not polluted. Nothing is
+// process-global: two bundles in one process serve their own data.
 
 // Handler returns the observability mux described above. A nil *Obs
 // still returns a working handler over empty data.
 func (o *Obs) Handler() http.Handler {
-	o.publishExpvar()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -93,7 +72,6 @@ func (o *Obs) Handler() http.Handler {
 			encodeErrs.Inc()
 		}
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -104,7 +82,7 @@ func (o *Obs) Handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "mmogdc observability\n\n/metrics\n/events\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprint(w, "mmogdc observability\n\n/metrics\n/events\n/debug/pprof/\n")
 	})
 	return mux
 }

@@ -12,12 +12,12 @@ import (
 
 // payloadKind stamps operator checkpoints so they can never be
 // confused with the batch engine's (internal/core) snapshots.
-const payloadKind = "mmogdc/operator@2"
+const payloadKind = "mmogdc/operator@3"
 
 // Snapshot serializes the operator's complete provisioning state: the
 // per-zone predictors, tick counter and running metrics, the LOCF
-// dropout buffer, the rejection-backoff state, and a descriptor for
-// every live lease. Restoring it yields an operator whose subsequent
+// dropout buffer, the step's backoff state, and a descriptor for every
+// live lease. Restoring it yields an operator whose subsequent
 // forecasts are bit-identical to the uninterrupted one's.
 //
 // The raw payload pairs with checkpoint.Manager for atomic on-disk
@@ -45,27 +45,20 @@ func (o *Operator) Snapshot() ([]byte, error) {
 	e.F64s(o.lastForecast)
 	e.F64s(o.lastLoads)
 	e.Int(o.droppedSamples)
-	e.Int(o.failovers)
-	e.Int(o.rejections)
-	e.Int(o.partialGrants)
-	e.Int(o.retries)
-	e.Int(o.consecRejects)
-	e.Int(o.retryAtTick)
-	e.Int(o.failoversDeferred)
-	e.Int(o.failoverAtTick)
-	e.Int(o.nextFailoverOK)
-	e.Int(len(o.pendingLost))
-	for _, name := range o.pendingLost {
-		e.Str(name)
-	}
+	e.Int(o.counts.Failovers)
+	e.Int(o.counts.Rejections)
+	e.Int(o.counts.PartialGrants)
+	e.Int(o.counts.Retries)
+	o.step.Encode(e)
+	leases := o.step.Leases()
 	live := 0
-	for _, l := range o.leases {
+	for _, l := range leases {
 		if !l.Released() {
 			live++
 		}
 	}
 	e.Int(live)
-	for _, l := range o.leases {
+	for _, l := range leases {
 		if l.Released() {
 			continue // tombstones are transient failover hints, not state
 		}
@@ -143,28 +136,19 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 	o.lastForecast = d.F64s()
 	o.lastLoads = d.F64s()
 	o.droppedSamples = d.Int()
-	o.failovers = d.Int()
-	o.rejections = d.Int()
-	o.partialGrants = d.Int()
-	o.retries = d.Int()
-	o.consecRejects = d.Int()
-	o.retryAtTick = d.Int()
-	o.failoversDeferred = d.Int()
-	o.failoverAtTick = d.Int()
-	o.nextFailoverOK = d.Int()
-	nPending := d.Int()
-	if err := d.Err(); err != nil {
+	o.counts.Failovers = d.Int()
+	o.counts.Rejections = d.Int()
+	o.counts.PartialGrants = d.Int()
+	o.counts.Retries = d.Int()
+	if err := o.step.Decode(d); err != nil {
 		return nil, nil, fmt.Errorf("operator: %w", err)
-	}
-	if nPending < 0 || nPending > 1<<16 {
-		return nil, nil, fmt.Errorf("operator: checkpoint parks %d failovers", nPending)
-	}
-	for i := 0; i < nPending; i++ {
-		o.pendingLost = append(o.pendingLost, d.Str())
 	}
 	nLeases := d.Int()
 	if err := d.Err(); err != nil {
 		return nil, nil, fmt.Errorf("operator: %w", err)
+	}
+	if nLeases < 0 || nLeases > 1<<20 {
+		return nil, nil, fmt.Errorf("operator: checkpoint lease count %d", nLeases)
 	}
 	type leaseRec struct {
 		center       string
@@ -172,37 +156,42 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 		start, until time.Time
 		tag          string
 	}
-	recs := make([]leaseRec, nLeases)
-	for i := range recs {
-		recs[i].center = d.Str()
+	// Records are appended as they decode: a corrupt count must not
+	// size an allocation the payload cannot back.
+	var recs []leaseRec
+	for i := 0; i < nLeases && d.Err() == nil; i++ {
+		var r leaseRec
+		r.center = d.Str()
 		alloc := d.F64s()
-		recs[i].start = d.Time()
-		recs[i].until = d.Time()
-		recs[i].tag = d.Str()
-		if d.Err() == nil {
-			if len(alloc) != int(datacenter.NumResources) {
-				return nil, nil, fmt.Errorf("operator: lease %d has %d resources", i, len(alloc))
-			}
-			copy(recs[i].alloc[:], alloc)
+		r.start = d.Time()
+		r.until = d.Time()
+		r.tag = d.Str()
+		if d.Err() == nil && len(alloc) != int(datacenter.NumResources) {
+			return nil, nil, fmt.Errorf("operator: lease %d has %d resources", i, len(alloc))
 		}
+		copy(r.alloc[:], alloc)
+		recs = append(recs, r)
 	}
 	if err := d.Close(); err != nil {
 		return nil, nil, fmt.Errorf("operator: %w", err)
 	}
 	if nz >= 0 {
+		// The zone count sizes the predictor set, so check it against the
+		// decoded load buffer before anything is allocated from it.
+		if len(o.lastLoads) != nz {
+			return nil, nil, fmt.Errorf("operator: checkpoint has %d zones but %d load samples", nz, len(o.lastLoads))
+		}
 		o.zones = predict.NewZoneSet(cfg.Predictor, nz)
 		if err := o.zones.Restore(zoneState); err != nil {
 			return nil, nil, fmt.Errorf("operator: %w", err)
 		}
 		o.cleanBuf = make([]float64, nz)
-		if len(o.lastLoads) != nz {
-			return nil, nil, fmt.Errorf("operator: checkpoint has %d zones but %d load samples", nz, len(o.lastLoads))
-		}
 	}
 
 	// Reconcile the checkpointed lease book against the live ecosystem.
 	rec := &Reconciliation{}
 	claimed := make(map[*datacenter.Lease]bool)
+	var leases []*datacenter.Lease
 	for _, r := range recs {
 		c := cfg.Matcher.CenterByName(r.center)
 		var adopted *datacenter.Lease
@@ -217,7 +206,7 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 		}
 		if adopted != nil {
 			claimed[adopted] = true
-			o.leases = append(o.leases, adopted)
+			leases = append(leases, adopted)
 			rec.Adopted++
 			continue
 		}
@@ -225,9 +214,10 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 		// operator was down (or the center left the configuration). A
 		// tombstone makes the loss visible to the first Observe, which
 		// fails the capacity over away from that center.
-		o.leases = append(o.leases, datacenter.Tombstone(c, r.alloc, r.start, r.until, r.tag))
+		leases = append(leases, datacenter.Tombstone(c, r.alloc, r.start, r.until, r.tag))
 		rec.Lost++
 	}
+	o.step.SetLeases(leases)
 	// Leases the ecosystem holds under this game's tag that the
 	// checkpoint predates: the crashed operator acquired them after its
 	// last checkpoint. Release them — the restored operator will re-lease
@@ -266,12 +256,7 @@ func Restore(cfg Config, r io.Reader) (*Operator, *Reconciliation, error) {
 // book — exactly what a clean stop left behind.
 func (o *Operator) Shutdown(now time.Time, w io.Writer) error {
 	o.cfg.Matcher.Expire(now)
-	for _, l := range o.leases {
-		if !l.Released() && l.Center != nil {
-			l.Center.Release(l)
-		}
-	}
-	o.leases = o.leases[:0]
+	o.step.Release()
 	if w == nil {
 		return nil
 	}

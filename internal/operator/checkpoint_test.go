@@ -2,9 +2,11 @@ package operator
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,7 +28,7 @@ func TestObserveRejectsZoneCountMismatchBeforeSideEffects(t *testing.T) {
 	}
 	before := op.Metrics()
 	beforeLoads := append([]float64(nil), op.lastLoads...)
-	beforeLeases := len(op.leases)
+	beforeLeases := len(op.step.Leases())
 	for _, bad := range [][]float64{{800}, {800, 600, 400}, nil} {
 		if err := op.Observe(t0.Add(2*time.Minute), bad); err == nil {
 			t.Fatalf("zone count %d accepted (want 2)", len(bad))
@@ -38,7 +40,7 @@ func TestObserveRejectsZoneCountMismatchBeforeSideEffects(t *testing.T) {
 	if !reflect.DeepEqual(op.lastLoads, beforeLoads) {
 		t.Fatalf("rejected snapshots mutated LOCF buffer: %v", op.lastLoads)
 	}
-	if len(op.leases) != beforeLeases {
+	if len(op.step.Leases()) != beforeLeases {
 		t.Fatal("rejected snapshots mutated the lease book")
 	}
 	// A valid snapshot still works afterwards.
@@ -245,6 +247,52 @@ func TestRestoreReconcilesLostAndOrphanedLeases(t *testing.T) {
 	}
 }
 
+// TestFromSnapshotRejectsCorruptLeaseCount is the regression test for
+// the restore panic: a lease count no payload can back (negative, or
+// far beyond the bytes left) must be an error, never a makeslice panic
+// or an allocation sized by the corrupt count.
+func TestFromSnapshotRejectsCorruptLeaseCount(t *testing.T) {
+	cfg := checkpointConfig(testMatcher(5))
+	op, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := op.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fresh operator's snapshot ends with its (zero) lease count.
+	head := slices.Clip(payload[:len(payload)-8])
+	for _, n := range []int64{-1, 1 << 20, 1<<20 + 1, math.MaxInt64} {
+		bad := binary.LittleEndian.AppendUint64(head, uint64(n))
+		if _, _, err := FromSnapshot(cfg, bad); err == nil {
+			t.Errorf("lease count %d accepted", n)
+		}
+	}
+}
+
+// FuzzOperatorFromSnapshot feeds corrupt payloads to the restore path:
+// every input must either restore an operator that can snapshot and
+// observe again, or return an error — never panic. The seed corpus
+// (testdata/fuzz) holds a real mid-run snapshot and the negative
+// lease-count payload that used to panic.
+func FuzzOperatorFromSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		op, _, err := FromSnapshot(checkpointConfig(testMatcher(20)), payload)
+		if err != nil {
+			return
+		}
+		if _, err := op.Snapshot(); err != nil {
+			t.Fatalf("restored operator cannot snapshot: %v", err)
+		}
+		if n := op.ZoneCount(); n > 0 {
+			// A valid restore keeps provisioning; the error, if any, is
+			// the operator's to report.
+			_ = op.Observe(t0.Add(24*time.Hour), make([]float64, n))
+		}
+	})
+}
+
 func runTicksAt(t *testing.T, op *Operator, now time.Time, n int, loads []float64) time.Time {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -291,7 +339,7 @@ func TestShutdownReleasesLeasesAndFlushesCheckpoint(t *testing.T) {
 	if restored.Metrics().Ticks != ticksBefore {
 		t.Fatalf("restored ticks = %d, want %d", restored.Metrics().Ticks, ticksBefore)
 	}
-	if len(restored.leases) != 0 {
+	if len(restored.step.Leases()) != 0 {
 		t.Fatal("clean-shutdown checkpoint restored a lease book")
 	}
 }

@@ -82,9 +82,6 @@ type HarnessConfig struct {
 	// so region-blackout scenarios have a surviving domain to fail over
 	// to. Off, the harness keeps its classic two London centers.
 	MultiRegion bool
-	// FailoverCooldownTicks enables the operator's failover storm
-	// control for the scenario (0 = off).
-	FailoverCooldownTicks int
 	// DropoutProb injects NaN monitoring samples (also a pure function
 	// of seed/zone/tick, so both runs see the same dropouts).
 	DropoutProb float64
@@ -181,12 +178,11 @@ func (h HarnessConfig) buildMatcher() *ecosystem.Matcher {
 
 func (h HarnessConfig) operatorConfig(m *ecosystem.Matcher) Config {
 	return Config{
-		Game:                  mmog.NewGame("harness", mmog.GenreMMORPG),
-		Origin:                geo.London,
-		Predictor:             h.Predictor,
-		Matcher:               m,
-		Tick:                  h.Tick,
-		FailoverCooldownTicks: h.FailoverCooldownTicks,
+		Game:      mmog.NewGame("harness", mmog.GenreMMORPG),
+		Origin:    geo.London,
+		Predictor: h.Predictor,
+		Matcher:   m,
+		Tick:      h.Tick,
 	}
 }
 

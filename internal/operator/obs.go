@@ -2,12 +2,10 @@ package operator
 
 import (
 	"strconv"
-	"strings"
 	"time"
 
-	"mmogdc/internal/datacenter"
-	"mmogdc/internal/ecosystem"
 	"mmogdc/internal/obs"
+	"mmogdc/internal/provision"
 )
 
 // opObs is the operator's observability harness, mirroring the
@@ -27,22 +25,16 @@ type opObs struct {
 	ticks          *obs.Counter
 	disruptive     *obs.Counter
 	droppedSamples *obs.Counter
-	grants         *obs.Counter
-	grantLeases    *obs.Counter
-	failovers      *obs.Counter
-	deferred       *obs.Counter
-	retries        *obs.Counter
-	rejections     *obs.Counter
-	partialGrants  *obs.Counter
+	// tel carries the acquisition counters the operator's step
+	// publishes into.
+	tel *provision.Telemetry
 
 	allocCPU *obs.Gauge
 	loadCPU  *obs.Gauge
 
-	// Interned event strings: dropped-sample subjects and failover
-	// details are rebuilt every tick on the hot path otherwise. Both
-	// caches are tiny (bounded by the zone and center counts).
+	// zoneSubjects interns the dropped-sample subjects ("zone N"), which
+	// the hot path would otherwise rebuild every tick.
 	zoneSubjects []string
-	lostDetail   map[string]string
 }
 
 func newOpObs(o *obs.Obs, game string) *opObs {
@@ -51,7 +43,7 @@ func newOpObs(o *obs.Obs, game string) *opObs {
 	}
 	r := o.Registry
 	g := obs.L("game", game)
-	return &opObs{
+	oo := &opObs{
 		o:    o,
 		game: game,
 		observeDur: r.Histogram("mmogdc_operator_observe_duration_seconds",
@@ -62,26 +54,37 @@ func newOpObs(o *obs.Obs, game string) *opObs {
 			"Ticks whose shortfall exceeded 1% of the session's machines.", g),
 		droppedSamples: r.Counter("mmogdc_operator_dropped_samples_total",
 			"Monitoring samples lost and carried forward (LOCF).", g),
-		grants: r.Counter("mmogdc_operator_grants_total",
-			"Acquisitions that won at least one lease.", g),
-		grantLeases: r.Counter("mmogdc_operator_grant_leases_total",
-			"Leases acquired across all grants.", g),
-		failovers: r.Counter("mmogdc_operator_failovers_total",
-			"Ticks that re-acquired capacity lost to a failed center.", g),
-		deferred: r.Counter("mmogdc_operator_failovers_deferred_total",
-			"Failovers the cooldown parked for a later, jittered tick.", g),
-		retries: r.Counter("mmogdc_operator_retries_total",
-			"Backed-off re-attempts after injected grant rejections.", g),
-		rejections: r.Counter("mmogdc_operator_rejections_total",
-			"Grant attempts vetoed by the fault injector.", g),
-		partialGrants: r.Counter("mmogdc_operator_partial_grants_total",
-			"Grants the fault injector trimmed to a fraction.", g),
 		allocCPU: r.Gauge("mmogdc_operator_allocated_cpu_units",
 			"CPU units the operator held at the last snapshot.", g),
 		loadCPU: r.Gauge("mmogdc_operator_load_cpu_units",
 			"CPU demand of the last monitoring snapshot.", g),
-		lostDetail: make(map[string]string),
 	}
+	oo.tel = &provision.Telemetry{
+		Recorder: o.Recorder,
+		Spans:    oo,
+		Grants: r.Counter("mmogdc_operator_grants_total",
+			"Acquisitions that won at least one lease.", g),
+		GrantLeases: r.Counter("mmogdc_operator_grant_leases_total",
+			"Leases acquired across all grants.", g),
+		Failovers: r.Counter("mmogdc_operator_failovers_total",
+			"Ticks that re-acquired capacity lost to a failed center.", g),
+		Retries: r.Counter("mmogdc_operator_retries_total",
+			"Backed-off re-attempts after injected grant rejections.", g),
+		Rejections: r.Counter("mmogdc_operator_rejections_total",
+			"Grant attempts vetoed by the fault injector.", g),
+		PartialGrants: r.Counter("mmogdc_operator_partial_grants_total",
+			"Grants the fault injector trimmed to a fraction.", g),
+	}
+	return oo
+}
+
+// telemetry is where the operator's step publishes its acquisitions
+// (nil when disabled).
+func (oo *opObs) telemetry() *provision.Telemetry {
+	if oo == nil {
+		return nil
+	}
+	return oo.tel
 }
 
 // zoneSubject returns the interned "zone N" event subject.
@@ -90,20 +93,6 @@ func (oo *opObs) zoneSubject(zone int) string {
 		oo.zoneSubjects = append(oo.zoneSubjects, "zone "+strconv.Itoa(len(oo.zoneSubjects)))
 	}
 	return oo.zoneSubjects[zone]
-}
-
-// lostJoinedDetail returns the failover "lost: ..." detail, cached for
-// the common single-center case.
-func (oo *opObs) lostJoinedDetail(lost []string) string {
-	if len(lost) == 1 {
-		d, ok := oo.lostDetail[lost[0]]
-		if !ok {
-			d = "lost: " + lost[0]
-			oo.lostDetail[lost[0]] = d
-		}
-		return d
-	}
-	return "lost: " + strings.Join(lost, ",")
 }
 
 // beginObserve opens one Observe cycle's span at the cycle's already-
@@ -118,9 +107,9 @@ func (oo *opObs) beginObserve(start time.Time, tick int, parent obs.SpanID) {
 	oo.cur.SetTick(tick)
 }
 
-// beginAcquire opens the lease-acquisition child span of the live
-// Observe cycle (nil when tracing is off; Span methods no-op on nil).
-func (oo *opObs) beginAcquire(tick int) *obs.Span {
+// BeginAcquire opens the lease-acquisition child span of the live
+// Observe cycle (provision.Spans; nil when tracing is off).
+func (oo *opObs) BeginAcquire(tick int, _ string, _ []string, _ bool, _ obs.SpanID) *obs.Span {
 	if oo == nil || oo.o.Tracer == nil {
 		return nil
 	}
@@ -129,6 +118,9 @@ func (oo *opObs) beginAcquire(tick int) *obs.Span {
 	s.SetTick(tick)
 	return s
 }
+
+// Enclosing returns the live Observe span (provision.Spans).
+func (oo *opObs) Enclosing() obs.SpanID { return oo.span() }
 
 // span returns the live Observe span's ID (zero when tracing is off).
 func (oo *opObs) span() obs.SpanID {
@@ -187,62 +179,4 @@ func (oo *opObs) droppedSample(tick, zone int) {
 	oo.droppedSamples.Inc()
 	oo.o.Recorder.Record(obs.Event{Tick: tick, Kind: obs.EventDropped,
 		Subject: oo.zoneSubject(zone), Span: oo.span()})
-}
-
-// failoverDeferred records storm control parking a failover until tick
-// until.
-func (oo *opObs) failoverDeferred(tick int, game string, until int) {
-	if oo == nil {
-		return
-	}
-	oo.deferred.Inc()
-	oo.o.Recorder.Record(obs.Event{Tick: tick, Kind: obs.EventDeferred,
-		Subject: game, Value: float64(until), Span: oo.span()})
-}
-
-func (oo *opObs) retried(tick int, game string) {
-	if oo == nil {
-		return
-	}
-	oo.retries.Inc()
-	oo.o.Recorder.Record(obs.Event{Tick: tick, Kind: obs.EventRetry, Subject: game, Span: oo.span()})
-}
-
-// acquired records the outcome of one AllocateDetailed call.
-func (oo *opObs) acquired(tick int, game string, leases []*datacenter.Lease, out ecosystem.Outcome, lost []string) {
-	if oo == nil {
-		return
-	}
-	span := oo.span()
-	oo.rejections.Add(int64(out.Rejections))
-	oo.partialGrants.Add(int64(out.PartialGrants))
-	if out.Rejections > 0 {
-		oo.o.Recorder.Record(obs.Event{Tick: tick, Kind: obs.EventRejection,
-			Subject: game, Value: float64(out.Rejections), Span: span})
-	}
-	if len(leases) > 0 {
-		oo.grants.Inc()
-		oo.grantLeases.Add(int64(len(leases)))
-		cpu := 0.0
-		for _, l := range leases {
-			cpu += l.Alloc[datacenter.CPU]
-		}
-		oo.o.Recorder.Record(obs.Event{Tick: tick, Kind: obs.EventGrant, Subject: game, Value: cpu, Span: span})
-	}
-	if len(lost) > 0 {
-		oo.failovers.Inc()
-		oo.o.Recorder.Record(obs.Event{
-			Tick: tick, Kind: obs.EventFailover, Subject: game,
-			Detail: oo.lostJoinedDetail(lost), Value: float64(len(leases)), Span: span,
-		})
-	}
-	if out.Decision != nil {
-		// Shares the acquire span with the events above — the join
-		// key from outcome to ranking. WalkDetail allocates, but only
-		// on the provenance-enabled path.
-		oo.o.Recorder.Record(obs.Event{
-			Tick: tick, Kind: obs.EventDecision, Subject: game,
-			Detail: out.Decision.WalkDetail(), Value: float64(out.Decision.Seq), Span: span,
-		})
-	}
 }

@@ -4,10 +4,10 @@
 // Every tick the operator ingests the monitored per-zone load,
 // forecasts the next interval with its per-zone predictors, converts
 // the forecast into a resource demand through the game's update model,
-// and leases any shortfall from the ecosystem. The trace-driven
-// batch simulator in internal/core implements the same cycle for whole
-// experiment runs; this package is its online, incremental sibling for
-// live deployments (see examples/live).
+// and leases any shortfall from the ecosystem. The leasing half is one
+// internal/provision step for the whole game — the same step core.Run
+// drives once per server group — so a live deployment (mmogd,
+// examples/live) provisions exactly as the trace-driven simulator does.
 package operator
 
 import (
@@ -23,6 +23,7 @@ import (
 	"mmogdc/internal/mmog"
 	"mmogdc/internal/obs"
 	"mmogdc/internal/predict"
+	"mmogdc/internal/provision"
 )
 
 // Context-abort sentinels for ObserveCtx. Both wrap the context's own
@@ -40,13 +41,6 @@ var (
 	ErrAcquireAborted = errors.New("lease acquisition aborted")
 )
 
-// Backoff policy after injected grant rejections, mirroring
-// internal/core: 1, 2, 4, then 8 ticks between attempts.
-const (
-	maxRetryExp     = 4
-	maxBackoffTicks = 8
-)
-
 // Config assembles an operator.
 type Config struct {
 	// Game fixes the update model, resource profile, and latency
@@ -60,12 +54,6 @@ type Config struct {
 	Matcher *ecosystem.Matcher
 	// SafetyMargin inflates forecasts before requesting (0 = exact).
 	SafetyMargin float64
-	// FailoverCooldownTicks rate-limits failover re-acquisitions (storm
-	// control): after a failover, further failovers landing within the
-	// cooldown are parked and retried after a short deterministic jitter
-	// instead of stampeding the surviving centers alongside every other
-	// operator hit by the same correlated outage. 0 disables the limit.
-	FailoverCooldownTicks int
 	// Tick is the monitoring interval; defaults to two minutes.
 	Tick time.Duration
 	// Obs, when non-nil, streams the operator's telemetry (Observe
@@ -77,9 +65,14 @@ type Config struct {
 
 // Operator runs the predict→demand→lease cycle for one game.
 type Operator struct {
-	cfg    Config
-	zones  *predict.ZoneSet
-	leases []*datacenter.Lease
+	cfg   Config
+	zones *predict.ZoneSet
+	// step leases for the whole game: the lease book, the rejection
+	// backoff, and the acquisition counters. The operator sends one
+	// request per tick, so the per-tick failover budget always admits
+	// it and the step never parks a failover.
+	step   provision.Step
+	counts provision.Counts
 	ticks  int
 	// running totals for Metrics.
 	shortfallSum float64
@@ -92,22 +85,8 @@ type Operator struct {
 	// dropout never poisons the predictors.
 	lastLoads []float64
 	cleanBuf  []float64
-	// graceful-degradation accounting.
+	// droppedSamples counts the samples carried forward.
 	droppedSamples int
-	failovers      int
-	rejections     int
-	partialGrants  int
-	retries        int
-	// bounded backoff after injected rejections.
-	consecRejects int
-	retryAtTick   int
-	// failover storm control: centers whose loss was parked by the
-	// cooldown, the tick the parked failover retries, and the first
-	// tick a new failover is admitted again.
-	pendingLost       []string
-	failoverAtTick    int
-	nextFailoverOK    int
-	failoversDeferred int
 	// last tick's acquisition activity, for callers (the daemon's
 	// circuit breaker) that attribute grant health to centers.
 	// lastGranted is reused scratch; lastRejected aliases the matcher's
@@ -137,7 +116,13 @@ func New(cfg Config) (*Operator, error) {
 	if cfg.Tick == 0 {
 		cfg.Tick = 2 * time.Minute
 	}
-	return &Operator{cfg: cfg, oo: newOpObs(cfg.Obs, cfg.Game.Name)}, nil
+	o := &Operator{cfg: cfg, oo: newOpObs(cfg.Obs, cfg.Game.Name)}
+	o.step = provision.New(provision.Config{
+		Matcher: cfg.Matcher, Tag: cfg.Game.Name, Origin: cfg.Origin,
+		MaxDistanceKm: cfg.Game.LatencyKm,
+		Counts:        &o.counts, Telemetry: o.oo.telemetry(),
+	})
+	return o, nil
 }
 
 // Metrics summarizes the operator's run so far.
@@ -162,9 +147,6 @@ type Metrics struct {
 	Rejections    int
 	PartialGrants int
 	Retries       int
-	// FailoversDeferred counts failovers the cooldown parked for a
-	// later, jittered tick instead of serving immediately.
-	FailoversDeferred int
 }
 
 // Observe ingests one monitoring snapshot (per-zone loads at time
@@ -178,7 +160,8 @@ type Metrics struct {
 // expiry (their center failed) trigger a same-tick failover that
 // excludes the failed centers from the re-acquisition; and injected
 // grant rejections back off boundedly (1, 2, 4, then 8 ticks) instead
-// of hammering the ecosystem every tick.
+// of hammering the ecosystem every tick. The leasing rules are
+// provision.Step's.
 func (o *Operator) Observe(now time.Time, zoneLoads []float64) error {
 	return o.ObserveCtx(context.Background(), now, zoneLoads)
 }
@@ -208,8 +191,8 @@ func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []fl
 		o.lastLoads = make([]float64, len(zoneLoads))
 		o.cleanBuf = make([]float64, len(zoneLoads))
 	}
-	// This tick starts with no acquisition activity; the early returns
-	// below (satisfied demand, parked failover, backoff) leave it empty.
+	// This tick starts with no acquisition activity; a tick that sends
+	// no request (satisfied demand, backoff, an abort) leaves it empty.
 	o.lastGranted = o.lastGranted[:0]
 	o.lastRejected = nil
 	o.lastDecision = nil
@@ -235,9 +218,9 @@ func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []fl
 		clean = append(clean, v)
 	}
 
-	// Score the standing allocation against the actual load, noting
-	// leases that died early — their centers failed under us.
-	have, lost := o.activeCPU(now)
+	// Score the standing allocation against the actual load; the step
+	// notes leases that died early — their centers failed under us.
+	have := o.step.Prune(now)[datacenter.CPU]
 	demand := o.demandFor(clean)
 	load := demand[datacenter.CPU]
 	if load > 0 {
@@ -268,87 +251,13 @@ func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []fl
 	}
 	want := o.demandFor(o.lastForecast)
 	want = want.Scale(1 + o.cfg.SafetyMargin)
-	need := want.Sub(o.allocAt(now.Add(o.cfg.Tick))).ClampNonNegative()
-	// A parked failover coming due folds into this tick's exclusions;
-	// until then acquisition is held entirely — re-leasing the gap
-	// immediately would defeat the cooldown the deferral bought.
-	if len(o.pendingLost) > 0 {
-		if o.ticks < o.failoverAtTick {
-			return nil
-		}
-		for _, name := range o.pendingLost {
-			if !containsCenter(lost, name) {
-				lost = append(lost, name)
-			}
-		}
-		o.pendingLost = o.pendingLost[:0]
-	}
-	if need.IsZero() {
-		o.consecRejects = 0
-		return nil
-	}
-	// Backed off after rejections — but a failover overrides the wait:
-	// capacity just vanished and waiting would compound the outage.
-	if len(lost) == 0 && o.ticks < o.retryAtTick {
-		return nil
-	}
-	// Storm control: a failover inside the cooldown window is parked
-	// and retried after a deterministic jitter.
-	if len(lost) > 0 && o.cfg.FailoverCooldownTicks > 0 && o.ticks < o.nextFailoverOK {
-		for _, name := range lost {
-			if !containsCenter(o.pendingLost, name) {
-				o.pendingLost = append(o.pendingLost, name)
-			}
-		}
-		o.failoverAtTick = o.ticks + 1 + deferJitter(o.cfg.Game.Name, o.ticks)
-		o.failoversDeferred++
-		o.oo.failoverDeferred(o.ticks, o.cfg.Game.Name, o.failoverAtTick)
-		return nil
-	}
-	if o.consecRejects > 0 {
-		o.retries++
-		o.oo.retried(o.ticks, o.cfg.Game.Name)
-	}
-	acq := o.oo.beginAcquire(o.ticks)
-	leases, unmet, out := o.cfg.Matcher.AllocateDetailed(ecosystem.Request{
-		Tag:           o.cfg.Game.Name,
-		Origin:        o.cfg.Origin,
-		MaxDistanceKm: o.cfg.Game.LatencyKm,
-		Demand:        need,
-		Exclude:       lost,
-	}, now)
-	acq.SetValue(float64(len(leases)))
-	acq.End()
-	if out.Decision != nil {
-		out.Decision.Tick = o.ticks
-		o.lastDecision = out.Decision
-	}
-	o.leases = append(o.leases, leases...)
-	for _, l := range leases {
+	need := want.Sub(o.step.AllocAt(now.Add(o.cfg.Tick))).ClampNonNegative()
+	a := o.step.Acquire(o.ticks, now, need, true)
+	for _, l := range a.Leases {
 		o.lastGranted = append(o.lastGranted, l.Center.Name)
 	}
-	o.lastRejected = out.RejectedBy
-	o.rejections += out.Rejections
-	o.partialGrants += out.PartialGrants
-	o.oo.acquired(o.ticks, o.cfg.Game.Name, leases, out, lost)
-	if len(lost) > 0 {
-		o.failovers++
-		if o.cfg.FailoverCooldownTicks > 0 {
-			o.nextFailoverOK = o.ticks + o.cfg.FailoverCooldownTicks
-		}
-	}
-	if out.Rejections > 0 && !unmet.IsZero() {
-		if o.consecRejects < maxRetryExp {
-			o.consecRejects++
-		}
-		backoff := 1 << (o.consecRejects - 1)
-		if backoff > maxBackoffTicks {
-			backoff = maxBackoffTicks
-		}
-		o.retryAtTick = o.ticks + backoff
-	} else {
-		o.consecRejects = 0
-	}
+	o.lastRejected = a.Outcome.RejectedBy
+	o.lastDecision = a.Outcome.Decision
 	return nil
 }
 
@@ -376,12 +285,11 @@ func (o *Operator) LastDecision() *ecosystem.Decision { return o.lastDecision }
 func (o *Operator) Metrics() Metrics {
 	m := Metrics{
 		Ticks: o.ticks, Events: o.events,
-		DroppedSamples:    o.droppedSamples,
-		Failovers:         o.failovers,
-		Rejections:        o.rejections,
-		PartialGrants:     o.partialGrants,
-		Retries:           o.retries,
-		FailoversDeferred: o.failoversDeferred,
+		DroppedSamples: o.droppedSamples,
+		Failovers:      o.counts.Failovers,
+		Rejections:     o.counts.Rejections,
+		PartialGrants:  o.counts.PartialGrants,
+		Retries:        o.counts.Retries,
 	}
 	if o.overTicks > 0 {
 		m.AvgOverPct = o.overSum / float64(o.overTicks)
@@ -390,32 +298,6 @@ func (o *Operator) Metrics() Metrics {
 		m.AvgShortfall = o.shortfallSum / float64(o.ticks)
 	}
 	return m
-}
-
-// containsCenter reports whether name is in the (tiny) list.
-func containsCenter(list []string, name string) bool {
-	for _, n := range list {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// deferJitter spreads deferred failovers over 0–3 extra ticks with a
-// stateless SplitMix64-style hash of (game, tick): deterministic for
-// replay and checkpoint equivalence, yet desynchronized across the
-// operators a correlated outage hits at once.
-func deferJitter(game string, tick int) int {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(game); i++ {
-		h = (h ^ uint64(game[i])) * 1099511628211
-	}
-	h ^= uint64(tick) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
-	return int(h & 3)
 }
 
 // demandFor converts per-zone loads into the total resource demand.
@@ -427,38 +309,6 @@ func (o *Operator) demandFor(zoneLoads []float64) datacenter.Vector {
 	v[datacenter.ExtNetIn] = d.ExtNetIn
 	v[datacenter.ExtNetOut] = d.ExtNetOut
 	return v
-}
-
-// activeCPU sums the live leases' CPU at now, pruning dead ones. A
-// lease that is gone before its expiry was released by a center
-// failure; the second return lists those centers (each once) so the
-// re-acquisition can route around them.
-func (o *Operator) activeCPU(now time.Time) (float64, []string) {
-	var sum float64
-	var lost []string
-	live := o.leases[:0]
-	for _, l := range o.leases {
-		if l.Active(now) {
-			sum += l.Alloc[datacenter.CPU]
-			live = append(live, l)
-			continue
-		}
-		if now.Before(l.Expires) && !now.Before(l.Start) && l.Center != nil {
-			name := l.Center.Name
-			seen := false
-			for _, n := range lost {
-				if n == name {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				lost = append(lost, name)
-			}
-		}
-	}
-	o.leases = live
-	return sum, lost
 }
 
 // ZoneCount returns the number of monitored zones (fixed by the first
@@ -484,7 +334,7 @@ type LeaseView struct {
 // order. The returned slice is freshly allocated.
 func (o *Operator) LeaseViews(now time.Time) []LeaseView {
 	var out []LeaseView
-	for _, l := range o.leases {
+	for _, l := range o.step.Leases() {
 		if l.Active(now) && l.Center != nil {
 			out = append(out, LeaseView{
 				Center:  l.Center.Name,
@@ -495,16 +345,4 @@ func (o *Operator) LeaseViews(now time.Time) []LeaseView {
 		}
 	}
 	return out
-}
-
-// allocAt sums leases still active at t, without pruning (the renewal
-// check of the acquire phase).
-func (o *Operator) allocAt(t time.Time) datacenter.Vector {
-	var sum datacenter.Vector
-	for _, l := range o.leases {
-		if l.Active(t) {
-			sum = sum.Add(l.Alloc)
-		}
-	}
-	return sum
 }

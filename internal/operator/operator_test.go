@@ -218,64 +218,6 @@ func TestOperatorFailsOverWhenCenterDies(t *testing.T) {
 	}
 }
 
-func TestOperatorCooldownDefersSecondFailover(t *testing.T) {
-	var b datacenter.Vector
-	b[datacenter.CPU] = 0.05
-	p := datacenter.HostingPolicy{Name: "fine", Bulk: b, TimeBulk: time.Hour}
-	a := datacenter.NewCenter("a", geo.London, 10, p)
-	c := datacenter.NewCenter("b", geo.Amsterdam, 10, p)
-	d := datacenter.NewCenter("c", geo.NewYork, 10, p)
-	op, err := New(Config{
-		Game:                  mmog.NewGame("op", mmog.GenreMMORPG),
-		Origin:                geo.London,
-		Predictor:             predict.NewLastValue(),
-		Matcher:               ecosystem.NewMatcher([]*datacenter.Center{a, c, d}),
-		FailoverCooldownTicks: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := t0
-	step := func() {
-		t.Helper()
-		if err := op.Observe(now, []float64{900}); err != nil {
-			t.Fatal(err)
-		}
-		now = now.Add(2 * time.Minute)
-	}
-	for i := 0; i < 5; i++ {
-		step()
-	}
-	// Rolling regional failure: the nearest center dies, its failover is
-	// admitted (first one always is), then the re-acquired capacity dies
-	// too — inside the cooldown window.
-	a.Fail()
-	step() // failover #1, starts the cooldown
-	if m := op.Metrics(); m.Failovers != 1 || m.FailoversDeferred != 0 {
-		t.Fatalf("after first failure: %+v", m)
-	}
-	c.Fail()
-	step() // failover #2 is parked, not executed
-	m := op.Metrics()
-	if m.FailoversDeferred == 0 {
-		t.Fatal("second failover inside the cooldown was not deferred")
-	}
-	if m.Failovers != 1 {
-		t.Fatalf("storm control admitted %d failovers during the cooldown", m.Failovers)
-	}
-	// The parked failover fires once its jittered retry tick arrives and
-	// the cooldown lapses, landing on the last healthy center.
-	for i := 0; i < 15; i++ {
-		step()
-	}
-	if m := op.Metrics(); m.Failovers < 2 {
-		t.Fatalf("deferred failover never fired: %+v", m)
-	}
-	if d.Allocated()[datacenter.CPU] <= 0 {
-		t.Fatal("deferred failover did not re-acquire from the surviving center")
-	}
-}
-
 // rejectAll is a GrantFaults injector that refuses every grant.
 type rejectAll struct{}
 

@@ -1,0 +1,159 @@
+package provision
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"mmogdc/internal/datacenter"
+	"mmogdc/internal/ecosystem"
+	"mmogdc/internal/geo"
+)
+
+var t0 = time.Date(2008, 3, 1, 0, 0, 0, 0, time.UTC)
+
+// switchable rejects every grant while on.
+type switchable struct{ on bool }
+
+func (r *switchable) GrantFault(string) (bool, float64) { return r.on, 1 }
+
+// tick is one scripted tick of a step: the faults applied before it,
+// what the step is asked for, and what it must do.
+type tick struct {
+	fail     string  // center to fail before the tick's prune
+	reject   bool    // the injector rejects every grant this tick
+	need     float64 // CPU requested
+	noBudget bool    // the tick's failover budget is spent
+
+	sent     bool     // a request reached the matcher
+	failover bool     // ... as a failover
+	exclude  []string // ... excluding these centers
+	parked   bool     // the tick parked a failover
+}
+
+// TestStep drives one step through scripted ticks over three
+// same-site centers, checking each tick's request (sent, failover,
+// exclusions, parking) against the step's rules, and pins the step's
+// allocation-free tick.
+func TestStep(t *testing.T) {
+	// Four rejected ticks back off 1, 2, 4, then 8 ticks: attempts at
+	// 0, 1, 3, 7, and 15, then every 8.
+	var backoff []tick
+	for i := 0; i <= 24; i++ {
+		backoff = append(backoff, tick{reject: true, need: 1, sent: slices.Contains([]int{0, 1, 3, 7, 15, 23}, i)})
+	}
+	// The rejections stop at tick 25, which still waits for 31; the
+	// grant there resets the backoff, so tick 32 asks again at once.
+	for i := 25; i <= 32; i++ {
+		backoff = append(backoff, tick{need: 1, sent: i == 31 || i == 32})
+	}
+
+	cases := []struct {
+		name  string
+		ticks []tick
+	}{
+		{"backoff 1/2/4/8 and reset", backoff},
+		{"failover overrides backoff", []tick{
+			{need: 1, sent: true},
+			{reject: true, need: 1, sent: true}, // backs off until tick 2
+			{reject: true, need: 1, sent: true}, // until tick 4
+			{fail: "a", need: 1, sent: true, failover: true, exclude: []string{"a"}},
+			{need: 1, sent: true}, // the failover's grant reset the backoff
+		}},
+		{"zero need sends nothing", []tick{
+			{need: 0},
+			{need: 1, sent: true},
+			{need: 0},
+		}},
+		{"parked failover holds, absorbs a loss, fires when due", []tick{
+			{need: 2, sent: true}, // leases 1 CPU at a, 1 at b
+			{fail: "a", need: 1, noBudget: true, parked: true},
+			{fail: "b", need: 2}, // held: the loss of b joins the park
+			{need: 2},            // still held
+			{need: 2, sent: true, failover: true, exclude: []string{"a", "b"}},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := datacenter.HostingPolicy{Name: "fine", Bulk: datacenter.Vector{1}, TimeBulk: time.Hour}
+			centers := []*datacenter.Center{
+				datacenter.NewCenter("a", geo.London, 1, p),
+				datacenter.NewCenter("b", geo.London, 10, p),
+				datacenter.NewCenter("c", geo.London, 10, p),
+			}
+			m := ecosystem.NewMatcher(centers)
+			inj := &switchable{}
+			m.SetFaultInjector(inj)
+			log := ecosystem.NewDecisionLog(64)
+			m.SetDecisionLog(log)
+			// Park for 3 ticks from tick 1, so the hold spans two ticks.
+			key := 0
+			for jitter(key, 1) != 2 {
+				key++
+			}
+			var counts Counts
+			s := New(Config{Matcher: m, Tag: "z", Origin: geo.London, MaxDistanceKm: 1e9, JitterKey: key, Counts: &counts})
+
+			for i, tk := range tc.ticks {
+				now := t0.Add(time.Duration(i) * 2 * time.Minute)
+				for _, c := range centers {
+					if c.Name == tk.fail {
+						c.Fail()
+					}
+				}
+				inj.on = tk.reject
+				m.Expire(now)
+				s.Prune(now)
+				before := log.Total()
+				deferred := counts.Deferred
+				a := s.Acquire(i, now, datacenter.Vector{tk.need}, !tk.noBudget)
+				if sent := log.Total() > before; sent != tk.sent {
+					t.Fatalf("tick %d: sent = %v, want %v", i, sent, tk.sent)
+				}
+				if a.Failover != tk.failover {
+					t.Fatalf("tick %d: failover = %v, want %v", i, a.Failover, tk.failover)
+				}
+				if parked := counts.Deferred > deferred; parked != tk.parked {
+					t.Fatalf("tick %d: parked = %v, want %v", i, parked, tk.parked)
+				}
+				if tk.sent {
+					var excluded []string
+					for _, v := range log.Last().Candidates {
+						if v.Disposition == ecosystem.DispExcludedByFailover {
+							excluded = append(excluded, v.Center)
+						}
+					}
+					if !slices.Equal(excluded, tk.exclude) {
+						t.Fatalf("tick %d: excluded %v, want %v", i, excluded, tk.exclude)
+					}
+				}
+			}
+		})
+	}
+
+	// A tick whose request finds no capacity — pruning, sizing, and the
+	// matcher walk — allocates nothing.
+	t.Run("granting nothing allocates nothing", func(t *testing.T) {
+		p := datacenter.HostingPolicy{Name: "fine", Bulk: datacenter.Vector{1}, TimeBulk: time.Hour}
+		c := datacenter.NewCenter("a", geo.London, 1, p)
+		c.Fail()
+		var counts Counts
+		s := New(Config{
+			Matcher: ecosystem.NewMatcher([]*datacenter.Center{c}),
+			Tag:     "z", Origin: geo.London, MaxDistanceKm: 1e9, Counts: &counts,
+		})
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			now := t0.Add(time.Duration(i) * 2 * time.Minute)
+			s.Prune(now)
+			need := datacenter.Vector{1}.Sub(s.AllocAt(now.Add(2 * time.Minute)))
+			if a := s.Acquire(i, now, need, true); len(a.Leases) != 0 || !a.Unmet {
+				t.Fatalf("offline center granted %v", a.Leases)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("a step granting nothing allocates %v per tick", allocs)
+		}
+	})
+}

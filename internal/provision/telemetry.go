@@ -1,0 +1,141 @@
+package provision
+
+import (
+	"slices"
+	"strings"
+
+	"mmogdc/internal/datacenter"
+	"mmogdc/internal/ecosystem"
+	"mmogdc/internal/obs"
+)
+
+// Telemetry publishes acquisitions into an engine's instruments. Each
+// engine registers the counters under its own metric families (a nil
+// counter is a no-op) and supplies the Spans hook. Strictly write-only:
+// nothing a step decides depends on it, and a nil *Telemetry records
+// nothing and allocates nothing. The steps sharing one Telemetry must
+// acquire sequentially.
+type Telemetry struct {
+	Recorder *obs.Recorder
+	// Spans opens the acquisition spans (required).
+	Spans Spans
+
+	Grants         *obs.Counter // acquisitions that won at least one lease
+	GrantLeases    *obs.Counter // leases won across all grants
+	Failovers      *obs.Counter
+	FailoverLeases *obs.Counter
+	Retries        *obs.Counter
+	Rejections     *obs.Counter
+	PartialGrants  *obs.Counter
+	Deferred       *obs.Counter // failovers parked by the budget
+
+	// Event-detail interning: grant and failover details are built from
+	// center names, a tiny closed set, so the single-center case (the
+	// overwhelming majority) is cached and the dedup scratch reused —
+	// steady-state telemetry then allocates nothing per event.
+	centersBuf    []string
+	centersDetail map[string]string
+	lostDetail    map[string]string
+}
+
+// Spans opens the trace span of each acquisition. Engines implement it:
+// span names, parents, and causal links are theirs. The step stamps the
+// span's ID on the acquisition's events and ends it after them.
+type Spans interface {
+	// BeginAcquire opens the span of one matcher call by tag at tick t
+	// (nil when tracing is off). lost is non-empty for a failover; retry
+	// marks a call after a rejection backoff, and rejected is the span
+	// of the step's last traced rejection (0 when there is none).
+	BeginAcquire(t int, tag string, lost []string, retry bool, rejected obs.SpanID) *obs.Span
+	// Enclosing returns the span a parked failover's event carries.
+	Enclosing() obs.SpanID
+}
+
+func (tel *Telemetry) beginAcquire(t int, tag string, lost []string, retry bool, rejected obs.SpanID) *obs.Span {
+	if tel == nil {
+		return nil
+	}
+	return tel.Spans.BeginAcquire(t, tag, lost, retry, rejected)
+}
+
+// deferred records the budget parking tag's failover until tick due.
+func (tel *Telemetry) deferred(t int, tag string, due int) {
+	if tel == nil {
+		return
+	}
+	tel.Deferred.Inc()
+	tel.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventDeferred, Subject: tag, Value: float64(due), Span: tel.Spans.Enclosing()})
+}
+
+// retried records one acquisition sent after a rejection backoff.
+func (tel *Telemetry) retried(t int, tag string, sp *obs.Span) {
+	if tel == nil {
+		return
+	}
+	tel.Retries.Inc()
+	tel.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventRetry, Subject: tag, Span: sp.ID()})
+}
+
+// acquired records the outcome of one matcher call — grants, injected
+// rejections and trims, the failover case, and the decision record —
+// and ends the call's span.
+func (tel *Telemetry) acquired(t int, tag string, leases []*datacenter.Lease, out ecosystem.Outcome, lost []string, sp *obs.Span) {
+	if tel == nil {
+		return
+	}
+	span := sp.ID()
+	tel.Rejections.Add(int64(out.Rejections))
+	tel.PartialGrants.Add(int64(out.PartialGrants))
+	if out.Rejections > 0 {
+		tel.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventRejection, Subject: tag, Value: float64(out.Rejections), Span: span})
+	}
+	if len(leases) > 0 {
+		tel.Grants.Inc()
+		tel.GrantLeases.Add(int64(len(leases)))
+		cpu := 0.0
+		centers := tel.centersBuf[:0]
+		for _, l := range leases {
+			cpu += l.Alloc[datacenter.CPU]
+			if !slices.Contains(centers, l.Center.Name) {
+				centers = append(centers, l.Center.Name)
+			}
+		}
+		tel.centersBuf = centers
+		tel.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventGrant, Subject: tag,
+			Detail: joined(&tel.centersDetail, "centers: ", centers), Value: cpu, Span: span})
+	}
+	if len(lost) > 0 {
+		tel.Failovers.Inc()
+		tel.FailoverLeases.Add(int64(len(leases)))
+		tel.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventFailover, Subject: tag,
+			Detail: joined(&tel.lostDetail, "lost: ", lost), Value: float64(len(leases)), Span: span})
+	}
+	if out.Decision != nil {
+		// The decision event shares the acquire span with the events
+		// above — that span is the join key from outcome to ranking.
+		// Building the walk Detail allocates, but only on the
+		// provenance-enabled path.
+		tel.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventDecision, Subject: tag,
+			Detail: out.Decision.WalkDetail(), Value: float64(out.Decision.Seq), Span: span})
+	}
+	sp.SetValue(float64(len(leases)))
+	sp.End()
+}
+
+// joined renders prefix + the comma-joined names, caching the
+// one-name case in *cache (multi-center details are rare enough to
+// allocate).
+func joined(cache *map[string]string, prefix string, names []string) string {
+	if len(names) != 1 {
+		return prefix + strings.Join(names, ",")
+	}
+	d, ok := (*cache)[names[0]]
+	if !ok {
+		if *cache == nil {
+			*cache = map[string]string{}
+		}
+		d = prefix + names[0]
+		(*cache)[names[0]] = d
+	}
+	return d
+}

@@ -13,6 +13,15 @@ go test -race ./...
 # reproduces): tests must not depend on the order they are declared in.
 go test -shuffle 1 ./...
 
+# Fuzz the operator's checkpoint restore briefly beyond its seed corpus
+# (internal/operator/testdata/fuzz): corrupt payloads must be errors,
+# never panics.
+go test -run '^$' -fuzz '^FuzzOperatorFromSnapshot$' -fuzztime 10s ./internal/operator/
+
+# The benchmark is a separate module that imports core, operator,
+# daemon, and obs: keep it compiling and its self-tests green.
+(cd bench && go vet . && go test .)
+
 # Gated benchmark snapshot: runs the CoreRun/Checkpoint/ObsOverhead
 # benchmarks (so they always stay runnable), refreshes BENCH_core.json,
 # and fails on a >20% allocs/op or B/op (or >2x ns/op) regression

@@ -76,7 +76,7 @@ grep -q '^mmogdc_failovers_total' "$d/metrics.txt"
 grep -q '^mmogdc_center_availability{center=' "$d/metrics.txt"
 grep -q '^mmogdc_recorder_dropped_events' "$d/metrics.txt"
 fetch "http://$addr/debug/pprof/goroutine?debug=1" | grep -q 'goroutine'
-fetch "http://$addr/debug/vars" | grep -q 'mmogdc_metrics'
+grep -Eq '^mmogdc_grants_total [1-9]' "$d/metrics.txt"
 fetch "http://$addr/events" | grep -q '"events"'
 # Filtered view: only grant events, and the match count reported.
 fetch "http://$addr/events?kind=grant" > "$d/grants.json"
