@@ -26,11 +26,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# A short fuzz pass over the operator's checkpoint restore, beyond its
-# seed corpus (internal/operator/testdata/fuzz): corrupt payloads must
-# be errors, never panics.
+# Short fuzz passes beyond the committed seed corpora (testdata/fuzz):
+# corrupt operator checkpoints must be errors, never panics; hostile
+# POST /v1/config bodies must get 200 or a typed 4xx, and an accepted
+# config must round-trip GET -> POST -> GET.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOperatorFromSnapshot$$' -fuzztime 10s ./internal/operator/
+	$(GO) test -run '^$$' -fuzz '^FuzzConfigPost$$' -fuzztime 10s ./internal/daemon/
 
 # The benchmark (bench/) is a separate module importing core, operator,
 # daemon, and obs: keep it compiling and its self-tests green.

@@ -12,6 +12,7 @@ package daemon
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"time"
 
@@ -44,7 +45,8 @@ type Config struct {
 	// Predictor builds the per-zone predictors of every operator.
 	Predictor predict.Factory
 	// Matcher is the shared data-center ecosystem. The daemon
-	// serializes all access to it (the matcher is not concurrency-safe).
+	// serializes all access to it (the matcher is not concurrency-safe)
+	// and installs its own fault injector and decision logs on it.
 	Matcher *ecosystem.Matcher
 	// Obs streams the daemon's telemetry; nil gets a fresh bundle (the
 	// daemon's metrics are always on — they are its ops surface).
@@ -67,9 +69,10 @@ type Config struct {
 	Hot HotConfig
 	// SafetyMargin inflates forecasts before requesting (0 = exact).
 	SafetyMargin float64
-	// ExplainDepth, when > 0, enables decision provenance: a decision
-	// log is installed on the matcher and each game retains its last
-	// ExplainDepth decision records, served by GET /v1/explain.
+	// ExplainDepth, when > 0, enables decision provenance: each game
+	// gets its own decision log of ExplainDepth records, which the
+	// shared matcher writes during that game's observe passes and GET
+	// /v1/explain serves. Each game numbers its decisions 1, 2, 3…
 	// Write-only like the rest of the telemetry: provisioning output
 	// is byte-identical with explain on or off. 0 disables.
 	ExplainDepth int
@@ -83,7 +86,8 @@ type Config struct {
 type HotConfig struct {
 	// TickSeconds is the virtual monitoring interval one accepted
 	// sample advances a game's clock by — the predictor cadence: the
-	// forecast horizon is one tick. Must be > 0.
+	// forecast horizon is one tick. Must be at least 1ns and below
+	// math.MaxInt64 ns as a time.Duration.
 	TickSeconds float64 `json:"tick_seconds"`
 	// CheckpointEvery is the number of ticks between cadence
 	// checkpoints; 0 disables cadence saves (the drain checkpoint
@@ -139,19 +143,26 @@ func DefaultHot() HotConfig {
 	}
 }
 
-// Validate rejects hot configurations outside the model's domain.
+// maxMS is the largest millisecond count a time.Duration can hold.
+const maxMS = math.MaxInt64 / int64(time.Millisecond)
+
+// Validate rejects hot configurations outside the model's domain,
+// including durations a time.Duration cannot represent: a tick that
+// truncates below 1ns would stop the virtual clock, and an overflowing
+// one wraps negative.
 func (h HotConfig) Validate() error {
-	if h.TickSeconds <= 0 {
-		return fmt.Errorf("daemon: tick_seconds must be > 0, got %v", h.TickSeconds)
+	// The negated range test also rejects NaN.
+	if ns := h.TickSeconds * float64(time.Second); !(ns >= 1 && ns < 1<<63) {
+		return fmt.Errorf("daemon: tick_seconds must be in [1e-9, %v), got %v", float64(1<<63)/1e9, h.TickSeconds)
 	}
 	if h.CheckpointEvery < 0 {
 		return fmt.Errorf("daemon: checkpoint_every must be >= 0, got %d", h.CheckpointEvery)
 	}
-	if h.ObserveTimeoutMS < 0 {
-		return fmt.Errorf("daemon: observe_timeout_ms must be >= 0, got %d", h.ObserveTimeoutMS)
+	if h.ObserveTimeoutMS < 0 || int64(h.ObserveTimeoutMS) > maxMS {
+		return fmt.Errorf("daemon: observe_timeout_ms must be in [0, %d], got %d", maxMS, h.ObserveTimeoutMS)
 	}
-	if h.ObserveDelayMS < 0 {
-		return fmt.Errorf("daemon: observe_delay_ms must be >= 0, got %d", h.ObserveDelayMS)
+	if h.ObserveDelayMS < 0 || int64(h.ObserveDelayMS) > maxMS {
+		return fmt.Errorf("daemon: observe_delay_ms must be in [0, %d], got %d", maxMS, h.ObserveDelayMS)
 	}
 	if h.BreakerThreshold < 0 {
 		return fmt.Errorf("daemon: breaker_threshold must be >= 0, got %d", h.BreakerThreshold)

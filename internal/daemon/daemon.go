@@ -7,6 +7,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,9 +64,10 @@ type game struct {
 	queue  chan sample
 	closed bool
 
-	// explain retains the game's recent decision records when
-	// Config.ExplainDepth is set (nil otherwise). Guarded by ecoMu.
-	explain *explainRing
+	// explain is the game's decision log when Config.ExplainDepth is
+	// set (nil otherwise): the shared matcher records into it during
+	// this game's observe passes. Guarded by ecoMu.
+	explain *ecosystem.DecisionLog
 
 	// zones is the expected zone count (0 until the first accepted
 	// observation or a restored checkpoint fixes it).
@@ -136,9 +138,6 @@ func New(cfg Config) (*Daemon, error) {
 	d.inj = newGrantInjector(d, hot.FaultSeed)
 	cfg.Matcher.SetFaultInjector(d.inj)
 	d.brk = newBreaker(d, cfg.Matcher.Centers())
-	if cfg.ExplainDepth > 0 && cfg.Matcher.DecisionLog() == nil {
-		cfg.Matcher.SetDecisionLog(ecosystem.NewDecisionLog(cfg.ExplainDepth))
-	}
 
 	r := d.obs.Registry
 	d.mReloadOK = r.Counter("mmogdc_daemon_reloads_total",
@@ -208,7 +207,7 @@ func (d *Daemon) newGame(spec GameSpec, hot HotConfig) (*game, error) {
 		restoredTick: -1,
 	}
 	if d.cfg.ExplainDepth > 0 {
-		g.explain = newExplainRing(d.cfg.ExplainDepth)
+		g.explain = ecosystem.NewDecisionLog(d.cfg.ExplainDepth)
 	}
 	if d.cfg.CheckpointDir != "" {
 		mgr, err := checkpoint.NewManager(filepath.Join(d.cfg.CheckpointDir, spec.Name))
@@ -276,8 +275,15 @@ func hashName(s string) uint64 {
 	return h
 }
 
-// Hot returns the active hot configuration.
-func (d *Daemon) Hot() HotConfig { return *d.hot.Load() }
+// Hot returns a copy of the active hot configuration. The copy owns
+// its SLO rules: POST /v1/config and SIGHUP decode candidates into it,
+// and the JSON decoder fills slice elements in place, which must not
+// write through to the active configuration.
+func (d *Daemon) Hot() HotConfig {
+	h := *d.hot.Load()
+	h.SLORules = slices.Clone(h.SLORules)
+	return h
+}
 
 // Reload validates h and, if valid, swaps it in atomically; an invalid
 // candidate is rejected and the previous configuration stays active.
@@ -399,18 +405,14 @@ func (d *Daemon) observeOne(g *game, s sample) {
 		}
 	}
 	vnow := g.now // this observation's virtual game time
+	// The matcher is shared: its decisions during this pass belong in
+	// this game's log (none with explain off).
+	d.cfg.Matcher.SetDecisionLog(g.explain)
 	err := g.op.ObserveCtx(ctx, g.now, s.values)
 	// Feed the circuit breaker while the scratch slices are still valid
 	// (GrantActivity aliases per-tick buffers the next Observe reuses).
 	granted, rejected := g.op.GrantActivity()
 	d.brk.record(granted, rejected)
-	// Same aliasing rule for the decision record: copy it into the
-	// explain ring before the next Observe can reuse the log slot.
-	if g.explain != nil {
-		if dec := g.op.LastDecision(); dec != nil {
-			g.explain.push(dec)
-		}
-	}
 	g.now = g.now.Add(hot.Tick())
 	ticks := g.op.Metrics().Ticks
 	var payload []byte

@@ -35,7 +35,7 @@ func fastHot() HotConfig {
 	return HotConfig{TickSeconds: 1, ObserveTimeoutMS: 2000, FaultSeed: 1}
 }
 
-func newTestDaemon(t *testing.T, mutate func(*Config)) *Daemon {
+func newTestDaemon(t testing.TB, mutate func(*Config)) *Daemon {
 	t.Helper()
 	cfg := Config{
 		Games:     []GameSpec{{Name: "g1", Genre: mmog.GenreMMORPG, Origin: geo.London}},
@@ -54,7 +54,7 @@ func newTestDaemon(t *testing.T, mutate func(*Config)) *Daemon {
 }
 
 // drain shuts the daemon down, failing the test on any drain error.
-func drain(t *testing.T, d *Daemon) {
+func drain(t testing.TB, d *Daemon) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

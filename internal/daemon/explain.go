@@ -10,58 +10,15 @@ import (
 )
 
 // Decision provenance for the service path: when Config.ExplainDepth
-// is set, the daemon installs a decision log on the shared matcher and
-// copies each game's per-tick Decision into a bounded per-game ring,
-// which GET /v1/explain serves. Entries are deep copies taken under
-// ecoMu right after the observe pass (the operator's LastDecision
-// aliases matcher scratch, so this is the only safe moment), and the
-// ring is bounded — enabling explain costs one ring of Decisions per
-// game and nothing per request. Observations a region circuit breaker
+// is set, each game owns a DecisionLog of that depth, and GET
+// /v1/explain snapshots it. The matcher is shared, so observeOne points
+// it at the observing game's log under ecoMu just before the observe
+// pass: the log records the game's decisions in place, numbered 1, 2,
+// 3… per game. Enabling explain costs one ring of Decisions per game
+// and nothing per request. Observations a region circuit breaker
 // refuses never reach the matcher; handleObserve synthesizes a
-// circuit-open decision for them so the refusal is explainable too.
-
-// explainRing is a bounded ring of deep-copied decisions. Guarded by
-// Daemon.ecoMu.
-type explainRing struct {
-	ring []ecosystem.Decision
-	next int
-	full bool
-}
-
-func newExplainRing(depth int) *explainRing {
-	if depth < 1 {
-		depth = 1
-	}
-	return &explainRing{ring: make([]ecosystem.Decision, depth)}
-}
-
-// push deep-copies d into the ring (d aliases matcher/log scratch).
-func (e *explainRing) push(d *ecosystem.Decision) {
-	slot := &e.ring[e.next]
-	cands := append(slot.Candidates[:0], d.Candidates...)
-	*slot = *d
-	slot.Candidates = cands
-	e.next++
-	if e.next == len(e.ring) {
-		e.next = 0
-		e.full = true
-	}
-}
-
-// snapshot copies the retained decisions out, oldest first.
-func (e *explainRing) snapshot() []ecosystem.Decision {
-	var src []ecosystem.Decision
-	if e.full {
-		src = append(src, e.ring[e.next:]...)
-		src = append(src, e.ring[:e.next]...)
-	} else {
-		src = append(src, e.ring[:e.next]...)
-	}
-	for i := range src {
-		src[i].Candidates = append([]ecosystem.CandidateVerdict(nil), src[i].Candidates...)
-	}
-	return src
-}
+// circuit-open decision into the same log so the refusal is
+// explainable too.
 
 // centersIn lists the centers of one failure domain, sorted for a
 // deterministic synthesized verdict order.
@@ -81,14 +38,14 @@ func (b *breaker) centersIn(region string) []string {
 // explainCircuitOpen records a synthesized decision for an observation
 // the region breaker refused: every center of the gated region gets a
 // circuit-open verdict. The matcher never saw the request, so Seq is 0
-// and the tick is the game's admission counter (the tick the refused
-// observation would have become).
+// and the tick is the one the refused observation would have become —
+// the next admission tick, the value enqueue would have returned.
 func (d *Daemon) explainCircuitOpen(g *game, region string) {
 	if g.explain == nil {
 		return
 	}
 	dec := ecosystem.Decision{
-		Tick: int(g.tick.Load()),
+		Tick: int(g.tick.Load()) + 1,
 		Tag:  g.spec.Name,
 	}
 	for _, name := range d.brk.centersIn(region) {
@@ -98,7 +55,7 @@ func (d *Daemon) explainCircuitOpen(g *game, region string) {
 		})
 	}
 	d.ecoMu.Lock()
-	g.explain.push(&dec)
+	g.explain.Synthesize(dec)
 	d.ecoMu.Unlock()
 }
 
@@ -132,7 +89,7 @@ func (d *Daemon) handleExplain(w http.ResponseWriter, r *http.Request) {
 	zone := q.Get("zone")
 
 	d.ecoMu.Lock()
-	decisions := g.explain.snapshot()
+	decisions := g.explain.Snapshot()
 	d.ecoMu.Unlock()
 
 	if tickFilter >= 0 || zone != "" {
@@ -153,7 +110,7 @@ func (d *Daemon) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	json.NewEncoder(w).Encode(map[string]any{
-		"game": g.spec.Name, "depth": len(g.explain.ring),
+		"game": g.spec.Name, "depth": d.cfg.ExplainDepth,
 		"count": len(decisions), "decisions": decisions,
 	})
 }

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"mmogdc/internal/ecosystem"
+	"mmogdc/internal/geo"
+	"mmogdc/internal/mmog"
+	"mmogdc/internal/obs"
 )
 
 type explainDoc struct {
@@ -139,24 +142,36 @@ func TestExplainCircuitOpenSynthesis(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	// Trip the eu circuit directly (both test centers live in it), then
-	// push an observation: admission is refused with 503 and the
-	// refusal must still be explainable.
+	// Admit and observe two ticks, then trip the eu circuit directly
+	// (both test centers live in it) and push a third observation:
+	// admission is refused with 503 and the refusal must still be
+	// explainable, at the tick it would have become.
+	for i := 0; i < 2; i++ {
+		resp := postObserve(t, srv.URL, "g1", []float64{100 + float64(i*100), 50, 25})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("observe %d -> %d", i, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	waitTicks(t, d, "g1", 2)
 	d.brk.record(nil, []string{"dc-a"})
 	d.brk.record(nil, []string{"dc-a", "dc-b"})
-	resp := postObserve(t, srv.URL, "g1", []float64{100, 50, 25})
+	resp := postObserve(t, srv.URL, "g1", []float64{300, 50, 25})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("observe with open circuit -> %d, want 503", resp.StatusCode)
 	}
 	resp.Body.Close()
 
 	code, doc := getExplain(t, srv.URL+"/v1/explain?game=g1")
-	if code != http.StatusOK || doc.Count != 1 {
-		t.Fatalf("explain -> %d with %d decisions, want one synthesized record", code, doc.Count)
+	if code != http.StatusOK || doc.Count == 0 {
+		t.Fatalf("explain -> %d with %d decisions, want the synthesized record last", code, doc.Count)
 	}
-	dec := doc.Decisions[0]
+	dec := doc.Decisions[doc.Count-1]
 	if dec.Seq != 0 {
 		t.Fatalf("synthesized decision seq = %d, want 0 (matcher never saw it)", dec.Seq)
+	}
+	if dec.Tick != 3 {
+		t.Fatalf("synthesized decision tick = %d, want 3 (the refused observation's)", dec.Tick)
 	}
 	if len(dec.Candidates) != 2 {
 		t.Fatalf("got %d verdicts, want both region centers: %+v", len(dec.Candidates), dec.Candidates)
@@ -168,5 +183,65 @@ func TestExplainCircuitOpenSynthesis(t *testing.T) {
 	}
 	if dec.Candidates[0].Center != "dc-a" || dec.Candidates[1].Center != "dc-b" {
 		t.Fatalf("centers not sorted: %+v", dec.Candidates)
+	}
+	// The admitted ticks keep their own matcher decisions.
+	if _, at2 := getExplain(t, srv.URL+"/v1/explain?game=g1&tick=2"); at2.Count != 1 || at2.Decisions[0].Seq == 0 {
+		t.Fatalf("tick 2 has %+v, want only its matcher decision", at2.Decisions)
+	}
+}
+
+// TestExplainSeqPerGame pins that each game of a multi-game daemon
+// numbers its decisions from its own log: /v1/explain and the decision
+// events both count 1, 2, 3… per game, even though the games share one
+// matcher.
+func TestExplainSeqPerGame(t *testing.T) {
+	d := newTestDaemon(t, func(c *Config) {
+		c.ExplainDepth = 8
+		c.Games = append(c.Games, GameSpec{Name: "g2", Genre: mmog.GenreMMORPG, Origin: geo.London})
+	})
+	defer drain(t, d)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	// g1 observes a growing curve first, then g2: a counter shared
+	// across games would number g2's decisions after g1's.
+	for _, game := range []string{"g1", "g2"} {
+		for i := 0; i < 4; i++ {
+			resp := postObserve(t, srv.URL, game, []float64{400 + float64(i*100), 50, 25})
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("%s observe %d -> %d", game, i, resp.StatusCode)
+			}
+			resp.Body.Close()
+		}
+		waitTicks(t, d, game, 4)
+	}
+
+	for _, game := range []string{"g1", "g2"} {
+		code, doc := getExplain(t, srv.URL+"/v1/explain?game="+game)
+		if code != http.StatusOK || doc.Count == 0 {
+			t.Fatalf("%s explain -> %d with %d decisions", game, code, doc.Count)
+		}
+		for i, dec := range doc.Decisions {
+			if dec.Tag != game {
+				t.Fatalf("%s explain lists decision tagged %q", game, dec.Tag)
+			}
+			if dec.Seq != uint64(i+1) {
+				t.Fatalf("%s decision %d has seq %d, want %d", game, i, dec.Seq, i+1)
+			}
+		}
+		var seqs []float64
+		for _, e := range d.obs.Recorder.Events() {
+			if e.Kind == obs.EventDecision && e.Subject == game {
+				seqs = append(seqs, e.Value)
+			}
+		}
+		if len(seqs) != doc.Count {
+			t.Fatalf("%s has %d decision events for %d decisions", game, len(seqs), doc.Count)
+		}
+		for i, v := range seqs {
+			if v != float64(i+1) {
+				t.Fatalf("%s decision event %d has value %v, want %d", game, i, v, i+1)
+			}
+		}
 	}
 }

@@ -63,8 +63,9 @@ type Outcome struct {
 	RejectedBy []string
 	// Decision is the provenance record of this call — every
 	// candidate's verdict — when a DecisionLog is installed, nil
-	// otherwise. It aliases log ring storage and is valid until the
-	// ring wraps; callers that retain it must deep-copy.
+	// otherwise. It is the log's own ring slot, valid until the ring
+	// wraps onto it; read the log (DecisionLog.Snapshot) rather than
+	// retaining the pointer.
 	Decision *Decision
 }
 
@@ -92,9 +93,6 @@ func (m *Matcher) SetFaultInjector(f GrantFaults) { m.faults = f }
 // provenance log. Recording is write-only: the matching walk grants
 // exactly the same leases with or without a log.
 func (m *Matcher) SetDecisionLog(l *DecisionLog) { m.log = l }
-
-// DecisionLog returns the installed provenance log, or nil.
-func (m *Matcher) DecisionLog() *DecisionLog { return m.log }
 
 // NewMatcher returns a matcher over the centers.
 func NewMatcher(centers []*datacenter.Center) *Matcher {

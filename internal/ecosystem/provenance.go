@@ -115,7 +115,6 @@ type DecisionLog struct {
 	next    int
 	full    bool
 	total   uint64
-	cur     *Decision
 	scratch []CandidateVerdict // filtered-center verdicts, appended after the ranked walk
 }
 
@@ -128,30 +127,44 @@ func NewDecisionLog(capacity int) *DecisionLog {
 	return &DecisionLog{ring: make([]Decision, capacity)}
 }
 
-// begin opens the next ring slot for a new decision, reusing its
-// candidate slice.
-func (l *DecisionLog) begin(tag string) *Decision {
+// slot advances the ring and returns the slot to overwrite.
+func (l *DecisionLog) slot() *Decision {
 	d := &l.ring[l.next]
 	l.next++
 	if l.next == len(l.ring) {
 		l.next = 0
 		l.full = true
 	}
-	l.total++
-	d.Seq = l.total
-	d.Tick = 0
-	d.Tag = tag
-	d.UnmetCPU = 0
-	d.Candidates = d.Candidates[:0]
-	l.cur = d
 	return d
+}
+
+// begin opens the next ring slot for a new decision, reusing its
+// candidate slice.
+func (l *DecisionLog) begin(tag string) *Decision {
+	d := l.slot()
+	l.total++
+	*d = Decision{Seq: l.total, Tag: tag, Candidates: d.Candidates[:0]}
+	return d
+}
+
+// Synthesize records a decision the matcher never made, such as the
+// daemon's refusal of an observation at its region circuit breaker. The
+// record takes the next ring slot with Seq 0 and leaves the sequence
+// alone, so the matcher's own decisions stay numbered without gaps.
+// The candidates are copied into the slot.
+func (l *DecisionLog) Synthesize(d Decision) {
+	slot := l.slot()
+	cands := append(slot.Candidates[:0], d.Candidates...)
+	*slot = d
+	slot.Seq = 0
+	slot.Candidates = cands
 }
 
 // Last returns the most recently recorded decision, or nil. The
 // pointer aliases ring storage: it is valid until the ring wraps back
 // onto it, and its candidate slice is reused then.
 func (l *DecisionLog) Last() *Decision {
-	if l.total == 0 {
+	if l.next == 0 && !l.full {
 		return nil
 	}
 	i := l.next - 1
@@ -161,7 +174,8 @@ func (l *DecisionLog) Last() *Decision {
 	return &l.ring[i]
 }
 
-// Total returns how many decisions were ever recorded.
+// Total returns how many matcher decisions were ever recorded — the
+// newest one's Seq. Synthesized records are not counted.
 func (l *DecisionLog) Total() uint64 { return l.total }
 
 // Snapshot deep-copies the retained decisions, oldest first.

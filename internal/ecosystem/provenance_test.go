@@ -185,6 +185,20 @@ func TestDecisionLogRingWrap(t *testing.T) {
 	if log.Snapshot()[0].Candidates[0].Center == "tampered" {
 		t.Fatal("Snapshot aliases the ring storage")
 	}
+
+	// A synthesized record takes a slot but no sequence number: the
+	// next matcher decision continues at 6.
+	verdicts := []CandidateVerdict{{Center: "dc", Disposition: DispCircuitOpen}}
+	log.Synthesize(Decision{Seq: 99, Tick: 7, Tag: "z", Candidates: verdicts})
+	verdicts[0].Center = "tampered"
+	if last := log.Last(); last == nil || last.Seq != 0 || last.Tick != 7 || last.Candidates[0].Center != "dc" {
+		t.Fatalf("Last after Synthesize = %+v, want an owned seq-0 record at tick 7", last)
+	}
+	m.Allocate(cpuReq("z", 0.25, geo.London, math.Inf(1)), t0)
+	if snap := log.Snapshot(); log.Total() != 6 || snap[0].Seq != 0 || snap[1].Seq != 6 {
+		t.Fatalf("after Synthesize and one call: Total %d, snapshot seqs %d,%d; want 6 and 0,6",
+			log.Total(), snap[0].Seq, snap[1].Seq)
+	}
 }
 
 // TestCompareCandidatesInsertionOrderIndependence pins the tie-break:

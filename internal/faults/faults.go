@@ -470,11 +470,7 @@ func (p *Plan) DropSample(zone, tick int) bool {
 	h := p.dropSeed
 	h ^= uint64(zone)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	h ^= uint64(tick) * 0xbf58476d1ce4e5b9
-	// SplitMix64 finalizer: full avalanche so neighbouring
-	// (zone, tick) pairs decorrelate.
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
+	h = xrand.Mix64(h)
 	return float64(h>>11)/(1<<53) < p.cfg.DropoutProb
 }
 

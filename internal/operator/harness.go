@@ -127,10 +127,7 @@ func (h HarnessConfig) timeAt(tick int) time.Time {
 // hash01 maps (seed, zone, tick) to [0,1) with a SplitMix64 finisher —
 // stateless, so replayed ticks reproduce their samples exactly.
 func hash01(seed uint64, zone, tick int) float64 {
-	x := seed ^ uint64(zone)*0x9e3779b97f4a7c15 ^ uint64(tick)*0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
+	x := xrand.Mix64(seed ^ uint64(zone)*0x9e3779b97f4a7c15 ^ uint64(tick)*0xbf58476d1ce4e5b9)
 	return float64(x>>11) / (1 << 53)
 }
 

@@ -93,10 +93,6 @@ type Operator struct {
 	// per-call scratch. Both are valid only until the next Observe.
 	lastGranted  []string
 	lastRejected []string
-	// lastDecision is this tick's provenance record when the matcher
-	// carries a decision log (nil otherwise, and on ticks that
-	// attempted no acquisition). Aliases the log's ring storage.
-	lastDecision *ecosystem.Decision
 	// oo streams telemetry when Config.Obs is set (nil otherwise; all
 	// its methods no-op on nil).
 	oo *opObs
@@ -195,7 +191,6 @@ func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []fl
 	// no request (satisfied demand, backoff, an abort) leaves it empty.
 	o.lastGranted = o.lastGranted[:0]
 	o.lastRejected = nil
-	o.lastDecision = nil
 
 	start := o.oo.now()
 	// When the daemon traced the originating request it stamps the
@@ -257,7 +252,6 @@ func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []fl
 		o.lastGranted = append(o.lastGranted, l.Center.Name)
 	}
 	o.lastRejected = a.Outcome.RejectedBy
-	o.lastDecision = a.Outcome.Decision
 	return nil
 }
 
@@ -274,12 +268,6 @@ func (o *Operator) Forecast() []float64 { return o.lastForecast }
 func (o *Operator) GrantActivity() (granted, rejected []string) {
 	return o.lastGranted, o.lastRejected
 }
-
-// LastDecision returns the most recent Observe's provenance record,
-// or nil when the matcher has no decision log or the tick attempted
-// no acquisition. The record aliases the decision log's ring storage;
-// callers that retain it must deep-copy before the ring wraps.
-func (o *Operator) LastDecision() *ecosystem.Decision { return o.lastDecision }
 
 // Metrics returns the running summary.
 func (o *Operator) Metrics() Metrics {

@@ -20,6 +20,7 @@ import (
 	"mmogdc/internal/ecosystem"
 	"mmogdc/internal/geo"
 	"mmogdc/internal/obs"
+	"mmogdc/internal/xrand"
 )
 
 // Backoff policy for injected grant rejections: after the n-th
@@ -264,10 +265,7 @@ func (s *Step) backOff(t int) {
 // a blackout's victims do not re-stampede in lockstep.
 func jitter(key, t int) int {
 	h := uint64(key)*0x9e3779b97f4a7c15 ^ uint64(t)*0xbf58476d1ce4e5b9 ^ 0x5707bac0ff
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
-	return int(h & 3)
+	return int(xrand.Mix64(h) & 3)
 }
 
 // appendNew appends the names of src missing from dst.

@@ -22,14 +22,21 @@ type Rand struct {
 	hasGauss bool
 }
 
+// Mix64 is the SplitMix64 output finaliser: a bijection with full
+// avalanche, so neighbouring inputs map to unrelated outputs. Stateless
+// hashes of (seed, zone, tick) keys use it to stay independent of call
+// order.
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // splitmix64 advances a SplitMix64 state and returns the next output.
 // It is used only for seeding, never as the main stream.
 func splitmix64(s *uint64) uint64 {
 	*s += 0x9e3779b97f4a7c15
-	z := *s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return Mix64(*s)
 }
 
 // New returns a generator seeded from seed. Two generators created

@@ -13,10 +13,12 @@ go test -race ./...
 # reproduces): tests must not depend on the order they are declared in.
 go test -shuffle 1 ./...
 
-# Fuzz the operator's checkpoint restore briefly beyond its seed corpus
-# (internal/operator/testdata/fuzz): corrupt payloads must be errors,
-# never panics.
+# Fuzz briefly beyond the committed seed corpora (testdata/fuzz): the
+# operator's checkpoint restore must turn corrupt payloads into errors,
+# never panics; POST /v1/config must answer hostile bodies with 200 or
+# a typed 4xx, and an accepted config must round-trip GET -> POST -> GET.
 go test -run '^$' -fuzz '^FuzzOperatorFromSnapshot$' -fuzztime 10s ./internal/operator/
+go test -run '^$' -fuzz '^FuzzConfigPost$' -fuzztime 10s ./internal/daemon/
 
 # The benchmark is a separate module that imports core, operator,
 # daemon, and obs: keep it compiling and its self-tests green.
