@@ -29,10 +29,13 @@ race:
 # Short fuzz passes beyond the committed seed corpora (testdata/fuzz):
 # corrupt operator checkpoints must be errors, never panics; hostile
 # POST /v1/config bodies must get 200 or a typed 4xx, and an accepted
-# config must round-trip GET -> POST -> GET.
+# config must round-trip GET -> POST -> GET; a hostile flight-recorder
+# stream must give mmogaudit a load error or a report, never a panic
+# or a hang.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOperatorFromSnapshot$$' -fuzztime 10s ./internal/operator/
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigPost$$' -fuzztime 10s ./internal/daemon/
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeEvents$$' -fuzztime 10s ./internal/audit/
 
 # The benchmark (bench/) is a separate module importing core, operator,
 # daemon, and obs: keep it compiling and its self-tests green.

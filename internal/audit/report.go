@@ -394,9 +394,18 @@ func (rp *Report) episodesFrom(events []obs.Event) {
 	sortWindows(rp.Brownouts)
 	sort.Ints(ticks)
 
+	// lookback is the first tick whose signals can explain an episode
+	// starting at s, saturating so that a stream's extreme ticks cannot
+	// wrap the window around.
+	lookback := func(s int) int {
+		if s < math.MinInt+causeLookbackTicks {
+			return math.MinInt
+		}
+		return s - causeLookbackTicks
+	}
 	overlapsOutage := func(s, e int) bool {
 		for _, w := range windows {
-			if w.start <= e && s-causeLookbackTicks <= w.end {
+			if w.start <= e && lookback(s) <= w.end {
 				return true
 			}
 		}
@@ -404,19 +413,22 @@ func (rp *Report) episodesFrom(events []obs.Event) {
 	}
 	overlapsDomain := func(ws []DomainWindow, s, e int) bool {
 		for _, w := range ws {
-			if w.StartTick <= e && s-causeLookbackTicks <= w.EndTick {
+			if w.StartTick <= e && lookback(s) <= w.EndTick {
 				return true
 			}
 		}
 		return false
 	}
 	near := func(m map[int]bool, s, e int) bool {
-		for t := s - causeLookbackTicks; t <= e; t++ {
+		// Stop on reaching e, never past it: e may be math.MaxInt.
+		for t := lookback(s); ; t++ {
 			if m[t] {
 				return true
 			}
+			if t == e {
+				return false
+			}
 		}
-		return false
 	}
 	classify := func(s, e int) string {
 		switch {
@@ -459,7 +471,7 @@ func (rp *Report) episodesFrom(events []obs.Event) {
 }
 
 // walkDispositions iterates a decision event's Detail — the
-// "center=disposition,..." walk ecosystem.Decision.WalkDetail emits —
+// "center=disposition,..." walk ecosystem.Decision.AppendWalk renders —
 // calling fn once per candidate verdict.
 func walkDispositions(detail string, fn func(center, disp string)) {
 	for _, part := range strings.Split(detail, ",") {

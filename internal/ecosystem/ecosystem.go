@@ -170,19 +170,21 @@ func compareCandidates(a, b candidate) int {
 // as much of the remaining demand as its free capacity allows (in
 // whole bulks), and the remainder spills to the next candidate.
 func (m *Matcher) Allocate(req Request, now time.Time) ([]*datacenter.Lease, datacenter.Vector) {
-	leases, unmet, _ := m.AllocateDetailed(req, now)
+	leases, unmet, _ := m.AllocateDetailed(nil, req, now)
 	return leases, unmet
 }
 
 // AllocateDetailed is Allocate plus the fault-injection outcome —
 // callers implementing retry/backoff need to distinguish an injected
 // rejection (worth retrying later) from genuine capacity exhaustion.
-func (m *Matcher) AllocateDetailed(req Request, now time.Time) ([]*datacenter.Lease, datacenter.Vector, Outcome) {
+// It appends the leases obtained to dst and returns the extended
+// slice, so provision.Step grows its lease book in place.
+func (m *Matcher) AllocateDetailed(dst []*datacenter.Lease, req Request, now time.Time) ([]*datacenter.Lease, datacenter.Vector, Outcome) {
 	var out Outcome
 	m.rejected = m.rejected[:0]
 	remaining := req.Demand.ClampNonNegative()
 	if remaining.IsZero() {
-		return nil, datacenter.Vector{}, out
+		return dst, datacenter.Vector{}, out
 	}
 
 	// Provenance: one Decision per non-trivial call. Centers filtered
@@ -227,7 +229,7 @@ func (m *Matcher) AllocateDetailed(req Request, now time.Time) ([]*datacenter.Le
 	// reflection and closure allocations of sort.Slice.
 	slices.SortFunc(cands, compareCandidates)
 
-	var leases []*datacenter.Lease
+	leases := dst
 	for i, cand := range cands {
 		if remaining.IsZero() {
 			if dec == nil {

@@ -50,7 +50,7 @@ func TestAllocateDetailedRejectAll(t *testing.T) {
 	c := datacenter.NewCenter("dc", geo.London, 10, mkPolicy("p", 0.25, time.Hour))
 	m := NewMatcher([]*datacenter.Center{c})
 	m.SetFaultInjector(rejectAll{})
-	leases, unmet, out := m.AllocateDetailed(cpuReq("z", 2.0, geo.London, math.Inf(1)), t0)
+	leases, unmet, out := m.AllocateDetailed(nil, cpuReq("z", 2.0, geo.London, math.Inf(1)), t0)
 	if len(leases) != 0 {
 		t.Fatalf("reject-all injector granted %d leases", len(leases))
 	}
@@ -69,7 +69,7 @@ func TestAllocateDetailedPartialGrants(t *testing.T) {
 	c := datacenter.NewCenter("dc", geo.London, 40, mkPolicy("p", 0.25, time.Hour))
 	m := NewMatcher([]*datacenter.Center{c})
 	m.SetFaultInjector(halveAll{})
-	leases, unmet, out := m.AllocateDetailed(cpuReq("z", 4.0, geo.London, math.Inf(1)), t0)
+	leases, unmet, out := m.AllocateDetailed(nil, cpuReq("z", 4.0, geo.London, math.Inf(1)), t0)
 	if out.PartialGrants == 0 {
 		t.Fatal("trimmed grant not counted in the outcome")
 	}
@@ -95,7 +95,7 @@ func TestAllocateNoInjectorUnchanged(t *testing.T) {
 	// the baseline behavior: full grant, zero outcome.
 	c := datacenter.NewCenter("dc", geo.London, 10, mkPolicy("p", 0.25, time.Hour))
 	m := NewMatcher([]*datacenter.Center{c})
-	leases, unmet, out := m.AllocateDetailed(cpuReq("z", 1.0, geo.London, math.Inf(1)), t0)
+	leases, unmet, out := m.AllocateDetailed(nil, cpuReq("z", 1.0, geo.London, math.Inf(1)), t0)
 	if len(leases) == 0 || !unmet.IsZero() {
 		t.Fatalf("baseline grant failed: %d leases, unmet %v", len(leases), unmet)
 	}

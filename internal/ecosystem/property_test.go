@@ -146,7 +146,7 @@ func TestMatcherInvariantsUnderRandomFaults(t *testing.T) {
 				req.Exclude = []string{centers[rng.Intn(nCenters)].Name}
 			}
 
-			leases, unmet, out := m.AllocateDetailed(req, now)
+			leases, unmet, out := m.AllocateDetailed(nil, req, now)
 			sawRejection = sawRejection || out.Rejections > 0
 			sawPartial = sawPartial || out.PartialGrants > 0
 

@@ -10,8 +10,6 @@
 // the exact same branches and allocates nothing extra.
 package ecosystem
 
-import "strings"
-
 // Disposition classifies what the matching walk did with one
 // candidate center. The values are untyped string constants, so every
 // Decision shares the same interned backing — recording a disposition
@@ -88,21 +86,20 @@ type Decision struct {
 	Candidates []CandidateVerdict `json:"candidates"`
 }
 
-// WalkDetail renders the decision as the compact parseable form
+// AppendWalk appends the decision in the compact parseable form
 // "center=disposition,center=disposition,..." that flight-recorder
-// decision events carry in their Detail field. It allocates — callers
-// on the disabled path must not reach it.
-func (d *Decision) WalkDetail() string {
-	var b strings.Builder
+// decision events carry in their Detail field, and returns the
+// extended buffer. Into a buffer with room it allocates nothing.
+func (d *Decision) AppendWalk(dst []byte) []byte {
 	for i := range d.Candidates {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(d.Candidates[i].Center)
-		b.WriteByte('=')
-		b.WriteString(string(d.Candidates[i].Disposition))
+		dst = append(dst, d.Candidates[i].Center...)
+		dst = append(dst, '=')
+		dst = append(dst, d.Candidates[i].Disposition...)
 	}
-	return b.String()
+	return dst
 }
 
 // DecisionLog is a bounded ring of Decisions. Entries are stored by

@@ -35,7 +35,7 @@ func TestProvenanceDispositions(t *testing.T) {
 
 	req := cpuReq("z", 1.0, geo.London, 2000)
 	req.Exclude = []string{"shunned"}
-	_, unmet, out := m.AllocateDetailed(req, t0)
+	_, unmet, out := m.AllocateDetailed(nil, req, t0)
 	if !unmet.IsZero() {
 		t.Fatalf("unmet = %v", unmet)
 	}
@@ -64,7 +64,7 @@ func TestProvenanceDispositions(t *testing.T) {
 	}
 
 	// Ranked verdicts precede the filtered ones in walk order.
-	walk := d.WalkDetail()
+	walk := string(d.AppendWalk(nil))
 	if !strings.HasPrefix(walk, "small=granted,spare=not-needed,") {
 		t.Fatalf("walk = %q", walk)
 	}
@@ -78,7 +78,7 @@ func TestProvenanceInjectorDispositions(t *testing.T) {
 	m := NewMatcher([]*datacenter.Center{reject})
 	m.SetFaultInjector(rejectAll{})
 	m.SetDecisionLog(NewDecisionLog(2))
-	_, _, out := m.AllocateDetailed(cpuReq("z", 1.0, geo.London, math.Inf(1)), t0)
+	_, _, out := m.AllocateDetailed(nil, cpuReq("z", 1.0, geo.London, math.Inf(1)), t0)
 	if v := dispOf(t, out.Decision, "reject"); v.Disposition != DispRejectedByInjector {
 		t.Fatalf("reject = %+v, want rejected-by-injector", v)
 	}
@@ -87,7 +87,7 @@ func TestProvenanceInjectorDispositions(t *testing.T) {
 	m = NewMatcher([]*datacenter.Center{trim})
 	m.SetFaultInjector(halveAll{})
 	m.SetDecisionLog(NewDecisionLog(2))
-	_, _, out = m.AllocateDetailed(cpuReq("z", 4.0, geo.London, math.Inf(1)), t0)
+	_, _, out = m.AllocateDetailed(nil, cpuReq("z", 4.0, geo.London, math.Inf(1)), t0)
 	v := dispOf(t, out.Decision, "trim")
 	if v.Disposition != DispPartialTrimmed {
 		t.Fatalf("trim = %+v, want partial-trimmed", v)
@@ -104,7 +104,7 @@ func TestProvenanceNoCapacity(t *testing.T) {
 	m := NewMatcher([]*datacenter.Center{tiny})
 	m.SetDecisionLog(NewDecisionLog(4))
 	m.Allocate(cpuReq("z", 1.0, geo.London, math.Inf(1)), t0)
-	_, unmet, out := m.AllocateDetailed(cpuReq("z", 1.0, geo.London, math.Inf(1)), t0)
+	_, unmet, out := m.AllocateDetailed(nil, cpuReq("z", 1.0, geo.London, math.Inf(1)), t0)
 	if unmet.IsZero() {
 		t.Fatal("exhausted center still granted")
 	}
@@ -119,7 +119,7 @@ func TestProvenanceNoCapacity(t *testing.T) {
 func TestProvenanceDisabledIsNil(t *testing.T) {
 	c := datacenter.NewCenter("dc", geo.London, 10, mkPolicy("p", 0.25, time.Hour))
 	m := NewMatcher([]*datacenter.Center{c})
-	_, _, out := m.AllocateDetailed(cpuReq("z", 1.0, geo.London, math.Inf(1)), t0)
+	_, _, out := m.AllocateDetailed(nil, cpuReq("z", 1.0, geo.London, math.Inf(1)), t0)
 	if out.Decision != nil {
 		t.Fatal("no log installed but Outcome.Decision is set")
 	}
@@ -142,8 +142,8 @@ func TestProvenanceDoesNotChangeAllocation(t *testing.T) {
 	plain, logged := build(false), build(true)
 	for i := 0; i < 6; i++ {
 		req := cpuReq("z", 0.75+float64(i%3), geo.London, math.Inf(1))
-		lp, up, _ := plain.AllocateDetailed(req, t0)
-		ll, ul, _ := logged.AllocateDetailed(req, t0)
+		lp, up, _ := plain.AllocateDetailed(nil, req, t0)
+		ll, ul, _ := logged.AllocateDetailed(nil, req, t0)
 		if up != ul {
 			t.Fatalf("call %d: unmet diverged: %v vs %v", i, up, ul)
 		}

@@ -53,9 +53,12 @@ const (
 
 	// Decision provenance kind (PR 10). Subject is the requesting
 	// zone/game tag, Detail the per-candidate walk
-	// ("center=disposition,..."), Value the DecisionLog sequence
-	// number, Span the enclosing acquire span — the join key tying a
-	// grant/failover event to the ranking that produced it.
+	// ("center=disposition,...", as ecosystem.Decision.AppendWalk
+	// renders it), Value the DecisionLog sequence number, Span the
+	// enclosing acquire span — the join key tying a grant/failover
+	// event to the ranking that produced it. A run repeats a few
+	// hundred distinct walks, so the provisioning step interns them:
+	// events with the same walk share one string.
 	EventDecision = "decision"
 )
 

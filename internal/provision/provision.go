@@ -169,7 +169,8 @@ func (s *Step) Release() int {
 
 // Attempt is what one Acquire did.
 type Attempt struct {
-	// Leases are the leases won (nil when none).
+	// Leases are the leases won: the lease book's newest entries, valid
+	// until the step's next Prune, Acquire, Release or SetLeases.
 	Leases []*datacenter.Lease
 	// Outcome is the matcher's fault-injection outcome and decision
 	// record; zero when no request was sent.
@@ -225,13 +226,15 @@ func (s *Step) Acquire(t int, now time.Time, need datacenter.Vector, admitFailov
 		s.counts.Retries++
 		s.tel.retried(t, s.tag, sp)
 	}
-	leases, short, out := s.m.AllocateDetailed(ecosystem.Request{
+	n := len(s.leases)
+	book, short, out := s.m.AllocateDetailed(s.leases, ecosystem.Request{
 		Tag: s.tag, Origin: s.origin, MaxDistanceKm: s.maxKm, Demand: need, Exclude: lost,
 	}, now)
 	if out.Decision != nil {
 		out.Decision.Tick = t
 	}
-	s.leases = append(s.leases, leases...)
+	s.leases = book
+	leases := book[n:]
 	s.counts.Rejections += out.Rejections
 	s.counts.PartialGrants += out.PartialGrants
 	failover := len(lost) > 0

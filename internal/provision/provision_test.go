@@ -2,12 +2,14 @@ package provision
 
 import (
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
 	"mmogdc/internal/datacenter"
 	"mmogdc/internal/ecosystem"
 	"mmogdc/internal/geo"
+	"mmogdc/internal/obs"
 )
 
 var t0 = time.Date(2008, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -156,4 +158,79 @@ func TestStep(t *testing.T) {
 			t.Fatalf("a step granting nothing allocates %v per tick", allocs)
 		}
 	})
+
+	// With telemetry and provenance on, a tick that wins one lease
+	// allocates that lease and nothing else: the lease joins the book in
+	// place and the event details are interned.
+	t.Run("granting allocates only the leases won", func(t *testing.T) {
+		p := datacenter.HostingPolicy{Name: "fine", Bulk: datacenter.Vector{1}, TimeBulk: 2 * time.Minute}
+		m := ecosystem.NewMatcher([]*datacenter.Center{
+			datacenter.NewCenter("a", geo.London, 10, p),
+			datacenter.NewCenter("b", geo.Amsterdam, 10, p),
+		})
+		m.SetDecisionLog(ecosystem.NewDecisionLog(8))
+		var counts Counts
+		s := New(Config{
+			Matcher: m, Tag: "z", Origin: geo.London, MaxDistanceKm: 1e9, Counts: &counts,
+			Telemetry: &Telemetry{Recorder: obs.NewRecorder(8), Spans: noSpans{}},
+		})
+		i := 0
+		tick := func() {
+			now := t0.Add(time.Duration(i) * 2 * time.Minute)
+			m.Expire(now)
+			s.Prune(now)
+			need := datacenter.Vector{1}.Sub(s.AllocAt(now.Add(2 * time.Minute)))
+			if a := s.Acquire(i, now, need, true); len(a.Leases) != 1 {
+				t.Fatalf("tick %d won %d leases, want 1", i, len(a.Leases))
+			}
+			i++
+		}
+		tick() // the first tick grows the books and interns the details
+		if allocs := testing.AllocsPerRun(100, tick); allocs != 1 {
+			t.Fatalf("a step winning one lease allocates %v per tick, want 1", allocs)
+		}
+	})
+}
+
+// noSpans traces nothing.
+type noSpans struct{}
+
+func (noSpans) BeginAcquire(int, string, []string, bool, obs.SpanID) *obs.Span { return nil }
+func (noSpans) Enclosing() obs.SpanID                                          { return 0 }
+
+// TestTelemetryInternBounded records grant, failover and decision
+// events with three times more distinct details than the intern table
+// holds, each detail twice: the table never grows past maxDetails, and
+// every recorded Detail reads exactly the bytes it was rendered from,
+// whether it was interned before or after the table started over.
+func TestTelemetryInternBounded(t *testing.T) {
+	const calls = 2 * maxDetails
+	rec := obs.NewRecorder(3 * calls)
+	tel := &Telemetry{Recorder: rec}
+	p := datacenter.HostingPolicy{Name: "fine", Bulk: datacenter.Vector{1}, TimeBulk: time.Hour}
+	spare := datacenter.NewCenter("spare", geo.London, 1, p)
+	var want []string
+	for i := 0; i < calls; i++ {
+		name := "dc" + strconv.Itoa(i%maxDetails)
+		c := datacenter.NewCenter(name, geo.London, 1, p)
+		leases := []*datacenter.Lease{{Center: c}, {Center: spare}, {Center: c}}
+		d := &ecosystem.Decision{Seq: uint64(i + 1), Candidates: []ecosystem.CandidateVerdict{
+			{Center: name, Disposition: ecosystem.DispGranted},
+			{Center: "spare", Disposition: ecosystem.DispNotNeeded},
+		}}
+		tel.acquired(i, "z", leases, ecosystem.Outcome{Decision: d}, []string{name}, nil)
+		if n := len(tel.details); n > maxDetails {
+			t.Fatalf("call %d: %d interned details, cap %d", i, n, maxDetails)
+		}
+		want = append(want, "centers: "+name+",spare", "lost: "+name, name+"=granted,spare=not-needed")
+	}
+	events := rec.Events()
+	if len(events) != len(want) {
+		t.Fatalf("recorded %d events, want %d", len(events), len(want))
+	}
+	for i, e := range events {
+		if e.Detail != want[i] {
+			t.Fatalf("event %d (%s): detail %q, want %q", i, e.Kind, e.Detail, want[i])
+		}
+	}
 }

@@ -2,7 +2,6 @@ package provision
 
 import (
 	"slices"
-	"strings"
 
 	"mmogdc/internal/datacenter"
 	"mmogdc/internal/ecosystem"
@@ -29,14 +28,17 @@ type Telemetry struct {
 	PartialGrants  *obs.Counter
 	Deferred       *obs.Counter // failovers parked by the budget
 
-	// Event-detail interning: grant and failover details are built from
-	// center names, a tiny closed set, so the single-center case (the
-	// overwhelming majority) is cached and the dedup scratch reused —
-	// steady-state telemetry then allocates nothing per event.
-	centersBuf    []string
-	centersDetail map[string]string
-	lostDetail    map[string]string
+	// Event-detail interning: grant, failover and decision details are
+	// built from center names and dispositions, so a run repeats a few
+	// hundred of them. Each is rendered into buf and looked up in
+	// details, so steady-state telemetry allocates nothing per event.
+	centersBuf []string
+	buf        []byte
+	details    map[string]string
 }
+
+// maxDetails bounds the intern table; a full table starts over.
+const maxDetails = 4096
 
 // Spans opens the trace span of each acquisition. Engines implement it:
 // span names, parents, and causal links are theirs. The step stamps the
@@ -102,40 +104,47 @@ func (tel *Telemetry) acquired(t int, tag string, leases []*datacenter.Lease, ou
 		}
 		tel.centersBuf = centers
 		tel.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventGrant, Subject: tag,
-			Detail: joined(&tel.centersDetail, "centers: ", centers), Value: cpu, Span: span})
+			Detail: tel.joined("centers: ", centers), Value: cpu, Span: span})
 	}
 	if len(lost) > 0 {
 		tel.Failovers.Inc()
 		tel.FailoverLeases.Add(int64(len(leases)))
 		tel.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventFailover, Subject: tag,
-			Detail: joined(&tel.lostDetail, "lost: ", lost), Value: float64(len(leases)), Span: span})
+			Detail: tel.joined("lost: ", lost), Value: float64(len(leases)), Span: span})
 	}
 	if out.Decision != nil {
 		// The decision event shares the acquire span with the events
 		// above — that span is the join key from outcome to ranking.
-		// Building the walk Detail allocates, but only on the
-		// provenance-enabled path.
+		tel.buf = out.Decision.AppendWalk(tel.buf[:0])
 		tel.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventDecision, Subject: tag,
-			Detail: out.Decision.WalkDetail(), Value: float64(out.Decision.Seq), Span: span})
+			Detail: tel.intern(), Value: float64(out.Decision.Seq), Span: span})
 	}
 	sp.SetValue(float64(len(leases)))
 	sp.End()
 }
 
-// joined renders prefix + the comma-joined names, caching the
-// one-name case in *cache (multi-center details are rare enough to
-// allocate).
-func joined(cache *map[string]string, prefix string, names []string) string {
-	if len(names) != 1 {
-		return prefix + strings.Join(names, ",")
-	}
-	d, ok := (*cache)[names[0]]
-	if !ok {
-		if *cache == nil {
-			*cache = map[string]string{}
+// joined interns prefix + the comma-joined names.
+func (tel *Telemetry) joined(prefix string, names []string) string {
+	tel.buf = append(tel.buf[:0], prefix...)
+	for i, name := range names {
+		if i > 0 {
+			tel.buf = append(tel.buf, ',')
 		}
-		d = prefix + names[0]
-		(*cache)[names[0]] = d
+		tel.buf = append(tel.buf, name...)
 	}
+	return tel.intern()
+}
+
+// intern returns the detail rendered in buf as a string, allocating it
+// only the first time these bytes are seen.
+func (tel *Telemetry) intern() string {
+	if d, ok := tel.details[string(tel.buf)]; ok {
+		return d
+	}
+	if tel.details == nil || len(tel.details) >= maxDetails {
+		tel.details = make(map[string]string)
+	}
+	d := string(tel.buf)
+	tel.details[d] = d
 	return d
 }

@@ -16,9 +16,12 @@ go test -shuffle 1 ./...
 # Fuzz briefly beyond the committed seed corpora (testdata/fuzz): the
 # operator's checkpoint restore must turn corrupt payloads into errors,
 # never panics; POST /v1/config must answer hostile bodies with 200 or
-# a typed 4xx, and an accepted config must round-trip GET -> POST -> GET.
+# a typed 4xx, and an accepted config must round-trip GET -> POST -> GET;
+# mmogaudit must answer a hostile event stream with a load error or a
+# report, never a panic or a hang.
 go test -run '^$' -fuzz '^FuzzOperatorFromSnapshot$' -fuzztime 10s ./internal/operator/
 go test -run '^$' -fuzz '^FuzzConfigPost$' -fuzztime 10s ./internal/daemon/
+go test -run '^$' -fuzz '^FuzzAnalyzeEvents$' -fuzztime 10s ./internal/audit/
 
 # The benchmark is a separate module that imports core, operator,
 # daemon, and obs: keep it compiling and its self-tests green.
