@@ -31,11 +31,13 @@ race:
 # POST /v1/config bodies must get 200 or a typed 4xx, and an accepted
 # config must round-trip GET -> POST -> GET; a hostile flight-recorder
 # stream must give mmogaudit a load error or a report, never a panic
-# or a hang.
+# or a hang; a hostile blackout spec and fault config must be rejected
+# or give a plan whose every window lies inside the run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOperatorFromSnapshot$$' -fuzztime 10s ./internal/operator/
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigPost$$' -fuzztime 10s ./internal/daemon/
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeEvents$$' -fuzztime 10s ./internal/audit/
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s ./internal/faults/
 
 # The benchmark (bench/) is a separate module importing core, operator,
 # daemon, and obs: keep it compiling and its self-tests green.

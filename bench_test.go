@@ -7,6 +7,7 @@
 package mmogdc
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -258,27 +259,41 @@ func BenchmarkMLPTrainingEra(b *testing.B) {
 	}
 }
 
+// BenchmarkMatcherAllocate times one small grant from the first trace
+// region's origin over ecosystems of 10, 130 and 1000 centers: the
+// Table III sites in turn, ten machines each, alternating the first
+// two Table IV policies.
 func BenchmarkMatcherAllocate(b *testing.B) {
-	centers := datacenter.BuildCenters(datacenter.TableIIISites(), datacenter.Policies()[:2])
-	m := ecosystem.NewMatcher(centers)
-	game := mmog.NewGame("bench", mmog.GenreMMORPG)
-	now := time.Date(2007, 8, 18, 0, 0, 0, 0, time.UTC)
-	origin := trace.DefaultRegions()[0].Location
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var req datacenter.Vector
-		req[datacenter.CPU] = 0.01
-		_, _ = m.Allocate(ecosystem.Request{
-			Tag:           "bench",
-			Origin:        origin,
-			MaxDistanceKm: game.LatencyKm,
-			Demand:        req,
-		}, now)
-		now = now.Add(time.Second)
-		if i%256 == 255 {
-			m.Expire(now.Add(24 * time.Hour))
-		}
+	sites := datacenter.TableIIISites()
+	policies := datacenter.Policies()[:2]
+	for _, n := range []int{10, 130, 1000} {
+		b.Run(fmt.Sprintf("centers=%d", n), func(b *testing.B) {
+			centers := make([]*datacenter.Center, n)
+			for i := range centers {
+				s := sites[i%len(sites)]
+				centers[i] = datacenter.NewCenter(fmt.Sprintf("%s #%d", s.Name, i), s.Location, 10, policies[i%len(policies)])
+			}
+			m := ecosystem.NewMatcher(centers)
+			game := mmog.NewGame("bench", mmog.GenreMMORPG)
+			now := time.Date(2007, 8, 18, 0, 0, 0, 0, time.UTC)
+			origin := trace.DefaultRegions()[0].Location
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var req datacenter.Vector
+				req[datacenter.CPU] = 0.01
+				_, _ = m.Allocate(ecosystem.Request{
+					Tag:           "bench",
+					Origin:        origin,
+					MaxDistanceKm: game.LatencyKm,
+					Demand:        req,
+				}, now)
+				now = now.Add(time.Second)
+				if i%256 == 255 {
+					m.Expire(now.Add(24 * time.Hour))
+				}
+			}
+		})
 	}
 }
 

@@ -130,7 +130,7 @@ func main() {
 		AftershockProb:  *aftershock,
 	}
 	if *blackouts != "" {
-		windows, err := parseBlackouts(*blackouts)
+		windows, err := faults.ParseBlackouts(*blackouts)
 		if err != nil {
 			fatal(err)
 		}
@@ -138,6 +138,11 @@ func main() {
 	}
 	if fcfg.Seed == 0 {
 		fcfg.Seed = *seed
+	}
+	// Validate even a configuration that injects nothing: a NaN or
+	// negative knob must not pass as "off".
+	if err := fcfg.Validate(); err != nil {
+		fatal(err)
 	}
 	faulted := fcfg.Enabled() || *failFile != ""
 
@@ -303,37 +308,6 @@ func printResilience(r *core.Resilience) {
 			fmt.Printf("    %-24s %7.3f%%\n", name, r.Availability[name]*100)
 		}
 	}
-}
-
-// parseBlackouts parses the -blackout flag: comma-separated
-// region:startTick:durationTicks windows.
-func parseBlackouts(spec string) ([]faults.RegionBlackout, error) {
-	var out []faults.RegionBlackout
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		parts := strings.Split(item, ":")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("blackout %q: want region:startTick:durationTicks", item)
-		}
-		start, err := strconv.Atoi(strings.TrimSpace(parts[1]))
-		if err != nil {
-			return nil, fmt.Errorf("blackout %q: bad start tick: %v", item, err)
-		}
-		dur, err := strconv.Atoi(strings.TrimSpace(parts[2]))
-		if err != nil {
-			return nil, fmt.Errorf("blackout %q: bad duration: %v", item, err)
-		}
-		out = append(out, faults.RegionBlackout{
-			Region: strings.TrimSpace(parts[0]), Start: start, Duration: dur,
-		})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("blackout: no windows in %q", spec)
-	}
-	return out, nil
 }
 
 // loadFailures parses a scheduled-outage file: one outage per line as

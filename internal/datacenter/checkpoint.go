@@ -42,8 +42,8 @@ func (c *Center) Release(l *Lease) bool {
 	for i, cur := range c.leases {
 		if cur == l {
 			c.leases = append(c.leases[:i], c.leases[i+1:]...)
-			l.released = true
-			c.allocated = c.allocated.Sub(l.Alloc).ClampNonNegative()
+			c.drop(l)
+			c.early++
 			if len(c.leases) == 0 {
 				c.allocated = Vector{}
 			}
@@ -61,7 +61,7 @@ func (c *Center) Release(l *Lease) bool {
 // adopt in the original acquisition order.
 func (c *Center) Adopt(alloc Vector, start, expires time.Time, tag string) *Lease {
 	l := &Lease{Center: c, Alloc: alloc, Start: start, Expires: expires, Tag: tag}
-	c.leases = append(c.leases, l)
+	c.push(l)
 	return l
 }
 

@@ -227,6 +227,12 @@ type Center struct {
 	// transiently (overlapping degradations); the effective capacity
 	// clamps it.
 	degraded float64
+	// early counts the releases of live leases before their expiry
+	// (Fail, shedToFit, Release); see EarlyReleases.
+	early uint64
+	// unordered records that leases may not be sorted by Expires, so
+	// Expire must scan them rather than release a prefix.
+	unordered bool
 }
 
 // NewCenter builds a center with capacity Machines x PerMachineCapacity.
@@ -287,17 +293,32 @@ func (c *Center) Expire(t time.Time) int {
 	}
 	c.activateReservations(t)
 	n := 0
-	live := c.leases[:0]
-	for _, l := range c.leases {
-		if !l.released && !t.Before(l.Expires) {
-			l.released = true
-			c.allocated = c.allocated.Sub(l.Alloc).ClampNonNegative()
+	if !c.unordered {
+		// A center's leases share its time bulk and arrive in time
+		// order, so the ended ones are a prefix.
+		for n < len(c.leases) && !t.Before(c.leases[n].Expires) {
+			c.drop(c.leases[n])
 			n++
-			continue
 		}
-		live = append(live, l)
+		if n > 0 {
+			c.leases = c.leases[:copy(c.leases, c.leases[n:])]
+		}
+	} else {
+		live := c.leases[:0]
+		c.unordered = false
+		for _, l := range c.leases {
+			if !l.released && !t.Before(l.Expires) {
+				c.drop(l)
+				n++
+				continue
+			}
+			if k := len(live); k > 0 && l.Expires.Before(live[k-1].Expires) {
+				c.unordered = true
+			}
+			live = append(live, l)
+		}
+		c.leases = live
 	}
-	c.leases = live
 	if len(c.leases) == 0 {
 		// Snap float residue: with no live leases the allocation is
 		// zero by definition, not 1e-16.
@@ -310,6 +331,32 @@ func (c *Center) Expire(t time.Time) int {
 	}
 	return n
 }
+
+// push appends a live lease, noting when it breaks the expiry order.
+func (c *Center) push(l *Lease) {
+	if n := len(c.leases); n > 0 && l.Expires.Before(c.leases[n-1].Expires) {
+		c.unordered = true
+	}
+	c.leases = append(c.leases, l)
+}
+
+// drop releases a live lease and frees its resources; the caller
+// removes it from the lease list.
+func (c *Center) drop(l *Lease) {
+	l.released = true
+	c.allocated = c.allocated.Sub(l.Alloc).ClampNonNegative()
+}
+
+// EarlyReleases counts the live leases the center has released before
+// their expiry — lost to an outage, shed by a degradation, or handed
+// back — since it was built. A lease book whose centers' counts have
+// not moved, and whose centers' clocks have not reached its earliest
+// expiry, has lost no lease.
+func (c *Center) EarlyReleases() uint64 { return c.early }
+
+// Clock returns the latest time the center has observed (through Lease
+// or Expire); Expire has released no lease expiring after it.
+func (c *Center) Clock() time.Time { return c.watermark }
 
 // ErrInsufficient is returned when a center cannot host a request.
 var ErrInsufficient = fmt.Errorf("datacenter: insufficient free capacity")
@@ -341,7 +388,9 @@ func (c *Center) Fail() []*Lease {
 	}
 	c.leases = c.leases[:0]
 	c.reserved = c.reserved[:0]
+	c.unordered = false
 	c.allocated = Vector{}
+	c.early++
 	return dropped
 }
 
@@ -391,12 +440,14 @@ func (c *Center) shedToFit() []*Lease {
 	for len(c.leases) > 0 && !c.allocated.FitsWithin(eff) {
 		l := c.leases[len(c.leases)-1]
 		c.leases = c.leases[:len(c.leases)-1]
-		l.released = true
-		c.allocated = c.allocated.Sub(l.Alloc).ClampNonNegative()
+		c.drop(l)
 		dropped = append(dropped, l)
 	}
 	if len(c.leases) == 0 {
 		c.allocated = Vector{}
+	}
+	if len(dropped) > 0 {
+		c.early++
 	}
 	return dropped
 }
@@ -439,7 +490,7 @@ func (c *Center) Lease(req Vector, now time.Time, tag string) (*Lease, error) {
 		Tag:     tag,
 	}
 	c.allocated = c.allocated.Add(rounded)
-	c.leases = append(c.leases, l)
+	c.push(l)
 	c.totalCost += c.Prices().LeaseCost(l)
 	return l, nil
 }

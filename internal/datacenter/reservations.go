@@ -97,7 +97,7 @@ func (c *Center) activateReservations(now time.Time) {
 			// Whole window already in the past: nothing to activate.
 			l.released = true
 		case !now.Before(l.Start):
-			c.leases = append(c.leases, l)
+			c.push(l)
 			c.allocated = c.allocated.Add(l.Alloc)
 		default:
 			pending = append(pending, l)

@@ -15,6 +15,7 @@
 package ecosystem
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -70,15 +71,19 @@ type Outcome struct {
 }
 
 // Matcher allocates requests across a set of data centers. A Matcher
-// is not safe for concurrent use: Allocate mutates center lease books
-// and reuses internal candidate scratch across calls (each simulation
-// run owns its matcher exclusively).
+// is not safe for concurrent use: Allocate mutates center lease books,
+// its ranking cache and its scratch (each simulation run owns its
+// matcher exclusively).
 type Matcher struct {
 	centers []*datacenter.Center
 	faults  GrantFaults
-	// cands and rejected are scratch reused by AllocateDetailed so the
-	// per-tick acquire walk does not allocate in steady state.
-	cands    []candidate
+	// rankings caches the preference order of every center per request
+	// origin (keyed by the origin's bits), at most maxRankings of them.
+	// It is derived from the centers' names, locations and policies,
+	// which must not change once the matcher is built.
+	rankings map[[2]uint64]*ranking
+	// rejected is scratch reused by AllocateDetailed so the per-tick
+	// acquire walk does not allocate in steady state.
 	rejected []string
 	// log, when installed, receives one Decision per AllocateDetailed
 	// call. nil (the default) keeps the walk provenance-free.
@@ -127,6 +132,45 @@ func (m *Matcher) Expire(now time.Time) int {
 type candidate struct {
 	center *datacenter.Center
 	distKm float64
+}
+
+// maxRankings bounds the matcher's ranking cache; a full cache starts
+// over. Engines request from a handful of origins (one per region or
+// game).
+const maxRankings = 128
+
+// ranking is the matching walk for one request origin, before the
+// request's exclusions and latency bound filter it.
+type ranking struct {
+	// order holds every center at a non-NaN distance, sorted by
+	// compareCandidates. A NaN distance is never within a latency bound.
+	order []candidate
+	// distKm holds each center's distance, in center order.
+	distKm []float64
+}
+
+// rank returns the ranking for origin, computing it on first use.
+// compareCandidates is a total order, so filtering the sorted walk
+// yields exactly the sort of the filtered centers.
+func (m *Matcher) rank(origin geo.Point) *ranking {
+	key := [2]uint64{math.Float64bits(origin.LatDeg), math.Float64bits(origin.LonDeg)}
+	if r := m.rankings[key]; r != nil {
+		return r
+	}
+	if m.rankings == nil || len(m.rankings) >= maxRankings {
+		m.rankings = make(map[[2]uint64]*ranking)
+	}
+	r := &ranking{order: make([]candidate, 0, len(m.centers)), distKm: make([]float64, len(m.centers))}
+	for i, c := range m.centers {
+		d := geo.DistanceKm(origin, c.Location)
+		r.distKm[i] = d
+		if !math.IsNaN(d) {
+			r.order = append(r.order, candidate{center: c, distKm: d})
+		}
+	}
+	slices.SortFunc(r.order, compareCandidates)
+	m.rankings[key] = r
+	return r
 }
 
 // compareCandidates orders candidates by the matching preference:
@@ -187,50 +231,38 @@ func (m *Matcher) AllocateDetailed(dst []*datacenter.Lease, req Request, now tim
 		return dst, datacenter.Vector{}, out
 	}
 
-	// Provenance: one Decision per non-trivial call. Centers filtered
-	// before ranking collect in the log's scratch (rank 0) and are
-	// appended after the ranked walk, so Candidates reads in walk
-	// order. dec stays nil when no log is installed — every recording
-	// site below is gated on it and the walk is unchanged.
+	// Provenance: one Decision per non-trivial call. The verdicts of
+	// centers the request filters out (rank 0) follow the ranked walk,
+	// in center order. dec stays nil when no log is installed — every
+	// recording site below is gated on it and the walk is unchanged.
+	r := m.rank(req.Origin)
 	var dec *Decision
 	if m.log != nil {
 		dec = m.log.begin(req.Tag)
 		m.log.scratch = m.log.scratch[:0]
-	}
-
-	cands := m.cands[:0]
-	for _, c := range m.centers {
-		if excluded(req.Exclude, c.Name) {
-			if dec != nil {
-				m.log.scratch = append(m.log.scratch, CandidateVerdict{
-					Center:      c.Name,
-					DistKm:      geo.DistanceKm(req.Origin, c.Location),
-					Disposition: DispExcludedByFailover,
-				})
+		for i, c := range m.centers {
+			disp := DispExcludedByFailover
+			if !excluded(req.Exclude, c.Name) {
+				if r.distKm[i] <= req.MaxDistanceKm {
+					continue
+				}
+				disp = DispOutOfLatencyClass
 			}
-			continue
-		}
-		d := geo.DistanceKm(req.Origin, c.Location)
-		if d <= req.MaxDistanceKm {
-			cands = append(cands, candidate{center: c, distKm: d})
-		} else if dec != nil {
 			m.log.scratch = append(m.log.scratch, CandidateVerdict{
-				Center:      c.Name,
-				DistKm:      d,
-				Disposition: DispOutOfLatencyClass,
+				Center: c.Name, DistKm: r.distKm[i], Disposition: disp,
 			})
 		}
 	}
-	m.cands = cands
-	// Preference: finer resource grain, then shorter time bulk, then
-	// closer center, then name for determinism. The name tie-break
-	// makes the order total, so any correct sort yields the same
-	// permutation; SortFunc with a static comparator avoids the
-	// reflection and closure allocations of sort.Slice.
-	slices.SortFunc(cands, compareCandidates)
 
+	// Preference: finer resource grain, then shorter time bulk, then
+	// closer center, then name (see compareCandidates).
 	leases := dst
-	for i, cand := range cands {
+	rank := 0
+	for _, cand := range r.order {
+		if excluded(req.Exclude, cand.center.Name) || !(cand.distKm <= req.MaxDistanceKm) {
+			continue
+		}
+		rank++
 		if remaining.IsZero() {
 			if dec == nil {
 				break
@@ -239,7 +271,7 @@ func (m *Matcher) AllocateDetailed(dst []*datacenter.Lease, req Request, now tim
 			// fitToFree and no injector draw, so the fault stream and
 			// the lease book are untouched.
 			dec.Candidates = append(dec.Candidates, CandidateVerdict{
-				Center: cand.center.Name, Rank: i + 1, DistKm: cand.distKm,
+				Center: cand.center.Name, Rank: rank, DistKm: cand.distKm,
 				Disposition: DispNotNeeded,
 			})
 			continue
@@ -247,7 +279,7 @@ func (m *Matcher) AllocateDetailed(dst []*datacenter.Lease, req Request, now tim
 		c := cand.center
 		verdict := func(disp Disposition, cpu float64) {
 			dec.Candidates = append(dec.Candidates, CandidateVerdict{
-				Center: c.Name, Rank: i + 1, DistKm: cand.distKm,
+				Center: c.Name, Rank: rank, DistKm: cand.distKm,
 				Disposition: disp, CPU: cpu,
 			})
 		}

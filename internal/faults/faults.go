@@ -25,7 +25,10 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"mmogdc/internal/xrand"
 )
@@ -125,29 +128,34 @@ func effectiveMTTR(mttr, def float64) float64 {
 	return mttr
 }
 
-// Validate rejects configurations outside the model's domain.
+// Validate rejects configurations outside the model's domain. Every
+// float field must be finite: the range tests are negated so NaN fails
+// them too.
 func (c Config) Validate() error {
-	if c.MTBFTicks < 0 || c.MTTRTicks < 0 {
-		return fmt.Errorf("faults: MTBF/MTTR must be >= 0 (got %v/%v)", c.MTBFTicks, c.MTTRTicks)
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"MTBFTicks", c.MTBFTicks},
+		{"MTTRTicks", c.MTTRTicks},
+		{"OperatorCrashMTBFTicks", c.OperatorCrashMTBFTicks},
+		{"RegionMTBFTicks", c.RegionMTBFTicks},
+		{"RegionMTTRTicks", c.RegionMTTRTicks},
+		{"AftershockMeanTicks", c.AftershockMeanTicks},
+	} {
+		if !(p.v >= 0 && p.v <= math.MaxFloat64) {
+			return fmt.Errorf("faults: %s must be finite and >= 0, got %v", p.name, p.v)
+		}
 	}
 	if c.MTBFTicks > 0 {
 		if mttr := effectiveMTTR(c.MTTRTicks, 10); mttr >= c.MTBFTicks {
 			return fmt.Errorf("faults: MTTR (%v) must be < MTBF (%v) — repairs at least as slow as failures keep centers permanently down", mttr, c.MTBFTicks)
 		}
 	}
-	if c.OperatorCrashMTBFTicks < 0 {
-		return fmt.Errorf("faults: OperatorCrashMTBFTicks must be >= 0 (got %v)", c.OperatorCrashMTBFTicks)
-	}
-	if c.RegionMTBFTicks < 0 || c.RegionMTTRTicks < 0 {
-		return fmt.Errorf("faults: region MTBF/MTTR must be >= 0 (got %v/%v)", c.RegionMTBFTicks, c.RegionMTTRTicks)
-	}
 	if c.RegionMTBFTicks > 0 {
 		if mttr := effectiveMTTR(c.RegionMTTRTicks, 10); mttr >= c.RegionMTBFTicks {
 			return fmt.Errorf("faults: region MTTR (%v) must be < region MTBF (%v) — repairs at least as slow as failures keep regions permanently dark", mttr, c.RegionMTBFTicks)
 		}
-	}
-	if c.AftershockMeanTicks < 0 {
-		return fmt.Errorf("faults: AftershockMeanTicks must be >= 0 (got %v)", c.AftershockMeanTicks)
 	}
 	for i, b := range c.ScheduledBlackouts {
 		if b.Region == "" {
@@ -167,11 +175,42 @@ func (c Config) Validate() error {
 		{"DropoutProb", c.DropoutProb},
 		{"AftershockProb", c.AftershockProb},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("faults: %s must be in [0,1], got %v", p.name, p.v)
 		}
 	}
 	return nil
+}
+
+// ParseBlackouts parses a blackout spec (mmogsim's -blackout flag):
+// comma-separated region:startTick:durationTicks windows.
+func ParseBlackouts(spec string) ([]RegionBlackout, error) {
+	var out []RegionBlackout
+	for _, item := range strings.Split(spec, ",") {
+		item = strings.TrimSpace(item)
+		if item == "" {
+			continue
+		}
+		parts := strings.Split(item, ":")
+		if len(parts) != 3 {
+			return nil, fmt.Errorf("blackout %q: want region:startTick:durationTicks", item)
+		}
+		start, err := strconv.Atoi(strings.TrimSpace(parts[1]))
+		if err != nil {
+			return nil, fmt.Errorf("blackout %q: bad start tick: %v", item, err)
+		}
+		dur, err := strconv.Atoi(strings.TrimSpace(parts[2]))
+		if err != nil {
+			return nil, fmt.Errorf("blackout %q: bad duration: %v", item, err)
+		}
+		out = append(out, RegionBlackout{
+			Region: strings.TrimSpace(parts[0]), Start: start, Duration: dur,
+		})
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("blackout: no windows in %q", spec)
+	}
+	return out, nil
 }
 
 // Outage is one fault window of a center: Fail (or Degrade) fires at
@@ -215,6 +254,13 @@ type Plan struct {
 	dropSeed   uint64
 }
 
+// expTicks draws an exponential number of ticks with the given mean,
+// clamped to the run length before the conversion so no mean can
+// overflow int; a draw within the run is unchanged.
+func expTicks(r *xrand.Rand, mean float64, ticks int) int {
+	return int(min(r.Exp(mean), float64(ticks)))
+}
+
 // NewPlan generates the fault schedule for a run of the given length
 // over the named centers. The schedule is a pure function of the
 // configuration, the center order, and ticks. Call Validate first;
@@ -238,11 +284,11 @@ func NewPlan(cfg Config, centers []string, ticks int) *Plan {
 			r := root.Split(uint64(i) + 1)
 			t := 0
 			for {
-				start := t + 1 + int(r.Exp(cfg.MTBFTicks))
+				start := t + 1 + expTicks(r, cfg.MTBFTicks, ticks)
 				if start >= ticks-1 {
 					break
 				}
-				end := start + 1 + int(r.Exp(cfg.MTTRTicks))
+				end := start + 1 + expTicks(r, cfg.MTTRTicks, ticks)
 				if end > ticks-1 {
 					end = ticks - 1
 				}
@@ -261,7 +307,7 @@ func NewPlan(cfg Config, centers []string, ticks int) *Plan {
 		r := root.Split(0xc4a54)
 		t := 0
 		for {
-			t += 1 + int(r.Exp(cfg.OperatorCrashMTBFTicks))
+			t += 1 + expTicks(r, cfg.OperatorCrashMTBFTicks, ticks)
 			if t >= ticks-1 {
 				break
 			}
@@ -329,7 +375,7 @@ func (p *Plan) generateRegionFaults(root *xrand.Rand, centers []string, ticks in
 				Center: name, Start: start, End: end, Fraction: 1, Region: region,
 			})
 			if cfg.AftershockProb > 0 && r.Bool(cfg.AftershockProb) {
-				aEnd := end + 1 + int(r.Exp(aftMean))
+				aEnd := end + 1 + expTicks(r, aftMean, ticks)
 				if aEnd > ticks-1 {
 					aEnd = ticks - 1
 				}
@@ -348,9 +394,10 @@ func (p *Plan) generateRegionFaults(root *xrand.Rand, centers []string, ticks in
 		if b.Start >= ticks-1 {
 			continue
 		}
-		end := b.Start + b.Duration
-		if end > ticks-1 {
-			end = ticks - 1
+		// Saturate at the run's end: Start+Duration may overflow.
+		end := ticks - 1
+		if b.Duration < end-b.Start {
+			end = b.Start + b.Duration
 		}
 		addBlackout(b.Region, b.Start, end, sa)
 	}
@@ -372,11 +419,11 @@ func (p *Plan) generateRegionFaults(root *xrand.Rand, centers []string, ticks in
 			r := regRoot.Split(uint64(ri) + 1)
 			t := 0
 			for {
-				start := t + 1 + int(r.Exp(cfg.RegionMTBFTicks))
+				start := t + 1 + expTicks(r, cfg.RegionMTBFTicks, ticks)
 				if start >= ticks-1 {
 					break
 				}
-				end := start + 1 + int(r.Exp(mttr))
+				end := start + 1 + expTicks(r, mttr, ticks)
 				if end > ticks-1 {
 					end = ticks - 1
 				}

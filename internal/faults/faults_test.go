@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -420,4 +422,94 @@ func TestRegionPlanDeterministicForSeed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHostileConfigsStayInsideRun pins the three ways a configuration
+// used to break the outage plan: a NaN or infinite float validated,
+// a huge mean converted out of int range in NewPlan (scheduling
+// failures at negative ticks), and a scheduled blackout whose
+// Start+Duration overflowed, so its region never recovered.
+func TestHostileConfigsStayInsideRun(t *testing.T) {
+	const ticks = 720
+	regions := map[string]string{"a": "eu", "b": "eu", "c": "na"}
+	cases := []struct {
+		name    string
+		cfg     Config
+		wantErr bool
+		// outages, blackouts and crashes the plan must hold.
+		outages, blackouts, crashes int
+	}{
+		{name: "NaN reject probability", cfg: Config{RejectProb: math.NaN()}, wantErr: true},
+		{name: "NaN MTBF", cfg: Config{MTBFTicks: math.NaN()}, wantErr: true},
+		{name: "-Inf region MTTR", cfg: Config{RegionMTTRTicks: math.Inf(-1)}, wantErr: true},
+		{name: "+Inf crash MTBF", cfg: Config{OperatorCrashMTBFTicks: math.Inf(1)}, wantErr: true},
+		{name: "NaN aftershock mean", cfg: Config{AftershockMeanTicks: math.NaN()}, wantErr: true},
+		{name: "MTBF 1e300 never fails", cfg: Config{MTBFTicks: 1e300, MTTRTicks: 5}},
+		{name: "crash MTBF 1e300 never crashes", cfg: Config{OperatorCrashMTBFTicks: 1e300}},
+		{name: "region MTBF 1e300 never blacks out", cfg: Config{Regions: regions, RegionMTBFTicks: 1e300, RegionMTTRTicks: 5}},
+		{name: "aftershock mean 1e300 lasts to the end", cfg: Config{
+			Regions: regions, AftershockProb: 1, AftershockMeanTicks: 1e300,
+			ScheduledBlackouts: []RegionBlackout{{Region: "na", Start: 10, Duration: 5}},
+		}, outages: 2, blackouts: 1},
+		{name: "overflowing blackout saturates", cfg: Config{
+			Regions:            regions,
+			ScheduledBlackouts: []RegionBlackout{{Region: "eu", Start: 10, Duration: math.MaxInt}},
+		}, outages: 2, blackouts: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cfg.Validate()
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("config %+v accepted", tc.cfg)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := NewPlan(tc.cfg, []string{"a", "b", "c"}, ticks)
+			if err := checkPlan(p, ticks); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(p.Outages()); got != tc.outages {
+				t.Errorf("%d outages, want %d: %+v", got, tc.outages, p.Outages())
+			}
+			if got := len(p.Blackouts()); got != tc.blackouts {
+				t.Errorf("%d blackouts, want %d: %+v", got, tc.blackouts, p.Blackouts())
+			}
+			if got := len(p.OperatorCrashes()); got != tc.crashes {
+				t.Errorf("%d crashes, want %d", got, tc.crashes)
+			}
+			for _, b := range p.Blackouts() {
+				if b.End != ticks-1 && b.Region == "eu" {
+					t.Errorf("blackout %+v ends before the run does", b)
+				}
+			}
+		})
+	}
+}
+
+// checkPlan reports the first window of p outside a run of ticks: every
+// outage and blackout must satisfy 0 <= Start < End <= ticks-1, and the
+// crash ticks must strictly increase within [1, ticks-2].
+func checkPlan(p *Plan, ticks int) error {
+	for _, o := range p.Outages() {
+		if o.Start < 0 || o.Start >= o.End || o.End > ticks-1 {
+			return fmt.Errorf("outage %+v outside a %d-tick run", o, ticks)
+		}
+	}
+	for _, b := range p.Blackouts() {
+		if b.Start < 0 || b.Start >= b.End || b.End > ticks-1 {
+			return fmt.Errorf("blackout %+v outside a %d-tick run", b, ticks)
+		}
+	}
+	prev := 0
+	for _, c := range p.OperatorCrashes() {
+		if c <= prev || c > ticks-2 {
+			return fmt.Errorf("crash ticks %v not strictly increasing within [1, %d]", p.OperatorCrashes(), ticks-2)
+		}
+		prev = c
+	}
+	return nil
 }

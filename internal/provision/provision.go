@@ -80,6 +80,9 @@ type Step struct {
 	// leases is the lease book in acquisition order, which fixes the
 	// float summation order of the allocation.
 	leases []*datacenter.Lease
+	// memo is the book's allocation while no lease in it can have
+	// ended, so a tick that loses no lease does not rescan the book.
+	memo memo
 	// lost names the centers whose leases the last Prune found released
 	// before their expiry, each once, in lease-book order.
 	lost []string
@@ -112,12 +115,15 @@ func New(cfg Config) Step {
 // survive (a restore tombstone) — so Prune notes the center and the
 // next Acquire fails the capacity over away from it.
 func (s *Step) Prune(now time.Time) datacenter.Vector {
-	var sum datacenter.Vector
 	s.lost = s.lost[:0]
+	if s.memo.holds(now) {
+		return s.memo.sum
+	}
+	s.memo.reset()
 	live := s.leases[:0]
 	for _, l := range s.leases {
 		if l.Active(now) {
-			sum = sum.Add(l.Alloc)
+			s.memo.add(l)
 			live = append(live, l)
 			continue
 		}
@@ -127,7 +133,7 @@ func (s *Step) Prune(now time.Time) datacenter.Vector {
 		}
 	}
 	s.leases = live
-	return sum
+	return s.memo.sum
 }
 
 // AllocAt sums the leases still active at t, without pruning. Engines
@@ -135,6 +141,9 @@ func (s *Step) Prune(now time.Time) datacenter.Vector {
 // scoring instant, so leases renew before they lapse rather than one
 // tick after.
 func (s *Step) AllocAt(t time.Time) datacenter.Vector {
+	if s.memo.holds(t) {
+		return s.memo.sum
+	}
 	var sum datacenter.Vector
 	for _, l := range s.leases {
 		if l.Active(t) {
@@ -144,12 +153,78 @@ func (s *Step) AllocAt(t time.Time) datacenter.Vector {
 	return sum
 }
 
+// memo is the in-order sum of a whole lease book. It equals the sum of
+// the book's leases active at t — the scan's result, bit for bit —
+// while no lease in the book can have ended by t, which holds checks.
+type memo struct {
+	// stale marks a memo that does not cover the book (SetLeases).
+	stale bool
+	n     int
+	sum   datacenter.Vector
+	// start is the book's latest Start, expires its earliest Expires.
+	start, expires time.Time
+	// marks lists each center of the book with its EarlyReleases count
+	// when the lease that brought it in was added.
+	marks []mark
+}
+
+type mark struct {
+	c     *datacenter.Center
+	early uint64
+}
+
+// reset empties the memo for a book being rebuilt from scratch.
+func (m *memo) reset() {
+	*m = memo{marks: m.marks[:0]}
+}
+
+// add extends the memo with the book's next lease: one Add, exactly
+// the scan's next addition.
+func (m *memo) add(l *datacenter.Lease) {
+	m.sum = m.sum.Add(l.Alloc)
+	if m.n == 0 || l.Start.After(m.start) {
+		m.start = l.Start
+	}
+	if m.n == 0 || l.Expires.Before(m.expires) {
+		m.expires = l.Expires
+	}
+	m.n++
+	if l.Center == nil {
+		return
+	}
+	for _, k := range m.marks {
+		if k.c == l.Center {
+			return
+		}
+	}
+	m.marks = append(m.marks, mark{l.Center, l.Center.EarlyReleases()})
+}
+
+// holds reports whether every lease of the book is active at t: t lies
+// in [start, expires), no center of the book has released a lease
+// early since it was marked, and no such center's clock has reached
+// expires (so Expire has released none of the book's leases either).
+func (m *memo) holds(t time.Time) bool {
+	if m.stale || m.n > 0 && (t.Before(m.start) || !t.Before(m.expires)) {
+		return false
+	}
+	for _, k := range m.marks {
+		if k.c.EarlyReleases() != k.early || !k.c.Clock().Before(m.expires) {
+			return false
+		}
+	}
+	return true
+}
+
 // Leases returns the lease book in acquisition order. The slice
 // aliases the step's storage.
 func (s *Step) Leases() []*datacenter.Lease { return s.leases }
 
 // SetLeases replaces the lease book (checkpoint restore).
-func (s *Step) SetLeases(leases []*datacenter.Lease) { s.leases = leases }
+func (s *Step) SetLeases(leases []*datacenter.Lease) {
+	s.leases = leases
+	s.memo.stale = true
+}
 
 // Release hands every live lease back to its center, empties the book,
 // and forgets any parked failover — the capacity is given up by choice,
@@ -163,6 +238,7 @@ func (s *Step) Release() int {
 		}
 	}
 	s.leases = s.leases[:0]
+	s.memo.reset()
 	s.parked = s.parked[:0]
 	return n
 }
@@ -235,6 +311,9 @@ func (s *Step) Acquire(t int, now time.Time, need datacenter.Vector, admitFailov
 	}
 	s.leases = book
 	leases := book[n:]
+	for _, l := range leases {
+		s.memo.add(l)
+	}
 	s.counts.Rejections += out.Rejections
 	s.counts.PartialGrants += out.PartialGrants
 	failover := len(lost) > 0

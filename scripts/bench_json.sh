@@ -1,15 +1,16 @@
 #!/usr/bin/env sh
 # Machine-readable benchmark snapshot, gated: run the core-engine,
-# checkpoint, and observability-overhead benchmarks with -benchmem,
-# condense the output into BENCH_core.json (name -> ns/op, B/op,
-# allocs/op) at the repo root, and fail if the fresh numbers regress
-# more than the tolerance band against the committed snapshot (see
-# scripts/benchgate: allocs/op and B/op gate at 20%, ns/op is a 2x
-# load-noise-tolerant tripwire and only applies to benchmarks long
-# enough that an iteration is meaningful). Three
-# iterations per benchmark keep this cheap enough for CI while damping
-# single-iteration timing wobble; the numbers are a smoke-grade
-# snapshot, not a measurement run.
+# checkpoint, and observability-overhead benchmarks, the matcher walk
+# at 10, 130 and 1000 centers, and the provisioning step's steady-state
+# Prune + AllocAt, all with -benchmem; condense the output into
+# BENCH_core.json (name -> ns/op, B/op, allocs/op) at the repo root,
+# and fail if the fresh numbers regress more than the tolerance band
+# against the committed snapshot (see scripts/benchgate: allocs/op and
+# B/op gate at 20%, ns/op is a 2x load-noise-tolerant tripwire and only
+# applies to benchmarks long enough that an iteration is meaningful).
+# Three iterations per engine benchmark keep this cheap enough for CI
+# while damping single-iteration timing wobble; the numbers are a
+# smoke-grade snapshot, not a measurement run.
 #
 # The refreshed BENCH_core.json is written even when the gate fails, so
 # an intentional change is accepted by committing the new snapshot.
@@ -23,6 +24,12 @@ go test -run '^$' -bench 'CoreRun|ObsOverhead' -benchtime 3x -benchmem . \
     > "$d/bench.out"
 go test -run '^$' -bench Checkpoint -benchtime 3x -benchmem \
     ./internal/operator/ >> "$d/bench.out"
+# The layer benchmarks take microseconds an iteration: run enough of
+# them that ns/op means something.
+go test -run '^$' -bench MatcherAllocate -benchtime 2000x -benchmem . \
+    >> "$d/bench.out"
+go test -run '^$' -bench StepSteadyState -benchtime 100000x -benchmem \
+    ./internal/provision/ >> "$d/bench.out"
 
 go run ./scripts/benchjson < "$d/bench.out" > "$d/new.json"
 

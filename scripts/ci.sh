@@ -18,10 +18,13 @@ go test -shuffle 1 ./...
 # never panics; POST /v1/config must answer hostile bodies with 200 or
 # a typed 4xx, and an accepted config must round-trip GET -> POST -> GET;
 # mmogaudit must answer a hostile event stream with a load error or a
-# report, never a panic or a hang.
+# report, never a panic or a hang; a hostile blackout spec and fault
+# config must be rejected or give a plan whose every window lies
+# inside the run.
 go test -run '^$' -fuzz '^FuzzOperatorFromSnapshot$' -fuzztime 10s ./internal/operator/
 go test -run '^$' -fuzz '^FuzzConfigPost$' -fuzztime 10s ./internal/daemon/
 go test -run '^$' -fuzz '^FuzzAnalyzeEvents$' -fuzztime 10s ./internal/audit/
+go test -run '^$' -fuzz '^FuzzFaultPlan$' -fuzztime 10s ./internal/faults/
 
 # The benchmark is a separate module that imports core, operator,
 # daemon, and obs: keep it compiling and its self-tests green.
