@@ -1,8 +1,8 @@
-# Repository CI targets. `make ci` is what a PR must keep green: vet,
-# build, the full test suite under the race detector (guarding the
-# parallel per-zone simulation engine in internal/core and the sweep
-# pool in internal/par), a short fuzz pass, the bench/ module's build
-# and self-tests, and the gated benchmark snapshot (bench-json),
+# Repository CI targets. `make ci` is what a PR must keep green: the
+# gofmt check, vet, build, the full test suite under the race detector
+# (guarding the parallel per-zone simulation engine in internal/core
+# and the sweep pool in internal/par), a short fuzz pass, the bench/
+# module's build and self-tests, and the gated benchmark snapshot (bench-json),
 # which both keeps the BenchmarkCoreRun* variants runnable and fails
 # the build when allocs/op or B/op regress >20% — or ns/op >2x, a
 # wide tripwire because wall-clock on a loaded box is noise — against
@@ -10,9 +10,14 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz bench-module bench-smoke bench bench-json chaos-smoke recovery-smoke obs-smoke daemon-smoke slo-smoke
+.PHONY: ci fmt vet build test race fuzz bench-module bench-smoke bench bench-json chaos-smoke recovery-smoke obs-smoke daemon-smoke slo-smoke
 
-ci: vet build race fuzz bench-module bench-json chaos-smoke recovery-smoke obs-smoke daemon-smoke slo-smoke
+ci: fmt vet build race fuzz bench-module bench-json chaos-smoke recovery-smoke obs-smoke daemon-smoke slo-smoke
+
+# Every Go file in the tree, bench/ included, must be gofmt-clean; the
+# offending files are listed on failure.
+fmt:
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 vet:
 	$(GO) vet ./...
@@ -32,12 +37,17 @@ race:
 # config must round-trip GET -> POST -> GET; a hostile flight-recorder
 # stream must give mmogaudit a load error or a report, never a panic
 # or a hang; a hostile blackout spec and fault config must be rejected
-# or give a plan whose every window lies inside the run.
+# or give a plan whose every window lies inside the run; a corrupt core
+# checkpoint payload must be refused or resume to a well-formed Result.
+# An accepted payload replays the rest of its run, so FuzzCoreResume caps
+# minimization at 1s: shrinking a 6 KB payload byte by byte would
+# otherwise take the whole pass.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOperatorFromSnapshot$$' -fuzztime 10s ./internal/operator/
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigPost$$' -fuzztime 10s ./internal/daemon/
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeEvents$$' -fuzztime 10s ./internal/audit/
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s ./internal/faults/
+	$(GO) test -run '^$$' -fuzz '^FuzzCoreResume$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 
 # The benchmark (bench/) is a separate module importing core, operator,
 # daemon, and obs: keep it compiling and its self-tests green.

@@ -43,9 +43,6 @@ func NewManager(dir string) (*Manager, error) {
 	return &Manager{dir: dir, Keep: 2}, nil
 }
 
-// Dir returns the managed directory.
-func (m *Manager) Dir() string { return m.dir }
-
 // Path returns the file name a snapshot of the given tick uses.
 func (m *Manager) Path(tick int) string {
 	return filepath.Join(m.dir, fmt.Sprintf("%s%09d%s", filePrefix, tick, fileSuffix))

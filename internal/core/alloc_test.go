@@ -33,8 +33,8 @@ func budgetAllocs(t *testing.T, workers int, tune func(*Config)) float64 {
 
 // TestRunAllocationBudget locks in the steady-state allocation contract
 // of the tick loop. A whole Run still allocates for three legitimate
-// reasons: setup (zone state, partials, arenas, predictors, result
-// series), the lease objects the acquire phase creates as demand grows
+// reasons: setup (zone state, partials, predictors, result series),
+// the lease objects the acquire phase creates as demand grows
 // (retained state, proportional to demand growth, one object per lease
 // here, appended into the zone's lease book), and the parallel
 // dispatch's O(workers) closures per tick. What it must NOT do is

@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"mmogdc/internal/checkpoint"
 	"mmogdc/internal/datacenter"
-	"mmogdc/internal/faults"
 	"mmogdc/internal/predict"
-	"mmogdc/internal/provision"
 )
 
 // This file implements checkpoint/resume for the batch engine: the
@@ -31,129 +31,96 @@ const corePayloadKind = "mmogdc/core-run@2"
 // Result by design.
 var ErrStopped = fmt.Errorf("core: run stopped after requested tick")
 
-// engineState bundles the live simulation state Run accumulates, so
-// snapshot/restore can reach all of it without threading two dozen
-// parameters.
-type engineState struct {
-	cfg       *Config
-	zones     []zoneState
-	res       *Result
-	overSum   *[datacenter.NumResources]float64
-	underSum  *[datacenter.NumResources]float64
-	overTicks *[datacenter.NumResources]int
-	// gameNames lists the distinct games in workload order; gameUnder
-	// is the flat per-game under-allocation accumulator indexed the
-	// same way (zoneState.gameIdx).
-	gameNames []string
-	gameUnder []float64
-	tracker   *outageTracker
-	plan      *faults.Plan
-	samples   int
-	// counts are the acquisition counters the zones' steps share; they
-	// sit among the Resilience fields in the byte layout.
-	counts *provision.Counts
-	// brownoutActive and capLossStart point at Run's live brownout /
-	// time-to-full-recovery state, so a resume re-enters an in-progress
-	// impairment episode instead of restarting its clock.
-	brownoutActive *bool
-	capLossStart   *int
-}
-
 // snapshot serializes the state after tick doneTick completed.
-func (s *engineState) snapshot(doneTick int) ([]byte, error) {
-	e := checkpoint.NewEnc()
-	e.Str(corePayloadKind)
+func (e *engine) snapshot(doneTick int) ([]byte, error) {
+	enc := checkpoint.NewEnc()
+	enc.Str(corePayloadKind)
 	// Fingerprint: a checkpoint resumes only the run it was taken from.
-	e.Int(s.samples)
-	e.Bool(s.cfg.Static)
-	e.Int(len(s.zones))
-	for i := range s.zones {
-		e.Str(s.zones[i].tag)
+	enc.Int(e.samples)
+	enc.Bool(e.cfg.Static)
+	enc.Int(len(e.zones))
+	for i := range e.zones {
+		enc.Str(e.zones[i].tag)
 	}
-	e.Int(len(s.cfg.Centers))
-	for _, c := range s.cfg.Centers {
-		e.Str(c.Name)
+	enc.Int(len(e.cfg.Centers))
+	for _, c := range e.cfg.Centers {
+		enc.Str(c.Name)
 	}
 
-	e.Int(doneTick)
-	e.Int(s.res.Ticks)
-	e.Int(s.res.Events)
-	e.Int(s.res.Unmet)
-	e.Ints(s.res.CumEvents)
-	e.F64s(s.res.OverPct)
-	e.F64s(s.res.UnderPct)
-	e.F64s(s.overSum[:])
-	e.F64s(s.underSum[:])
-	e.Ints(s.overTicks[:])
+	enc.Int(doneTick)
+	enc.Int(e.res.Ticks)
+	enc.Int(e.res.Events)
+	enc.Int(e.res.Unmet)
+	enc.Ints(e.res.CumEvents)
+	enc.F64s(e.res.OverPct)
+	enc.F64s(e.res.UnderPct)
+	enc.F64s(e.overSum[:])
+	enc.F64s(e.underSum[:])
+	enc.Ints(e.overTicks[:])
 
 	// Per-game accumulators, sorted by name for a canonical byte
 	// stream (the live accumulator is flat, in workload order).
-	gameIdx := make(map[string]int, len(s.gameNames))
-	names := make([]string, len(s.gameNames))
-	copy(names, s.gameNames)
-	for i, name := range s.gameNames {
-		gameIdx[name] = i
-	}
+	names := slices.Clone(e.gameNames)
 	sort.Strings(names)
-	e.Int(len(names))
+	enc.Int(len(names))
 	for _, name := range names {
-		e.Str(name)
-		e.F64(s.gameUnder[gameIdx[name]])
+		enc.Str(name)
+		enc.F64(e.gameUnder[slices.Index(e.gameNames, name)])
 	}
 
-	r := s.res.Resilience
-	e.Int(r.Outages)
-	e.Int(r.FullOutages)
-	e.Int(r.PartialOutages)
-	e.Int(r.CapacityRecovered)
-	e.Int(r.ServiceRecovered)
-	e.Int(s.counts.Failovers)
-	e.Int(s.counts.FailoverLeases)
-	e.Int(s.counts.Retries)
-	e.Int(s.counts.Rejections)
-	e.Int(s.counts.PartialGrants)
-	e.Int(r.DroppedSamples)
-	e.F64(r.CapacityLostCPUTicks)
-	e.Int(r.RegionBlackouts)
-	e.Int(s.counts.Deferred)
-	e.Int(r.BrownoutTicks)
-	e.Int(r.ShedLeases)
-	e.F64(r.ShedPlayerTicks)
-	e.Int(r.TimeToFullRecoveryTicks)
-	for _, c := range s.cfg.Centers {
-		e.F64(r.Availability[c.Name])
+	r := e.res.Resilience
+	enc.Int(r.Outages)
+	enc.Int(r.FullOutages)
+	enc.Int(r.PartialOutages)
+	enc.Int(r.CapacityRecovered)
+	enc.Int(r.ServiceRecovered)
+	enc.Int(e.counts.Failovers)
+	enc.Int(e.counts.FailoverLeases)
+	enc.Int(e.counts.Retries)
+	enc.Int(e.counts.Rejections)
+	enc.Int(e.counts.PartialGrants)
+	enc.Int(r.DroppedSamples)
+	enc.F64(r.CapacityLostCPUTicks)
+	enc.Int(r.RegionBlackouts)
+	enc.Int(e.counts.Deferred)
+	enc.Int(r.BrownoutTicks)
+	enc.Int(r.ShedLeases)
+	enc.F64(r.ShedPlayerTicks)
+	enc.Int(r.TimeToFullRecoveryTicks)
+	for _, c := range e.cfg.Centers {
+		enc.F64(r.Availability[c.Name])
 	}
 
-	e.F64(s.tracker.ttrSum)
-	e.Ints(s.tracker.pending)
-	for _, w := range s.tracker.open {
+	enc.F64(e.tracker.ttrSum)
+	enc.Ints(e.tracker.pending)
+	for _, w := range e.tracker.open {
 		if w == nil {
-			e.Bool(false)
+			enc.Bool(false)
 			continue
 		}
-		e.Bool(true)
-		e.Int(w.start)
-		e.Bool(w.sawFull)
+		enc.Bool(true)
+		enc.Int(w.start)
+		enc.Bool(w.sawFull)
 	}
 
 	// Centers: scalar accounting plus the lease book in list order (the
 	// order fixes both float summation and newest-first shedding).
 	leasePos := map[*datacenter.Lease][2]int{}
-	for ci, c := range s.cfg.Centers {
+	for ci, c := range e.cfg.Centers {
 		st := c.CheckpointState()
-		e.F64s(st.Allocated[:])
-		e.F64(st.TotalCost)
-		e.Time(st.Watermark)
-		e.Int(st.FailDepth)
-		e.F64(st.Degraded)
+		enc.F64s(st.Allocated[:])
+		enc.F64(st.TotalCost)
+		enc.Time(st.Watermark)
+		enc.Int(st.FailDepth)
+		enc.F64(st.Degraded)
 		book := c.Leases()
-		e.Int(len(book))
+		enc.Int(len(book))
 		for pos, l := range book {
 			leasePos[l] = [2]int{ci, pos}
-			e.F64s(l.Alloc[:])
-			e.Time(l.Start)
-			e.Time(l.Expires)
-			e.Str(l.Tag)
+			enc.F64s(l.Alloc[:])
+			enc.Time(l.Start)
+			enc.Time(l.Expires)
+			enc.Str(l.Tag)
 		}
 	}
 
@@ -161,20 +128,20 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 	// parked failover, and the lease list as (center, position)
 	// references into the books above — zone lease order also fixes
 	// float summation order.
-	for i := range s.zones {
-		z := &s.zones[i]
+	for i := range e.zones {
+		z := &e.zones[i]
 		if z.predictor == nil {
-			e.Bool(false)
+			enc.Bool(false)
 		} else {
 			st, ok := z.predictor.(predict.Stateful)
 			if !ok {
 				return nil, fmt.Errorf("core: zone %s predictor %T is not snapshotable", z.tag, z.predictor)
 			}
-			e.Bool(true)
-			e.Bytes(st.Snapshot())
+			enc.Bool(true)
+			enc.Bytes(st.Snapshot())
 		}
-		e.F64(z.lastObs)
-		z.step.Encode(e)
+		enc.F64(z.lastObs)
+		z.step.Encode(enc)
 		leases := z.step.Leases()
 		refs := make([]int, 0, 2*len(leases))
 		for _, l := range leases {
@@ -191,47 +158,50 @@ func (s *engineState) snapshot(doneTick int) ([]byte, error) {
 			}
 			refs = append(refs, p[0], p[1])
 		}
-		e.Ints(refs)
+		enc.Ints(refs)
 	}
 
-	if s.plan == nil {
-		e.Bool(false)
+	if e.plan == nil {
+		enc.Bool(false)
 	} else {
-		e.Bool(true)
-		for _, w := range s.plan.SnapshotGrants() {
-			e.U64(w)
+		enc.Bool(true)
+		for _, w := range e.plan.SnapshotGrants() {
+			enc.U64(w)
 		}
 	}
 
-	e.Bool(*s.brownoutActive)
-	e.Int(*s.capLossStart)
+	enc.Bool(e.brownoutActive)
+	enc.Int(e.capLossStart)
 
-	e.Bool(s.cfg.TrackCenters)
-	if s.cfg.TrackCenters {
-		for _, c := range s.cfg.Centers {
-			cs := s.res.CenterStats[c.Name]
-			e.F64(cs.AvgAllocatedCPU)
-			e.F64(cs.AvgFreeCPU)
+	enc.Bool(e.cfg.TrackCenters)
+	if e.cfg.TrackCenters {
+		for _, c := range e.cfg.Centers {
+			cs := e.res.CenterStats[c.Name]
+			enc.F64(cs.AvgAllocatedCPU)
+			enc.F64(cs.AvgFreeCPU)
 			regions := make([]string, 0, len(cs.AllocatedByRegion))
 			for name := range cs.AllocatedByRegion {
 				regions = append(regions, name)
 			}
 			sort.Strings(regions)
-			e.Int(len(regions))
+			enc.Int(len(regions))
 			for _, name := range regions {
-				e.Str(name)
-				e.F64(cs.AllocatedByRegion[name])
+				enc.Str(name)
+				enc.F64(cs.AllocatedByRegion[name])
 			}
 		}
 	}
-	return e.Data(), nil
+	return enc.Data(), nil
 }
 
 // restore re-establishes a snapshot over freshly constructed run
 // state, returning the tick the snapshot was taken after. The centers
 // must be untouched (as built by the caller's Config); the lease books
-// are reconstructed from the snapshot.
-func (s *engineState) restore(payload []byte) (int, error) {
+// are reconstructed from the snapshot. A payload holding a state no run
+// reaches is refused: scored ticks and series that disagree with the
+// checkpoint's tick, a negative fail depth, a NaN, infinite or negative
+// degradation, or an availability sum outside [0, tick].
+func (e *engine) restore(payload []byte) (int, error) {
 	d := checkpoint.NewDec(payload)
 	fail := func(err error) (int, error) { return 0, fmt.Errorf("core: resume: %w", err) }
 	if kind := d.Str(); kind != corePayloadKind {
@@ -240,24 +210,24 @@ func (s *engineState) restore(payload []byte) (int, error) {
 		}
 		return 0, fmt.Errorf("core: resume: checkpoint kind %q, want %q", kind, corePayloadKind)
 	}
-	if v := d.Int(); d.Err() == nil && v != s.samples {
-		return 0, fmt.Errorf("core: resume: checkpoint for %d samples, run has %d", v, s.samples)
+	if v := d.Int(); d.Err() == nil && v != e.samples {
+		return 0, fmt.Errorf("core: resume: checkpoint for %d samples, run has %d", v, e.samples)
 	}
-	if v := d.Bool(); d.Err() == nil && v != s.cfg.Static {
+	if v := d.Bool(); d.Err() == nil && v != e.cfg.Static {
 		return 0, fmt.Errorf("core: resume: static-mode mismatch")
 	}
-	if v := d.Int(); d.Err() == nil && v != len(s.zones) {
-		return 0, fmt.Errorf("core: resume: checkpoint has %d zones, run has %d", v, len(s.zones))
+	if v := d.Int(); d.Err() == nil && v != len(e.zones) {
+		return 0, fmt.Errorf("core: resume: checkpoint has %d zones, run has %d", v, len(e.zones))
 	}
-	for i := range s.zones {
-		if tag := d.Str(); d.Err() == nil && tag != s.zones[i].tag {
-			return 0, fmt.Errorf("core: resume: zone %q in checkpoint, %q in run", tag, s.zones[i].tag)
+	for i := range e.zones {
+		if tag := d.Str(); d.Err() == nil && tag != e.zones[i].tag {
+			return 0, fmt.Errorf("core: resume: zone %q in checkpoint, %q in run", tag, e.zones[i].tag)
 		}
 	}
-	if v := d.Int(); d.Err() == nil && v != len(s.cfg.Centers) {
-		return 0, fmt.Errorf("core: resume: checkpoint has %d centers, run has %d", v, len(s.cfg.Centers))
+	if v := d.Int(); d.Err() == nil && v != len(e.cfg.Centers) {
+		return 0, fmt.Errorf("core: resume: checkpoint has %d centers, run has %d", v, len(e.cfg.Centers))
 	}
-	for _, c := range s.cfg.Centers {
+	for _, c := range e.cfg.Centers {
 		if name := d.Str(); d.Err() == nil && name != c.Name {
 			return 0, fmt.Errorf("core: resume: center %q in checkpoint, %q in run", name, c.Name)
 		}
@@ -267,65 +237,70 @@ func (s *engineState) restore(payload []byte) (int, error) {
 	}
 
 	doneTick := d.Int()
-	s.res.Ticks = d.Int()
-	s.res.Events = d.Int()
-	s.res.Unmet = d.Int()
-	s.res.CumEvents = d.Ints()
-	s.res.OverPct = d.F64s()
-	s.res.UnderPct = d.F64s()
-	copy(s.overSum[:], d.F64s())
-	copy(s.underSum[:], d.F64s())
-	copy(s.overTicks[:], d.Ints())
-
-	gameIdx := make(map[string]int, len(s.gameNames))
-	for i, name := range s.gameNames {
-		gameIdx[name] = i
+	e.res.Ticks = d.Int()
+	e.res.Events = d.Int()
+	e.res.Unmet = d.Int()
+	e.res.CumEvents = d.Ints()
+	e.res.OverPct = d.F64s()
+	e.res.UnderPct = d.F64s()
+	copy(e.overSum[:], d.F64s())
+	copy(e.underSum[:], d.F64s())
+	copy(e.overTicks[:], d.Ints())
+	if d.Err() == nil && (e.res.Ticks != doneTick || len(e.res.CumEvents) != doneTick ||
+		len(e.res.OverPct) != doneTick || len(e.res.UnderPct) != doneTick) {
+		return 0, fmt.Errorf("core: resume: checkpoint after tick %d scores %d ticks in series of %d/%d/%d",
+			doneTick, e.res.Ticks, len(e.res.CumEvents), len(e.res.OverPct), len(e.res.UnderPct))
 	}
+
 	for i, n := 0, d.Int(); i < n && d.Err() == nil; i++ {
 		name := d.Str()
 		v := d.F64()
-		gi, ok := gameIdx[name]
-		if !ok {
+		gi := slices.Index(e.gameNames, name)
+		if gi < 0 {
 			return 0, fmt.Errorf("core: resume: checkpoint accumulates unknown game %q", name)
 		}
-		s.gameUnder[gi] = v
+		e.gameUnder[gi] = v
 	}
 
-	r := s.res.Resilience
+	r := e.res.Resilience
 	r.Outages = d.Int()
 	r.FullOutages = d.Int()
 	r.PartialOutages = d.Int()
 	r.CapacityRecovered = d.Int()
 	r.ServiceRecovered = d.Int()
-	s.counts.Failovers = d.Int()
-	s.counts.FailoverLeases = d.Int()
-	s.counts.Retries = d.Int()
-	s.counts.Rejections = d.Int()
-	s.counts.PartialGrants = d.Int()
+	e.counts.Failovers = d.Int()
+	e.counts.FailoverLeases = d.Int()
+	e.counts.Retries = d.Int()
+	e.counts.Rejections = d.Int()
+	e.counts.PartialGrants = d.Int()
 	r.DroppedSamples = d.Int()
 	r.CapacityLostCPUTicks = d.F64()
 	r.RegionBlackouts = d.Int()
-	s.counts.Deferred = d.Int()
+	e.counts.Deferred = d.Int()
 	r.BrownoutTicks = d.Int()
 	r.ShedLeases = d.Int()
 	r.ShedPlayerTicks = d.F64()
 	r.TimeToFullRecoveryTicks = d.Int()
-	for _, c := range s.cfg.Centers {
-		r.Availability[c.Name] = d.F64()
+	for _, c := range e.cfg.Centers {
+		v := d.F64()
+		if d.Err() == nil && !(v >= 0 && v <= float64(doneTick)) {
+			return 0, fmt.Errorf("core: resume: center %q availability sum %v outside [0, %d]", c.Name, v, doneTick)
+		}
+		r.Availability[c.Name] = v
 	}
 
-	s.tracker.ttrSum = d.F64()
-	s.tracker.pending = d.Ints()
-	for i := range s.tracker.open {
+	e.tracker.ttrSum = d.F64()
+	e.tracker.pending = d.Ints()
+	for i := range e.tracker.open {
 		if d.Bool() {
-			s.tracker.open[i] = &outageWindow{start: d.Int(), sawFull: d.Bool()}
+			e.tracker.open[i] = &outageWindow{start: d.Int(), sawFull: d.Bool()}
 		} else {
-			s.tracker.open[i] = nil
+			e.tracker.open[i] = nil
 		}
 	}
 
-	books := make([][]*datacenter.Lease, len(s.cfg.Centers))
-	for ci, c := range s.cfg.Centers {
+	books := make([][]*datacenter.Lease, len(e.cfg.Centers))
+	for ci, c := range e.cfg.Centers {
 		var st datacenter.CheckpointState
 		alloc := d.F64s()
 		st.TotalCost = d.F64()
@@ -337,6 +312,11 @@ func (s *engineState) restore(payload []byte) (int, error) {
 		}
 		if len(alloc) != int(datacenter.NumResources) {
 			return 0, fmt.Errorf("core: resume: center %q allocation has %d resources", c.Name, len(alloc))
+		}
+		// Overlapping degradations may take Degraded past 1, but never
+		// below 0 or off the finite line.
+		if st.FailDepth < 0 || !(st.Degraded >= 0) || math.IsInf(st.Degraded, 1) {
+			return 0, fmt.Errorf("core: resume: center %q fail depth %d, degraded %v", c.Name, st.FailDepth, st.Degraded)
 		}
 		copy(st.Allocated[:], alloc)
 		c.RestoreCheckpointState(st)
@@ -365,8 +345,8 @@ func (s *engineState) restore(payload []byte) (int, error) {
 		}
 	}
 
-	for i := range s.zones {
-		z := &s.zones[i]
+	for i := range e.zones {
+		z := &e.zones[i]
 		hasPredictor := d.Bool()
 		var snap []byte
 		if hasPredictor {
@@ -413,25 +393,25 @@ func (s *engineState) restore(payload []byte) (int, error) {
 			grants[i] = d.U64()
 		}
 	}
-	*s.brownoutActive = d.Bool()
-	*s.capLossStart = d.Int()
+	e.brownoutActive = d.Bool()
+	e.capLossStart = d.Int()
 	trackCenters := d.Bool()
 	if d.Err() == nil {
-		if hasPlan != (s.plan != nil) {
+		if hasPlan != (e.plan != nil) {
 			return 0, fmt.Errorf("core: resume: fault-injection mismatch between checkpoint and config")
 		}
-		if trackCenters != s.cfg.TrackCenters {
+		if trackCenters != e.cfg.TrackCenters {
 			return 0, fmt.Errorf("core: resume: TrackCenters mismatch between checkpoint and config")
 		}
 	}
 	if hasPlan && d.Err() == nil {
-		if err := s.plan.RestoreGrants(grants); err != nil {
+		if err := e.plan.RestoreGrants(grants); err != nil {
 			return fail(err)
 		}
 	}
 	if trackCenters && d.Err() == nil {
-		for _, c := range s.cfg.Centers {
-			cs := s.res.CenterStats[c.Name]
+		for _, c := range e.cfg.Centers {
+			cs := e.res.CenterStats[c.Name]
 			cs.AvgAllocatedCPU = d.F64()
 			cs.AvgFreeCPU = d.F64()
 			for i, n := 0, d.Int(); i < n && d.Err() == nil; i++ {
@@ -443,8 +423,8 @@ func (s *engineState) restore(payload []byte) (int, error) {
 	if err := d.Close(); err != nil {
 		return fail(err)
 	}
-	if doneTick < 1 || doneTick >= s.samples {
-		return 0, fmt.Errorf("core: resume: checkpoint tick %d outside run of %d samples", doneTick, s.samples)
+	if doneTick < 1 || doneTick >= e.samples {
+		return 0, fmt.Errorf("core: resume: checkpoint tick %d outside run of %d samples", doneTick, e.samples)
 	}
 	return doneTick, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -136,6 +137,86 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("resumed from tick %d, want 137", res.ResumedFromTick)
 	}
 	assertResultsEqual(t, ref, res)
+}
+
+// TestResumeCommittedCheckpoint pins the core-run@2 byte layout: a
+// checkpoint written at tick 137 of resumableConfig (every 50 ticks,
+// StopAfterTick 137) by an earlier build of the engine resumes to the
+// uninterrupted Result.
+func TestResumeCommittedCheckpoint(t *testing.T) {
+	ref, err := Run(resumableConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join("testdata", "resumable-tick137.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	mgr, err := checkpoint.NewManager(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mgr.Path(137), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed := resumableConfig()
+	resumed.CheckpointDir = dir
+	resumed.CheckpointEveryTicks = 50
+	res, err := Run(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ResumedFromTick != 137 {
+		t.Fatalf("resumed from tick %d, want 137", res.ResumedFromTick)
+	}
+	assertResultsEqual(t, ref, res)
+}
+
+// FuzzCoreResume feeds payload bytes to restore on a fresh
+// resumableConfig engine and finishes the run. Every input must be
+// refused, or resume to a Result of the whole run's shape: each tick
+// scored once, each series one entry per tick, and every center's
+// availability a fraction. The seed corpus (testdata/fuzz) holds a real
+// payload and three once-accepted states no run reaches: a checkpoint
+// tick of 1 after 140 scored ticks, 0 scored ticks beside 140-entry
+// series, and a NaN degradation.
+func FuzzCoreResume(f *testing.F) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "resumable-tick137.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, err := checkpoint.Open(blob)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(payload)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := newEngine(resumableConfig(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.pool.Close()
+		from, err := e.restore(data)
+		if err != nil {
+			return
+		}
+		res, err := e.run(from)
+		if err != nil {
+			return
+		}
+		if res.Ticks != e.samples-1 {
+			t.Fatalf("resumed from tick %d to %d scored ticks, want %d", from, res.Ticks, e.samples-1)
+		}
+		if len(res.CumEvents) != res.Ticks || len(res.OverPct) != res.Ticks || len(res.UnderPct) != res.Ticks {
+			t.Fatalf("%d ticks with series of %d/%d/%d", res.Ticks, len(res.CumEvents), len(res.OverPct), len(res.UnderPct))
+		}
+		for name, v := range res.Resilience.Availability {
+			if !(v >= 0 && v <= 1) {
+				t.Fatalf("center %s availability %v", name, v)
+			}
+		}
+	})
 }
 
 // TestCheckpointResumeStaticMode covers the predictor-free path: a

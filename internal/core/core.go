@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -269,18 +270,6 @@ type zonePartial struct {
 	dropped bool
 }
 
-// workerArena is one pool worker's private scratch for the parallel
-// per-zone phase, padded so no two workers share a cache line. It only
-// carries quantities whose combination is order-independent (integer
-// counts); every float fold stays in the sequential reduce, which is
-// what keeps Result bit-identical across worker counts.
-type workerArena struct {
-	// dropped counts the monitoring dropouts this worker observed in
-	// the current tick.
-	dropped int64
-	_       [56]byte // pad to a 64-byte cache line
-}
-
 // sanitizePrediction guards the simulation against misbehaving
 // predictors: negative, NaN, or infinite forecasts are treated as
 // zero demand (the operator requests nothing rather than poisoning
@@ -304,6 +293,68 @@ func demandVector(g *mmog.Game, players float64) datacenter.Vector {
 	return v
 }
 
+// engine is one simulation run: its zones, the shared ecosystem, the
+// Result under construction with its accumulators, and the telemetry.
+// Each tick runs the phases of DESIGN §6 as methods, and snapshot and
+// restore (checkpoint.go) serialize the same fields.
+type engine struct {
+	cfg     Config
+	samples int
+	// start and dt place tick t at start + t·dt.
+	start time.Time
+	dt    time.Duration
+
+	// zones is the flat zone-state arena: one value slice in canonical
+	// order, sized up front and never reallocated once built. partials
+	// holds each zone's slot of the tick being computed.
+	zones    []zoneState
+	partials []zonePartial
+	// acquireOrder is the permutation of zone indices that decides who
+	// gets first pick when capacity is contended.
+	acquireOrder []int
+	// gameNames lists the distinct games in workload order; the per-game
+	// accumulators are flat slices indexed by zoneState.gameIdx: the
+	// reduce's per-tick CPU allocation and shortfall, and the run's
+	// under-allocation sum.
+	gameNames []string
+	gameAlloc []float64
+	gameShort []float64
+	gameUnder []float64
+
+	centersByName map[string]*datacenter.Center
+	plan          *faults.Plan
+	matcher       *ecosystem.Matcher
+	// counts are the acquisition counters every zone's step adds to.
+	counts provision.Counts
+	pool   *par.Pool
+	// observeFn is observeRange, bound once so a fan-out allocates no
+	// method value. curTick and curNow parameterize it; the sequential
+	// control path writes them before each fan-out.
+	observeFn func(lo, hi, w int)
+	curTick   int
+	curNow    time.Time
+
+	res *Result
+	// Per-resource accumulators for the averages.
+	overSum, underSum [datacenter.NumResources]float64
+	overTicks         [datacenter.NumResources]int
+	// allocCPU and loadCPU are the CPU totals the reduce scored this tick.
+	allocCPU, loadCPU float64
+	tracker           *outageTracker
+	ro                *runObs
+
+	// Brownout and recovery tracking. zoneShed marks the zones whose
+	// demand is deliberately unserved this tick; brownoutActive and
+	// capLossStart drive the transition events and the time-to-full-
+	// recovery accounting (both survive checkpoints).
+	zoneShed       []bool
+	brownoutActive bool
+	capLossStart   int
+
+	// ckpt is the checkpoint store, nil when checkpointing is off.
+	ckpt *checkpoint.Manager
+}
+
 // Run executes the simulation and returns its metrics.
 func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
 
@@ -311,68 +362,30 @@ func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
 // matcher in place of the Provenance-sized one, so a test can read the
 // whole decision stream back.
 func run(cfg Config, decisions *ecosystem.DecisionLog) (*Result, error) {
+	e, err := newEngine(cfg, decisions)
+	if err != nil {
+		return nil, err
+	}
+	defer e.pool.Close()
+	from, err := e.resume()
+	if err != nil {
+		return nil, err
+	}
+	return e.run(from)
+}
+
+// newEngine validates cfg and builds a fresh run over it.
+func newEngine(cfg Config, decisions *ecosystem.DecisionLog) (*engine, error) {
 	if len(cfg.Workloads) == 0 {
 		return nil, fmt.Errorf("core: no workloads")
 	}
-	// zones is the flat zone-state arena: one value slice in canonical
-	// order, sized up front and never reallocated after this setup loop
-	// (pointers into it are only taken afterwards). gameNames lists the
-	// distinct games in workload order; the per-game accumulators are
-	// flat slices indexed by zoneState.gameIdx.
-	nzones := 0
-	for _, w := range cfg.Workloads {
-		if w.Dataset != nil {
-			nzones += len(w.Dataset.Groups)
-		}
+	e := &engine{cfg: cfg, capLossStart: -1}
+	if err := e.addZones(); err != nil {
+		return nil, err
 	}
-	zones := make([]zoneState, 0, nzones)
-	var gameNameList []string
-	samples := 0
-	gameNames := map[string]bool{}
-	for gi, w := range cfg.Workloads {
-		if w.Game == nil || w.Dataset == nil {
-			return nil, fmt.Errorf("core: workload needs game and dataset")
-		}
-		// Per-game accounting (gameAlloc, AvgUnderByGame, ...) is keyed
-		// by name; two games sharing one would silently merge.
-		if gameNames[w.Game.Name] {
-			return nil, fmt.Errorf("core: duplicate game name %q across workloads", w.Game.Name)
-		}
-		gameNames[w.Game.Name] = true
-		gameNameList = append(gameNameList, w.Game.Name)
-		if samples == 0 {
-			samples = w.Dataset.Samples()
-		} else if w.Dataset.Samples() != samples {
-			return nil, fmt.Errorf("core: datasets disagree on length")
-		}
-		regions := map[int]trace.Region{}
-		for _, r := range w.Dataset.Regions {
-			regions[r.ID] = r
-		}
-		for _, g := range w.Dataset.Groups {
-			z := zoneState{
-				game:    w.Game,
-				group:   g,
-				region:  regions[g.RegionID],
-				tag:     fmt.Sprintf("%s/%s", w.Game.Name, g.Name()),
-				idx:     len(zones),
-				gameIdx: gi,
-			}
-			if !cfg.Static {
-				if w.Predictor == nil {
-					return nil, fmt.Errorf("core: dynamic mode needs a predictor for game %s", w.Game.Name)
-				}
-				z.predictor = w.Predictor()
-			}
-			zones = append(zones, z)
-		}
-	}
-	if samples < 2 {
-		return nil, fmt.Errorf("core: need at least 2 samples")
-	}
-	centersByName := map[string]*datacenter.Center{}
+	e.centersByName = map[string]*datacenter.Center{}
 	for _, c := range cfg.Centers {
-		centersByName[c.Name] = c
+		e.centersByName[c.Name] = c
 	}
 	for _, f := range cfg.Failures {
 		if f.AtTick < 0 {
@@ -381,7 +394,7 @@ func run(cfg Config, decisions *ecosystem.DecisionLog) (*Result, error) {
 		if f.DurationTicks < 1 {
 			return nil, fmt.Errorf("core: failure of %q needs DurationTicks >= 1, got %d", f.Center, f.DurationTicks)
 		}
-		if centersByName[f.Center] == nil {
+		if e.centersByName[f.Center] == nil {
 			return nil, fmt.Errorf("core: failure names unknown center %q", f.Center)
 		}
 	}
@@ -391,7 +404,6 @@ func run(cfg Config, decisions *ecosystem.DecisionLog) (*Result, error) {
 	if cfg.BrownoutReserveFrac < 0 || cfg.BrownoutReserveFrac >= 1 {
 		return nil, fmt.Errorf("core: BrownoutReserveFrac must be in [0,1), got %v", cfg.BrownoutReserveFrac)
 	}
-	var plan *faults.Plan
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -410,7 +422,7 @@ func run(cfg Config, decisions *ecosystem.DecisionLog) (*Result, error) {
 					fcfg.Regions[c.Name] = geo.RegionOf(c.Location)
 				}
 			}
-			plan = faults.NewPlan(fcfg, names, samples)
+			e.plan = faults.NewPlan(fcfg, names, e.samples)
 		}
 	}
 
@@ -418,8 +430,8 @@ func run(cfg Config, decisions *ecosystem.DecisionLog) (*Result, error) {
 		// Static provisioning reproduces the industry practice the
 		// paper describes: a dedicated infrastructure sized up front
 		// for each server group's peak demand.
-		for i := range zones {
-			z := &zones[i]
+		for i := range e.zones {
+			z := &e.zones[i]
 			peak := 0.0
 			for _, v := range z.group.Load.Values {
 				if v > peak {
@@ -427,608 +439,604 @@ func run(cfg Config, decisions *ecosystem.DecisionLog) (*Result, error) {
 				}
 			}
 			z.staticAlloc = demandVector(z.game, peak)
-		}
-		// With centers configured, each static fleet lives in a home
-		// center (round-robin) and darkens with its outages — the
-		// dedicated-infrastructure counterpart of the resilience
-		// sweep, where dynamic provisioning fails over but a static
-		// deployment cannot.
-		if len(cfg.Centers) > 0 {
-			for i := range zones {
-				zones[i].home = cfg.Centers[i%len(cfg.Centers)]
+			// With centers configured, each static fleet lives in a home
+			// center (round-robin) and darkens with its outages — the
+			// dedicated-infrastructure counterpart of the resilience
+			// sweep, where dynamic provisioning fails over but a static
+			// deployment cannot.
+			if len(cfg.Centers) > 0 {
+				z.home = cfg.Centers[i%len(cfg.Centers)]
 			}
 		}
 	}
 
-	matcher := ecosystem.NewMatcher(cfg.Centers)
-	if plan != nil {
-		matcher.SetFaultInjector(plan)
+	e.matcher = ecosystem.NewMatcher(cfg.Centers)
+	if e.plan != nil {
+		e.matcher.SetFaultInjector(e.plan)
 	}
 	if decisions == nil && cfg.Provenance > 0 {
 		decisions = ecosystem.NewDecisionLog(cfg.Provenance)
 	}
 	if decisions != nil {
-		matcher.SetDecisionLog(decisions)
+		e.matcher.SetDecisionLog(decisions)
 	}
-	res := &Result{CenterStats: map[string]*CenterStats{}}
+	e.res = &Result{
+		CenterStats: map[string]*CenterStats{},
+		Resilience:  &Resilience{Availability: map[string]float64{}},
+	}
 	if cfg.TrackCenters {
 		for _, c := range cfg.Centers {
-			res.CenterStats[c.Name] = &CenterStats{AllocatedByRegion: map[string]float64{}}
+			e.res.CenterStats[c.Name] = &CenterStats{AllocatedByRegion: map[string]float64{}}
 		}
 	}
 	// The per-tick series are appended to once per scored tick;
 	// preallocating their full capacity keeps the tick loop free of
 	// append growth (a resume replaces them with the restored slices).
-	res.CumEvents = make([]int, 0, samples-1)
-	res.OverPct = make([]float64, 0, samples-1)
-	res.UnderPct = make([]float64, 0, samples-1)
+	e.res.CumEvents = make([]int, 0, e.samples-1)
+	e.res.OverPct = make([]float64, 0, e.samples-1)
+	e.res.UnderPct = make([]float64, 0, e.samples-1)
+	e.start = e.zones[0].group.Load.Start
+	e.dt = e.zones[0].group.Load.Tick
 
-	// Per-resource accumulators for the averages.
-	var overSum, underSum [datacenter.NumResources]float64
-	var overTicks [datacenter.NumResources]int
-
-	// Per-game CPU accumulators: flat slices indexed by zone gameIdx,
-	// zeroed in place every tick. gameShortSet replicates the old
-	// scratch map's presence semantics — a game accumulates
-	// under-allocation this tick only if some zone actually fell short.
-	gameAlloc := make([]float64, len(gameNameList))
-	gameShort := make([]float64, len(gameNameList))
-	gameShortSet := make([]bool, len(gameNameList))
-	gameUnderSum := make([]float64, len(gameNameList))
-
-	start := zones[0].group.Load.Start
-	tick := zones[0].group.Load.Tick
-
-	// The acquire order decides who gets first pick when capacity is
-	// contended. The default is submission order; with interaction
-	// prioritization, the most compute-intensive games go first (a
-	// stable sort of the index slice — the identical permutation the
-	// old pointer-slice sort produced).
-	acquireOrder := make([]int, len(zones))
-	for i := range acquireOrder {
-		acquireOrder[i] = i
+	// The default acquire order is submission order; with interaction
+	// prioritization, the most compute-intensive games go first (a stable
+	// sort, so equal games keep submission order).
+	e.acquireOrder = make([]int, len(e.zones))
+	for i := range e.acquireOrder {
+		e.acquireOrder[i] = i
 	}
 	if cfg.PrioritizeByInteraction {
-		sort.SliceStable(acquireOrder, func(i, j int) bool {
-			return zones[acquireOrder[i]].game.Update > zones[acquireOrder[j]].game.Update
+		sort.SliceStable(e.acquireOrder, func(i, j int) bool {
+			return e.zones[e.acquireOrder[i]].game.Update > e.zones[e.acquireOrder[j]].game.Update
 		})
 	}
 
-	// Each tick splits into three phases. Phase 1 fans the per-zone
-	// work — predictor Observe/Predict, demand conversion, per-zone
-	// allocation scoring — out over this pool; every datum it touches
-	// is zone-local (predictor state, leases) or read-only (trace,
-	// game model), so zones never contend. Phase 2 folds the partials
-	// sequentially in canonical zone order, and phase 3 submits the
-	// contended resource requests sequentially in acquire order, which
-	// keeps Result bit-for-bit independent of the worker count.
-	pool := par.New(cfg.Workers)
-	defer pool.Close()
-	partials := make([]zonePartial, len(zones))
-	// Per-worker scratch arenas, one cache line each so workers never
-	// share a write-hot line. They hold the per-worker pieces of the
-	// tick that are order-independent to combine (integer counts); all
-	// float accumulation stays in the sequential reduce.
-	arenas := make([]workerArena, pool.Workers())
-
-	resil := &Resilience{Availability: map[string]float64{}}
-	res.Resilience = resil
-	tracker := newOutageTracker(cfg.Centers, resil)
-	ro := newRunObs(cfg.Obs)
-
+	e.pool = par.New(cfg.Workers)
+	e.partials = make([]zonePartial, len(e.zones))
+	e.observeFn = e.observeRange
+	e.tracker = newOutageTracker(cfg.Centers, e.res.Resilience)
+	e.ro = newRunObs(cfg.Obs)
 	// One provisioning step per zone, all sharing the run's counters and
-	// telemetry; the bootstrap and acquire phases drive them in acquire
-	// order.
-	var counts provision.Counts
-	tel := ro.telemetry()
-	for i := range zones {
-		z := &zones[i]
+	// telemetry; the acquire loop drives them in acquire order.
+	tel := e.ro.telemetry()
+	for i := range e.zones {
+		z := &e.zones[i]
 		z.step = provision.New(provision.Config{
-			Matcher: matcher, Tag: z.tag, Origin: z.region.Location,
+			Matcher: e.matcher, Tag: z.tag, Origin: z.region.Location,
 			MaxDistanceKm: z.game.LatencyKm, JitterKey: i,
-			Counts: &counts, Telemetry: tel,
+			Counts: &e.counts, Telemetry: tel,
 		})
 	}
-
-	// Brownout and recovery tracking. zoneShed marks the zones whose
-	// demand is deliberately unserved this tick; brownoutActive and
-	// capLossStart drive the transition events and the time-to-full-
-	// recovery accounting (both survive checkpoints).
-	var zoneShed []bool
 	if cfg.Brownout && !cfg.Static {
-		zoneShed = make([]bool, len(zones))
+		e.zoneShed = make([]bool, len(e.zones))
 	}
-	trackImpairment := !cfg.Static && (plan != nil || len(cfg.Failures) > 0 || cfg.Brownout)
-	brownoutActive := false
-	capLossStart := -1
+	return e, nil
+}
 
-	// applyFailures fires the scheduled and injected outages and
-	// recoveries due at tick t: the capacity vanishes, and each zone's
-	// step finds its released leases when it prunes, failing them over
-	// within the same tick. Tick-0 outages fire before the bootstrap
-	// acquire, so a center that is down from the start never hands out
-	// leases. Recoveries apply first so windows meeting at one tick
-	// compose through the refcount.
-	applyFailures := func(t int) {
-		for _, f := range cfg.Failures {
-			if t == f.AtTick+f.DurationTicks {
-				centersByName[f.Center].Recover()
-				ro.recovery(t, f.Center, 1)
-			}
-		}
-		// Region-level events bracket the member centers' own: the
-		// blackout/recover markers fire before the per-center fail and
-		// recover records they explain.
-		for _, b := range plan.BlackoutRecoveriesAt(t) {
-			ro.regionRecover(t, b.Region)
-		}
-		for _, o := range plan.RecoveriesAt(t) {
-			if c := centersByName[o.Center]; o.Fraction >= 1 {
-				c.Recover()
-			} else {
-				c.Restore(o.Fraction)
-			}
-			ro.recovery(t, o.Center, o.Fraction)
-		}
-		for _, f := range cfg.Failures {
-			if t == f.AtTick {
-				centersByName[f.Center].Fail()
-				ro.outage(t, f.Center, 1)
-			}
-		}
-		for _, b := range plan.BlackoutsAt(t) {
-			resil.RegionBlackouts++
-			ro.regionBlackout(t, b.Region)
-		}
-		for _, o := range plan.FailuresAt(t) {
-			if c := centersByName[o.Center]; o.Fraction >= 1 {
-				c.Fail()
-			} else {
-				c.Degrade(o.Fraction)
-			}
-			ro.outage(t, o.Center, o.Fraction)
-		}
-		tracker.observe(t)
-	}
-
-	// Checkpoint/resume: with a directory configured, adopt the newest
-	// valid snapshot (skipping corrupt files) and continue from the
-	// tick after it; otherwise run from the top. The bootstrap below is
-	// part of tick 0 and is skipped on resume — its effects live in the
-	// restored state.
-	es := &engineState{
-		cfg: &cfg, zones: zones, res: res,
-		overSum: &overSum, underSum: &underSum, overTicks: &overTicks,
-		gameNames: gameNameList, gameUnder: gameUnderSum,
-		tracker: tracker, plan: plan, samples: samples, counts: &counts,
-		brownoutActive: &brownoutActive, capLossStart: &capLossStart,
-	}
-	var ckptMgr *checkpoint.Manager
-	ckptEvery := cfg.CheckpointEveryTicks
-	if ckptEvery <= 0 {
-		ckptEvery = 60
-	}
-	resumedTick := 0
-	if cfg.CheckpointDir != "" {
-		var err error
-		ckptMgr, err = checkpoint.NewManager(cfg.CheckpointDir)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		snap, err := ckptMgr.Latest()
-		switch {
-		case err == nil:
-			if resumedTick, err = es.restore(snap.Payload); err != nil {
-				return nil, err
-			}
-			res.ResumedFromTick = resumedTick
-			ro.resumed(resumedTick)
-		case errors.Is(err, checkpoint.ErrNoCheckpoint):
-			// Fresh run.
-		default:
-			return nil, fmt.Errorf("core: %w", err)
+// addZones builds the flat zone array from the workloads, in canonical
+// order, with the per-game accumulators beside it, and sets the sample
+// count the workloads' datasets share.
+func (e *engine) addZones() error {
+	nzones := 0
+	for _, w := range e.cfg.Workloads {
+		if w.Dataset != nil {
+			nzones += len(w.Dataset.Groups)
 		}
 	}
-	saveCheckpoint := func(t int) error {
-		if ckptMgr == nil || (t%ckptEvery != 0 && t != cfg.StopAfterTick) {
-			return nil
+	e.zones = make([]zoneState, 0, nzones)
+	for gi, w := range e.cfg.Workloads {
+		if w.Game == nil || w.Dataset == nil {
+			return fmt.Errorf("core: workload needs game and dataset")
 		}
-		encStart := ro.now()
-		payload, err := es.snapshot(t)
-		if err != nil {
-			return err
+		// Per-game accounting (gameAlloc, AvgUnderByGame, ...) is keyed
+		// by name; two games sharing one would silently merge.
+		if slices.Contains(e.gameNames, w.Game.Name) {
+			return fmt.Errorf("core: duplicate game name %q across workloads", w.Game.Name)
 		}
-		encDone := ro.now()
-		if err := ckptMgr.Save(t, payload); err != nil {
-			return fmt.Errorf("core: %w", err)
+		e.gameNames = append(e.gameNames, w.Game.Name)
+		if e.samples == 0 {
+			e.samples = w.Dataset.Samples()
+		} else if w.Dataset.Samples() != e.samples {
+			return fmt.Errorf("core: datasets disagree on length")
 		}
-		ro.checkpointed(t, len(payload), encStart, encDone, ro.now())
-		return nil
-	}
-
-	if resumedTick == 0 {
-		applyFailures(0)
-	}
-
-	// Bootstrap: before the first scored tick the operator observes
-	// the initial load and provisions for it, so the simulation does
-	// not begin with an empty allocation (game sessions do not start
-	// cold mid-operation).
-	if !cfg.Static && resumedTick == 0 {
-		ro.beginBootstrap()
-		pool.ForWorker(len(zones), func(i, w int) {
-			z := &zones[i]
-			sp := ro.zoneSpan(z.tag, 0, w)
-			defer sp.End()
-			v := z.group.Load.At(0)
-			if plan.DropSample(z.idx, 0) || math.IsNaN(v) {
-				partials[i].dropped = true
-				v = z.lastObs
-			} else {
-				partials[i].dropped = false
-				z.lastObs = v
+		regions := map[int]trace.Region{}
+		for _, r := range w.Dataset.Regions {
+			regions[r.ID] = r
+		}
+		for _, g := range w.Dataset.Groups {
+			z := zoneState{
+				game:    w.Game,
+				group:   g,
+				region:  regions[g.RegionID],
+				tag:     fmt.Sprintf("%s/%s", w.Game.Name, g.Name()),
+				idx:     len(e.zones),
+				gameIdx: gi,
 			}
-			z.predictor.Observe(v)
-			predicted := sanitizePrediction(z.predictor.Predict())
-			partials[i].need = demandVector(z.game, predicted*(1+cfg.SafetyMargin))
-		})
-		for i := range zones {
-			if partials[i].dropped {
-				resil.DroppedSamples++
-				ro.droppedSample(0, zones[i].tag)
-			}
-		}
-		for _, zi := range acquireOrder {
-			zones[zi].step.Acquire(0, start, partials[zi].need, true)
-		}
-		ro.endBootstrap()
-	}
-
-	// Phase 1 (parallel per-zone) body, hoisted out of the tick loop so
-	// the fan-out allocates no per-tick closures. curTick/curNow/
-	// curFinal are written by the sequential control path before each
-	// fan-out. The body: score the allocation in force against the
-	// actual demand, observe the new sample, and size the request
-	// closing the gap to the predicted next demand. Monitoring dropouts
-	// are decided by a stateless hash of (seed, zone, tick), so
-	// parallel workers never contend on a random stream.
-	var (
-		curTick  int
-		curNow   time.Time
-		curFinal bool
-	)
-	zoneTick := func(i, w int) {
-		z := &zones[i]
-		sp := ro.zoneSpan(z.tag, curTick, w)
-		defer sp.End()
-		pt := &partials[i]
-		if cfg.Static {
-			pt.alloc = z.staticAlloc
-			if z.home != nil {
-				pt.alloc = z.staticAlloc.Scale(z.home.AvailableFraction())
-			}
-		} else {
-			pt.alloc = z.step.Prune(curNow)
-		}
-		raw := z.group.Load.At(curTick)
-		loadVal := raw
-		if plan.DropSample(z.idx, curTick) || math.IsNaN(raw) {
-			pt.dropped = true
-			arenas[w].dropped++
-			if math.IsNaN(raw) {
-				// The sample is missing from the trace itself; the
-				// carried-forward observation is the best load
-				// estimate available for scoring.
-				loadVal = z.lastObs
-			}
-		} else {
-			pt.dropped = false
-			z.lastObs = raw
-		}
-		pt.load = demandVector(z.game, loadVal)
-		pt.need = datacenter.Vector{}
-		if cfg.Static || curFinal {
-			return
-		}
-		// Observe tick t (the last sample that arrived — dropouts
-		// carry the previous observation forward so the predictor
-		// state never ingests a hole), predict tick t+1. The
-		// request is sized against the allocation surviving to the
-		// next scoring instant, so leases renew before they lapse.
-		z.predictor.Observe(z.lastObs)
-		predicted := sanitizePrediction(z.predictor.Predict())
-		want := demandVector(z.game, predicted*(1+cfg.SafetyMargin))
-		have := z.step.AllocAt(curNow.Add(tick))
-		pt.need = want.Sub(have).ClampNonNegative()
-	}
-	observePhase := func(lo, hi, w int) {
-		for i := lo; i < hi; i++ {
-			zoneTick(i, w)
-		}
-	}
-
-	for t := resumedTick + 1; t < samples; t++ {
-		tickStart := ro.now()
-		ro.beginTick(t, "tick", tickStart)
-		now := start.Add(time.Duration(t) * tick)
-		applyFailures(t)
-		if !cfg.Static {
-			matcher.Expire(now)
-		}
-		final := t == samples-1
-		phaseStart := ro.now()
-		ro.beginObserve(phaseStart)
-
-		// Phase 1 (parallel per-zone): chunked contiguous ranges give
-		// each worker exclusive runs of the partials slice (no false
-		// sharing) and amortize the work-stealing cursor over whole
-		// chunks.
-		curTick, curNow, curFinal = t, now, final
-		for w := range arenas {
-			arenas[w].dropped = 0
-		}
-		pool.ForRanges(len(zones), 0, observePhase)
-		observeDone := ro.now()
-		ro.observeDone(phaseStart, observeDone)
-
-		// Phase 2 (sequential reduce): fold the per-zone partials in
-		// canonical zone order — float summation order is fixed, so
-		// the metrics do not depend on the worker count. The dropout
-		// count sums the per-worker arena counters (an integer sum,
-		// order-independent by construction); the per-zone walk for
-		// dropout events only runs when telemetry wants them.
-		var droppedNow int64
-		for w := range arenas {
-			droppedNow += arenas[w].dropped
-		}
-		resil.DroppedSamples += int(droppedNow)
-		if ro != nil && droppedNow > 0 {
-			for i := range zones {
-				if partials[i].dropped {
-					ro.droppedSample(t, zones[i].tag)
+			if !e.cfg.Static {
+				if w.Predictor == nil {
+					return fmt.Errorf("core: dynamic mode needs a predictor for game %s", w.Game.Name)
 				}
+				z.predictor = w.Predictor()
 			}
+			e.zones = append(e.zones, z)
 		}
-		var alloc, load [datacenter.NumResources]float64
-		var shortfall [datacenter.NumResources]float64
-		for i := range zones {
-			z := &zones[i]
-			a, l := partials[i].alloc, partials[i].load
-			for r := 0; r < int(datacenter.NumResources); r++ {
-				alloc[r] += a[r]
-				load[r] += l[r]
-				if d := a[r] - l[r]; d < 0 {
-					shortfall[r] += d
-				}
-			}
-			gameAlloc[z.gameIdx] += a[datacenter.CPU]
-			if d := a[datacenter.CPU] - l[datacenter.CPU]; d < 0 {
-				gameShort[z.gameIdx] += d
-				gameShortSet[z.gameIdx] = true
-			}
+	}
+	if e.samples < 2 {
+		return fmt.Errorf("core: need at least 2 samples")
+	}
+	n := len(e.gameNames)
+	e.gameAlloc, e.gameShort, e.gameUnder = make([]float64, n), make([]float64, n), make([]float64, n)
+	return nil
+}
+
+// resume adopts the newest valid checkpoint in Config.CheckpointDir,
+// skipping corrupt files, and returns the tick it was taken after. It
+// returns 0, and the run starts fresh, when checkpointing is off or the
+// directory holds no checkpoint.
+func (e *engine) resume() (int, error) {
+	if e.cfg.CheckpointDir == "" {
+		return 0, nil
+	}
+	var err error
+	if e.ckpt, err = checkpoint.NewManager(e.cfg.CheckpointDir); err != nil {
+		return 0, fmt.Errorf("core: %w", err)
+	}
+	snap, err := e.ckpt.Latest()
+	if errors.Is(err, checkpoint.ErrNoCheckpoint) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("core: %w", err)
+	}
+	from, err := e.restore(snap.Payload)
+	if err != nil {
+		return 0, err
+	}
+	e.res.ResumedFromTick = from
+	e.ro.resumed(from)
+	return from, nil
+}
+
+// run simulates every tick after from and returns the Result. A fresh
+// run (from 0) first fires tick 0's outages and bootstraps; a resumed
+// one finds both in the restored state.
+func (e *engine) run(from int) (*Result, error) {
+	if from == 0 {
+		e.failures(0)
+		if !e.cfg.Static {
+			e.bootstrap()
 		}
-		// M in Equation 2 is the number of machines participating in
-		// the game session: the machine-equivalents the allocation
-		// occupies (one machine provides one CPU unit).
-		machines := math.Ceil(alloc[datacenter.CPU])
-		if machines < 1 {
-			machines = 1
+	}
+	for t := from + 1; t < e.samples; t++ {
+		if err := e.tick(t); err != nil {
+			return nil, err
 		}
-		event := false
-		worstUnder := 0.0
+	}
+	return e.finish(), nil
+}
+
+// failures fires the scheduled and injected outages and recoveries due
+// at tick t: the capacity vanishes, and each zone's step finds its
+// released leases when it prunes, failing them over within the same
+// tick. Tick-0 outages fire before the bootstrap acquire, so a center
+// that is down from the start never hands out leases. Recoveries apply
+// first so windows meeting at one tick compose through the refcount.
+func (e *engine) failures(t int) {
+	for _, f := range e.cfg.Failures {
+		if t == f.AtTick+f.DurationTicks {
+			e.centersByName[f.Center].Recover()
+			e.ro.recovery(t, f.Center, 1)
+		}
+	}
+	// Region-level events bracket the member centers' own: the
+	// blackout/recover markers fire before the per-center fail and
+	// recover records they explain.
+	for _, b := range e.plan.BlackoutRecoveriesAt(t) {
+		e.ro.regionRecover(t, b.Region)
+	}
+	for _, o := range e.plan.RecoveriesAt(t) {
+		if c := e.centersByName[o.Center]; o.Fraction >= 1 {
+			c.Recover()
+		} else {
+			c.Restore(o.Fraction)
+		}
+		e.ro.recovery(t, o.Center, o.Fraction)
+	}
+	for _, f := range e.cfg.Failures {
+		if t == f.AtTick {
+			e.centersByName[f.Center].Fail()
+			e.ro.outage(t, f.Center, 1)
+		}
+	}
+	for _, b := range e.plan.BlackoutsAt(t) {
+		e.res.Resilience.RegionBlackouts++
+		e.ro.regionBlackout(t, b.Region)
+	}
+	for _, o := range e.plan.FailuresAt(t) {
+		if c := e.centersByName[o.Center]; o.Fraction >= 1 {
+			c.Fail()
+		} else {
+			c.Degrade(o.Fraction)
+		}
+		e.ro.outage(t, o.Center, o.Fraction)
+	}
+	e.tracker.observe(t)
+}
+
+// bootstrap provisions for the initial load before the first scored
+// tick, so the simulation does not begin with an empty allocation (game
+// sessions do not start cold mid-operation). It is tick 0's observe
+// phase and acquire loop, unscored: on the empty lease books the
+// observe body finds nothing held and sizes each request at the whole
+// forecast demand.
+func (e *engine) bootstrap() {
+	e.ro.beginBootstrap()
+	e.observe(0, e.start)
+	e.dropped(0)
+	e.acquire(0, e.start)
+	e.ro.endBootstrap()
+}
+
+// tick runs tick t's phases: failures and lease expiry, the parallel
+// observe phase, the sequential reduce, the sequential acquire (unless
+// the run is static or the tick is the last, which is only scored), and
+// the end of the tick.
+func (e *engine) tick(t int) error {
+	tickStart := e.ro.now()
+	e.ro.beginTick(t, "tick", tickStart)
+	now := e.start.Add(time.Duration(t) * e.dt)
+	e.failures(t)
+	if !e.cfg.Static {
+		e.matcher.Expire(now)
+	}
+	phaseStart := e.ro.now()
+	e.ro.beginObserve(phaseStart)
+	e.observe(t, now)
+	observeDone := e.ro.now()
+	e.ro.observeDone(phaseStart, observeDone)
+	e.reduce(t, now)
+	reduceDone := e.ro.now()
+	e.ro.reduceDone(observeDone, reduceDone)
+	if !e.cfg.Static && t < e.samples-1 {
+		e.ro.beginAcquireSpan(reduceDone)
+		e.brownout(t)
+		e.impairment(t)
+		if e.acquire(t, now) {
+			e.res.Unmet++
+			e.ro.unmetTick()
+		}
+		e.ro.acquireDone(reduceDone, e.ro.now())
+	}
+	return e.endTick(t, tickStart)
+}
+
+// observe runs the per-zone phase of tick t over the worker pool. Every
+// datum it touches is zone-local (predictor state, leases) or read-only
+// (trace, game model), so zones never contend; chunked contiguous
+// ranges give each worker exclusive runs of the partials (no false
+// sharing) and amortize the work-stealing cursor over whole chunks.
+func (e *engine) observe(t int, now time.Time) {
+	e.curTick, e.curNow = t, now
+	e.pool.ForRanges(len(e.zones), 0, e.observeFn)
+}
+
+func (e *engine) observeRange(lo, hi, w int) {
+	for i := lo; i < hi; i++ {
+		e.observeZone(i, w)
+	}
+}
+
+// observeZone is zone i's share of the observe phase, on worker w:
+// score the allocation in force against the actual demand, observe the
+// new sample, and size the request closing the gap to the predicted
+// next demand. Monitoring dropouts are decided by a stateless hash of
+// (seed, zone, tick), so parallel workers never contend on a random
+// stream.
+func (e *engine) observeZone(i, w int) {
+	z := &e.zones[i]
+	sp := e.ro.zoneSpan(z.tag, e.curTick, w)
+	defer sp.End()
+	pt := &e.partials[i]
+	if e.cfg.Static {
+		pt.alloc = z.staticAlloc
+		if z.home != nil {
+			pt.alloc = z.staticAlloc.Scale(z.home.AvailableFraction())
+		}
+	} else {
+		pt.alloc = z.step.Prune(e.curNow)
+	}
+	raw := z.group.Load.At(e.curTick)
+	loadVal := raw
+	if e.plan.DropSample(z.idx, e.curTick) || math.IsNaN(raw) {
+		pt.dropped = true
+		if math.IsNaN(raw) {
+			// The sample is missing from the trace itself; the
+			// carried-forward observation is the best load estimate
+			// available for scoring.
+			loadVal = z.lastObs
+		}
+	} else {
+		pt.dropped = false
+		z.lastObs = raw
+	}
+	pt.load = demandVector(z.game, loadVal)
+	pt.need = datacenter.Vector{}
+	if e.cfg.Static || e.curTick == e.samples-1 {
+		return
+	}
+	// Observe tick t (the last sample that arrived — dropouts carry the
+	// previous observation forward so the predictor state never ingests
+	// a hole), predict tick t+1. The request is sized against the
+	// allocation surviving to the next scoring instant, so leases renew
+	// before they lapse.
+	z.predictor.Observe(z.lastObs)
+	predicted := sanitizePrediction(z.predictor.Predict())
+	want := demandVector(z.game, predicted*(1+e.cfg.SafetyMargin))
+	have := z.step.AllocAt(e.curNow.Add(e.dt))
+	pt.need = want.Sub(have).ClampNonNegative()
+}
+
+// dropped counts tick t's monitoring dropouts and reports them in
+// canonical zone order. Workers only flag their zones' partials: the
+// count is folded here, on the sequential path.
+func (e *engine) dropped(t int) {
+	for i := range e.partials {
+		if e.partials[i].dropped {
+			e.res.Resilience.DroppedSamples++
+			e.ro.droppedSample(t, e.zones[i].tag)
+		}
+	}
+}
+
+// reduce folds tick t's partials sequentially in canonical zone order —
+// float summation order is fixed, so the metrics do not depend on the
+// worker count — and scores the tick.
+func (e *engine) reduce(t int, now time.Time) {
+	e.dropped(t)
+	var alloc, load, shortfall [datacenter.NumResources]float64
+	for i := range e.zones {
+		z := &e.zones[i]
+		a, l := e.partials[i].alloc, e.partials[i].load
 		for r := 0; r < int(datacenter.NumResources); r++ {
-			if load[r] > 0 {
-				overSum[r] += (alloc[r]/load[r] - 1) * 100
-				overTicks[r]++
-			}
-			u := shortfall[r] / machines * 100
-			underSum[r] += u
-			if u < -SignificantUnderPct {
-				event = true
-			}
-			if u < worstUnder {
-				worstUnder = u
+			alloc[r] += a[r]
+			load[r] += l[r]
+			if d := a[r] - l[r]; d < 0 {
+				shortfall[r] += d
 			}
 		}
-		if event {
-			res.Events++
-			ro.breach(t, worstUnder)
+		e.gameAlloc[z.gameIdx] += a[datacenter.CPU]
+		if d := a[datacenter.CPU] - l[datacenter.CPU]; d < 0 {
+			e.gameShort[z.gameIdx] += d
 		}
-		tracker.serviceHealthy(t, !event)
-		res.CumEvents = append(res.CumEvents, res.Events)
-		if load[datacenter.CPU] > 0 {
-			res.OverPct = append(res.OverPct, (alloc[datacenter.CPU]/load[datacenter.CPU]-1)*100)
-		} else {
-			res.OverPct = append(res.OverPct, 0)
+	}
+	// M in Equation 2 is the number of machines participating in the
+	// game session: the machine-equivalents the allocation occupies (one
+	// machine provides one CPU unit).
+	machines := math.Ceil(alloc[datacenter.CPU])
+	if machines < 1 {
+		machines = 1
+	}
+	event := false
+	worstUnder := 0.0
+	for r := 0; r < int(datacenter.NumResources); r++ {
+		if load[r] > 0 {
+			e.overSum[r] += (alloc[r]/load[r] - 1) * 100
+			e.overTicks[r]++
 		}
-		res.UnderPct = append(res.UnderPct, shortfall[datacenter.CPU]/machines*100)
-		res.Ticks++
+		u := shortfall[r] / machines * 100
+		e.underSum[r] += u
+		if u < -SignificantUnderPct {
+			event = true
+		}
+		if u < worstUnder {
+			worstUnder = u
+		}
+	}
+	res := e.res
+	if event {
+		res.Events++
+		e.ro.breach(t, worstUnder)
+	}
+	e.tracker.serviceHealthy(t, !event)
+	res.CumEvents = append(res.CumEvents, res.Events)
+	if load[datacenter.CPU] > 0 {
+		res.OverPct = append(res.OverPct, (alloc[datacenter.CPU]/load[datacenter.CPU]-1)*100)
+	} else {
+		res.OverPct = append(res.OverPct, 0)
+	}
+	res.UnderPct = append(res.UnderPct, shortfall[datacenter.CPU]/machines*100)
+	res.Ticks++
+	e.allocCPU, e.loadCPU = alloc[datacenter.CPU], load[datacenter.CPU]
 
-		// Per-game under-allocation: only games where some zone actually
-		// fell short this tick accumulate (matching the old scratch
-		// map's presence semantics); the accumulators reset in place.
-		for gi := range gameAlloc {
-			if gameShortSet[gi] {
-				m := math.Ceil(gameAlloc[gi])
-				if m < 1 {
-					m = 1
+	// Per-game under-allocation: only games where some zone actually
+	// fell short this tick accumulate (a sum of shortfalls is negative
+	// exactly when it has a term); the accumulators reset in place.
+	for gi := range e.gameAlloc {
+		if e.gameShort[gi] < 0 {
+			m := math.Ceil(e.gameAlloc[gi])
+			if m < 1 {
+				m = 1
+			}
+			e.gameUnder[gi] += e.gameShort[gi] / m * 100
+		}
+		e.gameAlloc[gi], e.gameShort[gi] = 0, 0
+	}
+
+	// Account center usage.
+	if e.cfg.TrackCenters && !e.cfg.Static {
+		for _, c := range e.cfg.Centers {
+			cs := res.CenterStats[c.Name]
+			cs.AvgAllocatedCPU += c.Allocated()[datacenter.CPU]
+			cs.AvgFreeCPU += c.Free()[datacenter.CPU]
+		}
+		for i := range e.zones {
+			z := &e.zones[i]
+			for _, l := range z.step.Leases() {
+				if l.Active(now) {
+					res.CenterStats[l.Center.Name].AllocatedByRegion[z.region.Name] += l.Alloc[datacenter.CPU]
 				}
-				gameUnderSum[gi] += gameShort[gi] / m * 100
-			}
-			gameAlloc[gi], gameShort[gi], gameShortSet[gi] = 0, 0, false
-		}
-
-		// Account center usage.
-		if cfg.TrackCenters && !cfg.Static {
-			for _, c := range cfg.Centers {
-				cs := res.CenterStats[c.Name]
-				cs.AvgAllocatedCPU += c.Allocated()[datacenter.CPU]
-				cs.AvgFreeCPU += c.Free()[datacenter.CPU]
-			}
-			for i := range zones {
-				z := &zones[i]
-				for _, l := range z.step.Leases() {
-					if l.Active(now) {
-						res.CenterStats[l.Center.Name].AllocatedByRegion[z.region.Name] += l.Alloc[datacenter.CPU]
-					}
-				}
 			}
 		}
+	}
+}
 
-		reduceDone := ro.now()
-		ro.reduceDone(observeDone, reduceDone)
-
-		if cfg.Static || final {
-			if err := saveCheckpoint(t); err != nil {
-				return nil, err
+// brownout sheds demand at tick t when the surviving effective capacity
+// — minus the reserve held back per failure domain for failover
+// headroom — cannot cover the tick's load: the lowest-priority zones go
+// outright instead of every zone thrashing over the shortfall. The shed
+// set is recomputed each brownout tick from the live acquire order, so
+// zones rejoin as capacity returns.
+func (e *engine) brownout(t int) {
+	if e.zoneShed == nil {
+		return
+	}
+	budget := 0.0
+	for _, c := range e.cfg.Centers {
+		budget += c.EffectiveCapacity()[datacenter.CPU]
+	}
+	budget *= 1 - e.cfg.BrownoutReserveFrac
+	if e.loadCPU > budget {
+		resil := e.res.Resilience
+		resil.BrownoutTicks++
+		e.ro.brownoutTick()
+		if !e.brownoutActive {
+			e.brownoutActive = true
+			e.ro.brownoutTransition(t, true, e.loadCPU-budget)
+		}
+		kept := 0.0
+		for _, zi := range e.acquireOrder {
+			z := &e.zones[zi]
+			zl := e.partials[zi].load[datacenter.CPU]
+			// Always keep the highest-priority zone: shedding everything
+			// serves no one.
+			if kept+zl <= budget || kept == 0 {
+				kept += zl
+				e.zoneShed[zi] = false
+				continue
 			}
-			ro.tickDone(t, tickStart, ro.now(),
-				alloc[datacenter.CPU], load[datacenter.CPU],
-				res.OverPct[len(res.OverPct)-1], res.UnderPct[len(res.UnderPct)-1], pool)
-			if cfg.StopAfterTick > 0 && t >= cfg.StopAfterTick {
-				return nil, ErrStopped
+			e.zoneShed[zi] = true
+			released := z.step.Release()
+			if released > 0 || z.lastObs > 0 {
+				resil.ShedLeases += released
+				resil.ShedPlayerTicks += z.lastObs
+				e.ro.shed(t, z.tag, z.lastObs, released)
+			}
+		}
+	} else if e.brownoutActive {
+		e.brownoutActive = false
+		e.ro.brownoutTransition(t, false, 0)
+		for i := range e.zoneShed {
+			e.zoneShed[i] = false
+		}
+	}
+}
+
+// impairment tracks time to full recovery: the longest stretch from a
+// capacity impairment (a center down or degraded, or brownout engaged)
+// to the tick full capacity resumed.
+func (e *engine) impairment(t int) {
+	if e.plan == nil && len(e.cfg.Failures) == 0 && !e.cfg.Brownout {
+		return
+	}
+	impaired := e.brownoutActive
+	if !impaired {
+		for _, c := range e.cfg.Centers {
+			if c.AvailableFraction() < 1 {
+				impaired = true
+				break
+			}
+		}
+	}
+	switch {
+	case impaired && e.capLossStart < 0:
+		e.capLossStart = t
+	case !impaired && e.capLossStart >= 0:
+		if d := t - e.capLossStart; d > e.res.Resilience.TimeToFullRecoveryTicks {
+			e.res.Resilience.TimeToFullRecoveryTicks = d
+		}
+		e.capLossStart = -1
+	}
+}
+
+// acquire leases every zone's gap for tick t in acquire order, so
+// capacity contention resolves the same for any worker count, and
+// reports whether any demand went unmet. The gap of a zone whose leases
+// died with a failed center already includes the loss, so the same
+// acquisition doubles as the failover re-acquisition, excluding the
+// centers that dropped it.
+func (e *engine) acquire(t int, now time.Time) (unmet bool) {
+	failovers := 0
+	for _, zi := range e.acquireOrder {
+		z := &e.zones[zi]
+		if e.zoneShed != nil && e.zoneShed[zi] {
+			// Shed in brownout: the demand is deliberately unserved.
+			if z.lastObs > 0 {
+				unmet = true
 			}
 			continue
 		}
-
-		// Phase 3 (sequential acquire): lease the per-zone gaps, in
-		// submission/priority order — capacity contention resolves
-		// exactly as in the sequential engine. The gap of a zone whose
-		// leases died with a failed center this tick already includes
-		// the loss, so the same acquisition doubles as the failover
-		// re-acquisition — excluding the centers that dropped it.
-		ro.beginAcquireSpan(reduceDone)
-
-		// Brownout: when the surviving effective capacity — minus the
-		// reserve held back per failure domain for failover headroom —
-		// cannot cover this tick's demand, shed the lowest-priority
-		// zones outright instead of letting every zone thrash over the
-		// shortfall. The shed set is recomputed each brownout tick from
-		// the live acquire order, so zones rejoin as capacity returns.
-		if zoneShed != nil {
-			budget := 0.0
-			for _, c := range cfg.Centers {
-				budget += c.EffectiveCapacity()[datacenter.CPU]
-			}
-			budget *= 1 - cfg.BrownoutReserveFrac
-			demand := load[datacenter.CPU]
-			if demand > budget {
-				resil.BrownoutTicks++
-				ro.brownoutTick()
-				if !brownoutActive {
-					brownoutActive = true
-					ro.brownoutTransition(t, true, demand-budget)
-				}
-				kept := 0.0
-				for _, zi := range acquireOrder {
-					z := &zones[zi]
-					zl := partials[zi].load[datacenter.CPU]
-					// Always keep the highest-priority zone: shedding
-					// everything serves no one.
-					if kept+zl <= budget || kept == 0 {
-						kept += zl
-						zoneShed[zi] = false
-						continue
-					}
-					zoneShed[zi] = true
-					released := z.step.Release()
-					if released > 0 || z.lastObs > 0 {
-						resil.ShedLeases += released
-						resil.ShedPlayerTicks += z.lastObs
-						ro.shed(t, z.tag, z.lastObs, released)
-					}
-				}
-			} else if brownoutActive {
-				brownoutActive = false
-				ro.brownoutTransition(t, false, 0)
-				for i := range zoneShed {
-					zoneShed[i] = false
-				}
-			}
+		// Storm control: once the tick's failover budget is spent, a zone
+		// that lost capacity parks instead of failing over.
+		admit := e.cfg.FailoverBudgetPerTick == 0 || failovers < e.cfg.FailoverBudgetPerTick
+		a := z.step.Acquire(t, now, e.partials[zi].need, admit)
+		if a.Failover {
+			failovers++
 		}
-
-		// Time-to-full-recovery: track the longest stretch from capacity
-		// impairment (a center down or degraded, or brownout engaged) to
-		// the tick full capacity resumed.
-		if trackImpairment {
-			impaired := brownoutActive
-			if !impaired {
-				for _, c := range cfg.Centers {
-					if c.AvailableFraction() < 1 {
-						impaired = true
-						break
-					}
-				}
-			}
-			switch {
-			case impaired && capLossStart < 0:
-				capLossStart = t
-			case !impaired && capLossStart >= 0:
-				if d := t - capLossStart; d > resil.TimeToFullRecoveryTicks {
-					resil.TimeToFullRecoveryTicks = d
-				}
-				capLossStart = -1
-			}
-		}
-
-		failoversNow := 0
-		anyUnmet := false
-		for _, zi := range acquireOrder {
-			z := &zones[zi]
-			if zoneShed != nil && zoneShed[zi] {
-				// Shed in brownout: the demand is deliberately unserved.
-				if z.lastObs > 0 {
-					anyUnmet = true
-				}
-				continue
-			}
-			// Storm control: once the tick's failover budget is spent, a
-			// zone that lost capacity parks instead of failing over.
-			admit := cfg.FailoverBudgetPerTick == 0 || failoversNow < cfg.FailoverBudgetPerTick
-			a := z.step.Acquire(t, now, partials[zi].need, admit)
-			if a.Failover {
-				failoversNow++
-			}
-			if a.Unmet {
-				anyUnmet = true
-			}
-		}
-		if anyUnmet {
-			res.Unmet++
-			ro.unmetTick()
-		}
-		ro.acquireDone(reduceDone, ro.now())
-		// Checkpoints land at end-of-tick boundaries: everything tick t
-		// did — metrics, leases, predictor updates, backoff — is in the
-		// snapshot, and the resumed run re-enters the loop at t+1.
-		if err := saveCheckpoint(t); err != nil {
-			return nil, err
-		}
-		ro.tickDone(t, tickStart, ro.now(),
-			alloc[datacenter.CPU], load[datacenter.CPU],
-			res.OverPct[len(res.OverPct)-1], res.UnderPct[len(res.UnderPct)-1], pool)
-		if cfg.StopAfterTick > 0 && t >= cfg.StopAfterTick {
-			return nil, ErrStopped
+		if a.Unmet {
+			unmet = true
 		}
 	}
-	tracker.finish(res.Ticks)
-	resil.Failovers, resil.FailoverLeases, resil.FailoversDeferred = counts.Failovers, counts.FailoverLeases, counts.Deferred
-	resil.Retries, resil.Rejections, resil.PartialGrants = counts.Retries, counts.Rejections, counts.PartialGrants
+	return unmet
+}
+
+// endTick closes tick t. Checkpoints land at end-of-tick boundaries:
+// everything the tick did — metrics, leases, predictor updates, backoff
+// — is in the snapshot, and a resumed run re-enters the loop at t+1.
+func (e *engine) endTick(t int, tickStart time.Time) error {
+	every := e.cfg.CheckpointEveryTicks
+	if every <= 0 {
+		every = 60
+	}
+	if e.ckpt != nil && (t%every == 0 || t == e.cfg.StopAfterTick) {
+		encStart := e.ro.now()
+		payload, err := e.snapshot(t)
+		if err != nil {
+			return err
+		}
+		encDone := e.ro.now()
+		if err := e.ckpt.Save(t, payload); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		e.ro.checkpointed(t, len(payload), encStart, encDone, e.ro.now())
+	}
+	e.ro.tickDone(t, tickStart, e.ro.now(), e.allocCPU, e.loadCPU,
+		e.res.OverPct[len(e.res.OverPct)-1], e.res.UnderPct[len(e.res.UnderPct)-1], e.pool)
+	if e.cfg.StopAfterTick > 0 && t >= e.cfg.StopAfterTick {
+		return ErrStopped
+	}
+	return nil
+}
+
+// finish turns the run's accumulators into the Result's averages.
+func (e *engine) finish() *Result {
+	res, resil, c := e.res, e.res.Resilience, &e.counts
+	e.tracker.finish(res.Ticks)
+	resil.Failovers, resil.FailoverLeases, resil.FailoversDeferred = c.Failovers, c.FailoverLeases, c.Deferred
+	resil.Retries, resil.Rejections, resil.PartialGrants = c.Retries, c.Rejections, c.PartialGrants
 
 	res.AvgUnderByGame = map[string]float64{}
-	for gi, w := range cfg.Workloads {
-		res.AvgUnderByGame[w.Game.Name] = gameUnderSum[gi] / float64(res.Ticks)
+	for gi, name := range e.gameNames {
+		res.AvgUnderByGame[name] = e.gameUnder[gi] / float64(res.Ticks)
 	}
-
 	for r := 0; r < int(datacenter.NumResources); r++ {
-		if overTicks[r] > 0 {
-			res.AvgOverPct[r] = overSum[r] / float64(overTicks[r])
+		if e.overTicks[r] > 0 {
+			res.AvgOverPct[r] = e.overSum[r] / float64(e.overTicks[r])
 		} else {
 			res.AvgOverPct[r] = math.NaN()
 		}
-		res.AvgUnderPct[r] = underSum[r] / float64(res.Ticks)
+		res.AvgUnderPct[r] = e.underSum[r] / float64(res.Ticks)
 	}
-	if cfg.TrackCenters {
+	if e.cfg.TrackCenters {
 		for _, cs := range res.CenterStats {
 			cs.AvgAllocatedCPU /= float64(res.Ticks)
 			cs.AvgFreeCPU /= float64(res.Ticks)
@@ -1037,35 +1045,6 @@ func run(cfg Config, decisions *ecosystem.DecisionLog) (*Result, error) {
 			}
 		}
 	}
-	ro.finish(res)
-	return res, nil
-}
-
-// DistanceClassShares buckets each center's served CPU by the distance
-// between the requesting region and the center, in the five latency
-// classes of Section V-E — the data behind Fig. 13.
-func DistanceClassShares(res *Result, centers []*datacenter.Center, regions []trace.Region) map[geo.LatencyClass]map[string]float64 {
-	regionLoc := map[string]geo.Point{}
-	for _, r := range regions {
-		regionLoc[r.Name] = r.Location
-	}
-	out := map[geo.LatencyClass]map[string]float64{}
-	for _, c := range centers {
-		cs := res.CenterStats[c.Name]
-		if cs == nil {
-			continue
-		}
-		for regionName, cpu := range cs.AllocatedByRegion {
-			loc, ok := regionLoc[regionName]
-			if !ok {
-				continue
-			}
-			class := geo.ClassOf(geo.DistanceKm(loc, c.Location))
-			if out[class] == nil {
-				out[class] = map[string]float64{}
-			}
-			out[class][c.Name] += cpu
-		}
-	}
-	return out
+	e.ro.finish(res)
+	return res
 }

@@ -237,30 +237,6 @@ func TestCenterStatsTracking(t *testing.T) {
 	}
 }
 
-func TestDistanceClassShares(t *testing.T) {
-	ds := syntheticDataset(2, 100, 1500)
-	centers := fineCenters(20)
-	res, err := Run(Config{
-		Centers:      centers,
-		TrackCenters: true,
-		Workloads: []Workload{{
-			Game: testGame(), Dataset: ds, Predictor: predict.NewLastValue(),
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shares := DistanceClassShares(res, centers, ds.Regions)
-	// The only center is in London, the only region is London-based:
-	// everything lands in SameLocation.
-	if shares[geo.SameLocation]["dc"] <= 0 {
-		t.Fatalf("shares = %v", shares)
-	}
-	if len(shares) != 1 {
-		t.Fatalf("unexpected distance classes: %v", shares)
-	}
-}
-
 func TestMultipleWorkloadsShareCapacity(t *testing.T) {
 	dsA := syntheticDataset(2, 100, 1500)
 	dsB := syntheticDataset(2, 100, 1500)

@@ -312,9 +312,6 @@ func (d *Daemon) Reload(h HotConfig) error {
 	return nil
 }
 
-// Draining reports whether the daemon has stopped admitting.
-func (d *Daemon) Draining() bool { return d.draining.Load() }
-
 // Reconciliation returns the named game's restore outcome: the
 // checkpoint tick and the lease reconciliation, or ok=false when the
 // game started fresh (or is unknown).

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -338,7 +337,3 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the listener immediately (in-flight requests are cut).
 func (s *Server) Close() error { return s.srv.Close() }
-
-// Shutdown stops accepting and waits for in-flight requests, bounded
-// by ctx.
-func (s *Server) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx) }

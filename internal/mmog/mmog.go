@@ -74,22 +74,6 @@ func (m UpdateModel) String() string {
 	}
 }
 
-// WithAreaOfInterest returns the update model after applying
-// area-of-interest filtering, the optimization Section II-A describes:
-// servers "only update the area of interest of each avatar", turning
-// O(n^2) into O(n log n) and O(n^3) into O(n^2 log n). Models that do
-// not benefit are returned unchanged.
-func (m UpdateModel) WithAreaOfInterest() UpdateModel {
-	switch m {
-	case UpdateQuadratic:
-		return UpdateNLogN
-	case UpdateCubic:
-		return UpdateQuadraticLog
-	default:
-		return m
-	}
-}
-
 // rawCost returns the un-normalized update cost for n entities. log is
 // log2(n+2) so the cost is smooth and positive for small n.
 func (m UpdateModel) rawCost(n float64) float64 {

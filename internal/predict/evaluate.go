@@ -104,51 +104,6 @@ func EvaluateZonesFrom(f Factory, zones [][]float64, from int) float64 {
 	return errSum / valSum * 100
 }
 
-// EvaluateZonesAggregate scores the whole-game-world prediction: at
-// each step the per-zone forecasts are summed (Section IV-B: "the
-// predicted entity count for the entire game world is the sum of all
-// the sub-zone predictions") and compared against the actual total
-// entity count. Errors are scored from step from onward and normalized
-// by the total volume of the scored region. This is the Fig. 5 metric.
-func EvaluateZonesAggregate(f Factory, zones [][]float64, from int) float64 {
-	if len(zones) == 0 {
-		return 0
-	}
-	if from < 1 {
-		from = 1
-	}
-	ps := make([]Predictor, len(zones))
-	for i := range ps {
-		ps[i] = f()
-	}
-	n := len(zones[0])
-	var errSum, valSum float64
-	for t := 0; t < n; t++ {
-		var total, predTotal float64
-		for z, sig := range zones {
-			total += sig[t]
-			if t >= from {
-				predTotal += ps[z].Predict()
-			}
-		}
-		if t >= from {
-			d := total - predTotal
-			if d < 0 {
-				d = -d
-			}
-			errSum += d
-			valSum += total
-		}
-		for z, sig := range zones {
-			ps[z].Observe(sig[t])
-		}
-	}
-	if valSum == 0 {
-		return 0
-	}
-	return errSum / valSum * 100
-}
-
 // TimePredictions measures the wall-clock duration of each Predict
 // call while replaying the signal and returns the five-number summary
 // in microseconds (the Fig. 6 presentation). Observe time is excluded:

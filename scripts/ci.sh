@@ -5,6 +5,10 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Every Go file in the tree, bench/ included, must be gofmt-clean; the
+# offending files are listed on failure.
+test -z "$(gofmt -l . | tee /dev/stderr)"
+
 go vet ./...
 go build ./...
 go test -race ./...
@@ -20,11 +24,15 @@ go test -shuffle 1 ./...
 # mmogaudit must answer a hostile event stream with a load error or a
 # report, never a panic or a hang; a hostile blackout spec and fault
 # config must be rejected or give a plan whose every window lies
-# inside the run.
+# inside the run; a corrupt core checkpoint payload must be refused or
+# resume to a well-formed Result. An accepted payload replays the rest
+# of its run, so FuzzCoreResume caps minimization at 1s: shrinking a
+# 6 KB payload byte by byte would otherwise take the whole pass.
 go test -run '^$' -fuzz '^FuzzOperatorFromSnapshot$' -fuzztime 10s ./internal/operator/
 go test -run '^$' -fuzz '^FuzzConfigPost$' -fuzztime 10s ./internal/daemon/
 go test -run '^$' -fuzz '^FuzzAnalyzeEvents$' -fuzztime 10s ./internal/audit/
 go test -run '^$' -fuzz '^FuzzFaultPlan$' -fuzztime 10s ./internal/faults/
+go test -run '^$' -fuzz '^FuzzCoreResume$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 
 # The benchmark is a separate module that imports core, operator,
 # daemon, and obs: keep it compiling and its self-tests green.
