@@ -38,7 +38,9 @@ race:
 # stream must give mmogaudit a load error or a report, never a panic
 # or a hang; a hostile blackout spec and fault config must be rejected
 # or give a plan whose every window lies inside the run; a corrupt core
-# checkpoint payload must be refused or resume to a well-formed Result.
+# checkpoint payload must be refused or resume to a well-formed Result;
+# a corrupt neural predictor snapshot must be refused or keep predicting
+# and snapshot back to the same bytes.
 # An accepted payload replays the rest of its run, so FuzzCoreResume caps
 # minimization at 1s: shrinking a 6 KB payload byte by byte would
 # otherwise take the whole pass.
@@ -48,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeEvents$$' -fuzztime 10s ./internal/audit/
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzCoreResume$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzNeuralRestore$$' -fuzztime 10s ./internal/predict/
 
 # The benchmark (bench/) is a separate module importing core, operator,
 # daemon, and obs: keep it compiling and its self-tests green.

@@ -75,27 +75,34 @@ func (m UpdateModel) String() string {
 }
 
 // rawCost returns the un-normalized update cost for n entities. log is
-// log2(n+2) so the cost is smooth and positive for small n.
+// log2(n+2) so the cost is smooth and positive for small n; only the
+// models that use it compute it.
 func (m UpdateModel) rawCost(n float64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	lg := math.Log2(n + 2)
 	switch m {
-	case UpdateLinear:
-		return n
 	case UpdateNLogN:
-		return n * lg
+		return n * math.Log2(n+2)
 	case UpdateQuadratic:
 		return n * n
 	case UpdateQuadraticLog:
-		return n * n * lg
+		return n * n * math.Log2(n+2)
 	case UpdateCubic:
 		return n * n * n
 	default:
 		return n
 	}
 }
+
+// fullCost[m] is rawCost(FullServerClients) under model m; an unknown
+// model costs like UpdateLinear.
+var fullCost = func() (c [UpdateCubic + 1]float64) {
+	for _, m := range AllUpdateModels {
+		c[m] = m.rawCost(FullServerClients)
+	}
+	return c
+}()
 
 // CPUUnits returns the CPU demand in abstract units for a zone with n
 // entities. The cost is normalized so a full zone (FullServerClients
@@ -107,7 +114,10 @@ func (m UpdateModel) CPUUnits(n float64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	full := m.rawCost(FullServerClients)
+	full := fullCost[UpdateLinear]
+	if m >= 0 && int(m) < len(fullCost) {
+		full = fullCost[m]
+	}
 	return m.rawCost(n) / full
 }
 

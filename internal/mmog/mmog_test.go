@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"mmogdc/internal/xrand"
 )
 
 func TestUpdateModelStrings(t *testing.T) {
@@ -37,6 +39,66 @@ func TestCPUUnitsZeroAndNegative(t *testing.T) {
 	for _, m := range AllUpdateModels {
 		if m.CPUUnits(0) != 0 || m.CPUUnits(-5) != 0 {
 			t.Errorf("%v: non-positive entity count should cost 0", m)
+		}
+	}
+}
+
+// refCPUUnits is the CPU demand formula with log2(n+2) computed for
+// every model and the full-server cost recomputed on every call.
+func refCPUUnits(m UpdateModel, n float64) float64 {
+	raw := func(n float64) float64 {
+		if n <= 0 {
+			return 0
+		}
+		lg := math.Log2(n + 2)
+		switch m {
+		case UpdateLinear:
+			return n
+		case UpdateNLogN:
+			return n * lg
+		case UpdateQuadratic:
+			return n * n
+		case UpdateQuadraticLog:
+			return n * n * lg
+		case UpdateCubic:
+			return n * n * n
+		default:
+			return n
+		}
+	}
+	if n <= 0 {
+		return 0
+	}
+	return raw(n) / raw(FullServerClients)
+}
+
+// TestCPUUnitsMatchesFormula checks CPUUnits against the formula bit
+// for bit under every model and two out of range, along a seeded random
+// walk of entity counts salted with 0, -0, negative, NaN, ±Inf, huge
+// and subnormal values.
+func TestCPUUnitsMatchesFormula(t *testing.T) {
+	models := append(append([]UpdateModel(nil), AllUpdateModels...), UpdateCubic+1, -1)
+	specials := []float64{
+		0, math.Copysign(0, -1), -1, -1e300, math.NaN(), math.Inf(1), math.Inf(-1),
+		FullServerClients, 1e300, 5e-324,
+	}
+	r := xrand.New(5)
+	level := 1000.0
+	for i := 0; i < 200000; i++ {
+		var n float64
+		switch k := r.Intn(10); {
+		case k < 7:
+			level = math.Abs(level + r.Norm(0, 50))
+			n = level
+		case k < 9:
+			n = r.Float64() * math.Pow(10, float64(r.Intn(12)))
+		default:
+			n = specials[r.Intn(len(specials))]
+		}
+		for _, m := range models {
+			if got, want := m.CPUUnits(n), refCPUUnits(m, n); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v: CPUUnits(%v) = %v, formula %v", m, n, got, want)
+			}
 		}
 	}
 }

@@ -30,6 +30,10 @@ type MLP struct {
 	// scratch per-layer activations and deltas, reused across calls.
 	acts   [][]float64
 	deltas [][]float64
+	// fwd reports that acts hold the forward pass of acts[0] under the
+	// current weights. Forward sets it; every weight update and Restore
+	// clear it, so TrainClipped can reuse the pass Predict just ran.
+	fwd bool
 }
 
 // NewMLP builds a network with the given layer sizes, e.g.
@@ -103,6 +107,7 @@ func (m *MLP) Forward(in []float64) []float64 {
 			}
 		}
 	}
+	m.fwd = true
 	return m.acts[last]
 }
 
@@ -119,12 +124,21 @@ func (m *MLP) Train(in, target []float64, lr, momentum float64) float64 {
 // conditional median — which is what the prediction-error metric
 // (mean absolute error) rewards. The returned loss is the unclipped
 // squared error.
+//
+// When the last Forward ran on bit-identical input under the current
+// weights (the online predictor trains on the window it predicted from
+// one step earlier), its activations are reused instead of recomputed:
+// the same operations on the same bits give the same values.
 func (m *MLP) TrainClipped(in, target []float64, lr, momentum, clip float64) float64 {
-	out := m.Forward(in)
+	last := len(m.sizes) - 1
+	out := m.acts[last]
+	if !m.fwd || !sameBits(in, m.acts[0]) {
+		out = m.Forward(in)
+	}
 	if len(target) != len(out) {
 		panic(fmt.Sprintf("neural: target size %d, want %d", len(target), len(out)))
 	}
-	last := len(m.sizes) - 1
+	m.fwd = false
 	var loss float64
 	for j := range out {
 		err := out[j] - target[j]
@@ -170,6 +184,20 @@ func (m *MLP) TrainClipped(in, target []float64, lr, momentum, clip float64) flo
 		}
 	}
 	return loss
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns,
+// so -0 and +0 differ and a NaN matches only its own payload.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Clone returns a deep copy of the network (weights only; momentum

@@ -1,6 +1,7 @@
 package neural
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -152,6 +153,86 @@ func TestCloneIndependent(t *testing.T) {
 	}
 	if c.Forward(in)[0] == before {
 		t.Fatal("clone did not learn")
+	}
+}
+
+// TestTrainReuseMatchesRecompute drives a network that may train from
+// its last forward pass beside a clone whose pass is discarded before
+// every training step, through a seeded random walk of forward passes,
+// training steps, a Forward or Loss on another input in between, a
+// training input changed in place (a zero's sign flipped), and restores
+// from a third network into both. Outputs, losses, weights and momentum
+// must stay bit-equal, so the reuse never fires on a stale pass.
+func TestTrainReuseMatchesRecompute(t *testing.T) {
+	r := xrand.New(41)
+	a, _ := NewMLP(xrand.New(1), 6, 3, 1)
+	b := a.Clone()
+	other, _ := NewMLP(xrand.New(2), 6, 3, 1)
+	x := make([]float64, 6)
+	y := make([]float64, 6)
+	fill := func(v []float64) {
+		for i := range v {
+			v[i] = r.Float64()
+			if r.Bool(0.1) {
+				v[i] = 0
+			}
+		}
+	}
+	fill(x)
+	target := []float64{0}
+	var reused, recomputed int
+	for step := 0; step < 20000; step++ {
+		switch k := r.Intn(100); {
+		case k < 30: // Predict on a new window
+			fill(x)
+			oa, ob := a.Forward(x)[0], b.Forward(x)[0]
+			if math.Float64bits(oa) != math.Float64bits(ob) {
+				t.Fatalf("step %d: Forward %v, recomputing clone %v", step, oa, ob)
+			}
+		case k < 65: // Observe: train on the current window
+			target[0] = r.Norm(0, 0.5)
+			clip := 0.25 * float64(r.Intn(2))
+			if a.fwd && sameBits(x, a.acts[0]) {
+				reused++
+			} else {
+				recomputed++
+			}
+			b.fwd = false
+			la := a.TrainClipped(x, target, 0.05, 0.5, clip)
+			lb := b.TrainClipped(x, target, 0.05, 0.5, clip)
+			if math.Float64bits(la) != math.Float64bits(lb) {
+				t.Fatalf("step %d: loss %v, recomputing clone %v", step, la, lb)
+			}
+		case k < 75: // a Forward on another input
+			fill(y)
+			a.Forward(y)
+			b.Forward(y)
+		case k < 82: // a Loss on another input
+			fill(y)
+			s := []Sample{{In: y, Target: []float64{0.1}}}
+			if la, lb := a.Loss(s), b.Loss(s); math.Float64bits(la) != math.Float64bits(lb) {
+				t.Fatalf("step %d: Loss %v, recomputing clone %v", step, la, lb)
+			}
+		case k < 90: // the window changes in place: a zero flips its sign
+			i := r.Intn(len(x))
+			x[i] = math.Copysign(0, -math.Copysign(1, x[i]))
+		default: // restore another network's state into both
+			other.Train(y, []float64{r.Norm(0, 0.5)}, 0.05, 0.5)
+			snap := other.Snapshot()
+			if err := a.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
+			t.Fatalf("step %d: weights diverged from the recomputing clone", step)
+		}
+	}
+	if reused < 1000 || recomputed < 1000 {
+		t.Fatalf("walk reused the forward pass %d times and recomputed it %d times, want both >= 1000",
+			reused, recomputed)
 	}
 }
 

@@ -3,6 +3,7 @@ package neural
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Preprocessor transforms a raw input window before it reaches the
@@ -10,24 +11,15 @@ import (
 // polynomial functions which have the purpose of removing the
 // unwanted noise from the processed signal".
 type Preprocessor interface {
-	// Process returns the de-noised window; the result has the same
-	// length as the input. Implementations must not retain the input.
-	Process(window []float64) []float64
 	// ProcessInto writes the de-noised window into dst, which must have
-	// the same length as window and must not alias it. It computes the
-	// same values as Process without allocating; implementations may
-	// reuse internal scratch across calls, so a Preprocessor used via
-	// ProcessInto is not safe for concurrent use.
+	// the same length as window and must not alias it. Implementations
+	// may reuse internal scratch across calls, so a Preprocessor is not
+	// safe for concurrent use.
 	ProcessInto(dst, window []float64)
 }
 
 // Identity passes the window through unchanged.
 type Identity struct{}
-
-// Process implements Preprocessor.
-func (Identity) Process(window []float64) []float64 {
-	return append([]float64(nil), window...)
-}
 
 // ProcessInto implements Preprocessor.
 func (Identity) ProcessInto(dst, window []float64) {
@@ -35,44 +27,24 @@ func (Identity) ProcessInto(dst, window []float64) {
 }
 
 // PolySmoother least-squares-fits a polynomial of the configured
-// degree to the window and returns the fitted values — a zero-delay
+// degree to the window and writes out the fitted values — a zero-delay
 // smoothing filter (Savitzky–Golay style, full-window variant). The
-// fit is recomputed per call; ProcessInto keeps that recomputation
-// allocation-free by reusing the solver scratch, which is what keeps
-// the neural predictor the slowest-but-still-microsecond method in
-// Fig. 6 without making it the allocation hot spot of the tick loop.
+// fit is recomputed per call, but only its window-dependent part: the
+// rest comes from a fitPlan shared by every smoother of the same
+// window length and degree.
 type PolySmoother struct {
 	// Degree of the fitted polynomial; 2 works well for the 6-sample
 	// windows the paper uses.
 	Degree int
 
-	scratch polyScratch
+	plan *fitPlan
+	// scratch holds the right-hand side and the coefficients of the
+	// current fit, k each.
+	scratch []float64
 }
 
-// Process implements Preprocessor. It is usable on a value receiver
-// (no scratch is retained) and always returns fresh slices.
-func (p PolySmoother) Process(window []float64) []float64 {
-	n := len(window)
-	deg := p.Degree
-	if deg < 0 {
-		deg = 0
-	}
-	if deg >= n {
-		// Not enough points to constrain the fit; pass through.
-		return append([]float64(nil), window...)
-	}
-	coef := polyfit(window, deg)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = polyval(coef, float64(i))
-	}
-	return out
-}
-
-// ProcessInto implements Preprocessor. It computes bit-identical
-// values to Process into dst, reusing the receiver's scratch, so it
-// allocates only on the first call (or when the window geometry
-// grows).
+// ProcessInto implements Preprocessor. It allocates only on the first
+// call and when the window length or the degree changes.
 func (p *PolySmoother) ProcessInto(dst, window []float64) {
 	n := len(window)
 	deg := p.Degree
@@ -80,78 +52,73 @@ func (p *PolySmoother) ProcessInto(dst, window []float64) {
 		deg = 0
 	}
 	if deg >= n {
+		// Not enough points to constrain the fit; pass through.
 		copy(dst, window)
 		return
 	}
-	coef := p.scratch.fit(window, deg)
+	k := deg + 1
+	if p.plan == nil || p.plan.n != n || p.plan.k != k {
+		p.plan = planFor(n, k)
+		p.scratch = make([]float64, 2*k)
+	}
+	coef := p.plan.solve(window, p.scratch[:k], p.scratch[k:])
 	for i := 0; i < n; i++ {
 		dst[i] = polyval(coef, float64(i))
 	}
 }
 
-// polyScratch holds the reusable temporaries of the normal-equation
-// solve: the power sums, the elimination matrix (row headers over one
-// flat cell buffer, so pivoting swaps headers without moving data),
-// and the coefficient vector that fit returns (valid until the next
-// fit call).
-type polyScratch struct {
-	s, tv, coef []float64
-	rows        [][]float64
-	cells       []float64
+// fitPlan is the window-independent part of the least-squares fit of
+// y[i] ~ poly(i), of degree k-1 over n samples, by the normal
+// equations with Gaussian elimination and partial pivoting. The
+// normal-equation matrix A[r][c] = Σ i^(r+c) depends only on n and k,
+// and so do the pivot choices and elimination multipliers it leads
+// to; only the right-hand side T[m] = Σ i^m·y[i] depends on y. A plan
+// is immutable once built, so every smoother shares it.
+type fitPlan struct {
+	n, k int
+	// pow[i*k+m] is i^m, formed by repeated multiplication.
+	pow []float64
+	// piv[col] is the row swapped into row col before col is
+	// eliminated.
+	piv []int
+	// mult[col*k+r] is the multiplier that eliminates column col from
+	// row r > col.
+	mult []float64
+	// u[r*k+c] is the reduced matrix; its upper triangle is used.
+	u []float64
 }
 
-func (ps *polyScratch) ensure(k int) {
-	if cap(ps.coef) >= k {
-		return
+// newFitPlan runs the elimination on the matrix columns alone, in the
+// operation order of the full solve.
+func newFitPlan(n, k int) *fitPlan {
+	pl := &fitPlan{
+		n: n, k: k,
+		pow:  make([]float64, n*k),
+		piv:  make([]int, k),
+		mult: make([]float64, k*k),
+		u:    make([]float64, k*k),
 	}
-	ps.s = make([]float64, 2*k-1)
-	ps.tv = make([]float64, k)
-	ps.coef = make([]float64, k)
-	ps.rows = make([][]float64, k)
-	ps.cells = make([]float64, k*(k+1))
-}
-
-// fit solves the degree-d least-squares fit of y[i] ~ poly(i) by the
-// normal equations with Gaussian elimination, in the exact operation
-// order of the original allocating implementation (the neural goldens
-// depend on the bits). Windows are tiny (6–12 samples, degree <= 3),
-// so the cubic cost is irrelevant.
-func (ps *polyScratch) fit(y []float64, degree int) []float64 {
-	n := len(y)
-	k := degree + 1
-	ps.ensure(k)
-	// Precompute power sums S_m = sum(i^m) and T_m = sum(i^m * y_i).
-	s := ps.s[:2*k-1]
-	tv := ps.tv[:k]
-	for m := range s {
-		s[m] = 0
-	}
-	for m := range tv {
-		tv[m] = 0
-	}
+	cells := make([]float64, k*k)
+	// Power sums S_m = sum(i^m).
+	s := make([]float64, 2*k-1)
 	for i := 0; i < n; i++ {
 		x := float64(i)
 		pw := 1.0
 		for m := 0; m < 2*k-1; m++ {
 			s[m] += pw
 			if m < k {
-				tv[m] += pw * y[i]
+				pl.pow[i*k+m] = pw
 			}
 			pw *= x
 		}
 	}
-	// Build the normal-equation matrix A[r][c] = S_{r+c}. Row headers
-	// are re-pointed at their canonical cell windows every call because
-	// pivoting below permutes them.
-	a := ps.rows[:k]
-	for r := 0; r < k; r++ {
-		a[r] = ps.cells[r*(k+1) : (r+1)*(k+1) : (r+1)*(k+1)]
-		for c := 0; c < k; c++ {
+	a := make([][]float64, k)
+	for r := range a {
+		a[r] = cells[r*k : (r+1)*k]
+		for c := range a[r] {
 			a[r][c] = s[r+c]
 		}
-		a[r][k] = tv[r]
 	}
-	// Gaussian elimination with partial pivoting.
 	for col := 0; col < k; col++ {
 		pivot := col
 		for r := col + 1; r < k; r++ {
@@ -159,37 +126,94 @@ func (ps *polyScratch) fit(y []float64, degree int) []float64 {
 				pivot = r
 			}
 		}
+		pl.piv[col] = pivot
 		a[col], a[pivot] = a[pivot], a[col]
 		if a[col][col] == 0 {
 			continue // singular; coefficient stays zero
 		}
 		for r := col + 1; r < k; r++ {
 			f := a[r][col] / a[col][col]
-			for c := col; c <= k; c++ {
+			pl.mult[col*k+r] = f
+			for c := col; c < k; c++ {
 				a[r][c] -= f * a[col][c]
 			}
 		}
 	}
-	coef := ps.coef[:k]
+	// The swaps permuted the row headers; store the rows in their final
+	// order.
+	for r := range a {
+		copy(pl.u[r*k:], a[r])
+	}
+	return pl
+}
+
+// solve fits y (length n) and returns the k coefficients, written into
+// coef; rhs is k floats of scratch. It replays the plan's swaps and
+// multipliers on the right-hand side alone, through the full
+// elimination's operations in its order and expression shapes
+// (x += p*y, x -= f*y, so a compiler that fuses multiply-adds fuses the
+// same ones): every coefficient is bit-equal to the full elimination's,
+// infinite and subnormal samples included, and NaN where it is NaN.
+func (pl *fitPlan) solve(y, rhs, coef []float64) []float64 {
+	k := pl.k
+	for m := range rhs {
+		rhs[m] = 0
+	}
+	for i, yi := range y[:pl.n] {
+		pw := pl.pow[i*k:][:len(rhs)]
+		for m := range rhs {
+			rhs[m] += pw[m] * yi
+		}
+	}
+	for col := 0; col < k; col++ {
+		p := pl.piv[col]
+		rhs[col], rhs[p] = rhs[p], rhs[col]
+		if pl.u[col*k+col] == 0 {
+			continue
+		}
+		for r := col + 1; r < k; r++ {
+			rhs[r] -= pl.mult[col*k+r] * rhs[col]
+		}
+	}
 	for r := k - 1; r >= 0; r-- {
-		if a[r][r] == 0 {
+		if pl.u[r*k+r] == 0 {
 			coef[r] = 0
 			continue
 		}
-		sum := a[r][k]
+		sum := rhs[r]
 		for c := r + 1; c < k; c++ {
-			sum -= a[r][c] * coef[c]
+			sum -= pl.u[r*k+c] * coef[c]
 		}
-		coef[r] = sum / a[r][r]
+		coef[r] = sum / pl.u[r*k+r]
 	}
 	return coef
 }
 
-// polyfit fits y[i] ~ poly(i) of the given degree with a throwaway
-// scratch, returning a fresh coefficient slice.
-func polyfit(y []float64, degree int) []float64 {
-	var ps polyScratch
-	return ps.fit(y, degree)
+// maxFitPlans bounds the shared plans; a full cache starts over. A
+// predictor uses one window length and degree.
+const maxFitPlans = 64
+
+// fitPlans holds the plans built so far, keyed by (n, k).
+var fitPlans struct {
+	sync.Mutex
+	m map[[2]int]*fitPlan
+}
+
+// planFor returns the shared plan for n samples and k coefficients,
+// building it on first use.
+func planFor(n, k int) *fitPlan {
+	fitPlans.Lock()
+	defer fitPlans.Unlock()
+	key := [2]int{n, k}
+	if pl := fitPlans.m[key]; pl != nil {
+		return pl
+	}
+	if len(fitPlans.m) >= maxFitPlans || fitPlans.m == nil {
+		fitPlans.m = make(map[[2]int]*fitPlan)
+	}
+	pl := newFitPlan(n, k)
+	fitPlans.m[key] = pl
+	return pl
 }
 
 // polyval evaluates the polynomial (Horner).

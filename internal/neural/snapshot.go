@@ -70,5 +70,6 @@ func (m *MLP) Restore(data []byte) error {
 		return fmt.Errorf("neural: %w", err)
 	}
 	m.weights, m.wVel, m.biases, m.bVel = w, wv, b, bv
+	m.fwd = false
 	return nil
 }

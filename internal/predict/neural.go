@@ -1,6 +1,8 @@
 package predict
 
 import (
+	"math"
+
 	"mmogdc/internal/neural"
 	"mmogdc/internal/xrand"
 )
@@ -165,7 +167,9 @@ func (p *Neural) Observe(v float64) {
 	} else {
 		p.window = append(p.window, nv)
 	}
-	p.seen++
+	if p.seen < math.MaxInt { // a restored count can sit at the top
+		p.seen++
+	}
 	if len(p.window) == p.cfg.Window {
 		p.pre.ProcessInto(p.prevIn, p.window)
 		p.prevLast = p.window[len(p.window)-1]
@@ -194,28 +198,45 @@ func (p *Neural) Predict() float64 {
 // splits them into training and test sets, and runs era-based training
 // until convergence. It returns the training report.
 func (p *Neural) Pretrain(signal []float64, trainFraction float64, cfg neural.TrainConfig) neural.TrainResult {
+	return p.pretrain([][]float64{signal}, trainFraction, cfg)
+}
+
+// pretrain trains the network offline on the examples of every signal,
+// in order: each smoothed, normalized window of Window samples, with
+// the (scaled) next sample or step as its target. The examples share
+// one backing array; the first trainFraction of them (0.8 when out of
+// range) form the training set and the rest the test set.
+func (p *Neural) pretrain(signals [][]float64, trainFraction float64, cfg neural.TrainConfig) neural.TrainResult {
+	w := p.cfg.Window
+	count := 0
+	for _, signal := range signals {
+		count += max(len(signal)-w, 0)
+	}
+	if count == 0 {
+		return neural.TrainResult{}
+	}
+	samples := make([]neural.Sample, 0, count)
+	buf := make([]float64, count*(w+1))
+	ins, targets := buf[:count*w], buf[count*w:]
+	raw := make([]float64, w)
+	for _, signal := range signals {
+		for i := 0; i+w < len(signal); i++ {
+			for j := 0; j < w; j++ {
+				raw[j] = p.norm.Norm(signal[i+j])
+			}
+			k := len(samples)
+			in := ins[k*w : (k+1)*w : (k+1)*w]
+			p.pre.ProcessInto(in, raw)
+			target := p.norm.Norm(signal[i+w])
+			if !p.cfg.Direct {
+				target -= p.norm.Norm(signal[i+w-1])
+			}
+			targets[k] = target * p.cfg.OutputScale
+			samples = append(samples, neural.Sample{In: in, Target: targets[k : k+1 : k+1]})
+		}
+	}
 	if trainFraction <= 0 || trainFraction > 1 {
 		trainFraction = 0.8
-	}
-	w := p.cfg.Window
-	var samples []neural.Sample
-	for i := 0; i+w < len(signal); i++ {
-		in := make([]float64, w)
-		for j := 0; j < w; j++ {
-			in[j] = p.norm.Norm(signal[i+j])
-		}
-		in = p.pre.Process(in)
-		target := p.norm.Norm(signal[i+w])
-		if !p.cfg.Direct {
-			target -= p.norm.Norm(signal[i+w-1])
-		}
-		samples = append(samples, neural.Sample{
-			In:     in,
-			Target: []float64{target * p.cfg.OutputScale},
-		})
-	}
-	if len(samples) == 0 {
-		return neural.TrainResult{}
 	}
 	split := int(float64(len(samples)) * trainFraction)
 	if split < 1 {

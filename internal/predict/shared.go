@@ -56,36 +56,7 @@ func PretrainShared(cfg NeuralConfig, collected [][]float64, trainFraction float
 		}
 	}
 	proto := MustNeural(cfg)
-	var samples []neural.Sample
-	w := proto.cfg.Window
-	for _, signal := range collected {
-		for i := 0; i+w < len(signal); i++ {
-			in := make([]float64, w)
-			for j := 0; j < w; j++ {
-				in[j] = proto.norm.Norm(signal[i+j])
-			}
-			in = proto.pre.Process(in)
-			target := proto.norm.Norm(signal[i+w])
-			if !cfg.Direct {
-				target -= proto.norm.Norm(signal[i+w-1])
-			}
-			samples = append(samples, neural.Sample{
-				In:     in,
-				Target: []float64{target * proto.cfg.OutputScale},
-			})
-		}
-	}
-	var res neural.TrainResult
-	if len(samples) > 0 {
-		if trainFraction <= 0 || trainFraction > 1 {
-			trainFraction = 0.8
-		}
-		split := int(float64(len(samples)) * trainFraction)
-		if split < 1 {
-			split = 1
-		}
-		res = proto.net.Fit(samples[:split], samples[split:], tc)
-	}
+	res := proto.pretrain(collected, trainFraction, tc)
 	factory := func() Predictor {
 		p := MustNeural(cfg)
 		p.net = proto.net.Clone()

@@ -411,7 +411,11 @@ func (p *Neural) Restore(data []byte) error {
 		outputScale != p.cfg.OutputScale || direct != p.cfg.Direct {
 		return fmt.Errorf("predict: neural snapshot from a differently configured predictor")
 	}
-	if len(win) > window || len(prevIn) != window {
+	// Observe fills the window one sample per observation and smooths
+	// it once it is full; any other combination would make Predict read
+	// before the window's start.
+	if seen < 0 || len(win) != min(seen, window) || havePre != (len(win) == window) ||
+		len(prevIn) != window {
 		return fmt.Errorf("predict: inconsistent neural snapshot")
 	}
 	if err := p.net.Restore(netData); err != nil {

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -142,6 +143,118 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 			t.Fatalf("%s accepted a padded snapshot", name)
 		}
 	}
+}
+
+// inconsistentNeuralWindows are neural window states no sequence of
+// Observe calls reaches. The first two used to restore without error,
+// and the next Predict indexed before the window's start.
+var inconsistentNeuralWindows = []struct {
+	window, seen int
+	havePre      bool
+}{
+	{0, 5, false},
+	{0, -3, false},
+	{5, 7, false},
+	{6, 6, false},
+	{3, 3, true},
+	{6, -1, true},
+}
+
+// neuralSnapshotWith snapshots a paper-configured neural predictor that
+// has observed a ramp, with its window cut to window samples and its
+// seen and havePre overwritten.
+func neuralSnapshotWith(window, seen int, havePre bool) []byte {
+	p := MustNeural(PaperNeuralConfig(1))
+	for i := 0; i < 30; i++ {
+		p.Observe(float64(100 + 10*i))
+		p.Predict()
+	}
+	p.window = p.window[:window]
+	p.seen = seen
+	p.havePre = havePre
+	return p.Snapshot()
+}
+
+// TestSnapshotRejectsInconsistentNeuralWindow ensures a neural snapshot
+// whose window length, observation count and smoothed-window flag
+// disagree is refused.
+func TestSnapshotRejectsInconsistentNeuralWindow(t *testing.T) {
+	for _, c := range inconsistentNeuralWindows {
+		q := MustNeural(PaperNeuralConfig(1))
+		if err := q.Restore(neuralSnapshotWith(c.window, c.seen, c.havePre)); err == nil {
+			t.Errorf("window %d, seen %d, havePre %v: restored", c.window, c.seen, c.havePre)
+		}
+	}
+	q := MustNeural(PaperNeuralConfig(1))
+	if err := q.Restore(neuralSnapshotWith(4, 4, false)); err != nil {
+		t.Fatalf("a half-full window was refused: %v", err)
+	}
+}
+
+// TestNeuralRestoreIntoUsedPredictor restores a snapshot into a
+// predictor that has already predicted on the same window under other
+// weights (TestSnapshotRoundTripEquivalence restores only into fresh
+// ones): its next training step must not reuse its own stale forward
+// pass.
+func TestNeuralRestoreIntoUsedPredictor(t *testing.T) {
+	p := MustNeural(PaperNeuralConfig(7))
+	q := MustNeural(PaperNeuralConfig(8))
+	r := xrand.New(3)
+	level := 500.0
+	obs := func() float64 {
+		level += r.NormFloat64() * 20
+		return level
+	}
+	for i := 0; i < 40; i++ {
+		v := obs()
+		p.Observe(v)
+		q.Observe(v)
+		p.Predict()
+		q.Predict()
+	}
+	if err := p.Restore(q.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		v := obs()
+		p.Observe(v)
+		q.Observe(v)
+		if pb, qb := math.Float64bits(p.Predict()), math.Float64bits(q.Predict()); pb != qb {
+			t.Fatalf("diverged %d steps after restore: %x vs %x", i+1, pb, qb)
+		}
+	}
+}
+
+// FuzzNeuralRestore feeds hostile payloads to a paper-configured neural
+// predictor. A payload must be refused, or the predictor must predict
+// and then run 20 Observe/Predict steps without panicking, and its
+// snapshot must survive
+// a Restore byte for byte. The seed corpus is a real snapshot and the
+// inconsistent windows above.
+func FuzzNeuralRestore(f *testing.F) {
+	f.Add(neuralSnapshotWith(6, 30, true))
+	for _, c := range inconsistentNeuralWindows {
+		f.Add(neuralSnapshotWith(c.window, c.seen, c.havePre))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := MustNeural(PaperNeuralConfig(1))
+		if err := p.Restore(data); err != nil {
+			return
+		}
+		p.Predict()
+		for i := 0; i < 20; i++ {
+			p.Observe(float64(100 + (i*37)%900))
+			p.Predict()
+		}
+		snap := p.Snapshot()
+		q := MustNeural(PaperNeuralConfig(1))
+		if err := q.Restore(snap); err != nil {
+			t.Fatalf("a restored predictor's snapshot was refused: %v", err)
+		}
+		if !bytes.Equal(q.Snapshot(), snap) {
+			t.Fatal("Snapshot -> Restore -> Snapshot changed the bytes")
+		}
+	})
 }
 
 // TestZoneSetSnapshotRoundTrip covers the aggregate used by the

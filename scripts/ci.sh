@@ -25,14 +25,17 @@ go test -shuffle 1 ./...
 # report, never a panic or a hang; a hostile blackout spec and fault
 # config must be rejected or give a plan whose every window lies
 # inside the run; a corrupt core checkpoint payload must be refused or
-# resume to a well-formed Result. An accepted payload replays the rest
-# of its run, so FuzzCoreResume caps minimization at 1s: shrinking a
-# 6 KB payload byte by byte would otherwise take the whole pass.
+# resume to a well-formed Result; a corrupt neural predictor snapshot
+# must be refused or keep predicting and snapshot back to the same
+# bytes. An accepted core payload replays the rest of its run, so
+# FuzzCoreResume caps minimization at 1s: shrinking a 6 KB payload byte
+# by byte would otherwise take the whole pass.
 go test -run '^$' -fuzz '^FuzzOperatorFromSnapshot$' -fuzztime 10s ./internal/operator/
 go test -run '^$' -fuzz '^FuzzConfigPost$' -fuzztime 10s ./internal/daemon/
 go test -run '^$' -fuzz '^FuzzAnalyzeEvents$' -fuzztime 10s ./internal/audit/
 go test -run '^$' -fuzz '^FuzzFaultPlan$' -fuzztime 10s ./internal/faults/
 go test -run '^$' -fuzz '^FuzzCoreResume$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
+go test -run '^$' -fuzz '^FuzzNeuralRestore$' -fuzztime 10s ./internal/predict/
 
 # The benchmark is a separate module that imports core, operator,
 # daemon, and obs: keep it compiling and its self-tests green.
