@@ -254,7 +254,7 @@ func BenchmarkMLPTrainingEra(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range samples {
-			m.Train(s.In, s.Target, 0.01, 0.5)
+			m.TrainClipped(s.In, s.Target, 0.01, 0.5, 0)
 		}
 	}
 }
@@ -282,7 +282,7 @@ func BenchmarkMatcherAllocate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var req datacenter.Vector
 				req[datacenter.CPU] = 0.01
-				_, _ = m.Allocate(ecosystem.Request{
+				m.AllocateDetailed(nil, ecosystem.Request{
 					Tag:           "bench",
 					Origin:        origin,
 					MaxDistanceKm: game.LatencyKm,

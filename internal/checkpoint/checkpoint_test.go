@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -239,5 +241,63 @@ func TestManagerFallsBackPastCorruptSnapshot(t *testing.T) {
 	}
 	if _, err := m.Latest(); err == nil || errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("all-corrupt store: %v", err)
+	}
+}
+
+// TestManagerIgnoresNonCanonicalNames: a stray checkpoint-90.ckpt beside
+// checkpoint-000000060.ckpt is not a snapshot. Listed as tick 90, it
+// made Latest report the nonexistent checkpoint-000000090.ckpt as
+// corrupt, let the next Save prune tick 60, the only valid
+// predecessor, and so left nothing to fall back to once the newest
+// snapshot was damaged.
+func TestManagerIgnoresNonCanonicalNames(t *testing.T) {
+	dir := t.TempDir()
+	m, err := NewManager(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Save(60, []byte("sixty")); err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, "checkpoint-90.ckpt")
+	if err := os.WriteFile(stray, Seal([]byte("stray")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Tick != 60 || len(s.Corrupt) != 0 {
+		t.Fatalf("latest = tick %d, corrupt %v; want tick 60 and none", s.Tick, s.Corrupt)
+	}
+
+	if err := m.Save(120, []byte("one-twenty")); err != nil {
+		t.Fatal(err)
+	}
+	ticks, err := m.Ticks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ticks, []int{60, 120}) {
+		t.Fatalf("ticks after Save(120) = %v, want [60 120]", ticks)
+	}
+
+	blob, err := os.ReadFile(m.Path(120))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)-1] ^= 0x01
+	if err := os.WriteFile(m.Path(120), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = m.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Tick != 60 || string(s.Payload) != "sixty" {
+		t.Fatalf("fallback = tick %d %q, want tick 60", s.Tick, s.Payload)
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Fatalf("stray file touched: %v", err)
 	}
 }

@@ -97,7 +97,10 @@ func (m *Manager) prune() {
 	}
 }
 
-// Ticks lists the stored snapshot ticks in ascending order.
+// Ticks lists the stored snapshot ticks in ascending order. Only a
+// file named exactly as Path names its tick counts: a stray such as
+// checkpoint-90.ckpt would otherwise stand for a tick whose file
+// Latest and prune cannot find.
 func (m *Manager) Ticks() ([]int, error) {
 	entries, err := os.ReadDir(m.dir)
 	if err != nil {
@@ -111,7 +114,7 @@ func (m *Manager) Ticks() ([]int, error) {
 		}
 		num := strings.TrimSuffix(strings.TrimPrefix(name, filePrefix), fileSuffix)
 		t, err := strconv.Atoi(num)
-		if err != nil {
+		if err != nil || name != filepath.Base(m.Path(t)) {
 			continue // temp files and strangers are not checkpoints
 		}
 		ticks = append(ticks, t)

@@ -281,18 +281,6 @@ func sanitizePrediction(v float64) float64 {
 	return v
 }
 
-// demandVector converts a player count into the datacenter resource
-// vector via the game's update model and resource profile.
-func demandVector(g *mmog.Game, players float64) datacenter.Vector {
-	d := g.DemandForEntities(players)
-	var v datacenter.Vector
-	v[datacenter.CPU] = d.CPU
-	v[datacenter.Memory] = d.Memory
-	v[datacenter.ExtNetIn] = d.ExtNetIn
-	v[datacenter.ExtNetOut] = d.ExtNetOut
-	return v
-}
-
 // engine is one simulation run: its zones, the shared ecosystem, the
 // Result under construction with its accumulators, and the telemetry.
 // Each tick runs the phases of DESIGN §6 as methods, and snapshot and
@@ -438,7 +426,7 @@ func newEngine(cfg Config, decisions *ecosystem.DecisionLog) (*engine, error) {
 					peak = v
 				}
 			}
-			z.staticAlloc = demandVector(z.game, peak)
+			z.staticAlloc = z.game.DemandForEntities(peak)
 			// With centers configured, each static fleet lives in a home
 			// center (round-robin) and darkens with its outages — the
 			// dedicated-infrastructure counterpart of the resilience
@@ -759,7 +747,7 @@ func (e *engine) observeZone(i, w int) {
 		pt.dropped = false
 		z.lastObs = raw
 	}
-	pt.load = demandVector(z.game, loadVal)
+	pt.load = z.game.DemandForEntities(loadVal)
 	pt.need = datacenter.Vector{}
 	if e.cfg.Static || e.curTick == e.samples-1 {
 		return
@@ -771,7 +759,7 @@ func (e *engine) observeZone(i, w int) {
 	// before they lapse.
 	z.predictor.Observe(z.lastObs)
 	predicted := sanitizePrediction(z.predictor.Predict())
-	want := demandVector(z.game, predicted*(1+e.cfg.SafetyMargin))
+	want := z.game.DemandForEntities(predicted * (1 + e.cfg.SafetyMargin))
 	have := z.step.AllocAt(e.curNow.Add(e.dt))
 	pt.need = want.Sub(have).ClampNonNegative()
 }

@@ -169,14 +169,3 @@ func (b *breaker) record(granted, rejected []string) {
 		}
 	}
 }
-
-// snapshotStates returns region → state for the ops surface and tests.
-func (b *breaker) snapshotStates() map[string]breakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[string]breakerState, len(b.regions))
-	for name, rb := range b.regions {
-		out[name] = rb.state
-	}
-	return out
-}

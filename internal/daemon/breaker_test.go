@@ -6,7 +6,21 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"mmogdc/internal/obs"
 )
+
+// Values of the mmogdc_daemon_breaker_state gauge.
+const (
+	gaugeClosed   = 0
+	gaugeHalfOpen = 1
+	gaugeOpen     = 2
+)
+
+// breakerGauge reads the region's mmogdc_daemon_breaker_state gauge.
+func breakerGauge(d *Daemon, region string) float64 {
+	return d.obs.Registry.Gauge("mmogdc_daemon_breaker_state", "", obs.L("region", region)).Value()
+}
 
 // TestBreakerStateMachine walks the region circuit through its whole
 // life directly: trip after threshold consecutive rejected passes,
@@ -27,21 +41,21 @@ func TestBreakerStateMachine(t *testing.T) {
 	// Two rejected passes are below the threshold.
 	b.record(nil, []string{"dc-a"})
 	b.record(nil, []string{"dc-a", "dc-b"})
-	if s := b.snapshotStates()["eu"]; s != breakerClosed {
-		t.Fatalf("below threshold, state = %d", s)
+	if s := breakerGauge(d, "eu"); s != gaugeClosed {
+		t.Fatalf("below threshold, state = %v", s)
 	}
 	// A granted pass resets the streak even when another center in the
 	// region rejected.
 	b.record([]string{"dc-b"}, []string{"dc-a"})
 	b.record(nil, []string{"dc-a"})
 	b.record(nil, []string{"dc-a"})
-	if s := b.snapshotStates()["eu"]; s != breakerClosed {
-		t.Fatalf("streak did not reset on grant, state = %d", s)
+	if s := breakerGauge(d, "eu"); s != gaugeClosed {
+		t.Fatalf("streak did not reset on grant, state = %v", s)
 	}
 	// The third consecutive rejection trips the circuit.
 	b.record(nil, []string{"dc-a"})
-	if s := b.snapshotStates()["eu"]; s != breakerOpen {
-		t.Fatalf("at threshold, state = %d", s)
+	if s := breakerGauge(d, "eu"); s != gaugeOpen {
+		t.Fatalf("at threshold, state = %v", s)
 	}
 	// Open: refusals are paced, every BreakerCooldown-th converts into
 	// a half-open probe admission.
@@ -51,13 +65,13 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.allow("eu") {
 		t.Fatal("cooldown refusals did not convert into a probe")
 	}
-	if s := b.snapshotStates()["eu"]; s != breakerHalfOpen {
-		t.Fatalf("after probe admission, state = %d", s)
+	if s := breakerGauge(d, "eu"); s != gaugeHalfOpen {
+		t.Fatalf("after probe admission, state = %v", s)
 	}
 	// The probe's pass is rejected: straight back to open.
 	b.record(nil, []string{"dc-b"})
-	if s := b.snapshotStates()["eu"]; s != breakerOpen {
-		t.Fatalf("failed probe, state = %d", s)
+	if s := breakerGauge(d, "eu"); s != gaugeOpen {
+		t.Fatalf("failed probe, state = %v", s)
 	}
 	// Next probe succeeds: the circuit closes and admission is free.
 	b.allow("eu")
@@ -65,16 +79,16 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("second probe not admitted")
 	}
 	b.record([]string{"dc-a"}, nil)
-	if s := b.snapshotStates()["eu"]; s != breakerClosed {
-		t.Fatalf("granted probe, state = %d", s)
+	if s := breakerGauge(d, "eu"); s != gaugeClosed {
+		t.Fatalf("granted probe, state = %v", s)
 	}
 	if !b.allow("eu") {
 		t.Fatal("closed circuit refused admission after recovery")
 	}
 	// A pass that never touched the region leaves it alone.
 	b.record(nil, nil)
-	if s := b.snapshotStates()["eu"]; s != breakerClosed {
-		t.Fatalf("idle pass moved the state to %d", s)
+	if s := breakerGauge(d, "eu"); s != gaugeClosed {
+		t.Fatalf("idle pass moved the state to %v", s)
 	}
 	// Unknown regions are never gated.
 	if !b.allow("mars") {
@@ -90,8 +104,8 @@ func TestBreakerDisabledByDefault(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d.brk.record(nil, []string{"dc-a", "dc-b"})
 	}
-	if s := d.brk.snapshotStates()["eu"]; s != breakerClosed {
-		t.Fatalf("disarmed breaker tripped, state = %d", s)
+	if s := breakerGauge(d, "eu"); s != gaugeClosed {
+		t.Fatalf("disarmed breaker tripped, state = %v", s)
 	}
 	if !d.brk.allow("eu") {
 		t.Fatal("disarmed breaker refused admission")
@@ -153,11 +167,11 @@ func TestBreakerTripsAndRecoversOverAPI(t *testing.T) {
 	recovered := false
 	for i := 0; i < 80 && !recovered; i++ {
 		recovered = admit() == http.StatusAccepted &&
-			d.brk.snapshotStates()["eu"] == breakerClosed
+			breakerGauge(d, "eu") == gaugeClosed
 	}
 	if !recovered {
-		t.Fatalf("circuit never closed after healing (state %d)",
-			d.brk.snapshotStates()["eu"])
+		t.Fatalf("circuit never closed after healing (state %v)",
+			breakerGauge(d, "eu"))
 	}
 
 	// The trip is visible on the ops surface.

@@ -498,10 +498,11 @@ func (d *Daemon) Drain(ctx context.Context) error {
 	for _, name := range d.order {
 		g := d.games[name]
 		d.ecoMu.Lock()
-		err := g.op.Shutdown(g.now, nil)
+		g.op.Shutdown(g.now)
 		var payload []byte
+		var err error
 		ticks := g.op.Metrics().Ticks
-		if err == nil && g.mgr != nil {
+		if g.mgr != nil {
 			payload, err = g.op.Snapshot()
 		}
 		d.ecoMu.Unlock()

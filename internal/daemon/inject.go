@@ -3,14 +3,15 @@ package daemon
 import (
 	"sync"
 
+	"mmogdc/internal/faults"
 	"mmogdc/internal/xrand"
 )
 
 // grantInjector adapts the daemon's hot fault knobs to the matcher's
 // GrantFaults interface: each center grant attempt is rejected
 // outright with FaultRejectProb, or trimmed to a uniform 25–75% with
-// FaultPartialProb, from a seeded stream (mirroring faults.Plan, the
-// batch engines' canonical injector). The knobs are read from the hot
+// FaultPartialProb, from a seeded stream with faults.Plan's draw
+// (faults.DrawGrantFault). The knobs are read from the hot
 // config on every attempt, so a reload changes the injection rate
 // mid-run without touching the matcher.
 type grantInjector struct {
@@ -38,11 +39,5 @@ func (gi *grantInjector) GrantFault(center string) (reject bool, frac float64) {
 	}
 	gi.mu.Lock()
 	defer gi.mu.Unlock()
-	if gi.rng.Bool(hot.FaultRejectProb) {
-		return true, 0
-	}
-	if gi.rng.Bool(hot.FaultPartialProb) {
-		return false, 0.25 + 0.5*gi.rng.Float64()
-	}
-	return false, 1
+	return faults.DrawGrantFault(gi.rng, hot.FaultRejectProb, hot.FaultPartialProb)
 }

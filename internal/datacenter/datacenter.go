@@ -213,7 +213,6 @@ type Center struct {
 	allocated Vector
 	leases    []*Lease
 	reserved  []*Lease
-	prices    PriceTable
 	totalCost float64
 	// watermark is the latest time the center has observed (via Lease
 	// or Expire); reservations must start at or after it.
@@ -491,7 +490,7 @@ func (c *Center) Lease(req Vector, now time.Time, tag string) (*Lease, error) {
 	}
 	c.allocated = c.allocated.Add(rounded)
 	c.push(l)
-	c.totalCost += c.Prices().LeaseCost(l)
+	c.totalCost += DefaultPrices.LeaseCost(l)
 	return l, nil
 }
 

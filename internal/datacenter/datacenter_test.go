@@ -282,8 +282,12 @@ func TestBuildCenters(t *testing.T) {
 	if len(centers) != 17 {
 		t.Fatalf("built %d centers, want 17", len(centers))
 	}
-	if TotalMachines(centers) != 166 {
-		t.Fatalf("total machines = %d", TotalMachines(centers))
+	machines := 0
+	for _, c := range centers {
+		machines += c.Machines
+	}
+	if machines != 166 {
+		t.Fatalf("total machines = %d", machines)
 	}
 	// Two-center sites must split machines and alternate policies.
 	byName := map[string]*Center{}
@@ -338,7 +342,7 @@ func TestFailAndRecover(t *testing.T) {
 	if l.Active(t0.Add(time.Minute)) {
 		t.Fatal("lease survived the failure")
 	}
-	if !c.Allocated().IsZero() || c.Reservations() != 0 {
+	if !c.Allocated().IsZero() || len(c.reserved) != 0 {
 		t.Fatal("failed center retains state")
 	}
 	if !c.Offline() {

@@ -40,17 +40,19 @@ func ExampleCenter_Reserve() {
 	morning := time.Date(2008, 1, 1, 10, 0, 0, 0, time.UTC)
 	evening := time.Date(2008, 1, 1, 19, 0, 0, 0, time.UTC)
 	center.Expire(morning) // the operator's clock
-	if _, err := center.Reserve(peak, evening, "evening-peak"); err != nil {
+	booking, err := center.Reserve(peak, evening, "evening-peak")
+	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("%d reservation pending, live allocation %.1f\n",
-		center.Reservations(), center.Allocated()[datacenter.CPU])
+	fmt.Printf("booked %.2f CPU units from %s, live allocation %.1f\n",
+		booking.Alloc[datacenter.CPU], booking.Start.Format("15:04"),
+		center.Allocated()[datacenter.CPU])
 
 	center.Expire(evening) // the window begins: the booking activates
 	fmt.Printf("at 19:00: live allocation %.2f CPU units\n",
 		center.Allocated()[datacenter.CPU])
 	// Output:
-	// 1 reservation pending, live allocation 0.0
+	// booked 1.48 CPU units from 19:00, live allocation 0.0
 	// at 19:00: live allocation 1.48 CPU units
 }

@@ -131,12 +131,3 @@ func BuildCenters(sites []SiteSpec, policies []HostingPolicy) []*Center {
 	}
 	return out
 }
-
-// TotalMachines sums the machines of the centers.
-func TotalMachines(centers []*Center) int {
-	n := 0
-	for _, c := range centers {
-		n += c.Machines
-	}
-	return n
-}

@@ -47,22 +47,10 @@ func (p PriceTable) AllocationCost(alloc Vector, d time.Duration) float64 {
 	return cost
 }
 
-// TotalCost returns the cumulative price of every lease the center has
-// granted (charged in full at grant time, since leases cannot be
-// terminated early).
+// TotalCost returns the cumulative price, at DefaultPrices, of every
+// lease the center has granted (charged in full at grant time, since
+// leases cannot be terminated early).
 func (c *Center) TotalCost() float64 { return c.totalCost }
-
-// Prices returns the center's price table (DefaultPrices unless
-// SetPrices was called).
-func (c *Center) Prices() PriceTable {
-	if c.prices == (PriceTable{}) {
-		return DefaultPrices
-	}
-	return c.prices
-}
-
-// SetPrices overrides the center's price table.
-func (c *Center) SetPrices(p PriceTable) { c.prices = p }
 
 // TotalCostOf sums the accumulated lease costs across centers.
 func TotalCostOf(centers []*Center) float64 {

@@ -64,21 +64,6 @@ func TestCenterAccumulatesCost(t *testing.T) {
 	}
 }
 
-func TestSetPrices(t *testing.T) {
-	c := NewCenter("dc", geo.London, 4, testPolicy())
-	var custom PriceTable
-	custom[CPU] = 10
-	c.SetPrices(custom)
-	var req Vector
-	req[CPU] = 0.25
-	if _, err := c.Lease(req, t0, "z"); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c.TotalCost()-0.25*10) > 1e-9 {
-		t.Fatalf("custom-priced TotalCost = %v", c.TotalCost())
-	}
-}
-
 func TestTotalCostOf(t *testing.T) {
 	a := NewCenter("a", geo.London, 2, testPolicy())
 	b := NewCenter("b", geo.London, 2, testPolicy())

@@ -45,12 +45,9 @@ func (c *Center) Reserve(req Vector, start time.Time, tag string) (*Lease, error
 		Tag:     tag,
 	}
 	c.reserved = append(c.reserved, l)
-	c.totalCost += c.Prices().LeaseCost(l)
+	c.totalCost += DefaultPrices.LeaseCost(l)
 	return l, nil
 }
-
-// Reservations returns the number of not-yet-activated reservations.
-func (c *Center) Reservations() int { return len(c.reserved) }
 
 // maxUsageDuring returns the element-wise peak resource usage over the
 // window [s, e): live leases that still overlap it plus reservations

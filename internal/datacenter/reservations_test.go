@@ -23,8 +23,8 @@ func TestReserveBasicLifecycle(t *testing.T) {
 	if l.Alloc[CPU] != 0.75 {
 		t.Fatalf("reserved CPU = %v, want bulk-rounded 0.75", l.Alloc[CPU])
 	}
-	if c.Reservations() != 1 {
-		t.Fatalf("reservations = %d", c.Reservations())
+	if len(c.reserved) != 1 {
+		t.Fatalf("reservations = %d", len(c.reserved))
 	}
 	// Not yet active: the live view is untouched.
 	if !c.Allocated().IsZero() {
@@ -32,7 +32,7 @@ func TestReserveBasicLifecycle(t *testing.T) {
 	}
 	// Advance past the window start: activation.
 	c.Expire(start)
-	if c.Reservations() != 0 {
+	if len(c.reserved) != 0 {
 		t.Fatal("reservation not activated")
 	}
 	if c.Allocated()[CPU] != 0.75 {
@@ -124,7 +124,7 @@ func TestStaleReservationDropped(t *testing.T) {
 	// Jump far past the whole window: the reservation must not
 	// activate retroactively.
 	c.Expire(t0.Add(10 * time.Hour))
-	if c.Reservations() != 0 {
+	if len(c.reserved) != 0 {
 		t.Fatal("stale reservation kept")
 	}
 	if !c.Allocated().IsZero() {

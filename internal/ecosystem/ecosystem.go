@@ -50,7 +50,7 @@ type GrantFaults interface {
 	GrantFault(center string) (reject bool, frac float64)
 }
 
-// Outcome reports what fault injection did to one Allocate call.
+// Outcome reports what fault injection did to one AllocateDetailed call.
 type Outcome struct {
 	// Rejections counts center grants vetoed by the injector.
 	Rejections int
@@ -59,8 +59,8 @@ type Outcome struct {
 	// RejectedBy names the centers whose grants were vetoed, in the
 	// matching walk's preference order — the attribution a circuit
 	// breaker needs to localize failing domains. The slice aliases
-	// matcher scratch and is only valid until the next Allocate call;
-	// callers that retain it must copy.
+	// matcher scratch and is only valid until the next AllocateDetailed
+	// call; callers that retain it must copy.
 	RejectedBy []string
 	// Decision is the provenance record of this call — every
 	// candidate's verdict — when a DecisionLog is installed, nil
@@ -71,9 +71,9 @@ type Outcome struct {
 }
 
 // Matcher allocates requests across a set of data centers. A Matcher
-// is not safe for concurrent use: Allocate mutates center lease books,
-// its ranking cache and its scratch (each simulation run owns its
-// matcher exclusively).
+// is not safe for concurrent use: AllocateDetailed mutates center
+// lease books, its ranking cache and its scratch (each simulation run
+// owns its matcher exclusively).
 type Matcher struct {
 	centers []*datacenter.Center
 	faults  GrantFaults
@@ -206,23 +206,17 @@ func compareCandidates(a, b candidate) int {
 	return 0
 }
 
-// Allocate leases resources for the request, splitting it across
-// centers when the preferred center cannot host all of it. It returns
-// the leases obtained and the unmet demand (zero when fully served).
+// AllocateDetailed leases resources for the request, splitting it
+// across centers when the preferred center cannot host all of it. It
+// appends the leases obtained to dst and returns the extended slice
+// (so provision.Step grows its lease book in place), the unmet demand
+// (zero when fully served), and the fault-injection outcome: callers
+// implementing retry/backoff need to distinguish an injected rejection
+// (worth retrying later) from genuine capacity exhaustion.
 //
 // The split follows the matching preference order; each center serves
 // as much of the remaining demand as its free capacity allows (in
 // whole bulks), and the remainder spills to the next candidate.
-func (m *Matcher) Allocate(req Request, now time.Time) ([]*datacenter.Lease, datacenter.Vector) {
-	leases, unmet, _ := m.AllocateDetailed(nil, req, now)
-	return leases, unmet
-}
-
-// AllocateDetailed is Allocate plus the fault-injection outcome —
-// callers implementing retry/backoff need to distinguish an injected
-// rejection (worth retrying later) from genuine capacity exhaustion.
-// It appends the leases obtained to dst and returns the extended
-// slice, so provision.Step grows its lease book in place.
 func (m *Matcher) AllocateDetailed(dst []*datacenter.Lease, req Request, now time.Time) ([]*datacenter.Lease, datacenter.Vector, Outcome) {
 	var out Outcome
 	m.rejected = m.rejected[:0]
@@ -390,16 +384,6 @@ func fitToFree(c *datacenter.Center, demand datacenter.Vector) datacenter.Vector
 	}
 	if demand[datacenter.CPU] > 0 && out[datacenter.CPU] <= 0 {
 		return datacenter.Vector{}
-	}
-	return out
-}
-
-// FreeByCenter reports each center's free resources, in center order —
-// the Fig. 14 view of which hosters are left with unused capacity.
-func (m *Matcher) FreeByCenter() map[string]datacenter.Vector {
-	out := make(map[string]datacenter.Vector, len(m.centers))
-	for _, c := range m.centers {
-		out[c.Name] = c.Free()
 	}
 	return out
 }

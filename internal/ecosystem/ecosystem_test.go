@@ -27,7 +27,7 @@ func TestAllocatePrefersFinerGrain(t *testing.T) {
 	coarse := datacenter.NewCenter("coarse", geo.London, 10, mkPolicy("c", 1.0, time.Hour))
 	fine := datacenter.NewCenter("fine", geo.London, 10, mkPolicy("f", 0.25, time.Hour))
 	m := NewMatcher([]*datacenter.Center{coarse, fine})
-	leases, unmet := m.Allocate(cpuReq("z", 0.6, geo.London, math.Inf(1)), t0)
+	leases, unmet, _ := m.AllocateDetailed(nil, cpuReq("z", 0.6, geo.London, math.Inf(1)), t0)
 	if !unmet.IsZero() {
 		t.Fatalf("unmet = %v", unmet)
 	}
@@ -43,7 +43,7 @@ func TestAllocatePrefersShorterTimeBulkOnGrainTie(t *testing.T) {
 	long := datacenter.NewCenter("long", geo.London, 10, mkPolicy("l", 0.25, 24*time.Hour))
 	short := datacenter.NewCenter("short", geo.London, 10, mkPolicy("s", 0.25, time.Hour))
 	m := NewMatcher([]*datacenter.Center{long, short})
-	leases, _ := m.Allocate(cpuReq("z", 0.5, geo.London, math.Inf(1)), t0)
+	leases, _, _ := m.AllocateDetailed(nil, cpuReq("z", 0.5, geo.London, math.Inf(1)), t0)
 	if leases[0].Center != short {
 		t.Fatalf("allocated from %s, want short", leases[0].Center.Name)
 	}
@@ -53,7 +53,7 @@ func TestAllocatePrefersCloserOnFullTie(t *testing.T) {
 	far := datacenter.NewCenter("far", geo.Sydney, 10, mkPolicy("p", 0.25, time.Hour))
 	near := datacenter.NewCenter("near", geo.Amsterdam, 10, mkPolicy("p", 0.25, time.Hour))
 	m := NewMatcher([]*datacenter.Center{far, near})
-	leases, _ := m.Allocate(cpuReq("z", 0.5, geo.London, math.Inf(1)), t0)
+	leases, _, _ := m.AllocateDetailed(nil, cpuReq("z", 0.5, geo.London, math.Inf(1)), t0)
 	if leases[0].Center != near {
 		t.Fatalf("allocated from %s, want near", leases[0].Center.Name)
 	}
@@ -63,12 +63,12 @@ func TestAllocateRespectsLatencyTolerance(t *testing.T) {
 	sydney := datacenter.NewCenter("sydney", geo.Sydney, 10, mkPolicy("p", 0.25, time.Hour))
 	m := NewMatcher([]*datacenter.Center{sydney})
 	// London players with a 2,000 km budget cannot use Sydney.
-	_, unmet := m.Allocate(cpuReq("z", 0.5, geo.London, 2000), t0)
+	_, unmet, _ := m.AllocateDetailed(nil, cpuReq("z", 0.5, geo.London, 2000), t0)
 	if unmet.IsZero() {
 		t.Fatal("distant center should be inadmissible")
 	}
 	// Unbounded tolerance admits it.
-	_, unmet = m.Allocate(cpuReq("z", 0.5, geo.London, math.Inf(1)), t0)
+	_, unmet, _ = m.AllocateDetailed(nil, cpuReq("z", 0.5, geo.London, math.Inf(1)), t0)
 	if !unmet.IsZero() {
 		t.Fatal("unbounded tolerance should be served")
 	}
@@ -80,7 +80,7 @@ func TestAllocateSplitsAcrossCenters(t *testing.T) {
 	small := datacenter.NewCenter("small", geo.London, 1, mkPolicy("s", 0.25, time.Hour))
 	big := datacenter.NewCenter("big", geo.London, 10, mkPolicy("b", 0.5, time.Hour))
 	m := NewMatcher([]*datacenter.Center{small, big})
-	leases, unmet := m.Allocate(cpuReq("z", 1.5, geo.London, math.Inf(1)), t0)
+	leases, unmet, _ := m.AllocateDetailed(nil, cpuReq("z", 1.5, geo.London, math.Inf(1)), t0)
 	if !unmet.IsZero() {
 		t.Fatalf("unmet = %v", unmet)
 	}
@@ -98,7 +98,7 @@ func TestAllocateSplitsAcrossCenters(t *testing.T) {
 func TestAllocateReportsUnmet(t *testing.T) {
 	tiny := datacenter.NewCenter("tiny", geo.London, 1, mkPolicy("t", 0.5, time.Hour))
 	m := NewMatcher([]*datacenter.Center{tiny})
-	leases, unmet := m.Allocate(cpuReq("z", 3, geo.London, math.Inf(1)), t0)
+	leases, unmet, _ := m.AllocateDetailed(nil, cpuReq("z", 3, geo.London, math.Inf(1)), t0)
 	if len(leases) != 1 {
 		t.Fatalf("leases = %d", len(leases))
 	}
@@ -109,7 +109,7 @@ func TestAllocateReportsUnmet(t *testing.T) {
 
 func TestAllocateZeroDemand(t *testing.T) {
 	m := NewMatcher(nil)
-	leases, unmet := m.Allocate(cpuReq("z", 0, geo.London, math.Inf(1)), t0)
+	leases, unmet, _ := m.AllocateDetailed(nil, cpuReq("z", 0, geo.London, math.Inf(1)), t0)
 	if leases != nil || !unmet.IsZero() {
 		t.Fatal("zero demand should be a no-op")
 	}
@@ -121,7 +121,7 @@ func TestAllocateNegativeDemandClamped(t *testing.T) {
 	var d datacenter.Vector
 	d[datacenter.CPU] = -1
 	d[datacenter.Memory] = -2
-	leases, unmet := m.Allocate(Request{Tag: "z", Origin: geo.London, MaxDistanceKm: math.Inf(1), Demand: d}, t0)
+	leases, unmet, _ := m.AllocateDetailed(nil, Request{Tag: "z", Origin: geo.London, MaxDistanceKm: math.Inf(1), Demand: d}, t0)
 	if leases != nil || !unmet.IsZero() {
 		t.Fatal("negative demand should be a no-op")
 	}
@@ -132,13 +132,13 @@ func TestCPULeadsTheGrant(t *testing.T) {
 	// slices of a CPU-bearing request.
 	c := datacenter.NewCenter("c", geo.London, 1, mkPolicy("p", 1.0, time.Hour))
 	m := NewMatcher([]*datacenter.Center{c})
-	if _, unmet := m.Allocate(cpuReq("a", 1, geo.London, math.Inf(1)), t0); !unmet.IsZero() {
+	if _, unmet, _ := m.AllocateDetailed(nil, cpuReq("a", 1, geo.London, math.Inf(1)), t0); !unmet.IsZero() {
 		t.Fatal("first request should fit")
 	}
 	var d datacenter.Vector
 	d[datacenter.CPU] = 1
 	d[datacenter.ExtNetOut] = 0.5
-	_, unmet := m.Allocate(Request{Tag: "b", Origin: geo.London, MaxDistanceKm: math.Inf(1), Demand: d}, t0)
+	_, unmet, _ := m.AllocateDetailed(nil, Request{Tag: "b", Origin: geo.London, MaxDistanceKm: math.Inf(1), Demand: d}, t0)
 	if unmet[datacenter.CPU] != 1 || unmet[datacenter.ExtNetOut] != 0.5 {
 		t.Fatalf("unmet = %v, want full demand unmet", unmet)
 	}
@@ -148,26 +148,16 @@ func TestExpireAcrossCenters(t *testing.T) {
 	a := datacenter.NewCenter("a", geo.London, 2, mkPolicy("p", 0.25, time.Hour))
 	b := datacenter.NewCenter("b", geo.London, 2, mkPolicy("p", 0.25, 2*time.Hour))
 	m := NewMatcher([]*datacenter.Center{a, b})
-	m.Allocate(cpuReq("z1", 0.5, geo.London, math.Inf(1)), t0)
+	m.AllocateDetailed(nil, cpuReq("z1", 0.5, geo.London, math.Inf(1)), t0)
 	// Exhaust a's CPU so the second request lands on b.
-	m.Allocate(cpuReq("z2", 1.5, geo.London, math.Inf(1)), t0)
-	m.Allocate(cpuReq("z3", 1.0, geo.London, math.Inf(1)), t0)
+	m.AllocateDetailed(nil, cpuReq("z2", 1.5, geo.London, math.Inf(1)), t0)
+	m.AllocateDetailed(nil, cpuReq("z3", 1.0, geo.London, math.Inf(1)), t0)
 	released := m.Expire(t0.Add(time.Hour))
 	if released == 0 {
 		t.Fatal("nothing expired after the short time bulk")
 	}
 	if got := a.Allocated()[datacenter.CPU]; got != 0 {
 		t.Fatalf("center a still holds %v CPU", got)
-	}
-}
-
-func TestFreeByCenter(t *testing.T) {
-	a := datacenter.NewCenter("a", geo.London, 1, mkPolicy("p", 0.25, time.Hour))
-	m := NewMatcher([]*datacenter.Center{a})
-	m.Allocate(cpuReq("z", 0.5, geo.London, math.Inf(1)), t0)
-	free := m.FreeByCenter()
-	if got := free["a"][datacenter.CPU]; got != 0.5 {
-		t.Fatalf("free CPU = %v, want 0.5", got)
 	}
 }
 
@@ -178,7 +168,7 @@ func TestCoarsePoliciesPenalized(t *testing.T) {
 	fine := datacenter.NewCenter("fine", geo.NewYork, 10, mkPolicy("f", 0.22, time.Hour))
 	m := NewMatcher([]*datacenter.Center{coarse, fine})
 	for i := 0; i < 8; i++ {
-		_, unmet := m.Allocate(cpuReq("z", 0.4, geo.London, math.Inf(1)), t0)
+		_, unmet, _ := m.AllocateDetailed(nil, cpuReq("z", 0.4, geo.London, math.Inf(1)), t0)
 		if !unmet.IsZero() {
 			t.Fatalf("request %d unmet", i)
 		}

@@ -13,7 +13,7 @@ import (
 // Request–offer matching across hosters: the matcher filters by the
 // game's latency tolerance, then prefers the finest-grained policy
 // with the shortest reservation time.
-func ExampleMatcher_Allocate() {
+func ExampleMatcher_AllocateDetailed() {
 	hp3, _ := datacenter.PolicyByName("HP-3") // fine grain
 	hp7, _ := datacenter.PolicyByName("HP-7") // coarse grain
 	centers := []*datacenter.Center{
@@ -25,7 +25,7 @@ func ExampleMatcher_Allocate() {
 	var demand datacenter.Vector
 	demand[datacenter.CPU] = 0.4
 
-	leases, unmet := m.Allocate(ecosystem.Request{
+	leases, unmet, _ := m.AllocateDetailed(nil, ecosystem.Request{
 		Tag:           "world-3",
 		Origin:        geo.London,
 		MaxDistanceKm: math.Inf(1), // a latency-tolerant game

@@ -25,7 +25,7 @@ func TestAllocateExcludesNamedCenters(t *testing.T) {
 	m := NewMatcher([]*datacenter.Center{a, b})
 	req := cpuReq("z", 1.0, geo.London, math.Inf(1))
 	req.Exclude = []string{"a"}
-	leases, unmet := m.Allocate(req, t0)
+	leases, unmet, _ := m.AllocateDetailed(nil, req, t0)
 	if !unmet.IsZero() {
 		t.Fatalf("unmet %v with a non-excluded center free", unmet)
 	}
@@ -40,7 +40,7 @@ func TestAllocateExcludesNamedCenters(t *testing.T) {
 
 	// Excluding everything behaves like an empty ecosystem.
 	req.Exclude = []string{"a", "b"}
-	leases, unmet = m.Allocate(req, t0)
+	leases, unmet, _ = m.AllocateDetailed(nil, req, t0)
 	if len(leases) != 0 || unmet[datacenter.CPU] < 1.0 {
 		t.Fatalf("fully-excluded ecosystem still granted: %d leases, unmet %v", len(leases), unmet)
 	}

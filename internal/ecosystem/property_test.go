@@ -55,7 +55,7 @@ func TestMatcherInvariantsUnderRandomLoad(t *testing.T) {
 				demand[datacenter.Memory] = 4 * rng.Float64()
 			}
 
-			leases, unmet := m.Allocate(Request{
+			leases, unmet, _ := m.AllocateDetailed(nil, Request{
 				Tag: "prop", Origin: origin, MaxDistanceKm: maxKm, Demand: demand,
 			}, now)
 

@@ -1,5 +1,5 @@
 // Decision provenance: an optional, bounded record of *why* each
-// Allocate call granted what it granted. When a DecisionLog is
+// AllocateDetailed call granted what it granted. When a DecisionLog is
 // installed, AllocateDetailed writes one Decision per request — the
 // ordered candidate ranking with a typed per-candidate disposition —
 // into a reusable ring, so the operator, the daemon's /v1/explain
@@ -69,7 +69,7 @@ type CandidateVerdict struct {
 	CPU float64 `json:"cpu"`
 }
 
-// Decision is the provenance record of one Allocate call: every
+// Decision is the provenance record of one AllocateDetailed call: every
 // center's verdict, in walk order (ranked candidates first, then the
 // filtered ones), plus the residual demand.
 type Decision struct {
@@ -155,20 +155,6 @@ func (l *DecisionLog) Synthesize(d Decision) {
 	*slot = d
 	slot.Seq = 0
 	slot.Candidates = cands
-}
-
-// Last returns the most recently recorded decision, or nil. The
-// pointer aliases ring storage: it is valid until the ring wraps back
-// onto it, and its candidate slice is reused then.
-func (l *DecisionLog) Last() *Decision {
-	if l.next == 0 && !l.full {
-		return nil
-	}
-	i := l.next - 1
-	if i < 0 {
-		i = len(l.ring) - 1
-	}
-	return &l.ring[i]
 }
 
 // Total returns how many matcher decisions were ever recorded — the

@@ -103,7 +103,7 @@ func TestProvenanceNoCapacity(t *testing.T) {
 	tiny := datacenter.NewCenter("tiny", geo.London, 1, mkPolicy("p", 0.25, time.Hour))
 	m := NewMatcher([]*datacenter.Center{tiny})
 	m.SetDecisionLog(NewDecisionLog(4))
-	m.Allocate(cpuReq("z", 1.0, geo.London, math.Inf(1)), t0)
+	m.AllocateDetailed(nil, cpuReq("z", 1.0, geo.London, math.Inf(1)), t0)
 	_, unmet, out := m.AllocateDetailed(nil, cpuReq("z", 1.0, geo.London, math.Inf(1)), t0)
 	if unmet.IsZero() {
 		t.Fatal("exhausted center still granted")
@@ -165,7 +165,7 @@ func TestDecisionLogRingWrap(t *testing.T) {
 	log := NewDecisionLog(2)
 	m.SetDecisionLog(log)
 	for i := 0; i < 5; i++ {
-		m.Allocate(cpuReq("z", 0.25, geo.London, math.Inf(1)), t0)
+		m.AllocateDetailed(nil, cpuReq("z", 0.25, geo.London, math.Inf(1)), t0)
 	}
 	if log.Total() != 5 {
 		t.Fatalf("Total = %d, want 5", log.Total())
@@ -176,9 +176,6 @@ func TestDecisionLogRingWrap(t *testing.T) {
 	}
 	if snap[0].Seq != 4 || snap[1].Seq != 5 {
 		t.Fatalf("snapshot seqs = %d,%d, want oldest-first 4,5", snap[0].Seq, snap[1].Seq)
-	}
-	if last := log.Last(); last == nil || last.Seq != 5 {
-		t.Fatalf("Last = %+v, want seq 5", last)
 	}
 	// Snapshot must be a deep copy: mutating it cannot touch the ring.
 	snap[0].Candidates[0].Center = "tampered"
@@ -191,10 +188,10 @@ func TestDecisionLogRingWrap(t *testing.T) {
 	verdicts := []CandidateVerdict{{Center: "dc", Disposition: DispCircuitOpen}}
 	log.Synthesize(Decision{Seq: 99, Tick: 7, Tag: "z", Candidates: verdicts})
 	verdicts[0].Center = "tampered"
-	if last := log.Last(); last == nil || last.Seq != 0 || last.Tick != 7 || last.Candidates[0].Center != "dc" {
-		t.Fatalf("Last after Synthesize = %+v, want an owned seq-0 record at tick 7", last)
+	if last := log.Snapshot()[1]; last.Seq != 0 || last.Tick != 7 || last.Candidates[0].Center != "dc" {
+		t.Fatalf("newest record after Synthesize = %+v, want an owned seq-0 record at tick 7", last)
 	}
-	m.Allocate(cpuReq("z", 0.25, geo.London, math.Inf(1)), t0)
+	m.AllocateDetailed(nil, cpuReq("z", 0.25, geo.London, math.Inf(1)), t0)
 	if snap := log.Snapshot(); log.Total() != 6 || snap[0].Seq != 0 || snap[1].Seq != 6 {
 		t.Fatalf("after Synthesize and one call: Total %d, snapshot seqs %d,%d; want 6 and 0,6",
 			log.Total(), snap[0].Seq, snap[1].Seq)
@@ -217,8 +214,8 @@ func TestCompareCandidatesInsertionOrderIndependence(t *testing.T) {
 	}
 	req := cpuReq("z", 0.5, geo.London, math.Inf(1))
 
-	fwd, _ := build("alpha", "beta").Allocate(req, t0)
-	rev, _ := build("beta", "alpha").Allocate(req, t0)
+	fwd, _, _ := build("alpha", "beta").AllocateDetailed(nil, req, t0)
+	rev, _, _ := build("beta", "alpha").AllocateDetailed(nil, req, t0)
 	if fwd[0].Center.Name != "alpha" || rev[0].Center.Name != "alpha" {
 		t.Fatalf("winner depends on insertion order: fwd=%s rev=%s",
 			fwd[0].Center.Name, rev[0].Center.Name)

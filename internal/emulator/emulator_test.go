@@ -116,7 +116,12 @@ func TestNoPeakHoursIsFlatter(t *testing.T) {
 		cfg := Config{Name: "f", Seed: 23, GridW: 8, GridH: 8, Entities: 600,
 			ProfileMix: [4]float64{25, 25, 25, 25}, PeakHours: peak, Steps: 720}
 		ds := Run(cfg)
-		return stats.StdDev(ds.Total.Values) / stats.Mean(ds.Total.Values)
+		m := stats.Mean(ds.Total.Values)
+		var ss float64
+		for _, v := range ds.Total.Values {
+			ss += (v - m) * (v - m)
+		}
+		return math.Sqrt(ss/float64(len(ds.Total.Values))) / m
 	}
 	if flat, wavy := mk(false), mk(true); wavy < 2*flat {
 		t.Errorf("peak-hours CV %v should dwarf flat CV %v", wavy, flat)

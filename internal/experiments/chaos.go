@@ -171,7 +171,7 @@ func tightFleet(game *mmog.Game, ds *trace.Dataset) []*datacenter.Center {
 	for t := 0; t < ds.Samples(); t++ {
 		var d float64
 		for _, g := range ds.Groups {
-			d += game.DemandForEntities(g.Load.Values[t]).CPU
+			d += game.DemandForEntities(g.Load.Values[t])[datacenter.CPU]
 		}
 		if d > peakCPU {
 			peakCPU = d

@@ -45,7 +45,7 @@ func Ext04Reservations(o Options) (string, error) {
 		demandAt := func(ds *trace.Dataset, t int) float64 {
 			var sum float64
 			for _, g := range ds.Groups {
-				sum += game.DemandForEntities(g.Load.At(t)).CPU
+				sum += game.DemandForEntities(g.Load.At(t))[datacenter.CPU]
 			}
 			return sum
 		}

@@ -58,12 +58,6 @@ type Config struct {
 	// is missing at one tick (the operator must carry the last
 	// observation forward).
 	DropoutProb float64
-	// OperatorCrashMTBFTicks is the mean number of ticks between
-	// operator process crashes (exponentially distributed); 0 disables
-	// them. Crashes do not touch the ecosystem — the centers keep the
-	// crashed operator's leases — they mark the ticks at which a
-	// crash-recovery harness kills and restores the operator.
-	OperatorCrashMTBFTicks float64
 
 	// Regions maps center name → failure-domain name for the correlated
 	// outage model below. Centers absent from the map never join a
@@ -107,8 +101,7 @@ type RegionBlackout struct {
 // Enabled reports whether the configuration injects anything at all.
 func (c Config) Enabled() bool {
 	return c.MTBFTicks > 0 || c.RejectProb > 0 || c.PartialGrantProb > 0 ||
-		c.DropoutProb > 0 || c.OperatorCrashMTBFTicks > 0 ||
-		c.RegionMTBFTicks > 0 || len(c.ScheduledBlackouts) > 0
+		c.DropoutProb > 0 || c.RegionMTBFTicks > 0 || len(c.ScheduledBlackouts) > 0
 }
 
 // CorrelatedEnabled reports whether the configuration injects
@@ -138,7 +131,6 @@ func (c Config) Validate() error {
 	}{
 		{"MTBFTicks", c.MTBFTicks},
 		{"MTTRTicks", c.MTTRTicks},
-		{"OperatorCrashMTBFTicks", c.OperatorCrashMTBFTicks},
 		{"RegionMTBFTicks", c.RegionMTBFTicks},
 		{"RegionMTTRTicks", c.RegionMTTRTicks},
 		{"AftershockMeanTicks", c.AftershockMeanTicks},
@@ -249,7 +241,6 @@ type Plan struct {
 	blackouts  []Blackout
 	blackStart map[int][]Blackout
 	blackEnd   map[int][]Blackout
-	crashes    []int
 	grants     *xrand.Rand
 	dropSeed   uint64
 }
@@ -301,19 +292,6 @@ func NewPlan(cfg Config, centers []string, ticks int) *Plan {
 			}
 		}
 	}
-	if cfg.OperatorCrashMTBFTicks > 0 {
-		// The crash schedule consumes its own split stream, so turning
-		// crashes on or off never perturbs the outage or grant streams.
-		r := root.Split(0xc4a54)
-		t := 0
-		for {
-			t += 1 + expTicks(r, cfg.OperatorCrashMTBFTicks, ticks)
-			if t >= ticks-1 {
-				break
-			}
-			p.crashes = append(p.crashes, t)
-		}
-	}
 	if cfg.CorrelatedEnabled() {
 		p.generateRegionFaults(root, centers, ticks)
 	}
@@ -350,7 +328,7 @@ func NewPlan(cfg Config, centers []string, ticks int) *Plan {
 // deterministic corpus blackouts plus the stochastic per-region
 // process — on top of the independent per-center draws. Every stream
 // here is a fresh Split child of root, so enabling region faults never
-// perturbs the per-center, crash, grant, or dropout draws (and
+// perturbs the per-center, grant, or dropout draws (and
 // vice versa: goldens without region faults stay bit-identical).
 func (p *Plan) generateRegionFaults(root *xrand.Rand, centers []string, ticks int) {
 	cfg := p.cfg
@@ -483,15 +461,6 @@ func (p *Plan) BlackoutRecoveriesAt(t int) []Blackout {
 	return p.blackEnd[t]
 }
 
-// OperatorCrashes returns the ticks at which the operator process
-// crashes, in ascending order.
-func (p *Plan) OperatorCrashes() []int {
-	if p == nil {
-		return nil
-	}
-	return p.crashes
-}
-
 // SnapshotGrants captures the state of the sequential grant-fault
 // stream so a checkpointed run can resume it mid-sequence; the other
 // fault sources (outage schedule, dropout hash) are pure functions of
@@ -530,11 +499,20 @@ func (p *Plan) GrantFault(center string) (reject bool, frac float64) {
 	if p == nil || (p.cfg.RejectProb <= 0 && p.cfg.PartialGrantProb <= 0) {
 		return false, 1
 	}
-	if p.grants.Bool(p.cfg.RejectProb) {
+	return DrawGrantFault(p.grants, p.cfg.RejectProb, p.cfg.PartialGrantProb)
+}
+
+// DrawGrantFault draws one grant attempt's fate from r: rejected with
+// probability rejectProb, else trimmed to a uniform 25–75% with
+// probability partialProb, else untouched (frac 1). Plan.GrantFault
+// and the daemon's hot-reloadable injector share it, so both consume
+// their streams in the same order.
+func DrawGrantFault(r *xrand.Rand, rejectProb, partialProb float64) (reject bool, frac float64) {
+	if r.Bool(rejectProb) {
 		return true, 0
 	}
-	if p.grants.Bool(p.cfg.PartialGrantProb) {
-		return false, 0.25 + 0.5*p.grants.Float64()
+	if r.Bool(partialProb) {
+		return false, 0.25 + 0.5*r.Float64()
 	}
 	return false, 1
 }

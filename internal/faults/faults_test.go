@@ -337,11 +337,10 @@ func TestScheduledBlackoutDeterministic(t *testing.T) {
 
 func TestRegionFaultsDoNotPerturbIndependentDraws(t *testing.T) {
 	// The bit-identity contract: enabling the correlated layer must not
-	// change a single draw of the per-center outage, crash, grant, or
-	// dropout streams.
+	// change a single draw of the per-center outage, grant, or dropout
+	// streams.
 	centers := []string{"a", "b", "c"}
 	base := chaosConfig(7)
-	base.OperatorCrashMTBFTicks = 200
 	withRegions := base
 	withRegions.Regions = map[string]string{"a": "eu", "b": "eu", "c": "na"}
 	withRegions.RegionMTBFTicks = 300
@@ -368,16 +367,6 @@ func TestRegionFaultsDoNotPerturbIndependentDraws(t *testing.T) {
 	for i := range ind0 {
 		if ind0[i] != ind1[i] {
 			t.Fatalf("independent outage %d diverged: %+v vs %+v", i, ind0[i], ind1[i])
-		}
-	}
-	// Crash schedule identical.
-	c0, c1 := p0.OperatorCrashes(), p1.OperatorCrashes()
-	if len(c0) != len(c1) {
-		t.Fatalf("crash schedules diverged: %v vs %v", c0, c1)
-	}
-	for i := range c0 {
-		if c0[i] != c1[i] {
-			t.Fatalf("crash schedules diverged at %d: %v vs %v", i, c0, c1)
 		}
 	}
 	// Grant stream identical.
@@ -436,16 +425,14 @@ func TestHostileConfigsStayInsideRun(t *testing.T) {
 		name    string
 		cfg     Config
 		wantErr bool
-		// outages, blackouts and crashes the plan must hold.
-		outages, blackouts, crashes int
+		// outages and blackouts the plan must hold.
+		outages, blackouts int
 	}{
 		{name: "NaN reject probability", cfg: Config{RejectProb: math.NaN()}, wantErr: true},
 		{name: "NaN MTBF", cfg: Config{MTBFTicks: math.NaN()}, wantErr: true},
 		{name: "-Inf region MTTR", cfg: Config{RegionMTTRTicks: math.Inf(-1)}, wantErr: true},
-		{name: "+Inf crash MTBF", cfg: Config{OperatorCrashMTBFTicks: math.Inf(1)}, wantErr: true},
 		{name: "NaN aftershock mean", cfg: Config{AftershockMeanTicks: math.NaN()}, wantErr: true},
 		{name: "MTBF 1e300 never fails", cfg: Config{MTBFTicks: 1e300, MTTRTicks: 5}},
-		{name: "crash MTBF 1e300 never crashes", cfg: Config{OperatorCrashMTBFTicks: 1e300}},
 		{name: "region MTBF 1e300 never blacks out", cfg: Config{Regions: regions, RegionMTBFTicks: 1e300, RegionMTTRTicks: 5}},
 		{name: "aftershock mean 1e300 lasts to the end", cfg: Config{
 			Regions: regions, AftershockProb: 1, AftershockMeanTicks: 1e300,
@@ -478,9 +465,6 @@ func TestHostileConfigsStayInsideRun(t *testing.T) {
 			if got := len(p.Blackouts()); got != tc.blackouts {
 				t.Errorf("%d blackouts, want %d: %+v", got, tc.blackouts, p.Blackouts())
 			}
-			if got := len(p.OperatorCrashes()); got != tc.crashes {
-				t.Errorf("%d crashes, want %d", got, tc.crashes)
-			}
 			for _, b := range p.Blackouts() {
 				if b.End != ticks-1 && b.Region == "eu" {
 					t.Errorf("blackout %+v ends before the run does", b)
@@ -491,8 +475,7 @@ func TestHostileConfigsStayInsideRun(t *testing.T) {
 }
 
 // checkPlan reports the first window of p outside a run of ticks: every
-// outage and blackout must satisfy 0 <= Start < End <= ticks-1, and the
-// crash ticks must strictly increase within [1, ticks-2].
+// outage and blackout must satisfy 0 <= Start < End <= ticks-1.
 func checkPlan(p *Plan, ticks int) error {
 	for _, o := range p.Outages() {
 		if o.Start < 0 || o.Start >= o.End || o.End > ticks-1 {
@@ -503,13 +486,6 @@ func checkPlan(p *Plan, ticks int) error {
 		if b.Start < 0 || b.Start >= b.End || b.End > ticks-1 {
 			return fmt.Errorf("blackout %+v outside a %d-tick run", b, ticks)
 		}
-	}
-	prev := 0
-	for _, c := range p.OperatorCrashes() {
-		if c <= prev || c > ticks-2 {
-			return fmt.Errorf("crash ticks %v not strictly increasing within [1, %d]", p.OperatorCrashes(), ticks-2)
-		}
-		prev = c
 	}
 	return nil
 }

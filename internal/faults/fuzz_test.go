@@ -7,20 +7,19 @@ import "testing"
 // over three centers in two regions — and requires either an error or
 // a plan whose every window lies inside the run (see checkPlan). The
 // seed corpus in testdata/fuzz holds the inputs that used to escape:
-// a NaN probability, a 1e300 MTBF, an infinite crash MTBF and a
-// blackout whose end overflowed.
+// a NaN probability, a 1e300 MTBF and a blackout whose end
+// overflowed; crash-mtbf-inf holds the all-zero configuration.
 func FuzzFaultPlan(f *testing.F) {
-	f.Add("eu:480:40", 40.0, 15.0, 0.5, 0.1, 0.1, 0.05, 300.0, 150.0, 25.0, 0.5, 5.0, 1440)
+	f.Add("eu:480:40", 40.0, 15.0, 0.5, 0.1, 0.1, 0.05, 150.0, 25.0, 0.5, 5.0, 1440)
 	f.Fuzz(func(t *testing.T, spec string, mtbf, mttr, degraded, reject, partial, dropout,
-		crash, regionMTBF, regionMTTR, aftershock, aftershockMean float64, ticks int) {
+		regionMTBF, regionMTTR, aftershock, aftershockMean float64, ticks int) {
 		ticks = (ticks%5001 + 5001) % 5001
 		cfg := Config{
 			Seed:      7,
 			MTBFTicks: mtbf, MTTRTicks: mttr, DegradedShare: degraded,
 			RejectProb: reject, PartialGrantProb: partial, DropoutProb: dropout,
-			OperatorCrashMTBFTicks: crash,
-			Regions:                map[string]string{"a": "eu", "b": "eu", "c": "na"},
-			RegionMTBFTicks:        regionMTBF, RegionMTTRTicks: regionMTTR,
+			Regions:         map[string]string{"a": "eu", "b": "eu", "c": "na"},
+			RegionMTBFTicks: regionMTBF, RegionMTTRTicks: regionMTTR,
 			AftershockProb: aftershock, AftershockMeanTicks: aftershockMean,
 		}
 		if spec != "" {

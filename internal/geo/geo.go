@@ -81,12 +81,6 @@ func (c LatencyClass) MaxDistanceKm() float64 {
 	}
 }
 
-// Admits reports whether a server at distance dKm may serve players
-// under this latency class.
-func (c LatencyClass) Admits(dKm float64) bool {
-	return dKm <= c.MaxDistanceKm()
-}
-
 // String implements fmt.Stringer with the paper's labels.
 func (c LatencyClass) String() string {
 	switch c {
@@ -102,24 +96,6 @@ func (c LatencyClass) String() string {
 		return "Very far (d>4000km)"
 	default:
 		return fmt.Sprintf("LatencyClass(%d)", int(c))
-	}
-}
-
-// ClassOf returns the tightest latency class that admits dKm. The
-// boundaries are inclusive, matching Admits: a server at exactly
-// 1000 km is still VeryClose.
-func ClassOf(dKm float64) LatencyClass {
-	switch {
-	case dKm <= sameLocationSlackKm:
-		return SameLocation
-	case dKm <= 1000:
-		return VeryClose
-	case dKm <= 2000:
-		return Close
-	case dKm <= 4000:
-		return Far
-	default:
-		return VeryFar
 	}
 }
 

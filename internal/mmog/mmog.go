@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"math"
 
-	"mmogdc/internal/geo"
+	"mmogdc/internal/datacenter"
 )
 
 // FullServerClients is the player capacity of one fully loaded game
@@ -121,35 +121,8 @@ func (m UpdateModel) CPUUnits(n float64) float64 {
 	return m.rawCost(n) / full
 }
 
-// EntitiesForCPU inverts CPUUnits: the entity count a zone can hold
-// within the given CPU budget (in units). Used by sizing helpers and
-// by tests as a round-trip invariant.
-func (m UpdateModel) EntitiesForCPU(units float64) float64 {
-	if units <= 0 {
-		return 0
-	}
-	// Bisection on the monotone CPUUnits; the curve spans [0, ~maxN].
-	lo, hi := 0.0, float64(FullServerClients)*8
-	for m.CPUUnits(hi) < units {
-		hi *= 2
-		if hi > 1e12 {
-			break
-		}
-	}
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if m.CPUUnits(mid) < units {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// Genre describes an MMOG design archetype; it fixes the interaction
-// model and the latency tolerance (Section II-A: puzzle games are very
-// tolerant, FPS games are not).
+// Genre describes an MMOG design archetype (Section II-A); it fixes
+// the interaction model.
 type Genre int
 
 const (
@@ -203,31 +176,11 @@ func (g Genre) DefaultUpdateModel() UpdateModel {
 	}
 }
 
-// LatencyToleranceMs returns the playability latency budget for the
-// genre, following the values measured by Claypool et al. (papers
-// [17], [18] in the reproduction target).
-func (g Genre) LatencyToleranceMs() float64 {
-	switch g {
-	case GenrePuzzle:
-		return 1000
-	case GenreRPG:
-		return 500
-	case GenreMMORPG:
-		return 250
-	case GenreRTS:
-		return 200
-	case GenreFPS:
-		return 100
-	default:
-		return 250
-	}
-}
-
 // Game describes one MMOG title handled by a game operator.
 type Game struct {
 	// Name identifies the game in reports.
 	Name string
-	// Genre fixes defaults for Update and Latency when unset.
+	// Genre fixes the default Update model.
 	Genre Genre
 	// Update is the interaction model used to convert entity counts
 	// into CPU demand.
@@ -240,8 +193,7 @@ type Game struct {
 }
 
 // NewGame returns a game with genre-derived defaults. The latency
-// bound starts unconstrained; use ApplyGenreLatency to derive it from
-// the genre's playability budget.
+// bound starts unconstrained.
 func NewGame(name string, genre Genre) *Game {
 	return &Game{
 		Name:      name,
@@ -250,14 +202,6 @@ func NewGame(name string, genre Genre) *Game {
 		LatencyKm: math.Inf(1),
 		Profile:   DefaultProfile,
 	}
-}
-
-// ApplyGenreLatency sets the game's maximal service distance from its
-// genre's latency tolerance under the ideal distance-driven network
-// model of Section V-E, and returns the game for chaining.
-func (g *Game) ApplyGenreLatency() *Game {
-	g.LatencyKm = geo.MaxDistanceKmForRTT(g.Genre.LatencyToleranceMs())
-	return g
 }
 
 // ResourceProfile expresses how much of each non-CPU resource one CPU
@@ -277,73 +221,21 @@ var DefaultProfile = ResourceProfile{
 	ExtNetOutPerCPU: 1.0,
 }
 
-// Demand is a resource demand (or usage) vector in abstract units.
-type Demand struct {
-	CPU       float64
-	Memory    float64
-	ExtNetIn  float64
-	ExtNetOut float64
-}
-
-// Add returns d + other.
-func (d Demand) Add(other Demand) Demand {
-	return Demand{
-		CPU:       d.CPU + other.CPU,
-		Memory:    d.Memory + other.Memory,
-		ExtNetIn:  d.ExtNetIn + other.ExtNetIn,
-		ExtNetOut: d.ExtNetOut + other.ExtNetOut,
-	}
-}
-
-// Scale returns d scaled by f.
-func (d Demand) Scale(f float64) Demand {
-	return Demand{
-		CPU:       d.CPU * f,
-		Memory:    d.Memory * f,
-		ExtNetIn:  d.ExtNetIn * f,
-		ExtNetOut: d.ExtNetOut * f,
-	}
-}
-
-// Max returns the element-wise maximum of d and other.
-func (d Demand) Max(other Demand) Demand {
-	m := d
-	if other.CPU > m.CPU {
-		m.CPU = other.CPU
-	}
-	if other.Memory > m.Memory {
-		m.Memory = other.Memory
-	}
-	if other.ExtNetIn > m.ExtNetIn {
-		m.ExtNetIn = other.ExtNetIn
-	}
-	if other.ExtNetOut > m.ExtNetOut {
-		m.ExtNetOut = other.ExtNetOut
-	}
-	return m
-}
-
-// IsZero reports whether all components are zero.
-func (d Demand) IsZero() bool {
-	return d.CPU == 0 && d.Memory == 0 && d.ExtNetIn == 0 && d.ExtNetOut == 0
-}
-
 // DemandForEntities converts a zone entity count into the full
 // resource demand vector for this game. CPU follows the update model;
 // memory scales with entity state; network scales with the entity
 // count (each connected client receives its update stream regardless
 // of how expensive the zone simulation is).
-func (g *Game) DemandForEntities(n float64) Demand {
+func (g *Game) DemandForEntities(n float64) datacenter.Vector {
 	if n <= 0 {
-		return Demand{}
+		return datacenter.Vector{}
 	}
-	cpu := g.Update.CPUUnits(n)
 	linear := n / FullServerClients
-	return Demand{
-		CPU:       cpu,
-		Memory:    linear * g.Profile.MemoryPerCPU,
-		ExtNetIn:  linear * g.Profile.ExtNetInPerCPU,
-		ExtNetOut: linear * g.Profile.ExtNetOutPerCPU,
+	return datacenter.Vector{
+		datacenter.CPU:       g.Update.CPUUnits(n),
+		datacenter.Memory:    linear * g.Profile.MemoryPerCPU,
+		datacenter.ExtNetIn:  linear * g.Profile.ExtNetInPerCPU,
+		datacenter.ExtNetOut: linear * g.Profile.ExtNetOutPerCPU,
 	}
 }
 
@@ -351,8 +243,8 @@ func (g *Game) DemandForEntities(n float64) Demand {
 // This is where interaction hot-spots become visible: 2000 entities in
 // one zone cost far more than 2000 entities spread over four zones
 // under a super-linear update model.
-func (g *Game) DemandForZones(zoneEntities []float64) Demand {
-	var total Demand
+func (g *Game) DemandForZones(zoneEntities []float64) datacenter.Vector {
+	var total datacenter.Vector
 	for _, n := range zoneEntities {
 		total = total.Add(g.DemandForEntities(n))
 	}

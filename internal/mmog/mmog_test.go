@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mmogdc/internal/datacenter"
 	"mmogdc/internal/xrand"
 )
 
@@ -138,40 +139,6 @@ func TestSuperLinearOrderingAboveCapacity(t *testing.T) {
 	}
 }
 
-func TestEntitiesForCPURoundTrip(t *testing.T) {
-	for _, m := range AllUpdateModels {
-		for _, n := range []float64{10, 250, 1000, 2000, 3500, 6000} {
-			units := m.CPUUnits(n)
-			back := m.EntitiesForCPU(units)
-			if math.Abs(back-n) > n*1e-6+1e-6 {
-				t.Errorf("%v: round trip %v -> %v -> %v", m, n, units, back)
-			}
-		}
-		if m.EntitiesForCPU(0) != 0 || m.EntitiesForCPU(-1) != 0 {
-			t.Errorf("%v: non-positive units should map to 0 entities", m)
-		}
-	}
-}
-
-func TestEntitiesForCPUMonotoneProperty(t *testing.T) {
-	err := quick.Check(func(a, b float64) bool {
-		u1 := math.Abs(math.Mod(a, 10))
-		u2 := math.Abs(math.Mod(b, 10))
-		if u1 > u2 {
-			u1, u2 = u2, u1
-		}
-		for _, m := range AllUpdateModels {
-			if m.EntitiesForCPU(u1) > m.EntitiesForCPU(u2)+1e-6 {
-				return false
-			}
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGenreDefaults(t *testing.T) {
 	cases := []struct {
 		g      Genre
@@ -186,16 +153,6 @@ func TestGenreDefaults(t *testing.T) {
 	for _, c := range cases {
 		if got := c.g.DefaultUpdateModel(); got != c.update {
 			t.Errorf("%v default update = %v, want %v", c.g, got, c.update)
-		}
-	}
-}
-
-func TestLatencyToleranceOrdering(t *testing.T) {
-	// Faster-paced genres must have tighter latency budgets.
-	order := []Genre{GenrePuzzle, GenreRPG, GenreMMORPG, GenreRTS, GenreFPS}
-	for i := 0; i+1 < len(order); i++ {
-		if order[i].LatencyToleranceMs() <= order[i+1].LatencyToleranceMs() {
-			t.Errorf("%v tolerance should exceed %v's", order[i], order[i+1])
 		}
 	}
 }
@@ -221,29 +178,11 @@ func TestNewGameDefaults(t *testing.T) {
 	}
 }
 
-func TestDemandVectorOps(t *testing.T) {
-	a := Demand{CPU: 1, Memory: 2, ExtNetIn: 3, ExtNetOut: 4}
-	b := Demand{CPU: 10, Memory: 1, ExtNetIn: 30, ExtNetOut: 1}
-	sum := a.Add(b)
-	if sum != (Demand{11, 3, 33, 5}) {
-		t.Fatalf("Add = %+v", sum)
-	}
-	if a.Scale(2) != (Demand{2, 4, 6, 8}) {
-		t.Fatalf("Scale = %+v", a.Scale(2))
-	}
-	if a.Max(b) != (Demand{10, 2, 30, 4}) {
-		t.Fatalf("Max = %+v", a.Max(b))
-	}
-	if !(Demand{}).IsZero() || a.IsZero() {
-		t.Fatal("IsZero wrong")
-	}
-}
-
 func TestDemandForEntitiesFullServer(t *testing.T) {
 	g := NewGame("rs", GenreMMORPG)
 	d := g.DemandForEntities(FullServerClients)
 	for name, v := range map[string]float64{
-		"cpu": d.CPU, "mem": d.Memory, "in": d.ExtNetIn, "out": d.ExtNetOut,
+		"cpu": d[datacenter.CPU], "mem": d[datacenter.Memory], "in": d[datacenter.ExtNetIn], "out": d[datacenter.ExtNetOut],
 	} {
 		if math.Abs(v-1) > 1e-9 {
 			t.Errorf("full-server %s demand = %v, want 1", name, v)
@@ -259,8 +198,8 @@ func TestNetworkScalesLinearlyRegardlessOfModel(t *testing.T) {
 	for _, genre := range []Genre{GenrePuzzle, GenreFPS} {
 		g := NewGame("x", genre)
 		d := g.DemandForEntities(FullServerClients / 2)
-		if math.Abs(d.ExtNetOut-0.5) > 1e-9 {
-			t.Errorf("%v: half-load ExtNetOut = %v, want 0.5", genre, d.ExtNetOut)
+		if math.Abs(d[datacenter.ExtNetOut]-0.5) > 1e-9 {
+			t.Errorf("%v: half-load ExtNetOut = %v, want 0.5", genre, d[datacenter.ExtNetOut])
 		}
 	}
 }
@@ -272,11 +211,11 @@ func TestHotSpotCostsMoreThanSpreadLoad(t *testing.T) {
 		g := &Game{Name: "hs", Update: m, Profile: DefaultProfile}
 		hot := g.DemandForZones([]float64{2000, 0, 0, 0})
 		spread := g.DemandForZones([]float64{500, 500, 500, 500})
-		if hot.CPU <= spread.CPU {
-			t.Errorf("%v: hot-spot CPU %v should exceed spread CPU %v", m, hot.CPU, spread.CPU)
+		if hot[datacenter.CPU] <= spread[datacenter.CPU] {
+			t.Errorf("%v: hot-spot CPU %v should exceed spread CPU %v", m, hot[datacenter.CPU], spread[datacenter.CPU])
 		}
 		// Network is population-driven, so it must match.
-		if math.Abs(hot.ExtNetOut-spread.ExtNetOut) > 1e-9 {
+		if math.Abs(hot[datacenter.ExtNetOut]-spread[datacenter.ExtNetOut]) > 1e-9 {
 			t.Errorf("%v: network demand should not depend on spread", m)
 		}
 	}
@@ -286,20 +225,20 @@ func TestLinearModelIndifferentToSpread(t *testing.T) {
 	g := &Game{Name: "lin", Update: UpdateLinear, Profile: DefaultProfile}
 	hot := g.DemandForZones([]float64{2000})
 	spread := g.DemandForZones([]float64{1000, 1000})
-	if math.Abs(hot.CPU-spread.CPU) > 1e-9 {
-		t.Errorf("O(n) should be spread-invariant: %v vs %v", hot.CPU, spread.CPU)
+	if math.Abs(hot[datacenter.CPU]-spread[datacenter.CPU]) > 1e-9 {
+		t.Errorf("O(n) should be spread-invariant: %v vs %v", hot[datacenter.CPU], spread[datacenter.CPU])
 	}
 }
 
 func TestDemandForZonesAdditive(t *testing.T) {
 	g := NewGame("add", GenreMMORPG)
 	zones := []float64{100, 900, 1500}
-	var want Demand
+	var want datacenter.Vector
 	for _, n := range zones {
 		want = want.Add(g.DemandForEntities(n))
 	}
 	got := g.DemandForZones(zones)
-	if math.Abs(got.CPU-want.CPU) > 1e-12 {
+	if math.Abs(got[datacenter.CPU]-want[datacenter.CPU]) > 1e-12 {
 		t.Fatalf("DemandForZones = %+v, want %+v", got, want)
 	}
 }
@@ -315,25 +254,9 @@ func TestDemandNonNegativeProperty(t *testing.T) {
 			zones = append(zones, math.Mod(n, 1e5))
 		}
 		d := g.DemandForZones(zones)
-		return d.CPU >= 0 && d.Memory >= 0 && d.ExtNetIn >= 0 && d.ExtNetOut >= 0
+		return d[datacenter.CPU] >= 0 && d[datacenter.Memory] >= 0 && d[datacenter.ExtNetIn] >= 0 && d[datacenter.ExtNetOut] >= 0
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestApplyGenreLatency(t *testing.T) {
-	fps := NewGame("fps", GenreFPS).ApplyGenreLatency()
-	puzzle := NewGame("puzzle", GenrePuzzle).ApplyGenreLatency()
-	if math.IsInf(fps.LatencyKm, 1) {
-		t.Fatal("FPS latency bound should be finite")
-	}
-	if fps.LatencyKm >= puzzle.LatencyKm {
-		t.Fatalf("FPS bound %v should be tighter than puzzle's %v", fps.LatencyKm, puzzle.LatencyKm)
-	}
-	// The chain returns the same game.
-	g := NewGame("x", GenreRTS)
-	if g.ApplyGenreLatency() != g {
-		t.Fatal("ApplyGenreLatency should return the receiver")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // TestBackpropMatchesNumericalGradient verifies the backpropagation
 // implementation against central-difference numerical gradients: for
 // random networks and samples, perturb each weight and bias by ±h and
-// compare d(loss)/d(w) with what one Train step applies (recovered
+// compare d(loss)/d(w) with what one TrainClipped step applies (recovered
 // from the weight delta at momentum 0, divided by the learning rate).
 func TestBackpropMatchesNumericalGradient(t *testing.T) {
 	r := xrand.New(123)
@@ -69,11 +69,11 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 			}
 		}
 
-		// Analytical gradient: one Train step at momentum 0 moves each
+		// Analytical gradient: one TrainClipped step at momentum 0 moves each
 		// weight by -lr * dLoss'/dw where the implementation's error
 		// signal is (out - target), i.e. half of d(Σ(out-t)²)/d(out).
 		before := m.Clone()
-		m.Train(in, target, lr, 0)
+		m.TrainClipped(in, target, lr, 0, 0)
 		for l := range m.weights {
 			for j := range m.weights[l] {
 				for i := range m.weights[l][j] {
@@ -109,7 +109,7 @@ func TestTrainClippedBoundsGradient(t *testing.T) {
 
 	free := mkNet()
 	clipped := mkNet()
-	free.Train(in, outlier, 0.001, 0)
+	free.TrainClipped(in, outlier, 0.001, 0, 0)
 	clipped.TrainClipped(in, outlier, 0.001, 0, 0.5)
 
 	// Compare how far each network moved its first-layer weights.

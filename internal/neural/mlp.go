@@ -75,14 +75,8 @@ func NewMLP(r *xrand.Rand, sizes ...int) (*MLP, error) {
 	return m, nil
 }
 
-// InputSize returns the expected input vector length.
-func (m *MLP) InputSize() int { return m.sizes[0] }
-
-// OutputSize returns the output vector length.
-func (m *MLP) OutputSize() int { return m.sizes[len(m.sizes)-1] }
-
 // Forward runs inference. The returned slice aliases internal scratch
-// storage and is valid until the next Forward or Train call.
+// storage and is valid until the next Forward or TrainClipped call.
 func (m *MLP) Forward(in []float64) []float64 {
 	if len(in) != m.sizes[0] {
 		panic(fmt.Sprintf("neural: input size %d, want %d", len(in), m.sizes[0]))
@@ -111,19 +105,14 @@ func (m *MLP) Forward(in []float64) []float64 {
 	return m.acts[last]
 }
 
-// Train runs one backpropagation step on a single (input, target)
-// example and returns the pre-update squared error.
-func (m *MLP) Train(in, target []float64, lr, momentum float64) float64 {
-	return m.TrainClipped(in, target, lr, momentum, 0)
-}
-
-// TrainClipped is Train with Huber-style error clipping: the error
-// driving the weight update is clamped to ±clip (clip <= 0 disables
-// clipping). Clipping bounds the influence of heavy-tailed outliers,
-// moving the regression from the conditional mean toward the
-// conditional median — which is what the prediction-error metric
-// (mean absolute error) rewards. The returned loss is the unclipped
-// squared error.
+// TrainClipped runs one backpropagation step on a single (input,
+// target) example and returns the pre-update squared error. With
+// clip > 0 the error driving the weight update is clamped to ±clip
+// (Huber-style; clip <= 0 disables clipping). Clipping bounds the
+// influence of heavy-tailed outliers, moving the regression from the
+// conditional mean toward the conditional median — which is what the
+// prediction-error metric (mean absolute error) rewards. The returned
+// loss is the unclipped squared error.
 //
 // When the last Forward ran on bit-identical input under the current
 // weights (the online predictor trains on the window it predicted from

@@ -20,8 +20,8 @@ func TestNewMLPValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.InputSize() != 6 || m.OutputSize() != 1 {
-		t.Fatalf("sizes = (%d, %d)", m.InputSize(), m.OutputSize())
+	if out := m.Forward(make([]float64, 6)); len(out) != 1 {
+		t.Fatalf("a (6,3,1) network gives %d outputs", len(out))
 	}
 }
 
@@ -56,7 +56,7 @@ func TestTrainReducesLossOnLinearFunction(t *testing.T) {
 	const steps = 4000
 	for i := 0; i < steps; i++ {
 		x, y := r.Float64(), r.Float64()
-		loss := m.Train([]float64{x, y}, []float64{f(x, y)}, 0.05, 0.5)
+		loss := m.TrainClipped([]float64{x, y}, []float64{f(x, y)}, 0.05, 0.5, 0)
 		if i < 100 {
 			first += loss
 		}
@@ -97,7 +97,7 @@ func TestTrainPanicsOnBadTarget(t *testing.T) {
 			t.Fatal("wrong-size target did not panic")
 		}
 	}()
-	m.Train([]float64{1, 2}, []float64{1, 2}, 0.1, 0)
+	m.TrainClipped([]float64{1, 2}, []float64{1, 2}, 0.1, 0, 0)
 }
 
 func TestFitConvergence(t *testing.T) {
@@ -145,7 +145,7 @@ func TestCloneIndependent(t *testing.T) {
 	c := m.Clone()
 	// Training the clone must not affect the original.
 	for i := 0; i < 100; i++ {
-		c.Train(in, []float64{2}, 0.1, 0.5)
+		c.TrainClipped(in, []float64{2}, 0.1, 0.5, 0)
 	}
 	after := m.Forward(in)[0]
 	if before != after {
@@ -217,7 +217,7 @@ func TestTrainReuseMatchesRecompute(t *testing.T) {
 			i := r.Intn(len(x))
 			x[i] = math.Copysign(0, -math.Copysign(1, x[i]))
 		default: // restore another network's state into both
-			other.Train(y, []float64{r.Norm(0, 0.5)}, 0.05, 0.5)
+			other.TrainClipped(y, []float64{r.Norm(0, 0.5)}, 0.05, 0.5, 0)
 			snap := other.Snapshot()
 			if err := a.Restore(snap); err != nil {
 				t.Fatal(err)
@@ -251,6 +251,6 @@ func BenchmarkTrain631(b *testing.B) {
 	target := []float64{0.35}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Train(in, target, 0.05, 0.5)
+		_ = m.TrainClipped(in, target, 0.05, 0.5, 0)
 	}
 }

@@ -43,10 +43,3 @@ func (c *ManualClock) Now() time.Time {
 	c.now = c.now.Add(c.step)
 	return t
 }
-
-// Advance moves the clock forward by d without producing a reading.
-func (c *ManualClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}

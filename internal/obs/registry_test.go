@@ -73,12 +73,6 @@ func TestHistogramBuckets(t *testing.T) {
 	if !math.IsNaN(h.Sum()) {
 		t.Fatalf("sum with a NaN observation should be NaN, got %v", h.Sum())
 	}
-
-	h2 := r.Histogram("d_seconds", "durations", TimeBuckets)
-	h2.ObserveDuration(3 * time.Millisecond)
-	if h2.Count() != 1 || h2.Sum() != 0.003 {
-		t.Fatalf("ObserveDuration: count=%d sum=%v", h2.Count(), h2.Sum())
-	}
 }
 
 func TestBucketValidation(t *testing.T) {
@@ -97,16 +91,6 @@ func TestBucketValidation(t *testing.T) {
 			}()
 			r.Histogram("bad", "x", bad)
 		}()
-	}
-}
-
-func TestExpBuckets(t *testing.T) {
-	got := ExpBuckets(1e-6, 10, 4)
-	want := []float64{1e-6, 1e-5, 1e-4, 1e-3}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > want[i]*1e-12 {
-			t.Fatalf("ExpBuckets = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -129,7 +113,6 @@ func TestNilInstrumentsAreFreeNoOps(t *testing.T) {
 		g.Set(1)
 		g.Add(2)
 		h.Observe(0.5)
-		h.ObserveDuration(time.Millisecond)
 		rec.Record(Event{Kind: "x"})
 		_ = o.Now()
 	})
@@ -194,9 +177,5 @@ func TestManualClock(t *testing.T) {
 	t1 := c.Now()
 	if !t0.Equal(start) || t1.Sub(t0) != 5*time.Microsecond {
 		t.Fatalf("manual clock readings %v, %v", t0, t1)
-	}
-	c.Advance(time.Second)
-	if got := c.Now().Sub(t1); got != time.Second+5*time.Microsecond {
-		t.Fatalf("after Advance: %v", got)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // This file is the span-tracing half of the observability layer: a
 // nil-safe, lock-cheap tracer of causally-linked spans driven by the
 // injectable Clock (deterministic traces under ManualClock), exported
-// as Chrome trace_event JSON (loadable in Perfetto or chrome://tracing)
-// or as JSONL for programmatic consumers like cmd/mmogaudit.
+// as Chrome trace_event JSON (loadable in Perfetto or chrome://tracing,
+// and read back by cmd/mmogaudit).
 //
 // The span model mirrors the engines' structure: one root span per
 // simulation tick, phase child spans (observe/reduce/acquire), per-zone
@@ -427,21 +427,4 @@ func (t *Tracer) WriteTrace(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, "\n],\"displayTimeUnit\":\"ms\"}\n")
 	return err
-}
-
-// WriteJSONL renders the trace as one SpanRec JSON object per line, in
-// the same deterministic order as WriteTrace — the programmatic format
-// cmd/mmogaudit and replay tooling consume.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	for _, r := range t.sortedRecords() {
-		line, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -109,7 +109,7 @@ func TestTracerCapacityDropsAndCounts(t *testing.T) {
 }
 
 func TestTracerDeterministicExport(t *testing.T) {
-	render := func() (string, string) {
+	render := func() string {
 		tr := manualTracer()
 		root := tr.Begin("tick", "tick", 0)
 		win := tr.AsyncBegin("outage", "faults", "nyc", 1, 1)
@@ -119,22 +119,15 @@ func TestTracerDeterministicExport(t *testing.T) {
 		fo.End()
 		tr.AsyncEnd(win, "outage", "faults", "nyc", 3)
 		root.End()
-		var trace, jsonl bytes.Buffer
+		var trace bytes.Buffer
 		if err := tr.WriteTrace(&trace); err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.WriteJSONL(&jsonl); err != nil {
-			t.Fatal(err)
-		}
-		return trace.String(), jsonl.String()
+		return trace.String()
 	}
-	t1, j1 := render()
-	t2, j2 := render()
-	if t1 != t2 {
+	t1 := render()
+	if t1 != render() {
 		t.Error("trace export is not deterministic")
-	}
-	if j1 != j2 {
-		t.Error("JSONL export is not deterministic")
 	}
 	if !json.Valid([]byte(t1)) {
 		t.Fatalf("trace not valid JSON: %s", t1)

@@ -2,7 +2,6 @@ package operator
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"mmogdc/internal/checkpoint"
@@ -20,9 +19,8 @@ const payloadKind = "mmogdc/operator@3"
 // live lease. Restoring it yields an operator whose subsequent
 // forecasts are bit-identical to the uninterrupted one's.
 //
-// The raw payload pairs with checkpoint.Manager for atomic on-disk
-// cadence saves; Checkpoint wraps it in the sealed self-validating
-// framing for single-stream use.
+// The raw payload pairs with checkpoint.Manager, which seals it and
+// saves it atomically on disk.
 func (o *Operator) Snapshot() ([]byte, error) {
 	e := checkpoint.NewEnc()
 	e.Str(payloadKind)
@@ -71,19 +69,6 @@ func (o *Operator) Snapshot() ([]byte, error) {
 	return e.Data(), nil
 }
 
-// Checkpoint writes the operator's state to w as one sealed
-// (checksummed, versioned) blob.
-func (o *Operator) Checkpoint(w io.Writer) error {
-	payload, err := o.Snapshot()
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(checkpoint.Seal(payload)); err != nil {
-		return fmt.Errorf("operator: checkpoint: %w", err)
-	}
-	return nil
-}
-
 // Reconciliation reports how a restored operator's checkpointed lease
 // book was matched against the live ecosystem.
 type Reconciliation struct {
@@ -103,8 +88,8 @@ type Reconciliation struct {
 }
 
 // FromSnapshot rebuilds an operator from a raw Snapshot payload and
-// reconciles its lease book against cfg.Matcher's live state. See
-// Restore for the sealed-stream variant.
+// reconciles its lease book against cfg.Matcher's live state (see
+// Reconciliation).
 func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error) {
 	o, err := New(cfg)
 	if err != nil {
@@ -233,32 +218,11 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 	return o, rec, nil
 }
 
-// Restore rebuilds an operator from a sealed checkpoint stream written
-// by Checkpoint, rejecting corrupted or truncated data, and reconciles
-// the restored lease book against the live ecosystem (see
-// Reconciliation).
-func Restore(cfg Config, r io.Reader) (*Operator, *Reconciliation, error) {
-	blob, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("operator: restore: %w", err)
-	}
-	payload, err := checkpoint.Open(blob)
-	if err != nil {
-		return nil, nil, fmt.Errorf("operator: restore: %w", err)
-	}
-	return FromSnapshot(cfg, payload)
-}
-
 // Shutdown ends the session cleanly: every live lease is released back
-// to its center, and, when w is non-nil, a final sealed checkpoint of
-// the post-release state is flushed to it. A subsequent Restore from
-// that checkpoint resumes the forecasting state with an empty lease
-// book — exactly what a clean stop left behind.
-func (o *Operator) Shutdown(now time.Time, w io.Writer) error {
+// to its center. A Snapshot taken afterwards resumes the forecasting
+// state with an empty lease book — exactly what a clean stop left
+// behind.
+func (o *Operator) Shutdown(now time.Time) {
 	o.cfg.Matcher.Expire(now)
 	o.step.Release()
-	if w == nil {
-		return nil
-	}
-	return o.Checkpoint(w)
 }

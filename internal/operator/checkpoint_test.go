@@ -1,7 +1,6 @@
 package operator
 
 import (
-	"bytes"
 	"encoding/binary"
 	"io"
 	"math"
@@ -10,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mmogdc/internal/checkpoint"
 	"mmogdc/internal/datacenter"
 	"mmogdc/internal/ecosystem"
 	"mmogdc/internal/geo"
@@ -92,11 +92,11 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 	now := runTicks(t, op, 0, 20, []float64{700, 500, 300})
 
-	var buf bytes.Buffer
-	if err := op.Checkpoint(&buf); err != nil {
+	payload, err := op.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	restored, rec, err := Restore(cfg, &buf)
+	restored, rec, err := FromSnapshot(cfg, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestCheckpointBeforeFirstObserve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := op.Checkpoint(&buf); err != nil {
+	payload, err := op.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	restored, _, err := Restore(cfg, &buf)
+	restored, _, err := FromSnapshot(cfg, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,26 +155,24 @@ func TestRestoreRejectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	runTicks(t, op, 0, 10, []float64{600, 400})
-	var buf bytes.Buffer
-	if err := op.Checkpoint(&buf); err != nil {
+	payload, err := op.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	blob := buf.Bytes()
 
-	if _, _, err := Restore(cfg, bytes.NewReader(blob[:len(blob)/2])); err == nil {
+	// Bit flips are caught by the sealed framing checkpoint.Manager
+	// writes (checkpoint.TestSealOpenDetectsDamage); a truncated or
+	// extended payload must fail to decode.
+	if _, _, err := FromSnapshot(cfg, payload[:len(payload)/2]); err == nil {
 		t.Fatal("truncated checkpoint accepted")
 	}
-	for _, i := range []int{10, len(blob) / 2, len(blob) - 1} {
-		bad := append([]byte(nil), blob...)
-		bad[i] ^= 0x04
-		if _, _, err := Restore(cfg, bytes.NewReader(bad)); err == nil {
-			t.Fatalf("bit flip at %d accepted", i)
-		}
+	if _, _, err := FromSnapshot(cfg, append(slices.Clip(payload), 0)); err == nil {
+		t.Fatal("checkpoint with trailing bytes accepted")
 	}
 	// A checkpoint from another game must be refused.
 	other := cfg
 	other.Game = mmog.NewGame("other-game", mmog.GenreMMORPG)
-	if _, _, err := Restore(other, bytes.NewReader(blob)); err == nil {
+	if _, _, err := FromSnapshot(other, payload); err == nil {
 		t.Fatal("checkpoint for a different game accepted")
 	}
 }
@@ -193,8 +191,8 @@ func TestRestoreReconcilesLostAndOrphanedLeases(t *testing.T) {
 	}
 	// Load exceeding alpha's capacity spreads leases over both centers.
 	now := runTicks(t, op, 0, 8, []float64{9000, 7000})
-	var buf bytes.Buffer
-	if err := op.Checkpoint(&buf); err != nil {
+	payload, err := op.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -210,7 +208,7 @@ func TestRestoreReconcilesLostAndOrphanedLeases(t *testing.T) {
 	}
 	alpha.Fail()
 
-	restored, rec, err := Restore(cfg, &buf)
+	restored, rec, err := FromSnapshot(cfg, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,8 +315,9 @@ func TestShutdownReleasesLeasesAndFlushesCheckpoint(t *testing.T) {
 	}
 	ticksBefore := op.Metrics().Ticks
 
-	var final bytes.Buffer
-	if err := op.Shutdown(now, &final); err != nil {
+	op.Shutdown(now)
+	final, err := op.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range m.Centers() {
@@ -329,7 +328,7 @@ func TestShutdownReleasesLeasesAndFlushesCheckpoint(t *testing.T) {
 			t.Fatalf("center %s still lists %d game leases", c.Name, n)
 		}
 	}
-	restored, rec, err := Restore(cfg, &final)
+	restored, rec, err := FromSnapshot(cfg, final)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +369,11 @@ func BenchmarkCheckpoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := op.Checkpoint(io.Discard); err != nil {
+		payload, err := op.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.Discard.Write(checkpoint.Seal(payload)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"mmogdc/internal/checkpoint"
 	"mmogdc/internal/datacenter"
 	"mmogdc/internal/ecosystem"
-	"mmogdc/internal/faults"
 	"mmogdc/internal/geo"
 	"mmogdc/internal/mmog"
 	"mmogdc/internal/predict"
@@ -67,9 +66,9 @@ type HarnessConfig struct {
 	// CheckpointDir is where the crashy run persists its snapshots.
 	CheckpointDir string
 	// Crashes lists explicit crash points. When nil and
-	// CrashMTBFTicks > 0, a randomized schedule is drawn through
-	// faults.NewPlan (exponential inter-arrival, MidTickShare of the
-	// crashes landing mid-tick).
+	// CrashMTBFTicks > 0, a randomized schedule is drawn from the seed
+	// (exponential inter-arrival, MidTickShare of the crashes landing
+	// mid-tick).
 	Crashes        []CrashPoint
 	CrashMTBFTicks float64
 	MidTickShare   float64
@@ -239,13 +238,16 @@ func RunCrashHarness(cfg HarnessConfig) (*HarnessResult, error) {
 	}
 	crashes := h.Crashes
 	if crashes == nil && h.CrashMTBFTicks > 0 {
-		plan := faults.NewPlan(faults.Config{
-			Seed:                   h.Seed,
-			OperatorCrashMTBFTicks: h.CrashMTBFTicks,
-		}, []string{"alpha", "beta"}, h.Ticks)
-		r := xrand.New(h.Seed ^ 0x3a9c)
-		for _, t := range plan.OperatorCrashes() {
-			crashes = append(crashes, CrashPoint{Tick: t, MidTick: r.Bool(h.MidTickShare)})
+		// Drawn like faults.NewPlan's outage schedules: from the plan's
+		// root stream, split under a label the plan does not use.
+		gap := xrand.New(h.Seed ^ 0x6fa17a1c5eed5a1d).Split(0xc4a54)
+		mid := xrand.New(h.Seed ^ 0x3a9c)
+		for t := 0; ; {
+			t += 1 + int(min(gap.Exp(h.CrashMTBFTicks), float64(h.Ticks)))
+			if t >= h.Ticks-1 {
+				break
+			}
+			crashes = append(crashes, CrashPoint{Tick: t, MidTick: mid.Bool(h.MidTickShare)})
 		}
 	}
 	crashAt := make(map[int]CrashPoint, len(crashes))

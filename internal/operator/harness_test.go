@@ -161,8 +161,8 @@ func TestCrashEquivalenceMidRegionBlackout(t *testing.T) {
 }
 
 // TestCrashEquivalenceRandomizedSchedule drives the crash ticks from
-// the fault injector's exponential schedule (faults.Config.
-// OperatorCrashMTBFTicks) instead of hand-picked points. With a
+// a seeded exponential schedule (HarnessConfig.CrashMTBFTicks) instead
+// of hand-picked points. With a
 // coarser cadence the replay window can span ticks whose leases
 // already expired, so allocations may legitimately diverge briefly;
 // forecasts must stay bit-identical throughout, and the allocation

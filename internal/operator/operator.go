@@ -216,7 +216,7 @@ func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []fl
 	// Score the standing allocation against the actual load; the step
 	// notes leases that died early — their centers failed under us.
 	have := o.step.Prune(now)[datacenter.CPU]
-	demand := o.demandFor(clean)
+	demand := o.cfg.Game.DemandForZones(clean)
 	load := demand[datacenter.CPU]
 	if load > 0 {
 		o.overSum += (have/load - 1) * 100
@@ -244,7 +244,7 @@ func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []fl
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("operator: %w: %w", ErrAcquireAborted, err)
 	}
-	want := o.demandFor(o.lastForecast)
+	want := o.cfg.Game.DemandForZones(o.lastForecast)
 	want = want.Scale(1 + o.cfg.SafetyMargin)
 	need := want.Sub(o.step.AllocAt(now.Add(o.cfg.Tick))).ClampNonNegative()
 	a := o.step.Acquire(o.ticks, now, need, true)
@@ -286,17 +286,6 @@ func (o *Operator) Metrics() Metrics {
 		m.AvgShortfall = o.shortfallSum / float64(o.ticks)
 	}
 	return m
-}
-
-// demandFor converts per-zone loads into the total resource demand.
-func (o *Operator) demandFor(zoneLoads []float64) datacenter.Vector {
-	d := o.cfg.Game.DemandForZones(zoneLoads)
-	var v datacenter.Vector
-	v[datacenter.CPU] = d.CPU
-	v[datacenter.Memory] = d.Memory
-	v[datacenter.ExtNetIn] = d.ExtNetIn
-	v[datacenter.ExtNetOut] = d.ExtNetOut
-	return v
 }
 
 // ZoneCount returns the number of monitored zones (fixed by the first

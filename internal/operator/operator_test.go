@@ -261,7 +261,8 @@ func TestOperatorLeasesRespectLatency(t *testing.T) {
 	b[datacenter.CPU] = 0.05
 	p := datacenter.HostingPolicy{Name: "x", Bulk: b, TimeBulk: time.Hour}
 	sydney := datacenter.NewCenter("sydney", geo.Sydney, 10, p)
-	game := mmog.NewGame("fps", mmog.GenreFPS).ApplyGenreLatency()
+	game := mmog.NewGame("fps", mmog.GenreFPS)
+	game.LatencyKm = geo.Far.MaxDistanceKm()
 	op, err := New(Config{
 		Game:      game,
 		Origin:    geo.London,

@@ -172,9 +172,3 @@ func sampleAt(values []float64, x, w int) (float64, bool) {
 	}
 	return sum / float64(cnt), true
 }
-
-// Line is a convenience one-series chart renderer.
-func Line(title string, values []float64) string {
-	c := Chart{Title: title, Series: []Series{{Name: "", Values: values}}}
-	return c.Render()
-}

@@ -116,13 +116,6 @@ func TestSampleAt(t *testing.T) {
 	}
 }
 
-func TestLine(t *testing.T) {
-	out := Line("t", []float64{1, 2, 3})
-	if !strings.Contains(out, "t") || !strings.Contains(out, "*") {
-		t.Fatalf("Line output = %q", out)
-	}
-}
-
 func TestHeatmapRender(t *testing.T) {
 	h := Heatmap{
 		Title:  "world",

@@ -40,8 +40,8 @@ func TestARLearnsAR1Process(t *testing.T) {
 		x = 0.8*x + 20*rnd()
 		signal[i] = 100 + x
 	}
-	arErr := Evaluate(NewAR(2, 50, 1000), signal)
-	lvErr := Evaluate(NewLastValue(), signal)
+	arErr := EvaluateZones(NewAR(2, 50, 1000), [][]float64{signal})
+	lvErr := EvaluateZones(NewLastValue(), [][]float64{signal})
 	if arErr >= lvErr {
 		t.Fatalf("AR error %v should beat last value %v on an AR(1) process", arErr, lvErr)
 	}

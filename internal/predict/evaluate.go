@@ -1,40 +1,11 @@
 package predict
 
-import (
-	"mmogdc/internal/obs"
-	"mmogdc/internal/stats"
-)
-
-// Evaluate replays a signal through a fresh predictor and returns the
-// paper's prediction-error metric (Section IV-D2): the ratio between
-// the sum of un-normalized sample prediction errors |x_t - p_t| and
-// the sum of all samples, as a percentage. The first sample has no
-// prediction and is excluded.
-func Evaluate(f Factory, signal []float64) float64 {
-	p := f()
-	var errSum, valSum float64
-	for i, v := range signal {
-		if i > 0 {
-			pred := p.Predict()
-			d := v - pred
-			if d < 0 {
-				d = -d
-			}
-			errSum += d
-		}
-		valSum += v
-		p.Observe(v)
-	}
-	if valSum == 0 {
-		return 0
-	}
-	return errSum / valSum * 100
-}
-
 // EvaluateZones replays a multi-zone signal through one predictor per
 // zone (the per-sub-zone structure of Section IV-B) and returns the
-// aggregate prediction error: total absolute error across all zones
-// and steps over the total player volume.
+// paper's prediction-error metric (Section IV-D2): the ratio between
+// the sum of un-normalized sample prediction errors |x_t - p_t| across
+// all zones and steps and the sum of all samples, as a percentage. The
+// first step has no prediction and is excluded from the errors.
 func EvaluateZones(f Factory, zones [][]float64) float64 {
 	if len(zones) == 0 {
 		return 0
@@ -104,34 +75,6 @@ func EvaluateZonesFrom(f Factory, zones [][]float64, from int) float64 {
 	return errSum / valSum * 100
 }
 
-// TimePredictions measures the wall-clock duration of each Predict
-// call while replaying the signal and returns the five-number summary
-// in microseconds (the Fig. 6 presentation). Observe time is excluded:
-// the figure reports "the time took to make one prediction".
-func TimePredictions(f Factory, signal []float64) (stats.FiveNum, error) {
-	return TimePredictionsWith(f, signal, obs.System, nil)
-}
-
-// TimePredictionsWith is TimePredictions with an injectable monotonic
-// clock — a deterministic obs.ManualClock makes the summary exactly
-// reproducible in tests — and an optional histogram that receives every
-// per-call duration in seconds (nil skips it).
-func TimePredictionsWith(f Factory, signal []float64, clk obs.Clock, hist *obs.Histogram) (stats.FiveNum, error) {
-	p := f()
-	durations := make([]float64, 0, len(signal))
-	for i, v := range signal {
-		if i > 0 {
-			start := clk.Now()
-			_ = p.Predict()
-			elapsed := clk.Now().Sub(start)
-			durations = append(durations, float64(elapsed.Nanoseconds())/1e3)
-			hist.ObserveDuration(elapsed)
-		}
-		p.Observe(v)
-	}
-	return stats.Summary(durations)
-}
-
 // EvaluateHorizon scores h-step-ahead forecasts: at each step the
 // predictor (having observed samples up to t) forecasts the value at
 // t+h, recursively feeding its own one-step forecasts back as
@@ -195,17 +138,4 @@ func EvaluateHorizon(f Factory, signal []float64, h int) float64 {
 		return 0
 	}
 	return errSum / valSum * 100
-}
-
-// ReplayPredictions returns the one-step-ahead prediction series for a
-// signal: out[t] is the prediction made for step t using observations
-// up to t-1 (out[0] is the predictor's prior, usually 0).
-func ReplayPredictions(f Factory, signal []float64) []float64 {
-	p := f()
-	out := make([]float64, len(signal))
-	for i, v := range signal {
-		out[i] = p.Predict()
-		p.Observe(v)
-	}
-	return out
 }

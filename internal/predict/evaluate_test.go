@@ -8,25 +8,26 @@ import (
 func TestEvaluateLastValueKnown(t *testing.T) {
 	// Signal 10, 20, 30: last-value predicts 10 then 20; errors are
 	// 10 + 10 = 20 over a volume of 60 -> 33.33%.
-	got := Evaluate(NewLastValue(), []float64{10, 20, 30})
+	got := EvaluateZones(NewLastValue(), [][]float64{{10, 20, 30}})
 	if math.Abs(got-100.0/3) > 1e-9 {
 		t.Fatalf("error = %v, want 33.33", got)
 	}
 }
 
 func TestEvaluateZeroVolume(t *testing.T) {
-	if got := Evaluate(NewLastValue(), []float64{0, 0, 0}); got != 0 {
+	if got := EvaluateZones(NewLastValue(), [][]float64{{0, 0, 0}}); got != 0 {
 		t.Fatalf("zero-volume error = %v", got)
 	}
-	if got := Evaluate(NewLastValue(), nil); got != 0 {
+	if got := EvaluateZones(NewLastValue(), [][]float64{nil}); got != 0 {
 		t.Fatalf("empty-signal error = %v", got)
 	}
 }
 
 func TestEvaluateZonesMatchesSingleZone(t *testing.T) {
 	sig := []float64{5, 8, 2, 9, 4, 7}
-	single := Evaluate(NewMovingAverage(3), sig)
-	multi := EvaluateZones(NewMovingAverage(3), [][]float64{sig})
+	// Copies of one zone multiply both sums alike and leave the ratio.
+	single := EvaluateZones(NewMovingAverage(3), [][]float64{sig})
+	multi := EvaluateZones(NewMovingAverage(3), [][]float64{sig, sig, sig})
 	if math.Abs(single-multi) > 1e-9 {
 		t.Fatalf("single %v != zones %v", single, multi)
 	}
@@ -47,36 +48,6 @@ func TestEvaluateZonesAggregates(t *testing.T) {
 	}
 }
 
-func TestReplayPredictionsShape(t *testing.T) {
-	sig := []float64{1, 2, 3, 4}
-	preds := ReplayPredictions(NewLastValue(), sig)
-	if len(preds) != len(sig) {
-		t.Fatalf("len = %d", len(preds))
-	}
-	if preds[0] != 0 {
-		t.Fatalf("prior prediction = %v", preds[0])
-	}
-	for i := 1; i < len(sig); i++ {
-		if preds[i] != sig[i-1] {
-			t.Fatalf("preds[%d] = %v, want %v", i, preds[i], sig[i-1])
-		}
-	}
-}
-
-func TestTimePredictions(t *testing.T) {
-	sig := make([]float64, 300)
-	for i := range sig {
-		sig[i] = float64(i % 17)
-	}
-	s, err := TimePredictions(NewSlidingWindowMedian(6), sig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Min < 0 || s.Median <= 0 || s.Max < s.Median {
-		t.Fatalf("timing summary implausible: %+v", s)
-	}
-}
-
 func TestZoneSet(t *testing.T) {
 	z := NewZoneSet(NewLastValue(), 3)
 	if z.Len() != 3 {
@@ -85,12 +56,9 @@ func TestZoneSet(t *testing.T) {
 	if err := z.Observe([]float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	each := z.PredictEach()
+	each := z.PredictEachInto(nil)
 	if each[0] != 1 || each[1] != 2 || each[2] != 3 {
-		t.Fatalf("PredictEach = %v", each)
-	}
-	if z.PredictTotal() != 6 {
-		t.Fatalf("PredictTotal = %v", z.PredictTotal())
+		t.Fatalf("PredictEachInto = %v", each)
 	}
 	if err := z.Observe([]float64{1}); err == nil {
 		t.Fatal("wrong zone count should error")
@@ -105,8 +73,8 @@ func TestEvaluateSmootherBeatsLastValueOnNoise(t *testing.T) {
 		state = state*6364136223846793005 + 1442695040888963407
 		sig[i] = 100 + float64(state%21) - 10
 	}
-	lv := Evaluate(NewLastValue(), sig)
-	avg := Evaluate(NewAverage(), sig)
+	lv := EvaluateZones(NewLastValue(), [][]float64{sig})
+	avg := EvaluateZones(NewAverage(), [][]float64{sig})
 	if avg >= lv {
 		t.Fatalf("average %v should beat last value %v on stationary noise", avg, lv)
 	}
@@ -114,7 +82,7 @@ func TestEvaluateSmootherBeatsLastValueOnNoise(t *testing.T) {
 
 func TestEvaluateHorizonOneMatchesEvaluateRegion(t *testing.T) {
 	// At h=1 the horizon evaluator scores the same forecasts as
-	// Evaluate, just normalized over the scored region.
+	// EvaluateZones, just normalized over the scored region.
 	sig := []float64{10, 20, 30, 25, 35, 40}
 	h1 := EvaluateHorizon(NewLastValue(), sig, 1)
 	// Hand-computed: predictions 10,20,30,25,35 vs 20,30,25,35,40.

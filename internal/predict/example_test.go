@@ -23,8 +23,13 @@ func ExampleZoneSet() {
 	zones := predict.NewZoneSet(predict.NewLastValue(), 3)
 	_ = zones.Observe([]float64{40, 25, 10})
 	_ = zones.Observe([]float64{42, 27, 9})
-	fmt.Printf("per-zone: %v\n", zones.PredictEach())
-	fmt.Printf("world: %v\n", zones.PredictTotal())
+	each := zones.PredictEachInto(nil)
+	world := 0.0
+	for _, v := range each {
+		world += v
+	}
+	fmt.Printf("per-zone: %v\n", each)
+	fmt.Printf("world: %v\n", world)
 	// Output:
 	// per-zone: [42 27 9]
 	// world: 78
@@ -32,9 +37,9 @@ func ExampleZoneSet() {
 
 // Evaluating an algorithm with the paper's prediction-error metric:
 // the sum of absolute one-step errors over the total volume.
-func ExampleEvaluate() {
+func ExampleEvaluateZones() {
 	signal := []float64{10, 20, 30}
-	errPct := predict.Evaluate(predict.NewLastValue(), signal)
+	errPct := predict.EvaluateZones(predict.NewLastValue(), [][]float64{signal})
 	fmt.Printf("last value error: %.1f%%\n", errPct)
 	// Output: last value error: 33.3%
 }

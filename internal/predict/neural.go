@@ -87,7 +87,7 @@ func (c NeuralConfig) withDefaults() NeuralConfig {
 // also provides a training example (previous window -> actual value),
 // so the network keeps adapting to the signal — the online analogue of
 // the paper's offline data-collection and training-era phases, which
-// Pretrain reproduces verbatim.
+// PretrainShared reproduces verbatim.
 type Neural struct {
 	cfg    NeuralConfig
 	net    *neural.MLP
@@ -191,14 +191,6 @@ func (p *Neural) Predict() float64 {
 		out += p.prevLast
 	}
 	return p.norm.Denorm(out)
-}
-
-// Pretrain reproduces the paper's two offline phases on a collected
-// signal: it builds (window -> next sample) examples from the signal,
-// splits them into training and test sets, and runs era-based training
-// until convergence. It returns the training report.
-func (p *Neural) Pretrain(signal []float64, trainFraction float64, cfg neural.TrainConfig) neural.TrainResult {
-	return p.pretrain([][]float64{signal}, trainFraction, cfg)
 }
 
 // pretrain trains the network offline on the examples of every signal,

@@ -82,13 +82,13 @@ func TestNeuralPretrainImprovesColdStart(t *testing.T) {
 	for i := range signal {
 		signal[i] = 1000 + 600*math.Sin(2*math.Pi*float64(i)/240)
 	}
-	cold := Evaluate(NewNeural(NeuralConfig{Seed: 11, Capacity: 2000}), signal)
+	cold := EvaluateZones(NewNeural(NeuralConfig{Seed: 11, Capacity: 2000}), [][]float64{signal})
 
-	warm := MustNeural(NeuralConfig{Seed: 11, Capacity: 2000})
-	res := warm.Pretrain(signal[:360], 0.8, neural.TrainConfig{MaxEras: 100})
+	f, res := PretrainShared(NeuralConfig{Seed: 11, Capacity: 2000}, [][]float64{signal[:360]}, 0.8, neural.TrainConfig{MaxEras: 100})
 	if res.Eras == 0 {
 		t.Fatal("pretraining ran no eras")
 	}
+	warm := f()
 	var errSum, valSum float64
 	for i, v := range signal {
 		if i > 0 {
@@ -104,25 +104,24 @@ func TestNeuralPretrainImprovesColdStart(t *testing.T) {
 }
 
 func TestNeuralPretrainEmptySignal(t *testing.T) {
-	p := MustNeural(NeuralConfig{Seed: 1, Capacity: 100})
-	res := p.Pretrain(nil, 0.8, neural.TrainConfig{})
+	cfg := NeuralConfig{Seed: 1, Capacity: 100}
+	_, res := PretrainShared(cfg, nil, 0.8, neural.TrainConfig{})
 	if res.Eras != 0 {
 		t.Fatalf("empty pretrain ran %d eras", res.Eras)
 	}
-	res = p.Pretrain([]float64{1, 2, 3}, 0.8, neural.TrainConfig{})
+	_, res = PretrainShared(cfg, [][]float64{{1, 2, 3}}, 0.8, neural.TrainConfig{})
 	if res.Eras != 0 {
 		t.Fatal("too-short signal should produce no samples")
 	}
 }
 
 func TestNeuralPretrainBadFraction(t *testing.T) {
-	p := MustNeural(NeuralConfig{Seed: 1, Capacity: 100})
 	signal := make([]float64, 100)
 	for i := range signal {
 		signal[i] = float64(i % 10)
 	}
 	// Invalid fractions fall back to the default and still train.
-	res := p.Pretrain(signal, -3, neural.TrainConfig{MaxEras: 5, Patience: 5})
+	_, res := PretrainShared(NeuralConfig{Seed: 1, Capacity: 100}, [][]float64{signal}, -3, neural.TrainConfig{MaxEras: 5, Patience: 5})
 	if res.Eras == 0 {
 		t.Fatal("pretrain with clamped fraction ran no eras")
 	}
@@ -155,8 +154,8 @@ func TestNeuralBeatsNaivePredictorsOnStructuredNoisySignal(t *testing.T) {
 		}
 		signal[i] = x
 	}
-	neuralErr := Evaluate(NewNeural(NeuralConfig{Seed: 13, Capacity: 2000, Degree: 1}), signal)
-	avgErr := Evaluate(NewAverage(), signal)
+	neuralErr := EvaluateZones(NewNeural(NeuralConfig{Seed: 13, Capacity: 2000, Degree: 1}), [][]float64{signal})
+	avgErr := EvaluateZones(NewAverage(), [][]float64{signal})
 	if neuralErr >= avgErr {
 		t.Errorf("neural %v should beat average %v", neuralErr, avgErr)
 	}

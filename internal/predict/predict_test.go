@@ -201,7 +201,7 @@ func TestConstantSignalPerfectlyPredicted(t *testing.T) {
 		signal[i] = 42
 	}
 	for _, f := range Baselines() {
-		if e := Evaluate(f, signal); e > 1e-9 {
+		if e := EvaluateZones(f, [][]float64{signal}); e > 1e-9 {
 			t.Errorf("%s: error on constant signal = %v", f().Name(), e)
 		}
 	}
@@ -256,8 +256,8 @@ func TestHoltBeatsExpSmoothingOnRamp(t *testing.T) {
 	for i := range signal {
 		signal[i] = 50 + 2*float64(i)
 	}
-	holt := Evaluate(NewHolt(0.5, 0.3), signal)
-	single := Evaluate(NewExpSmoothing(0.5, "e"), signal)
+	holt := EvaluateZones(NewHolt(0.5, 0.3), [][]float64{signal})
+	single := EvaluateZones(NewExpSmoothing(0.5, "e"), [][]float64{signal})
 	if holt >= single {
 		t.Fatalf("Holt %v should beat single smoothing %v on a ramp", holt, single)
 	}

@@ -287,7 +287,7 @@ func TestZoneSetSnapshotRoundTrip(t *testing.T) {
 		}
 		z.Observe(vals)
 		w.Observe(vals)
-		a, b := z.PredictEach(), w.PredictEach()
+		a, b := z.PredictEachInto(nil), w.PredictEachInto(nil)
 		for j := range a {
 			if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
 				t.Fatalf("zone %d diverged at step %d: %v vs %v", j, i, a[j], b[j])

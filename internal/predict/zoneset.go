@@ -2,11 +2,12 @@ package predict
 
 import "fmt"
 
-// ZoneSet runs one predictor per sub-zone and aggregates their
-// outputs, implementing the paper's per-sub-zone prediction structure
-// (Section IV-B): "the predictor uses as input the entity count for
-// each sub-zone ... the predicted entity count for the entire game
-// world is the sum of all the sub-zone predictions".
+// ZoneSet runs one predictor per sub-zone, implementing the paper's
+// per-sub-zone prediction structure (Section IV-B): "the predictor
+// uses as input the entity count for each sub-zone ... the predicted
+// entity count for the entire game world is the sum of all the
+// sub-zone predictions". The operator prices and sums the per-zone
+// forecasts (mmog.Game.DemandForZones).
 type ZoneSet struct {
 	ps []Predictor
 }
@@ -35,12 +36,6 @@ func (z *ZoneSet) Observe(values []float64) error {
 	return nil
 }
 
-// PredictEach returns the per-zone next-step forecasts in a fresh
-// slice.
-func (z *ZoneSet) PredictEach() []float64 {
-	return z.PredictEachInto(nil)
-}
-
 // PredictEachInto writes the per-zone next-step forecasts into dst,
 // growing it if needed, and returns the filled slice. Passing the
 // previous result back in makes per-tick forecasting allocation-free.
@@ -53,14 +48,4 @@ func (z *ZoneSet) PredictEachInto(dst []float64) []float64 {
 		dst[i] = p.Predict()
 	}
 	return dst
-}
-
-// PredictTotal returns the whole-world forecast: the sum of all
-// sub-zone predictions.
-func (z *ZoneSet) PredictTotal() float64 {
-	var sum float64
-	for _, p := range z.ps {
-		sum += p.Predict()
-	}
-	return sum
 }

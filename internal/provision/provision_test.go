@@ -120,7 +120,8 @@ func TestStep(t *testing.T) {
 				}
 				if tk.sent {
 					var excluded []string
-					for _, v := range log.Last().Candidates {
+					snap := log.Snapshot()
+					for _, v := range snap[len(snap)-1].Candidates {
 						if v.Disposition == ecosystem.DispExcludedByFailover {
 							excluded = append(excluded, v.Center)
 						}

@@ -31,11 +31,6 @@ func New(tick time.Duration, start time.Time) *Series {
 	return &Series{Tick: tick, Start: start}
 }
 
-// FromValues wraps values (not copied) into a series with the given tick.
-func FromValues(tick time.Duration, values []float64) *Series {
-	return &Series{Tick: tick, Values: values}
-}
-
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Values) }
 
@@ -156,13 +151,4 @@ func SumAcross(all []*Series) (*Series, error) {
 		}
 	}
 	return out, nil
-}
-
-// CrossSection returns the values of all series at sample index i.
-func CrossSection(all []*Series, i int) []float64 {
-	out := make([]float64, 0, len(all))
-	for _, s := range all {
-		out = append(out, s.At(i))
-	}
-	return out
 }

@@ -21,7 +21,7 @@ func TestNewAndAppend(t *testing.T) {
 }
 
 func TestAtOutOfRange(t *testing.T) {
-	s := FromValues(DefaultTick, []float64{1})
+	s := &Series{Tick: DefaultTick, Values: []float64{1}}
 	if !math.IsNaN(s.At(-1)) || !math.IsNaN(s.At(1)) {
 		t.Fatal("out-of-range At should be NaN")
 	}
@@ -39,7 +39,7 @@ func TestTimeAt(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	s := FromValues(DefaultTick, []float64{1, 2, 3})
+	s := &Series{Tick: DefaultTick, Values: []float64{1, 2, 3}}
 	c := s.Clone()
 	c.Values[0] = 99
 	if s.Values[0] != 1 {
@@ -67,7 +67,7 @@ func TestSlice(t *testing.T) {
 }
 
 func TestWindowPadding(t *testing.T) {
-	s := FromValues(DefaultTick, []float64{10, 20, 30})
+	s := &Series{Tick: DefaultTick, Values: []float64{10, 20, 30}}
 	// Window ending at index 2 of size 5 pads the front with the
 	// earliest value.
 	w := s.Window(2, 5)
@@ -80,7 +80,7 @@ func TestWindowPadding(t *testing.T) {
 }
 
 func TestWindowExact(t *testing.T) {
-	s := FromValues(DefaultTick, []float64{1, 2, 3, 4})
+	s := &Series{Tick: DefaultTick, Values: []float64{1, 2, 3, 4}}
 	w := s.Window(3, 3)
 	if w[0] != 2 || w[1] != 3 || w[2] != 4 {
 		t.Fatalf("window = %v", w)
@@ -116,7 +116,7 @@ func TestResample(t *testing.T) {
 }
 
 func TestResampleTrailingPartial(t *testing.T) {
-	s := FromValues(DefaultTick, []float64{2, 4, 6, 8, 10})
+	s := &Series{Tick: DefaultTick, Values: []float64{2, 4, 6, 8, 10}}
 	r := s.Resample(2)
 	if r.Len() != 3 || r.At(2) != 10 {
 		t.Fatalf("partial group not averaged over actual length: %v", r.Values)
@@ -124,7 +124,7 @@ func TestResampleTrailingPartial(t *testing.T) {
 }
 
 func TestResampleFactorOne(t *testing.T) {
-	s := FromValues(DefaultTick, []float64{1, 2})
+	s := &Series{Tick: DefaultTick, Values: []float64{1, 2}}
 	r := s.Resample(1)
 	r.Values[0] = 99
 	if s.Values[0] != 1 {
@@ -133,7 +133,7 @@ func TestResampleFactorOne(t *testing.T) {
 }
 
 func TestScale(t *testing.T) {
-	s := FromValues(DefaultTick, []float64{1, 2, 3})
+	s := &Series{Tick: DefaultTick, Values: []float64{1, 2, 3}}
 	s.Scale(2)
 	if s.At(0) != 2 || s.At(2) != 6 {
 		t.Fatalf("scaled = %v", s.Values)
@@ -141,24 +141,24 @@ func TestScale(t *testing.T) {
 }
 
 func TestAddSeries(t *testing.T) {
-	a := FromValues(DefaultTick, []float64{1, 2, 3})
-	b := FromValues(DefaultTick, []float64{10, 20, 30})
+	a := &Series{Tick: DefaultTick, Values: []float64{1, 2, 3}}
+	b := &Series{Tick: DefaultTick, Values: []float64{10, 20, 30}}
 	if err := a.AddSeries(b); err != nil {
 		t.Fatal(err)
 	}
 	if a.At(2) != 33 {
 		t.Fatalf("sum = %v", a.Values)
 	}
-	if err := a.AddSeries(FromValues(DefaultTick, []float64{1})); err == nil {
+	if err := a.AddSeries(&Series{Tick: DefaultTick, Values: []float64{1}}); err == nil {
 		t.Fatal("length mismatch should error")
 	}
 }
 
 func TestSumAcross(t *testing.T) {
 	all := []*Series{
-		FromValues(DefaultTick, []float64{1, 2}),
-		FromValues(DefaultTick, []float64{3, 4}),
-		FromValues(DefaultTick, []float64{5, 6}),
+		&Series{Tick: DefaultTick, Values: []float64{1, 2}},
+		&Series{Tick: DefaultTick, Values: []float64{3, 4}},
+		&Series{Tick: DefaultTick, Values: []float64{5, 6}},
 	}
 	sum, err := SumAcross(all)
 	if err != nil {
@@ -173,17 +173,6 @@ func TestSumAcross(t *testing.T) {
 	}
 	if _, err := SumAcross(nil); err == nil {
 		t.Fatal("SumAcross(nil) should error")
-	}
-}
-
-func TestCrossSection(t *testing.T) {
-	all := []*Series{
-		FromValues(DefaultTick, []float64{1, 2}),
-		FromValues(DefaultTick, []float64{3, 4}),
-	}
-	xs := CrossSection(all, 1)
-	if len(xs) != 2 || xs[0] != 2 || xs[1] != 4 {
-		t.Fatalf("cross-section = %v", xs)
 	}
 }
 
@@ -210,7 +199,7 @@ func TestResamplePreservesMean(t *testing.T) {
 		if n == 0 {
 			return true
 		}
-		s := FromValues(DefaultTick, xs[:n])
+		s := &Series{Tick: DefaultTick, Values: xs[:n]}
 		r := s.Resample(factor)
 		var rsum float64
 		for _, v := range r.Values {

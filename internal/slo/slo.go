@@ -26,7 +26,6 @@ package slo
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -343,23 +342,6 @@ func (rs *ruleState) burnOver(cur point, w time.Duration) (burn float64, ok bool
 		ratio = 0
 	}
 	return ratio / rs.cfg.Objective, true
-}
-
-// Firing returns the sorted names of currently firing rules.
-func (e *Engine) Firing() []string {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var out []string
-	for _, rs := range e.all {
-		if rs.firing {
-			out = append(out, rs.cfg.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Deactivate clears every firing alert's gauge without emitting

@@ -10,6 +10,12 @@ import (
 
 var t0 = time.Date(2008, 3, 1, 0, 0, 0, 0, time.UTC)
 
+// active reads the rule's mmogdc_slo_alert_active gauge: 1 while its
+// alert fires, 0 otherwise.
+func active(reg *obs.Registry, rule string) float64 {
+	return reg.Gauge("mmogdc_slo_alert_active", "", obs.L("rule", rule)).Value()
+}
+
 func breachRule(short, long float64) RuleConfig {
 	return RuleConfig{
 		Name: "breach", Signal: SignalBreachRate, Game: "g",
@@ -72,15 +78,12 @@ func TestEngineFiresFastAndResolves(t *testing.T) {
 	}
 
 	stepBad(0)
-	if got := e.Firing(); len(got) != 0 {
-		t.Fatalf("fired on the baseline reading: %v", got)
+	if v := active(reg, "breach"); v != 0 {
+		t.Fatalf("fired on the baseline reading: active gauge = %v", v)
 	}
 	stepBad(1)
-	if got := e.Firing(); len(got) != 1 || got[0] != "breach" {
-		t.Fatalf("not firing after 2 bad ticks: %v", got)
-	}
-	if v := reg.Gauge("mmogdc_slo_alert_active", "", obs.L("rule", "breach")).Value(); v != 1 {
-		t.Fatalf("active gauge = %v, want 1", v)
+	if v := active(reg, "breach"); v != 1 {
+		t.Fatalf("not firing after 2 bad ticks: active gauge = %v, want 1", v)
 	}
 
 	// Recovery: once the short window holds only good ticks the alert
@@ -88,11 +91,8 @@ func TestEngineFiresFastAndResolves(t *testing.T) {
 	for tick := 2; tick < 7; tick++ {
 		stepGood(tick)
 	}
-	if got := e.Firing(); len(got) != 0 {
-		t.Fatalf("still firing after recovery: %v", got)
-	}
-	if v := reg.Gauge("mmogdc_slo_alert_active", "", obs.L("rule", "breach")).Value(); v != 0 {
-		t.Fatalf("active gauge = %v, want 0", v)
+	if v := active(reg, "breach"); v != 0 {
+		t.Fatalf("still firing after recovery: active gauge = %v, want 0", v)
 	}
 
 	var firing, resolved []obs.Event
@@ -145,8 +145,8 @@ func TestEngineLongWindowSuppressesBlips(t *testing.T) {
 		e.Eval("g", tick, now)
 		now = now.Add(time.Second)
 	}
-	if got := e.Firing(); len(got) != 0 {
-		t.Fatalf("blip fired the alert: %v", got)
+	if v := active(reg, "r"); v != 0 {
+		t.Fatalf("blip fired the alert: active gauge = %v", v)
 	}
 	for _, ev := range rec.Events() {
 		if ev.Kind == obs.EventSLOAlert {
@@ -179,8 +179,8 @@ func TestEngineLatencySignal(t *testing.T) {
 		e.Eval("g", tick, now)
 		now = now.Add(time.Second)
 	}
-	if got := e.Firing(); len(got) != 1 {
-		t.Fatalf("latency rule not firing: %v", got)
+	if v := active(reg, "slow"); v != 1 {
+		t.Fatalf("latency rule not firing: active gauge = %v", v)
 	}
 }
 
@@ -204,14 +204,11 @@ func TestEngineDefaultGameAndDeactivate(t *testing.T) {
 		e.Eval("live", tick, now)
 		now = now.Add(time.Second)
 	}
-	if got := e.Firing(); len(got) != 1 {
-		t.Fatalf("default-game rule not firing: %v", got)
+	if v := active(reg, "breach"); v != 1 {
+		t.Fatalf("default-game rule not firing: active gauge = %v", v)
 	}
 	e.Deactivate()
-	if got := e.Firing(); len(got) != 0 {
-		t.Fatalf("Deactivate left rules firing: %v", got)
-	}
-	if v := reg.Gauge("mmogdc_slo_alert_active", "", obs.L("rule", "breach")).Value(); v != 0 {
+	if v := active(reg, "breach"); v != 0 {
 		t.Fatalf("active gauge = %v after Deactivate", v)
 	}
 }
@@ -220,9 +217,6 @@ func TestEngineNilSafety(t *testing.T) {
 	var e *Engine
 	e.Eval("g", 0, t0)
 	e.Deactivate()
-	if e.Firing() != nil {
-		t.Fatal("nil engine firing")
-	}
 }
 
 func TestNewEngineRejectsBadRules(t *testing.T) {

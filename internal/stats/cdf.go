@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // CDF is an empirical cumulative distribution function over a sample.
 // The zero value is empty; build one with NewCDF.
@@ -18,9 +14,6 @@ func NewCDF(xs []float64) *CDF {
 	sort.Float64s(sorted)
 	return &CDF{sorted: sorted}
 }
-
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
 
 // At returns P(X <= x) as a fraction in [0, 1].
 func (c *CDF) At(x float64) float64 {
@@ -67,32 +60,6 @@ func (c *CDF) Points(n int) []CDFPoint {
 type CDFPoint struct {
 	X float64
 	P float64
-}
-
-// RenderASCII renders the CDF as a small ASCII table truncated at
-// maxX, mirroring how the paper's Fig. 4 plots are truncated (500 B
-// for packet lengths, 600 ms for IATs).
-func (c *CDF) RenderASCII(label string, maxX float64, steps int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (n=%d)\n", label, c.N())
-	if c.N() == 0 {
-		return b.String()
-	}
-	lo := c.sorted[0]
-	if maxX <= lo {
-		maxX = c.sorted[len(c.sorted)-1]
-	}
-	if steps < 2 {
-		steps = 2
-	}
-	step := (maxX - lo) / float64(steps-1)
-	for i := 0; i < steps; i++ {
-		x := lo + float64(i)*step
-		p := c.At(x)
-		bar := strings.Repeat("#", int(p*40+0.5))
-		fmt.Fprintf(&b, "%10.1f |%-40s| %5.1f%%\n", x, bar, p*100)
-	}
-	return b.String()
 }
 
 // Histogram bins the sample into nBins equal-width bins over

@@ -3,16 +3,12 @@ package stats
 import (
 	"math"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestCDFBasics(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 2, 3})
-	if c.N() != 4 {
-		t.Fatalf("N = %d", c.N())
-	}
 	cases := []struct{ x, want float64 }{
 		{0.5, 0},
 		{1, 0.25},
@@ -111,20 +107,6 @@ func TestCDFPointsDegenerate(t *testing.T) {
 	pts := c.Points(5)
 	if len(pts) != 1 || pts[0].X != 7 || pts[0].P != 1 {
 		t.Fatalf("degenerate points = %v", pts)
-	}
-}
-
-func TestRenderASCII(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5})
-	out := c.RenderASCII("test", 5, 5)
-	if !strings.Contains(out, "test (n=5)") {
-		t.Fatalf("missing label: %q", out)
-	}
-	if !strings.Contains(out, "100.0%") {
-		t.Fatalf("missing terminal 100%%: %q", out)
-	}
-	if got := NewCDF(nil).RenderASCII("empty", 1, 3); !strings.Contains(got, "empty (n=0)") {
-		t.Fatalf("empty render = %q", got)
 	}
 }
 

@@ -94,20 +94,6 @@ func (r *Rand) Intn(n int) int {
 	}
 }
 
-// Int63n returns a uniform value in [0, n) for large n.
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: Int63n with non-positive n")
-	}
-	max := uint64(math.MaxUint64 - math.MaxUint64%uint64(n))
-	for {
-		v := r.Uint64()
-		if v < max {
-			return int64(v % uint64(n))
-		}
-	}
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -160,31 +146,9 @@ func (r *Rand) Exp(mean float64) float64 {
 	return mean * r.ExpFloat64()
 }
 
-// Pareto returns a Pareto(scale, shape) variate. Heavy-tailed sizes
-// (e.g. game packet payloads) use this.
-func (r *Rand) Pareto(scale, shape float64) float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return scale / math.Pow(u, 1/shape)
-		}
-	}
-}
-
 // LogNormal returns exp(Norm(mu, sigma)).
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Norm(mu, sigma))
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Shuffle permutes the first n elements using swap, Fisher-Yates.
