@@ -299,39 +299,6 @@ func BenchmarkMatcherAllocate(b *testing.B) {
 
 // ---- ablation benches (DESIGN.md design choices) ----
 
-// BenchmarkAblationNeuralResidualVsDirect compares the residual-output
-// neural predictor (the default) against the direct-output variant on
-// an emulated signal; the reported custom metric is the prediction
-// error of each.
-func BenchmarkAblationNeuralResidualVsDirect(b *testing.B) {
-	cfg := emulator.TableIConfigs()[1]
-	cfg.Steps = 240
-	cfg.GridW, cfg.GridH = 8, 8
-	cfg.Entities = 600
-	collect := cfg
-	collect.Seed += 1000
-	collected := zonesOf(emulator.Run(collect))
-	zones := zonesOf(emulator.Run(cfg))
-	tc := predict.PaperTrainConfig(9)
-	tc.MaxEras = 15
-
-	b.ResetTimer()
-	var residErr, directErr float64
-	for i := 0; i < b.N; i++ {
-		rc := predict.PaperNeuralConfig(7)
-		rc.Degree = -1
-		rf, _ := predict.PretrainShared(rc, collected, 0.8, tc)
-		residErr = predict.EvaluateZonesFrom(rf, zones, 1)
-
-		dc := rc
-		dc.Direct = true
-		df, _ := predict.PretrainShared(dc, collected, 0.8, tc)
-		directErr = predict.EvaluateZonesFrom(df, zones, 1)
-	}
-	b.ReportMetric(residErr, "residual-err-%")
-	b.ReportMetric(directErr, "direct-err-%")
-}
-
 // BenchmarkAblationShuffledTraining compares era training with and
 // without per-era sample shuffling (DESIGN.md: unshuffled zone-grouped
 // samples cause catastrophic interference).

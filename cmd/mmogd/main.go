@@ -158,7 +158,7 @@ func run() int {
 	// kill the process with no drain and no final checkpoint.
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
-	srv, err := d.Serve(*addr)
+	srv, err := obs.Serve(*addr, d.Handler())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "daemon:", err)
 		return 2
@@ -254,32 +254,23 @@ func loadHot(path string, base daemon.HotConfig) (daemon.HotConfig, error) {
 // pretrains a shared network on an emulated observation day first
 // (mirroring examples/live), so startup takes noticeably longer.
 func factoryFor(name string) (predict.Factory, error) {
-	switch name {
-	case "lastvalue":
-		return predict.NewLastValue(), nil
-	case "average":
-		return predict.NewAverage(), nil
-	case "movingavg":
-		return predict.NewMovingAverage(predict.DefaultWindow), nil
-	case "median":
-		return predict.NewSlidingWindowMedian(predict.DefaultWindow), nil
-	case "expsmoothing":
-		return predict.NewExpSmoothing(0.5, "Exp. smoothing 50%"), nil
-	case "neural":
-		cfg := emulator.TableIConfigs()[4]
-		cfg.Seed += 1000
-		cfg.Steps = 720
-		run := emulator.Run(cfg)
-		collected := make([][]float64, len(run.Zones))
-		for i, z := range run.Zones {
-			collected[i] = z.Values
+	if name != "neural" {
+		if f := predict.ByName(name); f != nil {
+			return f, nil
 		}
-		ncfg := predict.PaperNeuralConfig(7)
-		ncfg.Degree = -1
-		factory, report := predict.PretrainShared(ncfg, collected, 0.8, predict.PaperTrainConfig(9))
-		fmt.Fprintf(os.Stderr, "daemon: offline training: %d eras, converged=%v\n", report.Eras, report.Converged)
-		return factory, nil
-	default:
 		return nil, fmt.Errorf("unknown predictor %q", name)
 	}
+	cfg := emulator.TableIConfigs()[4]
+	cfg.Seed += 1000
+	cfg.Steps = 720
+	run := emulator.Run(cfg)
+	collected := make([][]float64, len(run.Zones))
+	for i, z := range run.Zones {
+		collected[i] = z.Values
+	}
+	ncfg := predict.PaperNeuralConfig(7)
+	ncfg.Degree = -1
+	factory, report := predict.PretrainShared(ncfg, collected, 0.8, predict.PaperTrainConfig(9))
+	fmt.Fprintf(os.Stderr, "daemon: offline training: %d eras, converged=%v\n", report.Eras, report.Converged)
+	return factory, nil
 }

@@ -98,7 +98,7 @@ func main() {
 		telemetry.Recorder.SetSink(f)
 	}
 	if *obsAddr != "" {
-		srv, err := telemetry.Serve(*obsAddr)
+		srv, err := obs.Serve(*obsAddr, telemetry.Handler())
 		if err != nil {
 			fatal(err)
 		}
@@ -403,33 +403,24 @@ func parsePolicies(spec string) ([]datacenter.HostingPolicy, error) {
 }
 
 func factoryFor(name string, seed uint64, days int) (predict.Factory, error) {
-	switch strings.ToLower(name) {
-	case "neural":
-		shadowDays := 2
-		if days < 2 {
-			shadowDays = 1
+	if lower := strings.ToLower(name); lower != "neural" {
+		if f := predict.ByName(lower); f != nil {
+			return f, nil
 		}
-		shadow := trace.Generate(trace.Config{Seed: seed + 1, Days: shadowDays})
-		collected := make([][]float64, len(shadow.Groups))
-		for i, g := range shadow.Groups {
-			collected[i] = g.Load.Values
-		}
-		f, _ := predict.PretrainShared(predict.PaperNeuralConfig(seed+3), collected, 0.8,
-			predict.PaperTrainConfig(seed+2))
-		return f, nil
-	case "average":
-		return predict.NewAverage(), nil
-	case "lastvalue":
-		return predict.NewLastValue(), nil
-	case "movingavg":
-		return predict.NewMovingAverage(predict.DefaultWindow), nil
-	case "median":
-		return predict.NewSlidingWindowMedian(predict.DefaultWindow), nil
-	case "expsmoothing":
-		return predict.NewExpSmoothing(0.5, "Exp. smoothing 50%"), nil
-	default:
 		return nil, fmt.Errorf("unknown predictor %q", name)
 	}
+	shadowDays := 2
+	if days < 2 {
+		shadowDays = 1
+	}
+	shadow := trace.Generate(trace.Config{Seed: seed + 1, Days: shadowDays})
+	collected := make([][]float64, len(shadow.Groups))
+	for i, g := range shadow.Groups {
+		collected[i] = g.Load.Values
+	}
+	f, _ := predict.PretrainShared(predict.PaperNeuralConfig(seed+3), collected, 0.8,
+		predict.PaperTrainConfig(seed+2))
+	return f, nil
 }
 
 // pct renders a percentage metric; an undefined one (NaN, e.g.

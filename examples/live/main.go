@@ -59,7 +59,7 @@ func run() error {
 	// -obs-addr is set, an HTTP server exposing it live.
 	telemetry := obs.New()
 	if *obsAddr != "" {
-		srv, err := telemetry.Serve(*obsAddr)
+		srv, err := obs.Serve(*obsAddr, telemetry.Handler())
 		if err != nil {
 			return err
 		}

@@ -20,15 +20,16 @@ const (
 	fileSuffix = ".ckpt"
 )
 
+// keep is how many snapshots survive pruning: the corruption fallback
+// needs a predecessor of the newest.
+const keep = 2
+
 // Manager stores sealed snapshots in a directory, one file per tick,
-// written atomically. It keeps the newest Keep snapshots so that a
+// written atomically. It keeps the newest two snapshots so that a
 // corrupted latest file still leaves a previous good one to fall back
 // to.
 type Manager struct {
 	dir string
-	// Keep is how many snapshots survive pruning (minimum 2: the
-	// corruption fallback needs a predecessor).
-	Keep int
 }
 
 // NewManager creates the directory if needed and returns a manager
@@ -40,7 +41,7 @@ func NewManager(dir string) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return &Manager{dir: dir, Keep: 2}, nil
+	return &Manager{dir: dir}, nil
 }
 
 // Path returns the file name a snapshot of the given tick uses.
@@ -49,7 +50,7 @@ func (m *Manager) Path(tick int) string {
 }
 
 // Save seals the payload and writes it atomically (temp file + fsync +
-// rename, then directory fsync), pruning all but the newest Keep
+// rename, then directory fsync), pruning all but the newest two
 // snapshots. A crash at any instant leaves either the previous set of
 // files or the new one — never a half-written checkpoint under the
 // final name.
@@ -85,13 +86,9 @@ func (m *Manager) Save(tick int, payload []byte) error {
 	return nil
 }
 
-// prune removes all but the newest Keep snapshots (best effort).
+// prune removes all but the newest keep snapshots (best effort).
 func (m *Manager) prune() {
 	ticks, _ := m.Ticks()
-	keep := m.Keep
-	if keep < 2 {
-		keep = 2
-	}
 	for i := 0; i < len(ticks)-keep; i++ {
 		os.Remove(m.Path(ticks[i]))
 	}

@@ -76,7 +76,7 @@ func TestCoreAndOperatorDecideAlike(t *testing.T) {
 			m.SetDecisionLog(opLog)
 			op, err := operator.New(operator.Config{
 				Game: game, Origin: region.Location, Predictor: tc.pred,
-				Matcher: m, Tick: group.Load.Tick,
+				Matcher: m,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -36,6 +36,10 @@ type GameSpec struct {
 	Origin geo.Point
 }
 
+// clockStart anchors each game's virtual monitoring clock: 2008-03-01
+// 00:00 UTC, the paper's trace epoch.
+var clockStart = time.Date(2008, 3, 1, 0, 0, 0, 0, time.UTC)
+
 // Config assembles a daemon. Only Games, Predictor, and Matcher are
 // required; everything else has serviceable defaults.
 type Config struct {
@@ -61,14 +65,9 @@ type Config struct {
 	// An existing checkpoint is restored at startup and its lease book
 	// reconciled. Empty disables.
 	CheckpointDir string
-	// Start anchors each game's virtual monitoring clock; defaults to
-	// 2008-03-01 00:00 UTC (the paper's trace epoch).
-	Start time.Time
 	// Hot is the initial hot-reloadable configuration; the zero value
 	// means DefaultHot().
 	Hot HotConfig
-	// SafetyMargin inflates forecasts before requesting (0 = exact).
-	SafetyMargin float64
 	// ExplainDepth, when > 0, enables decision provenance: each game
 	// gets its own decision log of ExplainDepth records, which the
 	// shared matcher writes during that game's observe passes and GET
@@ -234,9 +233,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(2008, 3, 1, 0, 0, 0, 0, time.UTC)
 	}
 	// DeepEqual, not ==: the SLO rule slice makes HotConfig
 	// non-comparable.

@@ -30,7 +30,6 @@ var ErrDrainTimeout = errors.New("daemon: drain deadline exceeded")
 // sample is one admitted observation waiting in a game's ingest queue.
 type sample struct {
 	values []float64
-	tick   int64
 	enq    time.Time
 	// span is the admitting HTTP request's span ID (0 when tracing is
 	// off): the queue-wait and observe spans hang off it, so a merged
@@ -190,19 +189,17 @@ func (d *Daemon) rebuildSLO(h HotConfig) error {
 
 func (d *Daemon) newGame(spec GameSpec, hot HotConfig) (*game, error) {
 	opCfg := operator.Config{
-		Game:         mmog.NewGame(spec.Name, spec.Genre),
-		Origin:       spec.Origin,
-		Predictor:    d.cfg.Predictor,
-		Matcher:      d.cfg.Matcher,
-		SafetyMargin: d.cfg.SafetyMargin,
-		Tick:         hot.Tick(),
-		Obs:          d.obs,
+		Game:      mmog.NewGame(spec.Name, spec.Genre),
+		Origin:    spec.Origin,
+		Predictor: d.cfg.Predictor,
+		Matcher:   d.cfg.Matcher,
+		Obs:       d.obs,
 	}
 	g := &game{
 		spec:         spec,
 		region:       geo.RegionOf(spec.Origin),
 		queue:        make(chan sample, d.cfg.QueueDepth),
-		now:          d.cfg.Start,
+		now:          clockStart,
 		dropRng:      xrand.New(hot.FaultSeed ^ 0xd40f001d5eed ^ hashName(spec.Name)),
 		restoredTick: -1,
 	}
@@ -238,7 +235,7 @@ func (d *Daemon) newGame(spec GameSpec, hot HotConfig) (*game, error) {
 	}
 	ticks := g.op.Metrics().Ticks
 	g.tick.Store(int64(ticks))
-	g.now = d.cfg.Start.Add(time.Duration(ticks) * hot.Tick())
+	g.now = clockStart.Add(time.Duration(ticks) * hot.Tick())
 	if z := g.op.ZoneCount(); z > 0 {
 		g.zones.Store(int64(z))
 	}
@@ -405,12 +402,15 @@ func (d *Daemon) observeOne(g *game, s sample) {
 	// The matcher is shared: its decisions during this pass belong in
 	// this game's log (none with explain off).
 	d.cfg.Matcher.SetDecisionLog(g.explain)
-	err := g.op.ObserveCtx(ctx, g.now, s.values)
+	// The next observation comes one hot tick later: the operator
+	// leases for that instant, and the clock advances to it.
+	next := g.now.Add(hot.Tick())
+	err := g.op.ObserveCtx(ctx, g.now, next, s.values)
 	// Feed the circuit breaker while the scratch slices are still valid
 	// (GrantActivity aliases per-tick buffers the next Observe reuses).
 	granted, rejected := g.op.GrantActivity()
 	d.brk.record(granted, rejected)
-	g.now = g.now.Add(hot.Tick())
+	g.now = next
 	ticks := g.op.Metrics().Ticks
 	var payload []byte
 	needCkpt := g.mgr != nil && hot.CheckpointEvery > 0 && ticks > 0 && ticks%hot.CheckpointEvery == 0

@@ -142,6 +142,46 @@ func TestReloadInvalidKeepsActiveConfig(t *testing.T) {
 	}
 }
 
+// TestTickReloadMovesRequestHorizon reloads tick_seconds from 600 to
+// 1800 after 20 of 40 steady observations (four zones of 900
+// entities). Each observation must then lease for the instant of the
+// next one, 1800 s on, as a daemon started at 1800 s does: the two
+// must count the same disruptive ticks (only the cold start) and the
+// same shortfall. Sized for the startup tick instead, the hour-long
+// leases run out before the next observation on every second tick.
+func TestTickReloadMovesRequestHorizon(t *testing.T) {
+	run := func(before, after float64) (events int, shortfall float64) {
+		hot := fastHot()
+		hot.TickSeconds = before
+		d := newTestDaemon(t, func(c *Config) { c.Hot = hot })
+		defer drain(t, d)
+		g := d.games["g1"]
+		for i := 0; i < 40; i++ {
+			if i == 20 {
+				waitTicks(t, d, "g1", 20)
+				hot.TickSeconds = after
+				if err := d.Reload(hot); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := d.enqueue(g, []float64{900, 900, 900, 900}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitTicks(t, d, "g1", 40)
+		d.ecoMu.Lock()
+		defer d.ecoMu.Unlock()
+		m := g.op.Metrics()
+		return m.Events, m.AvgShortfall
+	}
+	events, shortfall := run(600, 1800)
+	wantEvents, wantShortfall := run(1800, 1800)
+	if events != wantEvents || shortfall != wantShortfall {
+		t.Fatalf("after reloading to 1800 s: %d disruptive ticks, mean shortfall %v; started at 1800 s: %d, %v",
+			events, shortfall, wantEvents, wantShortfall)
+	}
+}
+
 func TestConfigPostPartialMerge(t *testing.T) {
 	d := newTestDaemon(t, nil)
 	defer drain(t, d)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"strconv"
 	"time"
@@ -311,29 +310,3 @@ func (d *Daemon) Handler() http.Handler {
 	mux.Handle("/", d.obs.Handler())
 	return mux
 }
-
-// Server is the daemon's running HTTP listener.
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// Serve starts the daemon's API on addr (use "127.0.0.1:0" for an
-// ephemeral port) behind the hardened obs HTTP server — header, read,
-// write, and idle deadlines plus a header-size cap, so a slow or
-// malicious client cannot wedge the ingestion surface.
-func (d *Daemon) Serve(addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("daemon: %w", err)
-	}
-	s := &Server{ln: ln, srv: obs.HardenedServer(d.Handler())}
-	go s.srv.Serve(ln)
-	return s, nil
-}
-
-// Addr returns the bound address (with the real ephemeral port).
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the listener immediately (in-flight requests are cut).
-func (s *Server) Close() error { return s.srv.Close() }

@@ -157,10 +157,6 @@ func (l *DecisionLog) Synthesize(d Decision) {
 	slot.Candidates = cands
 }
 
-// Total returns how many matcher decisions were ever recorded — the
-// newest one's Seq. Synthesized records are not counted.
-func (l *DecisionLog) Total() uint64 { return l.total }
-
 // Snapshot deep-copies the retained decisions, oldest first.
 func (l *DecisionLog) Snapshot() []Decision {
 	var src []Decision

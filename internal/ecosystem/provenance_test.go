@@ -167,8 +167,8 @@ func TestDecisionLogRingWrap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m.AllocateDetailed(nil, cpuReq("z", 0.25, geo.London, math.Inf(1)), t0)
 	}
-	if log.Total() != 5 {
-		t.Fatalf("Total = %d, want 5", log.Total())
+	if log.total != 5 {
+		t.Fatalf("total = %d, want 5", log.total)
 	}
 	snap := log.Snapshot()
 	if len(snap) != 2 {
@@ -192,9 +192,9 @@ func TestDecisionLogRingWrap(t *testing.T) {
 		t.Fatalf("newest record after Synthesize = %+v, want an owned seq-0 record at tick 7", last)
 	}
 	m.AllocateDetailed(nil, cpuReq("z", 0.25, geo.London, math.Inf(1)), t0)
-	if snap := log.Snapshot(); log.Total() != 6 || snap[0].Seq != 0 || snap[1].Seq != 6 {
-		t.Fatalf("after Synthesize and one call: Total %d, snapshot seqs %d,%d; want 6 and 0,6",
-			log.Total(), snap[0].Seq, snap[1].Seq)
+	if snap := log.Snapshot(); log.total != 6 || snap[0].Seq != 0 || snap[1].Seq != 6 {
+		t.Fatalf("after Synthesize and one call: total %d, snapshot seqs %d,%d; want 6 and 0,6",
+			log.total, snap[0].Seq, snap[1].Seq)
 	}
 }
 

@@ -113,9 +113,10 @@ type Config struct {
 	// Steps is the number of two-minute samples; defaults to one
 	// simulated day (720).
 	Steps int
-	// Teams is the number of teams for team players; defaults to 8.
-	Teams int
 }
+
+// teams is the number of teams team players belong to.
+const teams = 8
 
 func (c Config) withDefaults() Config {
 	if c.GridW == 0 {
@@ -129,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Steps == 0 {
 		c.Steps = series.DefaultTicksPerDay
-	}
-	if c.Teams == 0 {
-		c.Teams = 8
 	}
 	var sum float64
 	for _, v := range c.ProfileMix {
@@ -198,7 +196,7 @@ func NewWorld(cfg Config) *World {
 			y:         w.rng.Intn(c.GridH),
 			preferred: p,
 			current:   p,
-			team:      w.rng.Intn(c.Teams),
+			team:      w.rng.Intn(teams),
 			active:    true,
 		}
 		w.ents = append(w.ents, e)
@@ -380,9 +378,9 @@ func (w *World) Step() {
 	}
 
 	// 3. Team rally points: the centroid of each team's members.
-	teamX := make([]float64, c.Teams)
-	teamY := make([]float64, c.Teams)
-	teamN := make([]int, c.Teams)
+	teamX := make([]float64, teams)
+	teamY := make([]float64, teams)
+	teamN := make([]int, teams)
 	for _, e := range w.ents {
 		if !e.active {
 			continue
@@ -391,7 +389,7 @@ func (w *World) Step() {
 		teamY[e.team] += float64(e.y)
 		teamN[e.team]++
 	}
-	for t := 0; t < c.Teams; t++ {
+	for t := 0; t < teams; t++ {
 		if teamN[t] > 0 {
 			teamX[t] /= float64(teamN[t])
 			teamY[t] /= float64(teamN[t])

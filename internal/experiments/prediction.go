@@ -9,13 +9,6 @@ import (
 	"mmogdc/internal/stats"
 )
 
-// fig5Predictors returns the eight algorithms of Figure 5 in display
-// order; the neural factory must be built per data set (it is
-// pretrained on that game's collected samples).
-func fig5Baselines() []predict.Factory {
-	return predict.Baselines()
-}
-
 // emulatorZones runs an emulator configuration and extracts the
 // per-sub-zone signals.
 func emulatorZones(cfg emulator.Config) [][]float64 {
@@ -55,7 +48,7 @@ func Fig05(o Options) (string, error) {
 	cfgs := fig5Sets(opts)
 
 	names := []string{"Neural"}
-	for _, f := range fig5Baselines() {
+	for _, f := range predict.Baselines() {
 		names = append(names, f().Name())
 	}
 	errs := make([][]float64, len(names))
@@ -74,7 +67,7 @@ func Fig05(o Options) (string, error) {
 		ncfg.Degree = -1 // raw windows work best on the emulator's zone signals
 		neural, _ := predict.PretrainShared(ncfg, collected, 0.8, tc)
 
-		factories := append([]predict.Factory{neural}, fig5Baselines()...)
+		factories := append([]predict.Factory{neural}, predict.Baselines()...)
 		for fi, f := range factories {
 			errs[fi] = append(errs[fi], predict.EvaluateZonesFrom(f, zones, 1))
 		}

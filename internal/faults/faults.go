@@ -77,17 +77,18 @@ type Config struct {
 	RegionMTTRTicks float64
 	// AftershockProb is the probability that one center of a recovering
 	// region suffers a partial-degradation aftershock — it comes back
-	// at reduced capacity for a while before restoring fully.
+	// at reduced capacity for a while (aftershockMeanTicks on average)
+	// before restoring fully.
 	AftershockProb float64
-	// AftershockMeanTicks is the mean aftershock duration in ticks
-	// (exponentially distributed, minimum 1); defaults to 5 when
-	// aftershocks are on.
-	AftershockMeanTicks float64
 	// ScheduledBlackouts adds deterministic region blackouts at fixed
 	// ticks, independent of the stochastic process — the scenario-corpus
 	// hook ("region eu goes dark at peak").
 	ScheduledBlackouts []RegionBlackout
 }
+
+// aftershockMeanTicks is the mean aftershock duration in ticks
+// (exponentially distributed, minimum 1).
+const aftershockMeanTicks = 5
 
 // RegionBlackout is one deterministic whole-region outage window:
 // every center of Region fails at Start and recovers Duration ticks
@@ -133,7 +134,6 @@ func (c Config) Validate() error {
 		{"MTTRTicks", c.MTTRTicks},
 		{"RegionMTBFTicks", c.RegionMTBFTicks},
 		{"RegionMTTRTicks", c.RegionMTTRTicks},
-		{"AftershockMeanTicks", c.AftershockMeanTicks},
 	} {
 		if !(p.v >= 0 && p.v <= math.MaxFloat64) {
 			return fmt.Errorf("faults: %s must be finite and >= 0, got %v", p.name, p.v)
@@ -338,10 +338,6 @@ func (p *Plan) generateRegionFaults(root *xrand.Rand, centers []string, ticks in
 			byRegion[reg] = append(byRegion[reg], name)
 		}
 	}
-	aftMean := cfg.AftershockMeanTicks
-	if aftMean <= 0 {
-		aftMean = 5
-	}
 	addBlackout := func(region string, start, end int, r *xrand.Rand) {
 		members := byRegion[region]
 		if len(members) == 0 {
@@ -353,7 +349,7 @@ func (p *Plan) generateRegionFaults(root *xrand.Rand, centers []string, ticks in
 				Center: name, Start: start, End: end, Fraction: 1, Region: region,
 			})
 			if cfg.AftershockProb > 0 && r.Bool(cfg.AftershockProb) {
-				aEnd := end + 1 + expTicks(r, aftMean, ticks)
+				aEnd := end + 1 + expTicks(r, aftershockMeanTicks, ticks)
 				if aEnd > ticks-1 {
 					aEnd = ticks - 1
 				}
@@ -412,14 +408,6 @@ func (p *Plan) generateRegionFaults(root *xrand.Rand, centers []string, ticks in
 	}
 }
 
-// Outages returns the full schedule, ordered by start tick.
-func (p *Plan) Outages() []Outage {
-	if p == nil {
-		return nil
-	}
-	return p.outages
-}
-
 // FailuresAt returns the outages beginning at tick t.
 func (p *Plan) FailuresAt(t int) []Outage {
 	if p == nil {
@@ -434,15 +422,6 @@ func (p *Plan) RecoveriesAt(t int) []Outage {
 		return nil
 	}
 	return p.recoverAt[t]
-}
-
-// Blackouts returns the whole-region outage windows (deterministic
-// corpus plus the stochastic process), ordered by start tick.
-func (p *Plan) Blackouts() []Blackout {
-	if p == nil {
-		return nil
-	}
-	return p.blackouts
 }
 
 // BlackoutsAt returns the region blackouts beginning at tick t.

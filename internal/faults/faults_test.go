@@ -58,7 +58,7 @@ func TestPlanDeterministicForSeed(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		p1 := NewPlan(chaosConfig(seed), centers, 720)
 		p2 := NewPlan(chaosConfig(seed), centers, 720)
-		o1, o2 := p1.Outages(), p2.Outages()
+		o1, o2 := p1.outages, p2.outages
 		if len(o1) != len(o2) {
 			t.Fatalf("seed %d: outage counts differ (%d vs %d)", seed, len(o1), len(o2))
 		}
@@ -69,8 +69,8 @@ func TestPlanDeterministicForSeed(t *testing.T) {
 		}
 	}
 	// Different seeds should not reproduce the same schedule.
-	a := NewPlan(chaosConfig(1), centers, 720).Outages()
-	b := NewPlan(chaosConfig(2), centers, 720).Outages()
+	a := NewPlan(chaosConfig(1), centers, 720).outages
+	b := NewPlan(chaosConfig(2), centers, 720).outages
 	same := len(a) == len(b)
 	if same {
 		for i := range a {
@@ -91,7 +91,7 @@ func TestOutagesWellFormedAndRecoverInRun(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		p := NewPlan(chaosConfig(seed), centers, ticks)
 		prev := -1
-		for _, o := range p.Outages() {
+		for _, o := range p.outages {
 			if o.Start < 1 || o.Start >= ticks-1 {
 				t.Fatalf("seed %d: outage starts at %d outside (0, %d)", seed, o.Start, ticks-1)
 			}
@@ -117,7 +117,7 @@ func TestOutagesPerCenterDoNotOverlap(t *testing.T) {
 	// end; overlap across centers is fine, within one center it is not.
 	p := NewPlan(chaosConfig(7), []string{"a", "b"}, 2000)
 	lastEnd := map[string]int{}
-	for _, o := range p.Outages() {
+	for _, o := range p.outages {
 		if o.Start < lastEnd[o.Center] {
 			t.Fatalf("center %s: outage at %d starts before previous end %d", o.Center, o.Start, lastEnd[o.Center])
 		}
@@ -134,7 +134,7 @@ func TestFailuresAtRecoveriesAtPartitionSchedule(t *testing.T) {
 		fails += len(p.FailuresAt(t2))
 		recovers += len(p.RecoveriesAt(t2))
 	}
-	n := len(p.Outages())
+	n := len(p.outages)
 	if n == 0 {
 		t.Fatal("chaos config generated no outages over 720 ticks")
 	}
@@ -209,7 +209,7 @@ func TestGrantFaultStreamDeterministic(t *testing.T) {
 
 func TestNilPlanInjectsNothing(t *testing.T) {
 	var p *Plan
-	if p.Outages() != nil || p.FailuresAt(3) != nil || p.RecoveriesAt(3) != nil {
+	if p.FailuresAt(3) != nil || p.RecoveriesAt(3) != nil {
 		t.Fatal("nil plan returned outages")
 	}
 	if p.DropSample(0, 0) {
@@ -259,14 +259,14 @@ func TestRegionBlackoutDownsWholeDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPlan(cfg, []string{"a", "b", "c"}, 2000)
-	if len(p.Blackouts()) == 0 {
+	if len(p.blackouts) == 0 {
 		t.Fatal("region process generated no blackouts over 2000 ticks")
 	}
 	// Every blackout must produce one full outage per member center of
 	// the region, all sharing the window.
-	for _, b := range p.Blackouts() {
+	for _, b := range p.blackouts {
 		members := map[string]bool{}
-		for _, o := range p.Outages() {
+		for _, o := range p.outages {
 			if o.Region == b.Region && o.Start == b.Start && o.End == b.End && o.Fraction == 1 {
 				members[o.Center] = true
 			}
@@ -281,7 +281,7 @@ func TestRegionBlackoutDownsWholeDomain(t *testing.T) {
 	}
 	// Aftershocks are partial and tagged with the region.
 	aftershocks := 0
-	for _, o := range p.Outages() {
+	for _, o := range p.outages {
 		if o.Region != "" && o.Fraction < 1 {
 			aftershocks++
 			if o.Fraction < 0.2 || o.Fraction > 0.8 {
@@ -306,7 +306,7 @@ func TestScheduledBlackoutDeterministic(t *testing.T) {
 		t.Fatal("scheduled blackout config claims disabled")
 	}
 	p := NewPlan(cfg, []string{"a", "b"}, 720)
-	bs := p.Blackouts()
+	bs := p.blackouts
 	if len(bs) != 1 || bs[0] != (Blackout{Region: "eu", Start: 100, End: 140}) {
 		t.Fatalf("unexpected blackouts %+v", bs)
 	}
@@ -330,7 +330,7 @@ func TestScheduledBlackoutDeterministic(t *testing.T) {
 			{Region: "eu", Start: 700, Duration: 500},
 		},
 	}, []string{"a"}, 720)
-	if bs := late.Blackouts(); len(bs) != 1 || bs[0].End != 719 {
+	if bs := late.blackouts; len(bs) != 1 || bs[0].End != 719 {
 		t.Fatalf("late blackout not clamped: %+v", bs)
 	}
 }
@@ -353,10 +353,10 @@ func TestRegionFaultsDoNotPerturbIndependentDraws(t *testing.T) {
 
 	// Per-center outages (Region == "") identical in content and order.
 	var ind0, ind1 []Outage
-	for _, o := range p0.Outages() {
+	for _, o := range p0.outages {
 		ind0 = append(ind0, o)
 	}
-	for _, o := range p1.Outages() {
+	for _, o := range p1.outages {
 		if o.Region == "" {
 			ind1 = append(ind1, o)
 		}
@@ -392,7 +392,7 @@ func TestRegionPlanDeterministicForSeed(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		p1 := NewPlan(regionConfig(seed), centers, 2000)
 		p2 := NewPlan(regionConfig(seed), centers, 2000)
-		o1, o2 := p1.Outages(), p2.Outages()
+		o1, o2 := p1.outages, p2.outages
 		if len(o1) != len(o2) {
 			t.Fatalf("seed %d: outage counts differ", seed)
 		}
@@ -401,7 +401,7 @@ func TestRegionPlanDeterministicForSeed(t *testing.T) {
 				t.Fatalf("seed %d: outage %d differs: %+v vs %+v", seed, i, o1[i], o2[i])
 			}
 		}
-		b1, b2 := p1.Blackouts(), p2.Blackouts()
+		b1, b2 := p1.blackouts, p2.blackouts
 		if len(b1) != len(b2) {
 			t.Fatalf("seed %d: blackout counts differ", seed)
 		}
@@ -431,13 +431,8 @@ func TestHostileConfigsStayInsideRun(t *testing.T) {
 		{name: "NaN reject probability", cfg: Config{RejectProb: math.NaN()}, wantErr: true},
 		{name: "NaN MTBF", cfg: Config{MTBFTicks: math.NaN()}, wantErr: true},
 		{name: "-Inf region MTTR", cfg: Config{RegionMTTRTicks: math.Inf(-1)}, wantErr: true},
-		{name: "NaN aftershock mean", cfg: Config{AftershockMeanTicks: math.NaN()}, wantErr: true},
 		{name: "MTBF 1e300 never fails", cfg: Config{MTBFTicks: 1e300, MTTRTicks: 5}},
 		{name: "region MTBF 1e300 never blacks out", cfg: Config{Regions: regions, RegionMTBFTicks: 1e300, RegionMTTRTicks: 5}},
-		{name: "aftershock mean 1e300 lasts to the end", cfg: Config{
-			Regions: regions, AftershockProb: 1, AftershockMeanTicks: 1e300,
-			ScheduledBlackouts: []RegionBlackout{{Region: "na", Start: 10, Duration: 5}},
-		}, outages: 2, blackouts: 1},
 		{name: "overflowing blackout saturates", cfg: Config{
 			Regions:            regions,
 			ScheduledBlackouts: []RegionBlackout{{Region: "eu", Start: 10, Duration: math.MaxInt}},
@@ -459,13 +454,13 @@ func TestHostileConfigsStayInsideRun(t *testing.T) {
 			if err := checkPlan(p, ticks); err != nil {
 				t.Fatal(err)
 			}
-			if got := len(p.Outages()); got != tc.outages {
-				t.Errorf("%d outages, want %d: %+v", got, tc.outages, p.Outages())
+			if got := len(p.outages); got != tc.outages {
+				t.Errorf("%d outages, want %d: %+v", got, tc.outages, p.outages)
 			}
-			if got := len(p.Blackouts()); got != tc.blackouts {
-				t.Errorf("%d blackouts, want %d: %+v", got, tc.blackouts, p.Blackouts())
+			if got := len(p.blackouts); got != tc.blackouts {
+				t.Errorf("%d blackouts, want %d: %+v", got, tc.blackouts, p.blackouts)
 			}
-			for _, b := range p.Blackouts() {
+			for _, b := range p.blackouts {
 				if b.End != ticks-1 && b.Region == "eu" {
 					t.Errorf("blackout %+v ends before the run does", b)
 				}
@@ -477,12 +472,12 @@ func TestHostileConfigsStayInsideRun(t *testing.T) {
 // checkPlan reports the first window of p outside a run of ticks: every
 // outage and blackout must satisfy 0 <= Start < End <= ticks-1.
 func checkPlan(p *Plan, ticks int) error {
-	for _, o := range p.Outages() {
+	for _, o := range p.outages {
 		if o.Start < 0 || o.Start >= o.End || o.End > ticks-1 {
 			return fmt.Errorf("outage %+v outside a %d-tick run", o, ticks)
 		}
 	}
-	for _, b := range p.Blackouts() {
+	for _, b := range p.blackouts {
 		if b.Start < 0 || b.Start >= b.End || b.End > ticks-1 {
 			return fmt.Errorf("blackout %+v outside a %d-tick run", b, ticks)
 		}

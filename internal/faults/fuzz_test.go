@@ -10,9 +10,9 @@ import "testing"
 // a NaN probability, a 1e300 MTBF and a blackout whose end
 // overflowed; crash-mtbf-inf holds the all-zero configuration.
 func FuzzFaultPlan(f *testing.F) {
-	f.Add("eu:480:40", 40.0, 15.0, 0.5, 0.1, 0.1, 0.05, 150.0, 25.0, 0.5, 5.0, 1440)
+	f.Add("eu:480:40", 40.0, 15.0, 0.5, 0.1, 0.1, 0.05, 150.0, 25.0, 0.5, 1440)
 	f.Fuzz(func(t *testing.T, spec string, mtbf, mttr, degraded, reject, partial, dropout,
-		regionMTBF, regionMTTR, aftershock, aftershockMean float64, ticks int) {
+		regionMTBF, regionMTTR, aftershock float64, ticks int) {
 		ticks = (ticks%5001 + 5001) % 5001
 		cfg := Config{
 			Seed:      7,
@@ -20,7 +20,7 @@ func FuzzFaultPlan(f *testing.F) {
 			RejectProb: reject, PartialGrantProb: partial, DropoutProb: dropout,
 			Regions:         map[string]string{"a": "eu", "b": "eu", "c": "na"},
 			RegionMTBFTicks: regionMTBF, RegionMTTRTicks: regionMTTR,
-			AftershockProb: aftershock, AftershockMeanTicks: aftershockMean,
+			AftershockProb: aftershock,
 		}
 		if spec != "" {
 			windows, err := ParseBlackouts(spec)

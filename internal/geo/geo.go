@@ -127,19 +127,15 @@ func RegionOf(p Point) string {
 // the five RuneScape trace regions. Coordinates are approximate city
 // centroids; only relative distances matter for the latency classes.
 var (
-	Helsinki   = Point{60.17, 24.94}
-	Stockholm  = Point{59.33, 18.07}
-	London     = Point{51.51, -0.13}
-	Amsterdam  = Point{52.37, 4.90}
-	SanJose    = Point{37.34, -121.89}
-	Seattle    = Point{47.61, -122.33}
-	Vancouver  = Point{49.28, -123.12}
-	Chicago    = Point{41.88, -87.63}
-	NewYork    = Point{40.71, -74.01}
-	Ashburn    = Point{39.04, -77.49}
-	Toronto    = Point{43.65, -79.38}
-	Montreal   = Point{45.50, -73.57}
-	Sydney     = Point{-33.87, 151.21}
-	Melbourne  = Point{-37.81, 144.96}
-	LosAngeles = Point{34.05, -118.24}
+	Helsinki  = Point{60.17, 24.94}
+	Stockholm = Point{59.33, 18.07}
+	London    = Point{51.51, -0.13}
+	Amsterdam = Point{52.37, 4.90}
+	SanJose   = Point{37.34, -121.89}
+	Vancouver = Point{49.28, -123.12}
+	Chicago   = Point{41.88, -87.63}
+	NewYork   = Point{40.71, -74.01}
+	Ashburn   = Point{39.04, -77.49}
+	Montreal  = Point{45.50, -73.57}
+	Sydney    = Point{-33.87, 151.21}
 )

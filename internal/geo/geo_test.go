@@ -33,9 +33,9 @@ func TestDistanceKnownPairs(t *testing.T) {
 		pairName string
 	}{
 		{London, Amsterdam, 358, 15, "London-Amsterdam"},
-		{NewYork, LosAngeles, 3936, 50, "NewYork-LosAngeles"},
+		{NewYork, Point{34.05, -118.24}, 3936, 50, "NewYork-LosAngeles"},
 		{Helsinki, Stockholm, 396, 15, "Helsinki-Stockholm"},
-		{Sydney, Melbourne, 714, 20, "Sydney-Melbourne"},
+		{Sydney, Point{-37.81, 144.96}, 714, 20, "Sydney-Melbourne"},
 		{London, Sydney, 16994, 150, "London-Sydney"},
 	}
 	for _, c := range cases {
@@ -127,10 +127,10 @@ func TestRegionOfBucketsNamedLocations(t *testing.T) {
 		want string
 	}{
 		{Helsinki, "eu"}, {Stockholm, "eu"}, {London, "eu"}, {Amsterdam, "eu"},
-		{SanJose, "na-west"}, {Seattle, "na-west"}, {Vancouver, "na-west"}, {LosAngeles, "na-west"},
+		{SanJose, "na-west"}, {Point{47.61, -122.33}, "na-west"}, {Vancouver, "na-west"}, {Point{34.05, -118.24}, "na-west"},
 		{Chicago, "na-east"}, {NewYork, "na-east"}, {Ashburn, "na-east"},
-		{Toronto, "na-east"}, {Montreal, "na-east"},
-		{Sydney, "au"}, {Melbourne, "au"},
+		{Point{43.65, -79.38}, "na-east"}, {Montreal, "na-east"},
+		{Sydney, "au"}, {Point{-37.81, 144.96}, "au"},
 	}
 	for _, c := range cases {
 		if got := RegionOf(c.p); got != c.want {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 )
 
 // This file carries span identity across API boundaries: through a
@@ -53,32 +51,38 @@ func Traceparent(traceID uint64, span SpanID) string {
 }
 
 // ParseTraceparent extracts the low 64 bits of the trace ID and the
-// parent span ID from a traceparent header. Malformed or absent
-// headers return ok=false; a daemon then simply roots its own span.
+// parent span ID from a W3C trace-context header of version 00:
+// "00-" + trace-id + "-" + parent-id + "-" + flags, with 32, 16 and 2
+// lowercase hex digits and neither ID all zeros. Any other header
+// returns ok=false; a daemon then simply roots its own span.
 func ParseTraceparent(h string) (traceID uint64, parent SpanID, ok bool) {
-	parts := strings.Split(strings.TrimSpace(h), "-")
-	if len(parts) != 4 || len(parts[0]) != 2 || len(parts[1]) != 32 ||
-		len(parts[2]) != 16 || len(parts[3]) != 2 {
+	if len(h) != 55 || h[:3] != "00-" || h[35] != '-' || h[52] != '-' {
 		return 0, 0, false
 	}
-	if parts[0] != "00" {
+	// The high half of the trace-id must be valid too, though only the
+	// low half fits our uint64 trace IDs.
+	hi, okHi := lowerHex(h[3:19])
+	lo, okLo := lowerHex(h[19:35])
+	pid, okPID := lowerHex(h[36:52])
+	_, okFlags := lowerHex(h[53:])
+	if !okHi || !okLo || !okPID || !okFlags || hi|lo == 0 || pid == 0 {
 		return 0, 0, false
 	}
-	// High 64 bits must still be valid hex even though we only keep
-	// the low half our uint64 trace IDs fit in.
-	if _, err := strconv.ParseUint(parts[1][:16], 16, 64); err != nil {
-		return 0, 0, false
+	return lo, SpanID(pid), true
+}
+
+// lowerHex parses up to 16 lowercase hex digits.
+func lowerHex(s string) (uint64, bool) {
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			v = v<<4 | uint64(c-'0')
+		case 'a' <= c && c <= 'f':
+			v = v<<4 | uint64(c-'a'+10)
+		default:
+			return 0, false
+		}
 	}
-	tid, err := strconv.ParseUint(parts[1][16:], 16, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	pid, err := strconv.ParseUint(parts[2], 16, 64)
-	if err != nil || pid == 0 {
-		return 0, 0, false
-	}
-	if _, err := strconv.ParseUint(parts[3], 16, 8); err != nil {
-		return 0, 0, false
-	}
-	return tid, SpanID(pid), true
+	return v, true
 }

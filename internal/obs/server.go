@@ -116,18 +116,19 @@ func HardenedServer(h http.Handler) *http.Server {
 	}
 }
 
-// Server is a running observability HTTP server.
+// Server is a running HTTP server: the observability surface or
+// cmd/mmogd's API.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
-// Serve starts the observability server on addr (e.g. ":8080" or
-// "127.0.0.1:0" for an ephemeral port) and returns once it is
-// listening; requests are served in a background goroutine. The
-// server carries the HardenedServer timeouts.
-func (o *Obs) Serve(addr string) (*Server, error) {
-	return serveWith(addr, HardenedServer(o.Handler()))
+// Serve starts serving h on addr (e.g. ":8080" or "127.0.0.1:0" for an
+// ephemeral port) and returns once it is listening; requests are
+// served in a background goroutine. The server carries the
+// HardenedServer timeouts.
+func Serve(addr string, h http.Handler) (*Server, error) {
+	return serveWith(addr, HardenedServer(h))
 }
 
 // serveWith binds addr and serves srv on it in the background — the

@@ -17,7 +17,7 @@ func TestServerEndpoints(t *testing.T) {
 	o.Registry.Histogram("mmogdc_tick_duration_seconds", "tick time", TimeBuckets).Observe(0.01)
 	o.Recorder.Record(Event{Tick: 3, Kind: EventFailover, Subject: "g/z1"})
 
-	srv, err := o.Serve("127.0.0.1:0")
+	srv, err := Serve("127.0.0.1:0", o.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestEventsFilters(t *testing.T) {
 	o.Recorder.Record(Event{Tick: 5, Kind: EventOutage, Subject: "nyc"})
 	o.Recorder.Record(Event{Tick: 9, Kind: EventGrant, Subject: "g/z2"})
 
-	srv, err := o.Serve("127.0.0.1:0")
+	srv, err := Serve("127.0.0.1:0", o.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestEventsFilters(t *testing.T) {
 // hold a connection (and its goroutine) open indefinitely.
 func TestServeHardenedTimeouts(t *testing.T) {
 	o := New()
-	s, err := o.Serve("127.0.0.1:0")
+	s, err := Serve("127.0.0.1:0", o.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}

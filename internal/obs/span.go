@@ -237,17 +237,6 @@ func (t *Tracer) Complete(rec SpanRec) SpanID {
 	return t.emit(rec)
 }
 
-// Instant records a point event at the tracer's clock.
-func (t *Tracer) Instant(name, cat, subject string, tick int) SpanID {
-	if t == nil {
-		return 0
-	}
-	return t.emit(SpanRec{
-		Name: name, Cat: cat, Phase: PhaseInstant,
-		Subject: subject, Tick: tick, Start: t.clockNow(),
-	})
-}
-
 // AsyncBegin opens an async window (an outage or degradation track
 // event spanning ticks) and returns its ID for the matching AsyncEnd
 // and for Link annotations on spans it causes.

@@ -59,8 +59,6 @@ type HarnessConfig struct {
 	// Zones, Ticks, Machines size the scenario. Defaults: 4 zones, 120
 	// ticks, 30 machines per center (two centers).
 	Zones, Ticks, Machines int
-	// Tick is the monitoring interval; defaults to two minutes.
-	Tick time.Duration
 	// CheckpointEvery is the cadence in ticks; defaults to 1.
 	CheckpointEvery int
 	// CheckpointDir is where the crashy run persists its snapshots.
@@ -104,9 +102,6 @@ func (h HarnessConfig) withDefaults() HarnessConfig {
 	if h.Machines == 0 {
 		h.Machines = 30
 	}
-	if h.Tick == 0 {
-		h.Tick = 2 * time.Minute
-	}
 	if h.CheckpointEvery == 0 {
 		h.CheckpointEvery = 1
 	}
@@ -116,11 +111,12 @@ func (h HarnessConfig) withDefaults() HarnessConfig {
 	return h
 }
 
-// harnessT0 anchors the harness clock.
+// harnessT0 anchors the harness clock, which advances by the
+// operator's two-minute tick.
 var harnessT0 = time.Date(2008, 3, 1, 0, 0, 0, 0, time.UTC)
 
 func (h HarnessConfig) timeAt(tick int) time.Time {
-	return harnessT0.Add(time.Duration(tick) * h.Tick)
+	return harnessT0.Add(time.Duration(tick) * defaultTick)
 }
 
 // hash01 maps (seed, zone, tick) to [0,1) with a SplitMix64 finisher —
@@ -178,7 +174,6 @@ func (h HarnessConfig) operatorConfig(m *ecosystem.Matcher) Config {
 		Origin:    geo.London,
 		Predictor: h.Predictor,
 		Matcher:   m,
-		Tick:      h.Tick,
 	}
 }
 

@@ -27,7 +27,7 @@ func TestObserveCtxAbortBeforeIngestion(t *testing.T) {
 	op := testOperator(t, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := op.ObserveCtx(ctx, t0, []float64{100, 50})
+	err := op.ObserveCtx(ctx, t0, t0.Add(2*time.Minute), []float64{100, 50})
 	if !errors.Is(err, ErrObserveAborted) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrObserveAborted wrapping context.Canceled", err)
 	}
@@ -51,7 +51,7 @@ func TestObserveCtxAbortBeforeAcquire(t *testing.T) {
 	// Err passes once (the entry check) and expires at the pre-acquire
 	// check: the snapshot is ingested but no lease is taken.
 	ctx := &staleAfter{Context: context.Background(), n: 1}
-	err := op.ObserveCtx(ctx, t0, []float64{100, 50})
+	err := op.ObserveCtx(ctx, t0, t0.Add(2*time.Minute), []float64{100, 50})
 	if !errors.Is(err, ErrAcquireAborted) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrAcquireAborted wrapping DeadlineExceeded", err)
 	}
@@ -82,10 +82,11 @@ func TestObserveMatchesObserveCtxBackground(t *testing.T) {
 		if err := a.Observe(now, la); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.ObserveCtx(context.Background(), now, lb); err != nil {
+		next := now.Add(2 * time.Minute)
+		if err := b.ObserveCtx(context.Background(), now, next, lb); err != nil {
 			t.Fatal(err)
 		}
-		now = now.Add(2 * time.Minute)
+		now = next
 	}
 	ma, mb := a.Metrics(), b.Metrics()
 	if ma != mb {

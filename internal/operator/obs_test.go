@@ -111,7 +111,7 @@ func TestObserveCtxSpanParent(t *testing.T) {
 	ctx := obs.ContextWithSpan(context.Background(), reqSpan)
 	// First observe with real demand: forecasts a shortfall and must
 	// acquire leases, producing the acquire span.
-	if err := op.ObserveCtx(ctx, t0, []float64{800, 600, 400}); err != nil {
+	if err := op.ObserveCtx(ctx, t0, t0.Add(2*time.Minute), []float64{800, 600, 400}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -139,7 +139,7 @@ func TestObserveCtxSpanParent(t *testing.T) {
 	}
 
 	// Without a stamped context the cycle stays a root span.
-	if err := op.ObserveCtx(context.Background(), t0.Add(2*time.Minute), []float64{800, 600, 400}); err != nil {
+	if err := op.ObserveCtx(context.Background(), t0.Add(2*time.Minute), t0.Add(4*time.Minute), []float64{800, 600, 400}); err != nil {
 		t.Fatal(err)
 	}
 	recs := o.Tracer.Records()

@@ -52,10 +52,6 @@ type Config struct {
 	Predictor predict.Factory
 	// Matcher is the data-center ecosystem to lease from.
 	Matcher *ecosystem.Matcher
-	// SafetyMargin inflates forecasts before requesting (0 = exact).
-	SafetyMargin float64
-	// Tick is the monitoring interval; defaults to two minutes.
-	Tick time.Duration
 	// Obs, when non-nil, streams the operator's telemetry (Observe
 	// timing, provisioning counters, flight-recorder events) into the
 	// given observability bundle. Write-only: enabling it changes no
@@ -109,9 +105,6 @@ func New(cfg Config) (*Operator, error) {
 	if cfg.Matcher == nil {
 		return nil, fmt.Errorf("operator: matcher required")
 	}
-	if cfg.Tick == 0 {
-		cfg.Tick = 2 * time.Minute
-	}
 	o := &Operator{cfg: cfg, oo: newOpObs(cfg.Obs, cfg.Game.Name)}
 	o.step = provision.New(provision.Config{
 		Matcher: cfg.Matcher, Tag: cfg.Game.Name, Origin: cfg.Origin,
@@ -145,10 +138,14 @@ type Metrics struct {
 	Retries       int
 }
 
+// defaultTick is the paper's monitoring interval, the horizon Observe
+// leases for.
+const defaultTick = 2 * time.Minute
+
 // Observe ingests one monitoring snapshot (per-zone loads at time
 // now), scores the allocation that was in force against it, and leases
-// toward the next interval's forecast. The zone count is fixed by the
-// first call.
+// toward the forecast for the next snapshot, one two-minute tick
+// later. The zone count is fixed by the first call.
 //
 // Observe degrades gracefully under faults: NaN samples (monitoring
 // dropouts) are replaced by each zone's last observation so the
@@ -159,18 +156,20 @@ type Metrics struct {
 // of hammering the ecosystem every tick. The leasing rules are
 // provision.Step's.
 func (o *Operator) Observe(now time.Time, zoneLoads []float64) error {
-	return o.ObserveCtx(context.Background(), now, zoneLoads)
+	return o.ObserveCtx(context.Background(), now, now.Add(defaultTick), zoneLoads)
 }
 
-// ObserveCtx is Observe with a deadline: the context is checked at the
-// two points where aborting leaves the operator coherent — before any
+// ObserveCtx is Observe with a deadline and an explicit horizon: it
+// leases so that the allocation in force at next, the instant of the
+// following snapshot, covers the forecast. The context is checked at
+// the two points where aborting leaves the operator coherent — before any
 // state is touched (ErrObserveAborted: the snapshot was not consumed)
 // and between the forecast and the lease acquisition
 // (ErrAcquireAborted: the snapshot was consumed, the acquisition is
 // deferred to the next tick). The stages themselves are not
 // interruptible; the granularity is one stage, which bounds one call
 // at roughly the cost of a predict pass plus a matcher walk.
-func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []float64) error {
+func (o *Operator) ObserveCtx(ctx context.Context, now, next time.Time, zoneLoads []float64) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("operator: %w: %w", ErrObserveAborted, err)
 	}
@@ -245,8 +244,7 @@ func (o *Operator) ObserveCtx(ctx context.Context, now time.Time, zoneLoads []fl
 		return fmt.Errorf("operator: %w: %w", ErrAcquireAborted, err)
 	}
 	want := o.cfg.Game.DemandForZones(o.lastForecast)
-	want = want.Scale(1 + o.cfg.SafetyMargin)
-	need := want.Sub(o.step.AllocAt(now.Add(o.cfg.Tick))).ClampNonNegative()
+	need := want.Sub(o.step.AllocAt(next)).ClampNonNegative()
 	a := o.step.Acquire(o.ticks, now, need, true)
 	for _, l := range a.Leases {
 		o.lastGranted = append(o.lastGranted, l.Center.Name)

@@ -54,12 +54,8 @@ func TestNewValidation(t *testing.T) {
 			t.Error("invalid config accepted")
 		}
 	}
-	op, err := New(base)
-	if err != nil {
+	if _, err := New(base); err != nil {
 		t.Fatal(err)
-	}
-	if op.cfg.Tick != 2*time.Minute {
-		t.Fatalf("default tick = %v", op.cfg.Tick)
 	}
 }
 
@@ -114,32 +110,6 @@ func TestOperatorZoneCountFixedByFirstObserve(t *testing.T) {
 	}
 	if err := op.Observe(t0.Add(2*time.Minute), []float64{100}); err == nil {
 		t.Fatal("zone-count change should error")
-	}
-}
-
-func TestOperatorSafetyMarginRaisesAllocation(t *testing.T) {
-	run := func(margin float64) float64 {
-		op, err := New(Config{
-			Game:         mmog.NewGame("m", mmog.GenreMMORPG),
-			Origin:       geo.London,
-			Predictor:    predict.NewLastValue(),
-			Matcher:      testMatcher(10),
-			SafetyMargin: margin,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		now := t0
-		for i := 0; i < 30; i++ {
-			if err := op.Observe(now, []float64{1000}); err != nil {
-				t.Fatal(err)
-			}
-			now = now.Add(2 * time.Minute)
-		}
-		return op.Metrics().AvgOverPct
-	}
-	if with, without := run(0.2), run(0); with <= without {
-		t.Fatalf("margin over-allocation %v should exceed no-margin %v", with, without)
 	}
 }
 

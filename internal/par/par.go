@@ -92,9 +92,6 @@ func New(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool's parallelism (including the caller).
-func (p *Pool) Workers() int { return p.workers }
-
 // Close releases the resident workers. For must not be called after
 // Close. Closing a sequential (one-worker) pool is a no-op; Close is
 // idempotent.

@@ -31,11 +31,11 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 	p := New(0)
 	defer p.Close()
-	if p.Workers() < 1 {
-		t.Fatalf("Workers() = %d", p.Workers())
+	if p.workers < 1 {
+		t.Fatalf("workers = %d", p.workers)
 	}
-	if q := New(1); q.Workers() != 1 {
-		t.Fatalf("Workers() = %d, want 1", q.Workers())
+	if q := New(1); q.workers != 1 {
+		t.Fatalf("workers = %d, want 1", q.workers)
 	}
 }
 
@@ -191,7 +191,7 @@ func TestForWorkerCoversEveryIndexWithValidWorker(t *testing.T) {
 		count := make([]int, n)
 		seen := map[int]bool{}
 		p.ForWorker(n, func(i, w int) {
-			if w < 0 || w >= p.Workers() {
+			if w < 0 || w >= p.workers {
 				t.Errorf("workers=%d: worker index %d out of range", workers, w)
 			}
 			mu.Lock()

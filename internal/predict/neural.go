@@ -19,15 +19,11 @@ type NeuralConfig struct {
 	// Capacity normalizes inputs into the network's working range;
 	// use the signal's plausible maximum (e.g. zone capacity).
 	Capacity float64
-	// LearningRate and Momentum drive the online weight updates.
+	// LearningRate drives the online weight updates.
 	LearningRate float64
-	Momentum     float64
 	// Degree of the polynomial de-noising preprocessor; negative
 	// disables preprocessing.
 	Degree int
-	// WarmupSteps delays online training until this many samples have
-	// been observed (the window must fill first regardless).
-	WarmupSteps int
 	// OutputScale multiplies training targets (and divides network
 	// outputs) so the regression target has a healthy magnitude even
 	// when the normalized signal moves by tiny deltas. PretrainShared
@@ -42,15 +38,10 @@ type NeuralConfig struct {
 	// ErrorClip bounds the error driving each weight update
 	// (Huber-style); zero disables clipping.
 	ErrorClip float64
-	// Direct makes the network output the next load level directly.
-	// The default (false) is residual mode: the network predicts the
-	// load *change* over the next interval, added to the last observed
-	// value. Residual mode cannot be worse than the last-value
-	// predictor when the network outputs zero and learns trends and
-	// mean-reversion as corrections; the ablation benchmark compares
-	// the two modes.
-	Direct bool
 }
+
+// onlineMomentum is the momentum of the online weight updates.
+const onlineMomentum = 0.5
 
 func (c NeuralConfig) withDefaults() NeuralConfig {
 	if c.Window == 0 {
@@ -64,12 +55,6 @@ func (c NeuralConfig) withDefaults() NeuralConfig {
 	}
 	if c.LearningRate == 0 {
 		c.LearningRate = 0.1
-	}
-	if c.Momentum == 0 {
-		c.Momentum = 0.5
-	}
-	if c.WarmupSteps == 0 {
-		c.WarmupSteps = c.Window + 1
 	}
 	if c.OutputScale == 0 {
 		c.OutputScale = 1
@@ -88,6 +73,11 @@ func (c NeuralConfig) withDefaults() NeuralConfig {
 // so the network keeps adapting to the signal — the online analogue of
 // the paper's offline data-collection and training-era phases, which
 // PretrainShared reproduces verbatim.
+//
+// The network is residual: it predicts the load *change* over the next
+// interval, added to the last observed value. It cannot be worse than
+// the last-value predictor when it outputs zero, and it learns trends
+// and mean-reversion as corrections.
 type Neural struct {
 	cfg    NeuralConfig
 	net    *neural.MLP
@@ -151,15 +141,11 @@ func (p *Neural) Name() string { return "Neural" }
 func (p *Neural) Observe(v float64) {
 	nv := p.norm.Norm(v)
 	// Online training: the window that preceded this observation
-	// should have predicted it.
-	if p.havePre && p.seen >= p.cfg.WarmupSteps {
-		target := nv
-		if !p.cfg.Direct {
-			target = nv - p.prevLast
-		}
-		target *= p.cfg.OutputScale
-		p.targetBuf[0] = target
-		p.net.TrainClipped(p.prevIn, p.targetBuf, p.cfg.OnlineLearningRate, p.cfg.Momentum, p.cfg.ErrorClip)
+	// should have predicted it. Training starts one sample after the
+	// window first fills.
+	if p.havePre && p.seen > p.cfg.Window {
+		p.targetBuf[0] = (nv - p.prevLast) * p.cfg.OutputScale
+		p.net.TrainClipped(p.prevIn, p.targetBuf, p.cfg.OnlineLearningRate, onlineMomentum, p.cfg.ErrorClip)
 	}
 	if len(p.window) == p.cfg.Window {
 		copy(p.window, p.window[1:])
@@ -186,16 +172,12 @@ func (p *Neural) Predict() float64 {
 		// Window not yet full: fall back to the last value.
 		return p.norm.Denorm(p.window[len(p.window)-1])
 	}
-	out := p.net.Forward(p.prevIn)[0] / p.cfg.OutputScale
-	if !p.cfg.Direct {
-		out += p.prevLast
-	}
-	return p.norm.Denorm(out)
+	return p.norm.Denorm(p.net.Forward(p.prevIn)[0]/p.cfg.OutputScale + p.prevLast)
 }
 
 // pretrain trains the network offline on the examples of every signal,
 // in order: each smoothed, normalized window of Window samples, with
-// the (scaled) next sample or step as its target. The examples share
+// the (scaled) step to the next sample as its target. The examples share
 // one backing array; the first trainFraction of them (0.8 when out of
 // range) form the training set and the rest the test set.
 func (p *Neural) pretrain(signals [][]float64, trainFraction float64, cfg neural.TrainConfig) neural.TrainResult {
@@ -219,11 +201,7 @@ func (p *Neural) pretrain(signals [][]float64, trainFraction float64, cfg neural
 			k := len(samples)
 			in := ins[k*w : (k+1)*w : (k+1)*w]
 			p.pre.ProcessInto(in, raw)
-			target := p.norm.Norm(signal[i+w])
-			if !p.cfg.Direct {
-				target -= p.norm.Norm(signal[i+w-1])
-			}
-			targets[k] = target * p.cfg.OutputScale
+			targets[k] = (p.norm.Norm(signal[i+w]) - p.norm.Norm(signal[i+w-1])) * p.cfg.OutputScale
 			samples = append(samples, neural.Sample{In: in, Target: targets[k : k+1 : k+1]})
 		}
 	}

@@ -257,6 +257,25 @@ func (p *SlidingWindowMedian) Predict() float64 {
 // the neural predictor's input width.
 const DefaultWindow = 6
 
+// ByName returns the baseline predictor the command-line tools name
+// lastvalue, average, movingavg, median or expsmoothing (α = 0.5), or
+// nil for any other name. Each tool builds its neural predictor itself.
+func ByName(name string) Factory {
+	switch name {
+	case "lastvalue":
+		return NewLastValue()
+	case "average":
+		return NewAverage()
+	case "movingavg":
+		return NewMovingAverage(DefaultWindow)
+	case "median":
+		return NewSlidingWindowMedian(DefaultWindow)
+	case "expsmoothing":
+		return NewExpSmoothing(0.5, "Exp. smoothing 50%")
+	}
+	return nil
+}
+
 // Baselines returns the paper's six non-neural predictors in the order
 // of Table V / Fig. 5.
 func Baselines() []Factory {

@@ -262,3 +262,26 @@ func TestHoltBeatsExpSmoothingOnRamp(t *testing.T) {
 		t.Fatalf("Holt %v should beat single smoothing %v on a ramp", holt, single)
 	}
 }
+
+func TestByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"lastvalue":    "Last value",
+		"average":      "Average",
+		"movingavg":    "Moving average",
+		"median":       "Sliding window median",
+		"expsmoothing": "Exp. smoothing 50%",
+	} {
+		f := ByName(name)
+		if f == nil {
+			t.Fatalf("ByName(%q) = nil", name)
+		}
+		if got := f().Name(); got != want {
+			t.Errorf("ByName(%q) builds %q, want %q", name, got, want)
+		}
+	}
+	for _, name := range []string{"neural", "LastValue", ""} {
+		if ByName(name) != nil {
+			t.Errorf("ByName(%q) is not nil", name)
+		}
+	}
+}

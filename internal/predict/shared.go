@@ -31,7 +31,7 @@ func PretrainShared(cfg NeuralConfig, collected [][]float64, trainFraction float
 		}
 		cfg.Capacity = maxV * 1.25
 	}
-	if cfg.OutputScale == 0 && !cfg.Direct {
+	if cfg.OutputScale == 0 {
 		// Auto-calibrate the target scale so the normalized deltas the
 		// network regresses on have a healthy RMS (~0.5); without this
 		// the gradients on small sub-zone signals are vanishingly weak.

@@ -379,7 +379,7 @@ func (p *Neural) Snapshot() []byte {
 	e.Int(p.cfg.Window)
 	e.F64(p.cfg.Capacity)
 	e.F64(p.cfg.OutputScale)
-	e.Bool(p.cfg.Direct)
+	e.Bool(false) // output-mode flag: always residual, and Restore refuses true
 	e.F64s(p.window)
 	e.Int(p.seen)
 	e.F64s(p.prevIn)
@@ -408,7 +408,7 @@ func (p *Neural) Restore(data []byte) error {
 		return err
 	}
 	if window != p.cfg.Window || capacity != p.cfg.Capacity ||
-		outputScale != p.cfg.OutputScale || direct != p.cfg.Direct {
+		outputScale != p.cfg.OutputScale || direct {
 		return fmt.Errorf("predict: neural snapshot from a differently configured predictor")
 	}
 	// Observe fills the window one sample per observation and smooths

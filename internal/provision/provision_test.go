@@ -106,10 +106,10 @@ func TestStep(t *testing.T) {
 				inj.on = tk.reject
 				m.Expire(now)
 				s.Prune(now)
-				before := log.Total()
+				before := decisions(log)
 				deferred := counts.Deferred
 				a := s.Acquire(i, now, datacenter.Vector{tk.need}, !tk.noBudget)
-				if sent := log.Total() > before; sent != tk.sent {
+				if sent := decisions(log) > before; sent != tk.sent {
 					t.Fatalf("tick %d: sent = %v, want %v", i, sent, tk.sent)
 				}
 				if a.Failover != tk.failover {
@@ -204,6 +204,16 @@ func (noSpans) Enclosing() obs.SpanID                                          {
 // holds, each detail twice: the table never grows past maxDetails, and
 // every recorded Detail reads exactly the bytes it was rendered from,
 // whether it was interned before or after the table started over.
+// decisions returns how many matcher decisions log has recorded: the
+// newest one's sequence number.
+func decisions(log *ecosystem.DecisionLog) uint64 {
+	snap := log.Snapshot()
+	if len(snap) == 0 {
+		return 0
+	}
+	return snap[len(snap)-1].Seq
+}
+
 func TestTelemetryInternBounded(t *testing.T) {
 	const calls = 2 * maxDetails
 	rec := obs.NewRecorder(3 * calls)

@@ -55,47 +55,6 @@ func (s *Series) Clone() *Series {
 	return &Series{Tick: s.Tick, Start: s.Start, Values: append([]float64(nil), s.Values...)}
 }
 
-// Slice returns a view of samples [from, to) as a new Series sharing
-// the underlying storage.
-func (s *Series) Slice(from, to int) *Series {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(s.Values) {
-		to = len(s.Values)
-	}
-	if from > to {
-		from = to
-	}
-	return &Series{
-		Tick:   s.Tick,
-		Start:  s.Start.Add(time.Duration(from) * s.Tick),
-		Values: s.Values[from:to],
-	}
-}
-
-// Window returns the last n samples ending at index end (inclusive),
-// padding with the earliest available value when the series is too
-// short. Predictors use this to build fixed-size input vectors.
-func (s *Series) Window(end, n int) []float64 {
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		idx := end - n + 1 + i
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(s.Values) {
-			idx = len(s.Values) - 1
-		}
-		if idx < 0 {
-			out[i] = 0
-			continue
-		}
-		out[i] = s.Values[idx]
-	}
-	return out
-}
-
 // Resample aggregates consecutive groups of factor samples using the
 // mean, e.g. 2-minute samples to 2-hour averages (factor 60) as in
 // Fig. 2. A trailing partial group is averaged over its actual length.
@@ -116,14 +75,6 @@ func (s *Series) Resample(factor int) *Series {
 		out.Values = append(out.Values, sum/float64(end-i))
 	}
 	return out
-}
-
-// Scale multiplies all samples by f in place and returns s.
-func (s *Series) Scale(f float64) *Series {
-	for i := range s.Values {
-		s.Values[i] *= f
-	}
-	return s
 }
 
 // AddSeries adds other's samples to s element-wise in place; the two

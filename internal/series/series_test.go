@@ -47,56 +47,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	s := New(DefaultTick, t0)
-	s.Append(0, 1, 2, 3, 4, 5)
-	v := s.Slice(2, 4)
-	if v.Len() != 2 || v.At(0) != 2 || v.At(1) != 3 {
-		t.Fatalf("slice values wrong: %v", v.Values)
-	}
-	if !v.Start.Equal(t0.Add(4 * time.Minute)) {
-		t.Fatalf("slice start = %v", v.Start)
-	}
-	// Clamping.
-	if s.Slice(-5, 100).Len() != 6 {
-		t.Fatal("slice should clamp to series bounds")
-	}
-	if s.Slice(4, 2).Len() != 0 {
-		t.Fatal("inverted slice should be empty")
-	}
-}
-
-func TestWindowPadding(t *testing.T) {
-	s := &Series{Tick: DefaultTick, Values: []float64{10, 20, 30}}
-	// Window ending at index 2 of size 5 pads the front with the
-	// earliest value.
-	w := s.Window(2, 5)
-	want := []float64{10, 10, 10, 20, 30}
-	for i := range want {
-		if w[i] != want[i] {
-			t.Fatalf("window = %v, want %v", w, want)
-		}
-	}
-}
-
-func TestWindowExact(t *testing.T) {
-	s := &Series{Tick: DefaultTick, Values: []float64{1, 2, 3, 4}}
-	w := s.Window(3, 3)
-	if w[0] != 2 || w[1] != 3 || w[2] != 4 {
-		t.Fatalf("window = %v", w)
-	}
-}
-
-func TestWindowEmptySeries(t *testing.T) {
-	s := New(DefaultTick, t0)
-	w := s.Window(0, 3)
-	for _, v := range w {
-		if v != 0 {
-			t.Fatalf("empty-series window = %v, want zeros", w)
-		}
-	}
-}
-
 func TestResample(t *testing.T) {
 	s := New(DefaultTick, t0)
 	s.Append(1, 3, 5, 7, 9, 11)
@@ -129,14 +79,6 @@ func TestResampleFactorOne(t *testing.T) {
 	r.Values[0] = 99
 	if s.Values[0] != 1 {
 		t.Fatal("Resample(1) should return an independent clone")
-	}
-}
-
-func TestScale(t *testing.T) {
-	s := &Series{Tick: DefaultTick, Values: []float64{1, 2, 3}}
-	s.Scale(2)
-	if s.At(0) != 2 || s.At(2) != 6 {
-		t.Fatalf("scaled = %v", s.Values)
 	}
 }
 

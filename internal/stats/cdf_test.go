@@ -26,8 +26,8 @@ func TestCDFBasics(t *testing.T) {
 
 func TestCDFEmpty(t *testing.T) {
 	c := NewCDF(nil)
-	if c.At(5) != 0 || c.Percentile(0.5) != 0 || c.Points(10) != nil {
-		t.Fatal("empty CDF should return zeros and nil points")
+	if c.At(5) != 0 || c.Percentile(0.5) != 0 {
+		t.Fatal("empty CDF should return zeros")
 	}
 }
 
@@ -80,58 +80,6 @@ func TestCDFPercentile(t *testing.T) {
 	}
 	if got := c.Percentile(1); got != 100 {
 		t.Fatalf("P100 = %v", got)
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{0, 10})
-	pts := c.Points(11)
-	if len(pts) != 11 {
-		t.Fatalf("len(points) = %d", len(pts))
-	}
-	if pts[0].X != 0 || pts[10].X != 10 {
-		t.Fatalf("endpoints wrong: %v ... %v", pts[0], pts[10])
-	}
-	if pts[10].P != 1 {
-		t.Fatalf("last P = %v, want 1", pts[10].P)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].P < pts[i-1].P {
-			t.Fatalf("points not monotone at %d", i)
-		}
-	}
-}
-
-func TestCDFPointsDegenerate(t *testing.T) {
-	c := NewCDF([]float64{7, 7, 7})
-	pts := c.Points(5)
-	if len(pts) != 1 || pts[0].X != 7 || pts[0].P != 1 {
-		t.Fatalf("degenerate points = %v", pts)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	edges, counts := Histogram(xs, 5)
-	if len(edges) != 6 || len(counts) != 5 {
-		t.Fatalf("edges=%d counts=%d", len(edges), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram lost samples: %d != %d", total, len(xs))
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	edges, counts := Histogram([]float64{4, 4, 4}, 3)
-	if len(counts) != 1 || counts[0] != 3 {
-		t.Fatalf("degenerate histogram = %v %v", edges, counts)
-	}
-	if e, c := Histogram(nil, 4); e != nil || c != nil {
-		t.Fatal("empty histogram should be nil")
 	}
 }
 

@@ -158,6 +158,31 @@ func Fig2Events() []Event {
 	}
 }
 
+// The generator's calibration. Every dataset uses these values.
+const (
+	// meanUtilization is the average off-peak group utilization.
+	meanUtilization = 0.45
+	// diurnalAmplitude is the relative swing of the daily cycle.
+	// Per-group loads swing strongly over the day (Fig. 3 top: group
+	// loads range from near-empty to near-full); the ~50% figure in
+	// Section III-C is the cross-sectional median-to-min spread at
+	// peak hours, not the temporal swing.
+	diurnalAmplitude = 0.55
+	// noiseLevel is the relative magnitude of short-term fluctuations.
+	noiseLevel = 0.03
+	// minigameFraction is the share of server groups hosting minigame
+	// worlds. RuneScape's minigames run in rounds on a game-wide
+	// timer; the population of a minigame world swells during a round
+	// and thins between rounds, a predictable short-term oscillation
+	// on top of the diurnal cycle.
+	minigameFraction = 0.4
+	// minigameAmp is the relative amplitude of the round oscillation.
+	minigameAmp = 0.13
+	// minigamePeriod is the round length in samples (game-wide timer):
+	// 24 minutes.
+	minigamePeriod = 12
+)
+
 // Config parameterizes a synthetic dataset.
 type Config struct {
 	// Seed makes the dataset reproducible.
@@ -177,27 +202,6 @@ type Config struct {
 	// OutageRatePerDay is the per-group expected number of outages per
 	// day. Defaults to 0.02 (rare) when zero.
 	OutageRatePerDay float64
-	// MeanUtilization is the average off-peak group utilization.
-	// Defaults to 0.45.
-	MeanUtilization float64
-	// DiurnalAmplitude is the relative swing of the daily cycle.
-	// Defaults to 0.55.
-	DiurnalAmplitude float64
-	// NoiseLevel is the relative magnitude of short-term fluctuations.
-	// Defaults to 0.03.
-	NoiseLevel float64
-	// MinigameFraction is the share of server groups hosting minigame
-	// worlds. RuneScape's minigames run in rounds on a game-wide
-	// timer; the population of a minigame world swells during a round
-	// and thins between rounds, a predictable short-term oscillation
-	// on top of the diurnal cycle. Defaults to 0.4; negative disables.
-	MinigameFraction float64
-	// MinigameAmp is the relative amplitude of the round oscillation.
-	// Defaults to 0.13.
-	MinigameAmp float64
-	// MinigamePeriod is the round length in samples (game-wide timer).
-	// Defaults to 12 (24 minutes).
-	MinigamePeriod int
 }
 
 func (c *Config) withDefaults() Config {
@@ -216,30 +220,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.OutageRatePerDay == 0 {
 		out.OutageRatePerDay = 0.02
-	}
-	if out.MeanUtilization == 0 {
-		out.MeanUtilization = 0.45
-	}
-	if out.DiurnalAmplitude == 0 {
-		// Per-group loads swing strongly over the day (Fig. 3 top:
-		// group loads range from near-empty to near-full); the ~50%
-		// figure in Section III-C is the cross-sectional median-to-min
-		// spread at peak hours, not the temporal swing.
-		out.DiurnalAmplitude = 0.55
-	}
-	if out.NoiseLevel == 0 {
-		out.NoiseLevel = 0.03
-	}
-	if out.MinigameFraction == 0 {
-		out.MinigameFraction = 0.4
-	} else if out.MinigameFraction < 0 {
-		out.MinigameFraction = 0
-	}
-	if out.MinigameAmp == 0 {
-		out.MinigameAmp = 0.13
-	}
-	if out.MinigamePeriod == 0 {
-		out.MinigamePeriod = 12
 	}
 	return out
 }
@@ -333,7 +313,10 @@ func Generate(cfg Config) *Dataset {
 	roundPhase := make([]float64, nSamples)
 	roundScale := make([]float64, nSamples)
 	phase := 2 * math.Pi * phaseRand.Float64()
-	step := 2 * math.Pi / float64(c.MinigamePeriod)
+	// A run-time division: the constant quotient 2π/12 rounds one ulp
+	// differently.
+	period := float64(minigamePeriod)
+	step := 2 * math.Pi / period
 	scale := 1.0
 	prevWrap := 0.0
 	for i := range roundPhase {
@@ -377,8 +360,8 @@ func generateGroup(c Config, reg Region, gi int, r *xrand.Rand, nSamples int, ro
 
 	// Per-group personality: base utilization and phase jitter vary
 	// between groups so the cross-group IQR is non-trivial.
-	base := c.MeanUtilization * (0.75 + 0.5*r.Float64())
-	amp := c.DiurnalAmplitude * (0.8 + 0.4*r.Float64())
+	base := meanUtilization * (0.75 + 0.5*r.Float64())
+	amp := diurnalAmplitude * (0.8 + 0.4*r.Float64())
 	phase := r.Norm(0, 0.4) // hours of per-group phase jitter
 
 	outages := scheduleOutages(c, r, nSamples)
@@ -386,11 +369,11 @@ func generateGroup(c Config, reg Region, gi int, r *xrand.Rand, nSamples int, ro
 	// Minigame worlds oscillate with the game-wide round timer; each
 	// world has its own amplitude and a small phase offset (players
 	// trickle in at slightly different speeds).
-	minigame := r.Float64() < c.MinigameFraction
+	minigame := r.Float64() < minigameFraction
 	gameAmp := 0.0
 	phaseOffset := 0.0
 	if minigame {
-		gameAmp = c.MinigameAmp * (0.7 + 0.6*r.Float64())
+		gameAmp = minigameAmp * (0.7 + 0.6*r.Float64())
 		phaseOffset = r.Norm(0, 0.25)
 	}
 
@@ -398,7 +381,7 @@ func generateGroup(c Config, reg Region, gi int, r *xrand.Rand, nSamples int, ro
 	// population counts.
 	noise := 0.0
 	const arCoeff = 0.9
-	noiseScale := c.NoiseLevel * math.Sqrt(1-arCoeff*arCoeff)
+	noiseScale := noiseLevel * math.Sqrt(1-arCoeff*arCoeff)
 
 	for i := 0; i < nSamples; i++ {
 		day := float64(i) / SamplesPerDay

@@ -1,0 +1,29 @@
+#!/usr/bin/env sh
+# Short fuzz passes beyond the committed seed corpora (testdata/fuzz),
+# one target per run (go test -fuzz takes one at a time):
+#   - the operator's checkpoint restore must turn corrupt payloads into
+#     errors, never panics;
+#   - POST /v1/config must answer hostile bodies with 200 or a typed
+#     4xx, and an accepted config must round-trip GET -> POST -> GET;
+#   - mmogaudit must answer a hostile event stream with a load error or
+#     a report, never a panic or a hang;
+#   - a hostile blackout spec and fault config must be rejected or give
+#     a plan whose every window lies inside the run;
+#   - a corrupt core checkpoint payload must be refused or resume to a
+#     well-formed Result;
+#   - a corrupt neural predictor snapshot must be refused or keep
+#     predicting and snapshot back to the same bytes;
+#   - ParseTraceparent must accept exactly the W3C version-00 headers.
+# An accepted core payload replays the rest of its run, so
+# FuzzCoreResume caps minimization at 1s: shrinking a 6 KB payload byte
+# by byte would otherwise take the whole pass.
+set -eu
+cd "$(dirname "$0")/.."
+
+go test -run '^$' -fuzz '^FuzzOperatorFromSnapshot$' -fuzztime 10s ./internal/operator/
+go test -run '^$' -fuzz '^FuzzConfigPost$' -fuzztime 10s ./internal/daemon/
+go test -run '^$' -fuzz '^FuzzAnalyzeEvents$' -fuzztime 10s ./internal/audit/
+go test -run '^$' -fuzz '^FuzzFaultPlan$' -fuzztime 10s ./internal/faults/
+go test -run '^$' -fuzz '^FuzzCoreResume$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
+go test -run '^$' -fuzz '^FuzzNeuralRestore$' -fuzztime 10s ./internal/predict/
+go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 10s ./internal/obs/
