@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"mmogdc/internal/audit"
+	"mmogdc/internal/obs"
 )
 
 func main() {
@@ -69,30 +70,12 @@ func main() {
 		}
 	}
 
-	var tr *audit.Trace
+	var tr, clientTr *obs.Trace
 	if *tracePath != "" {
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		tr, err = audit.LoadTrace(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
+		tr = readTrace(*tracePath)
 	}
-
-	var clientTr *audit.Trace
 	if *clientPath != "" {
-		f, err := os.Open(*clientPath)
-		if err != nil {
-			fatal(err)
-		}
-		clientTr, err = audit.LoadTrace(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
+		clientTr = readTrace(*clientPath)
 	}
 
 	report := audit.Analyze(events, md, tr)
@@ -105,7 +88,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			err = audit.WriteMergedTrace(f, merged)
+			err = obs.WriteTraceEvents(f, merged)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -186,6 +169,20 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// readTrace reads a Chrome trace file, exiting on failure.
+func readTrace(path string) *obs.Trace {
+	f, err := os.Open(path)
+	if err != nil {
+		fatal(err)
+	}
+	defer f.Close()
+	tr, err := obs.ReadTrace(f)
+	if err != nil {
+		fatal(err)
+	}
+	return tr
 }
 
 func fatal(err error) {

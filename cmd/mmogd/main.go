@@ -25,7 +25,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -114,7 +113,7 @@ func run() int {
 		// PID-prefixed span IDs keep the daemon's IDs disjoint from the
 		// load generator's, so mmogaudit can merge both trace files
 		// without collisions.
-		telemetry.EnableTracing(0).SetIDBase(obs.PIDSpanBase())
+		telemetry.EnableTracing().SetIDBase(obs.PIDSpanBase())
 	}
 	if *rtMetrics {
 		telemetry.EnableRuntimeMetrics()
@@ -175,7 +174,7 @@ func run() int {
 				eventsFile.Close()
 			}
 			if *traceOut != "" {
-				if werr := writeTrace(*traceOut, telemetry); werr != nil {
+				if werr := telemetry.Tracer.WriteTraceFile(*traceOut); werr != nil {
 					fmt.Fprintln(os.Stderr, "daemon: trace-out:", werr)
 				}
 			}
@@ -222,32 +221,16 @@ func run() int {
 	}
 }
 
-// writeTrace flushes the collected spans as a Chrome trace file.
-func writeTrace(path string, telemetry *obs.Obs) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.Tracer.WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// loadHot reads a hot-config JSON file on top of the given base, so a
-// partial file tweaks only the fields it names.
+// loadHot decodes a hot-config JSON file on top of the given base
+// (daemon.DecodeHot), so a partial file tweaks only the fields it
+// names.
 func loadHot(path string, base daemon.HotConfig) (daemon.HotConfig, error) {
-	blob, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return base, err
 	}
-	dec := json.NewDecoder(strings.NewReader(string(blob)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&base); err != nil {
-		return base, err
-	}
-	return base, nil
+	defer f.Close()
+	return daemon.DecodeHot(f, base)
 }
 
 // factoryFor maps a predictor name to its factory. The neural option

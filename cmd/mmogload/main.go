@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"mmogdc/internal/audit"
+	"mmogdc/internal/daemon"
 	"mmogdc/internal/emulator"
 	"mmogdc/internal/obs"
 	"mmogdc/internal/stats"
@@ -98,9 +99,7 @@ func main() {
 			values[j] = float64(c)
 		}
 		body.Reset()
-		if err := json.NewEncoder(body).Encode(map[string]any{
-			"game": *game, "values": values,
-		}); err != nil {
+		if err := json.NewEncoder(body).Encode(daemon.ObserveRequest{Game: *game, Values: values}); err != nil {
 			fmt.Fprintln(os.Stderr, "mmogload:", err)
 			os.Exit(1)
 		}
@@ -218,14 +217,7 @@ func main() {
 	}
 
 	if tracer != nil {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = tracer.WriteTrace(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := tracer.WriteTraceFile(*traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "mmogload: trace-out:", err)
 			os.Exit(1)
 		}

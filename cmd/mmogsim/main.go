@@ -87,7 +87,7 @@ func main() {
 		}
 	}
 	if *traceOut != "" {
-		telemetry.EnableTracing(0)
+		telemetry.EnableTracing()
 	}
 	if *obsEvents != "" {
 		f, err := os.Create(*obsEvents)
@@ -136,6 +136,13 @@ func main() {
 		}
 		fcfg.ScheduledBlackouts = windows
 	}
+	if *failFile != "" {
+		outages, err := loadFailures(*failFile)
+		if err != nil {
+			fatal(err)
+		}
+		fcfg.ScheduledOutages = outages
+	}
 	if fcfg.Seed == 0 {
 		fcfg.Seed = *seed
 	}
@@ -159,13 +166,6 @@ func main() {
 	}
 	if fcfg.Enabled() {
 		cfg.Faults = &fcfg
-	}
-	if *failFile != "" {
-		failures, err := loadFailures(*failFile)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Failures = failures
 	}
 	// Static mode normally needs no centers, but outages need somewhere
 	// to strike: give the static fleet its home centers too.
@@ -225,7 +225,7 @@ func main() {
 		}
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, telemetry); err != nil {
+		if err := telemetry.Trc().WriteTraceFile(*traceOut); err != nil {
 			fatal(err)
 		}
 	}
@@ -253,20 +253,6 @@ func writeMetrics(path string, telemetry *obs.Obs, res *core.Result) error {
 		return err
 	}
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
-// writeTrace dumps the recorded spans as one Chrome trace_event JSON
-// document.
-func writeTrace(path string, telemetry *obs.Obs) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.Trc().WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // printResilience renders the fault-handling section of a run that had
@@ -312,14 +298,14 @@ func printResilience(r *core.Resilience) {
 
 // loadFailures parses a scheduled-outage file: one outage per line as
 // "center,atTick,durationTicks"; blank lines and # comments skipped.
-func loadFailures(path string) ([]core.Failure, error) {
+func loadFailures(path string) ([]faults.CenterOutage, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 
-	var out []core.Failure
+	var out []faults.CenterOutage
 	sc := bufio.NewScanner(f)
 	line := 0
 	for sc.Scan() {
@@ -340,8 +326,8 @@ func loadFailures(path string) ([]core.Failure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: bad duration: %v", path, line, err)
 		}
-		out = append(out, core.Failure{
-			Center: strings.TrimSpace(parts[0]), AtTick: at, DurationTicks: dur,
+		out = append(out, faults.CenterOutage{
+			Center: strings.TrimSpace(parts[0]), Start: at, Duration: dur,
 		})
 	}
 	if err := sc.Err(); err != nil {

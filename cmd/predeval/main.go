@@ -56,5 +56,5 @@ func main() {
 		fmt.Printf("%-24s %10.3f\n", bf().Name(), predict.EvaluateZones(bf, zones))
 	}
 	nf, _ := predict.PretrainShared(predict.PaperNeuralConfig(*seed), zones, 0.8, predict.PaperTrainConfig(*seed+1))
-	fmt.Printf("%-24s %10.3f\n", "Neural (pretrained)", predict.EvaluateZonesFrom(nf, zones, 1))
+	fmt.Printf("%-24s %10.3f\n", "Neural (pretrained)", predict.EvaluateZonesFromSecond(nf, zones))
 }

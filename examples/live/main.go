@@ -187,7 +187,7 @@ func run() error {
 
 	// End the session cleanly: release every lease and, when
 	// checkpointing, flush a final clean-shutdown snapshot.
-	op.Shutdown(now)
+	op.Shutdown()
 	if mgr != nil {
 		payload, err := op.Snapshot()
 		if err != nil {

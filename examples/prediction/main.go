@@ -41,9 +41,9 @@ func main() {
 	zones := zonesOf(emulator.Run(cfg))
 
 	fmt.Printf("%-24s %10s\n", "predictor", "error [%]")
-	fmt.Printf("%-24s %10.2f\n", "Neural", predict.EvaluateZonesFrom(neural, zones, 1))
+	fmt.Printf("%-24s %10.2f\n", "Neural", predict.EvaluateZonesFromSecond(neural, zones))
 	for _, f := range predict.Baselines() {
-		fmt.Printf("%-24s %10.2f\n", f().Name(), predict.EvaluateZonesFrom(f, zones, 1))
+		fmt.Printf("%-24s %10.2f\n", f().Name(), predict.EvaluateZonesFromSecond(f, zones))
 	}
 	fmt.Println("\nerror = sum of per-sample absolute prediction errors over the total player")
 	fmt.Println("volume (Section IV-D2). Lower is better.")

@@ -99,32 +99,3 @@ func LoadMetrics(r io.Reader) (*MetricsDoc, error) {
 	}
 	return &doc, nil
 }
-
-// TraceEvent is one Chrome trace_event object as exported by
-// obs.Tracer.WriteTrace.
-type TraceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  float64        `json:"dur"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	ID   string         `json:"id"`
-	Args map[string]any `json:"args"`
-}
-
-// Trace is a parsed Chrome trace_event document.
-type Trace struct {
-	TraceEvents []TraceEvent `json:"traceEvents"`
-}
-
-// LoadTrace parses a Chrome trace_event JSON document
-// ({"traceEvents": [...]}).
-func LoadTrace(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("audit: trace: %w", err)
-	}
-	return &t, nil
-}

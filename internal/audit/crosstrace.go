@@ -1,10 +1,10 @@
 package audit
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
+
+	"mmogdc/internal/obs"
 )
 
 // RequestPathReport is the cross-process request critical path: the
@@ -31,7 +31,7 @@ type RequestPathReport struct {
 // argID reads a numeric span-ID argument from a trace event. Chrome
 // trace args round-trip through JSON as float64, which is exact for
 // the IDs the tracer mints (PID-prefixed, < 2^53).
-func argID(ev TraceEvent, key string) (uint64, bool) {
+func argID(ev obs.TraceEvent, key string) (uint64, bool) {
 	v, ok := ev.Args[key].(float64)
 	if !ok {
 		return 0, false
@@ -49,17 +49,17 @@ func argID(ev TraceEvent, key string) (uint64, bool) {
 // come back with PID 2 so the viewer renders the two processes as
 // separate tracks; server events keep PID 1 and their parent/span IDs,
 // which stay collision-free thanks to the PID-prefixed ID bases.
-func CrossProcess(client, server *Trace) (*RequestPathReport, []TraceEvent) {
+func CrossProcess(client, server *obs.Trace) (*RequestPathReport, []obs.TraceEvent) {
 	rp := &RequestPathReport{}
 
-	clientBySpan := map[uint64]TraceEvent{}
+	clientBySpan := map[uint64]obs.TraceEvent{}
 	for _, ev := range client.TraceEvents {
 		if ev.Ph != "X" {
 			continue
 		}
 		if ev.Name == "client.request" {
 			rp.ClientRequests++
-			rp.ClientRTT.observe(ev.Dur)
+			rp.ClientRTT.observe(ev.Duration())
 			if id, ok := argID(ev, "span"); ok {
 				clientBySpan[id] = ev
 			}
@@ -81,11 +81,11 @@ func CrossProcess(client, server *Trace) (*RequestPathReport, []TraceEvent) {
 				}
 			}
 		case "daemon.queue_wait":
-			rp.QueueWait.observe(ev.Dur)
+			rp.QueueWait.observe(ev.Duration())
 		case "daemon.observe":
-			rp.Observe.observe(ev.Dur)
+			rp.Observe.observe(ev.Duration())
 		case "operator.acquire":
-			rp.Acquire.observe(ev.Dur)
+			rp.Acquire.observe(ev.Duration())
 		}
 	}
 	rp.ClientRTT.finalize()
@@ -101,7 +101,7 @@ func CrossProcess(client, server *Trace) (*RequestPathReport, []TraceEvent) {
 		shift = offsets[len(offsets)/2]
 	}
 
-	merged := make([]TraceEvent, 0, len(client.TraceEvents)+len(server.TraceEvents))
+	merged := make([]obs.TraceEvent, 0, len(client.TraceEvents)+len(server.TraceEvents))
 	merged = append(merged, server.TraceEvents...)
 	for _, ev := range client.TraceEvents {
 		ev.PID = 2
@@ -110,30 +110,6 @@ func CrossProcess(client, server *Trace) (*RequestPathReport, []TraceEvent) {
 	}
 	sort.SliceStable(merged, func(i, j int) bool { return merged[i].TS < merged[j].TS })
 	return rp, merged
-}
-
-// WriteMergedTrace writes a merged timeline back out as a Chrome
-// trace_event document, viewable like any single-process trace.
-func WriteMergedTrace(w io.Writer, events []TraceEvent) error {
-	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	for i, ev := range events {
-		line, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if i > 0 {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		}
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "\n],\"displayTimeUnit\":\"ms\"}\n")
-	return err
 }
 
 // AttachRequestPath folds a cross-process merge into the report, with

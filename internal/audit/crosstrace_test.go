@@ -10,18 +10,18 @@ import (
 
 // span builds one complete-phase trace event with the tracer's arg
 // schema (span/parent IDs as JSON numbers, i.e. float64 after decode).
-func span(name string, ts, dur float64, id, parent uint64) TraceEvent {
+func span(name string, ts, dur float64, id, parent uint64) obs.TraceEvent {
 	args := map[string]any{"span": float64(id)}
 	if parent != 0 {
 		args["parent"] = float64(parent)
 	}
-	return TraceEvent{Name: name, Cat: "t", Ph: "X", TS: ts, Dur: dur, PID: 1, Args: args}
+	return obs.TraceEvent{Name: name, Cat: "t", Ph: "X", TS: ts, Dur: &dur, PID: 1, Args: args}
 }
 
 func TestCrossProcessMergesAndScores(t *testing.T) {
 	// Client: three requests; the third was never admitted (transport
 	// failure), so the server trace has no daemon.request for it.
-	client := &Trace{TraceEvents: []TraceEvent{
+	client := &obs.Trace{TraceEvents: []obs.TraceEvent{
 		span("client.request", 100, 50, 0x2000001, 0),
 		span("client.request", 300, 40, 0x2000002, 0),
 		span("client.request", 500, 45, 0x2000003, 0),
@@ -29,7 +29,7 @@ func TestCrossProcessMergesAndScores(t *testing.T) {
 	// Server: two matched requests (parent = the client span), plus the
 	// per-request pipeline stages. Server clock rebased differently —
 	// its first request sits at TS 0 while the client's sits at 100.
-	server := &Trace{TraceEvents: []TraceEvent{
+	server := &obs.Trace{TraceEvents: []obs.TraceEvent{
 		span("daemon.request", 0, 48, 0x1000001, 0x2000001),
 		span("daemon.request", 200, 38, 0x1000002, 0x2000002),
 		span("daemon.queue_wait", 10, 5, 0x1000003, 0x1000001),
@@ -77,10 +77,10 @@ func TestCrossProcessMergesAndScores(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteMergedTrace(&buf, merged); err != nil {
+	if err := obs.WriteTraceEvents(&buf, merged); err != nil {
 		t.Fatal(err)
 	}
-	reparsed, err := LoadTrace(&buf)
+	reparsed, err := obs.ReadTrace(&buf)
 	if err != nil {
 		t.Fatalf("merged trace does not round-trip: %v", err)
 	}

@@ -5,7 +5,25 @@ import (
 	"io"
 	"testing"
 	"time"
+
+	"mmogdc/internal/obs"
 )
+
+// answerWithin runs answer on its own goroutine and fails t unless it
+// returns within limit, and without an error; data names the input.
+func answerWithin(t *testing.T, data []byte, limit time.Duration, answer func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- answer() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("render: %v", err)
+		}
+	case <-time.After(limit):
+		t.Fatalf("no answer within %v for %.200q", limit, data)
+	}
+}
 
 // auditWithin runs data through mmogaudit's event path — LoadEvents,
 // Analyze without metrics or trace, Render — and fails t unless it
@@ -13,30 +31,16 @@ import (
 // the stream did not load (a load error is a valid answer).
 func auditWithin(t *testing.T, data []byte, limit time.Duration) *Report {
 	t.Helper()
-	type answer struct {
-		rp        *Report
-		renderErr error
-	}
-	done := make(chan answer, 1)
-	go func() {
+	var rp *Report
+	answerWithin(t, data, limit, func() error {
 		events, err := LoadEvents(bytes.NewReader(data))
 		if err != nil {
-			done <- answer{}
-			return
+			return nil
 		}
-		rp := Analyze(events, nil, nil)
-		done <- answer{rp, rp.Render(io.Discard)}
-	}()
-	select {
-	case a := <-done:
-		if a.renderErr != nil {
-			t.Fatalf("render: %v", a.renderErr)
-		}
-		return a.rp
-	case <-time.After(limit):
-		t.Fatalf("no answer within %v for %.200q", limit, data)
-		return nil
-	}
+		rp = Analyze(events, nil, nil)
+		return rp.Render(io.Discard)
+	})
+	return rp
 }
 
 // TestAnalyzeExtremeTicks classifies breach episodes at both ends of
@@ -83,5 +87,32 @@ func TestAnalyzeExtremeTicks(t *testing.T) {
 func FuzzAnalyzeEvents(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		auditWithin(t, data, 5*time.Second)
+	})
+}
+
+// FuzzAnalyzeTrace feeds arbitrary bytes to mmogaudit as a span trace:
+// obs.ReadTrace, then the timing sections (Analyze without events or
+// metrics, Render) and the cross-process merge of the trace with
+// itself, written back out with obs.WriteTraceEvents. Each input must
+// end in an error or a report within 5 s, never a panic or a hang; a
+// merged trace that cannot be written (an offset overflowed to ±Inf)
+// is an error. The seed corpus (testdata/fuzz/FuzzAnalyzeTrace) holds a
+// complete span without dur, the input a dereference of the optional
+// duration would crash on; non-numeric and negative span and parent
+// arguments; and a ts of 1e308.
+func FuzzAnalyzeTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		answerWithin(t, data, 5*time.Second, func() error {
+			tr, err := obs.ReadTrace(bytes.NewReader(data))
+			if err != nil {
+				return nil
+			}
+			if err := Analyze(nil, nil, tr).Render(io.Discard); err != nil {
+				return err
+			}
+			_, merged := CrossProcess(tr, tr)
+			_ = obs.WriteTraceEvents(io.Discard, merged)
+			return nil
+		})
 	})
 }

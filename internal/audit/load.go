@@ -43,9 +43,6 @@ type LoadReport struct {
 	// exactly one of accepted/shed/rejected, so the accounting check
 	// stays exact.
 	Retries int `json:"retries,omitempty"`
-	// DrainSeconds is the daemon's measured drain time when the
-	// generator captured it (0 otherwise).
-	DrainSeconds float64 `json:"drain_seconds,omitempty"`
 	// RTTByStatus splits the round-trip tail by admission outcome,
 	// keyed "accepted" / "shed" / "rejected". Optional: older reports
 	// omit it, and the per-status counts must sum to Samples when

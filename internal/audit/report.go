@@ -225,7 +225,7 @@ type Report struct {
 
 // Analyze builds the audit from a run's artifacts. events is required;
 // md and tr are optional (their sections are omitted when nil).
-func Analyze(events []obs.Event, md *MetricsDoc, tr *Trace) *Report {
+func Analyze(events []obs.Event, md *MetricsDoc, tr *obs.Trace) *Report {
 	rp := &Report{EventTotal: len(events)}
 	rp.censusFrom(events)
 	rp.episodesFrom(events)
@@ -702,7 +702,7 @@ func (rp *Report) centersFrom(events []obs.Event, md *MetricsDoc) {
 
 // timingFrom derives the per-phase breakdown and failover/retry latency
 // distributions from complete ("X") spans in the trace.
-func (rp *Report) timingFrom(tr *Trace) {
+func (rp *Report) timingFrom(tr *obs.Trace) {
 	phaseOrder := []string{
 		"tick", "phase.observe", "phase.reduce", "phase.acquire",
 		"acquire", "acquire.failover", "acquire.retry", "predict",
@@ -718,13 +718,14 @@ func (rp *Report) timingFrom(tr *Trace) {
 			s = &PhaseStat{Name: ev.Name}
 			stats[ev.Name] = s
 		}
+		dur := ev.Duration()
 		s.Spans++
-		s.TotalUS += ev.Dur
+		s.TotalUS += dur
 		switch ev.Name {
 		case "acquire.failover":
-			rp.FailoverLatency.observe(ev.Dur)
+			rp.FailoverLatency.observe(dur)
 		case "acquire.retry":
-			rp.RetryLatency.observe(ev.Dur)
+			rp.RetryLatency.observe(dur)
 		}
 	}
 	rp.FailoverLatency.finalize()
@@ -942,9 +943,6 @@ func (rp *Report) Render(w io.Writer) error {
 			}
 			fmt.Fprintf(&b, "  %s (%d): p50 %.3f  p95 %.3f  p99 %.3f  max %.3f\n",
 				status, q.Count, q.P50MS, q.P95MS, q.P99MS, q.MaxMS)
-		}
-		if ld.DrainSeconds > 0 {
-			fmt.Fprintf(&b, "drain time: %.3fs\n", ld.DrainSeconds)
 		}
 		b.WriteString("\n")
 	}

@@ -94,8 +94,8 @@ func resumableConfig() Config {
 		Centers:      fineCenters(60),
 		TrackCenters: true,
 		SafetyMargin: 0.05,
-		Failures:     []Failure{{Center: "dc", AtTick: 130, DurationTicks: 6}},
 		Faults: &faults.Config{
+			ScheduledOutages: []faults.CenterOutage{{Center: "dc", Start: 130, Duration: 6}},
 			Seed:             5,
 			MTBFTicks:        90,
 			MTTRTicks:        8,
@@ -227,8 +227,8 @@ func TestCheckpointResumeStaticMode(t *testing.T) {
 			Static: true,
 			Workloads: []Workload{{Game: testGame(),
 				Dataset: syntheticDataset(2, 120, 1200)}},
-			Centers:  fineCenters(40),
-			Failures: []Failure{{Center: "dc", AtTick: 40, DurationTicks: 20}},
+			Centers: fineCenters(40),
+			Faults:  &faults.Config{ScheduledOutages: []faults.CenterOutage{{Center: "dc", Start: 40, Duration: 20}}},
 		}
 	}
 	ref, err := Run(mk())

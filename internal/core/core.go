@@ -81,22 +81,13 @@ type Config struct {
 	// contention it hands the steepest demand curves first pick, which
 	// is where a shortfall hurts the most.
 	PrioritizeByInteraction bool
-	// Failures injects scheduled data-center outages: each takes the
-	// named center offline (dropping all its leases) at a tick and
-	// brings it back after a duration. The game operator re-acquires
-	// lost capacity the same tick, excluding the failed center from
-	// the retry. AtTick must be >= 0 (tick 0 fires before the
-	// bootstrap acquire), DurationTicks must be >= 1, and the named
-	// center must exist; Run rejects anything else. Overlapping
-	// windows for one center compose through refcounting — the center
-	// recovers only when its last window closes.
-	Failures []Failure
-	// Faults configures the seeded stochastic fault injector
-	// (internal/faults): MTBF/MTTR center outages (full or partial),
-	// lease-grant rejections and partial grants, and monitoring
-	// dropouts. Nil injects nothing. The fault plan is pre-generated
-	// from Faults.Seed, so the same seed reproduces a bit-identical
-	// Result for any Workers setting.
+	// Faults configures the fault plan (internal/faults): scheduled
+	// and MTBF/MTTR center outages (full or partial), region
+	// blackouts, lease-grant rejections and partial grants, and
+	// monitoring dropouts. Nil injects nothing. The plan is
+	// pre-generated from Faults.Seed, so the same seed reproduces a
+	// bit-identical Result for any Workers setting. Run rejects a
+	// scheduled outage of a center it does not have.
 	Faults *faults.Config
 	// FailoverBudgetPerTick caps the failover re-acquisitions performed
 	// in any one tick (storm control): when a region blackout drops
@@ -160,16 +151,6 @@ type Config struct {
 	// event. Write-only like Obs: the Result is bit-identical with
 	// provenance on or off, and 0 disables it entirely.
 	Provenance int
-}
-
-// Failure is one scheduled data-center outage.
-type Failure struct {
-	// Center is the failing center's name.
-	Center string
-	// AtTick is the sample index the outage begins at.
-	AtTick int
-	// DurationTicks is the outage length in samples.
-	DurationTicks int
 }
 
 // Result collects the metrics of one run.
@@ -375,17 +356,6 @@ func newEngine(cfg Config, decisions *ecosystem.DecisionLog) (*engine, error) {
 	for _, c := range cfg.Centers {
 		e.centersByName[c.Name] = c
 	}
-	for _, f := range cfg.Failures {
-		if f.AtTick < 0 {
-			return nil, fmt.Errorf("core: failure of %q at negative tick %d", f.Center, f.AtTick)
-		}
-		if f.DurationTicks < 1 {
-			return nil, fmt.Errorf("core: failure of %q needs DurationTicks >= 1, got %d", f.Center, f.DurationTicks)
-		}
-		if e.centersByName[f.Center] == nil {
-			return nil, fmt.Errorf("core: failure names unknown center %q", f.Center)
-		}
-	}
 	if cfg.FailoverBudgetPerTick < 0 {
 		return nil, fmt.Errorf("core: FailoverBudgetPerTick must be >= 0, got %d", cfg.FailoverBudgetPerTick)
 	}
@@ -395,6 +365,11 @@ func newEngine(cfg Config, decisions *ecosystem.DecisionLog) (*engine, error) {
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
+		}
+		for _, o := range cfg.Faults.ScheduledOutages {
+			if e.centersByName[o.Center] == nil {
+				return nil, fmt.Errorf("core: scheduled outage names unknown center %q", o.Center)
+			}
 		}
 		if cfg.Faults.Enabled() {
 			names := make([]string, len(cfg.Centers))
@@ -603,19 +578,13 @@ func (e *engine) run(from int) (*Result, error) {
 	return e.finish(), nil
 }
 
-// failures fires the scheduled and injected outages and recoveries due
-// at tick t: the capacity vanishes, and each zone's step finds its
-// released leases when it prunes, failing them over within the same
-// tick. Tick-0 outages fire before the bootstrap acquire, so a center
-// that is down from the start never hands out leases. Recoveries apply
-// first so windows meeting at one tick compose through the refcount.
+// failures fires the fault plan's outages and recoveries due at tick t:
+// the capacity vanishes, and each zone's step finds its released leases
+// when it prunes, failing them over within the same tick. Tick-0
+// outages fire before the bootstrap acquire, so a center that is down
+// from the start never hands out leases. Recoveries apply first so
+// windows meeting at one tick compose through the refcount.
 func (e *engine) failures(t int) {
-	for _, f := range e.cfg.Failures {
-		if t == f.AtTick+f.DurationTicks {
-			e.centersByName[f.Center].Recover()
-			e.ro.recovery(t, f.Center, 1)
-		}
-	}
 	// Region-level events bracket the member centers' own: the
 	// blackout/recover markers fire before the per-center fail and
 	// recover records they explain.
@@ -629,12 +598,6 @@ func (e *engine) failures(t int) {
 			c.Restore(o.Fraction)
 		}
 		e.ro.recovery(t, o.Center, o.Fraction)
-	}
-	for _, f := range e.cfg.Failures {
-		if t == f.AtTick {
-			e.centersByName[f.Center].Fail()
-			e.ro.outage(t, f.Center, 1)
-		}
 	}
 	for _, b := range e.plan.BlackoutsAt(t) {
 		e.res.Resilience.RegionBlackouts++
@@ -923,7 +886,7 @@ func (e *engine) brownout(t int) {
 // capacity impairment (a center down or degraded, or brownout engaged)
 // to the tick full capacity resumed.
 func (e *engine) impairment(t int) {
-	if e.plan == nil && len(e.cfg.Failures) == 0 && !e.cfg.Brownout {
+	if e.plan == nil && !e.cfg.Brownout {
 		return
 	}
 	impaired := e.brownoutActive

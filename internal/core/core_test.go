@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mmogdc/internal/datacenter"
+	"mmogdc/internal/faults"
 	"mmogdc/internal/geo"
 	"mmogdc/internal/mmog"
 	"mmogdc/internal/predict"
@@ -277,14 +278,14 @@ func TestFailureValidation(t *testing.T) {
 		Workloads: []Workload{{Game: testGame(), Dataset: ds, Predictor: predict.NewLastValue()}},
 	}
 	neg := base
-	neg.Failures = []Failure{{Center: "dc", AtTick: -1, DurationTicks: 5}}
+	neg.Faults = &faults.Config{ScheduledOutages: []faults.CenterOutage{{Center: "dc", Start: -1, Duration: 5}}}
 	if _, err := Run(neg); err == nil {
 		t.Error("negative AtTick should error")
 	}
 	// DurationTicks <= 0 used to Fail() and Recover() the center in
 	// the same tick, dropping every lease as a side effect.
 	zero := base
-	zero.Failures = []Failure{{Center: "dc", AtTick: 5, DurationTicks: 0}}
+	zero.Faults = &faults.Config{ScheduledOutages: []faults.CenterOutage{{Center: "dc", Start: 5, Duration: 0}}}
 	if _, err := Run(zero); err == nil {
 		t.Error("DurationTicks=0 should error")
 	}
@@ -297,8 +298,8 @@ func TestFailureAtTickZeroFiresBeforeBootstrap(t *testing.T) {
 	ds := syntheticDataset(2, 60, 1000)
 	centers := fineCenters(20)
 	res, err := Run(Config{
-		Centers:  centers,
-		Failures: []Failure{{Center: "dc", AtTick: 0, DurationTicks: 10}},
+		Centers: centers,
+		Faults:  &faults.Config{ScheduledOutages: []faults.CenterOutage{{Center: "dc", Start: 0, Duration: 10}}},
 		Workloads: []Workload{{
 			Game: testGame(), Dataset: ds, Predictor: predict.NewLastValue(),
 		}},

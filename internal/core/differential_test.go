@@ -18,8 +18,8 @@ import (
 // TestCoreAndOperatorDecideAlike is the differential test of the two
 // engines' shared provisioning step: one single-group trace runs
 // through core.Run and through an operator with one zone, on
-// identically built centers, under the same scheduled outage and the
-// same injected rejections and partial grants. Every matcher decision
+// identically built centers, under the same fault plan: its scheduled
+// outages, injected rejections and partial grants. Every matcher decision
 // must match record for record — candidates, dispositions, CPU, unmet
 // CPU — at operator tick = core tick + 1 (the operator counts the
 // snapshot it just scored), and so must the acquisition counters.
@@ -43,12 +43,14 @@ func TestCoreAndOperatorDecideAlike(t *testing.T) {
 		}
 	}
 	names := []string{"london", "amsterdam", "nyc"}
-	outages := []Failure{
-		{Center: "london", AtTick: 200, DurationTicks: 30},
-		{Center: "amsterdam", AtTick: 210, DurationTicks: 40},
-		{Center: "london", AtTick: 500, DurationTicks: 10},
+	fcfg := faults.Config{
+		Seed: 11, RejectProb: 0.3, PartialGrantProb: 0.2,
+		ScheduledOutages: []faults.CenterOutage{
+			{Center: "london", Start: 200, Duration: 30},
+			{Center: "amsterdam", Start: 210, Duration: 40},
+			{Center: "london", Start: 500, Duration: 10},
+		},
 	}
-	fcfg := faults.Config{Seed: 11, RejectProb: 0.3, PartialGrantProb: 0.2}
 
 	for _, tc := range []struct {
 		name string
@@ -62,7 +64,6 @@ func TestCoreAndOperatorDecideAlike(t *testing.T) {
 			res, err := run(Config{
 				Workloads: []Workload{{Game: game, Dataset: ds, Predictor: tc.pred}},
 				Centers:   centers(),
-				Failures:  outages,
 				Faults:    &fcfg,
 				Workers:   1,
 			}, coreLog)
@@ -71,7 +72,8 @@ func TestCoreAndOperatorDecideAlike(t *testing.T) {
 			}
 
 			m := ecosystem.NewMatcher(centers())
-			m.SetFaultInjector(faults.NewPlan(fcfg, names, samples))
+			plan := faults.NewPlan(fcfg, names, samples)
+			m.SetFaultInjector(plan)
 			opLog := ecosystem.NewDecisionLog(2 * samples)
 			m.SetDecisionLog(opLog)
 			op, err := operator.New(operator.Config{
@@ -85,15 +87,11 @@ func TestCoreAndOperatorDecideAlike(t *testing.T) {
 			// scored), so the operator observes the same samples.
 			for k := 0; k < samples-1; k++ {
 				// Recoveries first, as core applies them.
-				for _, f := range outages {
-					if k == f.AtTick+f.DurationTicks {
-						m.CenterByName(f.Center).Recover()
-					}
+				for _, o := range plan.RecoveriesAt(k) {
+					m.CenterByName(o.Center).Recover()
 				}
-				for _, f := range outages {
-					if k == f.AtTick {
-						m.CenterByName(f.Center).Fail()
-					}
+				for _, o := range plan.FailuresAt(k) {
+					m.CenterByName(o.Center).Fail()
 				}
 				now := group.Load.Start.Add(time.Duration(k) * group.Load.Tick)
 				if err := op.Observe(now, []float64{group.Load.At(k)}); err != nil {

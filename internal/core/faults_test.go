@@ -107,10 +107,10 @@ func TestOverlappingFailureWindowsCompose(t *testing.T) {
 	ds := syntheticDataset(4, 200, 1200)
 	res, err := Run(Config{
 		Centers: fineCenters(20),
-		Failures: []Failure{
-			{Center: "dc", AtTick: 10, DurationTicks: 30},
-			{Center: "dc", AtTick: 20, DurationTicks: 10},
-		},
+		Faults: &faults.Config{ScheduledOutages: []faults.CenterOutage{
+			{Center: "dc", Start: 10, Duration: 30},
+			{Center: "dc", Start: 20, Duration: 10},
+		}},
 		Workloads: []Workload{{
 			Game: testGame(), Dataset: ds, Predictor: predict.NewLastValue(),
 		}},

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mmogdc/internal/datacenter"
+	"mmogdc/internal/faults"
 	"mmogdc/internal/geo"
 	"mmogdc/internal/mmog"
 	"mmogdc/internal/predict"
@@ -222,8 +223,8 @@ func TestFailureInjectionCausesAndHealsDisruption(t *testing.T) {
 	game := testGame()
 	centers := fineCenters(20)
 	res, err := Run(Config{
-		Centers:  centers,
-		Failures: []Failure{{Center: "dc", AtTick: 100, DurationTicks: 30}},
+		Centers: centers,
+		Faults:  &faults.Config{ScheduledOutages: []faults.CenterOutage{{Center: "dc", Start: 100, Duration: 30}}},
 		Workloads: []Workload{{
 			Game: game, Dataset: ds, Predictor: predict.NewLastValue(),
 		}},
@@ -251,12 +252,12 @@ func TestFailureInjectionCausesAndHealsDisruption(t *testing.T) {
 func TestFailureUnknownCenterRejected(t *testing.T) {
 	// A failure naming no configured center used to be silently
 	// skipped — a typo in a scenario file meant the outage never
-	// happened. It is a configuration error like the other Failures
-	// checks.
+	// happened. It is a configuration error like the other scheduled
+	// outage checks.
 	ds := syntheticDataset(2, 50, 900)
 	_, err := Run(Config{
-		Centers:  fineCenters(10),
-		Failures: []Failure{{Center: "nope", AtTick: 10, DurationTicks: 5}},
+		Centers: fineCenters(10),
+		Faults:  &faults.Config{ScheduledOutages: []faults.CenterOutage{{Center: "nope", Start: 10, Duration: 5}}},
 		Workloads: []Workload{{
 			Game: testGame(), Dataset: ds, Predictor: predict.NewLastValue(),
 		}},

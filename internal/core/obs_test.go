@@ -42,7 +42,7 @@ func TestObsRunBitIdentical(t *testing.T) {
 	}
 	o := obs.New()
 	o.Clock = obs.NewManualClock(time.Unix(0, 0), time.Millisecond)
-	o.EnableTracing(0)
+	o.EnableTracing()
 	instrumented, err := Run(obsConfig(2, o))
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestObsTraceCapturesEngineStructure(t *testing.T) {
 	o := obs.New()
 	o.Clock = obs.NewManualClock(time.Unix(0, 0), time.Millisecond)
 	o.Recorder = obs.NewRecorder(1 << 17)
-	o.EnableTracing(0)
+	o.EnableTracing()
 	res, err := Run(obsConfig(1, o))
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mmogdc/internal/datacenter"
+	"mmogdc/internal/faults"
 	"mmogdc/internal/geo"
 	"mmogdc/internal/mmog"
 	"mmogdc/internal/predict"
@@ -42,10 +43,10 @@ func equivalenceConfig(workers int) Config {
 		TrackCenters:            true,
 		PrioritizeByInteraction: true,
 		SafetyMargin:            0.1,
-		Failures: []Failure{
-			{Center: "nyc", AtTick: 0, DurationTicks: 12},
-			{Center: "london", AtTick: 300, DurationTicks: 40},
-		},
+		Faults: &faults.Config{ScheduledOutages: []faults.CenterOutage{
+			{Center: "nyc", Start: 0, Duration: 12},
+			{Center: "london", Start: 300, Duration: 40},
+		}},
 		Workloads: []Workload{
 			{Game: gA, Dataset: mkDS(17), Predictor: predict.NewNeural(predict.PaperNeuralConfig(3))},
 			{Game: gB, Dataset: mkDS(23), Predictor: predict.NewMovingAverage(6)},

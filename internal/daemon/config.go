@@ -11,9 +11,12 @@
 package daemon
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
+	"slices"
 	"time"
 
 	"mmogdc/internal/ecosystem"
@@ -128,6 +131,22 @@ type HotConfig struct {
 	// swap with the rest of the hot config, and the engine is rebuilt
 	// (alert state reset) when they change.
 	SLORules []slo.RuleConfig `json:"slo_rules,omitempty"`
+}
+
+// DecodeHot decodes a partial hot configuration from r on top of base:
+// the fields the document names replace base's, the others keep their
+// values, and an unknown field is an error. POST /v1/config and mmogd's
+// -config file (at start and on SIGHUP) share it. The result owns its
+// SLO rules: the JSON decoder fills slice elements in place, which must
+// not write through to base's, the active configuration's included.
+func DecodeHot(r io.Reader, base HotConfig) (HotConfig, error) {
+	base.SLORules = slices.Clone(base.SLORules)
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&base); err != nil {
+		return HotConfig{}, err
+	}
+	return base, nil
 }
 
 // DefaultHot returns the hot configuration the daemon starts with when

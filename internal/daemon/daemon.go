@@ -7,7 +7,6 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -272,15 +271,10 @@ func hashName(s string) uint64 {
 	return h
 }
 
-// Hot returns a copy of the active hot configuration. The copy owns
-// its SLO rules: POST /v1/config and SIGHUP decode candidates into it,
-// and the JSON decoder fills slice elements in place, which must not
-// write through to the active configuration.
-func (d *Daemon) Hot() HotConfig {
-	h := *d.hot.Load()
-	h.SLORules = slices.Clone(h.SLORules)
-	return h
-}
+// Hot returns a copy of the active hot configuration. Its SLO rules
+// are the active configuration's, which nothing writes in place:
+// DecodeHot copies them before decoding a candidate.
+func (d *Daemon) Hot() HotConfig { return *d.hot.Load() }
 
 // Reload validates h and, if valid, swaps it in atomically; an invalid
 // candidate is rejected and the previous configuration stays active.
@@ -498,7 +492,7 @@ func (d *Daemon) Drain(ctx context.Context) error {
 	for _, name := range d.order {
 		g := d.games[name]
 		d.ecoMu.Lock()
-		g.op.Shutdown(g.now)
+		g.op.Shutdown()
 		var payload []byte
 		var err error
 		ticks := g.op.Metrics().Ticks

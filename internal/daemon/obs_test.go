@@ -71,7 +71,7 @@ func getBody(t *testing.T, url string) string {
 // excluded from it).
 func TestDaemonRequestTracing(t *testing.T) {
 	o := obs.New()
-	o.EnableTracing(0)
+	o.EnableTracing()
 	d := newTestDaemon(t, func(c *Config) { c.Obs = o })
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
@@ -212,7 +212,7 @@ func TestDaemonObsBitIdentical(t *testing.T) {
 		var mutate func(*Config)
 		if instrumented {
 			o := obs.New()
-			o.EnableTracing(0)
+			o.EnableTracing()
 			o.EnableRuntimeMetrics()
 			mutate = func(c *Config) {
 				c.Obs = o

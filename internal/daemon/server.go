@@ -252,10 +252,8 @@ func (d *Daemon) handleConfigPost(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, d.cfg.MaxBodyBytes)
 	// The candidate starts from the active configuration, so a partial
 	// body tweaks only the fields it names.
-	h := d.Hot()
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&h); err != nil {
+	h, err := DecodeHot(r.Body, d.Hot())
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			d.typedError(w, http.StatusRequestEntityTooLarge, "oversized_body",

@@ -39,18 +39,11 @@ func (c *Center) LeasesByTag(tag string) []*Lease {
 // the allocation genuinely happened. Returns false when the lease is
 // not live on this center.
 func (c *Center) Release(l *Lease) bool {
-	for i, cur := range c.leases {
-		if cur == l {
-			c.leases = append(c.leases[:i], c.leases[i+1:]...)
-			c.drop(l)
-			c.early++
-			if len(c.leases) == 0 {
-				c.allocated = Vector{}
-			}
-			return true
-		}
+	if !c.End(l) {
+		return false
 	}
-	return false
+	c.early++
+	return true
 }
 
 // Adopt re-creates a lease from checkpointed bookkeeping WITHOUT

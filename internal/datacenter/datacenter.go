@@ -346,6 +346,24 @@ func (c *Center) drop(l *Lease) {
 	c.allocated = c.allocated.Sub(l.Alloc).ClampNonNegative()
 }
 
+// End releases one live lease that has run to its expiry, as Expire
+// does for every lease at once, for a holder that keeps its own clock.
+// Ending is not an early release: EarlyReleases does not move. Returns
+// false when the lease is not live on this center.
+func (c *Center) End(l *Lease) bool {
+	for i, cur := range c.leases {
+		if cur == l {
+			c.leases = append(c.leases[:i], c.leases[i+1:]...)
+			c.drop(l)
+			if len(c.leases) == 0 {
+				c.allocated = Vector{}
+			}
+			return true
+		}
+	}
+	return false
+}
+
 // EarlyReleases counts the live leases the center has released before
 // their expiry — lost to an outage, shed by a degradation, or handed
 // back — since it was built. A lease book whose centers' counts have

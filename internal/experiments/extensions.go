@@ -187,7 +187,7 @@ func Ext03Predictors(o Options) (string, error) {
 	b.WriteString("Extension 3 — predictor families beyond the paper's seven\n\n")
 	var rows [][]string
 	for _, e := range entries {
-		errPct := predict.EvaluateZonesFrom(e.f, zones, 1)
+		errPct := predict.EvaluateZonesFromSecond(e.f, zones)
 		// Time the full per-sample path (Observe + Predict): the AR
 		// model's cost lives in its periodic refits, not in the
 		// forecast itself.

@@ -69,7 +69,7 @@ func Fig05(o Options) (string, error) {
 
 		factories := append([]predict.Factory{neural}, predict.Baselines()...)
 		for fi, f := range factories {
-			errs[fi] = append(errs[fi], predict.EvaluateZonesFrom(f, zones, 1))
+			errs[fi] = append(errs[fi], predict.EvaluateZonesFromSecond(f, zones))
 		}
 	}
 

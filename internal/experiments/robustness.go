@@ -72,10 +72,10 @@ func Ext08Failure(o Options) (string, error) {
 	const outageTicks = 60
 	victim := "U.K. (1)" // the center closest to the largest region
 
-	run := func(failures []core.Failure) (*core.Result, error) {
+	run := func(fc *faults.Config) (*core.Result, error) {
 		return core.Run(core.Config{
 			Centers:   optimalCenters(),
-			Failures:  failures,
+			Faults:    fc,
 			Workloads: []core.Workload{{Game: game, Dataset: ds, Predictor: neural}},
 		})
 	}
@@ -83,7 +83,9 @@ func Ext08Failure(o Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	failed, err := run([]core.Failure{{Center: victim, AtTick: failAt, DurationTicks: outageTicks}})
+	failed, err := run(&faults.Config{ScheduledOutages: []faults.CenterOutage{
+		{Center: victim, Start: failAt, Duration: outageTicks},
+	}})
 	if err != nil {
 		return "", err
 	}

@@ -84,6 +84,10 @@ type Config struct {
 	// ticks, independent of the stochastic process — the scenario-corpus
 	// hook ("region eu goes dark at peak").
 	ScheduledBlackouts []RegionBlackout
+	// ScheduledOutages adds deterministic full outages of single centers
+	// at fixed ticks (mmogsim's -failures file). They draw nothing from
+	// any stream, so adding one leaves every other fault unchanged.
+	ScheduledOutages []CenterOutage
 }
 
 // aftershockMeanTicks is the mean aftershock duration in ticks
@@ -99,10 +103,20 @@ type RegionBlackout struct {
 	Duration int
 }
 
+// CenterOutage is one deterministic full outage of a center: it fails
+// at Start and recovers Duration ticks later. The window is not clamped
+// to the run, so one reaching past the run's end never recovers.
+type CenterOutage struct {
+	Center   string
+	Start    int
+	Duration int
+}
+
 // Enabled reports whether the configuration injects anything at all.
 func (c Config) Enabled() bool {
 	return c.MTBFTicks > 0 || c.RejectProb > 0 || c.PartialGrantProb > 0 ||
-		c.DropoutProb > 0 || c.RegionMTBFTicks > 0 || len(c.ScheduledBlackouts) > 0
+		c.DropoutProb > 0 || c.RegionMTBFTicks > 0 || len(c.ScheduledBlackouts) > 0 ||
+		len(c.ScheduledOutages) > 0
 }
 
 // CorrelatedEnabled reports whether the configuration injects
@@ -157,6 +171,11 @@ func (c Config) Validate() error {
 			return fmt.Errorf("faults: ScheduledBlackouts[%d] (%s) needs Start >= 0 and Duration >= 1 (got %d/%d)", i, b.Region, b.Start, b.Duration)
 		}
 	}
+	for i, o := range c.ScheduledOutages {
+		if o.Start < 0 || o.Duration < 1 {
+			return fmt.Errorf("faults: ScheduledOutages[%d] (%s) needs Start >= 0 and Duration >= 1 (got %d/%d)", i, o.Center, o.Start, o.Duration)
+		}
+	}
 	for _, p := range []struct {
 		name string
 		v    float64
@@ -206,9 +225,9 @@ func ParseBlackouts(spec string) ([]RegionBlackout, error) {
 }
 
 // Outage is one fault window of a center: Fail (or Degrade) fires at
-// Start, the matching Recover (or Restore) at End. End is always
-// clamped inside the run, so every generated outage recovers before
-// the simulation finishes.
+// Start, the matching Recover (or Restore) at End. A generated
+// outage's End is clamped inside the run, so it recovers before the
+// simulation finishes; a scheduled one keeps its configured End.
 type Outage struct {
 	// Center is the affected center's name.
 	Center string
@@ -306,6 +325,17 @@ func NewPlan(cfg Config, centers []string, ticks int) *Plan {
 		}
 		return a.Center < b.Center
 	})
+	// Scheduled outages apply first at their ticks, in configuration
+	// order. An End past math.MaxInt saturates: it never arrives.
+	for _, w := range cfg.ScheduledOutages {
+		end := math.MaxInt
+		if w.Duration < end-w.Start {
+			end = w.Start + w.Duration
+		}
+		o := Outage{Center: w.Center, Start: w.Start, End: end, Fraction: 1}
+		p.failAt[o.Start] = append(p.failAt[o.Start], o)
+		p.recoverAt[o.End] = append(p.recoverAt[o.End], o)
+	}
 	for _, o := range p.outages {
 		p.failAt[o.Start] = append(p.failAt[o.Start], o)
 		p.recoverAt[o.End] = append(p.recoverAt[o.End], o)
@@ -408,7 +438,8 @@ func (p *Plan) generateRegionFaults(root *xrand.Rand, centers []string, ticks in
 	}
 }
 
-// FailuresAt returns the outages beginning at tick t.
+// FailuresAt returns the outages beginning at tick t, the scheduled
+// ones first.
 func (p *Plan) FailuresAt(t int) []Outage {
 	if p == nil {
 		return nil
@@ -416,7 +447,8 @@ func (p *Plan) FailuresAt(t int) []Outage {
 	return p.failAt[t]
 }
 
-// RecoveriesAt returns the outages ending at tick t.
+// RecoveriesAt returns the outages ending at tick t, the scheduled
+// ones first.
 func (p *Plan) RecoveriesAt(t int) []Outage {
 	if p == nil {
 		return nil

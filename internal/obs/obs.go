@@ -32,14 +32,14 @@ func New() *Obs {
 	return &Obs{Registry: NewRegistry(), Recorder: NewRecorder(0), Clock: System}
 }
 
-// EnableTracing attaches a span tracer retaining up to capacity
-// records (<= 0 uses DefaultTracerCapacity), sharing the bundle's
-// clock, and returns it.
-func (o *Obs) EnableTracing(capacity int) *Tracer {
+// EnableTracing attaches a span tracer retaining up to
+// DefaultTracerCapacity records, sharing the bundle's clock, and
+// returns it.
+func (o *Obs) EnableTracing() *Tracer {
 	if o == nil {
 		return nil
 	}
-	o.Tracer = NewTracer(capacity)
+	o.Tracer = NewTracer(0)
 	o.Tracer.Clock = o.Clock
 	return o.Tracer
 }

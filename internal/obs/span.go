@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -12,8 +13,10 @@ import (
 // This file is the span-tracing half of the observability layer: a
 // nil-safe, lock-cheap tracer of causally-linked spans driven by the
 // injectable Clock (deterministic traces under ManualClock), exported
-// as Chrome trace_event JSON (loadable in Perfetto or chrome://tracing,
-// and read back by cmd/mmogaudit).
+// as Chrome trace_event JSON (loadable in Perfetto or chrome://tracing).
+// The trace format is defined here once: TraceEvent, written by
+// WriteTrace and WriteTraceEvents and read by ReadTrace, which
+// cmd/mmogaudit uses.
 //
 // The span model mirrors the engines' structure: one root span per
 // simulation tick, phase child spans (observe/reduce/acquire), per-zone
@@ -27,10 +30,9 @@ type SpanID uint64
 
 // Record phases (the trace_event ph values they export as).
 const (
-	PhaseSpan       = "span"    // complete span ("X")
-	PhaseInstant    = "instant" // point event ("i")
-	PhaseAsyncBegin = "abegin"  // async window opens ("b")
-	PhaseAsyncEnd   = "aend"    // async window closes ("e")
+	PhaseSpan       = "span"   // complete span ("X")
+	PhaseAsyncBegin = "abegin" // async window opens ("b")
+	PhaseAsyncEnd   = "aend"   // async window closes ("e")
 )
 
 // SpanRec is one recorded trace entry. Beyond identity (ID, Parent)
@@ -329,8 +331,12 @@ func epoch(recs []SpanRec) time.Time {
 	return e
 }
 
-// traceEvent is one Chrome trace_event object.
-type traceEvent struct {
+// TraceEvent is one Chrome trace_event object: the schema WriteTrace
+// writes, ReadTrace reads back and WriteTraceEvents writes again, so a
+// trace read and rewritten keeps its bytes. Dur is a pointer so that a
+// zero-length complete span keeps "dur":0 while async events carry no
+// duration at all; read it through Duration.
+type TraceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -339,15 +345,38 @@ type traceEvent struct {
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`
 	ID   string         `json:"id,omitempty"`
-	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
+}
+
+// Duration returns the event's duration in microseconds (0 when it has
+// none).
+func (ev TraceEvent) Duration() float64 {
+	if ev.Dur == nil {
+		return 0
+	}
+	return *ev.Dur
+}
+
+// Trace is a parsed Chrome trace_event document.
+type Trace struct {
+	TraceEvents []TraceEvent `json:"traceEvents"`
+}
+
+// ReadTrace parses a Chrome trace_event JSON document
+// ({"traceEvents": [...]}).
+func ReadTrace(r io.Reader) (*Trace, error) {
+	var t Trace
+	if err := json.NewDecoder(r).Decode(&t); err != nil {
+		return nil, fmt.Errorf("obs: trace: %w", err)
+	}
+	return &t, nil
 }
 
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 // toTraceEvent maps one record into the Chrome schema.
-func toTraceEvent(r SpanRec, e time.Time, traceID uint64) traceEvent {
-	ev := traceEvent{
+func toTraceEvent(r SpanRec, e time.Time, traceID uint64) TraceEvent {
+	ev := TraceEvent{
 		Name: r.Name, Cat: r.Cat, PID: 1, TID: r.Worker,
 		TS: micros(r.Start.Sub(e)),
 	}
@@ -369,8 +398,6 @@ func toTraceEvent(r SpanRec, e time.Time, traceID uint64) traceEvent {
 	}
 	ev.Args = args
 	switch r.Phase {
-	case PhaseInstant:
-		ev.Ph, ev.S = "i", "t"
 	case PhaseAsyncBegin:
 		ev.Ph, ev.ID = "b", fmt.Sprintf("0x%x", uint64(r.ID))
 	case PhaseAsyncEnd:
@@ -397,11 +424,37 @@ func (t *Tracer) WriteTrace(w io.Writer) error {
 	if t != nil {
 		traceID = t.TraceID
 	}
+	return writeEvents(w, len(recs), func(i int) TraceEvent { return toTraceEvent(recs[i], e, traceID) })
+}
+
+// WriteTraceFile writes the trace (see WriteTrace) to a new file at
+// path.
+func (t *Tracer) WriteTraceFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = t.WriteTrace(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// WriteTraceEvents writes events as one Chrome trace_event document, in
+// the layout WriteTrace uses.
+func WriteTraceEvents(w io.Writer, events []TraceEvent) error {
+	return writeEvents(w, len(events), func(i int) TraceEvent { return events[i] })
+}
+
+// writeEvents writes the document envelope around n events, one per
+// line, marshaling each as it goes.
+func writeEvents(w io.Writer, n int, event func(i int) TraceEvent) error {
 	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
 		return err
 	}
-	for i, r := range recs {
-		line, err := json.Marshal(toTraceEvent(r, e, traceID))
+	for i := 0; i < n; i++ {
+		line, err := json.Marshal(event(i))
 		if err != nil {
 			return err
 		}

@@ -183,3 +183,46 @@ func TestTracerConcurrentSpans(t *testing.T) {
 		seen[r.ID] = true
 	}
 }
+
+// TestTraceRoundTripsByteForByte pins the one trace codec: a trace
+// written by WriteTrace, read by ReadTrace and written again by
+// WriteTraceEvents keeps every byte. It covers nested and linked
+// spans, a zero-length span (which keeps "dur":0) and an async window
+// (which has no dur), with the annotations each carries.
+func TestTraceRoundTripsByteForByte(t *testing.T) {
+	tr := manualTracer()
+	root := tr.Begin("tick", "tick", 0)
+	root.SetTick(3)
+	win := tr.AsyncBegin("outage", "faults", "nyc", 3, 0.5)
+	child := tr.Begin("acquire.failover", "zone", root.ID())
+	child.SetSubject("A/z1")
+	child.SetWorker(2)
+	child.SetValue(1.25)
+	child.SetLink(win)
+	child.End()
+	at := time.Unix(0, 0).Add(time.Hour)
+	tr.Complete(SpanRec{Name: "phase.reduce", Parent: root.ID(), Tick: 3, Start: at, End: at})
+	tr.AsyncEnd(win, "outage", "faults", "nyc", 5)
+	root.End()
+
+	var first bytes.Buffer
+	if err := tr.WriteTrace(&first); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"dur":0,`, `"ph":"b"`, `"link":`, `"parent":`} {
+		if !strings.Contains(first.String(), want) {
+			t.Fatalf("trace lacks %s:\n%s", want, first.String())
+		}
+	}
+	doc, err := ReadTrace(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second bytes.Buffer
+	if err := WriteTraceEvents(&second, doc.TraceEvents); err != nil {
+		t.Fatal(err)
+	}
+	if second.String() != first.String() {
+		t.Fatalf("round trip changed the trace:\n%s\nwant\n%s", second.String(), first.String())
+	}
+}

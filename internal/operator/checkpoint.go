@@ -218,11 +218,10 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 	return o, rec, nil
 }
 
-// Shutdown ends the session cleanly: every live lease is released back
-// to its center. A Snapshot taken afterwards resumes the forecasting
-// state with an empty lease book — exactly what a clean stop left
-// behind.
-func (o *Operator) Shutdown(now time.Time) {
-	o.cfg.Matcher.Expire(now)
+// Shutdown ends the session cleanly: every lease still in the book is
+// released back to its center; other games' leases stay with them. A
+// Snapshot taken afterwards resumes the forecasting state with an empty
+// lease book — exactly what a clean stop left behind.
+func (o *Operator) Shutdown() {
 	o.step.Release()
 }

@@ -309,13 +309,13 @@ func TestShutdownReleasesLeasesAndFlushesCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := runTicks(t, op, 0, 12, []float64{900, 700})
+	runTicks(t, op, 0, 12, []float64{900, 700})
 	if m.Centers()[0].Allocated()[datacenter.CPU] == 0 {
 		t.Fatal("setup leased nothing")
 	}
 	ticksBefore := op.Metrics().Ticks
 
-	op.Shutdown(now)
+	op.Shutdown()
 	final, err := op.Snapshot()
 	if err != nil {
 		t.Fatal(err)

@@ -95,7 +95,7 @@ func TestObsBridgesMetrics(t *testing.T) {
 func TestObserveCtxSpanParent(t *testing.T) {
 	o := obs.New()
 	o.Clock = obs.NewManualClock(t0, time.Millisecond)
-	o.EnableTracing(0)
+	o.EnableTracing()
 	op, err := New(Config{
 		Game:      mmog.NewGame("op", mmog.GenreMMORPG),
 		Origin:    geo.London,

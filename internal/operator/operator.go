@@ -197,7 +197,9 @@ func (o *Operator) ObserveCtx(ctx context.Context, now, next time.Time, zoneLoad
 	// every acquire/event span) then hangs off that request.
 	o.oo.beginObserve(start, o.ticks, obs.SpanFromContext(ctx))
 	defer o.oo.observed(start)
-	o.cfg.Matcher.Expire(now)
+	// The game's own ended leases go back by its own clock; another
+	// game on the same centers may run behind it.
+	o.step.Expire(now)
 
 	// Carry the last observation forward across monitoring dropouts.
 	clean := o.cleanBuf[:0]

@@ -36,18 +36,14 @@ func EvaluateZones(f Factory, zones [][]float64) float64 {
 	return errSum / valSum * 100
 }
 
-// EvaluateZonesFrom scores prediction errors only from step from
-// onward, normalizing by the player volume of the scored region.
-// Predictors still observe the whole signal. This separates the
-// offline data-collection region (which pretrained the neural
-// predictor) from the scored deployment region, keeping the comparison
-// with the baselines fair.
-func EvaluateZonesFrom(f Factory, zones [][]float64, from int) float64 {
+// EvaluateZonesFromSecond scores prediction errors from the second
+// step on, the first one a predictor has a forecast for, and normalizes
+// by the player volume of those steps only (EvaluateZones normalizes by
+// the whole signal's). Scoring only forecast steps keeps the comparison
+// between the pretrained neural predictor and the baselines fair.
+func EvaluateZonesFromSecond(f Factory, zones [][]float64) float64 {
 	if len(zones) == 0 {
 		return 0
-	}
-	if from < 1 {
-		from = 1
 	}
 	ps := make([]Predictor, len(zones))
 	for i := range ps {
@@ -58,7 +54,7 @@ func EvaluateZonesFrom(f Factory, zones [][]float64, from int) float64 {
 	for t := 0; t < n; t++ {
 		for z, sig := range zones {
 			v := sig[t]
-			if t >= from {
+			if t > 0 {
 				d := v - ps[z].Predict()
 				if d < 0 {
 					d = -d

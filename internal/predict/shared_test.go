@@ -85,8 +85,8 @@ func TestPretrainSharedBeatsLastValueOnOscillation(t *testing.T) {
 	train := syntheticZones(6, 400, 21)
 	eval := syntheticZones(6, 400, 22)
 	f, _ := PretrainShared(PaperNeuralConfig(3), train, 0.8, PaperTrainConfig(7))
-	nErr := EvaluateZonesFrom(f, eval, 1)
-	lvErr := EvaluateZonesFrom(NewLastValue(), eval, 1)
+	nErr := EvaluateZonesFromSecond(f, eval)
+	lvErr := EvaluateZonesFromSecond(NewLastValue(), eval)
 	if nErr >= lvErr {
 		t.Fatalf("pretrained neural %v should beat last value %v on oscillating load", nErr, lvErr)
 	}

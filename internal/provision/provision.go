@@ -136,6 +136,22 @@ func (s *Step) Prune(now time.Time) datacenter.Vector {
 	return s.memo.sum
 }
 
+// Expire ends the book's leases that have expired by now at their
+// centers, by this step's clock alone: other requesters' leases on the
+// same centers wait for their own holders' clocks. The operator, whose
+// game keeps its own clock, calls it before Prune; core.Run's zones
+// share one clock and expire every center at once with Matcher.Expire.
+func (s *Step) Expire(now time.Time) {
+	if s.memo.holds(now) {
+		return
+	}
+	for _, l := range s.leases {
+		if !l.Released() && !now.Before(l.Expires) {
+			l.Center.End(l)
+		}
+	}
+}
+
 // AllocAt sums the leases still active at t, without pruning. Engines
 // size each request against the allocation surviving to the next
 // scoring instant, so leases renew before they lapse rather than one

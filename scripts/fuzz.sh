@@ -7,6 +7,8 @@
 #     4xx, and an accepted config must round-trip GET -> POST -> GET;
 #   - mmogaudit must answer a hostile event stream with a load error or
 #     a report, never a panic or a hang;
+#   - it must answer a hostile span trace (timing sections and the
+#     cross-process merge) the same way;
 #   - a hostile blackout spec and fault config must be rejected or give
 #     a plan whose every window lies inside the run;
 #   - a corrupt core checkpoint payload must be refused or resume to a
@@ -23,6 +25,7 @@ cd "$(dirname "$0")/.."
 go test -run '^$' -fuzz '^FuzzOperatorFromSnapshot$' -fuzztime 10s ./internal/operator/
 go test -run '^$' -fuzz '^FuzzConfigPost$' -fuzztime 10s ./internal/daemon/
 go test -run '^$' -fuzz '^FuzzAnalyzeEvents$' -fuzztime 10s ./internal/audit/
+go test -run '^$' -fuzz '^FuzzAnalyzeTrace$' -fuzztime 10s ./internal/audit/
 go test -run '^$' -fuzz '^FuzzFaultPlan$' -fuzztime 10s ./internal/faults/
 go test -run '^$' -fuzz '^FuzzCoreResume$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 go test -run '^$' -fuzz '^FuzzNeuralRestore$' -fuzztime 10s ./internal/predict/
