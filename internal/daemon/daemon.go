@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -27,8 +28,12 @@ import (
 var ErrDrainTimeout = errors.New("daemon: drain deadline exceeded")
 
 // sample is one admitted observation waiting in a game's ingest queue.
+// Its values buffer comes from valuesPool, and the worker returns it
+// after the observe pass. It is a pointer, not a slice header, because
+// a sample sits QueueDepth times in the channel's buffer: each byte of
+// it is 4 KB of live heap at -queue 4096.
 type sample struct {
-	values []float64
+	values *[]float64
 	enq    time.Time
 	// span is the admitting HTTP request's span ID (0 when tracing is
 	// off): the queue-wait and observe spans hang off it, so a merged
@@ -40,6 +45,9 @@ type sample struct {
 // bounded ingest queue, the worker metrics, and the checkpoint store.
 type game struct {
 	spec GameSpec
+	// nameJSON is spec.Name as json.Encoder writes it, HTML escaping
+	// included: the 202 body carries it.
+	nameJSON []byte
 	// region is the failure domain the game is homed in
 	// (geo.RegionOf(spec.Origin)); the circuit breaker gates admission
 	// by it.
@@ -111,7 +119,12 @@ type Daemon struct {
 	drainOnce sync.Once
 	wg        sync.WaitGroup
 
-	mRejected     map[string]*obs.Counter
+	// seriesMu guards the lazily resolved series below. It is not ecoMu,
+	// so a refused or answered request never waits for an observe pass.
+	seriesMu  sync.Mutex
+	mRejected map[string]*obs.Counter
+	mRequests map[requestSeries]*obs.Histogram
+
 	mReloadOK     *obs.Counter
 	mReloadBad    *obs.Counter
 	mDraining     *obs.Gauge
@@ -130,6 +143,7 @@ func New(cfg Config) (*Daemon, error) {
 		obs:       cfg.Obs,
 		games:     make(map[string]*game, len(cfg.Games)),
 		mRejected: map[string]*obs.Counter{},
+		mRequests: map[requestSeries]*obs.Histogram{},
 	}
 	hot := cfg.Hot
 	d.hot.Store(&hot)
@@ -194,8 +208,10 @@ func (d *Daemon) newGame(spec GameSpec, hot HotConfig) (*game, error) {
 		Matcher:   d.cfg.Matcher,
 		Obs:       d.obs,
 	}
+	nameJSON, _ := json.Marshal(spec.Name) // a string always encodes
 	g := &game{
 		spec:         spec,
+		nameJSON:     nameJSON,
 		region:       geo.RegionOf(spec.Origin),
 		queue:        make(chan sample, d.cfg.QueueDepth),
 		now:          clockStart,
@@ -323,7 +339,7 @@ var (
 // enqueue admits one observation into g's bounded queue, or reports
 // why it cannot: the daemon is draining, or the queue is full (the
 // caller sheds with 429 + Retry-After).
-func (d *Daemon) enqueue(g *game, values []float64, span obs.SpanID) (int64, error) {
+func (d *Daemon) enqueue(g *game, values *[]float64, span obs.SpanID) (int64, error) {
 	g.qmu.RLock()
 	defer g.qmu.RUnlock()
 	if g.closed || d.draining.Load() {
@@ -350,6 +366,8 @@ func (d *Daemon) worker(g *game) {
 	defer d.wg.Done()
 	for s := range g.queue {
 		d.observeOne(g, s)
+		// The operator copied the values into its own buffer.
+		valuesPool.Put(s.values)
 	}
 }
 
@@ -385,10 +403,11 @@ func (d *Daemon) observeOne(g *game, s sample) {
 	}
 
 	d.ecoMu.Lock()
+	values := *s.values
 	if p := hot.FaultDropoutProb; p > 0 {
-		for i := range s.values {
+		for i := range values {
 			if g.dropRng.Bool(p) {
-				s.values[i] = math.NaN()
+				values[i] = math.NaN()
 			}
 		}
 	}
@@ -399,7 +418,7 @@ func (d *Daemon) observeOne(g *game, s sample) {
 	// The next observation comes one hot tick later: the operator
 	// leases for that instant, and the clock advances to it.
 	next := g.now.Add(hot.Tick())
-	err := g.op.ObserveCtx(ctx, g.now, next, s.values)
+	err := g.op.ObserveCtx(ctx, g.now, next, values)
 	// Feed the circuit breaker while the scratch slices are still valid
 	// (GrantActivity aliases per-tick buffers the next Observe reuses).
 	granted, rejected := g.op.GrantActivity()

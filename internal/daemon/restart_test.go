@@ -164,7 +164,7 @@ func TestTickReloadMovesRequestHorizon(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := d.enqueue(g, []float64{900, 900, 900, 900}, 0); err != nil {
+			if _, err := d.enqueue(g, &[]float64{900, 900, 900, 900}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

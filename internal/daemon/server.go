@@ -45,15 +45,37 @@ func (d *Daemon) typedError(w http.ResponseWriter, status int, code, msg string)
 // rejected counts one refused request by reason code. The counter map
 // is tiny (one entry per code) and lazily built.
 func (d *Daemon) rejected(code string) {
-	d.ecoMu.Lock()
+	d.seriesMu.Lock()
 	c := d.mRejected[code]
 	if c == nil {
 		c = d.obs.Registry.Counter("mmogdc_daemon_rejected_total",
 			"Requests refused, by typed error code.", obs.L("reason", code))
 		d.mRejected[code] = c
 	}
-	d.ecoMu.Unlock()
+	d.seriesMu.Unlock()
 	c.Inc()
+}
+
+// requestSeries is one series of the request histogram.
+type requestSeries struct {
+	path string
+	code int
+}
+
+// requestSeconds returns the request histogram's series for path and
+// status code, resolving it in the registry on its first request only.
+func (d *Daemon) requestSeconds(path string, code int) *obs.Histogram {
+	k := requestSeries{path, code}
+	d.seriesMu.Lock()
+	defer d.seriesMu.Unlock()
+	h, ok := d.mRequests[k]
+	if !ok {
+		h = d.obs.Registry.Histogram("mmogdc_daemon_http_request_seconds",
+			"HTTP request latency by /v1 endpoint and status code (healthz/readyz excluded).",
+			obs.TimeBuckets, obs.L("path", path), obs.L("code", strconv.Itoa(code)))
+		d.mRequests[k] = h
+	}
+	return h
 }
 
 // statusWriter captures the response status code for the per-endpoint
@@ -89,10 +111,7 @@ func (d *Daemon) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
 		end := d.obs.Now()
-		d.obs.Registry.Histogram("mmogdc_daemon_http_request_seconds",
-			"HTTP request latency by /v1 endpoint and status code (healthz/readyz excluded).",
-			obs.TimeBuckets, obs.L("path", path), obs.L("code", strconv.Itoa(sw.code))).
-			Observe(end.Sub(start).Seconds())
+		d.requestSeconds(path, sw.code).Observe(end.Sub(start).Seconds())
 		if span != nil {
 			span.SetValue(float64(sw.code))
 			span.EndAt(end)
@@ -109,10 +128,18 @@ type ObserveRequest struct {
 
 func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, d.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req ObserveRequest
-	if err := dec.Decode(&req); err != nil {
+	buf := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(buf)
+	// The values buffer goes to the worker with the sample; until then,
+	// every refusal hands it back.
+	vals := valuesPool.Get().(*[]float64)
+	defer func() {
+		if vals != nil {
+			valuesPool.Put(vals)
+		}
+	}()
+	name, err := readObserve(r.Body, buf, vals)
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			d.typedError(w, http.StatusRequestEntityTooLarge, "oversized_body",
@@ -122,17 +149,18 @@ func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
 		d.typedError(w, http.StatusBadRequest, "malformed_body", err.Error())
 		return
 	}
-	g := d.games[req.Game]
+	g := d.games[string(name)]
 	if g == nil {
 		d.typedError(w, http.StatusNotFound, "unknown_game",
-			fmt.Sprintf("game %q is not provisioned by this daemon", req.Game))
+			fmt.Sprintf("game %q is not provisioned by this daemon", name))
 		return
 	}
-	if len(req.Values) == 0 {
+	values := *vals
+	if len(values) == 0 {
 		d.typedError(w, http.StatusBadRequest, "bad_value", "values must carry at least one zone")
 		return
 	}
-	for i, v := range req.Values {
+	for i, v := range values {
 		if math.IsInf(v, 0) || math.IsNaN(v) || v < 0 {
 			d.typedError(w, http.StatusBadRequest, "bad_value",
 				fmt.Sprintf("values[%d] = %v is not a finite non-negative load", i, v))
@@ -142,10 +170,10 @@ func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
 	// The first accepted observation fixes the game's zone count; every
 	// later snapshot must match it (a malformed client must not wedge
 	// the operator with shape errors).
-	n := int64(len(req.Values))
+	n := int64(len(values))
 	if !g.zones.CompareAndSwap(0, n) && g.zones.Load() != n {
 		d.typedError(w, http.StatusConflict, "zone_mismatch",
-			fmt.Sprintf("observed %d zones, game %q has %d", n, req.Game, g.zones.Load()))
+			fmt.Sprintf("observed %d zones, game %q has %d", n, g.spec.Name, g.zones.Load()))
 		return
 	}
 	// The region circuit breaker gates admission: a game homed in a
@@ -160,7 +188,7 @@ func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("region %q circuit is open after consecutive grant failures", g.region))
 		return
 	}
-	tick, err := d.enqueue(g, req.Values, obs.SpanFromContext(r.Context()))
+	tick, err := d.enqueue(g, vals, obs.SpanFromContext(r.Context()))
 	switch {
 	case errors.Is(err, errDraining):
 		d.typedError(w, http.StatusServiceUnavailable, "draining", "daemon is draining; not admitting")
@@ -175,14 +203,22 @@ func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("Retry-After", fmt.Sprint(retry))
 		d.typedError(w, http.StatusTooManyRequests, "queue_full",
-			fmt.Sprintf("ingest queue for %q is full (%d waiting)", req.Game, cap(g.queue)))
+			fmt.Sprintf("ingest queue for %q is full (%d waiting)", g.spec.Name, cap(g.queue)))
 		return
 	}
+	vals = nil // the worker returns it
+	// The body buffer is spent: it carries the 202, the bytes
+	// json.Encoder writes for {"game":…,"queued":…,"tick":…}.
+	ack := append((*buf)[:0], `{"game":`...)
+	ack = append(ack, g.nameJSON...)
+	ack = append(ack, `,"queued":`...)
+	ack = strconv.AppendInt(ack, int64(len(g.queue)), 10)
+	ack = append(ack, `,"tick":`...)
+	ack = strconv.AppendInt(ack, tick, 10)
+	ack = append(ack, "}\n"...)
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]any{
-		"game": req.Game, "tick": tick, "queued": len(g.queue),
-	})
+	w.Write(ack)
 }
 
 // gameFor resolves the ?game= query parameter, defaulting to the only

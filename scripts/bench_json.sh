@@ -2,8 +2,9 @@
 # Machine-readable benchmark snapshot, gated: run the core-engine,
 # checkpoint, and observability-overhead benchmarks, the matcher walk
 # at 10, 130 and 1000 centers, the provisioning step's steady-state
-# Prune + AllocAt, and one Observe + Predict step of each predictor in
-# bench_test.go, all with -benchmem; condense the output into
+# Prune + AllocAt, one Observe + Predict step of each predictor in
+# bench_test.go, and one mmogd sample through the observe handler and
+# its worker, all with -benchmem; condense the output into
 # BENCH_core.json (name -> ns/op, B/op, allocs/op) at the repo root,
 # and fail if the fresh numbers regress more than the tolerance band
 # against the committed snapshot (see scripts/benchgate: allocs/op and
@@ -33,6 +34,8 @@ go test -run '^$' -bench StepSteadyState -benchtime 100000x -benchmem \
     ./internal/provision/ >> "$d/bench.out"
 go test -run '^$' -bench '^BenchmarkPredict' -benchtime 200000x -benchmem . \
     >> "$d/bench.out"
+go test -run '^$' -bench '^BenchmarkDaemonObserve$' -benchtime 20000x -benchmem \
+    ./internal/daemon/ >> "$d/bench.out"
 
 go run ./scripts/benchjson < "$d/bench.out" > "$d/new.json"
 

@@ -5,6 +5,9 @@
 #     errors, never panics;
 #   - POST /v1/config must answer hostile bodies with 200 or a typed
 #     4xx, and an accepted config must round-trip GET -> POST -> GET;
+#   - POST /v1/observe's body reader must answer any body as the
+#     streaming encoding/json decode does: the same error text, or the
+#     same game and bit-equal values;
 #   - mmogaudit must answer a hostile event stream with a load error or
 #     a report, never a panic or a hang;
 #   - it must answer a hostile span trace (timing sections and the
@@ -24,6 +27,7 @@ cd "$(dirname "$0")/.."
 
 go test -run '^$' -fuzz '^FuzzOperatorFromSnapshot$' -fuzztime 10s ./internal/operator/
 go test -run '^$' -fuzz '^FuzzConfigPost$' -fuzztime 10s ./internal/daemon/
+go test -run '^$' -fuzz '^FuzzObserveBody$' -fuzztime 10s ./internal/daemon/
 go test -run '^$' -fuzz '^FuzzAnalyzeEvents$' -fuzztime 10s ./internal/audit/
 go test -run '^$' -fuzz '^FuzzAnalyzeTrace$' -fuzztime 10s ./internal/audit/
 go test -run '^$' -fuzz '^FuzzFaultPlan$' -fuzztime 10s ./internal/faults/
