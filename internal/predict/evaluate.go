@@ -1,46 +1,13 @@
 package predict
 
-// EvaluateZones replays a multi-zone signal through one predictor per
-// zone (the per-sub-zone structure of Section IV-B) and returns the
-// paper's prediction-error metric (Section IV-D2): the ratio between
-// the sum of un-normalized sample prediction errors |x_t - p_t| across
-// all zones and steps and the sum of all samples, as a percentage. The
-// first step has no prediction and is excluded from the errors.
-func EvaluateZones(f Factory, zones [][]float64) float64 {
-	if len(zones) == 0 {
-		return 0
-	}
-	ps := make([]Predictor, len(zones))
-	for i := range ps {
-		ps[i] = f()
-	}
-	n := len(zones[0])
-	var errSum, valSum float64
-	for t := 0; t < n; t++ {
-		for z, sig := range zones {
-			v := sig[t]
-			if t > 0 {
-				d := v - ps[z].Predict()
-				if d < 0 {
-					d = -d
-				}
-				errSum += d
-			}
-			valSum += v
-			ps[z].Observe(v)
-		}
-	}
-	if valSum == 0 {
-		return 0
-	}
-	return errSum / valSum * 100
-}
-
-// EvaluateZonesFromSecond scores prediction errors from the second
-// step on, the first one a predictor has a forecast for, and normalizes
-// by the player volume of those steps only (EvaluateZones normalizes by
-// the whole signal's). Scoring only forecast steps keeps the comparison
-// between the pretrained neural predictor and the baselines fair.
+// EvaluateZonesFromSecond replays a multi-zone signal through one
+// predictor per zone (the per-sub-zone structure of Section IV-B) and
+// returns the paper's prediction-error metric (Section IV-D2) from the
+// second step on, the first one a predictor has a forecast for: the sum
+// of un-normalized sample prediction errors |x_t - p_t| across all
+// zones over the sum of the samples of those steps, as a percentage.
+// Scoring only forecast steps keeps the comparison between the
+// pretrained neural predictor and the baselines fair.
 func EvaluateZonesFromSecond(f Factory, zones [][]float64) float64 {
 	if len(zones) == 0 {
 		return 0

@@ -5,6 +5,44 @@ import (
 	"testing"
 )
 
+// EvaluateZones replays a multi-zone signal through one predictor per
+// zone (the per-sub-zone structure of Section IV-B) and returns the
+// paper's prediction-error metric (Section IV-D2): the ratio between
+// the sum of un-normalized sample prediction errors |x_t - p_t| across
+// all zones and steps and the sum of all samples, as a percentage. The
+// first step has no prediction and is excluded from the errors, but its
+// samples count in the volume. The tests keep it as the metric's plain
+// form; shipped code scores with EvaluateZonesFromSecond.
+func EvaluateZones(f Factory, zones [][]float64) float64 {
+	if len(zones) == 0 {
+		return 0
+	}
+	ps := make([]Predictor, len(zones))
+	for i := range ps {
+		ps[i] = f()
+	}
+	n := len(zones[0])
+	var errSum, valSum float64
+	for t := 0; t < n; t++ {
+		for z, sig := range zones {
+			v := sig[t]
+			if t > 0 {
+				d := v - ps[z].Predict()
+				if d < 0 {
+					d = -d
+				}
+				errSum += d
+			}
+			valSum += v
+			ps[z].Observe(v)
+		}
+	}
+	if valSum == 0 {
+		return 0
+	}
+	return errSum / valSum * 100
+}
+
 func TestEvaluateLastValueKnown(t *testing.T) {
 	// Signal 10, 20, 30: last-value predicts 10 then 20; errors are
 	// 10 + 10 = 20 over a volume of 60 -> 33.33%.

@@ -60,3 +60,49 @@ func BenchmarkStepSteadyState(b *testing.B) {
 		sinkVector = steadyTick(s, i)
 	}
 }
+
+// rescanBook is the book rescanStep keeps: 33 leases, about what a
+// sim-paper server group holds when one of its leases ends.
+const rescanBook = 33
+
+// rescanStep returns a step that has acquired one one-CPU lease a tick
+// for rescanBook ticks, each lasting rescanBook ticks, so that from
+// then on one lease ends on every tick.
+func rescanStep() (*Step, *ecosystem.Matcher) {
+	p := datacenter.HostingPolicy{Name: "HP", Bulk: datacenter.Vector{1}, TimeBulk: rescanBook * 2 * time.Minute}
+	c := datacenter.NewCenter("dc", geo.London, 100, p)
+	m := ecosystem.NewMatcher([]*datacenter.Center{c})
+	s := New(Config{Matcher: m, Tag: "z", Origin: geo.London, MaxDistanceKm: 1e9, Counts: &Counts{}})
+	for i := 0; i < rescanBook; i++ {
+		now := t0.Add(time.Duration(i) * 2 * time.Minute)
+		m.Expire(now)
+		s.Acquire(i, now, datacenter.Vector{1}, true)
+	}
+	return &s, m
+}
+
+// rescanTick is core.Run's share of tick i for one zone whose oldest
+// lease ends at the tick: the matcher expires it at its center, Prune
+// drops it, AllocAt sizes the next tick's gap (another lease ends
+// then), and Acquire wins the one lease that closes it. It returns the
+// live allocation Prune scored.
+func rescanTick(s *Step, m *ecosystem.Matcher, i int) datacenter.Vector {
+	now := t0.Add(time.Duration(i) * 2 * time.Minute)
+	m.Expire(now)
+	have := s.Prune(now)
+	want := datacenter.Vector{rescanBook - 1}
+	s.Acquire(i, now, want.Sub(s.AllocAt(now.Add(2*time.Minute))).ClampNonNegative(), true)
+	return have
+}
+
+// BenchmarkStepRescan times rescanTick: with a lease ending on every
+// tick, both Prune and AllocAt rescan the book, which the memo spares
+// BenchmarkStepSteadyState.
+func BenchmarkStepRescan(b *testing.B) {
+	s, m := rescanStep()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkVector = rescanTick(s, m, rescanBook+i)
+	}
+}

@@ -60,8 +60,28 @@ func sameBits(a, b datacenter.Vector) bool {
 // including AllocAt at times before and after the step's tick, must
 // equal the scan bit for bit, and Prune must keep the same book and
 // name the same lost centers.
+//
+// The step also ends its own leases by a clock up to an hour ahead
+// (Step.Expire, the operator's holder-clock path), and a second step on
+// the same centers, a game keeping its own clock up to 20 ticks ahead
+// of or behind the first, runs the operator's tick (Expire, Prune,
+// AllocAt, Acquire) beside its own reference scan. The walk must reach
+// both kinds of rescan, clean and not, and after every operation each
+// center's Allocated() must equal the sum of its live leases within
+// 1e-9 and fit its EffectiveCapacity().
 func TestMemoMatchesScan(t *testing.T) {
 	var hits, misses int
+	var cleanScans, dirtyScans int
+	// classify counts the rescan a Prune or AllocAt at at is about to do.
+	classify := func(s *Step, at time.Time) {
+		switch _, hit, clean := s.memo.check(at); {
+		case hit:
+		case clean:
+			cleanScans++
+		default:
+			dirtyScans++
+		}
+	}
 	for seed := uint64(1); seed <= 30; seed++ {
 		r := xrand.New(seed)
 		var centers []*datacenter.Center
@@ -76,6 +96,10 @@ func TestMemoMatchesScan(t *testing.T) {
 		s := New(Config{Matcher: m, Tag: "z", Origin: geo.London, MaxDistanceKm: 1e9, Counts: &counts})
 		var ref []*datacenter.Lease
 		var refLost []string
+		s2 := New(Config{Matcher: m, Tag: "y", Origin: geo.London, MaxDistanceKm: 1e9, Counts: &counts})
+		var ref2 []*datacenter.Lease
+		var ref2Lost []string
+		lag := r.Intn(41) - 20
 		failed := make([]int, len(centers))
 		degraded := make([][]float64, len(centers))
 		tick := 0
@@ -84,6 +108,24 @@ func TestMemoMatchesScan(t *testing.T) {
 			t.Helper()
 			if !sameBits(got, want) {
 				t.Fatalf("seed %d op %d tick %d: %s = %v, scan says %v", seed, op, tick, what, got, want)
+			}
+		}
+		// conserved checks every center's books after an operation.
+		conserved := func(op int) {
+			t.Helper()
+			for _, c := range centers {
+				var live datacenter.Vector
+				for _, l := range c.Leases() {
+					live = live.Add(l.Alloc)
+				}
+				for i, a := range c.Allocated() {
+					if math.Abs(a-live[i]) > 1e-9 {
+						t.Fatalf("seed %d op %d: %s allocates %v, its live leases sum to %v", seed, op, c.Name, c.Allocated(), live)
+					}
+				}
+				if !c.Allocated().FitsWithin(c.EffectiveCapacity()) {
+					t.Fatalf("seed %d op %d: %s allocates %v beyond its capacity %v", seed, op, c.Name, c.Allocated(), c.EffectiveCapacity())
+				}
 			}
 		}
 
@@ -98,6 +140,7 @@ func TestMemoMatchesScan(t *testing.T) {
 				} else {
 					misses++
 				}
+				classify(&s, at)
 				got := s.Prune(at)
 				var want datacenter.Vector
 				want, ref, refLost = refPrune(ref, refLost, at)
@@ -107,11 +150,32 @@ func TestMemoMatchesScan(t *testing.T) {
 						seed, op, len(s.Leases()), s.lost, len(ref), refLost)
 				}
 				next := at.Add(2 * time.Minute)
+				classify(&s, next)
 				have := s.AllocAt(next)
 				check(op, "AllocAt(next tick)", have, refAllocAt(ref, next))
 				want = datacenter.Vector{float64(r.Intn(12))}
 				a := s.Acquire(tick, at, want.Sub(have).ClampNonNegative(), r.Intn(4) != 0)
 				ref = append(ref, a.Leases...)
+
+				// The second step's tick, by its own clock, as the
+				// operator runs it.
+				at2 := at.Add(time.Duration(lag) * 2 * time.Minute)
+				s2.Expire(at2)
+				classify(&s2, at2)
+				got = s2.Prune(at2)
+				want, ref2, ref2Lost = refPrune(ref2, ref2Lost, at2)
+				check(op, "second step's Prune", got, want)
+				if !slices.Equal(s2.Leases(), ref2) || !slices.Equal(s2.lost, ref2Lost) {
+					t.Fatalf("seed %d op %d: the second step's Prune kept %d leases and lost %v, scan %d and %v",
+						seed, op, len(s2.Leases()), s2.lost, len(ref2), ref2Lost)
+				}
+				next2 := at2.Add(2 * time.Minute)
+				classify(&s2, next2)
+				have = s2.AllocAt(next2)
+				check(op, "second step's AllocAt(next tick)", have, refAllocAt(ref2, next2))
+				want = datacenter.Vector{float64(r.Intn(12))}
+				a = s2.Acquire(tick+lag, at2, want.Sub(have).ClampNonNegative(), true)
+				ref2 = append(ref2, a.Leases...)
 			case k < 47: // every center's clock runs up to an hour ahead
 				m.Expire(now().Add(time.Duration(r.Intn(31)) * 2 * time.Minute))
 			case k < 55: // one center's clock runs ahead
@@ -155,13 +219,110 @@ func TestMemoMatchesScan(t *testing.T) {
 				}
 				s.SetLeases(slices.Clone(book))
 				ref = book
+			case k < 88: // the step ends its own leases by a clock up to an hour ahead
+				s.Expire(now().Add(time.Duration(r.Intn(31)) * 2 * time.Minute))
 			default: // size against a time behind or ahead of the tick
 				at := now().Add(time.Duration(r.Intn(40)-10) * 2 * time.Minute)
+				classify(&s, at)
 				check(op, "AllocAt", s.AllocAt(at), refAllocAt(ref, at))
 			}
+			conserved(op)
 		}
 	}
 	if hits == 0 || misses == 0 {
 		t.Fatalf("memo held on %d prunes and failed on %d: the walk misses a path", hits, misses)
+	}
+	if cleanScans == 0 || dirtyScans == 0 {
+		t.Fatalf("%d clean and %d other rescans: the walk misses a path", cleanScans, dirtyScans)
+	}
+	t.Logf("prunes: %d memo hits, %d misses; rescans: %d clean, %d other", hits, misses, cleanScans, dirtyScans)
+}
+
+// TestExpireDropsMemo pins the memo after Step.Expire. Ending a lease
+// by the step's own clock moves neither its center's clock nor its
+// early-release count, so the memo must not answer for a time behind
+// that clock: with lease A over [0, 10 min) and B over [2, 12 min),
+// after Expire at 10 minutes only B is active at 3 minutes.
+func TestExpireDropsMemo(t *testing.T) {
+	p := datacenter.HostingPolicy{Name: "p", Bulk: datacenter.Vector{1}, TimeBulk: 10 * time.Minute}
+	c := datacenter.NewCenter("dc", geo.London, 4, p)
+	m := ecosystem.NewMatcher([]*datacenter.Center{c})
+	s := New(Config{Matcher: m, Tag: "z", Origin: geo.London, MaxDistanceKm: 1e9, Counts: &Counts{}})
+	s.Acquire(0, t0, datacenter.Vector{1}, true)
+	s.Acquire(1, t0.Add(2*time.Minute), datacenter.Vector{1}, true)
+	s.Expire(t0.Add(10 * time.Minute))
+	at := t0.Add(3 * time.Minute)
+	got, want := s.AllocAt(at), refAllocAt(s.Leases(), at)
+	if !sameBits(got, want) || want[datacenter.CPU] != 1 {
+		t.Fatalf("AllocAt(3 min) after Expire(10 min) = %v, scan says %v (want 1 CPU)", got, want)
+	}
+}
+
+// edgeTimes are instants around both ends of the int64-nanosecond
+// range, and far outside it, that fuzzed checkpoints can restore.
+func edgeTimes() []time.Time {
+	lo, hi := time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+	return []time.Time{
+		{}, lo.Add(-time.Hour), lo.Add(-1), lo, lo.Add(1), lo.Add(time.Second), lo.Add(2 * time.Second),
+		t0, t0.Add(time.Hour),
+		hi.Add(-2 * time.Second), hi.Add(-time.Second), hi.Add(-1), hi, hi.Add(1), hi.Add(time.Hour),
+		time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC),
+	}
+}
+
+// TestNanosKeepsOrder checks nanos against time.Time's own order: a
+// strict order between two results is the times' order, and any order
+// between a result inside the int64 range and another result is the
+// times' order.
+func TestNanosKeepsOrder(t *testing.T) {
+	ts := edgeTimes()
+	for _, a := range ts {
+		na := nanos(a)
+		aIn := na != math.MinInt64 && na != math.MaxInt64
+		if aIn && na != a.UnixNano() {
+			t.Fatalf("nanos(%v) = %d, UnixNano %d", a, na, a.UnixNano())
+		}
+		for _, b := range ts {
+			nb := nanos(b)
+			if na < nb && !a.Before(b) {
+				t.Fatalf("nanos orders %v before %v", a, b)
+			}
+			if aIn && (na == nb) != a.Equal(b) {
+				t.Fatalf("nanos(%v) = %d, nanos(%v) = %d", a, na, b, nb)
+			}
+		}
+	}
+}
+
+// TestMemoOutsideNanoRange restores a book whose leases start and end
+// around both ends of the int64-nanosecond range, and at each edge
+// time in order sizes against every edge time and prunes, against the
+// reference scans.
+func TestMemoOutsideNanoRange(t *testing.T) {
+	p := datacenter.HostingPolicy{Name: "p", Bulk: datacenter.Vector{1}, TimeBulk: time.Hour}
+	c := datacenter.NewCenter("dc", geo.London, 64, p)
+	m := ecosystem.NewMatcher([]*datacenter.Center{c})
+	s := New(Config{Matcher: m, Tag: "z", Origin: geo.London, MaxDistanceKm: 1e9, Counts: &Counts{}})
+	ts := edgeTimes()
+	var ref []*datacenter.Lease
+	for i, start := range ts {
+		for _, expires := range ts[i+1:] {
+			ref = append(ref, c.Adopt(datacenter.Vector{float64(1 + len(ref)%3)}, start, expires, "z"))
+		}
+	}
+	s.SetLeases(slices.Clone(ref))
+	var lost []string
+	for _, now := range ts {
+		for _, at := range ts {
+			if got, want := s.AllocAt(at), refAllocAt(ref, at); !sameBits(got, want) {
+				t.Fatalf("at %v: AllocAt(%v) = %v, scan says %v", now, at, got, want)
+			}
+		}
+		got := s.Prune(now)
+		var want datacenter.Vector
+		want, ref, lost = refPrune(ref, lost, now)
+		if !sameBits(got, want) || !slices.Equal(s.Leases(), ref) {
+			t.Fatalf("Prune(%v) = %v over %d leases, scan says %v over %d", now, got, len(s.Leases()), want, len(ref))
+		}
 	}
 }

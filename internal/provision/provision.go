@@ -12,6 +12,7 @@ package provision
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -80,6 +81,9 @@ type Step struct {
 	// leases is the lease book in acquisition order, which fixes the
 	// float summation order of the allocation.
 	leases []*datacenter.Lease
+	// ends holds each book lease's Expires in Unix nanoseconds (see
+	// nanos), in book order, so a clean rescan reads no lease's times.
+	ends []int64
 	// memo is the book's allocation while no lease in it can have
 	// ended, so a tick that loses no lease does not rescan the book.
 	memo memo
@@ -103,10 +107,12 @@ type Step struct {
 // keeps one in each zone's slot of its flat zone array), so New
 // returns one; a step must not be copied once in use.
 func New(cfg Config) Step {
-	return Step{
+	s := Step{
 		m: cfg.Matcher, tag: cfg.Tag, origin: cfg.Origin, maxKm: cfg.MaxDistanceKm,
 		key: cfg.JitterKey, counts: cfg.Counts, tel: cfg.Telemetry,
 	}
+	s.memo.reset()
+	return s
 }
 
 // Prune drops the leases no longer active at now and returns the live
@@ -116,23 +122,38 @@ func New(cfg Config) Step {
 // next Acquire fails the capacity over away from it.
 func (s *Step) Prune(now time.Time) datacenter.Vector {
 	s.lost = s.lost[:0]
-	if s.memo.holds(now) {
+	tn, hit, clean := s.memo.check(now)
+	if hit {
 		return s.memo.sum
 	}
-	s.memo.reset()
-	live := s.leases[:0]
-	for _, l := range s.leases {
-		if l.Active(now) {
-			s.memo.add(l)
-			live = append(live, l)
+	// A clean rescan drops only leases that ran to their end, so it notes
+	// no lost center, and the memo's start and marks still cover the
+	// leases it keeps.
+	if !clean {
+		s.memo.reset()
+	}
+	var sum scalars
+	expires := int64(math.MaxInt64)
+	n := 0
+	for i, l := range s.leases {
+		end := s.ends[i]
+		if clean && tn < end || !clean && l.Active(now) {
+			sum = sum.add(&l.Alloc)
+			expires = min(expires, end)
+			if !clean {
+				s.memo.mark(l)
+			}
+			s.leases[n], s.ends[n] = l, end
+			n++
 			continue
 		}
-		if l.Center != nil && now.Before(l.Expires) && !now.Before(l.Start) &&
+		if !clean && l.Center != nil && now.Before(l.Expires) && !now.Before(l.Start) &&
 			!slices.Contains(s.lost, l.Center.Name) {
 			s.lost = append(s.lost, l.Center.Name)
 		}
 	}
-	s.leases = live
+	s.leases, s.ends = s.leases[:n], s.ends[:n]
+	s.memo.sum, s.memo.expires = sum.vector(), expires
 	return s.memo.sum
 }
 
@@ -141,6 +162,8 @@ func (s *Step) Prune(now time.Time) datacenter.Vector {
 // same centers wait for their own holders' clocks. The operator, whose
 // game keeps its own clock, calls it before Prune; core.Run's zones
 // share one clock and expire every center at once with Matcher.Expire.
+// Ending a lease moves neither its center's clock nor its early-release
+// count, so it drops the memo.
 func (s *Step) Expire(now time.Time) {
 	if s.memo.holds(now) {
 		return
@@ -148,6 +171,7 @@ func (s *Step) Expire(now time.Time) {
 	for _, l := range s.leases {
 		if !l.Released() && !now.Before(l.Expires) {
 			l.Center.End(l)
+			s.memo.stale = true
 		}
 	}
 }
@@ -157,30 +181,54 @@ func (s *Step) Expire(now time.Time) {
 // scoring instant, so leases renew before they lapse rather than one
 // tick after.
 func (s *Step) AllocAt(t time.Time) datacenter.Vector {
-	if s.memo.holds(t) {
+	tn, hit, clean := s.memo.check(t)
+	if hit {
 		return s.memo.sum
 	}
-	var sum datacenter.Vector
-	for _, l := range s.leases {
-		if l.Active(t) {
-			sum = sum.Add(l.Alloc)
+	var sum scalars
+	for i, l := range s.leases {
+		if clean && tn < s.ends[i] || !clean && l.Active(t) {
+			sum = sum.add(&l.Alloc)
 		}
 	}
-	return sum
+	return sum.vector()
 }
+
+// scalars is a rescan's running sum: Go keeps its four fields in
+// registers, where it would keep a datacenter.Vector in memory. add
+// adds component by component, as Vector.Add does, so the sum is
+// Vector.Add's bit for bit.
+type scalars struct{ cpu, mem, in, out float64 }
+
+// The scans sum exactly four resources; this fails to compile if the
+// resource count changes.
+var _ = [1]struct{}{}[datacenter.NumResources-4]
+
+func (c scalars) add(v *datacenter.Vector) scalars {
+	c.cpu += v[datacenter.CPU]
+	c.mem += v[datacenter.Memory]
+	c.in += v[datacenter.ExtNetIn]
+	c.out += v[datacenter.ExtNetOut]
+	return c
+}
+
+func (c scalars) vector() datacenter.Vector { return datacenter.Vector{c.cpu, c.mem, c.in, c.out} }
 
 // memo is the in-order sum of a whole lease book. It equals the sum of
 // the book's leases active at t — the scan's result, bit for bit —
-// while no lease in the book can have ended by t, which holds checks.
+// while no lease in the book can have ended by t, which check tests.
+// Times are Unix nanoseconds (see nanos).
 type memo struct {
-	// stale marks a memo that does not cover the book (SetLeases).
+	// stale marks a memo that does not cover the book (SetLeases, or an
+	// Expire that ended a lease).
 	stale bool
-	n     int
 	sum   datacenter.Vector
-	// start is the book's latest Start, expires its earliest Expires.
-	start, expires time.Time
-	// marks lists each center of the book with its EarlyReleases count
-	// when the lease that brought it in was added.
+	// start is the book's latest Start, or later; expires is its
+	// earliest Expires.
+	start, expires int64
+	// marks lists the center of each lease added since the last reset,
+	// once, with its EarlyReleases count when it was first marked. A
+	// clean Prune keeps the marks of centers the book has left.
 	marks []mark
 }
 
@@ -191,20 +239,20 @@ type mark struct {
 
 // reset empties the memo for a book being rebuilt from scratch.
 func (m *memo) reset() {
-	*m = memo{marks: m.marks[:0]}
+	*m = memo{start: math.MinInt64, expires: math.MaxInt64, marks: m.marks[:0]}
 }
 
-// add extends the memo with the book's next lease: one Add, exactly
-// the scan's next addition.
-func (m *memo) add(l *datacenter.Lease) {
+// add extends the memo with the book's next lease, ending at end: one
+// Add, exactly the scan's next addition.
+func (m *memo) add(l *datacenter.Lease, end int64) {
 	m.sum = m.sum.Add(l.Alloc)
-	if m.n == 0 || l.Start.After(m.start) {
-		m.start = l.Start
-	}
-	if m.n == 0 || l.Expires.Before(m.expires) {
-		m.expires = l.Expires
-	}
-	m.n++
+	m.expires = min(m.expires, end)
+	m.mark(l)
+}
+
+// mark raises start to the lease's Start and marks its center.
+func (m *memo) mark(l *datacenter.Lease) {
+	m.start = max(m.start, nanos(l.Start))
 	if l.Center == nil {
 		return
 	}
@@ -216,20 +264,56 @@ func (m *memo) add(l *datacenter.Lease) {
 	m.marks = append(m.marks, mark{l.Center, l.Center.EarlyReleases()})
 }
 
-// holds reports whether every lease of the book is active at t: t lies
-// in [start, expires), no center of the book has released a lease
-// early since it was marked, and no such center's clock has reached
-// expires (so Expire has released none of the book's leases either).
-func (m *memo) holds(t time.Time) bool {
-	if m.stale || m.n > 0 && (t.Before(m.start) || !t.Before(m.expires)) {
-		return false
+// check tests the memo at t, returning t in Unix nanoseconds. It is
+// hit when every lease of the book is active at t, so the memo is the
+// answer: t lies in [start, expires), no center of the book has
+// released a lease early since it was marked, and no such center's
+// clock has reached expires (so Expire has released none of the
+// book's leases either). It is clean when a lease of the book is
+// active at t exactly when tn is before the lease's end: t is at or
+// after start, no marked center has released a lease early, and no
+// marked center's clock is after t, so every lease a center has let
+// expire ended by t. Neither holds for a stale memo or a t outside the
+// nanosecond range.
+func (m *memo) check(t time.Time) (tn int64, hit, clean bool) {
+	tn = nanos(t)
+	if m.stale || tn == math.MinInt64 || tn == math.MaxInt64 || tn < m.start {
+		return tn, false, false
 	}
+	clock := int64(math.MinInt64)
 	for _, k := range m.marks {
-		if k.c.EarlyReleases() != k.early || !k.c.Clock().Before(m.expires) {
-			return false
+		if k.c.EarlyReleases() != k.early {
+			return tn, false, false
 		}
+		clock = max(clock, nanos(k.c.Clock()))
 	}
-	return true
+	return tn, tn < m.expires && clock < m.expires, clock <= tn
+}
+
+// holds reports whether check(t) is a hit.
+func (m *memo) holds(t time.Time) bool {
+	_, hit, _ := m.check(t)
+	return hit
+}
+
+// maxSec is the largest whole second whose every instant int64 Unix
+// nanoseconds hold.
+const maxSec = math.MaxInt64/1_000_000_000 - 1
+
+// nanos returns t in Unix nanoseconds when t is within maxSec seconds
+// of the epoch, and otherwise the nearer end of the int64 range, which
+// no time within maxSec seconds maps to. A strict order between two
+// results, and any order between a result and one inside the range, is
+// the order of the times.
+func nanos(t time.Time) int64 {
+	switch sec := t.Unix(); {
+	case sec > maxSec:
+		return math.MaxInt64
+	case sec < -maxSec:
+		return math.MinInt64
+	default:
+		return sec*1_000_000_000 + int64(t.Nanosecond())
+	}
 }
 
 // Leases returns the lease book in acquisition order. The slice
@@ -239,6 +323,10 @@ func (s *Step) Leases() []*datacenter.Lease { return s.leases }
 // SetLeases replaces the lease book (checkpoint restore).
 func (s *Step) SetLeases(leases []*datacenter.Lease) {
 	s.leases = leases
+	s.ends = s.ends[:0]
+	for _, l := range leases {
+		s.ends = append(s.ends, nanos(l.Expires))
+	}
 	s.memo.stale = true
 }
 
@@ -253,7 +341,7 @@ func (s *Step) Release() int {
 			n++
 		}
 	}
-	s.leases = s.leases[:0]
+	s.leases, s.ends = s.leases[:0], s.ends[:0]
 	s.memo.reset()
 	s.parked = s.parked[:0]
 	return n
@@ -328,7 +416,9 @@ func (s *Step) Acquire(t int, now time.Time, need datacenter.Vector, admitFailov
 	s.leases = book
 	leases := book[n:]
 	for _, l := range leases {
-		s.memo.add(l)
+		end := nanos(l.Expires)
+		s.ends = append(s.ends, end)
+		s.memo.add(l, end)
 	}
 	s.counts.Rejections += out.Rejections
 	s.counts.PartialGrants += out.PartialGrants
