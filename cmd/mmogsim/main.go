@@ -53,7 +53,7 @@ func main() {
 		obsLinger  = flag.Duration("obs-linger", 0, "keep the -obs-addr server up this long after the run finishes (for scraping a completed run)")
 		obsEvents  = flag.String("obs-events", "", "append every flight-recorder event to this JSONL file")
 		obsRing    = flag.Int("obs-ring", 0, "flight-recorder ring capacity in events (0 = default 4096; size it to the run when gating on zero overwrites)")
-		provDepth  = flag.Int("provenance", 0, "record the last N allocation decisions with per-candidate dispositions; with -obs-events, each acquire also emits a 'decision' event (0 disables)")
+		provenance = flag.Int("provenance", 0, "record each allocation decision with per-candidate dispositions; with -obs-events, each acquire also emits a 'decision' event (any value > 0 enables, 0 disables; the value is not a depth)")
 		metricsOut = flag.String("metrics-out", "", "write a JSON snapshot of all metrics (plus the resilience summary) to this file after the run")
 		traceOut   = flag.String("trace-out", "", "record spans and write a Chrome trace_event JSON file (view in Perfetto; feed to mmogaudit)")
 
@@ -159,7 +159,7 @@ func main() {
 		CheckpointEveryTicks:  *ckptEvery,
 		StopAfterTick:         *stopAfter,
 		Obs:                   telemetry,
-		Provenance:            *provDepth,
+		Provenance:            *provenance,
 		FailoverBudgetPerTick: *failoverBudget,
 		Brownout:              *brownout,
 		BrownoutReserveFrac:   *brownoutReserve,

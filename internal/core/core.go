@@ -144,12 +144,14 @@ type Config struct {
 	// with Obs set produces a bit-identical Result to one without, and
 	// nil costs nothing on the hot path.
 	Obs *obs.Obs
-	// Provenance, when > 0, installs a decision log of that capacity
-	// on the matcher: every acquire records the ordered candidate
-	// ranking with per-candidate dispositions, and (with Obs set) each
-	// grant/failover gains a companion "decision" flight-recorder
-	// event. Write-only like Obs: the Result is bit-identical with
-	// provenance on or off, and 0 disables it entirely.
+	// Provenance, when > 0, switches decision provenance on: every
+	// acquire records the ordered candidate ranking with per-candidate
+	// dispositions, and (with Obs set) each grant/failover gains a
+	// companion "decision" flight-recorder event. The value is not a
+	// depth: a decision leaves the run only as that event, so the
+	// matcher keeps one decision slot. Write-only like Obs: the Result
+	// is bit-identical with provenance on or off, and 0 disables it
+	// entirely.
 	Provenance int
 }
 
@@ -328,8 +330,8 @@ type engine struct {
 func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
 
 // run is Run with an optional decision log installed on the run's
-// matcher in place of the Provenance-sized one, so a test can read the
-// whole decision stream back.
+// matcher in place of the one-slot one, so a test can read the whole
+// decision stream back.
 func run(cfg Config, decisions *ecosystem.DecisionLog) (*Result, error) {
 	e, err := newEngine(cfg, decisions)
 	if err != nil {
@@ -418,7 +420,9 @@ func newEngine(cfg Config, decisions *ecosystem.DecisionLog) (*engine, error) {
 		e.matcher.SetFaultInjector(e.plan)
 	}
 	if decisions == nil && cfg.Provenance > 0 {
-		decisions = ecosystem.NewDecisionLog(cfg.Provenance)
+		// Each decision is rendered into its event while it is the
+		// newest; nothing reads an older one.
+		decisions = ecosystem.NewDecisionLog(1)
 	}
 	if decisions != nil {
 		e.matcher.SetDecisionLog(decisions)

@@ -97,7 +97,7 @@ type HotConfig struct {
 	CheckpointEvery int `json:"checkpoint_every"`
 	// ObserveTimeoutMS bounds one observe→predict→acquire pass; an
 	// expired deadline skips the unfinished stages (see
-	// operator.ObserveCtx) and counts an observe timeout. 0 disables.
+	// operator.ObserveUntil) and counts an observe timeout. 0 disables.
 	ObserveTimeoutMS int `json:"observe_timeout_ms"`
 	// ObserveDelayMS injects an artificial processing delay per
 	// observed sample — the fault knob that makes backpressure

@@ -372,7 +372,7 @@ func (d *Daemon) worker(g *game) {
 }
 
 // observeOne runs one admitted observation through the operator:
-// injected dropouts, the context deadline, the virtual clock advance,
+// injected dropouts, the observe deadline, the virtual clock advance,
 // and the checkpoint cadence.
 func (d *Daemon) observeOne(g *game, s sample) {
 	hot := d.hot.Load()
@@ -381,15 +381,13 @@ func (d *Daemon) observeOne(g *game, s sample) {
 		// so the ops endpoints stay responsive while the queue backs up.
 		time.Sleep(delay)
 	}
-	ctx := context.Background()
+	var deadline time.Time
 	if t := hot.ObserveTimeout(); t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
+		deadline = time.Now().Add(t)
 	}
 	// With tracing on, close the request's queue-wait span and open
-	// the observe span; the operator picks the latter up from the
-	// context so its cycle/acquire spans chain to the request.
+	// the observe span; the operator parents its cycle under the latter
+	// so its cycle/acquire spans chain to the request.
 	var obSpan *obs.Span
 	if trc := d.obs.Trc(); trc != nil {
 		deq := d.obs.Now()
@@ -399,7 +397,6 @@ func (d *Daemon) observeOne(g *game, s sample) {
 		})
 		obSpan = trc.BeginAt("daemon.observe", "daemon", s.span, deq)
 		obSpan.SetSubject(g.spec.Name)
-		ctx = obs.ContextWithSpan(ctx, obSpan.ID())
 	}
 
 	d.ecoMu.Lock()
@@ -418,13 +415,14 @@ func (d *Daemon) observeOne(g *game, s sample) {
 	// The next observation comes one hot tick later: the operator
 	// leases for that instant, and the clock advances to it.
 	next := g.now.Add(hot.Tick())
-	err := g.op.ObserveCtx(ctx, g.now, next, values)
+	err := g.op.ObserveUntil(g.now, next, deadline, obSpan.ID(), values)
 	// Feed the circuit breaker while the scratch slices are still valid
 	// (GrantActivity aliases per-tick buffers the next Observe reuses).
 	granted, rejected := g.op.GrantActivity()
 	d.brk.record(granted, rejected)
 	g.now = next
-	ticks := g.op.Metrics().Ticks
+	m := g.op.Metrics()
+	ticks := m.Ticks
 	var payload []byte
 	needCkpt := g.mgr != nil && hot.CheckpointEvery > 0 && ticks > 0 && ticks%hot.CheckpointEvery == 0
 	if needCkpt {
@@ -453,10 +451,9 @@ func (d *Daemon) observeOne(g *game, s sample) {
 	// Evaluate the burn-rate rules on the observation's virtual clock
 	// (ticks-1 is this observation's tick index — the same axis the
 	// operator's sla_breach events use, so mmogaudit can score
-	// detection lag). Reading the registry outside ecoMu is safe: the
-	// instruments are atomics.
+	// detection lag).
 	if eng := d.slo.Load(); eng != nil {
-		eng.Eval(g.spec.Name, ticks-1, vnow)
+		eng.Eval(g.spec.Name, ticks-1, vnow, g.reading(m))
 	}
 	end := d.obs.Now()
 	if obSpan != nil {
@@ -465,6 +462,18 @@ func (d *Daemon) observeOne(g *game, s sample) {
 	}
 	g.mLoop.Observe(end.Sub(s.enq).Seconds())
 	g.mQueueDepth.Set(float64(len(g.queue)))
+}
+
+// reading is what the SLO engine evaluates for g: the daemon's own
+// counters, which are atomics, and the operator's part of m, which the
+// caller read under ecoMu.
+func (g *game) reading(m operator.Metrics) slo.Reading {
+	return slo.Reading{
+		Shed: g.mShed.Value(), Ingested: g.mIngest.Value(),
+		Timeouts: g.mTimeouts.Value(), Errors: g.mErrors.Value(),
+		Loop:  g.mLoop,
+		Ticks: m.Ticks, Events: m.Events, Rejections: m.Rejections,
+	}
 }
 
 // BeginDrain flips the daemon into draining: /readyz reports 503, new

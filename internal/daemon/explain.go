@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"mmogdc/internal/ecosystem"
+	"mmogdc/internal/obs"
 )
 
 // Decision provenance for the service path: when Config.ExplainDepth
@@ -65,7 +66,7 @@ func (d *Daemon) explainCircuitOpen(g *game, region string) {
 // operator tags its requests with the game name, so for the daemon the
 // two coincide — the parameter exists for decision streams imported
 // from the per-zone simulation).
-func (d *Daemon) handleExplain(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) handleExplain(w http.ResponseWriter, r *http.Request, _ obs.SpanID) {
 	g := d.gameFor(w, r)
 	if g == nil {
 		return

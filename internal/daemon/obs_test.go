@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"mmogdc/internal/obs"
 	"mmogdc/internal/slo"
@@ -250,4 +251,87 @@ func TestDaemonObsBitIdentical(t *testing.T) {
 	if plainF == "" || plainL == "" {
 		t.Fatal("empty responses")
 	}
+}
+
+// TestSLOReadingMatchesRegistry arms all five SLO signals on a faulted
+// run (sheds, observe timeouts, grant rejections, breaches) and checks
+// the Reading the daemon hands the engine against the series the
+// daemon and the operator publish, which must hold the same counts.
+func TestSLOReadingMatchesRegistry(t *testing.T) {
+	o := obs.New()
+	var rules []slo.RuleConfig
+	for _, sig := range []string{slo.SignalShedRate, slo.SignalObserveLatency,
+		slo.SignalObserveFailures, slo.SignalBreachRate, slo.SignalRejectionRate} {
+		rules = append(rules, slo.RuleConfig{Name: sig, Signal: sig, Objective: 0.01,
+			LatencyObjectiveMS: 1, ShortWindowS: 2, LongWindowS: 8})
+	}
+	d := newTestDaemon(t, func(c *Config) {
+		c.Obs = o
+		c.QueueDepth = 1
+		c.Predictor = slowPredictor(20 * time.Millisecond)
+		h := fastHot()
+		h.ObserveTimeoutMS = 5
+		h.FaultRejectProb = 0.5
+		h.SLORules = rules
+		c.Hot = h
+	})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	g := d.games["g1"]
+
+	post := func(load float64) int {
+		return postObserveTraced(t, srv.URL, "g1", "", []float64{load})
+	}
+	// Paced samples of rising load lease more every pass and meet
+	// rejections; every fourth is slow and times out.
+	for i := 0; i < 16; i++ {
+		load := 200 + 50*float64(i)
+		if i%4 == 3 {
+			load = slowLoad
+		}
+		if code := post(load); code != http.StatusAccepted {
+			t.Fatalf("observe %d -> %d", i, code)
+		}
+		waitPasses(t, g, g.mIngest.Value())
+	}
+	// A burst behind a slow pass: the one-slot queue sheds.
+	for i := 0; ; i++ {
+		if i == 100 {
+			t.Fatal("the one-slot queue never shed")
+		}
+		load := 200.0
+		if i == 0 {
+			load = slowLoad
+		}
+		code := post(load)
+		if code == http.StatusTooManyRequests {
+			break
+		}
+		if code != http.StatusAccepted {
+			t.Fatalf("burst observe %d -> %d", i, code)
+		}
+	}
+	waitPasses(t, g, g.mIngest.Value())
+
+	d.ecoMu.Lock()
+	got := g.reading(g.op.Metrics())
+	d.ecoMu.Unlock()
+	r, lg := o.Registry, obs.L("game", "g1")
+	want := slo.Reading{
+		Shed:       r.Counter("mmogdc_daemon_shed_total", "", lg).Value(),
+		Ingested:   r.Counter("mmogdc_daemon_ingest_total", "", lg).Value(),
+		Timeouts:   r.Counter("mmogdc_daemon_observe_timeouts_total", "", lg).Value(),
+		Errors:     r.Counter("mmogdc_daemon_observe_errors_total", "", lg).Value(),
+		Loop:       r.Histogram("mmogdc_daemon_observe_loop_seconds", "", obs.TimeBuckets, lg),
+		Ticks:      int(r.Counter("mmogdc_operator_ticks_total", "", lg).Value()),
+		Events:     int(r.Counter("mmogdc_operator_disruptive_ticks_total", "", lg).Value()),
+		Rejections: int(r.Counter("mmogdc_operator_rejections_total", "", lg).Value()),
+	}
+	if got != want {
+		t.Fatalf("the daemon's reading differs from the registry:\n got %+v\nwant %+v", got, want)
+	}
+	if got.Shed == 0 || got.Timeouts == 0 || got.Events == 0 || got.Rejections == 0 {
+		t.Fatalf("the run did not exercise every signal: %+v", got)
+	}
+	drain(t, d)
 }

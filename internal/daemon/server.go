@@ -90,15 +90,19 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// endpoint is one /v1 handler. span is the request's daemon.request
+// span (0 when tracing is off), under which the admission path chains
+// the queue-wait and observe spans.
+type endpoint func(w http.ResponseWriter, r *http.Request, span obs.SpanID)
+
 // instrument wraps one /v1 endpoint with request-scoped telemetry:
 // the mmogdc_daemon_http_request_seconds{path,code} histogram, and —
 // when tracing is on — a daemon.request span parented under the
-// client's W3C traceparent header (mmogload sends one per request)
-// and stamped into the request context so the admission path can
-// chain the queue-wait and observe spans to it. The health probes are
+// client's W3C traceparent header (mmogload sends one per request),
+// whose ID it hands to the endpoint. The health probes are
 // deliberately not wrapped: a scraper hitting healthz every second
 // would pollute the series for zero diagnostic value.
-func (d *Daemon) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
+func (d *Daemon) instrument(path string, h endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := d.obs.Now()
 		var span *obs.Span
@@ -106,10 +110,9 @@ func (d *Daemon) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 			_, parent, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
 			span = trc.BeginAt("daemon.request", "daemon", parent, start)
 			span.SetSubject(path)
-			r = r.WithContext(obs.ContextWithSpan(r.Context(), span.ID()))
 		}
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
+		h(sw, r, span.ID())
 		end := d.obs.Now()
 		d.requestSeconds(path, sw.code).Observe(end.Sub(start).Seconds())
 		if span != nil {
@@ -126,7 +129,7 @@ type ObserveRequest struct {
 	Values []float64 `json:"values"`
 }
 
-func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request, span obs.SpanID) {
 	r.Body = http.MaxBytesReader(w, r.Body, d.cfg.MaxBodyBytes)
 	buf := bodyPool.Get().(*[]byte)
 	defer bodyPool.Put(buf)
@@ -188,7 +191,7 @@ func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("region %q circuit is open after consecutive grant failures", g.region))
 		return
 	}
-	tick, err := d.enqueue(g, vals, obs.SpanFromContext(r.Context()))
+	tick, err := d.enqueue(g, vals, span)
 	switch {
 	case errors.Is(err, errDraining):
 		d.typedError(w, http.StatusServiceUnavailable, "draining", "daemon is draining; not admitting")
@@ -237,7 +240,7 @@ func (d *Daemon) gameFor(w http.ResponseWriter, r *http.Request) *game {
 	return g
 }
 
-func (d *Daemon) handleForecast(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) handleForecast(w http.ResponseWriter, r *http.Request, _ obs.SpanID) {
 	g := d.gameFor(w, r)
 	if g == nil {
 		return
@@ -258,7 +261,7 @@ func (d *Daemon) handleForecast(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (d *Daemon) handleLeases(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) handleLeases(w http.ResponseWriter, r *http.Request, _ obs.SpanID) {
 	g := d.gameFor(w, r)
 	if g == nil {
 		return
@@ -279,12 +282,12 @@ func (d *Daemon) handleLeases(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (d *Daemon) handleConfigGet(w http.ResponseWriter, _ *http.Request) {
+func (d *Daemon) handleConfigGet(w http.ResponseWriter, _ *http.Request, _ obs.SpanID) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	json.NewEncoder(w).Encode(d.Hot())
 }
 
-func (d *Daemon) handleConfigPost(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) handleConfigPost(w http.ResponseWriter, r *http.Request, _ obs.SpanID) {
 	r.Body = http.MaxBytesReader(w, r.Body, d.cfg.MaxBodyBytes)
 	// The candidate starts from the active configuration, so a partial
 	// body tweaks only the fields it names.
@@ -325,7 +328,7 @@ func (d *Daemon) Handler() http.Handler {
 		"/v1/observe": "POST", "/v1/forecast": "GET", "/v1/leases": "GET",
 		"/v1/explain": "GET", "/v1/config": "GET, POST",
 	} {
-		mux.HandleFunc(path, d.instrument(path, func(w http.ResponseWriter, r *http.Request) {
+		mux.HandleFunc(path, d.instrument(path, func(w http.ResponseWriter, r *http.Request, _ obs.SpanID) {
 			w.Header().Set("Allow", allow)
 			d.typedError(w, http.StatusMethodNotAllowed, "method_not_allowed",
 				fmt.Sprintf("%s does not allow %s", r.URL.Path, r.Method))

@@ -1,7 +1,6 @@
 package operator
 
 import (
-	"context"
 	"math"
 	"testing"
 	"time"
@@ -87,12 +86,12 @@ func TestObsBridgesMetrics(t *testing.T) {
 	}
 }
 
-// TestObserveCtxSpanParent pins the request-tracing contract: a span
-// ID stamped into the context (by the daemon's per-request span)
+// TestObserveUntilSpanParent pins the request-tracing contract: the
+// parent span handed to ObserveUntil (the daemon's per-request span)
 // becomes the parent of the operator.observe cycle span, and the
 // operator.acquire span is that cycle's child — so a merged trace
 // chains client request -> daemon -> observe -> acquire.
-func TestObserveCtxSpanParent(t *testing.T) {
+func TestObserveUntilSpanParent(t *testing.T) {
 	o := obs.New()
 	o.Clock = obs.NewManualClock(t0, time.Millisecond)
 	o.EnableTracing()
@@ -108,10 +107,9 @@ func TestObserveCtxSpanParent(t *testing.T) {
 	}
 
 	const reqSpan = obs.SpanID(7777)
-	ctx := obs.ContextWithSpan(context.Background(), reqSpan)
 	// First observe with real demand: forecasts a shortfall and must
 	// acquire leases, producing the acquire span.
-	if err := op.ObserveCtx(ctx, t0, t0.Add(2*time.Minute), []float64{800, 600, 400}); err != nil {
+	if err := op.ObserveUntil(t0, t0.Add(2*time.Minute), time.Time{}, reqSpan, []float64{800, 600, 400}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,8 +136,8 @@ func TestObserveCtxSpanParent(t *testing.T) {
 		t.Fatalf("acquire span value (leases won) = %v, want >= 1", acquire.Value)
 	}
 
-	// Without a stamped context the cycle stays a root span.
-	if err := op.ObserveCtx(context.Background(), t0.Add(2*time.Minute), t0.Add(4*time.Minute), []float64{800, 600, 400}); err != nil {
+	// Without a parent the cycle stays a root span.
+	if err := op.ObserveUntil(t0.Add(2*time.Minute), t0.Add(4*time.Minute), time.Time{}, 0, []float64{800, 600, 400}); err != nil {
 		t.Fatal(err)
 	}
 	recs := o.Tracer.Records()
@@ -151,6 +149,6 @@ func TestObserveCtxSpanParent(t *testing.T) {
 		}
 	}
 	if last.Parent != 0 {
-		t.Fatalf("unstamped observe cycle has parent %d", last.Parent)
+		t.Fatalf("unparented observe cycle has parent %d", last.Parent)
 	}
 }

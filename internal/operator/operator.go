@@ -11,7 +11,6 @@
 package operator
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -26,19 +25,18 @@ import (
 	"mmogdc/internal/provision"
 )
 
-// Context-abort sentinels for ObserveCtx. Both wrap the context's own
-// error, so errors.Is(err, context.DeadlineExceeded) still matches.
+// Deadline sentinels for ObserveUntil.
 var (
-	// ErrObserveAborted means the context expired before the snapshot
+	// ErrObserveAborted means the deadline passed before the snapshot
 	// was ingested: no operator state changed, and the caller may
 	// safely re-submit the same snapshot.
-	ErrObserveAborted = errors.New("observe aborted before ingestion")
+	ErrObserveAborted = errors.New("operator: observe aborted before ingestion")
 	// ErrAcquireAborted means the snapshot WAS ingested and scored
 	// (the tick counter advanced and the predictors saw the sample)
-	// but the context expired before the lease acquisition, which was
+	// but the deadline passed before the lease acquisition, which was
 	// skipped. The snapshot must not be re-submitted; the next tick's
 	// acquisition covers the standing shortfall.
-	ErrAcquireAborted = errors.New("lease acquisition aborted")
+	ErrAcquireAborted = errors.New("operator: lease acquisition aborted")
 )
 
 // Config assembles an operator.
@@ -156,22 +154,25 @@ const defaultTick = 2 * time.Minute
 // of hammering the ecosystem every tick. The leasing rules are
 // provision.Step's.
 func (o *Operator) Observe(now time.Time, zoneLoads []float64) error {
-	return o.ObserveCtx(context.Background(), now, now.Add(defaultTick), zoneLoads)
+	return o.ObserveUntil(now, now.Add(defaultTick), time.Time{}, 0, zoneLoads)
 }
 
-// ObserveCtx is Observe with a deadline and an explicit horizon: it
-// leases so that the allocation in force at next, the instant of the
-// following snapshot, covers the forecast. The context is checked at
-// the two points where aborting leaves the operator coherent — before any
+// ObserveUntil is Observe with an explicit horizon, a deadline and a
+// trace parent. It leases so that the allocation in force at next, the
+// instant of the following snapshot, covers the forecast. The wall
+// clock is checked against deadline (the zero Time: none) at the two
+// points where aborting leaves the operator coherent — before any
 // state is touched (ErrObserveAborted: the snapshot was not consumed)
 // and between the forecast and the lease acquisition
 // (ErrAcquireAborted: the snapshot was consumed, the acquisition is
 // deferred to the next tick). The stages themselves are not
 // interruptible; the granularity is one stage, which bounds one call
-// at roughly the cost of a predict pass plus a matcher walk.
-func (o *Operator) ObserveCtx(ctx context.Context, now, next time.Time, zoneLoads []float64) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("operator: %w: %w", ErrObserveAborted, err)
+// at roughly the cost of a predict pass plus a matcher walk. With
+// tracing on, the cycle's span hangs off parent (0 roots it), so the
+// daemon's request span chains to every acquire and event span.
+func (o *Operator) ObserveUntil(now, next, deadline time.Time, parent obs.SpanID, zoneLoads []float64) error {
+	if passed(deadline) {
+		return ErrObserveAborted
 	}
 	if o.zones != nil && len(zoneLoads) != o.zones.Len() {
 		// Reject before touching any state: a malformed snapshot must
@@ -192,10 +193,7 @@ func (o *Operator) ObserveCtx(ctx context.Context, now, next time.Time, zoneLoad
 	o.lastRejected = nil
 
 	start := o.oo.now()
-	// When the daemon traced the originating request it stamps the
-	// context with its observe span; this cycle's span (and through it
-	// every acquire/event span) then hangs off that request.
-	o.oo.beginObserve(start, o.ticks, obs.SpanFromContext(ctx))
+	o.oo.beginObserve(start, o.ticks, parent)
 	defer o.oo.observed(start)
 	// The game's own ended leases go back by its own clock; another
 	// game on the same centers may run behind it.
@@ -242,8 +240,8 @@ func (o *Operator) ObserveCtx(ctx context.Context, now, next time.Time, zoneLoad
 		return err
 	}
 	o.lastForecast = o.zones.PredictEachInto(o.lastForecast)
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("operator: %w: %w", ErrAcquireAborted, err)
+	if passed(deadline) {
+		return ErrAcquireAborted
 	}
 	want := o.cfg.Game.DemandForZones(o.lastForecast)
 	need := want.Sub(o.step.AllocAt(next)).ClampNonNegative()
@@ -253,6 +251,12 @@ func (o *Operator) ObserveCtx(ctx context.Context, now, next time.Time, zoneLoad
 	}
 	o.lastRejected = a.Outcome.RejectedBy
 	return nil
+}
+
+// passed reports whether the wall clock has reached deadline; the zero
+// Time never passes.
+func passed(deadline time.Time) bool {
+	return !deadline.IsZero() && !time.Now().Before(deadline)
 }
 
 // Forecast returns the latest per-zone forecast (nil before the first

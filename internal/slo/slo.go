@@ -1,6 +1,6 @@
 // Package slo is the daemon's online SLO engine: multi-window
-// burn-rate alerting (the Google SRE workbook recipe) evaluated
-// directly against the obs registry's counters and histograms, on
+// burn-rate alerting (the Google SRE workbook recipe) evaluated over
+// the cumulative counts the daemon hands it with each evaluation, on
 // whatever clock the caller injects — the daemon uses each game's
 // virtual tick clock, so evaluation is deterministic and independent
 // of wall time.
@@ -19,7 +19,7 @@
 // alert-quality scoring consume.
 //
 // Like the rest of the obs layer the engine is write-only telemetry:
-// it reads metrics and publishes alerts, but nothing in the
+// it reads counts and publishes alerts, but nothing in the
 // provisioning path reads it back, so enabling rules cannot change a
 // run's output (the daemon's bit-identical test pins this).
 package slo
@@ -33,15 +33,14 @@ import (
 )
 
 // Signal names a rule can watch. All are per-game ratios of "bad"
-// events to total opportunities, read from the daemon's and operator's
-// registered series.
+// events to total opportunities, computed from a Reading.
 const (
 	// SignalShedRate: observations shed with 429 / observations offered
 	// (shed + ingested) — the backpressure SLO.
 	SignalShedRate = "shed_rate"
 	// SignalObserveLatency: observe-loop completions slower than
 	// LatencyObjectiveMS / all completions — the tail-latency SLO over
-	// mmogdc_daemon_observe_loop_seconds.
+	// Reading.Loop.
 	SignalObserveLatency = "observe_latency"
 	// SignalObserveFailures: observe passes that timed out or failed /
 	// observations ingested.
@@ -135,8 +134,21 @@ func ValidateRules(rules []RuleConfig) error {
 	return nil
 }
 
-// source reads a signal's cumulative (bad, total) pair.
-type source func() (bad, total float64)
+// Reading is one game's cumulative counts at one evaluation, as their
+// owners hold them: the daemon's admission and observe-loop counts and
+// the operator's Metrics. Rules take deltas between readings, so a
+// count that started above zero (a restored operator's) burns alike.
+type Reading struct {
+	// Shed, Ingested, Timeouts and Errors count the observations the
+	// daemon shed with 429, admitted, cut short at the observe deadline
+	// and failed outright.
+	Shed, Ingested, Timeouts, Errors int64
+	// Loop is the daemon's admission-to-observed latency histogram.
+	Loop *obs.Histogram
+	// Ticks, Events and Rejections are the operator's Metrics fields:
+	// snapshots scored, disruptive ticks and vetoed grant attempts.
+	Ticks, Events, Rejections int
+}
 
 // point is one cumulative reading at one evaluation instant.
 type point struct {
@@ -144,14 +156,15 @@ type point struct {
 	bad, total float64
 }
 
-// ruleState is one rule's compiled sources, trailing readings, and
+// ruleState is one rule's compiled windows, trailing readings, and
 // alert latch.
 type ruleState struct {
 	cfg    RuleConfig
 	factor float64
 	short  time.Duration
 	long   time.Duration
-	src    source
+	// bound is observe_latency's objective in seconds.
+	bound float64
 
 	ring   []point // trailing readings, pruned past the long window
 	firing bool
@@ -159,6 +172,24 @@ type ruleState struct {
 	active    *obs.Gauge
 	burnShort *obs.Gauge
 	burnLong  *obs.Gauge
+}
+
+// counts reads the rule's signal from r as a cumulative (bad, total)
+// pair.
+func (rs *ruleState) counts(r Reading) (bad, total float64) {
+	switch rs.cfg.Signal {
+	case SignalShedRate:
+		return float64(r.Shed), float64(r.Shed + r.Ingested)
+	case SignalObserveLatency:
+		n := r.Loop.Count()
+		return float64(n - r.Loop.CountAtOrBelow(rs.bound)), float64(n)
+	case SignalObserveFailures:
+		return float64(r.Timeouts + r.Errors), float64(r.Ingested)
+	case SignalBreachRate:
+		return float64(r.Events), float64(r.Ticks)
+	default: // SignalRejectionRate; ValidateRules admits no other
+		return float64(r.Rejections), float64(r.Ticks)
+	}
 }
 
 // Engine evaluates a rule set. Safe for concurrent Eval calls (the
@@ -171,10 +202,9 @@ type Engine struct {
 	all    []*ruleState
 }
 
-// NewEngine compiles rules against reg, resolving empty Game fields to
-// defaultGame, and will emit alert transitions to rec. The registry
-// lookups are idempotent: signals bind to the same series the daemon
-// and operator publish into.
+// NewEngine compiles rules, registering each rule's alert and
+// burn-rate gauges in reg and resolving empty Game fields to
+// defaultGame, and will emit alert transitions to rec.
 func NewEngine(rules []RuleConfig, reg *obs.Registry, rec *obs.Recorder, defaultGame string) (*Engine, error) {
 	if err := ValidateRules(rules); err != nil {
 		return nil, err
@@ -190,7 +220,7 @@ func NewEngine(rules []RuleConfig, reg *obs.Registry, rec *obs.Recorder, default
 			factor: rc.factor(),
 			short:  time.Duration(rc.ShortWindowS * float64(time.Second)),
 			long:   time.Duration(rc.LongWindowS * float64(time.Second)),
-			src:    sourceFor(rc, game, reg),
+			bound:  rc.LatencyObjectiveMS / 1e3,
 			active: reg.Gauge("mmogdc_slo_alert_active",
 				"1 while the rule's multi-window burn-rate alert is firing.",
 				obs.L("rule", rc.Name)),
@@ -208,78 +238,23 @@ func NewEngine(rules []RuleConfig, reg *obs.Registry, rec *obs.Recorder, default
 	return e, nil
 }
 
-// sourceFor binds a rule to the registered series its signal reads.
-// Help strings only matter on first registration; in the daemon these
-// series already exist by the time rules compile.
-func sourceFor(rc RuleConfig, game string, reg *obs.Registry) source {
-	lg := obs.L("game", game)
-	switch rc.Signal {
-	case SignalShedRate:
-		shed := reg.Counter("mmogdc_daemon_shed_total",
-			"Observations shed with 429 because the ingest queue was full.", lg)
-		ingest := reg.Counter("mmogdc_daemon_ingest_total",
-			"Observations admitted into the ingest queue.", lg)
-		return func() (float64, float64) {
-			bad := float64(shed.Value())
-			return bad, bad + float64(ingest.Value())
-		}
-	case SignalObserveLatency:
-		h := reg.Histogram("mmogdc_daemon_observe_loop_seconds",
-			"Admission-to-observed latency of one observation (queue wait plus the observe pass).",
-			obs.TimeBuckets, lg)
-		bound := rc.LatencyObjectiveMS / 1e3
-		return func() (float64, float64) {
-			total := float64(h.Count())
-			return total - float64(h.CountAtOrBelow(bound)), total
-		}
-	case SignalObserveFailures:
-		timeouts := reg.Counter("mmogdc_daemon_observe_timeouts_total",
-			"Observe passes cut short by the observe deadline.", lg)
-		errs := reg.Counter("mmogdc_daemon_observe_errors_total",
-			"Observe passes that failed outright.", lg)
-		ingest := reg.Counter("mmogdc_daemon_ingest_total",
-			"Observations admitted into the ingest queue.", lg)
-		return func() (float64, float64) {
-			return float64(timeouts.Value() + errs.Value()), float64(ingest.Value())
-		}
-	case SignalBreachRate:
-		bad := reg.Counter("mmogdc_operator_disruptive_ticks_total",
-			"Ticks whose shortfall exceeded 1% of the session's machines.", lg)
-		ticks := reg.Counter("mmogdc_operator_ticks_total",
-			"Monitoring snapshots the operator ingested.", lg)
-		return func() (float64, float64) {
-			return float64(bad.Value()), float64(ticks.Value())
-		}
-	case SignalRejectionRate:
-		rej := reg.Counter("mmogdc_operator_rejections_total",
-			"Grant attempts vetoed by the fault injector.", lg)
-		ticks := reg.Counter("mmogdc_operator_ticks_total",
-			"Monitoring snapshots the operator ingested.", lg)
-		return func() (float64, float64) {
-			return float64(rej.Value()), float64(ticks.Value())
-		}
-	}
-	// Unreachable after ValidateRules.
-	return func() (float64, float64) { return 0, 0 }
-}
-
-// Eval takes one reading for every rule scoped to game, stamped with
-// the caller's clock (the daemon passes the observation's virtual game
-// time and tick), and fires or resolves alerts. A nil engine is a
+// Eval feeds game's reading r to every rule scoped to game, stamped
+// with the caller's clock (the daemon passes the observation's virtual
+// game time and tick), and fires or resolves alerts. A nil engine is a
 // no-op.
-func (e *Engine) Eval(game string, tick int, now time.Time) {
+func (e *Engine) Eval(game string, tick int, now time.Time, r Reading) {
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, rs := range e.byGame[game] {
-		rs.eval(e.rec, tick, now)
+		rs.eval(e.rec, tick, now, r)
 	}
 }
 
-func (rs *ruleState) eval(rec *obs.Recorder, tick int, now time.Time) {
-	bad, total := rs.src()
+func (rs *ruleState) eval(rec *obs.Recorder, tick int, now time.Time, r Reading) {
+	bad, total := rs.counts(r)
 	rs.ring = append(rs.ring, point{t: now, bad: bad, total: total})
 	// Prune, but keep the newest reading at or before the long-window
 	// cutoff: it is the baseline long deltas subtract from.

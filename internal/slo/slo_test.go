@@ -55,25 +55,22 @@ func TestValidateRules(t *testing.T) {
 func TestEngineFiresFastAndResolves(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(0)
-	lg := obs.L("game", "g")
-	badC := reg.Counter("mmogdc_operator_disruptive_ticks_total", "", lg)
-	ticksC := reg.Counter("mmogdc_operator_ticks_total", "", lg)
-
 	e, err := NewEngine([]RuleConfig{breachRule(3, 60)}, reg, rec, "g")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	now := t0
+	var r Reading
 	stepBad := func(tick int) {
-		ticksC.Inc()
-		badC.Inc()
-		e.Eval("g", tick, now)
+		r.Ticks++
+		r.Events++
+		e.Eval("g", tick, now, r)
 		now = now.Add(time.Second)
 	}
 	stepGood := func(tick int) {
-		ticksC.Inc()
-		e.Eval("g", tick, now)
+		r.Ticks++
+		e.Eval("g", tick, now, r)
 		now = now.Add(time.Second)
 	}
 
@@ -123,9 +120,6 @@ func TestEngineFiresFastAndResolves(t *testing.T) {
 func TestEngineLongWindowSuppressesBlips(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(0)
-	lg := obs.L("game", "g")
-	badC := reg.Counter("mmogdc_operator_disruptive_ticks_total", "", lg)
-	ticksC := reg.Counter("mmogdc_operator_ticks_total", "", lg)
 
 	// Objective 0.5 with burn factor 2: fire only when essentially
 	// every tick in BOTH windows is bad.
@@ -137,12 +131,13 @@ func TestEngineLongWindowSuppressesBlips(t *testing.T) {
 	}
 
 	now := t0
+	var r Reading
 	for tick := 0; tick < 20; tick++ {
-		ticksC.Inc()
+		r.Ticks++
 		if tick == 10 { // one bad tick in twenty
-			badC.Inc()
+			r.Events++
 		}
-		e.Eval("g", tick, now)
+		e.Eval("g", tick, now, r)
 		now = now.Add(time.Second)
 	}
 	if v := active(reg, "r"); v != 0 {
@@ -158,8 +153,7 @@ func TestEngineLongWindowSuppressesBlips(t *testing.T) {
 func TestEngineLatencySignal(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(0)
-	lg := obs.L("game", "g")
-	h := reg.Histogram("mmogdc_daemon_observe_loop_seconds", "", obs.TimeBuckets, lg)
+	r := Reading{Loop: reg.Histogram("loop_seconds", "", obs.TimeBuckets)}
 
 	rule := RuleConfig{Name: "slow", Signal: SignalObserveLatency, Game: "g",
 		Objective: 0.1, LatencyObjectiveMS: 100, ShortWindowS: 2, LongWindowS: 8}
@@ -172,11 +166,11 @@ func TestEngineLatencySignal(t *testing.T) {
 	// Baseline of fast loops, then a run of slow ones.
 	for tick := 0; tick < 10; tick++ {
 		if tick < 4 {
-			h.Observe(0.001)
+			r.Loop.Observe(0.001)
 		} else {
-			h.Observe(1.5) // far over the 100ms objective
+			r.Loop.Observe(1.5) // far over the 100ms objective
 		}
-		e.Eval("g", tick, now)
+		e.Eval("g", tick, now, r)
 		now = now.Add(time.Second)
 	}
 	if v := active(reg, "slow"); v != 1 {
@@ -187,9 +181,6 @@ func TestEngineLatencySignal(t *testing.T) {
 func TestEngineDefaultGameAndDeactivate(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(0)
-	lg := obs.L("game", "live")
-	badC := reg.Counter("mmogdc_operator_disruptive_ticks_total", "", lg)
-	ticksC := reg.Counter("mmogdc_operator_ticks_total", "", lg)
 
 	rule := breachRule(2, 8)
 	rule.Game = "" // resolves to the default game
@@ -198,10 +189,11 @@ func TestEngineDefaultGameAndDeactivate(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := t0
+	var r Reading
 	for tick := 0; tick < 3; tick++ {
-		ticksC.Inc()
-		badC.Inc()
-		e.Eval("live", tick, now)
+		r.Ticks++
+		r.Events++
+		e.Eval("live", tick, now, r)
 		now = now.Add(time.Second)
 	}
 	if v := active(reg, "breach"); v != 1 {
@@ -215,12 +207,37 @@ func TestEngineDefaultGameAndDeactivate(t *testing.T) {
 
 func TestEngineNilSafety(t *testing.T) {
 	var e *Engine
-	e.Eval("g", 0, t0)
+	e.Eval("g", 0, t0, Reading{})
 	e.Deactivate()
 }
 
 func TestNewEngineRejectsBadRules(t *testing.T) {
 	if _, err := NewEngine([]RuleConfig{{Name: "x"}}, obs.NewRegistry(), nil, "g"); err == nil {
 		t.Fatal("invalid rule compiled")
+	}
+}
+
+// TestSignalCounts pins which counts of a Reading each signal divides.
+func TestSignalCounts(t *testing.T) {
+	loop := obs.NewRegistry().Histogram("loop_seconds", "", obs.TimeBuckets)
+	for _, v := range []float64{0.0005, 0.002, 0.5} {
+		loop.Observe(v)
+	}
+	r := Reading{Shed: 3, Ingested: 17, Timeouts: 2, Errors: 1, Loop: loop,
+		Ticks: 16, Events: 4, Rejections: 5}
+	for _, c := range []struct {
+		signal     string
+		bad, total float64
+	}{
+		{SignalShedRate, 3, 20},
+		{SignalObserveLatency, 2, 3},
+		{SignalObserveFailures, 3, 17},
+		{SignalBreachRate, 4, 16},
+		{SignalRejectionRate, 5, 16},
+	} {
+		rs := &ruleState{cfg: RuleConfig{Signal: c.signal}, bound: 0.001}
+		if bad, total := rs.counts(r); bad != c.bad || total != c.total {
+			t.Errorf("%s: (bad, total) = (%v, %v), want (%v, %v)", c.signal, bad, total, c.bad, c.total)
+		}
 	}
 }

@@ -18,10 +18,17 @@
 #     well-formed Result;
 #   - a corrupt neural predictor snapshot must be refused or keep
 #     predicting and snapshot back to the same bytes;
-#   - ParseTraceparent must accept exactly the W3C version-00 headers.
+#   - ParseTraceparent must accept exactly the W3C version-00 headers;
+#   - any method, query, traceparent and body sent to a /v1 endpoint of
+#     a traced daemon must get a documented status, a typed error body
+#     when it is not 2xx, and exactly one count in the request
+#     histogram.
 # An accepted core payload replays the rest of its run, so
 # FuzzCoreResume caps minimization at 1s: shrinking a 6 KB payload byte
-# by byte would otherwise take the whole pass.
+# by byte would otherwise take the whole pass. FuzzDaemonRequest caps it
+# too: its one daemon keeps its state from input to input, so an
+# input's coverage does not repeat and minimizing it runs out the
+# default 60s.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -34,3 +41,4 @@ go test -run '^$' -fuzz '^FuzzFaultPlan$' -fuzztime 10s ./internal/faults/
 go test -run '^$' -fuzz '^FuzzCoreResume$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 go test -run '^$' -fuzz '^FuzzNeuralRestore$' -fuzztime 10s ./internal/predict/
 go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 10s ./internal/obs/
+go test -run '^$' -fuzz '^FuzzDaemonRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/daemon/
