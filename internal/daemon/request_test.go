@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path"
 	"runtime"
 	"strings"
 	"testing"
@@ -21,6 +22,17 @@ import (
 var v1Paths = map[string]bool{
 	"/v1/observe": true, "/v1/forecast": true, "/v1/leases": true,
 	"/v1/explain": true, "/v1/config": true,
+}
+
+// servedAsIs reports whether ServeMux hands p to a handler as it is,
+// rather than redirecting the request to p cleaned of empty, "." and
+// ".." segments (a trailing slash survives the cleaning).
+func servedAsIs(p string) bool {
+	clean := path.Clean(p)
+	if strings.HasSuffix(p, "/") && clean != "/" {
+		clean += "/"
+	}
+	return clean == p
 }
 
 // v1Statuses are the statuses a /v1 endpoint answers with.
@@ -51,12 +63,15 @@ func (d *Daemon) v1Requests(path string) int64 {
 // status the API documents (409 among them: the first accepted
 // observation fixes a game's zone count), every non-2xx answer the
 // typed error body, and the request histogram must count the request
-// exactly once. Paths outside /v1 belong to the observability surface
-// and are not sent. Neither is POST /v1/config: FuzzConfigPost covers
-// that body, and a fuzzed observe_delay_ms could park the shared
-// daemon's workers for days. The daemon's state carries over from one
-// input to the next, so an input's coverage depends on the inputs
-// before it; scripts/fuzz.sh caps minimization for that reason.
+// exactly once: under its endpoint, or under one label for every path
+// that names none. Paths outside /v1 belong to the observability
+// surface and are not sent, nor are paths ServeMux redirects to their
+// cleaned form before any handler runs. Neither is POST /v1/config:
+// FuzzConfigPost covers that body, and a fuzzed observe_delay_ms could
+// park the shared daemon's workers for days. The daemon's state
+// carries over from one input to the next, so an input's coverage
+// depends on the inputs before it; scripts/fuzz.sh caps minimization
+// for that reason.
 func FuzzDaemonRequest(f *testing.F) {
 	const limit = 1024
 	o := obs.New()
@@ -93,12 +108,20 @@ func FuzzDaemonRequest(f *testing.F) {
 		{"GET", "/v1/forecast", "game=unprovisioned", "", ""},
 		{"GET", "/v1/leases", "game=g1", "", ""},
 		{"GET", "/v1/config", "", "", ""},
+		{"GET", "/v1", "", "", ""},
+		{"GET", "/v1/nope", "", "", ""},
+		{"POST", "/v1/observe/", "", "", valid},
 	} {
 		f.Add(s.method, s.path, s.query, s.traceparent, s.body)
 	}
 	f.Fuzz(func(t *testing.T, method, path, query, traceparent, body string) {
-		if !v1Paths[path] || method == http.MethodPost && path == "/v1/config" {
+		if path != "/v1" && !strings.HasPrefix(path, "/v1/") || !servedAsIs(path) ||
+			method == http.MethodPost && path == "/v1/config" {
 			return
+		}
+		label := path
+		if !v1Paths[path] {
+			label = unknownEndpoint
 		}
 		req := httptest.NewRequest(http.MethodGet, "/", nil)
 		req.Method = method
@@ -107,7 +130,7 @@ func FuzzDaemonRequest(f *testing.F) {
 		req.Header.Set("traceparent", traceparent)
 		req.Body = io.NopCloser(strings.NewReader(body))
 		req.ContentLength = int64(len(body))
-		before := d.v1Requests(path)
+		before := d.v1Requests(label)
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
 		// Let an admitted sample's observe pass finish inside this input.
@@ -122,7 +145,7 @@ func FuzzDaemonRequest(f *testing.F) {
 		if !v1Statuses[w.Code] {
 			t.Fatalf("%s %s?%s -> %d %q", method, path, query, w.Code, w.Body.String())
 		}
-		if n := d.v1Requests(path) - before; n != 1 {
+		if n := d.v1Requests(label) - before; n != 1 {
 			t.Fatalf("%s %s?%s counted %d requests, want 1", method, path, query, n)
 		}
 		if w.Code < 300 {
@@ -142,4 +165,31 @@ func FuzzDaemonRequest(f *testing.F) {
 				method, path, query, w.Code, err, w.Body.String())
 		}
 	})
+}
+
+// TestUnknownV1Path: a /v1 path that names no endpoint answers a typed
+// 404, and the request histogram counts it under one label, so probing
+// paths adds no series.
+func TestUnknownV1Path(t *testing.T) {
+	d := newTestDaemon(t, nil)
+	defer drain(t, d)
+	h := d.Handler()
+	for _, p := range []string{"/v1", "/v1/nope", "/v1/observe/", "/v1/nope"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, p, nil))
+		var doc struct{ Error apiError }
+		if err := json.NewDecoder(w.Body).Decode(&doc); err != nil || w.Code != http.StatusNotFound || doc.Error.Code != "unknown_endpoint" {
+			t.Fatalf("GET %s -> %d, code %q (%v)", p, w.Code, doc.Error.Code, err)
+		}
+	}
+	if n := d.v1Requests(unknownEndpoint); n != 4 {
+		t.Fatalf("counted %d unknown-endpoint requests, want 4", n)
+	}
+	d.seriesMu.Lock()
+	defer d.seriesMu.Unlock()
+	for k := range d.mRequests {
+		if k.path != unknownEndpoint {
+			t.Fatalf("a series for path %q", k.path)
+		}
+	}
 }

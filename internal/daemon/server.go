@@ -27,7 +27,8 @@ import (
 //	GET  /readyz        admission readiness (503 while draining)
 //	GET  /metrics …     the observability surface (internal/obs)
 //
-// Error responses are typed JSON: {"error":{"code":..., "message":...}}.
+// Any other path under /v1 answers 404 unknown_endpoint. Error
+// responses are typed JSON: {"error":{"code":..., "message":...}}.
 
 // apiError is the typed error body every non-2xx response carries.
 type apiError struct {
@@ -310,6 +311,10 @@ func (d *Daemon) handleConfigPost(w http.ResponseWriter, r *http.Request, _ obs.
 	json.NewEncoder(w).Encode(map[string]any{"applied": true, "config": d.Hot()})
 }
 
+// unknownEndpoint is the request histogram's path label for every /v1
+// path that names no endpoint.
+const unknownEndpoint = "unknown"
+
 // Handler returns the daemon's full HTTP surface: the /v1 API, the
 // health endpoints, and the observability mux (metrics, events,
 // pprof) as the fallback.
@@ -334,6 +339,13 @@ func (d *Daemon) Handler() http.Handler {
 				fmt.Sprintf("%s does not allow %s", r.URL.Path, r.Method))
 		}))
 	}
+	// Any other /v1 path is counted under one path label, not its own,
+	// so a client probing paths cannot add series to the histogram.
+	unknown := d.instrument(unknownEndpoint, func(w http.ResponseWriter, r *http.Request, _ obs.SpanID) {
+		d.typedError(w, http.StatusNotFound, "unknown_endpoint", fmt.Sprintf("no endpoint %s", r.URL.Path))
+	})
+	mux.HandleFunc("/v1", unknown)
+	mux.HandleFunc("/v1/", unknown)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok\n")
 	})

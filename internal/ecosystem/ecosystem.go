@@ -128,9 +128,11 @@ func (m *Matcher) Expire(now time.Time) int {
 	return n
 }
 
-// candidate pairs a center with its distance from the request.
+// candidate pairs a center and its index in the matcher with its
+// distance from the request.
 type candidate struct {
 	center *datacenter.Center
+	index  int
 	distKm float64
 }
 
@@ -147,6 +149,26 @@ type ranking struct {
 	order []candidate
 	// distKm holds each center's distance, in center order.
 	distKm []float64
+	// tail holds, for each position p of order, the verdict a walk
+	// whose demand was met before p gives that candidate: not-needed,
+	// at rank p+1. tailCodes holds their codes. notNeeded builds both
+	// the first time a walk with a DecisionLog uses the ranking.
+	tail      []CandidateVerdict
+	tailCodes []byte
+}
+
+// notNeeded returns the ranking's not-needed verdicts and codes,
+// building them on first use.
+func (r *ranking) notNeeded() ([]CandidateVerdict, []byte) {
+	if r.tail == nil {
+		r.tail = make([]CandidateVerdict, len(r.order))
+		r.tailCodes = make([]byte, 0, codeBytes*len(r.order))
+		for p, cand := range r.order {
+			r.tail[p] = CandidateVerdict{Center: cand.center.Name, Rank: p + 1, DistKm: cand.distKm, Disposition: DispNotNeeded}
+			r.tailCodes = appendCode(r.tailCodes, cand.index, codeNotNeeded)
+		}
+	}
+	return r.tail, r.tailCodes
 }
 
 // rank returns the ranking for origin, computing it on first use.
@@ -165,7 +187,7 @@ func (m *Matcher) rank(origin geo.Point) *ranking {
 		d := geo.DistanceKm(origin, c.Location)
 		r.distKm[i] = d
 		if !math.IsNaN(d) {
-			r.order = append(r.order, candidate{center: c, distKm: d})
+			r.order = append(r.order, candidate{center: c, index: i, distKm: d})
 		}
 	}
 	slices.SortFunc(r.order, compareCandidates)
@@ -225,62 +247,35 @@ func (m *Matcher) AllocateDetailed(dst []*datacenter.Lease, req Request, now tim
 		return dst, datacenter.Vector{}, out
 	}
 
-	// Provenance: one Decision per non-trivial call. The verdicts of
-	// centers the request filters out (rank 0) follow the ranked walk,
-	// in center order. dec stays nil when no log is installed — every
-	// recording site below is gated on it and the walk is unchanged.
+	// Provenance: one Decision per non-trivial call. dec stays nil when
+	// no log is installed — every recording site below is gated on it
+	// and the walk is unchanged.
 	r := m.rank(req.Origin)
 	var dec *Decision
 	if m.log != nil {
-		dec = m.log.begin(req.Tag)
-		m.log.scratch = m.log.scratch[:0]
-		for i, c := range m.centers {
-			disp := DispExcludedByFailover
-			if !excluded(req.Exclude, c.Name) {
-				if r.distKm[i] <= req.MaxDistanceKm {
-					continue
-				}
-				disp = DispOutOfLatencyClass
-			}
-			m.log.scratch = append(m.log.scratch, CandidateVerdict{
-				Center: c.Name, DistKm: r.distKm[i], Disposition: disp,
-			})
-		}
+		dec = m.log.begin(m, req.Tag)
 	}
+	// Without an exclusion list or a finite latency bound, every ranked
+	// center is admissible.
+	filters := len(req.Exclude) > 0 || !math.IsInf(req.MaxDistanceKm, 1)
 
 	// Preference: finer resource grain, then shorter time bulk, then
 	// closer center, then name (see compareCandidates).
 	leases := dst
 	rank := 0
-	for _, cand := range r.order {
+	for p, cand := range r.order {
 		if excluded(req.Exclude, cand.center.Name) || !(cand.distKm <= req.MaxDistanceKm) {
 			continue
 		}
 		rank++
-		if remaining.IsZero() {
-			if dec == nil {
-				break
-			}
-			// Keep walking to give the unreached tail a verdict — no
-			// fitToFree and no injector draw, so the fault stream and
-			// the lease book are untouched.
-			dec.Candidates = append(dec.Candidates, CandidateVerdict{
-				Center: cand.center.Name, Rank: rank, DistKm: cand.distKm,
-				Disposition: DispNotNeeded,
-			})
-			continue
-		}
 		c := cand.center
-		verdict := func(disp Disposition, cpu float64) {
-			dec.Candidates = append(dec.Candidates, CandidateVerdict{
-				Center: c.Name, Rank: rank, DistKm: cand.distKm,
-				Disposition: disp, CPU: cpu,
-			})
+		verdict := func(code dispCode, cpu float64) {
+			dec.add(cand.index, CandidateVerdict{Center: c.Name, Rank: rank, DistKm: cand.distKm, CPU: cpu}, code)
 		}
 		grant := fitToFree(c, remaining)
 		if grant.IsZero() {
 			if dec != nil {
-				verdict(DispNoCapacity, 0)
+				verdict(codeNoCapacity, 0)
 			}
 			continue
 		}
@@ -295,7 +290,7 @@ func (m *Matcher) AllocateDetailed(dst []*datacenter.Lease, req Request, now tim
 				m.rejected = append(m.rejected, c.Name)
 				out.RejectedBy = m.rejected
 				if dec != nil {
-					verdict(DispRejectedByInjector, 0)
+					verdict(codeRejectedByInjector, 0)
 				}
 				continue
 			}
@@ -305,7 +300,7 @@ func (m *Matcher) AllocateDetailed(dst []*datacenter.Lease, req Request, now tim
 				grant = fitToFree(c, grant.Scale(frac))
 				if grant.IsZero() {
 					if dec != nil {
-						verdict(DispPartialTrimmed, 0)
+						verdict(codePartialTrimmed, 0)
 					}
 					continue
 				}
@@ -314,26 +309,79 @@ func (m *Matcher) AllocateDetailed(dst []*datacenter.Lease, req Request, now tim
 		l, err := c.Lease(grant, now, req.Tag)
 		if err != nil {
 			if dec != nil {
-				verdict(DispFaulted, 0)
+				verdict(codeFaulted, 0)
 			}
 			continue
 		}
 		if dec != nil {
-			disp := DispGranted
+			code := codeGranted
 			if trimmed {
-				disp = DispPartialTrimmed
+				code = codePartialTrimmed
 			}
-			verdict(disp, l.Alloc[datacenter.CPU])
+			verdict(code, l.Alloc[datacenter.CPU])
 		}
 		leases = append(leases, l)
 		remaining = remaining.Sub(l.Alloc).ClampNonNegative()
+		if remaining.IsZero() {
+			if dec != nil {
+				// The walk reaches no later candidate: no fitToFree and
+				// no injector draw, so the fault stream and the lease
+				// book are untouched.
+				dec.addNotNeeded(r, p+1, rank, req, filters)
+			}
+			break
+		}
 	}
 	if dec != nil {
-		dec.Candidates = append(dec.Candidates, m.log.scratch...)
+		// The verdicts of centers the request filters out (rank 0)
+		// follow the ranked walk, in center order. Without a filter
+		// those are the centers at a NaN distance, if any.
+		if filters || len(r.order) < len(m.centers) {
+			for i, c := range m.centers {
+				code := codeExcludedByFailover
+				if !excluded(req.Exclude, c.Name) {
+					if r.distKm[i] <= req.MaxDistanceKm {
+						continue
+					}
+					code = codeOutOfLatencyClass
+				}
+				dec.add(i, CandidateVerdict{Center: c.Name, DistKm: r.distKm[i]}, code)
+			}
+		}
 		dec.UnmetCPU = remaining[datacenter.CPU]
 		out.Decision = dec
 	}
 	return leases, remaining, out
+}
+
+// addNotNeeded appends the not-needed verdicts of the candidates from
+// position from of r on, which the walk never reached, in one copy
+// from the ranking. rank is the last rank the walk gave. A request that
+// filters centers drops the ones it filters from the copy, compacting
+// it in place, and renumbers the rest from rank+1; without a filter,
+// the ranking's own ranks are the walk's.
+func (d *Decision) addNotNeeded(r *ranking, from, rank int, req Request, filters bool) {
+	tail, codes := r.notNeeded()
+	n := len(d.Candidates)
+	d.Candidates = append(d.Candidates, tail[from:]...)
+	d.codes = append(d.codes, codes[codeBytes*from:]...)
+	if !filters {
+		return
+	}
+	k := n
+	for i := n; i < len(d.Candidates); i++ {
+		v := d.Candidates[i]
+		if excluded(req.Exclude, v.Center) || !(v.DistKm <= req.MaxDistanceKm) {
+			continue
+		}
+		rank++
+		v.Rank = rank
+		d.Candidates[k] = v
+		copy(d.codes[codeBytes*k:], d.codes[codeBytes*i:codeBytes*(i+1)])
+		k++
+	}
+	d.Candidates = d.Candidates[:k]
+	d.codes = d.codes[:codeBytes*k]
 }
 
 // excluded reports whether name is on the request's exclusion list
@@ -357,7 +405,7 @@ func fitToFree(c *datacenter.Center, demand datacenter.Vector) datacenter.Vector
 	free := c.Free()
 	var out datacenter.Vector
 	for i, want := range demand {
-		if want <= 0 {
+		if !(want > 0) { // a NaN component asks for nothing
 			continue
 		}
 		b := c.Policy.Bulk[i]
@@ -370,17 +418,17 @@ func fitToFree(c *datacenter.Center, demand datacenter.Vector) datacenter.Vector
 			}
 			continue
 		}
-		// Bulks needed vs bulks available.
-		needBulks := int((want + b - 1e-9) / b)
-		if float64(needBulks)*b < want {
-			needBulks++
+		// Bulks needed vs bulks available, counted in float64 so that a
+		// demand of more bulks than an int holds takes every free bulk.
+		needBulks := (want + b - 1e-9) / b
+		n := math.Trunc(avail / b)
+		if needBulks < n {
+			n = math.Trunc(needBulks)
+			if n*b < want {
+				n++
+			}
 		}
-		availBulks := int(avail / b)
-		n := needBulks
-		if n > availBulks {
-			n = availBulks
-		}
-		out[i] = float64(n) * b
+		out[i] = n * b
 	}
 	if demand[datacenter.CPU] > 0 && out[datacenter.CPU] <= 0 {
 		return datacenter.Vector{}

@@ -10,6 +10,8 @@
 // the exact same branches and allocates nothing extra.
 package ecosystem
 
+import "encoding/binary"
+
 // Disposition classifies what the matching walk did with one
 // candidate center. The values are untyped string constants, so every
 // Decision shares the same interned backing — recording a disposition
@@ -52,6 +54,44 @@ const (
 	DispNotNeeded Disposition = "not-needed"
 )
 
+// dispCode numbers the dispositions the matcher records, for the
+// codes of a Decision's walk. circuit-open has none: the matcher never
+// records it.
+type dispCode uint8
+
+const (
+	codeGranted dispCode = iota
+	codePartialTrimmed
+	codeNoCapacity
+	codeExcludedByFailover
+	codeOutOfLatencyClass
+	codeFaulted
+	codeRejectedByInjector
+	codeNotNeeded
+)
+
+// dispositions maps each code to its disposition.
+var dispositions = [...]Disposition{
+	codeGranted:            DispGranted,
+	codePartialTrimmed:     DispPartialTrimmed,
+	codeNoCapacity:         DispNoCapacity,
+	codeExcludedByFailover: DispExcludedByFailover,
+	codeOutOfLatencyClass:  DispOutOfLatencyClass,
+	codeFaulted:            DispFaulted,
+	codeRejectedByInjector: DispRejectedByInjector,
+	codeNotNeeded:          DispNotNeeded,
+}
+
+// codeBytes is the width of one verdict's code: the center's index in
+// the matcher shifted left by four bits, or'ed with its dispCode, as a
+// little-endian uint32.
+const codeBytes = 4
+
+// appendCode appends the code of a verdict on the matcher's center i.
+func appendCode(codes []byte, i int, code dispCode) []byte {
+	return binary.LittleEndian.AppendUint32(codes, uint32(i)<<4|uint32(code))
+}
+
 // CandidateVerdict is one candidate's fate in one matching walk.
 type CandidateVerdict struct {
 	// Center is the candidate center's name.
@@ -84,6 +124,34 @@ type Decision struct {
 	UnmetCPU float64 `json:"unmet_cpu"`
 	// Candidates holds one verdict per considered center.
 	Candidates []CandidateVerdict `json:"candidates"`
+
+	// by is the matcher that made the decision, and codes holds one
+	// code per verdict (see appendCode), in Candidates order. Both are
+	// empty on a decision the matcher did not make.
+	by    *Matcher
+	codes []byte
+}
+
+// add appends v, the verdict on the matcher's center i, with the
+// disposition code names, and appends the verdict's code.
+func (d *Decision) add(i int, v CandidateVerdict, code dispCode) {
+	v.Disposition = dispositions[code]
+	d.Candidates = append(d.Candidates, v)
+	d.codes = appendCode(d.codes, i, code)
+}
+
+// Coded returns the matcher that made the decision and the decision's
+// walk as codes: per verdict, the center's index in that matcher and
+// its disposition. Equal codes from one matcher render equal walks, so
+// a caller can intern what AppendWalk renders by the codes and render
+// each walk once. A decision the matcher did not make (Synthesize's, a
+// Snapshot copy, one built by hand) returns nil, nil. The codes are the
+// log slot's own, valid until the ring wraps onto it.
+func (d *Decision) Coded() (*Matcher, []byte) {
+	if d.by == nil {
+		return nil, nil
+	}
+	return d.by, d.codes
 }
 
 // AppendWalk appends the decision in the compact parseable form
@@ -108,11 +176,10 @@ func (d *Decision) AppendWalk(dst []byte) []byte {
 // DecisionLog is not safe for concurrent use — it shares the
 // matcher's single-owner discipline.
 type DecisionLog struct {
-	ring    []Decision
-	next    int
-	full    bool
-	total   uint64
-	scratch []CandidateVerdict // filtered-center verdicts, appended after the ranked walk
+	ring  []Decision
+	next  int
+	full  bool
+	total uint64
 }
 
 // NewDecisionLog returns a log retaining the last capacity decisions
@@ -135,12 +202,12 @@ func (l *DecisionLog) slot() *Decision {
 	return d
 }
 
-// begin opens the next ring slot for a new decision, reusing its
-// candidate slice.
-func (l *DecisionLog) begin(tag string) *Decision {
+// begin opens the next ring slot for a new decision of m, reusing its
+// candidate and code slices.
+func (l *DecisionLog) begin(m *Matcher, tag string) *Decision {
 	d := l.slot()
 	l.total++
-	*d = Decision{Seq: l.total, Tag: tag, Candidates: d.Candidates[:0]}
+	*d = Decision{Seq: l.total, Tag: tag, Candidates: d.Candidates[:0], by: m, codes: d.codes[:0]}
 	return d
 }
 
@@ -148,16 +215,21 @@ func (l *DecisionLog) begin(tag string) *Decision {
 // daemon's refusal of an observation at its region circuit breaker. The
 // record takes the next ring slot with Seq 0 and leaves the sequence
 // alone, so the matcher's own decisions stay numbered without gaps.
-// The candidates are copied into the slot.
+// The candidates are copied into the slot; the record carries no codes,
+// even when d is a copy of a matcher's decision.
 func (l *DecisionLog) Synthesize(d Decision) {
 	slot := l.slot()
 	cands := append(slot.Candidates[:0], d.Candidates...)
+	codes := slot.codes[:0]
 	*slot = d
 	slot.Seq = 0
 	slot.Candidates = cands
+	slot.by, slot.codes = nil, codes
 }
 
-// Snapshot deep-copies the retained decisions, oldest first.
+// Snapshot deep-copies the retained decisions, oldest first. The
+// copies carry no codes: the slots' codes are overwritten as the ring
+// wraps.
 func (l *DecisionLog) Snapshot() []Decision {
 	var src []Decision
 	if l.full {
@@ -168,6 +240,7 @@ func (l *DecisionLog) Snapshot() []Decision {
 	}
 	for i := range src {
 		src[i].Candidates = append([]CandidateVerdict(nil), src[i].Candidates...)
+		src[i].by, src[i].codes = nil, nil
 	}
 	return src
 }

@@ -14,7 +14,9 @@ import (
 
 // refAllocateDetailed is AllocateDetailed without the ranking cache:
 // every call measures each center's distance and sorts the admitted
-// centers, the reference the cached walk must match.
+// centers, the reference the cached walk must match. It gives each
+// candidate the walk never reached its not-needed verdict one at a
+// time, the reference for the copied tail, and records no codes.
 func refAllocateDetailed(m *Matcher, dst []*datacenter.Lease, req Request, now time.Time) ([]*datacenter.Lease, datacenter.Vector, Outcome) {
 	var out Outcome
 	m.rejected = m.rejected[:0]
@@ -23,15 +25,15 @@ func refAllocateDetailed(m *Matcher, dst []*datacenter.Lease, req Request, now t
 		return dst, datacenter.Vector{}, out
 	}
 	var dec *Decision
+	var filtered []CandidateVerdict
 	if m.log != nil {
-		dec = m.log.begin(req.Tag)
-		m.log.scratch = m.log.scratch[:0]
+		dec = m.log.begin(nil, req.Tag)
 	}
 	var cands []candidate
 	for _, c := range m.centers {
 		if excluded(req.Exclude, c.Name) {
 			if dec != nil {
-				m.log.scratch = append(m.log.scratch, CandidateVerdict{
+				filtered = append(filtered, CandidateVerdict{
 					Center:      c.Name,
 					DistKm:      geo.DistanceKm(req.Origin, c.Location),
 					Disposition: DispExcludedByFailover,
@@ -43,7 +45,7 @@ func refAllocateDetailed(m *Matcher, dst []*datacenter.Lease, req Request, now t
 		if d <= req.MaxDistanceKm {
 			cands = append(cands, candidate{center: c, distKm: d})
 		} else if dec != nil {
-			m.log.scratch = append(m.log.scratch, CandidateVerdict{
+			filtered = append(filtered, CandidateVerdict{
 				Center:      c.Name,
 				DistKm:      d,
 				Disposition: DispOutOfLatencyClass,
@@ -120,7 +122,7 @@ func refAllocateDetailed(m *Matcher, dst []*datacenter.Lease, req Request, now t
 		remaining = remaining.Sub(l.Alloc).ClampNonNegative()
 	}
 	if dec != nil {
-		dec.Candidates = append(dec.Candidates, m.log.scratch...)
+		dec.Candidates = append(dec.Candidates, filtered...)
 		dec.UnmetCPU = remaining[datacenter.CPU]
 		out.Decision = dec
 	}

@@ -103,6 +103,23 @@ func TestOperatorStarvedEcosystem(t *testing.T) {
 	}
 }
 
+// TestOperatorOversizedZoneLeasesWholeCenter: a fresh operator on one
+// 50-machine center leases the whole center for one zone whose demand
+// exceeds it, however far: at 1e12 entities the demand is about 1e12
+// CPU bulks, at 1e100 more bulks than an int holds.
+func TestOperatorOversizedZoneLeasesWholeCenter(t *testing.T) {
+	for _, entities := range []float64{1e12, 1e100} {
+		op := testOperator(t, 50)
+		if err := op.Observe(t0, []float64{entities}); err != nil {
+			t.Fatal(err)
+		}
+		c := op.cfg.Matcher.Centers()[0]
+		if got, want := c.Allocated()[datacenter.CPU], c.Capacity()[datacenter.CPU]; math.Abs(got-want) > 1e-9 {
+			t.Errorf("%g entities: leased %v of the center's %v CPU", entities, got, want)
+		}
+	}
+}
+
 func TestOperatorZoneCountFixedByFirstObserve(t *testing.T) {
 	op := testOperator(t, 5)
 	if err := op.Observe(t0, []float64{100, 200}); err != nil {

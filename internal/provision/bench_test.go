@@ -1,12 +1,15 @@
 package provision
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"mmogdc/internal/datacenter"
 	"mmogdc/internal/ecosystem"
 	"mmogdc/internal/geo"
+	"mmogdc/internal/obs"
 )
 
 // steadyStep returns a step holding 24 one-CPU leases, acquired one a
@@ -104,5 +107,62 @@ func BenchmarkStepRescan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkVector = rescanTick(s, m, rescanBook+i)
+	}
+}
+
+// provenanceStep returns a step on Table III's 17 centers whose
+// matcher records into a one-slot DecisionLog when log is set, with a
+// Telemetry whose recorder takes the events: core.Run's provenance.
+func provenanceStep(log bool) *Step {
+	m := ecosystem.NewMatcher(datacenter.BuildCenters(datacenter.TableIIISites(), datacenter.Policies()[:2]))
+	if log {
+		m.SetDecisionLog(ecosystem.NewDecisionLog(1))
+	}
+	s := New(Config{
+		Matcher: m, Tag: "z", Origin: geo.London, MaxDistanceKm: math.Inf(1), Counts: &Counts{},
+		Telemetry: &Telemetry{Recorder: obs.NewRecorder(1024), Spans: noSpans{}},
+	})
+	return &s
+}
+
+// provenanceTick acquires one CPU bulk, which the first-ranked center
+// meets, so a decision gives the other 16 centers their not-needed
+// verdicts; it then hands the lease back, so every tick walks alike.
+func provenanceTick(s *Step, i int) {
+	s.Acquire(i, t0, datacenter.Vector{0.25}, true)
+	s.Release()
+}
+
+// TestStepProvenanceAllocs pins what BenchmarkStepProvenance allocates
+// at what the same walk allocates without a log: the one lease it wins.
+func TestStepProvenanceAllocs(t *testing.T) {
+	for _, log := range []bool{false, true} {
+		s := provenanceStep(log)
+		i := 0
+		provenanceTick(s, i) // the first tick grows the books and interns the details
+		allocs := testing.AllocsPerRun(100, func() {
+			i++
+			provenanceTick(s, i)
+		})
+		if allocs != 1 {
+			t.Errorf("log %v: a tick allocates %v, want the one lease", log, allocs)
+		}
+	}
+	s := provenanceStep(true)
+	provenanceTick(s, 0)
+	tail := len(s.m.Centers()) - 1
+	if got := s.tel.Recorder.Events(); len(got) != 2 || strings.Count(got[1].Detail, "=not-needed") != tail {
+		t.Fatalf("events %+v, want a grant and a decision with a %d-verdict not-needed tail", got, tail)
+	}
+}
+
+// BenchmarkStepProvenance times provenanceTick with provenance on: the
+// matcher's walk, its decision, and the grant and decision events.
+func BenchmarkStepProvenance(b *testing.B) {
+	s := provenanceStep(true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		provenanceTick(s, i)
 	}
 }

@@ -1,6 +1,7 @@
 package provision
 
 import (
+	"math"
 	"slices"
 	"strconv"
 	"testing"
@@ -242,6 +243,79 @@ func TestTelemetryInternBounded(t *testing.T) {
 	for i, e := range events {
 		if e.Detail != want[i] {
 			t.Fatalf("event %d (%s): detail %q, want %q", i, e.Kind, e.Detail, want[i])
+		}
+	}
+}
+
+// TestTelemetryCodedInternBounded is TestTelemetryInternBounded for the
+// walks the matcher codes: a matcher of 13 centers records decisions
+// whose exclusion lists make twice as many distinct walks as the table
+// holds, each walk twice. The table of coded walks never grows past
+// maxDetails, and every decision's Detail reads exactly what AppendWalk
+// renders for it, whether its walk was interned before or after the
+// table started over.
+func TestTelemetryCodedInternBounded(t *testing.T) {
+	const centers = 13 // 2^13 exclusion lists: 2*maxDetails walks
+	walks := 1 << centers
+	p := datacenter.HostingPolicy{Name: "fine", Bulk: datacenter.Vector{1}, TimeBulk: 2 * time.Minute}
+	var cs []*datacenter.Center
+	for i := 0; i < centers; i++ {
+		cs = append(cs, datacenter.NewCenter("dc"+strconv.Itoa(i), geo.London, 1, p))
+	}
+	m := ecosystem.NewMatcher(cs)
+	m.SetDecisionLog(ecosystem.NewDecisionLog(1))
+	rec := obs.NewRecorder(1)
+	tel := &Telemetry{Recorder: rec}
+	for i := 0; i < 2*walks; i++ {
+		now := t0.Add(time.Duration(i) * 2 * time.Minute)
+		m.Expire(now)
+		var exclude []string
+		for j, c := range cs {
+			if (i%walks)>>j&1 == 1 {
+				exclude = append(exclude, c.Name)
+			}
+		}
+		leases, _, out := m.AllocateDetailed(nil, ecosystem.Request{
+			Tag: "z", Origin: geo.London, MaxDistanceKm: math.Inf(1), Demand: datacenter.Vector{1}, Exclude: exclude,
+		}, now)
+		tel.acquired(i, "z", leases, out, nil, nil)
+		if n := len(tel.walks); n > maxDetails {
+			t.Fatalf("call %d: %d interned walks, cap %d", i, n, maxDetails)
+		}
+		events := rec.Events()
+		if got, want := events[len(events)-1].Detail, string(out.Decision.AppendWalk(nil)); got != want {
+			t.Fatalf("call %d: detail %q, want %q", i, got, want)
+		}
+	}
+	if len(tel.details) > centers {
+		t.Fatalf("%d details in the text table, want only the %d grant details", len(tel.details), centers)
+	}
+}
+
+// TestTelemetryWalksPerMatcher: two matchers whose centers differ only
+// in name code their walks alike, and one Telemetry takes decisions
+// from both in turn; each decision's Detail must name its own centers.
+func TestTelemetryWalksPerMatcher(t *testing.T) {
+	p := datacenter.HostingPolicy{Name: "fine", Bulk: datacenter.Vector{1}, TimeBulk: 2 * time.Minute}
+	var ms []*ecosystem.Matcher
+	for _, prefix := range []string{"a", "b"} {
+		m := ecosystem.NewMatcher([]*datacenter.Center{
+			datacenter.NewCenter(prefix+"0", geo.London, 4, p),
+			datacenter.NewCenter(prefix+"1", geo.London, 4, p),
+		})
+		m.SetDecisionLog(ecosystem.NewDecisionLog(1))
+		ms = append(ms, m)
+	}
+	rec := obs.NewRecorder(1)
+	tel := &Telemetry{Recorder: rec}
+	for i := 0; i < 8; i++ {
+		m := ms[i%2]
+		leases, _, out := m.AllocateDetailed(nil, ecosystem.Request{
+			Tag: "z", Origin: geo.London, MaxDistanceKm: math.Inf(1), Demand: datacenter.Vector{1},
+		}, t0)
+		tel.acquired(i, "z", leases, out, nil, nil)
+		if got, want := rec.Events()[0].Detail, string(out.Decision.AppendWalk(nil)); got != want {
+			t.Fatalf("decision %d: detail %q, want %q", i, got, want)
 		}
 	}
 }

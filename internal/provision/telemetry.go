@@ -32,12 +32,17 @@ type Telemetry struct {
 	// built from center names and dispositions, so a run repeats a few
 	// hundred of them. Each is rendered into buf and looked up in
 	// details, so steady-state telemetry allocates nothing per event.
+	// A decision the matcher made is looked up by its codes instead, in
+	// walks, which holds the walks of the matcher walksOf only: a walk
+	// is rendered the first time its codes are seen, not on every event.
 	centersBuf []string
 	buf        []byte
 	details    map[string]string
+	walksOf    *ecosystem.Matcher
+	walks      map[string]string
 }
 
-// maxDetails bounds the intern table; a full table starts over.
+// maxDetails bounds each intern table; a full table starts over.
 const maxDetails = 4096
 
 // Spans opens the trace span of each acquisition. Engines implement it:
@@ -115,12 +120,35 @@ func (tel *Telemetry) acquired(t int, tag string, leases []*datacenter.Lease, ou
 	if out.Decision != nil {
 		// The decision event shares the acquire span with the events
 		// above — that span is the join key from outcome to ranking.
-		tel.buf = out.Decision.AppendWalk(tel.buf[:0])
 		tel.Recorder.Record(obs.Event{Tick: t, Kind: obs.EventDecision, Subject: tag,
-			Detail: tel.intern(), Value: float64(out.Decision.Seq), Span: span})
+			Detail: tel.walk(out.Decision), Value: float64(out.Decision.Seq), Span: span})
 	}
 	sp.SetValue(float64(len(leases)))
 	sp.End()
+}
+
+// walk returns the walk d.AppendWalk renders, interned by d's codes
+// when the matcher made d, and by its bytes otherwise.
+func (tel *Telemetry) walk(d *ecosystem.Decision) string {
+	m, codes := d.Coded()
+	if m == nil {
+		tel.buf = d.AppendWalk(tel.buf[:0])
+		return tel.intern()
+	}
+	if m == tel.walksOf {
+		if w, ok := tel.walks[string(codes)]; ok {
+			return w
+		}
+	}
+	if m != tel.walksOf || len(tel.walks) >= maxDetails {
+		tel.walksOf, tel.walks = m, make(map[string]string)
+	}
+	// One string holds the codes and the walk after them, so that a new
+	// walk costs one allocation, as an interned detail does.
+	tel.buf = d.AppendWalk(append(tel.buf[:0], codes...))
+	kw := string(tel.buf)
+	tel.walks[kw[:len(codes)]] = kw[len(codes):]
+	return kw[len(codes):]
 }
 
 // joined interns prefix + the comma-joined names.

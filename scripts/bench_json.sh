@@ -2,8 +2,9 @@
 # Machine-readable benchmark snapshot, gated: run the core-engine,
 # checkpoint, and observability-overhead benchmarks, the matcher walk
 # at 10, 130 and 1000 centers, the provisioning step's steady-state
-# Prune + AllocAt and its tick with a lease ending (both rescan), one
-# Observe + Predict step of each predictor in
+# Prune + AllocAt, its tick with a lease ending (both rescan) and its
+# Acquire with decision provenance on, one Observe + Predict step of
+# each predictor in
 # bench_test.go, and one mmogd sample through the observe handler and
 # its worker, all with -benchmem; condense the output into
 # BENCH_core.json (name -> ns/op, B/op, allocs/op) at the repo root,
@@ -31,7 +32,7 @@ go test -run '^$' -bench Checkpoint -benchtime 3x -benchmem \
 # them that ns/op means something.
 go test -run '^$' -bench MatcherAllocate -benchtime 2000x -benchmem . \
     >> "$d/bench.out"
-go test -run '^$' -bench 'StepSteadyState|StepRescan' -benchtime 100000x -benchmem \
+go test -run '^$' -bench 'StepSteadyState|StepRescan|StepProvenance' -benchtime 100000x -benchmem \
     ./internal/provision/ >> "$d/bench.out"
 go test -run '^$' -bench '^BenchmarkPredict' -benchtime 200000x -benchmem . \
     >> "$d/bench.out"
