@@ -73,199 +73,313 @@ func Open(blob []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Enc appends primitives to a growing payload. All integers are
-// little-endian fixed width; floats are IEEE-754 bit images, so NaN
-// payloads and signed zeros round-trip exactly.
-type Enc struct {
-	b []byte
+// Codec runs a payload layout in one of two directions, so each
+// checkpointed type names its fields once, in one state method that
+// hands each field's address to the codec in layout order: a writer
+// (NewWriter) appends the value, and a reader (NewReader) overwrites it
+// with the payload's next value. Integers are little-endian fixed
+// width; floats are IEEE-754 bit images, so NaN payloads and signed
+// zeros round-trip exactly.
+//
+// A reader's errors are sticky: the first underrun, hostile length or
+// Failf poisons it, every later read leaves its value as it was, and
+// the caller checks Err or Close once. A state method therefore states
+// each check once, against the values just read, with Failf, which a
+// writer ignores; only where the directions really differ (a lease
+// book rebuilt rather than written, a restore committed only once the
+// whole payload has been read) does it ask which way it runs.
+type Codec struct {
+	b       []byte
+	off     int
+	reading bool
+	err     error
 }
 
-// NewEnc returns an empty encoder.
-func NewEnc() *Enc { return &Enc{} }
+// NewWriter returns a codec that appends to an empty payload.
+func NewWriter() *Codec { return &Codec{} }
 
-// Data returns the encoded payload.
-func (e *Enc) Data() []byte { return e.b }
+// NewReader returns a codec that reads the payload.
+func NewReader(payload []byte) *Codec { return &Codec{b: payload, reading: true} }
 
-// U64 appends an unsigned 64-bit value.
-func (e *Enc) U64(v uint64) {
-	e.b = binary.LittleEndian.AppendUint64(e.b, v)
-}
+// Reading reports whether c reads a payload rather than writing one.
+func (c *Codec) Reading() bool { return c.reading }
 
-// Int appends a signed integer.
-func (e *Enc) Int(v int) { e.U64(uint64(int64(v))) }
+// Data returns the payload a writer has written.
+func (c *Codec) Data() []byte { return c.b }
 
-// F64 appends a float64 bit-exactly.
-func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
+// Err returns a reader's first error, if any. A writer's is nil.
+func (c *Codec) Err() error { return c.err }
 
-// Bool appends a boolean.
-func (e *Enc) Bool(v bool) {
-	if v {
-		e.b = append(e.b, 1)
-	} else {
-		e.b = append(e.b, 0)
+// Failf refuses the values a reader has just read, unless an earlier
+// error stands. A writer ignores it.
+func (c *Codec) Failf(format string, args ...any) {
+	if c.reading && c.err == nil {
+		c.err = fmt.Errorf(format, args...)
 	}
 }
 
-// Str appends a length-prefixed string.
-func (e *Enc) Str(s string) {
-	e.U64(uint64(len(s)))
-	e.b = append(e.b, s...)
-}
-
-// Bytes appends a length-prefixed byte slice (for nested snapshots).
-func (e *Enc) Bytes(p []byte) {
-	e.U64(uint64(len(p)))
-	e.b = append(e.b, p...)
-}
-
-// F64s appends a length-prefixed float64 slice.
-func (e *Enc) F64s(vs []float64) {
-	e.U64(uint64(len(vs)))
-	for _, v := range vs {
-		e.F64(v)
+// Close returns a reader's first error, or an error if the payload was
+// not fully consumed (a length drift between writer and reader). A
+// writer's Close is nil.
+func (c *Codec) Close() error {
+	if c.err == nil && c.off != len(c.b) && c.reading {
+		c.err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(c.b)-c.off)
 	}
+	return c.err
 }
 
-// Ints appends a length-prefixed int slice.
-func (e *Enc) Ints(vs []int) {
-	e.U64(uint64(len(vs)))
-	for _, v := range vs {
-		e.Int(v)
-	}
-}
+// Commit reports whether a reader has read its whole payload without
+// error: the point at which a restore applies what it read, so that a
+// refused payload leaves the restored value as it was. A writer never
+// commits.
+func (c *Codec) Commit() bool { return c.reading && c.Close() == nil }
 
-// Time appends an instant with nanosecond precision.
-func (e *Enc) Time(t time.Time) {
-	e.Int(int(t.Unix()))
-	e.Int(t.Nanosecond())
-}
-
-// Dec reads primitives back out of a payload. Errors are sticky: the
-// first underrun poisons the decoder and every later read returns the
-// zero value, so call sites can decode a whole record and check Err
-// (or Close) once.
-type Dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-// NewDec returns a decoder over the payload.
-func NewDec(b []byte) *Dec { return &Dec{b: b} }
-
-// Err returns the first decoding error, if any.
-func (d *Dec) Err() error { return d.err }
-
-// Close returns the first decoding error, or an error if the payload
-// was not fully consumed (a length drift between writer and reader).
-func (d *Dec) Close() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b)-d.off)
-	}
-	return nil
-}
-
-func (d *Dec) take(n int) []byte {
-	if d.err != nil {
+// take returns the payload's next n bytes, or nil, poisoning the
+// reader, when fewer are left.
+func (c *Codec) take(n int) []byte {
+	if c.err != nil {
 		return nil
 	}
-	if len(d.b)-d.off < n {
-		d.err = fmt.Errorf("%w: payload underrun", ErrCorrupt)
+	if len(c.b)-c.off < n {
+		c.err = fmt.Errorf("%w: payload underrun", ErrCorrupt)
 		return nil
 	}
-	p := d.b[d.off : d.off+n]
-	d.off += n
+	p := c.b[c.off : c.off+n]
+	c.off += n
 	return p
 }
 
-// U64 reads an unsigned 64-bit value.
-func (d *Dec) U64() uint64 {
-	p := d.take(8)
-	if p == nil {
-		return 0
+// U64 writes or reads an unsigned 64-bit value.
+func (c *Codec) U64(v *uint64) {
+	if c.reading {
+		c.readU64(v)
+		return
 	}
-	return binary.LittleEndian.Uint64(p)
+	c.b = binary.LittleEndian.AppendUint64(c.b, *v)
 }
 
-// Int reads a signed integer.
-func (d *Dec) Int() int { return int(int64(d.U64())) }
-
-// F64 reads a float64.
-func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Bool reads a boolean.
-func (d *Dec) Bool() bool {
-	p := d.take(1)
-	return p != nil && p[0] != 0
+// Int writes or reads a signed integer.
+func (c *Codec) Int(v *int) {
+	if c.reading {
+		c.readInt(v)
+		return
+	}
+	c.b = binary.LittleEndian.AppendUint64(c.b, uint64(*v))
 }
 
-// Str reads a length-prefixed string.
-func (d *Dec) Str() string { return string(d.lenPrefixed()) }
-
-// Bytes reads a length-prefixed byte slice.
-func (d *Dec) Bytes() []byte {
-	p := d.lenPrefixed()
-	if p == nil {
-		return nil
+// F64 writes or reads a float64 bit-exactly.
+func (c *Codec) F64(v *float64) {
+	if c.reading {
+		c.readF64(v)
+		return
 	}
-	return append([]byte(nil), p...)
+	c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*v))
 }
 
-func (d *Dec) lenPrefixed() []byte {
-	n := d.U64()
-	if d.err != nil {
-		return nil
+// The reading halves of U64, Int and F64 stay out of line, so that the
+// writing halves, an append each, inline into the state methods that
+// call them.
+
+//go:noinline
+func (c *Codec) readU64(v *uint64) { *v = c.word(*v) }
+
+//go:noinline
+func (c *Codec) readInt(v *int) { *v = int(int64(c.word(uint64(*v)))) }
+
+//go:noinline
+func (c *Codec) readF64(v *float64) { *v = math.Float64frombits(c.word(math.Float64bits(*v))) }
+
+// word reads the payload's next 64-bit word, or returns old once the
+// reader is poisoned.
+func (c *Codec) word(old uint64) uint64 {
+	if p := c.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
 	}
-	if n > uint64(len(d.b)-d.off) {
-		d.err = fmt.Errorf("%w: length %d exceeds payload", ErrCorrupt, n)
-		return nil
-	}
-	return d.take(int(n))
+	return old
 }
 
-// F64s reads a length-prefixed float64 slice (nil when empty).
-func (d *Dec) F64s() []float64 {
-	n := d.U64()
-	if d.err != nil || n == 0 {
-		return nil
+// Bool writes or reads a boolean as one byte.
+func (c *Codec) Bool(v *bool) {
+	if !c.reading {
+		var b byte
+		if *v {
+			b = 1
+		}
+		c.b = append(c.b, b)
+	} else if p := c.take(1); p != nil {
+		*v = p[0] != 0
 	}
-	if n > uint64(len(d.b)-d.off)/8 {
-		d.err = fmt.Errorf("%w: slice length %d exceeds payload", ErrCorrupt, n)
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.F64()
-	}
-	return out
 }
 
-// Ints reads a length-prefixed int slice (nil when empty).
-func (d *Dec) Ints() []int {
-	n := d.U64()
-	if d.err != nil || n == 0 {
-		return nil
+// Str writes or reads a length-prefixed string.
+func (c *Codec) Str(v *string) {
+	if !c.reading {
+		c.b = binary.LittleEndian.AppendUint64(c.b, uint64(len(*v)))
+		c.b = append(c.b, *v...)
+	} else if p := c.lenPrefixed(); p != nil {
+		*v = string(p)
 	}
-	if n > uint64(len(d.b)-d.off)/8 {
-		d.err = fmt.Errorf("%w: slice length %d exceeds payload", ErrCorrupt, n)
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.Int()
-	}
-	return out
 }
 
-// Time reads an instant written by Enc.Time, in UTC.
-func (d *Dec) Time() time.Time {
-	sec := d.Int()
-	nsec := d.Int()
-	if d.err != nil {
-		return time.Time{}
+// Bytes writes or reads a length-prefixed byte slice; a reader's copy
+// is nil when empty.
+func (c *Codec) Bytes(v *[]byte) {
+	if !c.reading {
+		c.b = binary.LittleEndian.AppendUint64(c.b, uint64(len(*v)))
+		c.b = append(c.b, *v...)
+	} else if p := c.lenPrefixed(); p != nil {
+		*v = append([]byte(nil), p...)
 	}
-	return time.Unix(int64(sec), int64(nsec)).UTC()
+}
+
+// lenPrefixed reads a length and that many bytes, refusing a length
+// beyond the payload before anything is sized from it.
+func (c *Codec) lenPrefixed() []byte {
+	n := c.word(0)
+	if c.err != nil {
+		return nil
+	}
+	if n > uint64(len(c.b)-c.off) {
+		c.err = fmt.Errorf("%w: length %d exceeds payload", ErrCorrupt, n)
+		return nil
+	}
+	return c.take(int(n))
+}
+
+// count reads a slice length, refusing one the rest of the payload
+// cannot hold at 8 bytes an element; ok is false once the reader is
+// poisoned.
+func (c *Codec) count() (n int, ok bool) {
+	w := c.word(0)
+	if c.err != nil {
+		return 0, false
+	}
+	if w > uint64(len(c.b)-c.off)/8 {
+		c.err = fmt.Errorf("%w: slice length %d exceeds payload", ErrCorrupt, w)
+		return 0, false
+	}
+	return int(w), true
+}
+
+// F64s writes or reads a length-prefixed float64 slice. A reader
+// replaces *v with fresh storage, nil when empty, so it never writes
+// into the slice it was handed.
+func (c *Codec) F64s(v *[]float64) {
+	if !c.reading {
+		// Appending to a local and storing it once keeps the loop out
+		// of the write barrier.
+		b := binary.LittleEndian.AppendUint64(c.b, uint64(len(*v)))
+		for _, x := range *v {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		c.b = b
+		return
+	}
+	n, ok := c.count()
+	if !ok {
+		return
+	}
+	var out []float64
+	if n > 0 {
+		out = make([]float64, n)
+		for i := range out {
+			out[i] = math.Float64frombits(c.word(0))
+		}
+	}
+	*v = out
+}
+
+// F64Array writes or reads a length-prefixed float64 slice of fixed
+// length len(v), such as a resource vector, in place; a reader refuses
+// any other length.
+func (c *Codec) F64Array(v []float64) {
+	if !c.reading {
+		c.F64s(&v)
+		return
+	}
+	n, ok := c.count()
+	if ok && n != len(v) {
+		c.Failf("vector of %d values, want %d", n, len(v))
+	}
+	for i := range v {
+		c.F64(&v[i])
+	}
+}
+
+// Ints writes or reads a length-prefixed int slice, as F64s does.
+func (c *Codec) Ints(v *[]int) {
+	if !c.reading {
+		b := binary.LittleEndian.AppendUint64(c.b, uint64(len(*v)))
+		for _, x := range *v {
+			b = binary.LittleEndian.AppendUint64(b, uint64(x))
+		}
+		c.b = b
+		return
+	}
+	n, ok := c.count()
+	if !ok {
+		return
+	}
+	var out []int
+	if n > 0 {
+		out = make([]int, n)
+		for i := range out {
+			out[i] = int(int64(c.word(0)))
+		}
+	}
+	*v = out
+}
+
+// Time writes or reads an instant with nanosecond precision; a reader
+// returns it in UTC.
+func (c *Codec) Time(v *time.Time) {
+	sec, nsec := int(v.Unix()), v.Nanosecond()
+	c.Int(&sec)
+	c.Int(&nsec)
+	if c.reading && c.err == nil {
+		*v = time.Unix(int64(sec), int64(nsec)).UTC()
+	}
+}
+
+// Expect writes want, or reads a value of its type and refuses any
+// other: what a checkpoint's fingerprint and a predictor's
+// configuration are made of. what names the value in the refusal.
+func Expect[T int | float64 | bool | string](c *Codec, want T, what string) {
+	got := want
+	switch p := any(&got).(type) {
+	case *int:
+		c.Int(p)
+	case *float64:
+		c.F64(p)
+	case *bool:
+		c.Bool(p)
+	case *string:
+		c.Str(p)
+	}
+	if got != want {
+		c.Failf("%s %#v, want %#v", what, got, want)
+	}
+}
+
+// Snapshotter is a value with a payload of its own, which Nested
+// carries inside another as a length-prefixed blob.
+type Snapshotter interface {
+	Snapshot() []byte
+	Restore(data []byte) error
+}
+
+// Nested writes s's snapshot as a length-prefixed blob, or reads the
+// payload's next blob and restores s from it, refusing the payload if
+// s refuses the blob.
+func (c *Codec) Nested(s Snapshotter) {
+	var blob []byte
+	if !c.reading {
+		blob = s.Snapshot()
+	}
+	c.Bytes(&blob)
+	if c.reading && c.err == nil {
+		if err := s.Restore(blob); err != nil {
+			c.err = err
+		}
+	}
 }

@@ -10,111 +10,170 @@ import (
 	"time"
 )
 
+// record holds one field of each kind the codec carries; state is its
+// one layout, run by both the writer and the reader.
+type record struct {
+	u            uint64
+	i            int
+	pi, nan, neg float64
+	yes, no      bool
+	s            string
+	b, nilB      []byte
+	fs, nilFs    []float64
+	vec          [3]float64
+	is           []int
+	at           time.Time
+}
+
+func (r *record) state(c *Codec) {
+	c.U64(&r.u)
+	c.Int(&r.i)
+	c.F64(&r.pi)
+	c.F64(&r.nan)
+	c.F64(&r.neg)
+	c.Bool(&r.yes)
+	c.Bool(&r.no)
+	c.Str(&r.s)
+	c.Bytes(&r.b)
+	c.Bytes(&r.nilB)
+	c.F64s(&r.fs)
+	c.F64s(&r.nilFs)
+	c.F64Array(r.vec[:])
+	c.Ints(&r.is)
+	c.Time(&r.at)
+}
+
 func TestCodecRoundTrip(t *testing.T) {
-	e := NewEnc()
-	e.U64(0xdeadbeefcafef00d)
-	e.Int(-42)
-	e.F64(math.Pi)
-	e.F64(math.NaN())
-	e.F64(math.Copysign(0, -1))
-	e.Bool(true)
-	e.Bool(false)
-	e.Str("zone/EU-west")
-	e.Bytes([]byte{1, 2, 3})
-	e.Bytes(nil)
-	e.F64s([]float64{1.5, -2.25, math.Inf(1)})
-	e.F64s(nil)
-	e.Ints([]int{7, -9})
-	now := time.Date(2008, 3, 1, 12, 30, 0, 123456789, time.UTC)
-	e.Time(now)
+	in := record{
+		u: 0xdeadbeefcafef00d, i: -42, pi: math.Pi, nan: math.NaN(), neg: math.Copysign(0, -1),
+		yes: true, s: "zone/EU-west", b: []byte{1, 2, 3},
+		fs: []float64{1.5, -2.25, math.Inf(1)}, vec: [3]float64{0.25, 0, 8},
+		is: []int{7, -9}, at: time.Date(2008, 3, 1, 12, 30, 0, 123456789, time.UTC),
+	}
+	w := NewWriter()
+	in.state(w)
+	if w.Reading() || w.Err() != nil || w.Close() != nil || w.Commit() {
+		t.Fatal("a writer reads, fails, or commits")
+	}
 
-	d := NewDec(e.Data())
-	if got := d.U64(); got != 0xdeadbeefcafef00d {
-		t.Fatalf("U64 = %x", got)
+	var out record
+	r := NewReader(w.Data())
+	out.state(r)
+	if !r.Commit() {
+		t.Fatalf("round trip refused: %v", r.Err())
 	}
-	if got := d.Int(); got != -42 {
-		t.Fatalf("Int = %d", got)
+	if out.u != in.u || out.i != in.i || out.pi != in.pi || !out.yes || out.no || out.s != in.s {
+		t.Fatalf("scalars: %+v", out)
 	}
-	if got := d.F64(); got != math.Pi {
-		t.Fatalf("F64 = %v", got)
+	if !math.IsNaN(out.nan) || math.Float64bits(out.neg) != math.Float64bits(in.neg) {
+		t.Fatalf("NaN %v and -0 %v did not round-trip bit-exactly", out.nan, out.neg)
 	}
-	if got := d.F64(); !math.IsNaN(got) {
-		t.Fatalf("NaN did not round-trip: %v", got)
+	if !slices.Equal(out.b, in.b) || out.nilB != nil {
+		t.Fatalf("Bytes = %v, %v", out.b, out.nilB)
 	}
-	if got := d.F64(); math.Float64bits(got) != math.Float64bits(math.Copysign(0, -1)) {
-		t.Fatalf("-0 did not round-trip bit-exactly: %v", got)
+	if len(out.fs) != 3 || out.fs[1] != -2.25 || !math.IsInf(out.fs[2], 1) || out.nilFs != nil {
+		t.Fatalf("F64s = %v, %v", out.fs, out.nilFs)
 	}
-	if !d.Bool() || d.Bool() {
-		t.Fatal("Bool round trip")
+	if out.vec != in.vec || !slices.Equal(out.is, in.is) {
+		t.Fatalf("F64Array = %v, Ints = %v", out.vec, out.is)
 	}
-	if got := d.Str(); got != "zone/EU-west" {
-		t.Fatalf("Str = %q", got)
-	}
-	if got := d.Bytes(); len(got) != 3 || got[0] != 1 {
-		t.Fatalf("Bytes = %v", got)
-	}
-	if got := d.Bytes(); len(got) != 0 {
-		t.Fatalf("nil Bytes = %v", got)
-	}
-	fs := d.F64s()
-	if len(fs) != 3 || fs[1] != -2.25 || !math.IsInf(fs[2], 1) {
-		t.Fatalf("F64s = %v", fs)
-	}
-	if got := d.F64s(); got != nil {
-		t.Fatalf("empty F64s = %v", got)
-	}
-	is := d.Ints()
-	if len(is) != 2 || is[1] != -9 {
-		t.Fatalf("Ints = %v", is)
-	}
-	if got := d.Time(); !got.Equal(now) {
-		t.Fatalf("Time = %v, want %v", got, now)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
+	if !out.at.Equal(in.at) || out.at.Location() != time.UTC {
+		t.Fatalf("Time = %v, want %v", out.at, in.at)
 	}
 }
 
-func TestDecUnderrunIsSticky(t *testing.T) {
-	d := NewDec([]byte{1, 2, 3})
-	d.U64()
-	if d.Err() == nil {
-		t.Fatal("underrun not detected")
+// TestCodecLayout pins the byte image: little-endian 64-bit words, one
+// byte per bool, and a 64-bit length before each string and slice.
+func TestCodecLayout(t *testing.T) {
+	i, yes, s, v := -2, true, "ab", []float64{1}
+	w := NewWriter()
+	w.Int(&i)
+	w.Bool(&yes)
+	w.Str(&s)
+	w.F64s(&v)
+	want := []byte{
+		0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+		1,
+		2, 0, 0, 0, 0, 0, 0, 0, 'a', 'b',
+		1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f,
 	}
-	// Poisoned decoder keeps returning zero values, never panics.
-	if d.Int() != 0 || d.F64() != 0 || d.Str() != "" || d.Bool() {
-		t.Fatal("poisoned decoder returned non-zero values")
-	}
-	if d.Close() == nil {
-		t.Fatal("Close swallowed the error")
+	if !slices.Equal(w.Data(), want) {
+		t.Fatalf("layout % x\nwant   % x", w.Data(), want)
 	}
 }
 
-func TestDecHostileLengths(t *testing.T) {
-	// A corrupted length prefix must not drive a giant allocation.
-	e := NewEnc()
-	e.U64(math.MaxUint64 / 2)
-	for _, read := range []func(d *Dec){
-		func(d *Dec) { d.Str() },
-		func(d *Dec) { d.Bytes() },
-		func(d *Dec) { d.F64s() },
-		func(d *Dec) { d.Ints() },
+// TestReaderUnderrunIsSticky: the first underrun poisons the reader,
+// every later read leaves its value as it was, and a later Failf does
+// not replace the first error.
+func TestReaderUnderrunIsSticky(t *testing.T) {
+	r := NewReader([]byte{1, 2, 3})
+	var u uint64
+	r.U64(&u)
+	first := r.Err()
+	if first == nil || !errors.Is(first, ErrCorrupt) {
+		t.Fatalf("underrun not detected: %v", first)
+	}
+	i, f, s, b, fs := 7, 2.5, "kept", true, []float64{1}
+	r.Int(&i)
+	r.F64(&f)
+	r.Str(&s)
+	r.Bool(&b)
+	r.F64s(&fs)
+	if u != 0 || i != 7 || f != 2.5 || s != "kept" || !b || len(fs) != 1 {
+		t.Fatal("a poisoned reader changed the values it was handed")
+	}
+	r.Failf("later refusal")
+	if r.Err() != first || r.Close() != first || r.Commit() {
+		t.Fatalf("first error %v replaced by %v", first, r.Err())
+	}
+}
+
+// TestReaderHostileLengths: a corrupted length prefix must not drive a
+// giant allocation.
+func TestReaderHostileLengths(t *testing.T) {
+	n := uint64(math.MaxUint64 / 2)
+	w := NewWriter()
+	w.U64(&n)
+	for _, read := range []func(r *Codec){
+		func(r *Codec) { var s string; r.Str(&s) },
+		func(r *Codec) { var b []byte; r.Bytes(&b) },
+		func(r *Codec) { var fs []float64; r.F64s(&fs) },
+		func(r *Codec) { var is []int; r.Ints(&is) },
+		func(r *Codec) { var v [3]float64; r.F64Array(v[:]) },
 	} {
-		d := NewDec(e.Data())
-		read(d)
-		if d.Err() == nil {
+		r := NewReader(w.Data())
+		read(r)
+		if r.Err() == nil {
 			t.Fatal("hostile length accepted")
 		}
 	}
 }
 
-func TestDecCloseRejectsTrailingBytes(t *testing.T) {
-	e := NewEnc()
-	e.Int(1)
-	e.Int(2)
-	d := NewDec(e.Data())
-	d.Int()
-	if err := d.Close(); err == nil {
+// TestReaderRefusesOtherWidth: F64Array refuses a slice of another
+// length.
+func TestReaderRefusesOtherWidth(t *testing.T) {
+	fs := []float64{1, 2}
+	w := NewWriter()
+	w.F64s(&fs)
+	var v [3]float64
+	r := NewReader(w.Data())
+	r.F64Array(v[:])
+	if r.Err() == nil {
+		t.Fatal("a 2-vector read as a 3-vector")
+	}
+}
+
+func TestReaderCloseRejectsTrailingBytes(t *testing.T) {
+	a, b := 1, 2
+	w := NewWriter()
+	w.Int(&a)
+	w.Int(&b)
+	r := NewReader(w.Data())
+	r.Int(&a)
+	if r.Commit() {
+		t.Fatal("a reader with trailing bytes commits")
+	}
+	if err := r.Close(); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }

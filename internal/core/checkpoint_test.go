@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
@@ -360,4 +361,56 @@ func TestCheckpointFreeRunUnchanged(t *testing.T) {
 		t.Fatalf("uninterrupted checkpointing run reports ResumedFromTick %d", withCkpt.ResumedFromTick)
 	}
 	assertResultsEqual(t, plain, withCkpt)
+}
+
+// TestCheckpointWriterMatchesCommitted pins the writer to the committed
+// core-run@2 file: resumableConfig checkpointed every 50 ticks and
+// stopped after tick 137 writes testdata/resumable-tick137.ckpt byte
+// for byte, and that payload restored over a fresh engine snapshots
+// back to the same bytes.
+func TestCheckpointWriterMatchesCommitted(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "resumable-tick137.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	stopped := resumableConfig()
+	stopped.CheckpointDir = dir
+	stopped.CheckpointEveryTicks = 50
+	stopped.StopAfterTick = 137
+	if _, err := Run(stopped); !errors.Is(err, ErrStopped) {
+		t.Fatalf("stopped run returned %v, want ErrStopped", err)
+	}
+	mgr, err := checkpoint.NewManager(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(mgr.Path(137))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("tick-137 checkpoint is %d bytes, differs from the committed %d", len(got), len(want))
+	}
+
+	payload, err := checkpoint.Open(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(resumableConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.pool.Close()
+	from, err := e.restore(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := e.snapshot(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, payload) {
+		t.Fatal("the restored engine's snapshot differs from the payload it restored")
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"path"
 	"runtime"
 	"strings"
 	"testing"
@@ -22,17 +21,6 @@ import (
 var v1Paths = map[string]bool{
 	"/v1/observe": true, "/v1/forecast": true, "/v1/leases": true,
 	"/v1/explain": true, "/v1/config": true,
-}
-
-// servedAsIs reports whether ServeMux hands p to a handler as it is,
-// rather than redirecting the request to p cleaned of empty, "." and
-// ".." segments (a trailing slash survives the cleaning).
-func servedAsIs(p string) bool {
-	clean := path.Clean(p)
-	if strings.HasSuffix(p, "/") && clean != "/" {
-		clean += "/"
-	}
-	return clean == p
 }
 
 // v1Statuses are the statuses a /v1 endpoint answers with.
@@ -65,8 +53,7 @@ func (d *Daemon) v1Requests(path string) int64 {
 // typed error body, and the request histogram must count the request
 // exactly once: under its endpoint, or under one label for every path
 // that names none. Paths outside /v1 belong to the observability
-// surface and are not sent, nor are paths ServeMux redirects to their
-// cleaned form before any handler runs. Neither is POST /v1/config:
+// surface and are not sent. Neither is POST /v1/config:
 // FuzzConfigPost covers that body, and a fuzzed observe_delay_ms could
 // park the shared daemon's workers for days. The daemon's state
 // carries over from one input to the next, so an input's coverage
@@ -111,11 +98,14 @@ func FuzzDaemonRequest(f *testing.F) {
 		{"GET", "/v1", "", "", ""},
 		{"GET", "/v1/nope", "", "", ""},
 		{"POST", "/v1/observe/", "", "", valid},
+		{"POST", "/v1//observe", "", "", valid},
+		{"GET", "/v1/./config", "", "", ""},
+		{"GET", "/v1/../v1/config", "", "", ""},
 	} {
 		f.Add(s.method, s.path, s.query, s.traceparent, s.body)
 	}
 	f.Fuzz(func(t *testing.T, method, path, query, traceparent, body string) {
-		if path != "/v1" && !strings.HasPrefix(path, "/v1/") || !servedAsIs(path) ||
+		if path != "/v1" && !strings.HasPrefix(path, "/v1/") ||
 			method == http.MethodPost && path == "/v1/config" {
 			return
 		}
@@ -191,5 +181,30 @@ func TestUnknownV1Path(t *testing.T) {
 		if k.path != unknownEndpoint {
 			t.Fatalf("a series for path %q", k.path)
 		}
+	}
+}
+
+// TestUncleanV1Path: a /v1 path ServeMux would redirect to its cleaned
+// form (an empty, "." or ".." segment) answers the typed 404 instead of
+// a bare 301 a client may replay as a GET, and the request histogram
+// counts it under the unknown-endpoint label.
+func TestUncleanV1Path(t *testing.T) {
+	d := newTestDaemon(t, nil)
+	defer drain(t, d)
+	h := d.Handler()
+	for _, r := range []*http.Request{
+		httptest.NewRequest(http.MethodPost, "/v1//observe", strings.NewReader(`{"game":"g","values":[1]}`)),
+		httptest.NewRequest(http.MethodGet, "/v1/./config", nil),
+		httptest.NewRequest(http.MethodGet, "/v1/../v1/config", nil),
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		var doc struct{ Error apiError }
+		if err := json.NewDecoder(w.Body).Decode(&doc); err != nil || w.Code != http.StatusNotFound || doc.Error.Code != "unknown_endpoint" {
+			t.Fatalf("%s %s -> %d, code %q, Location %q (%v)", r.Method, r.URL.Path, w.Code, doc.Error.Code, w.Header().Get("Location"), err)
+		}
+	}
+	if n := d.v1Requests(unknownEndpoint); n != 3 {
+		t.Fatalf("counted %d unknown-endpoint requests, want 3", n)
 	}
 }

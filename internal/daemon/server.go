@@ -7,7 +7,9 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"path"
 	"strconv"
+	"strings"
 	"time"
 
 	"mmogdc/internal/obs"
@@ -27,7 +29,8 @@ import (
 //	GET  /readyz        admission readiness (503 while draining)
 //	GET  /metrics …     the observability surface (internal/obs)
 //
-// Any other path under /v1 answers 404 unknown_endpoint. Error
+// Any other path under /v1 answers 404 unknown_endpoint, and so does
+// one with an empty, "." or ".." segment. Error
 // responses are typed JSON: {"error":{"code":..., "message":...}}.
 
 // apiError is the typed error body every non-2xx response carries.
@@ -357,5 +360,16 @@ func (d *Daemon) Handler() http.Handler {
 		io.WriteString(w, "ready\n")
 	})
 	mux.Handle("/", d.obs.Handler())
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// ServeMux answers a path with an empty, "." or ".." segment with
+		// a bare 301 to its cleaned form before any handler runs, which a
+		// client may replay as a GET and the request histogram never
+		// counts. Under /v1 such a path names no endpoint. (The cleaned
+		// form keeps one trailing slash.)
+		if p := r.URL.EscapedPath(); strings.HasPrefix(p, "/v1/") && path.Clean(p) != strings.TrimSuffix(p, "/") {
+			unknown(w, r)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
 }

@@ -1,9 +1,14 @@
 package datacenter
 
-import "time"
+import (
+	"math"
+	"time"
+
+	"mmogdc/internal/checkpoint"
+)
 
 // This file holds the hooks crash recovery needs: inspecting and
-// reconstructing a center's lease book, and snapshotting the scalar
+// reconstructing a center's lease book, and checkpointing the scalar
 // accounting state that cannot be recomputed from the leases (the
 // allocated vector depends on float summation order; the cost total
 // includes long-expired leases).
@@ -48,7 +53,7 @@ func (c *Center) Release(l *Lease) bool {
 
 // Adopt re-creates a lease from checkpointed bookkeeping WITHOUT
 // touching the center's allocation or cost accounting — those are
-// restored wholesale via RestoreCheckpointState, and double-counting
+// restored wholesale by State, and double-counting
 // an adopted lease would corrupt both. Adoption order matters: it
 // fixes the shed order and the float summation order, so callers must
 // adopt in the original acquisition order.
@@ -68,42 +73,31 @@ func Tombstone(c *Center, alloc Vector, start, expires time.Time, tag string) *L
 	return &Lease{Center: c, Alloc: alloc, Start: start, Expires: expires, Tag: tag, released: true}
 }
 
-// CheckpointState is the scalar state a checkpoint must carry per
-// center beyond the lease book.
-type CheckpointState struct {
-	// Allocated is the reserved-resource vector, bit-exact. It cannot
-	// be recomputed as the sum of live leases: float accumulation order
-	// and the residue of past expiries make the stored value the only
-	// faithful one.
-	Allocated Vector
-	// TotalCost is the cumulative rental cost.
-	TotalCost float64
-	// Watermark is the latest time the center has observed.
-	Watermark time.Time
-	// FailDepth and Degraded reproduce the fault state: the refcount of
-	// open full-outage windows and the raw degraded machine fraction.
-	FailDepth int
-	Degraded  float64
-}
-
-// CheckpointState captures the center's scalar accounting state.
-func (c *Center) CheckpointState() CheckpointState {
-	return CheckpointState{
-		Allocated: c.allocated,
-		TotalCost: c.totalCost,
-		Watermark: c.watermark,
-		FailDepth: c.failDepth,
-		Degraded:  c.degraded,
+// State writes or reads the center's scalar accounting state, which a
+// checkpoint carries beside the lease book (see Adopt): the reserved
+// vector, bit-exact — float accumulation order and the residue of past
+// expiries make the stored value, not the sum of live leases, the only
+// faithful one — the cumulative cost, the latest time observed, and
+// the fault state (the refcount of open full-outage windows and the
+// raw degraded machine fraction). A reader refuses a vector of another
+// width, a negative fail depth, and a NaN, infinite or negative
+// degradation; overlapping degradations may take it past 1.
+func (c *Center) State(k *checkpoint.Codec) {
+	k.F64Array(c.allocated[:])
+	k.F64(&c.totalCost)
+	k.Time(&c.watermark)
+	k.Int(&c.failDepth)
+	k.F64(&c.degraded)
+	if c.failDepth < 0 || !(c.degraded >= 0) || math.IsInf(c.degraded, 1) {
+		k.Failf("center %q fail depth %d, degraded %v", c.Name, c.failDepth, c.degraded)
 	}
 }
 
-// RestoreCheckpointState overwrites the scalar accounting state with a
-// checkpointed one. Callers re-adopt the lease book separately (see
-// Adopt); the two must come from the same checkpoint.
-func (c *Center) RestoreCheckpointState(s CheckpointState) {
-	c.allocated = s.Allocated
-	c.totalCost = s.TotalCost
-	c.watermark = s.Watermark
-	c.failDepth = s.FailDepth
-	c.degraded = s.Degraded
+// State writes or reads a lease record: its allocation, window and
+// tag. A reader refuses an allocation of another width.
+func (l *Lease) State(k *checkpoint.Codec) {
+	k.F64Array(l.Alloc[:])
+	k.Time(&l.Start)
+	k.Time(&l.Expires)
+	k.Str(&l.Tag)
 }

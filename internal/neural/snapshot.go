@@ -2,6 +2,7 @@ package neural
 
 import (
 	"fmt"
+	"slices"
 
 	"mmogdc/internal/checkpoint"
 )
@@ -12,64 +13,59 @@ import (
 // training exactly where the crashed one stopped. The scratch
 // activation buffers are transient and excluded.
 func (m *MLP) Snapshot() []byte {
-	e := checkpoint.NewEnc()
-	e.Str("mlp")
-	e.Ints(m.sizes)
-	for l := range m.weights {
-		for j := range m.weights[l] {
-			e.F64s(m.weights[l][j])
-			e.F64s(m.wVel[l][j])
-		}
-		e.F64s(m.biases[l])
-		e.F64s(m.bVel[l])
-	}
-	return e.Data()
+	c := checkpoint.NewWriter()
+	m.state(c)
+	return c.Data()
 }
 
 // Restore overwrites the network's learned state with a Snapshot. The
 // layer structure must match the receiver's — a snapshot from a
-// differently shaped network is rejected, not silently truncated.
+// differently shaped network is rejected, not silently truncated — and
+// a rejected snapshot leaves the network as it was.
 func (m *MLP) Restore(data []byte) error {
-	d := checkpoint.NewDec(data)
-	if kind := d.Str(); kind != "mlp" {
-		return fmt.Errorf("neural: snapshot kind %q, want mlp", kind)
-	}
-	sizes := d.Ints()
-	if len(sizes) != len(m.sizes) {
-		return fmt.Errorf("neural: snapshot has %d layers, network %d", len(sizes), len(m.sizes))
-	}
-	for i, s := range sizes {
-		if s != m.sizes[i] {
-			return fmt.Errorf("neural: snapshot layer %d size %d, network %d", i, s, m.sizes[i])
-		}
-	}
-	// Decode into fresh storage first so a truncated snapshot cannot
-	// leave the network half-restored.
-	w := make([][][]float64, len(m.weights))
-	wv := make([][][]float64, len(m.weights))
-	b := make([][]float64, len(m.weights))
-	bv := make([][]float64, len(m.weights))
-	for l := range m.weights {
-		out, in := m.sizes[l+1], m.sizes[l]
-		w[l] = make([][]float64, out)
-		wv[l] = make([][]float64, out)
-		for j := 0; j < out; j++ {
-			w[l][j] = d.F64s()
-			wv[l][j] = d.F64s()
-			if d.Err() == nil && (len(w[l][j]) != in || len(wv[l][j]) != in) {
-				return fmt.Errorf("neural: snapshot row width mismatch at layer %d", l)
-			}
-		}
-		b[l] = d.F64s()
-		bv[l] = d.F64s()
-		if d.Err() == nil && (len(b[l]) != out || len(bv[l]) != out) {
-			return fmt.Errorf("neural: snapshot bias width mismatch at layer %d", l)
-		}
-	}
-	if err := d.Close(); err != nil {
+	c := checkpoint.NewReader(data)
+	m.state(c)
+	if err := c.Close(); err != nil {
 		return fmt.Errorf("neural: %w", err)
 	}
-	m.weights, m.wVel, m.biases, m.bVel = w, wv, b, bv
-	m.fwd = false
 	return nil
+}
+
+// state writes or reads the snapshot layout. A reader reads the rows
+// into a clone's storage and commits them only once the whole payload
+// has been read, so a truncated snapshot cannot leave the network
+// half-restored.
+func (m *MLP) state(c *checkpoint.Codec) {
+	checkpoint.Expect(c, "mlp", "snapshot kind")
+	sizes := m.sizes
+	c.Ints(&sizes)
+	if !slices.Equal(sizes, m.sizes) {
+		c.Failf("snapshot layers %v, network %v", sizes, m.sizes)
+	}
+	if c.Err() != nil {
+		return
+	}
+	n := m
+	if c.Reading() {
+		n = m.Clone()
+	}
+	for l := range n.weights {
+		out, in := m.sizes[l+1], m.sizes[l]
+		for j := 0; j < out; j++ {
+			c.F64s(&n.weights[l][j])
+			c.F64s(&n.wVel[l][j])
+			if len(n.weights[l][j]) != in || len(n.wVel[l][j]) != in {
+				c.Failf("snapshot row width mismatch at layer %d", l)
+			}
+		}
+		c.F64s(&n.biases[l])
+		c.F64s(&n.bVel[l])
+		if len(n.biases[l]) != out || len(n.bVel[l]) != out {
+			c.Failf("snapshot bias width mismatch at layer %d", l)
+		}
+	}
+	if c.Commit() {
+		m.weights, m.wVel, m.biases, m.bVel = n.weights, n.wVel, n.biases, n.bVel
+		m.fwd = false
+	}
 }

@@ -2,7 +2,6 @@ package operator
 
 import (
 	"fmt"
-	"time"
 
 	"mmogdc/internal/checkpoint"
 	"mmogdc/internal/datacenter"
@@ -22,51 +21,97 @@ const payloadKind = "mmogdc/operator@3"
 // The raw payload pairs with checkpoint.Manager, which seals it and
 // saves it atomically on disk.
 func (o *Operator) Snapshot() ([]byte, error) {
-	e := checkpoint.NewEnc()
-	e.Str(payloadKind)
-	e.Str(o.cfg.Game.Name)
-	if o.zones == nil {
-		e.Int(-1)
-	} else {
-		e.Int(o.zones.Len())
-		zs, err := o.zones.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("operator: %w", err)
-		}
-		e.Bytes(zs)
+	c := checkpoint.NewWriter()
+	if _, err := o.state(c); err != nil {
+		return nil, fmt.Errorf("operator: %w", err)
 	}
-	e.Int(o.ticks)
-	e.F64(o.shortfallSum)
-	e.F64(o.overSum)
-	e.Int(o.overTicks)
-	e.Int(o.events)
-	e.F64s(o.lastForecast)
-	e.F64s(o.lastLoads)
-	e.Int(o.droppedSamples)
-	e.Int(o.counts.Failovers)
-	e.Int(o.counts.Rejections)
-	e.Int(o.counts.PartialGrants)
-	e.Int(o.counts.Retries)
-	o.step.Encode(e)
-	leases := o.step.Leases()
+	return c.Data(), nil
+}
+
+// leaseRecord is a checkpointed lease: its center's name and record.
+type leaseRecord struct {
+	center string
+	lease  datacenter.Lease
+}
+
+// state writes or reads the operator@3 layout. A reader restores the
+// zone predictors once the load buffer that fixes their count is read,
+// and returns the checkpointed lease records for FromSnapshot to
+// reconcile; a writer writes the live leases straight from the book,
+// and returns an error if a zone predictor cannot be snapshotted.
+func (o *Operator) state(c *checkpoint.Codec) ([]leaseRecord, error) {
+	checkpoint.Expect(c, payloadKind, "checkpoint kind")
+	checkpoint.Expect(c, o.cfg.Game.Name, "checkpoint game")
+	nz, zones := -1, []byte(nil)
+	if o.zones != nil {
+		nz = o.zones.Len()
+		var err error
+		if zones, err = o.zones.Snapshot(); err != nil {
+			return nil, err
+		}
+	}
+	c.Int(&nz)
+	if nz >= 0 {
+		c.Bytes(&zones)
+	}
+	c.Int(&o.ticks)
+	c.F64(&o.shortfallSum)
+	c.F64(&o.overSum)
+	c.Int(&o.overTicks)
+	c.Int(&o.events)
+	c.F64s(&o.lastForecast)
+	c.F64s(&o.lastLoads)
+	c.Int(&o.droppedSamples)
+	c.Int(&o.counts.Failovers)
+	c.Int(&o.counts.Rejections)
+	c.Int(&o.counts.PartialGrants)
+	c.Int(&o.counts.Retries)
+	// The zone count sizes the predictor set, so check it against the
+	// load buffer before anything is allocated from it.
+	if nz >= 0 && len(o.lastLoads) != nz {
+		c.Failf("checkpoint has %d zones but %d load samples", nz, len(o.lastLoads))
+	}
+	if c.Reading() && nz >= 0 && c.Err() == nil {
+		o.zones = predict.NewZoneSet(o.cfg.Predictor, nz)
+		if err := o.zones.Restore(zones); err != nil {
+			c.Failf("%w", err)
+		}
+		o.cleanBuf = make([]float64, nz)
+	}
+	o.step.State(c)
+
+	book := o.step.Leases()
 	live := 0
-	for _, l := range leases {
+	for _, l := range book {
 		if !l.Released() {
 			live++
 		}
 	}
-	e.Int(live)
-	for _, l := range leases {
-		if l.Released() {
-			continue // tombstones are transient failover hints, not state
-		}
-		e.Str(l.Center.Name)
-		e.F64s(l.Alloc[:])
-		e.Time(l.Start)
-		e.Time(l.Expires)
-		e.Str(l.Tag)
+	c.Int(&live)
+	if live < 0 || live > 1<<20 {
+		c.Failf("checkpoint lease count %d", live)
 	}
-	return e.Data(), nil
+	if !c.Reading() {
+		for _, l := range book {
+			if l.Released() {
+				continue // tombstones are transient failover hints, not state
+			}
+			name := l.Center.Name
+			c.Str(&name)
+			l.State(c)
+		}
+		return nil, nil
+	}
+	// Records are appended as they are read: a corrupt count must not
+	// size an allocation the payload cannot back.
+	var recs []leaseRecord
+	for i := 0; i < live && c.Err() == nil; i++ {
+		var r leaseRecord
+		c.Str(&r.center)
+		r.lease.State(c)
+		recs = append(recs, r)
+	}
+	return recs, nil
 }
 
 // Reconciliation reports how a restored operator's checkpointed lease
@@ -95,82 +140,13 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 	if err != nil {
 		return nil, nil, err
 	}
-	d := checkpoint.NewDec(payload)
-	if kind := d.Str(); kind != payloadKind {
-		if err := d.Err(); err != nil {
-			return nil, nil, fmt.Errorf("operator: %w", err)
-		}
-		return nil, nil, fmt.Errorf("operator: checkpoint kind %q, want %q", kind, payloadKind)
+	c := checkpoint.NewReader(payload)
+	recs, err := o.state(c)
+	if err == nil {
+		err = c.Close()
 	}
-	if game := d.Str(); game != cfg.Game.Name {
-		if err := d.Err(); err != nil {
-			return nil, nil, fmt.Errorf("operator: %w", err)
-		}
-		return nil, nil, fmt.Errorf("operator: checkpoint for game %q, config is %q", game, cfg.Game.Name)
-	}
-	nz := d.Int()
-	var zoneState []byte
-	if nz >= 0 {
-		zoneState = d.Bytes()
-	}
-	o.ticks = d.Int()
-	o.shortfallSum = d.F64()
-	o.overSum = d.F64()
-	o.overTicks = d.Int()
-	o.events = d.Int()
-	o.lastForecast = d.F64s()
-	o.lastLoads = d.F64s()
-	o.droppedSamples = d.Int()
-	o.counts.Failovers = d.Int()
-	o.counts.Rejections = d.Int()
-	o.counts.PartialGrants = d.Int()
-	o.counts.Retries = d.Int()
-	if err := o.step.Decode(d); err != nil {
+	if err != nil {
 		return nil, nil, fmt.Errorf("operator: %w", err)
-	}
-	nLeases := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, nil, fmt.Errorf("operator: %w", err)
-	}
-	if nLeases < 0 || nLeases > 1<<20 {
-		return nil, nil, fmt.Errorf("operator: checkpoint lease count %d", nLeases)
-	}
-	type leaseRec struct {
-		center       string
-		alloc        datacenter.Vector
-		start, until time.Time
-		tag          string
-	}
-	// Records are appended as they decode: a corrupt count must not
-	// size an allocation the payload cannot back.
-	var recs []leaseRec
-	for i := 0; i < nLeases && d.Err() == nil; i++ {
-		var r leaseRec
-		r.center = d.Str()
-		alloc := d.F64s()
-		r.start = d.Time()
-		r.until = d.Time()
-		r.tag = d.Str()
-		if d.Err() == nil && len(alloc) != int(datacenter.NumResources) {
-			return nil, nil, fmt.Errorf("operator: lease %d has %d resources", i, len(alloc))
-		}
-		copy(r.alloc[:], alloc)
-		recs = append(recs, r)
-	}
-	if err := d.Close(); err != nil {
-		return nil, nil, fmt.Errorf("operator: %w", err)
-	}
-	if nz >= 0 {
-		// The zone count sizes the predictor set, so check it against the
-		// decoded load buffer before anything is allocated from it.
-		if len(o.lastLoads) != nz {
-			return nil, nil, fmt.Errorf("operator: checkpoint has %d zones but %d load samples", nz, len(o.lastLoads))
-		}
-		o.zones = predict.NewZoneSet(cfg.Predictor, nz)
-		if err := o.zones.Restore(zoneState); err != nil {
-			return nil, nil, fmt.Errorf("operator: %w", err)
-		}
-		o.cleanBuf = make([]float64, nz)
 	}
 
 	// Reconcile the checkpointed lease book against the live ecosystem.
@@ -178,12 +154,12 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 	claimed := make(map[*datacenter.Lease]bool)
 	var leases []*datacenter.Lease
 	for _, r := range recs {
-		c := cfg.Matcher.CenterByName(r.center)
+		c, want := cfg.Matcher.CenterByName(r.center), &r.lease
 		var adopted *datacenter.Lease
 		if c != nil {
-			for _, l := range c.LeasesByTag(r.tag) {
-				if !claimed[l] && l.Alloc == r.alloc &&
-					l.Start.Equal(r.start) && l.Expires.Equal(r.until) {
+			for _, l := range c.LeasesByTag(want.Tag) {
+				if !claimed[l] && l.Alloc == want.Alloc &&
+					l.Start.Equal(want.Start) && l.Expires.Equal(want.Expires) {
 					adopted = l
 					break
 				}
@@ -199,7 +175,7 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 		// operator was down (or the center left the configuration). A
 		// tombstone makes the loss visible to the first Observe, which
 		// fails the capacity over away from that center.
-		leases = append(leases, datacenter.Tombstone(c, r.alloc, r.start, r.until, r.tag))
+		leases = append(leases, datacenter.Tombstone(c, want.Alloc, want.Start, want.Expires, want.Tag))
 		rec.Lost++
 	}
 	o.step.SetLeases(leases)

@@ -1,9 +1,12 @@
 package operator
 
 import (
+	"bytes"
 	"encoding/binary"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -15,6 +18,7 @@ import (
 	"mmogdc/internal/geo"
 	"mmogdc/internal/mmog"
 	"mmogdc/internal/predict"
+	"mmogdc/internal/xrand"
 )
 
 // TestObserveRejectsZoneCountMismatchBeforeSideEffects is the
@@ -376,5 +380,77 @@ func BenchmarkCheckpoint(b *testing.B) {
 		if _, err := io.Discard.Write(checkpoint.Seal(payload)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// pinnedRun is a deterministic operator run whose snapshot exercises
+// every part of the operator@3 layout: two centers, one grant in eight
+// rejected and one trimmed, a dropped sample, and a center failure the
+// operator fails over from. It returns the config, over the run's
+// matcher, and the operator after its last tick.
+func pinnedRun(t *testing.T) (Config, *Operator) {
+	t.Helper()
+	var b datacenter.Vector
+	b[datacenter.CPU] = 0.05
+	p := datacenter.HostingPolicy{Name: "fine", Bulk: b, TimeBulk: time.Hour}
+	alpha := datacenter.NewCenter("alpha", geo.London, 12, p)
+	beta := datacenter.NewCenter("beta", geo.Amsterdam, 40, p)
+	m := ecosystem.NewMatcher([]*datacenter.Center{alpha, beta})
+	m.SetFaultInjector(grantDice{xrand.New(4)})
+	cfg := checkpointConfig(m)
+	op, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := t0
+	for i := 0; i < 30; i++ {
+		loads := []float64{9000 + 150*float64(i%7), 6000 - 100*float64(i%5), 3000}
+		if i == 11 {
+			loads[1] = math.NaN()
+		}
+		if i == 20 {
+			alpha.Fail()
+		}
+		if err := op.Observe(now, loads); err != nil {
+			t.Fatal(err)
+		}
+		now = now.Add(2 * time.Minute)
+	}
+	return cfg, op
+}
+
+// TestOperatorWriterMatchesCommitted pins the operator@3 byte layout:
+// pinnedRun's snapshot equals testdata/operator3-faulted.payload, and
+// that payload, restored over the run's matcher, snapshots back to the
+// same bytes.
+func TestOperatorWriterMatchesCommitted(t *testing.T) {
+	cfg, op := pinnedRun(t)
+	if m := op.Metrics(); m.DroppedSamples == 0 || m.Rejections == 0 || m.Retries == 0 || m.Failovers == 0 {
+		t.Fatalf("the pinned run does not drop, reject, retry and fail over: %+v", m)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "operator3-faulted.payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := op.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("snapshot is %d bytes, differs from the committed %d", len(got), len(want))
+	}
+	restored, rec, err := FromSnapshot(cfg, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Lost != 0 || rec.Orphaned != 0 {
+		t.Fatalf("restore over the run's own matcher reconciled %+v", rec)
+	}
+	again, err := restored.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatal("the restored operator's snapshot differs from the payload it restored")
 	}
 }

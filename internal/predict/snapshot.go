@@ -44,23 +44,29 @@ const (
 	kindNeural    = "neural"
 )
 
-// openSnapshot validates the kind tag shared by every predictor
-// snapshot and returns the decoder positioned after it.
-func openSnapshot(data []byte, kind string) (*checkpoint.Dec, error) {
-	d := checkpoint.NewDec(data)
-	if got := d.Str(); got != kind {
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("predict: %w", err)
-		}
-		return nil, fmt.Errorf("predict: snapshot kind %q, want %q", got, kind)
-	}
-	return d, nil
+// stater is the one state method a predictor's Snapshot and Restore
+// both run: it hands each field to the codec in layout order, kind tag
+// and configuration first, checks what a reader read, and commits only
+// a whole payload (checkpoint.Codec.Commit), so a refused snapshot
+// leaves the predictor as it was.
+type stater interface {
+	state(c *checkpoint.Codec)
 }
 
-// closeSnapshot finishes decoding, turning leftover bytes or underruns
-// into an error.
-func closeSnapshot(d *checkpoint.Dec) error {
-	if err := d.Close(); err != nil {
+// snapshot runs a predictor's state method over a writer. It inlines
+// into each Snapshot, where the call is to a concrete method, so the
+// writer stays on the stack.
+func snapshot(p stater) []byte {
+	c := checkpoint.NewWriter()
+	p.state(c)
+	return c.Data()
+}
+
+// restore runs a predictor's state method over a reader of data.
+func restore(p stater, data []byte) error {
+	c := checkpoint.NewReader(data)
+	p.state(c)
+	if err := c.Close(); err != nil {
 		return fmt.Errorf("predict: %w", err)
 	}
 	return nil
@@ -70,361 +76,242 @@ func closeSnapshot(d *checkpoint.Dec) error {
 // predictor in the set is not Stateful (all predictors built by this
 // package are).
 func (z *ZoneSet) Snapshot() ([]byte, error) {
-	e := checkpoint.NewEnc()
-	e.Int(len(z.ps))
-	for i, p := range z.ps {
-		s, ok := p.(Stateful)
-		if !ok {
-			return nil, fmt.Errorf("predict: zone %d predictor %T is not snapshotable", i, p)
-		}
-		e.Bytes(s.Snapshot())
+	c := checkpoint.NewWriter()
+	if err := z.state(c); err != nil {
+		return nil, err
 	}
-	return e.Data(), nil
+	return c.Data(), nil
 }
 
 // Restore re-establishes a state captured by Snapshot on a ZoneSet
 // built by the same factory with the same zone count. On error the
 // set may be partially restored and must be discarded.
 func (z *ZoneSet) Restore(data []byte) error {
-	d := checkpoint.NewDec(data)
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("predict: %w", err)
-	}
-	if n != len(z.ps) {
-		return fmt.Errorf("predict: snapshot has %d zones, set has %d", n, len(z.ps))
-	}
-	blobs := make([][]byte, n)
-	for i := range blobs {
-		blobs[i] = d.Bytes()
-	}
-	if err := closeSnapshot(d); err != nil {
+	c := checkpoint.NewReader(data)
+	if err := z.state(c); err != nil {
 		return err
 	}
+	return c.Close()
+}
+
+// state carries the zone count and each zone's snapshot, nested.
+func (z *ZoneSet) state(c *checkpoint.Codec) error {
+	checkpoint.Expect(c, len(z.ps), "predict: snapshot zones")
 	for i, p := range z.ps {
 		s, ok := p.(Stateful)
 		if !ok {
 			return fmt.Errorf("predict: zone %d predictor %T is not snapshotable", i, p)
 		}
-		if err := s.Restore(blobs[i]); err != nil {
-			return fmt.Errorf("zone %d: %w", i, err)
-		}
+		c.Nested(s)
 	}
 	return nil
 }
 
 // Snapshot implements Stateful.
-func (p *LastValue) Snapshot() []byte {
-	e := checkpoint.NewEnc()
-	e.Str(kindLastValue)
-	e.F64(p.last)
-	return e.Data()
-}
+func (p *LastValue) Snapshot() []byte { return snapshot(p) }
 
 // Restore implements Stateful.
-func (p *LastValue) Restore(data []byte) error {
-	d, err := openSnapshot(data, kindLastValue)
-	if err != nil {
-		return err
+func (p *LastValue) Restore(data []byte) error { return restore(p, data) }
+
+func (p *LastValue) state(c *checkpoint.Codec) {
+	checkpoint.Expect(c, kindLastValue, "snapshot kind")
+	q := *p
+	c.F64(&q.last)
+	if c.Commit() {
+		*p = q
 	}
-	last := d.F64()
-	if err := closeSnapshot(d); err != nil {
-		return err
-	}
-	p.last = last
-	return nil
 }
 
 // Snapshot implements Stateful.
-func (p *Average) Snapshot() []byte {
-	e := checkpoint.NewEnc()
-	e.Str(kindAverage)
-	e.F64(p.sum)
-	e.Int(p.n)
-	return e.Data()
-}
+func (p *Average) Snapshot() []byte { return snapshot(p) }
 
 // Restore implements Stateful.
-func (p *Average) Restore(data []byte) error {
-	d, err := openSnapshot(data, kindAverage)
-	if err != nil {
-		return err
+func (p *Average) Restore(data []byte) error { return restore(p, data) }
+
+func (p *Average) state(c *checkpoint.Codec) {
+	checkpoint.Expect(c, kindAverage, "snapshot kind")
+	q := *p
+	c.F64(&q.sum)
+	c.Int(&q.n)
+	if c.Commit() {
+		*p = q
 	}
-	sum, n := d.F64(), d.Int()
-	if err := closeSnapshot(d); err != nil {
-		return err
-	}
-	p.sum, p.n = sum, n
-	return nil
 }
 
 // Snapshot implements Stateful.
-func (p *MovingAverage) Snapshot() []byte {
-	e := checkpoint.NewEnc()
-	e.Str(kindMovingAvg)
-	e.Int(p.window)
-	e.F64s(p.buf)
-	e.Int(p.next)
-	e.Int(p.filled)
-	e.F64(p.sum)
-	return e.Data()
-}
+func (p *MovingAverage) Snapshot() []byte { return snapshot(p) }
 
 // Restore implements Stateful.
-func (p *MovingAverage) Restore(data []byte) error {
-	d, err := openSnapshot(data, kindMovingAvg)
-	if err != nil {
-		return err
+func (p *MovingAverage) Restore(data []byte) error { return restore(p, data) }
+
+func (p *MovingAverage) state(c *checkpoint.Codec) {
+	checkpoint.Expect(c, kindMovingAvg, "snapshot kind")
+	checkpoint.Expect(c, p.window, "snapshot window")
+	q := *p
+	c.F64s(&q.buf)
+	c.Int(&q.next)
+	c.Int(&q.filled)
+	c.F64(&q.sum)
+	if len(q.buf) != q.window || q.next < 0 || q.next >= q.window || q.filled < 0 || q.filled > q.window {
+		c.Failf("inconsistent moving-average snapshot")
 	}
-	window := d.Int()
-	buf := d.F64s()
-	next, filled := d.Int(), d.Int()
-	sum := d.F64()
-	if err := closeSnapshot(d); err != nil {
-		return err
+	if c.Commit() {
+		copy(p.buf, q.buf)
+		p.next, p.filled, p.sum = q.next, q.filled, q.sum
 	}
-	if window != p.window {
-		return fmt.Errorf("predict: snapshot window %d, predictor %d", window, p.window)
-	}
-	if len(buf) != window || next < 0 || next >= window || filled < 0 || filled > window {
-		return fmt.Errorf("predict: inconsistent moving-average snapshot")
-	}
-	copy(p.buf, buf)
-	p.next, p.filled, p.sum = next, filled, sum
-	return nil
 }
 
 // Snapshot implements Stateful.
-func (p *ExpSmoothing) Snapshot() []byte {
-	e := checkpoint.NewEnc()
-	e.Str(kindExpSmooth)
-	e.F64(p.alpha)
-	e.F64(p.s)
-	e.Bool(p.init)
-	return e.Data()
-}
+func (p *ExpSmoothing) Snapshot() []byte { return snapshot(p) }
 
 // Restore implements Stateful.
-func (p *ExpSmoothing) Restore(data []byte) error {
-	d, err := openSnapshot(data, kindExpSmooth)
-	if err != nil {
-		return err
+func (p *ExpSmoothing) Restore(data []byte) error { return restore(p, data) }
+
+func (p *ExpSmoothing) state(c *checkpoint.Codec) {
+	checkpoint.Expect(c, kindExpSmooth, "snapshot kind")
+	checkpoint.Expect(c, p.alpha, "snapshot alpha")
+	q := *p
+	c.F64(&q.s)
+	c.Bool(&q.init)
+	if c.Commit() {
+		*p = q
 	}
-	alpha, s, init := d.F64(), d.F64(), d.Bool()
-	if err := closeSnapshot(d); err != nil {
-		return err
-	}
-	if alpha != p.alpha {
-		return fmt.Errorf("predict: snapshot alpha %v, predictor %v", alpha, p.alpha)
-	}
-	p.s, p.init = s, init
-	return nil
 }
 
 // Snapshot implements Stateful.
-func (p *Holt) Snapshot() []byte {
-	e := checkpoint.NewEnc()
-	e.Str(kindHolt)
-	e.F64(p.alpha)
-	e.F64(p.beta)
-	e.F64(p.level)
-	e.F64(p.trend)
-	e.Int(p.seen)
-	return e.Data()
-}
+func (p *Holt) Snapshot() []byte { return snapshot(p) }
 
 // Restore implements Stateful.
-func (p *Holt) Restore(data []byte) error {
-	d, err := openSnapshot(data, kindHolt)
-	if err != nil {
-		return err
+func (p *Holt) Restore(data []byte) error { return restore(p, data) }
+
+func (p *Holt) state(c *checkpoint.Codec) {
+	checkpoint.Expect(c, kindHolt, "snapshot kind")
+	checkpoint.Expect(c, p.alpha, "snapshot alpha")
+	checkpoint.Expect(c, p.beta, "snapshot beta")
+	q := *p
+	c.F64(&q.level)
+	c.F64(&q.trend)
+	c.Int(&q.seen)
+	if c.Commit() {
+		*p = q
 	}
-	alpha, beta := d.F64(), d.F64()
-	level, trend := d.F64(), d.F64()
-	seen := d.Int()
-	if err := closeSnapshot(d); err != nil {
-		return err
-	}
-	if alpha != p.alpha || beta != p.beta {
-		return fmt.Errorf("predict: snapshot smoothing (%v,%v), predictor (%v,%v)", alpha, beta, p.alpha, p.beta)
-	}
-	p.level, p.trend, p.seen = level, trend, seen
-	return nil
 }
 
 // Snapshot implements Stateful.
-func (p *SlidingWindowMedian) Snapshot() []byte {
-	e := checkpoint.NewEnc()
-	e.Str(kindMedian)
-	e.Int(p.window)
-	e.F64s(p.buf)
-	e.Int(p.next)
-	e.Int(p.filled)
-	return e.Data()
-}
+func (p *SlidingWindowMedian) Snapshot() []byte { return snapshot(p) }
 
 // Restore implements Stateful.
-func (p *SlidingWindowMedian) Restore(data []byte) error {
-	d, err := openSnapshot(data, kindMedian)
-	if err != nil {
-		return err
+func (p *SlidingWindowMedian) Restore(data []byte) error { return restore(p, data) }
+
+func (p *SlidingWindowMedian) state(c *checkpoint.Codec) {
+	checkpoint.Expect(c, kindMedian, "snapshot kind")
+	checkpoint.Expect(c, p.window, "snapshot window")
+	q := *p
+	c.F64s(&q.buf)
+	c.Int(&q.next)
+	c.Int(&q.filled)
+	if len(q.buf) != q.window || q.next < 0 || q.next >= q.window || q.filled < 0 || q.filled > q.window {
+		c.Failf("inconsistent median snapshot")
 	}
-	window := d.Int()
-	buf := d.F64s()
-	next, filled := d.Int(), d.Int()
-	if err := closeSnapshot(d); err != nil {
-		return err
+	if c.Commit() {
+		copy(p.buf, q.buf)
+		p.next, p.filled = q.next, q.filled
 	}
-	if window != p.window {
-		return fmt.Errorf("predict: snapshot window %d, predictor %d", window, p.window)
-	}
-	if len(buf) != window || next < 0 || next >= window || filled < 0 || filled > window {
-		return fmt.Errorf("predict: inconsistent median snapshot")
-	}
-	copy(p.buf, buf)
-	p.next, p.filled = next, filled
-	return nil
 }
 
 // Snapshot implements Stateful.
-func (p *AR) Snapshot() []byte {
-	e := checkpoint.NewEnc()
-	e.Str(kindAR)
-	e.Int(p.order)
-	e.Int(p.refitInterval)
-	e.Int(p.maxHistory)
-	e.F64s(p.history)
-	e.F64s(p.coeffs)
-	e.F64(p.mean)
-	e.Int(p.sinceRefit)
-	e.Bool(p.fitted)
-	return e.Data()
-}
+func (p *AR) Snapshot() []byte { return snapshot(p) }
 
 // Restore implements Stateful.
-func (p *AR) Restore(data []byte) error {
-	d, err := openSnapshot(data, kindAR)
-	if err != nil {
-		return err
+func (p *AR) Restore(data []byte) error { return restore(p, data) }
+
+func (p *AR) state(c *checkpoint.Codec) {
+	checkpoint.Expect(c, kindAR, "snapshot kind")
+	checkpoint.Expect(c, p.order, "AR snapshot order")
+	checkpoint.Expect(c, p.refitInterval, "AR snapshot refit interval")
+	checkpoint.Expect(c, p.maxHistory, "AR snapshot history bound")
+	q := *p
+	c.F64s(&q.history)
+	c.F64s(&q.coeffs)
+	c.F64(&q.mean)
+	c.Int(&q.sinceRefit)
+	c.Bool(&q.fitted)
+	if len(q.history) > q.maxHistory || (q.fitted && len(q.coeffs) != q.order) {
+		c.Failf("inconsistent AR snapshot")
 	}
-	order, refit, maxHist := d.Int(), d.Int(), d.Int()
-	history := d.F64s()
-	coeffs := d.F64s()
-	mean := d.F64()
-	sinceRefit := d.Int()
-	fitted := d.Bool()
-	if err := closeSnapshot(d); err != nil {
-		return err
+	if c.Commit() {
+		// Copy into the preallocated buffers rather than aliasing the
+		// reader's slices, so a restored predictor keeps its
+		// allocation-free steady state.
+		p.history = append(p.history[:0], q.history...)
+		clear(p.coeffs)
+		copy(p.coeffs, q.coeffs)
+		p.mean, p.sinceRefit, p.fitted = q.mean, q.sinceRefit, q.fitted
 	}
-	if order != p.order || refit != p.refitInterval || maxHist != p.maxHistory {
-		return fmt.Errorf("predict: AR snapshot config (%d,%d,%d), predictor (%d,%d,%d)",
-			order, refit, maxHist, p.order, p.refitInterval, p.maxHistory)
-	}
-	if len(history) > maxHist || (fitted && len(coeffs) != order) {
-		return fmt.Errorf("predict: inconsistent AR snapshot")
-	}
-	// Copy into the preallocated buffers rather than aliasing the
-	// decoder's slices, so a restored predictor keeps its
-	// allocation-free steady state.
-	p.history = append(p.history[:0], history...)
-	for i := range p.coeffs {
-		p.coeffs[i] = 0
-	}
-	copy(p.coeffs, coeffs)
-	p.mean = mean
-	p.sinceRefit = sinceRefit
-	p.fitted = fitted
-	return nil
 }
 
 // Snapshot implements Stateful.
-func (p *SeasonalNaive) Snapshot() []byte {
-	e := checkpoint.NewEnc()
-	e.Str(kindSeasonal)
-	e.Int(p.period)
-	e.F64s(p.buf)
-	e.Int(p.n)
-	return e.Data()
-}
+func (p *SeasonalNaive) Snapshot() []byte { return snapshot(p) }
 
 // Restore implements Stateful.
-func (p *SeasonalNaive) Restore(data []byte) error {
-	d, err := openSnapshot(data, kindSeasonal)
-	if err != nil {
-		return err
+func (p *SeasonalNaive) Restore(data []byte) error { return restore(p, data) }
+
+func (p *SeasonalNaive) state(c *checkpoint.Codec) {
+	checkpoint.Expect(c, kindSeasonal, "snapshot kind")
+	checkpoint.Expect(c, p.period, "snapshot period")
+	q := *p
+	c.F64s(&q.buf)
+	c.Int(&q.n)
+	if len(q.buf) != q.period || q.n < 0 {
+		c.Failf("inconsistent seasonal snapshot")
 	}
-	period := d.Int()
-	buf := d.F64s()
-	n := d.Int()
-	if err := closeSnapshot(d); err != nil {
-		return err
+	if c.Commit() {
+		copy(p.buf, q.buf)
+		p.n = q.n
 	}
-	if period != p.period {
-		return fmt.Errorf("predict: snapshot period %d, predictor %d", period, p.period)
-	}
-	if len(buf) != period || n < 0 {
-		return fmt.Errorf("predict: inconsistent seasonal snapshot")
-	}
-	copy(p.buf, buf)
-	p.n = n
-	return nil
 }
 
 // Snapshot implements Stateful. Beyond the sliding window it includes
 // the network weights and momentum buffers, so a restored predictor's
 // online training continues bit-identically.
-func (p *Neural) Snapshot() []byte {
-	e := checkpoint.NewEnc()
-	e.Str(kindNeural)
-	e.Int(p.cfg.Window)
-	e.F64(p.cfg.Capacity)
-	e.F64(p.cfg.OutputScale)
-	e.Bool(false) // output-mode flag: always residual, and Restore refuses true
-	e.F64s(p.window)
-	e.Int(p.seen)
-	e.F64s(p.prevIn)
-	e.F64(p.prevLast)
-	e.Bool(p.havePre)
-	e.Bytes(p.net.Snapshot())
-	return e.Data()
-}
+func (p *Neural) Snapshot() []byte { return snapshot(p) }
 
 // Restore implements Stateful.
-func (p *Neural) Restore(data []byte) error {
-	d, err := openSnapshot(data, kindNeural)
-	if err != nil {
-		return err
-	}
-	window := d.Int()
-	capacity, outputScale := d.F64(), d.F64()
-	direct := d.Bool()
-	win := d.F64s()
-	seen := d.Int()
-	prevIn := d.F64s()
-	prevLast := d.F64()
-	havePre := d.Bool()
-	netData := d.Bytes()
-	if err := closeSnapshot(d); err != nil {
-		return err
-	}
-	if window != p.cfg.Window || capacity != p.cfg.Capacity ||
-		outputScale != p.cfg.OutputScale || direct {
-		return fmt.Errorf("predict: neural snapshot from a differently configured predictor")
-	}
+func (p *Neural) Restore(data []byte) error { return restore(p, data) }
+
+func (p *Neural) state(c *checkpoint.Codec) {
+	checkpoint.Expect(c, kindNeural, "snapshot kind")
+	checkpoint.Expect(c, p.cfg.Window, "neural snapshot window")
+	checkpoint.Expect(c, p.cfg.Capacity, "neural snapshot capacity")
+	checkpoint.Expect(c, p.cfg.OutputScale, "neural snapshot output scale")
+	checkpoint.Expect(c, false, "neural snapshot direct output") // always residual
+	q, w := *p, p.cfg.Window
+	c.F64s(&q.window)
+	c.Int(&q.seen)
+	c.F64s(&q.prevIn)
+	c.F64(&q.prevLast)
+	c.Bool(&q.havePre)
 	// Observe fills the window one sample per observation and smooths
 	// it once it is full; any other combination would make Predict read
 	// before the window's start.
-	if seen < 0 || len(win) != min(seen, window) || havePre != (len(win) == window) ||
-		len(prevIn) != window {
-		return fmt.Errorf("predict: inconsistent neural snapshot")
+	if q.seen < 0 || len(q.window) != min(q.seen, w) || q.havePre != (len(q.window) == w) || len(q.prevIn) != w {
+		c.Failf("inconsistent neural snapshot")
 	}
-	if err := p.net.Restore(netData); err != nil {
-		return err
+	var net []byte
+	if !c.Reading() {
+		net = p.net.Snapshot()
 	}
-	p.window = append(p.window[:0], win...)
-	p.seen = seen
-	copy(p.prevIn, prevIn)
-	p.prevLast = prevLast
-	p.havePre = havePre
-	return nil
+	c.Bytes(&net)
+	if !c.Commit() {
+		return
+	}
+	if err := p.net.Restore(net); err != nil {
+		c.Failf("%w", err)
+		return
+	}
+	p.window = append(p.window[:0], q.window...)
+	p.seen = q.seen
+	copy(p.prevIn, q.prevIn)
+	p.prevLast = q.prevLast
+	p.havePre = q.havePre
 }

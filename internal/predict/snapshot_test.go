@@ -3,6 +3,9 @@ package predict
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,7 +16,7 @@ import (
 // snapshotFactories enumerates every predictor factory in the package,
 // including a pretrained shared-network neural factory, so the
 // round-trip property below covers each concrete type end to end.
-func snapshotFactories(t *testing.T) map[string]Factory {
+func snapshotFactories(t testing.TB) map[string]Factory {
 	t.Helper()
 	collected := make([][]float64, 3)
 	r := xrand.New(91)
@@ -299,4 +302,87 @@ func TestZoneSetSnapshotRoundTrip(t *testing.T) {
 	if err := wrong.Restore(snap); err == nil || !strings.Contains(err.Error(), "zones") {
 		t.Fatalf("zone-count mismatch: %v", err)
 	}
+}
+
+// kinds are the nine predictor kinds, each with its factory from
+// snapshotFactories.
+var kinds = []string{kindLastValue, kindAverage, kindMovingAvg, kindExpSmooth,
+	kindHolt, kindMedian, kindAR, kindSeasonal, kindNeural}
+
+// pinnedPredictor builds a kind's predictor and runs it over 50 steps of
+// a seeded random walk, observing and predicting each step.
+func pinnedPredictor(f Factory) Stateful {
+	p := f().(Stateful)
+	r := xrand.New(41)
+	level := 60.0
+	for i := 0; i < 50; i++ {
+		level = math.Max(0, level+r.NormFloat64()*5)
+		p.Observe(level)
+		p.Predict()
+	}
+	return p
+}
+
+// TestPredictorWriterMatchesCommitted pins each kind's byte layout: the
+// snapshot of pinnedPredictor equals testdata/snapshots/<kind>.snap, and
+// that file restored into a fresh predictor snapshots back to the same
+// bytes.
+func TestPredictorWriterMatchesCommitted(t *testing.T) {
+	fs := snapshotFactories(t)
+	for _, kind := range kinds {
+		want, err := os.ReadFile(filepath.Join("testdata", "snapshots", kind+".snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pinnedPredictor(fs[kind]).Snapshot(); !bytes.Equal(got, want) {
+			t.Errorf("%s: snapshot is %d bytes, differs from the committed %d", kind, len(got), len(want))
+		}
+		q := fs[kind]().(Stateful)
+		if err := q.Restore(want); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if !bytes.Equal(q.Snapshot(), want) {
+			t.Errorf("%s: the restored predictor's snapshot differs from the file it restored", kind)
+		}
+	}
+}
+
+// FuzzPredictorRestore feeds any payload to a predictor of any kind that
+// has run pinnedPredictor's walk. The payload must be refused, leaving
+// the predictor's snapshot as it was, or the predictor must predict,
+// run 20 Observe/Predict steps without panicking, and snapshot to bytes
+// that restore to the same bytes. The seed corpus is each kind's real
+// snapshot, truncated by three bytes and padded by one.
+func FuzzPredictorRestore(f *testing.F) {
+	fs := snapshotFactories(f)
+	for i, kind := range kinds {
+		snap := pinnedPredictor(fs[kind]).Snapshot()
+		f.Add(uint8(i), snap)
+		f.Add(uint8(i), snap[:len(snap)-3])
+		f.Add(uint8(i), append(slices.Clip(snap), 0))
+	}
+	f.Fuzz(func(t *testing.T, k uint8, data []byte) {
+		kind := kinds[int(k)%len(kinds)]
+		p := pinnedPredictor(fs[kind])
+		before := p.Snapshot()
+		if err := p.Restore(data); err != nil {
+			if !bytes.Equal(p.Snapshot(), before) {
+				t.Fatalf("%s: a refused payload (%v) changed the predictor", kind, err)
+			}
+			return
+		}
+		p.Predict()
+		for i := 0; i < 20; i++ {
+			p.Observe(float64(100 + (i*37)%900))
+			p.Predict()
+		}
+		snap := p.Snapshot()
+		q := fs[kind]().(Stateful)
+		if err := q.Restore(snap); err != nil {
+			t.Fatalf("%s: a restored predictor's snapshot was refused: %v", kind, err)
+		}
+		if !bytes.Equal(q.Snapshot(), snap) {
+			t.Fatalf("%s: Snapshot -> Restore -> Snapshot changed the bytes", kind)
+		}
+	})
 }

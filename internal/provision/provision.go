@@ -11,7 +11,6 @@
 package provision
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -466,39 +465,30 @@ func appendNew(dst, src []string) []string {
 	return dst
 }
 
-// Encode writes the step's backoff and parked-failover state. The lease
-// book is the engine's to persist: core.Run rebuilds the centers' books,
-// the operator reconciles with the live ecosystem.
-func (s *Step) Encode(e *checkpoint.Enc) {
-	e.Int(s.retries)
-	e.Int(s.retryAt)
-	e.Int(s.dueAt)
-	e.Int(len(s.parked))
-	for _, name := range s.parked {
-		e.Str(name)
-	}
-}
-
-// Decode restores state written by Encode, rejecting values no step can
-// reach: a backoff exponent outside 0..4, or more parked centers than
-// the matcher has.
-func (s *Step) Decode(d *checkpoint.Dec) error {
-	s.retries = d.Int()
-	s.retryAt = d.Int()
-	s.dueAt = d.Int()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
+// State writes or reads the step's backoff and parked-failover state,
+// refusing values no step reaches: a backoff exponent outside 0..4, or
+// more parked centers than the matcher has. The lease book is the
+// engine's to persist: core.Run rebuilds the centers' books, the
+// operator reconciles with the live ecosystem.
+func (s *Step) State(c *checkpoint.Codec) {
+	c.Int(&s.retries)
+	c.Int(&s.retryAt)
+	c.Int(&s.dueAt)
+	n := len(s.parked)
+	c.Int(&n)
 	if s.retries < 0 || s.retries > maxRetryExp {
-		return fmt.Errorf("%s backs off with exponent %d", s.tag, s.retries)
+		c.Failf("%s backs off with exponent %d", s.tag, s.retries)
 	}
 	if n < 0 || n > len(s.m.Centers()) {
-		return fmt.Errorf("%s parks %d failovers", s.tag, n)
+		c.Failf("%s parks %d failovers", s.tag, n)
 	}
-	s.parked = s.parked[:0]
-	for i := 0; i < n; i++ {
-		s.parked = append(s.parked, d.Str())
+	if c.Err() != nil {
+		return
 	}
-	return d.Err()
+	if c.Reading() {
+		s.parked = slices.Grow(s.parked[:0], n)[:n]
+	}
+	for i := range s.parked {
+		c.Str(&s.parked[i])
+	}
 }

@@ -18,6 +18,8 @@
 #     well-formed Result;
 #   - a corrupt neural predictor snapshot must be refused or keep
 #     predicting and snapshot back to the same bytes;
+#   - so must any payload restored into a predictor of any of the nine
+#     kinds, and a refused one must leave the predictor as it was;
 #   - ParseTraceparent must accept exactly the W3C version-00 headers;
 #   - any method, query, traceparent and body sent to a /v1 endpoint of
 #     a traced daemon must get a documented status, a typed error body
@@ -40,5 +42,6 @@ go test -run '^$' -fuzz '^FuzzAnalyzeTrace$' -fuzztime 10s ./internal/audit/
 go test -run '^$' -fuzz '^FuzzFaultPlan$' -fuzztime 10s ./internal/faults/
 go test -run '^$' -fuzz '^FuzzCoreResume$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 go test -run '^$' -fuzz '^FuzzNeuralRestore$' -fuzztime 10s ./internal/predict/
+go test -run '^$' -fuzz '^FuzzPredictorRestore$' -fuzztime 10s ./internal/predict/
 go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 10s ./internal/obs/
 go test -run '^$' -fuzz '^FuzzDaemonRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/daemon/
