@@ -259,6 +259,24 @@ func BenchmarkMLPTrainingEra(b *testing.B) {
 	}
 }
 
+// BenchmarkPretrainShared times the neural predictor's offline
+// training eras as the bench/ sim workloads run them: PretrainShared
+// over the 125 groups of a two-day shadow trace of seed 2, with
+// PaperNeuralConfig(4) and PaperTrainConfig(3). The trace is generated
+// before the timer starts.
+func BenchmarkPretrainShared(b *testing.B) {
+	shadow := trace.Generate(trace.Config{Seed: 2, Days: 2})
+	collected := make([][]float64, len(shadow.Groups))
+	for i, g := range shadow.Groups {
+		collected[i] = g.Load.Values
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		predict.PretrainShared(predict.PaperNeuralConfig(4), collected, 0.8, predict.PaperTrainConfig(3))
+	}
+}
+
 // BenchmarkMatcherAllocate times one small grant from the first trace
 // region's origin over ecosystems of 10, 130 and 1000 centers: the
 // Table III sites in turn, ten machines each, alternating the first

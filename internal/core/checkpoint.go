@@ -44,7 +44,8 @@ func (e *engine) snapshot(doneTick int) ([]byte, error) {
 // restore re-establishes a snapshot over freshly constructed run
 // state, returning the tick the snapshot was taken after. The centers
 // must be untouched (as built by the caller's Config); the lease books
-// are reconstructed from the snapshot. A payload holding a state no run
+// are reconstructed from the snapshot, and a refused payload leaves
+// the centers as they were. A payload holding a state no run
 // reaches is refused: scored ticks and series that disagree with the
 // checkpoint's tick, a negative fail depth, a NaN, infinite or negative
 // degradation, or an availability sum outside [0, tick].
@@ -69,11 +70,16 @@ func (e *engine) state(c *checkpoint.Codec, doneTick *int) error {
 	e.fingerprint(c)
 	e.scores(c, doneTick)
 	e.resilience(c, *doneTick)
-	books := e.centerBooks(c)
+	books, read := e.centerBooks(c)
 	if err := e.zoneStates(c, books); err != nil {
 		return err
 	}
 	e.tail(c)
+	if c.Commit() {
+		for ci, dc := range e.cfg.Centers {
+			dc.Adopt(read[ci], books[ci])
+		}
+	}
 	return nil
 }
 
@@ -199,12 +205,20 @@ func (e *engine) resilience(c *checkpoint.Codec, doneTick int) {
 // centerBooks carries each center's scalar state and its lease book in
 // list order (the order fixes both float summation and newest-first
 // shedding), and returns the books, which the zones' lease references
-// index. A reader adopts each lease into its fresh center.
-func (e *engine) centerBooks(c *checkpoint.Codec) [][]*datacenter.Lease {
-	books := make([][]*datacenter.Lease, len(e.cfg.Centers))
+// index. A reader reads each center into a scratch center built like
+// it, also returned, and its leases into records that name the real
+// center; state hands both to the real center only once the whole
+// payload has been read, so a refused one leaves the centers as built.
+func (e *engine) centerBooks(c *checkpoint.Codec) (books [][]*datacenter.Lease, read []*datacenter.Center) {
+	books = make([][]*datacenter.Lease, len(e.cfg.Centers))
 	for ci, dc := range e.cfg.Centers {
-		dc.State(c)
-		books[ci] = dc.Leases()
+		st := dc
+		if c.Reading() {
+			st = datacenter.NewCenter(dc.Name, dc.Location, dc.Machines, dc.Policy)
+			read = append(read, st)
+		}
+		st.State(c)
+		books[ci] = st.Leases()
 		n := len(books[ci])
 		c.Int(&n)
 		if n < 0 || n > 1<<20 {
@@ -217,14 +231,12 @@ func (e *engine) centerBooks(c *checkpoint.Codec) [][]*datacenter.Lease {
 			continue
 		}
 		for j := 0; j < n && c.Err() == nil; j++ {
-			var l datacenter.Lease
+			l := &datacenter.Lease{Center: dc}
 			l.State(c)
-			if c.Err() == nil {
-				books[ci] = append(books[ci], dc.Adopt(l.Alloc, l.Start, l.Expires, l.Tag))
-			}
+			books[ci] = append(books[ci], l)
 		}
 	}
-	return books
+	return books, read
 }
 
 // zoneStates carries each zone's predictor state, LOCF sample, step

@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"mmogdc/internal/checkpoint"
@@ -192,14 +195,22 @@ func FuzzCoreResume(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(payload)
+	for _, r := range refusedPayloads(f) {
+		f.Add(r.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := newEngine(resumableConfig(), nil)
+		cfg := resumableConfig()
+		built := centerFacts(cfg.Centers)
+		e, err := newEngine(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.pool.Close()
 		from, err := e.restore(data)
 		if err != nil {
+			if got := centerFacts(cfg.Centers); got != built {
+				t.Fatalf("a refused payload (%v) changed the centers:\n%s\nas built:\n%s", err, got, built)
+			}
 			return
 		}
 		res, err := e.run(from)
@@ -218,6 +229,110 @@ func FuzzCoreResume(f *testing.F) {
 			}
 		}
 	})
+}
+
+// centerFacts renders what a caller can see of each center: its live
+// leases, allocation, clock, early releases, cost and availability.
+func centerFacts(centers []*datacenter.Center) string {
+	var b strings.Builder
+	for _, dc := range centers {
+		fmt.Fprintf(&b, "%s: %d leases, allocated %v, clock %v, %d early, cost %v, available %v\n",
+			dc.Name, dc.ActiveLeases(), dc.Allocated(), dc.Clock(), dc.EarlyReleases(), dc.TotalCost(), dc.AvailableFraction())
+	}
+	return b.String()
+}
+
+// namedPayload is a checkpoint payload and what makes it special.
+type namedPayload struct {
+	name string
+	data []byte
+}
+
+// refusedPayloads returns two tick-137 payloads a resumableConfig
+// engine refuses after reading its center books: the committed one
+// with a trailing byte, and one written by a run without center
+// tracking, refused by its tail.
+func refusedPayloads(tb testing.TB) []namedPayload {
+	tb.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "resumable-tick137.ckpt"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payload, err := checkpoint.Open(blob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir, err := os.MkdirTemp("", "untracked")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	untracked := resumableConfig()
+	untracked.TrackCenters = false
+	untracked.CheckpointDir = dir
+	untracked.CheckpointEveryTicks = 50
+	untracked.StopAfterTick = 137
+	if _, err := Run(untracked); !errors.Is(err, ErrStopped) {
+		tb.Fatalf("stopped run returned %v, want ErrStopped", err)
+	}
+	mgr, err := checkpoint.NewManager(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	snap, err := mgr.Latest()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []namedPayload{
+		{"trailing byte", append(slices.Clip(payload), 0)},
+		{"untracked", snap.Payload},
+	}
+}
+
+// TestRefusedResumeLeavesCentersFresh restores each of refusedPayloads
+// over a fresh resumableConfig engine. The payload must be refused and
+// every center left as built, so that resuming from the committed
+// checkpoint over the same Config still gives the uninterrupted Result.
+func TestRefusedResumeLeavesCentersFresh(t *testing.T) {
+	ref, err := Run(resumableConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join("testdata", "resumable-tick137.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range refusedPayloads(t) {
+		cfg := resumableConfig()
+		built := centerFacts(cfg.Centers)
+		e, err := newEngine(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.restore(r.data)
+		e.pool.Close()
+		if err == nil {
+			t.Fatalf("%s: payload restored", r.name)
+		}
+		if got := centerFacts(cfg.Centers); got != built {
+			t.Fatalf("%s: the refusal (%v) changed the centers:\n%s\nas built:\n%s", r.name, err, got, built)
+		}
+		dir := t.TempDir()
+		mgr, err := checkpoint.NewManager(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(mgr.Path(137), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg.CheckpointDir = dir
+		cfg.CheckpointEveryTicks = 50
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: resuming over the same Config: %v", r.name, err)
+		}
+		assertResultsEqual(t, ref, res)
+	}
 }
 
 // TestCheckpointResumeStaticMode covers the predictor-free path: a

@@ -51,16 +51,18 @@ func (c *Center) Release(l *Lease) bool {
 	return true
 }
 
-// Adopt re-creates a lease from checkpointed bookkeeping WITHOUT
-// touching the center's allocation or cost accounting — those are
-// restored wholesale by State, and double-counting
-// an adopted lease would corrupt both. Adoption order matters: it
-// fixes the shed order and the float summation order, so callers must
-// adopt in the original acquisition order.
-func (c *Center) Adopt(alloc Vector, start, expires time.Time, tag string) *Lease {
-	l := &Lease{Center: c, Alloc: alloc, Start: start, Expires: expires, Tag: tag}
-	c.push(l)
-	return l
+// Adopt makes a checkpointed center's state c's own: the scalar
+// accounting that State read into from, a scratch center built like c,
+// and the live leases, each naming c, in their original acquisition
+// order, which fixes the shed order and the float summation order. The
+// leases do not touch the allocation or the cost: both come wholesale
+// from from, and double-counting an adopted lease would corrupt them.
+func (c *Center) Adopt(from *Center, leases []*Lease) {
+	c.allocated, c.totalCost, c.watermark = from.allocated, from.totalCost, from.watermark
+	c.failDepth, c.degraded = from.failDepth, from.degraded
+	for _, l := range leases {
+		c.push(l)
+	}
 }
 
 // Tombstone builds an already-released lease remembering where a

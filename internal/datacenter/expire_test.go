@@ -88,8 +88,11 @@ func TestExpireMatchesScan(t *testing.T) {
 			case k < 48: // adopt a checkpointed lease with any window
 				start := clock.Add(-time.Duration(r.Intn(60)) * time.Minute)
 				expires := start.Add(time.Duration(1+r.Intn(120)) * time.Minute)
-				alloc := Vector{0.5}
-				la, lb = append(la, a.Adopt(alloc, start, expires, "t")), append(lb, b.Adopt(alloc, start, expires, "t"))
+				x := &Lease{Center: a, Alloc: Vector{0.5}, Start: start, Expires: expires, Tag: "t"}
+				y := &Lease{Center: b, Alloc: Vector{0.5}, Start: start, Expires: expires, Tag: "t"}
+				a.Adopt(a, []*Lease{x}) // each keeps its own accounting
+				b.Adopt(b, []*Lease{y})
+				la, lb = append(la, x), append(lb, y)
 			case k < 55: // hand back one live lease
 				if n := len(a.leases); n > 0 {
 					i := r.Intn(n)

@@ -41,32 +41,14 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 		// Numerical gradient for every weight and bias, on a frozen
 		// copy.
 		frozen := m.Clone()
-		numGradW := make([][][]float64, len(frozen.weights))
-		numGradB := make([][]float64, len(frozen.biases))
-		for l := range frozen.weights {
-			numGradW[l] = make([][]float64, len(frozen.weights[l]))
-			for j := range frozen.weights[l] {
-				numGradW[l][j] = make([]float64, len(frozen.weights[l][j]))
-				for i := range frozen.weights[l][j] {
-					orig := frozen.weights[l][j][i]
-					frozen.weights[l][j][i] = orig + h
-					up := loss(frozen)
-					frozen.weights[l][j][i] = orig - h
-					down := loss(frozen)
-					frozen.weights[l][j][i] = orig
-					numGradW[l][j][i] = (up - down) / (2 * h)
-				}
-			}
-			numGradB[l] = make([]float64, len(frozen.biases[l]))
-			for j := range frozen.biases[l] {
-				orig := frozen.biases[l][j]
-				frozen.biases[l][j] = orig + h
-				up := loss(frozen)
-				frozen.biases[l][j] = orig - h
-				down := loss(frozen)
-				frozen.biases[l][j] = orig
-				numGradB[l][j] = (up - down) / (2 * h)
-			}
+		numGrad := make([]float64, len(frozen.params))
+		for p, orig := range frozen.params {
+			frozen.params[p] = orig + h
+			up := loss(frozen)
+			frozen.params[p] = orig - h
+			down := loss(frozen)
+			frozen.params[p] = orig
+			numGrad[p] = (up - down) / (2 * h)
 		}
 
 		// Analytical gradient: one TrainClipped step at momentum 0 moves each
@@ -74,24 +56,12 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 		// signal is (out - target), i.e. half of d(Σ(out-t)²)/d(out).
 		before := m.Clone()
 		m.TrainClipped(in, target, lr, 0, 0)
-		for l := range m.weights {
-			for j := range m.weights[l] {
-				for i := range m.weights[l][j] {
-					applied := (before.weights[l][j][i] - m.weights[l][j][i]) / lr
-					want := numGradW[l][j][i] / 2
-					if math.Abs(applied-want) > tol*(1+math.Abs(want)) {
-						t.Fatalf("trial %d: weight[%d][%d][%d] gradient %v, numerical %v",
-							trial, l, j, i, applied, want)
-					}
-				}
-			}
-			for j := range m.biases[l] {
-				applied := (before.biases[l][j] - m.biases[l][j]) / lr
-				want := numGradB[l][j] / 2
-				if math.Abs(applied-want) > tol*(1+math.Abs(want)) {
-					t.Fatalf("trial %d: bias[%d][%d] gradient %v, numerical %v",
-						trial, l, j, applied, want)
-				}
+		for p := range m.params {
+			applied := (before.params[p] - m.params[p]) / lr
+			want := numGrad[p] / 2
+			if math.Abs(applied-want) > tol*(1+math.Abs(want)) {
+				t.Fatalf("trial %d: parameter %d gradient %v, numerical %v",
+					trial, p, applied, want)
 			}
 		}
 	}
@@ -116,11 +86,9 @@ func TestTrainClippedBoundsGradient(t *testing.T) {
 	move := func(m *MLP) float64 {
 		ref := mkNet()
 		var sum float64
-		for l := range m.weights {
-			for j := range m.weights[l] {
-				for i := range m.weights[l][j] {
-					sum += math.Abs(m.weights[l][j][i] - ref.weights[l][j][i])
-				}
+		for _, ly := range m.layers {
+			for i := ly.w; i < ly.b; i++ {
+				sum += math.Abs(m.params[i] - ref.params[i])
 			}
 		}
 		return sum

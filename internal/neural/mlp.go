@@ -13,28 +13,33 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"mmogdc/internal/xrand"
 )
 
 // MLP is a fully connected feed-forward network with tanh hidden
-// layers and a linear output layer, trained with SGD + momentum.
+// layers and a linear output layer, trained with SGD + momentum. Each
+// kind of state is one flat slice, indexed by each layer's span:
+// params holds every layer's weight rows (row j feeds neuron j) and
+// then its biases, vel their momentum, and acts and deltas every
+// layer's activations and backpropagated errors.
 type MLP struct {
-	sizes []int
-	// weights[l][j][i] connects layer l's input i to neuron j.
-	weights [][][]float64
-	biases  [][]float64
-	// momentum buffers, same shapes as weights/biases.
-	wVel [][][]float64
-	bVel [][]float64
-	// scratch per-layer activations and deltas, reused across calls.
-	acts   [][]float64
-	deltas [][]float64
-	// fwd reports that acts hold the forward pass of acts[0] under the
-	// current weights. Forward sets it; every weight update and Restore
-	// clear it, so TrainClipped can reuse the pass Predict just ran.
+	sizes        []int
+	layers       []span
+	params, vel  []float64
+	acts, deltas []float64
+	// fwd reports that acts hold the forward pass, under the current
+	// weights, of the input at their head. Forward sets it; every
+	// weight update and Restore clear it, so TrainClipped can reuse the
+	// pass Predict just ran.
 	fwd bool
 }
+
+// span locates one layer of in×out weights in an MLP's flat slices:
+// its weight rows at w and its biases at b in params and vel, its input
+// and output neurons at src and dst in acts and deltas.
+type span struct{ in, out, w, b, src, dst int }
 
 // NewMLP builds a network with the given layer sizes, e.g.
 // NewMLP(r, 6, 3, 1) for the paper's predictor. Weights are
@@ -49,29 +54,21 @@ func NewMLP(r *xrand.Rand, sizes ...int) (*MLP, error) {
 		}
 	}
 	m := &MLP{sizes: append([]int(nil), sizes...)}
+	np, na := 0, sizes[0]
 	for l := 0; l+1 < len(sizes); l++ {
 		in, out := sizes[l], sizes[l+1]
-		scale := math.Sqrt(2.0 / float64(in+out))
-		w := make([][]float64, out)
-		v := make([][]float64, out)
-		for j := range w {
-			w[j] = make([]float64, in)
-			v[j] = make([]float64, in)
-			for i := range w[j] {
-				w[j][i] = r.Norm(0, scale)
-			}
+		m.layers = append(m.layers, span{in: in, out: out, w: np, b: np + out*in, src: na - in, dst: na})
+		np += (in + 1) * out
+		na += out
+	}
+	m.params = make([]float64, np)
+	for _, ly := range m.layers {
+		scale := math.Sqrt(2.0 / float64(ly.in+ly.out))
+		for i := ly.w; i < ly.b; i++ {
+			m.params[i] = r.Norm(0, scale)
 		}
-		m.weights = append(m.weights, w)
-		m.wVel = append(m.wVel, v)
-		m.biases = append(m.biases, make([]float64, out))
-		m.bVel = append(m.bVel, make([]float64, out))
 	}
-	m.acts = make([][]float64, len(sizes))
-	m.deltas = make([][]float64, len(sizes))
-	for l, s := range sizes {
-		m.acts[l] = make([]float64, s)
-		m.deltas[l] = make([]float64, s)
-	}
+	m.vel, m.acts, m.deltas = make([]float64, np), make([]float64, na), make([]float64, na)
 	return m, nil
 }
 
@@ -81,20 +78,18 @@ func (m *MLP) Forward(in []float64) []float64 {
 	if len(in) != m.sizes[0] {
 		panic(fmt.Sprintf("neural: input size %d, want %d", len(in), m.sizes[0]))
 	}
-	copy(m.acts[0], in)
-	last := len(m.sizes) - 1
-	for l := 0; l < last; l++ {
-		w := m.weights[l]
-		b := m.biases[l]
-		src := m.acts[l]
-		dst := m.acts[l+1]
+	copy(m.acts, in)
+	for l, ly := range m.layers {
+		src := m.acts[ly.src:ly.dst]
+		dst := m.acts[ly.dst : ly.dst+ly.out]
+		b := m.params[ly.b : ly.b+ly.out]
 		for j := range dst {
 			sum := b[j]
-			wj := w[j]
+			wj := m.params[ly.w+j*ly.in:][:len(src)]
 			for i, x := range src {
 				sum += wj[i] * x
 			}
-			if l+1 == last {
+			if l+1 == len(m.layers) {
 				dst[j] = sum // linear output
 			} else {
 				dst[j] = math.Tanh(sum)
@@ -102,7 +97,7 @@ func (m *MLP) Forward(in []float64) []float64 {
 		}
 	}
 	m.fwd = true
-	return m.acts[last]
+	return m.acts[m.layers[len(m.layers)-1].dst:]
 }
 
 // TrainClipped runs one backpropagation step on a single (input,
@@ -119,9 +114,9 @@ func (m *MLP) Forward(in []float64) []float64 {
 // one step earlier), its activations are reused instead of recomputed:
 // the same operations on the same bits give the same values.
 func (m *MLP) TrainClipped(in, target []float64, lr, momentum, clip float64) float64 {
-	last := len(m.sizes) - 1
-	out := m.acts[last]
-	if !m.fwd || !sameBits(in, m.acts[0]) {
+	last := m.layers[len(m.layers)-1].dst
+	out := m.acts[last:]
+	if !m.fwd || !sameBits(in, m.acts[:m.sizes[0]]) {
 		out = m.Forward(in)
 	}
 	if len(target) != len(out) {
@@ -129,6 +124,7 @@ func (m *MLP) TrainClipped(in, target []float64, lr, momentum, clip float64) flo
 	}
 	m.fwd = false
 	var loss float64
+	delta := m.deltas[last:]
 	for j := range out {
 		err := out[j] - target[j]
 		loss += err * err
@@ -139,31 +135,29 @@ func (m *MLP) TrainClipped(in, target []float64, lr, momentum, clip float64) flo
 				err = -clip
 			}
 		}
-		m.deltas[last][j] = err // linear output: delta = error
+		delta[j] = err // linear output: delta = error
 	}
 	// Backpropagate through hidden layers (tanh derivative 1 - a^2).
-	for l := last - 1; l >= 1; l-- {
-		wNext := m.weights[l]
-		for i := range m.deltas[l] {
+	for l := len(m.layers) - 1; l >= 1; l-- {
+		ly := m.layers[l]
+		next := m.deltas[ly.dst : ly.dst+ly.out]
+		for i := 0; i < ly.in; i++ {
 			var sum float64
-			for j := range m.deltas[l+1] {
-				sum += wNext[j][i] * m.deltas[l+1][j]
+			for j, d := range next {
+				sum += m.params[ly.w+j*ly.in+i] * d
 			}
-			a := m.acts[l][i]
-			m.deltas[l][i] = sum * (1 - a*a)
+			a := m.acts[ly.src+i]
+			m.deltas[ly.src+i] = sum * (1 - a*a)
 		}
 	}
 	// Gradient descent with momentum.
-	for l := 0; l < last; l++ {
-		w := m.weights[l]
-		wv := m.wVel[l]
-		b := m.biases[l]
-		bv := m.bVel[l]
-		src := m.acts[l]
-		d := m.deltas[l+1]
-		for j := range w {
-			g := d[j]
-			wj, vj := w[j], wv[j]
+	for _, ly := range m.layers {
+		src := m.acts[ly.src:ly.dst]
+		d := m.deltas[ly.dst : ly.dst+ly.out]
+		b, bv := m.params[ly.b:ly.b+ly.out], m.vel[ly.b:ly.b+ly.out]
+		for j, g := range d {
+			wj := m.params[ly.w+j*ly.in:][:len(src)]
+			vj := m.vel[ly.w+j*ly.in:][:len(src)]
 			for i, x := range src {
 				vj[i] = momentum*vj[i] - lr*g*x
 				wj[i] += vj[i]
@@ -190,28 +184,17 @@ func sameBits(a, b []float64) bool {
 }
 
 // Clone returns a deep copy of the network (weights only; momentum
-// buffers are reset).
+// buffers are reset). The layer geometry, never written after NewMLP,
+// is shared.
 func (m *MLP) Clone() *MLP {
-	c := &MLP{sizes: append([]int(nil), m.sizes...)}
-	for l := range m.weights {
-		w := make([][]float64, len(m.weights[l]))
-		v := make([][]float64, len(m.weights[l]))
-		for j := range w {
-			w[j] = append([]float64(nil), m.weights[l][j]...)
-			v[j] = make([]float64, len(m.weights[l][j]))
-		}
-		c.weights = append(c.weights, w)
-		c.wVel = append(c.wVel, v)
-		c.biases = append(c.biases, append([]float64(nil), m.biases[l]...))
-		c.bVel = append(c.bVel, make([]float64, len(m.biases[l])))
+	return &MLP{
+		sizes:  m.sizes,
+		layers: m.layers,
+		params: slices.Clone(m.params),
+		vel:    make([]float64, len(m.vel)),
+		acts:   make([]float64, len(m.acts)),
+		deltas: make([]float64, len(m.deltas)),
 	}
-	c.acts = make([][]float64, len(c.sizes))
-	c.deltas = make([][]float64, len(c.sizes))
-	for l, s := range c.sizes {
-		c.acts[l] = make([]float64, s)
-		c.deltas[l] = make([]float64, s)
-	}
-	return c
 }
 
 // Sample is one supervised training example.
@@ -284,18 +267,32 @@ type TrainResult struct {
 // samples in sequence, adjusts the weights, and evaluates on the test
 // samples; training stops when the test loss stops improving (the
 // paper's convergence criterion) or MaxEras is reached. With no test
-// samples the train loss is used for the criterion.
+// samples the train loss is used for the criterion. A sample of the
+// wrong width panics before any weight moves. The training samples are
+// copied once into rows of input then target, padded to whole 64-byte
+// cache lines; an era's shuffle swaps the rows, so the era reads them
+// front to back.
 func (m *MLP) Fit(train, test []Sample, cfg TrainConfig) TrainResult {
 	c := cfg.withDefaults()
 	res := TrainResult{}
 	if len(train) == 0 {
 		return res
 	}
-	var shuffler *xrand.Rand
-	order := make([]int, len(train))
-	for i := range order {
-		order[i] = i
+	in, out := m.sizes[0], m.sizes[len(m.sizes)-1]
+	for _, set := range [][]Sample{train, test} {
+		for _, s := range set {
+			if len(s.In) != in || len(s.Target) != out {
+				panic(fmt.Sprintf("neural: sample of %d inputs and %d targets, want %d and %d", len(s.In), len(s.Target), in, out))
+			}
+		}
 	}
+	stride := (in + out + 7) &^ 7
+	rows := make([]float64, len(train)*stride)
+	for k, s := range train {
+		copy(rows[k*stride:], s.In)
+		copy(rows[k*stride+in:], s.Target)
+	}
+	var shuffler *xrand.Rand
 	if c.ShuffleSeed != 0 {
 		shuffler = xrand.New(c.ShuffleSeed)
 	}
@@ -303,13 +300,18 @@ func (m *MLP) Fit(train, test []Sample, cfg TrainConfig) TrainResult {
 	bad := 0
 	for era := 0; era < c.MaxEras; era++ {
 		if shuffler != nil {
-			shuffler.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			shuffler.Shuffle(len(train), func(i, j int) {
+				a, b := rows[i*stride:][:stride], rows[j*stride:][:stride]
+				for x := range a {
+					a[x], b[x] = b[x], a[x]
+				}
+			})
 		}
 		lr := c.LearningRate / (1 + c.LRDecay*float64(era))
 		var trainLoss float64
-		for _, idx := range order {
-			s := train[idx]
-			trainLoss += m.TrainClipped(s.In, s.Target, lr, c.Momentum, c.ErrorClip)
+		for r := 0; r < len(rows); r += stride {
+			row := rows[r : r+in+out]
+			trainLoss += m.TrainClipped(row[:in], row[in:], lr, c.Momentum, c.ErrorClip)
 		}
 		trainLoss /= float64(len(train))
 		testLoss := trainLoss

@@ -100,6 +100,37 @@ func TestTrainPanicsOnBadTarget(t *testing.T) {
 	m.TrainClipped([]float64{1, 2}, []float64{1, 2}, 0.1, 0, 0)
 }
 
+// TestFitPanicsOnWrongWidth hands Fit a training or test sample whose
+// input or target has the wrong width, last in its set: Fit must panic
+// before any weight moves.
+func TestFitPanicsOnWrongWidth(t *testing.T) {
+	good := Sample{In: []float64{0.1, 0.2}, Target: []float64{0.3}}
+	for name, bad := range map[string]Sample{
+		"short input": {In: []float64{0.1}, Target: []float64{0.3}},
+		"long target": {In: []float64{0.1, 0.2}, Target: []float64{0.3, 0.4}},
+	} {
+		for _, inTest := range []bool{false, true} {
+			m, _ := NewMLP(xrand.New(1), 2, 2, 1)
+			before := m.Snapshot()
+			train, test := []Sample{good, good, bad}, []Sample{good}
+			if inTest {
+				train, test = []Sample{good, good}, []Sample{good, bad}
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s (in the test set: %v) did not panic", name, inTest)
+					}
+				}()
+				m.Fit(train, test, TrainConfig{MaxEras: 3})
+			}()
+			if !bytes.Equal(m.Snapshot(), before) {
+				t.Fatalf("%s (in the test set: %v): weights moved before the panic", name, inTest)
+			}
+		}
+	}
+}
+
 func TestFitConvergence(t *testing.T) {
 	// An easy target should trigger the patience-based convergence
 	// criterion well before MaxEras.
@@ -192,7 +223,7 @@ func TestTrainReuseMatchesRecompute(t *testing.T) {
 		case k < 65: // Observe: train on the current window
 			target[0] = r.Norm(0, 0.5)
 			clip := 0.25 * float64(r.Intn(2))
-			if a.fwd && sameBits(x, a.acts[0]) {
+			if a.fwd && sameBits(x, a.acts[:len(x)]) {
 				reused++
 			} else {
 				recomputed++

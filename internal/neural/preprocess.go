@@ -76,7 +76,8 @@ func (p *PolySmoother) ProcessInto(dst, window []float64) {
 // is immutable once built, so every smoother shares it.
 type fitPlan struct {
 	n, k int
-	// pow[i*k+m] is i^m, formed by repeated multiplication.
+	// pow[m*n+i] is i^m, formed by repeated multiplication: row m is
+	// the weights of T[m].
 	pow []float64
 	// piv[col] is the row swapped into row col before col is
 	// eliminated.
@@ -107,7 +108,7 @@ func newFitPlan(n, k int) *fitPlan {
 		for m := 0; m < 2*k-1; m++ {
 			s[m] += pw
 			if m < k {
-				pl.pow[i*k+m] = pw
+				pl.pow[m*n+i] = pw
 			}
 			pw *= x
 		}
@@ -155,15 +156,14 @@ func newFitPlan(n, k int) *fitPlan {
 // same ones): every coefficient is bit-equal to the full elimination's,
 // infinite and subnormal samples included, and NaN where it is NaN.
 func (pl *fitPlan) solve(y, rhs, coef []float64) []float64 {
-	k := pl.k
+	k, n := pl.k, pl.n
 	for m := range rhs {
-		rhs[m] = 0
-	}
-	for i, yi := range y[:pl.n] {
-		pw := pl.pow[i*k:][:len(rhs)]
-		for m := range rhs {
-			rhs[m] += pw[m] * yi
+		pw := pl.pow[m*n:][:n]
+		var sum float64
+		for i, yi := range y[:n] {
+			sum += pw[i] * yi
 		}
+		rhs[m] = sum
 	}
 	for col := 0; col < k; col++ {
 		p := pl.piv[col]

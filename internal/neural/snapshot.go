@@ -31,10 +31,11 @@ func (m *MLP) Restore(data []byte) error {
 	return nil
 }
 
-// state writes or reads the snapshot layout. A reader reads the rows
-// into a clone's storage and commits them only once the whole payload
-// has been read, so a truncated snapshot cannot leave the network
-// half-restored.
+// state writes or reads the snapshot layout: per layer, each neuron's
+// weight row and its momentum, then the biases and their momentum. A
+// reader reads the rows into copies and commits them only once the
+// whole payload has been read, so a truncated snapshot cannot leave the
+// network half-restored.
 func (m *MLP) state(c *checkpoint.Codec) {
 	checkpoint.Expect(c, "mlp", "snapshot kind")
 	sizes := m.sizes
@@ -45,27 +46,21 @@ func (m *MLP) state(c *checkpoint.Codec) {
 	if c.Err() != nil {
 		return
 	}
-	n := m
+	params, vel := m.params, m.vel
 	if c.Reading() {
-		n = m.Clone()
+		params, vel = slices.Clone(params), slices.Clone(vel)
 	}
-	for l := range n.weights {
-		out, in := m.sizes[l+1], m.sizes[l]
-		for j := 0; j < out; j++ {
-			c.F64s(&n.weights[l][j])
-			c.F64s(&n.wVel[l][j])
-			if len(n.weights[l][j]) != in || len(n.wVel[l][j]) != in {
-				c.Failf("snapshot row width mismatch at layer %d", l)
-			}
+	for _, ly := range m.layers {
+		for r := ly.w; r < ly.b; r += ly.in {
+			c.F64Array(params[r : r+ly.in])
+			c.F64Array(vel[r : r+ly.in])
 		}
-		c.F64s(&n.biases[l])
-		c.F64s(&n.bVel[l])
-		if len(n.biases[l]) != out || len(n.bVel[l]) != out {
-			c.Failf("snapshot bias width mismatch at layer %d", l)
-		}
+		c.F64Array(params[ly.b : ly.b+ly.out])
+		c.F64Array(vel[ly.b : ly.b+ly.out])
 	}
 	if c.Commit() {
-		m.weights, m.wVel, m.biases, m.bVel = n.weights, n.wVel, n.biases, n.bVel
+		copy(m.params, params)
+		copy(m.vel, vel)
 		m.fwd = false
 	}
 }

@@ -1,10 +1,15 @@
 package predict
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mmogdc/internal/neural"
+	"mmogdc/internal/trace"
 )
 
 // syntheticZones builds z zones of length n with a shared oscillation
@@ -100,5 +105,33 @@ func TestPaperConfigs(t *testing.T) {
 	tc := PaperTrainConfig(5)
 	if tc.ShuffleSeed != 5 || tc.MaxEras == 0 {
 		t.Fatalf("train config wrong: %+v", tc)
+	}
+}
+
+// TestPretrainSharedMatchesCommitted pins the paper's pretrained
+// network: cmd/mmogsim's neural recipe for -days 1 -seed 1 (a one-day
+// shadow trace of seed 2, PaperNeuralConfig(4), PaperTrainConfig(3))
+// must give the TrainResult in testdata/pretrain-days1.txt, and a
+// factory predictor must snapshot to testdata/pretrain-days1.snap.
+func TestPretrainSharedMatchesCommitted(t *testing.T) {
+	shadow := trace.Generate(trace.Config{Seed: 2, Days: 1})
+	collected := make([][]float64, len(shadow.Groups))
+	for i, g := range shadow.Groups {
+		collected[i] = g.Load.Values
+	}
+	f, res := PretrainShared(PaperNeuralConfig(4), collected, 0.8, PaperTrainConfig(3))
+	want, err := os.ReadFile(filepath.Join("testdata", "pretrain-days1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%+v\n", res); got != string(want) {
+		t.Errorf("TrainResult %s, committed %s", got, want)
+	}
+	snap, err := os.ReadFile(filepath.Join("testdata", "pretrain-days1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f().(Stateful).Snapshot(); !bytes.Equal(got, snap) {
+		t.Errorf("the pretrained predictor's %d-byte snapshot differs from the committed %d bytes", len(got), len(snap))
 	}
 }

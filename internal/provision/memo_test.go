@@ -307,9 +307,10 @@ func TestMemoOutsideNanoRange(t *testing.T) {
 	var ref []*datacenter.Lease
 	for i, start := range ts {
 		for _, expires := range ts[i+1:] {
-			ref = append(ref, c.Adopt(datacenter.Vector{float64(1 + len(ref)%3)}, start, expires, "z"))
+			ref = append(ref, &datacenter.Lease{Center: c, Alloc: datacenter.Vector{float64(1 + len(ref)%3)}, Start: start, Expires: expires, Tag: "z"})
 		}
 	}
+	c.Adopt(c, ref)
 	s.SetLeases(slices.Clone(ref))
 	var lost []string
 	for _, now := range ts {

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Machine-readable benchmark snapshot, gated: run the core-engine,
-# checkpoint, and observability-overhead benchmarks, the matcher walk
+# neural pretraining, checkpoint, and observability-overhead
+# benchmarks, the matcher walk
 # at 10, 130 and 1000 centers, the provisioning step's steady-state
 # Prune + AllocAt, its tick with a lease ending (both rescan) and its
 # Acquire with decision provenance on, one Observe + Predict step of
@@ -24,7 +25,7 @@ cd "$(dirname "$0")/.."
 d=$(mktemp -d)
 trap 'rm -rf "$d"' EXIT
 
-go test -run '^$' -bench 'CoreRun|ObsOverhead' -benchtime 3x -benchmem . \
+go test -run '^$' -bench 'CoreRun|ObsOverhead|^BenchmarkPretrainShared$' -benchtime 3x -benchmem . \
     > "$d/bench.out"
 go test -run '^$' -bench Checkpoint -benchtime 3x -benchmem \
     ./internal/operator/ >> "$d/bench.out"

@@ -14,8 +14,8 @@
 #     cross-process merge) the same way;
 #   - a hostile blackout spec and fault config must be rejected or give
 #     a plan whose every window lies inside the run;
-#   - a corrupt core checkpoint payload must be refused or resume to a
-#     well-formed Result;
+#   - a corrupt core checkpoint payload must be refused, leaving the
+#     caller's centers as built, or resume to a well-formed Result;
 #   - a corrupt neural predictor snapshot must be refused or keep
 #     predicting and snapshot back to the same bytes;
 #   - so must any payload restored into a predictor of any of the nine
