@@ -8,6 +8,7 @@ package mmogdc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -238,23 +239,21 @@ func BenchmarkEmulatorDay(b *testing.B) {
 
 func BenchmarkMLPTrainingEra(b *testing.B) {
 	r := xrand.New(1)
-	m, err := neural.NewMLP(r, 6, 3, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	samples := make([]neural.Sample, 720)
-	for i := range samples {
-		in := make([]float64, 6)
-		for j := range in {
-			in[j] = r.Float64()
+	m := neural.NewMLP(r)
+	rows := make([]neural.Row, 720)
+	for i := range rows {
+		for j := range rows[i].In {
+			rows[i].In[j] = r.Float64()
 		}
-		samples[i] = neural.Sample{In: in, Target: []float64{r.Float64()}}
+		rows[i].Target = r.Float64()
 	}
+	target := make([]float64, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range samples {
-			m.TrainClipped(s.In, s.Target, 0.01, 0.5, 0)
+		for k := range rows {
+			target[0] = rows[k].Target
+			m.TrainClipped(rows[k].In[:], target, 0.01, 0.5, 0)
 		}
 	}
 }
@@ -274,6 +273,32 @@ func BenchmarkPretrainShared(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		predict.PretrainShared(predict.PaperNeuralConfig(4), collected, 0.8, predict.PaperTrainConfig(3))
+	}
+}
+
+// BenchmarkReferenceKernel is the ledger's yardstick: a fixed workload
+// that calls no mmogdc code — 65,536 xorshift keys sorted, then
+// counted by residue in a map — so its ns/op follows only the host.
+// scripts/benchgate gates every other row's ns/op by its ratio to this
+// row in the same snapshot.
+func BenchmarkReferenceKernel(b *testing.B) {
+	keys := make([]uint64, 1<<16)
+	counts := make(map[uint64]int, 1021)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := uint64(88172645463325252)
+		for k := range keys {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			keys[k] = x
+		}
+		slices.Sort(keys)
+		clear(counts)
+		for _, k := range keys {
+			counts[k%1021]++
+		}
 	}
 }
 

@@ -10,18 +10,18 @@ import (
 // Training the paper's (6,3,1) perceptron in eras until the
 // convergence criterion fires.
 func ExampleMLP_Fit() {
-	net, _ := neural.NewMLP(xrand.New(1), 2, 4, 1)
+	net := neural.NewMLP(xrand.New(1))
 
-	// A toy target: y = average of the two inputs.
-	var train, test []neural.Sample
+	// A toy target: y = average of the first two inputs.
+	var train, test []neural.Row
 	for i := 0; i < 64; i++ {
-		x1 := float64(i%8) / 8
-		x2 := float64(i/8) / 8
-		s := neural.Sample{In: []float64{x1, x2}, Target: []float64{(x1 + x2) / 2}}
+		var r neural.Row
+		r.In[0], r.In[1] = float64(i%8)/8, float64(i/8)/8
+		r.Target = (r.In[0] + r.In[1]) / 2
 		if i%5 == 0 {
-			test = append(test, s)
+			test = append(test, r)
 		} else {
-			train = append(train, s)
+			train = append(train, r)
 		}
 	}
 

@@ -9,10 +9,10 @@ import (
 	"mmogdc/internal/xrand"
 )
 
-// refFit is Fit in index order: each era shuffles a slice of sample
+// refFit is Fit in index order: each era shuffles a slice of row
 // indices and trains on train[order[k]]. It is kept as the reference
-// the row-block Fit must match bit for bit.
-func refFit(m *MLP, train, test []Sample, cfg TrainConfig) TrainResult {
+// the row-copying Fit must match bit for bit.
+func refFit(m *MLP, train, test []Row, cfg TrainConfig) TrainResult {
 	c := cfg.withDefaults()
 	res := TrainResult{}
 	if len(train) == 0 {
@@ -35,8 +35,8 @@ func refFit(m *MLP, train, test []Sample, cfg TrainConfig) TrainResult {
 		lr := c.LearningRate / (1 + c.LRDecay*float64(era))
 		var trainLoss float64
 		for _, idx := range order {
-			s := train[idx]
-			trainLoss += m.TrainClipped(s.In, s.Target, lr, c.Momentum, c.ErrorClip)
+			r := &train[idx]
+			trainLoss += m.TrainClipped(r.In[:], []float64{r.Target}, lr, c.Momentum, c.ErrorClip)
 		}
 		trainLoss /= float64(len(train))
 		testLoss := trainLoss
@@ -60,21 +60,16 @@ func refFit(m *MLP, train, test []Sample, cfg TrainConfig) TrainResult {
 	return res
 }
 
-// randomSamples draws n samples of the given widths, each with its own
-// input and target slices.
-func randomSamples(r *xrand.Rand, n, in, out int) []Sample {
-	s := make([]Sample, n)
-	for k := range s {
-		s[k].In = make([]float64, in)
-		for i := range s[k].In {
-			s[k].In[i] = r.Float64()
+// randomRows draws n rows of uniform inputs and normal targets.
+func randomRows(r *xrand.Rand, n int) []Row {
+	rows := make([]Row, n)
+	for k := range rows {
+		for i := range rows[k].In {
+			rows[k].In[i] = r.Float64()
 		}
-		s[k].Target = make([]float64, out)
-		for j := range s[k].Target {
-			s[k].Target[j] = r.Norm(0, 0.5)
-		}
+		rows[k].Target = r.Norm(0, 0.5)
 	}
-	return s
+	return rows
 }
 
 // sameResult reports whether two training results are equal, comparing
@@ -86,52 +81,44 @@ func sameResult(a, b TrainResult) bool {
 }
 
 // TestFitMatchesIndexedReference trains twin networks with Fit and with
-// refFit over layer shapes whose input and target fill exactly one
-// 64-byte line (6,3,1), less than one (1,2,1) and more than one
-// (9,5,3), on 1, 2, 7 and 1,000 samples, with and without shuffling,
-// error clipping, learning-rate decay and a test set. Each result must
-// equal the reference's and each network must snapshot to the same
-// bytes, and Fit must leave the samples it was handed as they were.
+// refFit on 1, 2, 7 and 1,000 rows, with and without shuffling, error
+// clipping, learning-rate decay and a test set. Each result must equal
+// the reference's and each network must snapshot to the same bytes,
+// and Fit must leave the rows it was handed as they were.
 func TestFitMatchesIndexedReference(t *testing.T) {
-	for _, shape := range [][]int{{6, 3, 1}, {1, 2, 1}, {9, 5, 3}} {
-		for _, n := range []int{1, 2, 7, 1000} {
-			r := xrand.New(uint64(100*n + len(shape)))
-			in, out := shape[0], shape[len(shape)-1]
-			train := randomSamples(r, n, in, out)
-			test := randomSamples(r, n/4+1, in, out)
-			for variant := 0; variant < 16; variant++ {
-				cfg := TrainConfig{MaxEras: 25, Patience: 6}
-				if variant&1 != 0 {
-					cfg.ShuffleSeed = uint64(7 + n)
-				}
-				if variant&2 != 0 {
-					cfg.ErrorClip = 0.25
-				}
-				if variant&4 != 0 {
-					cfg.LRDecay = 0.05
-				}
-				var ts []Sample
-				if variant&8 != 0 {
-					ts = test
-				}
-				name := fmt.Sprintf("%v/n=%d/variant=%d", shape, n, variant)
-				a, err := NewMLP(xrand.New(uint64(variant+1)), shape...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, _ := NewMLP(xrand.New(uint64(variant+1)), shape...)
-				before := fmt.Sprint(train, ts)
-				got := a.Fit(train, ts, cfg)
-				want := refFit(b, train, ts, cfg)
-				if !sameResult(got, want) {
-					t.Fatalf("%s: Fit %+v, reference %+v", name, got, want)
-				}
-				if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
-					t.Fatalf("%s: snapshot differs from the reference's", name)
-				}
-				if fmt.Sprint(train, ts) != before {
-					t.Fatalf("%s: Fit changed its samples", name)
-				}
+	for _, n := range []int{1, 2, 7, 1000} {
+		r := xrand.New(uint64(100*n + 3))
+		train := randomRows(r, n)
+		test := randomRows(r, n/4+1)
+		for variant := 0; variant < 16; variant++ {
+			cfg := TrainConfig{MaxEras: 25, Patience: 6}
+			if variant&1 != 0 {
+				cfg.ShuffleSeed = uint64(7 + n)
+			}
+			if variant&2 != 0 {
+				cfg.ErrorClip = 0.25
+			}
+			if variant&4 != 0 {
+				cfg.LRDecay = 0.05
+			}
+			var ts []Row
+			if variant&8 != 0 {
+				ts = test
+			}
+			name := fmt.Sprintf("n=%d/variant=%d", n, variant)
+			a := NewMLP(xrand.New(uint64(variant + 1)))
+			b := NewMLP(xrand.New(uint64(variant + 1)))
+			before := fmt.Sprint(train, ts)
+			got := a.Fit(train, ts, cfg)
+			want := refFit(&b, train, ts, cfg)
+			if !sameResult(got, want) {
+				t.Fatalf("%s: Fit %+v, reference %+v", name, got, want)
+			}
+			if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
+				t.Fatalf("%s: snapshot differs from the reference's", name)
+			}
+			if fmt.Sprint(train, ts) != before {
+				t.Fatalf("%s: Fit changed its rows", name)
 			}
 		}
 	}

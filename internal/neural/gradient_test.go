@@ -20,34 +20,31 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 		tol = 1e-4
 	)
 	for trial := 0; trial < 5; trial++ {
-		m, err := NewMLP(xrand.New(uint64(trial+1)), 4, 3, 2)
-		if err != nil {
-			t.Fatal(err)
+		m := NewMLP(xrand.New(uint64(trial + 1)))
+		in := make([]float64, Inputs)
+		for i := range in {
+			in[i] = r.Norm(0, 1)
 		}
-		in := []float64{r.Norm(0, 1), r.Norm(0, 1), r.Norm(0, 1), r.Norm(0, 1)}
-		target := []float64{r.Norm(0, 1), r.Norm(0, 1)}
+		target := r.Norm(0, 1)
 
 		// loss(w) with the current network weights.
 		loss := func(net *MLP) float64 {
-			out := net.Forward(in)
-			var l float64
-			for j := range out {
-				d := out[j] - target[j]
-				l += d * d
-			}
-			return l
+			d := net.Forward(in) - target
+			return d * d
 		}
 
 		// Numerical gradient for every weight and bias, on a frozen
 		// copy.
 		frozen := m.Clone()
-		numGrad := make([]float64, len(frozen.params))
-		for p, orig := range frozen.params {
-			frozen.params[p] = orig + h
-			up := loss(frozen)
-			frozen.params[p] = orig - h
-			down := loss(frozen)
-			frozen.params[p] = orig
+		fp := params(&frozen)
+		numGrad := make([]float64, len(fp))
+		for p, w := range fp {
+			orig := *w
+			*w = orig + h
+			up := loss(&frozen)
+			*w = orig - h
+			down := loss(&frozen)
+			*w = orig
 			numGrad[p] = (up - down) / (2 * h)
 		}
 
@@ -55,9 +52,10 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 		// weight by -lr * dLoss'/dw where the implementation's error
 		// signal is (out - target), i.e. half of d(Σ(out-t)²)/d(out).
 		before := m.Clone()
-		m.TrainClipped(in, target, lr, 0, 0)
-		for p := range m.params {
-			applied := (before.params[p] - m.params[p]) / lr
+		m.TrainClipped(in, []float64{target}, lr, 0, 0)
+		bp, mp := params(&before), params(&m)
+		for p := range mp {
+			applied := (*bp[p] - *mp[p]) / lr
 			want := numGrad[p] / 2
 			if math.Abs(applied-want) > tol*(1+math.Abs(want)) {
 				t.Fatalf("trial %d: parameter %d gradient %v, numerical %v",
@@ -67,14 +65,30 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 	}
 }
 
+// params returns pointers to every weight and bias of m in snapshot
+// order: the hidden weight rows, the hidden biases, the output weights
+// and the output bias.
+func params(m *MLP) []*float64 {
+	var ps []*float64
+	for j := range m.w1 {
+		for i := range m.w1[j] {
+			ps = append(ps, &m.w1[j][i])
+		}
+	}
+	for j := range m.b1 {
+		ps = append(ps, &m.b1[j])
+	}
+	for j := range m.w2 {
+		ps = append(ps, &m.w2[j])
+	}
+	return append(ps, &m.b2)
+}
+
 // TestTrainClippedBoundsGradient checks that clipping limits the
 // update magnitude on an outlier target.
 func TestTrainClippedBoundsGradient(t *testing.T) {
-	mkNet := func() *MLP {
-		m, _ := NewMLP(xrand.New(7), 2, 2, 1)
-		return m
-	}
-	in := []float64{0.5, -0.5}
+	mkNet := func() MLP { return NewMLP(xrand.New(7)) }
+	in := []float64{0.5, -0.5, 0.25, 0, -0.25, 0.5}
 	outlier := []float64{1000}
 
 	free := mkNet()
@@ -82,18 +96,19 @@ func TestTrainClippedBoundsGradient(t *testing.T) {
 	free.TrainClipped(in, outlier, 0.001, 0, 0)
 	clipped.TrainClipped(in, outlier, 0.001, 0, 0.5)
 
-	// Compare how far each network moved its first-layer weights.
+	// Compare how far each network moved its weights.
 	move := func(m *MLP) float64 {
 		ref := mkNet()
 		var sum float64
-		for _, ly := range m.layers {
-			for i := ly.w; i < ly.b; i++ {
-				sum += math.Abs(m.params[i] - ref.params[i])
+		for j := range m.w1 {
+			for i := range m.w1[j] {
+				sum += math.Abs(m.w1[j][i] - ref.w1[j][i])
 			}
+			sum += math.Abs(m.w2[j] - ref.w2[j])
 		}
 		return sum
 	}
-	if move(clipped) >= move(free)/10 {
-		t.Fatalf("clipping barely reduced the outlier update: %v vs %v", move(clipped), move(free))
+	if move(&clipped) >= move(&free)/10 {
+		t.Fatalf("clipping barely reduced the outlier update: %v vs %v", move(&clipped), move(&free))
 	}
 }

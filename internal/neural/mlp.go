@@ -10,7 +10,6 @@
 package neural
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -18,189 +17,186 @@ import (
 	"mmogdc/internal/xrand"
 )
 
-// MLP is a fully connected feed-forward network with tanh hidden
-// layers and a linear output layer, trained with SGD + momentum. Each
-// kind of state is one flat slice, indexed by each layer's span:
-// params holds every layer's weight rows (row j feeds neuron j) and
-// then its biases, vel their momentum, and acts and deltas every
-// layer's activations and backpropagated errors.
+// Inputs and Hidden are the paper's network shape (6,3,1): six input
+// neurons, three tanh hidden neurons and one linear output.
+const (
+	Inputs = 6
+	Hidden = 3
+)
+
+// MLP is the paper's (6,3,1) feed-forward network, trained with SGD +
+// momentum. Every weight, bias, momentum term and activation is a
+// fixed-size array of the struct, so a network is one value and its
+// passes are straight-line code over arrays.
 type MLP struct {
-	sizes        []int
-	layers       []span
-	params, vel  []float64
-	acts, deltas []float64
-	// fwd reports that acts hold the forward pass, under the current
-	// weights, of the input at their head. Forward sets it; every
-	// weight update and Restore clear it, so TrainClipped can reuse the
-	// pass Predict just ran.
+	// w1[j] is hidden neuron j's weight row and b1[j] its bias; w2 and
+	// b2 feed the output. v1, vb1, v2 and vb2 are their momentum.
+	w1, v1  [Hidden][Inputs]float64
+	b1, vb1 [Hidden]float64
+	w2, v2  [Hidden]float64
+	b2, vb2 float64
+	// in, h and out hold the last forward pass: its input, the hidden
+	// activations and the output.
+	in  [Inputs]float64
+	h   [Hidden]float64
+	out float64
+	// fwd reports that in, h and out hold the forward pass of in under
+	// the current weights. Forward sets it; every weight update and
+	// Restore clear it, so TrainClipped can reuse the pass Predict just
+	// ran.
 	fwd bool
 }
 
-// span locates one layer of in×out weights in an MLP's flat slices:
-// its weight rows at w and its biases at b in params and vel, its input
-// and output neurons at src and dst in acts and deltas.
-type span struct{ in, out, w, b, src, dst int }
-
-// NewMLP builds a network with the given layer sizes, e.g.
-// NewMLP(r, 6, 3, 1) for the paper's predictor. Weights are
-// initialized with Xavier-style scaling from r.
-func NewMLP(r *xrand.Rand, sizes ...int) (*MLP, error) {
-	if len(sizes) < 2 {
-		return nil, errors.New("neural: need at least input and output layers")
-	}
-	for _, s := range sizes {
-		if s < 1 {
-			return nil, fmt.Errorf("neural: invalid layer size %d", s)
+// NewMLP builds the paper's network with Xavier-style scaled weights
+// drawn from r: the hidden layer's row by row, then the output
+// layer's. The biases start at zero.
+func NewMLP(r *xrand.Rand) MLP {
+	var m MLP
+	scale := math.Sqrt(2.0 / float64(Inputs+Hidden))
+	for j := range m.w1 {
+		for i := range m.w1[j] {
+			m.w1[j][i] = r.Norm(0, scale)
 		}
 	}
-	m := &MLP{sizes: append([]int(nil), sizes...)}
-	np, na := 0, sizes[0]
-	for l := 0; l+1 < len(sizes); l++ {
-		in, out := sizes[l], sizes[l+1]
-		m.layers = append(m.layers, span{in: in, out: out, w: np, b: np + out*in, src: na - in, dst: na})
-		np += (in + 1) * out
-		na += out
+	scale = math.Sqrt(2.0 / float64(Hidden+1))
+	for j := range m.w2 {
+		m.w2[j] = r.Norm(0, scale)
 	}
-	m.params = make([]float64, np)
-	for _, ly := range m.layers {
-		scale := math.Sqrt(2.0 / float64(ly.in+ly.out))
-		for i := ly.w; i < ly.b; i++ {
-			m.params[i] = r.Norm(0, scale)
-		}
-	}
-	m.vel, m.acts, m.deltas = make([]float64, np), make([]float64, na), make([]float64, na)
-	return m, nil
+	return m
 }
 
-// Forward runs inference. The returned slice aliases internal scratch
-// storage and is valid until the next Forward or TrainClipped call.
-func (m *MLP) Forward(in []float64) []float64 {
-	if len(in) != m.sizes[0] {
-		panic(fmt.Sprintf("neural: input size %d, want %d", len(in), m.sizes[0]))
+// Forward runs inference on an input of Inputs values, panicking on any
+// other width.
+func (m *MLP) Forward(in []float64) float64 {
+	return m.forward(inputs(in))
+}
+
+// inputs returns in as an array, panicking on any other width.
+func inputs(in []float64) *[Inputs]float64 {
+	if len(in) != Inputs {
+		panic(fmt.Sprintf("neural: input size %d, want %d", len(in), Inputs))
 	}
-	copy(m.acts, in)
-	for l, ly := range m.layers {
-		src := m.acts[ly.src:ly.dst]
-		dst := m.acts[ly.dst : ly.dst+ly.out]
-		b := m.params[ly.b : ly.b+ly.out]
-		for j := range dst {
-			sum := b[j]
-			wj := m.params[ly.w+j*ly.in:][:len(src)]
-			for i, x := range src {
-				sum += wj[i] * x
-			}
-			if l+1 == len(m.layers) {
-				dst[j] = sum // linear output
-			} else {
-				dst[j] = math.Tanh(sum)
-			}
-		}
+	return (*[Inputs]float64)(in)
+}
+
+// forward is Forward on an array. Each hidden neuron's sum starts at
+// its bias and adds its weighted inputs in index order; the three sums
+// advance side by side, so their additions overlap.
+func (m *MLP) forward(in *[Inputs]float64) float64 {
+	m.in = *in
+	w := &m.w1
+	s0, s1, s2 := m.b1[0], m.b1[1], m.b1[2]
+	for i, x := range &m.in {
+		s0 += w[0][i] * x
+		s1 += w[1][i] * x
+		s2 += w[2][i] * x
 	}
+	m.h = [Hidden]float64{math.Tanh(s0), math.Tanh(s1), math.Tanh(s2)}
+	sum := m.b2
+	sum += m.w2[0] * m.h[0]
+	sum += m.w2[1] * m.h[1]
+	sum += m.w2[2] * m.h[2]
+	m.out = sum // linear output
 	m.fwd = true
-	return m.acts[m.layers[len(m.layers)-1].dst:]
+	return sum
 }
 
 // TrainClipped runs one backpropagation step on a single (input,
-// target) example and returns the pre-update squared error. With
-// clip > 0 the error driving the weight update is clamped to ±clip
-// (Huber-style; clip <= 0 disables clipping). Clipping bounds the
-// influence of heavy-tailed outliers, moving the regression from the
-// conditional mean toward the conditional median — which is what the
-// prediction-error metric (mean absolute error) rewards. The returned
-// loss is the unclipped squared error.
+// target) example, the target one value, and returns the pre-update
+// squared error. With clip > 0 the error driving the weight update is
+// clamped to ±clip (Huber-style; clip <= 0 disables clipping).
+// Clipping bounds the influence of heavy-tailed outliers, moving the
+// regression from the conditional mean toward the conditional median —
+// which is what the prediction-error metric (mean absolute error)
+// rewards. The returned loss is the unclipped squared error.
 //
 // When the last Forward ran on bit-identical input under the current
 // weights (the online predictor trains on the window it predicted from
 // one step earlier), its activations are reused instead of recomputed:
 // the same operations on the same bits give the same values.
 func (m *MLP) TrainClipped(in, target []float64, lr, momentum, clip float64) float64 {
-	last := m.layers[len(m.layers)-1].dst
-	out := m.acts[last:]
-	if !m.fwd || !sameBits(in, m.acts[:m.sizes[0]]) {
-		out = m.Forward(in)
+	x := inputs(in)
+	if len(target) != 1 {
+		panic(fmt.Sprintf("neural: target size %d, want 1", len(target)))
 	}
-	if len(target) != len(out) {
-		panic(fmt.Sprintf("neural: target size %d, want %d", len(target), len(out)))
+	return m.step(x, target[0], lr, momentum, clip)
+}
+
+// step is TrainClipped on an array and a scalar target.
+func (m *MLP) step(in *[Inputs]float64, target, lr, momentum, clip float64) float64 {
+	if !m.fwd || !sameBits(in, &m.in) {
+		m.forward(in)
 	}
 	m.fwd = false
+	g := m.out - target
 	var loss float64
-	delta := m.deltas[last:]
-	for j := range out {
-		err := out[j] - target[j]
-		loss += err * err
-		if clip > 0 {
-			if err > clip {
-				err = clip
-			} else if err < -clip {
-				err = -clip
-			}
-		}
-		delta[j] = err // linear output: delta = error
-	}
-	// Backpropagate through hidden layers (tanh derivative 1 - a^2).
-	for l := len(m.layers) - 1; l >= 1; l-- {
-		ly := m.layers[l]
-		next := m.deltas[ly.dst : ly.dst+ly.out]
-		for i := 0; i < ly.in; i++ {
-			var sum float64
-			for j, d := range next {
-				sum += m.params[ly.w+j*ly.in+i] * d
-			}
-			a := m.acts[ly.src+i]
-			m.deltas[ly.src+i] = sum * (1 - a*a)
+	loss += g * g
+	if clip > 0 {
+		if g > clip {
+			g = clip
+		} else if g < -clip {
+			g = -clip
 		}
 	}
-	// Gradient descent with momentum.
-	for _, ly := range m.layers {
-		src := m.acts[ly.src:ly.dst]
-		d := m.deltas[ly.dst : ly.dst+ly.out]
-		b, bv := m.params[ly.b:ly.b+ly.out], m.vel[ly.b:ly.b+ly.out]
-		for j, g := range d {
-			wj := m.params[ly.w+j*ly.in:][:len(src)]
-			vj := m.vel[ly.w+j*ly.in:][:len(src)]
-			for i, x := range src {
-				vj[i] = momentum*vj[i] - lr*g*x
-				wj[i] += vj[i]
-			}
-			bv[j] = momentum*bv[j] - lr*g
-			b[j] += bv[j]
-		}
+	// Backpropagate to the hidden layer (tanh derivative 1 - a^2).
+	var d [Hidden]float64
+	for i := range d {
+		var sum float64
+		sum += m.w2[i] * g
+		a := m.h[i]
+		d[i] = sum * (1 - a*a)
 	}
+	// Gradient descent with momentum, the hidden layer first.
+	x := &m.in
+	for j := range m.w1 {
+		w, v, gj := &m.w1[j], &m.v1[j], d[j]
+		v[0] = momentum*v[0] - lr*gj*x[0]
+		w[0] += v[0]
+		v[1] = momentum*v[1] - lr*gj*x[1]
+		w[1] += v[1]
+		v[2] = momentum*v[2] - lr*gj*x[2]
+		w[2] += v[2]
+		v[3] = momentum*v[3] - lr*gj*x[3]
+		w[3] += v[3]
+		v[4] = momentum*v[4] - lr*gj*x[4]
+		w[4] += v[4]
+		v[5] = momentum*v[5] - lr*gj*x[5]
+		w[5] += v[5]
+		m.vb1[j] = momentum*m.vb1[j] - lr*gj
+		m.b1[j] += m.vb1[j]
+	}
+	for i := range m.w2 {
+		m.v2[i] = momentum*m.v2[i] - lr*g*m.h[i]
+		m.w2[i] += m.v2[i]
+	}
+	m.vb2 = momentum*m.vb2 - lr*g
+	m.b2 += m.vb2
 	return loss
 }
 
 // sameBits reports whether a and b hold the same float64 bit patterns,
 // so -0 and +0 differ and a NaN matches only its own payload.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, x := range a {
-		if math.Float64bits(x) != math.Float64bits(b[i]) {
+func sameBits(a, b *[Inputs]float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// Clone returns a deep copy of the network (weights only; momentum
-// buffers are reset). The layer geometry, never written after NewMLP,
-// is shared.
-func (m *MLP) Clone() *MLP {
-	return &MLP{
-		sizes:  m.sizes,
-		layers: m.layers,
-		params: slices.Clone(m.params),
-		vel:    make([]float64, len(m.vel)),
-		acts:   make([]float64, len(m.acts)),
-		deltas: make([]float64, len(m.deltas)),
-	}
+// Clone returns a copy of the network's weights and biases; momentum,
+// activations and the forward-pass flag start at zero.
+func (m *MLP) Clone() MLP {
+	return MLP{w1: m.w1, b1: m.b1, w2: m.w2, b2: m.b2}
 }
 
-// Sample is one supervised training example.
-type Sample struct {
-	In     []float64
-	Target []float64
+// Row is one training example as Fit reads it: the input window, its
+// target, and a pad that makes the row one 64-byte cache line.
+type Row struct {
+	In     [Inputs]float64
+	Target float64
+	_      float64
 }
 
 // TrainConfig controls offline era-based training.
@@ -263,57 +259,38 @@ type TrainResult struct {
 	Converged bool
 }
 
-// Fit trains the network offline: each era presents all training
-// samples in sequence, adjusts the weights, and evaluates on the test
-// samples; training stops when the test loss stops improving (the
-// paper's convergence criterion) or MaxEras is reached. With no test
-// samples the train loss is used for the criterion. A sample of the
-// wrong width panics before any weight moves. The training samples are
-// copied once into rows of input then target, padded to whole 64-byte
-// cache lines; an era's shuffle swaps the rows, so the era reads them
-// front to back.
-func (m *MLP) Fit(train, test []Sample, cfg TrainConfig) TrainResult {
+// Fit trains the network offline: each era presents all training rows
+// in sequence, adjusts the weights, and evaluates on the test rows;
+// training stops when the test loss stops improving (the paper's
+// convergence criterion) or MaxEras is reached. With no test rows the
+// train loss is used for the criterion. With ShuffleSeed set, Fit
+// trains a copy of the training rows, which each era's shuffle
+// reorders, so the era reads them front to back. It changes neither the
+// training nor the test rows.
+func (m *MLP) Fit(train, test []Row, cfg TrainConfig) TrainResult {
 	c := cfg.withDefaults()
 	res := TrainResult{}
 	if len(train) == 0 {
 		return res
 	}
-	in, out := m.sizes[0], m.sizes[len(m.sizes)-1]
-	for _, set := range [][]Sample{train, test} {
-		for _, s := range set {
-			if len(s.In) != in || len(s.Target) != out {
-				panic(fmt.Sprintf("neural: sample of %d inputs and %d targets, want %d and %d", len(s.In), len(s.Target), in, out))
-			}
-		}
-	}
-	stride := (in + out + 7) &^ 7
-	rows := make([]float64, len(train)*stride)
-	for k, s := range train {
-		copy(rows[k*stride:], s.In)
-		copy(rows[k*stride+in:], s.Target)
-	}
+	rows := train
 	var shuffler *xrand.Rand
 	if c.ShuffleSeed != 0 {
+		rows = slices.Clone(train)
 		shuffler = xrand.New(c.ShuffleSeed)
 	}
 	best := math.Inf(1)
 	bad := 0
 	for era := 0; era < c.MaxEras; era++ {
 		if shuffler != nil {
-			shuffler.Shuffle(len(train), func(i, j int) {
-				a, b := rows[i*stride:][:stride], rows[j*stride:][:stride]
-				for x := range a {
-					a[x], b[x] = b[x], a[x]
-				}
-			})
+			shuffler.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 		}
 		lr := c.LearningRate / (1 + c.LRDecay*float64(era))
 		var trainLoss float64
-		for r := 0; r < len(rows); r += stride {
-			row := rows[r : r+in+out]
-			trainLoss += m.TrainClipped(row[:in], row[in:], lr, c.Momentum, c.ErrorClip)
+		for k := range rows {
+			trainLoss += m.step(&rows[k].In, rows[k].Target, lr, c.Momentum, c.ErrorClip)
 		}
-		trainLoss /= float64(len(train))
+		trainLoss /= float64(len(rows))
 		testLoss := trainLoss
 		if len(test) > 0 {
 			testLoss = m.Loss(test)
@@ -335,18 +312,15 @@ func (m *MLP) Fit(train, test []Sample, cfg TrainConfig) TrainResult {
 	return res
 }
 
-// Loss returns the mean squared error over the samples.
-func (m *MLP) Loss(samples []Sample) float64 {
-	if len(samples) == 0 {
+// Loss returns the mean squared error over the rows.
+func (m *MLP) Loss(rows []Row) float64 {
+	if len(rows) == 0 {
 		return 0
 	}
 	var total float64
-	for _, s := range samples {
-		out := m.Forward(s.In)
-		for j := range out {
-			d := out[j] - s.Target[j]
-			total += d * d
-		}
+	for k := range rows {
+		d := m.forward(&rows[k].In) - rows[k].Target
+		total += d * d
 	}
-	return total / float64(len(samples))
+	return total / float64(len(rows))
 }

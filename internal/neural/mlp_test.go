@@ -8,38 +8,16 @@ import (
 	"mmogdc/internal/xrand"
 )
 
-func TestNewMLPValidation(t *testing.T) {
-	r := xrand.New(1)
-	if _, err := NewMLP(r, 6); err == nil {
-		t.Error("single-layer network should be rejected")
-	}
-	if _, err := NewMLP(r, 6, 0, 1); err == nil {
-		t.Error("zero-width layer should be rejected")
-	}
-	m, err := NewMLP(r, 6, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := m.Forward(make([]float64, 6)); len(out) != 1 {
-		t.Fatalf("a (6,3,1) network gives %d outputs", len(out))
-	}
-}
-
 func TestForwardDeterministic(t *testing.T) {
-	m1, _ := NewMLP(xrand.New(5), 4, 3, 2)
-	m2, _ := NewMLP(xrand.New(5), 4, 3, 2)
-	in := []float64{0.1, -0.2, 0.3, 0.4}
-	o1 := append([]float64(nil), m1.Forward(in)...)
-	o2 := m2.Forward(in)
-	for i := range o1 {
-		if o1[i] != o2[i] {
-			t.Fatalf("same-seed networks disagree at output %d", i)
-		}
+	m1, m2 := NewMLP(xrand.New(5)), NewMLP(xrand.New(5))
+	in := []float64{0.1, -0.2, 0.3, 0.4, -0.5, 0.6}
+	if o1, o2 := m1.Forward(in), m2.Forward(in); o1 != o2 {
+		t.Fatalf("same-seed networks disagree: %v and %v", o1, o2)
 	}
 }
 
 func TestForwardPanicsOnBadInput(t *testing.T) {
-	m, _ := NewMLP(xrand.New(1), 3, 2, 1)
+	m := NewMLP(xrand.New(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("wrong-size input did not panic")
@@ -49,14 +27,17 @@ func TestForwardPanicsOnBadInput(t *testing.T) {
 }
 
 func TestTrainReducesLossOnLinearFunction(t *testing.T) {
-	m, _ := NewMLP(xrand.New(7), 2, 4, 1)
-	f := func(x, y float64) float64 { return 0.3*x - 0.2*y + 0.1 }
+	m := NewMLP(xrand.New(7))
+	f := func(x []float64) float64 { return 0.3*x[0] - 0.2*x[3] + 0.1*x[5] + 0.1 }
 	r := xrand.New(8)
+	x := make([]float64, Inputs)
 	var first, last float64
 	const steps = 4000
 	for i := 0; i < steps; i++ {
-		x, y := r.Float64(), r.Float64()
-		loss := m.TrainClipped([]float64{x, y}, []float64{f(x, y)}, 0.05, 0.5, 0)
+		for k := range x {
+			x[k] = r.Float64()
+		}
+		loss := m.TrainClipped(x, []float64{f(x)}, 0.05, 0.5, 0)
 		if i < 100 {
 			first += loss
 		}
@@ -69,80 +50,56 @@ func TestTrainReducesLossOnLinearFunction(t *testing.T) {
 	}
 }
 
-func TestTrainLearnsNonlinearFunction(t *testing.T) {
-	// XOR-like target requires the hidden layer.
-	m, _ := NewMLP(xrand.New(11), 2, 6, 1)
-	data := []Sample{
-		{In: []float64{0, 0}, Target: []float64{0}},
-		{In: []float64{0, 1}, Target: []float64{1}},
-		{In: []float64{1, 0}, Target: []float64{1}},
-		{In: []float64{1, 1}, Target: []float64{0}},
+// xorRows is XOR over the first two inputs, the other four held at
+// zero.
+func xorRows() []Row {
+	var rows []Row
+	for _, c := range [][3]float64{{0, 0, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0}} {
+		var r Row
+		r.In[0], r.In[1], r.Target = c[0], c[1], c[2]
+		rows = append(rows, r)
 	}
+	return rows
+}
+
+func TestTrainLearnsNonlinearFunction(t *testing.T) {
+	// XOR requires the hidden layer.
+	m := NewMLP(xrand.New(12))
+	data := xorRows()
 	res := m.Fit(data, nil, TrainConfig{LearningRate: 0.1, Momentum: 0.5, MaxEras: 4000, Patience: 4000})
 	if res.TrainLoss > 0.03 {
 		t.Fatalf("XOR loss after %d eras = %v", res.Eras, res.TrainLoss)
 	}
-	for _, s := range data {
-		out := m.Forward(s.In)[0]
-		if math.Abs(out-s.Target[0]) > 0.3 {
-			t.Errorf("XOR(%v) = %v, want %v", s.In, out, s.Target[0])
+	for _, r := range data {
+		if out := m.Forward(r.In[:]); math.Abs(out-r.Target) > 0.3 {
+			t.Errorf("XOR(%v) = %v, want %v", r.In[:2], out, r.Target)
 		}
 	}
 }
 
 func TestTrainPanicsOnBadTarget(t *testing.T) {
-	m, _ := NewMLP(xrand.New(1), 2, 2, 1)
+	m := NewMLP(xrand.New(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("wrong-size target did not panic")
 		}
 	}()
-	m.TrainClipped([]float64{1, 2}, []float64{1, 2}, 0.1, 0, 0)
-}
-
-// TestFitPanicsOnWrongWidth hands Fit a training or test sample whose
-// input or target has the wrong width, last in its set: Fit must panic
-// before any weight moves.
-func TestFitPanicsOnWrongWidth(t *testing.T) {
-	good := Sample{In: []float64{0.1, 0.2}, Target: []float64{0.3}}
-	for name, bad := range map[string]Sample{
-		"short input": {In: []float64{0.1}, Target: []float64{0.3}},
-		"long target": {In: []float64{0.1, 0.2}, Target: []float64{0.3, 0.4}},
-	} {
-		for _, inTest := range []bool{false, true} {
-			m, _ := NewMLP(xrand.New(1), 2, 2, 1)
-			before := m.Snapshot()
-			train, test := []Sample{good, good, bad}, []Sample{good}
-			if inTest {
-				train, test = []Sample{good, good}, []Sample{good, bad}
-			}
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("%s (in the test set: %v) did not panic", name, inTest)
-					}
-				}()
-				m.Fit(train, test, TrainConfig{MaxEras: 3})
-			}()
-			if !bytes.Equal(m.Snapshot(), before) {
-				t.Fatalf("%s (in the test set: %v): weights moved before the panic", name, inTest)
-			}
-		}
-	}
+	m.TrainClipped(make([]float64, Inputs), []float64{1, 2}, 0.1, 0, 0)
 }
 
 func TestFitConvergence(t *testing.T) {
 	// An easy target should trigger the patience-based convergence
 	// criterion well before MaxEras.
-	m, _ := NewMLP(xrand.New(13), 1, 2, 1)
-	var train, test []Sample
+	m := NewMLP(xrand.New(13))
+	var train, test []Row
 	for i := 0; i < 32; i++ {
+		var r Row
 		x := float64(i) / 32
-		s := Sample{In: []float64{x}, Target: []float64{0.5 * x}}
+		r.In[0], r.Target = x, 0.5*x
 		if i%4 == 0 {
-			test = append(test, s)
+			test = append(test, r)
 		} else {
-			train = append(train, s)
+			train = append(train, r)
 		}
 	}
 	res := m.Fit(train, test, TrainConfig{MaxEras: 2000})
@@ -155,7 +112,7 @@ func TestFitConvergence(t *testing.T) {
 }
 
 func TestFitEmptyTrainSet(t *testing.T) {
-	m, _ := NewMLP(xrand.New(1), 1, 1, 1)
+	m := NewMLP(xrand.New(1))
 	res := m.Fit(nil, nil, TrainConfig{})
 	if res.Eras != 0 || res.Converged {
 		t.Fatalf("empty fit result = %+v", res)
@@ -163,26 +120,25 @@ func TestFitEmptyTrainSet(t *testing.T) {
 }
 
 func TestLossEmpty(t *testing.T) {
-	m, _ := NewMLP(xrand.New(1), 1, 1, 1)
+	m := NewMLP(xrand.New(1))
 	if m.Loss(nil) != 0 {
 		t.Fatal("Loss(nil) should be 0")
 	}
 }
 
 func TestCloneIndependent(t *testing.T) {
-	m, _ := NewMLP(xrand.New(17), 2, 3, 1)
-	in := []float64{0.4, -0.1}
-	before := m.Forward(in)[0]
+	m := NewMLP(xrand.New(17))
+	in := []float64{0.4, -0.1, 0.2, 0, 0.3, -0.6}
+	before := m.Forward(in)
 	c := m.Clone()
 	// Training the clone must not affect the original.
 	for i := 0; i < 100; i++ {
 		c.TrainClipped(in, []float64{2}, 0.1, 0.5, 0)
 	}
-	after := m.Forward(in)[0]
-	if before != after {
+	if after := m.Forward(in); before != after {
 		t.Fatal("training the clone changed the original")
 	}
-	if c.Forward(in)[0] == before {
+	if c.Forward(in) == before {
 		t.Fatal("clone did not learn")
 	}
 }
@@ -196,9 +152,9 @@ func TestCloneIndependent(t *testing.T) {
 // must stay bit-equal, so the reuse never fires on a stale pass.
 func TestTrainReuseMatchesRecompute(t *testing.T) {
 	r := xrand.New(41)
-	a, _ := NewMLP(xrand.New(1), 6, 3, 1)
+	a := NewMLP(xrand.New(1))
 	b := a.Clone()
-	other, _ := NewMLP(xrand.New(2), 6, 3, 1)
+	other := NewMLP(xrand.New(2))
 	x := make([]float64, 6)
 	y := make([]float64, 6)
 	fill := func(v []float64) {
@@ -216,14 +172,14 @@ func TestTrainReuseMatchesRecompute(t *testing.T) {
 		switch k := r.Intn(100); {
 		case k < 30: // Predict on a new window
 			fill(x)
-			oa, ob := a.Forward(x)[0], b.Forward(x)[0]
+			oa, ob := a.Forward(x), b.Forward(x)
 			if math.Float64bits(oa) != math.Float64bits(ob) {
 				t.Fatalf("step %d: Forward %v, recomputing clone %v", step, oa, ob)
 			}
 		case k < 65: // Observe: train on the current window
 			target[0] = r.Norm(0, 0.5)
 			clip := 0.25 * float64(r.Intn(2))
-			if a.fwd && sameBits(x, a.acts[:len(x)]) {
+			if a.fwd && sameBits((*[Inputs]float64)(x), &a.in) {
 				reused++
 			} else {
 				recomputed++
@@ -240,7 +196,7 @@ func TestTrainReuseMatchesRecompute(t *testing.T) {
 			b.Forward(y)
 		case k < 82: // a Loss on another input
 			fill(y)
-			s := []Sample{{In: y, Target: []float64{0.1}}}
+			s := []Row{{In: [Inputs]float64(y), Target: 0.1}}
 			if la, lb := a.Loss(s), b.Loss(s); math.Float64bits(la) != math.Float64bits(lb) {
 				t.Fatalf("step %d: Loss %v, recomputing clone %v", step, la, lb)
 			}
@@ -268,7 +224,7 @@ func TestTrainReuseMatchesRecompute(t *testing.T) {
 }
 
 func BenchmarkForward631(b *testing.B) {
-	m, _ := NewMLP(xrand.New(1), 6, 3, 1)
+	m := NewMLP(xrand.New(1))
 	in := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -277,7 +233,7 @@ func BenchmarkForward631(b *testing.B) {
 }
 
 func BenchmarkTrain631(b *testing.B) {
-	m, _ := NewMLP(xrand.New(1), 6, 3, 1)
+	m := NewMLP(xrand.New(1))
 	in := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
 	target := []float64{0.35}
 	b.ResetTimer()

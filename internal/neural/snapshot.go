@@ -18,10 +18,9 @@ func (m *MLP) Snapshot() []byte {
 	return c.Data()
 }
 
-// Restore overwrites the network's learned state with a Snapshot. The
-// layer structure must match the receiver's — a snapshot from a
-// differently shaped network is rejected, not silently truncated — and
-// a rejected snapshot leaves the network as it was.
+// Restore overwrites the network's learned state with a Snapshot. A
+// snapshot of any shape but (6,3,1) is rejected, not silently
+// truncated, and a rejected snapshot leaves the network as it was.
 func (m *MLP) Restore(data []byte) error {
 	c := checkpoint.NewReader(data)
 	m.state(c)
@@ -31,36 +30,37 @@ func (m *MLP) Restore(data []byte) error {
 	return nil
 }
 
-// state writes or reads the snapshot layout: per layer, each neuron's
-// weight row and its momentum, then the biases and their momentum. A
-// reader reads the rows into copies and commits them only once the
-// whole payload has been read, so a truncated snapshot cannot leave the
-// network half-restored.
+// state writes or reads the snapshot layout: the layer sizes (6,3,1),
+// then per layer each neuron's weight row and its momentum, then the
+// biases and their momentum. A reader reads into a copy of the network
+// and commits it only once the whole payload has been read, so a
+// refused snapshot cannot leave the network half-restored.
 func (m *MLP) state(c *checkpoint.Codec) {
 	checkpoint.Expect(c, "mlp", "snapshot kind")
-	sizes := m.sizes
+	shape := []int{Inputs, Hidden, 1}
+	sizes := shape
 	c.Ints(&sizes)
-	if !slices.Equal(sizes, m.sizes) {
-		c.Failf("snapshot layers %v, network %v", sizes, m.sizes)
+	if !slices.Equal(sizes, shape) {
+		c.Failf("snapshot layers %v, network %v", sizes, shape)
 	}
 	if c.Err() != nil {
 		return
 	}
-	params, vel := m.params, m.vel
-	if c.Reading() {
-		params, vel = slices.Clone(params), slices.Clone(vel)
+	q := *m
+	for j := range q.w1 {
+		c.F64Array(q.w1[j][:])
+		c.F64Array(q.v1[j][:])
 	}
-	for _, ly := range m.layers {
-		for r := ly.w; r < ly.b; r += ly.in {
-			c.F64Array(params[r : r+ly.in])
-			c.F64Array(vel[r : r+ly.in])
-		}
-		c.F64Array(params[ly.b : ly.b+ly.out])
-		c.F64Array(vel[ly.b : ly.b+ly.out])
-	}
+	c.F64Array(q.b1[:])
+	c.F64Array(q.vb1[:])
+	c.F64Array(q.w2[:])
+	c.F64Array(q.v2[:])
+	b2, vb2 := [1]float64{q.b2}, [1]float64{q.vb2}
+	c.F64Array(b2[:])
+	c.F64Array(vb2[:])
 	if c.Commit() {
-		copy(m.params, params)
-		copy(m.vel, vel)
-		m.fwd = false
+		q.b2, q.vb2 = b2[0], vb2[0]
+		q.fwd = false
+		*m = q
 	}
 }

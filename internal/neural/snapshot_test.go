@@ -45,12 +45,34 @@ func writeRows(sizes []int, rows [][]float64) []byte {
 	return c.Data()
 }
 
-// TestMLPRestoreRefusals restores into a trained (6,3,1) network a
-// snapshot of another layer shape, each snapshot whose weight, momentum
-// or bias row is one float short or one float long, every truncation
-// of a valid snapshot and the valid snapshot padded by a byte. Each must be refused, and the
-// network's next Forward and Snapshot must be those of an untouched
-// twin.
+// shapeRows draws the rows of a snapshot of the given layer sizes, in
+// the snapshot layout.
+func shapeRows(r *xrand.Rand, sizes []int) [][]float64 {
+	var rows [][]float64
+	row := func(n int) {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = r.Norm(0, 0.5)
+		}
+		rows = append(rows, v)
+	}
+	for l := 0; l+1 < len(sizes); l++ {
+		for j := 0; j < sizes[l+1]; j++ {
+			row(sizes[l])
+			row(sizes[l])
+		}
+		row(sizes[l+1])
+		row(sizes[l+1])
+	}
+	return rows
+}
+
+// TestMLPRestoreRefusals restores into a trained (6,3,1) network
+// snapshots of the layer shapes [6 4 1], [4 3 2] and [6 3], each
+// snapshot whose weight, momentum or bias row is one float short or one
+// float long, every truncation of a valid snapshot and the valid
+// snapshot padded by a byte. Each must be refused, and the network's
+// next Forward and Snapshot must be those of an untouched twin.
 func TestMLPRestoreRefusals(t *testing.T) {
 	r := xrand.New(3)
 	train := func(m *MLP) {
@@ -58,12 +80,10 @@ func TestMLPRestoreRefusals(t *testing.T) {
 			m.TrainClipped([]float64{0.1, 0.2, 0.3, 0.4, 0.5, float64(i) / 50}, []float64{0.3}, 0.05, 0.5, 0)
 		}
 	}
-	net, _ := NewMLP(xrand.New(1), 6, 3, 1)
-	twin, _ := NewMLP(xrand.New(1), 6, 3, 1)
-	train(net)
-	train(twin)
-	donor, _ := NewMLP(xrand.New(2), 6, 3, 1)
-	train(donor)
+	net, twin, donor := NewMLP(xrand.New(1)), NewMLP(xrand.New(1)), NewMLP(xrand.New(2))
+	train(&net)
+	train(&twin)
+	train(&donor)
 	valid := donor.Snapshot()
 
 	sizes, rows := snapshotRows(t, valid)
@@ -74,8 +94,10 @@ func TestMLPRestoreRefusals(t *testing.T) {
 		name string
 		data []byte
 	}
-	other, _ := NewMLP(xrand.New(2), 6, 4, 1)
-	bad := []refusal{{"layers 6,4,1", other.Snapshot()}}
+	var bad []refusal
+	for _, shape := range [][]int{{6, 4, 1}, {4, 3, 2}, {6, 3}} {
+		bad = append(bad, refusal{fmt.Sprintf("layers %v", shape), writeRows(shape, shapeRows(r, shape))})
+	}
 	for k := range rows {
 		short := slices.Clone(rows)
 		short[k] = rows[k][:len(rows[k])-1]
@@ -99,7 +121,7 @@ func TestMLPRestoreRefusals(t *testing.T) {
 		for i := range in {
 			in[i] = r.Float64()
 		}
-		got, want := net.Forward(in)[0], twin.Forward(in)[0]
+		got, want := net.Forward(in), twin.Forward(in)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: Forward after the refusal %v, untouched twin %v", name, got, want)
 		}

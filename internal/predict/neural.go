@@ -11,11 +11,6 @@ import (
 type NeuralConfig struct {
 	// Seed initializes the network weights deterministically.
 	Seed uint64
-	// Window is the number of past samples fed to the network; the
-	// paper's structure is (6, 3, 1).
-	Window int
-	// Hidden is the hidden-layer width.
-	Hidden int
 	// Capacity normalizes inputs into the network's working range;
 	// use the signal's plausible maximum (e.g. zone capacity).
 	Capacity float64
@@ -44,12 +39,6 @@ type NeuralConfig struct {
 const onlineMomentum = 0.5
 
 func (c NeuralConfig) withDefaults() NeuralConfig {
-	if c.Window == 0 {
-		c.Window = 6
-	}
-	if c.Hidden == 0 {
-		c.Hidden = 3
-	}
 	if c.Capacity == 0 {
 		c.Capacity = 2000
 	}
@@ -79,22 +68,23 @@ func (c NeuralConfig) withDefaults() NeuralConfig {
 // the last-value predictor when it outputs zero, and it learns trends
 // and mean-reversion as corrections.
 type Neural struct {
-	cfg    NeuralConfig
-	net    *neural.MLP
-	pre    neural.Preprocessor
-	norm   neural.Normalizer
-	window []float64 // normalized history, newest last
+	cfg  NeuralConfig
+	net  neural.MLP
+	pre  neural.Preprocessor
+	norm neural.Normalizer
+	// window is the normalized history, oldest first: its first
+	// min(seen, neural.Inputs) entries hold the samples seen.
+	window [neural.Inputs]float64
 	seen   int
-	// prevIn holds the input window that produced the previous
+	// prevIn holds the smoothed window that produced the previous
 	// prediction, i.e. the training input once the actual arrives;
 	// prevLast is the normalized last value of that window (the
-	// baseline the residual is added to).
-	prevIn   []float64
+	// baseline the residual is added to). Both are set once the window
+	// is full.
+	prevIn   [neural.Inputs]float64
 	prevLast float64
-	havePre  bool
-	// targetBuf is the reusable one-element training-target slice; the
-	// network does not retain it across calls.
-	targetBuf []float64
+	// target is the one-value training target.
+	target [1]float64
 }
 
 // NewNeural returns a neural predictor factory.
@@ -104,15 +94,18 @@ func NewNeural(cfg NeuralConfig) Factory {
 	}
 }
 
-// MustNeural builds a neural predictor, panicking on invalid
-// configuration (the configs in this repository are static).
+// MustNeural builds a neural predictor with a network drawn from
+// cfg.Seed, panicking on invalid configuration (the configs in this
+// repository are static).
 func MustNeural(cfg NeuralConfig) *Neural {
+	p := newNeural(cfg)
+	p.net = neural.NewMLP(xrand.New(p.cfg.Seed))
+	return p
+}
+
+// newNeural builds a neural predictor around a zero network.
+func newNeural(cfg NeuralConfig) *Neural {
 	c := cfg.withDefaults()
-	r := xrand.New(c.Seed)
-	net, err := neural.NewMLP(r, c.Window, c.Hidden, 1)
-	if err != nil {
-		panic(err)
-	}
 	norm, err := neural.NewNormalizer(c.Capacity)
 	if err != nil {
 		panic(err)
@@ -123,15 +116,7 @@ func MustNeural(cfg NeuralConfig) *Neural {
 		// scratch, so each Neural owns its preprocessor exclusively.
 		pre = &neural.PolySmoother{Degree: c.Degree}
 	}
-	return &Neural{
-		cfg:       c,
-		net:       net,
-		pre:       pre,
-		norm:      norm,
-		window:    make([]float64, 0, c.Window),
-		prevIn:    make([]float64, c.Window),
-		targetBuf: make([]float64, 1),
-	}
+	return &Neural{cfg: c, pre: pre, norm: norm}
 }
 
 // Name implements Predictor.
@@ -143,23 +128,22 @@ func (p *Neural) Observe(v float64) {
 	// Online training: the window that preceded this observation
 	// should have predicted it. Training starts one sample after the
 	// window first fills.
-	if p.havePre && p.seen > p.cfg.Window {
-		p.targetBuf[0] = (nv - p.prevLast) * p.cfg.OutputScale
-		p.net.TrainClipped(p.prevIn, p.targetBuf, p.cfg.OnlineLearningRate, onlineMomentum, p.cfg.ErrorClip)
+	if p.seen > neural.Inputs {
+		p.target[0] = (nv - p.prevLast) * p.cfg.OutputScale
+		p.net.TrainClipped(p.prevIn[:], p.target[:], p.cfg.OnlineLearningRate, onlineMomentum, p.cfg.ErrorClip)
 	}
-	if len(p.window) == p.cfg.Window {
-		copy(p.window, p.window[1:])
-		p.window[len(p.window)-1] = nv
+	if p.seen >= neural.Inputs {
+		copy(p.window[:], p.window[1:])
+		p.window[neural.Inputs-1] = nv
 	} else {
-		p.window = append(p.window, nv)
+		p.window[p.seen] = nv
 	}
 	if p.seen < math.MaxInt { // a restored count can sit at the top
 		p.seen++
 	}
-	if len(p.window) == p.cfg.Window {
-		p.pre.ProcessInto(p.prevIn, p.window)
-		p.prevLast = p.window[len(p.window)-1]
-		p.havePre = true
+	if p.seen >= neural.Inputs {
+		p.pre.ProcessInto(p.prevIn[:], p.window[:])
+		p.prevLast = p.window[neural.Inputs-1]
 	}
 }
 
@@ -168,49 +152,60 @@ func (p *Neural) Predict() float64 {
 	if p.seen == 0 {
 		return 0
 	}
-	if !p.havePre {
+	if p.seen < neural.Inputs {
 		// Window not yet full: fall back to the last value.
-		return p.norm.Denorm(p.window[len(p.window)-1])
+		return p.norm.Denorm(p.window[p.seen-1])
 	}
-	return p.norm.Denorm(p.net.Forward(p.prevIn)[0]/p.cfg.OutputScale + p.prevLast)
+	return p.norm.Denorm(p.net.Forward(p.prevIn[:])/p.cfg.OutputScale + p.prevLast)
 }
 
 // pretrain trains the network offline on the examples of every signal,
-// in order: each smoothed, normalized window of Window samples, with
-// the (scaled) step to the next sample as its target. The examples share
-// one backing array; the first trainFraction of them (0.8 when out of
-// range) form the training set and the rest the test set.
+// in order: each smoothed, normalized window of neural.Inputs samples,
+// with the (scaled) step to the next sample as its target. An example
+// whose window or next sample holds a NaN or an infinity is left out.
+// Each example is written once, into the row Fit trains from; the first
+// trainFraction of them (0.8 when out of range) form the training set
+// and the rest the test set.
 func (p *Neural) pretrain(signals [][]float64, trainFraction float64, cfg neural.TrainConfig) neural.TrainResult {
-	w := p.cfg.Window
-	count := 0
+	const w = neural.Inputs
+	n := 0
 	for _, signal := range signals {
-		count += max(len(signal)-w, 0)
+		n += max(len(signal)-w, 0)
 	}
-	if count == 0 {
-		return neural.TrainResult{}
-	}
-	samples := make([]neural.Sample, 0, count)
-	buf := make([]float64, count*(w+1))
-	ins, targets := buf[:count*w], buf[count*w:]
-	raw := make([]float64, w)
+	rows := make([]neural.Row, 0, n)
+	var raw [w]float64
 	for _, signal := range signals {
-		for i := 0; i+w < len(signal); i++ {
-			for j := 0; j < w; j++ {
-				raw[j] = p.norm.Norm(signal[i+j])
+		run := 0 // finite samples ending at signal[t]
+		for t, v := range signal {
+			if !finite(v) {
+				run = 0
+				continue
 			}
-			k := len(samples)
-			in := ins[k*w : (k+1)*w : (k+1)*w]
-			p.pre.ProcessInto(in, raw)
-			targets[k] = (p.norm.Norm(signal[i+w]) - p.norm.Norm(signal[i+w-1])) * p.cfg.OutputScale
-			samples = append(samples, neural.Sample{In: in, Target: targets[k : k+1 : k+1]})
+			if run++; run <= w {
+				continue
+			}
+			// signal[t-w:t] is the window and v the sample after it.
+			for j := range raw {
+				raw[j] = p.norm.Norm(signal[t-w+j])
+			}
+			rows = append(rows, neural.Row{})
+			r := &rows[len(rows)-1]
+			p.pre.ProcessInto(r.In[:], raw[:])
+			r.Target = (p.norm.Norm(v) - p.norm.Norm(signal[t-1])) * p.cfg.OutputScale
 		}
+	}
+	if len(rows) == 0 {
+		return neural.TrainResult{}
 	}
 	if trainFraction <= 0 || trainFraction > 1 {
 		trainFraction = 0.8
 	}
-	split := int(float64(len(samples)) * trainFraction)
+	split := int(float64(len(rows)) * trainFraction)
 	if split < 1 {
 		split = 1
 	}
-	return p.net.Fit(samples[:split], samples[split:], cfg)
+	return p.net.Fit(rows[:split], rows[split:], cfg)
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }

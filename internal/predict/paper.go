@@ -11,8 +11,6 @@ import "mmogdc/internal/neural"
 func PaperNeuralConfig(seed uint64) NeuralConfig {
 	return NeuralConfig{
 		Seed:               seed,
-		Window:             6,
-		Hidden:             3,
 		Degree:             2,
 		LearningRate:       0.01,
 		OnlineLearningRate: 0.002,

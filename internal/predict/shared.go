@@ -15,7 +15,9 @@ import (
 // pooled samples of every sub-zone; the returned Factory hands each
 // sub-zone a clone of the trained network that keeps adapting online.
 //
-// collected[z] is the collected signal of sub-zone z. The returned
+// collected[z] is the collected signal of sub-zone z. A NaN or
+// infinite sample is a gap in it: no example spans it, and the
+// auto-calibrated Capacity and OutputScale skip it. The returned
 // TrainResult reports the offline training outcome.
 func PretrainShared(cfg NeuralConfig, collected [][]float64, trainFraction float64, tc neural.TrainConfig) (Factory, neural.TrainResult) {
 	if cfg.Capacity == 0 {
@@ -24,7 +26,7 @@ func PretrainShared(cfg NeuralConfig, collected [][]float64, trainFraction float
 		maxV := 1.0
 		for _, signal := range collected {
 			for _, v := range signal {
-				if v > maxV {
+				if v > maxV && finite(v) {
 					maxV = v
 				}
 			}
@@ -39,6 +41,9 @@ func PretrainShared(cfg NeuralConfig, collected [][]float64, trainFraction float
 		var n int
 		for _, signal := range collected {
 			for i := 1; i < len(signal); i++ {
+				if !finite(signal[i]) || !finite(signal[i-1]) {
+					continue
+				}
 				d := (signal[i] - signal[i-1]) / cfg.Capacity
 				ss += d * d
 				n++
@@ -58,7 +63,7 @@ func PretrainShared(cfg NeuralConfig, collected [][]float64, trainFraction float
 	proto := MustNeural(cfg)
 	res := proto.pretrain(collected, trainFraction, tc)
 	factory := func() Predictor {
-		p := MustNeural(cfg)
+		p := newNeural(cfg)
 		p.net = proto.net.Clone()
 		return p
 	}

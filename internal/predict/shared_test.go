@@ -10,6 +10,7 @@ import (
 
 	"mmogdc/internal/neural"
 	"mmogdc/internal/trace"
+	"mmogdc/internal/xrand"
 )
 
 // syntheticZones builds z zones of length n with a shared oscillation
@@ -98,10 +99,6 @@ func TestPretrainSharedBeatsLastValueOnOscillation(t *testing.T) {
 }
 
 func TestPaperConfigs(t *testing.T) {
-	c := PaperNeuralConfig(5)
-	if c.Window != 6 || c.Hidden != 3 {
-		t.Fatalf("paper structure must be (6,3,1), got (%d,%d,1)", c.Window, c.Hidden)
-	}
 	tc := PaperTrainConfig(5)
 	if tc.ShuffleSeed != 5 || tc.MaxEras == 0 {
 		t.Fatalf("train config wrong: %+v", tc)
@@ -133,5 +130,105 @@ func TestPretrainSharedMatchesCommitted(t *testing.T) {
 	}
 	if got := f().(Stateful).Snapshot(); !bytes.Equal(got, snap) {
 		t.Errorf("the pretrained predictor's %d-byte snapshot differs from the committed %d bytes", len(got), len(snap))
+	}
+}
+
+// walkedFactoryPredictor pretrains on six synthetic zones and returns a
+// factory predictor after a 200-step seeded random walk of Observe and
+// Predict, with the factory.
+func walkedFactoryPredictor(t *testing.T) (Stateful, Factory) {
+	t.Helper()
+	f, res := PretrainShared(PaperNeuralConfig(3), syntheticZones(6, 300, 9), 0.8, PaperTrainConfig(5))
+	if res.Eras == 0 {
+		t.Fatal("no training eras ran")
+	}
+	p := f().(Stateful)
+	r := xrand.New(43)
+	level := 30.0
+	for i := 0; i < 200; i++ {
+		level = math.Max(0, level+r.NormFloat64()*4)
+		p.Observe(level)
+		p.Predict()
+	}
+	return p, f
+}
+
+// TestFactoryWalkMatchesCommitted pins the predictor PretrainShared's
+// factory builds around the pretrained weights: after
+// walkedFactoryPredictor's walk it must snapshot to
+// testdata/pretrain-walk200.snap, written by the factory that cloned
+// the weights into a freshly drawn predictor.
+func TestFactoryWalkMatchesCommitted(t *testing.T) {
+	p, _ := walkedFactoryPredictor(t)
+	want, err := os.ReadFile(filepath.Join("testdata", "pretrain-walk200.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Snapshot(); !bytes.Equal(got, want) {
+		t.Errorf("the walked predictor's %d-byte snapshot differs from the committed %d bytes", len(got), len(want))
+	}
+}
+
+// TestFactoryAllocs pins the allocations of one factory call: the
+// predictor and its smoother, with the network inside the predictor.
+func TestFactoryAllocs(t *testing.T) {
+	_, f := walkedFactoryPredictor(t)
+	if n := testing.AllocsPerRun(100, func() { f() }); n != 2 {
+		t.Fatalf("a factory call makes %v allocations, want 2", n)
+	}
+}
+
+// splitAtNonFinite splits each signal at its NaN and infinite samples,
+// dropping them.
+func splitAtNonFinite(signals [][]float64) [][]float64 {
+	var out [][]float64
+	for _, s := range signals {
+		start := 0
+		for i, v := range s {
+			if !finite(v) {
+				out = append(out, s[start:i])
+				start = i + 1
+			}
+		}
+		out = append(out, s[start:])
+	}
+	return out
+}
+
+// TestPretrainSharedSkipsNonFinite pretrains, with auto-calibrated
+// Capacity and OutputScale, over signals holding NaN, +Inf and -Inf
+// samples (alone, adjacent, first, last and inside the first window),
+// and over the same signals split at those samples. The TrainResults
+// must be equal bit for bit, and so must the snapshots of the two
+// factories' predictors, which carry the calibrated Capacity and
+// OutputScale, before and after a walk over the same finite samples.
+func TestPretrainSharedSkipsNonFinite(t *testing.T) {
+	zones := syntheticZones(4, 400, 17)
+	nan, inf := math.NaN(), math.Inf(1)
+	zones[0][200] = nan
+	zones[1][0], zones[1][150], zones[1][151] = inf, -inf, nan
+	zones[2][3], zones[2][399] = nan, inf
+	zones[3][250] = 1e6 * inf
+	f, res := PretrainShared(PaperNeuralConfig(3), zones, 0.8, PaperTrainConfig(5))
+	g, want := PretrainShared(PaperNeuralConfig(3), splitAtNonFinite(zones), 0.8, PaperTrainConfig(5))
+	if res.Eras != want.Eras || res.Converged != want.Converged ||
+		math.Float64bits(res.TrainLoss) != math.Float64bits(want.TrainLoss) ||
+		math.Float64bits(res.TestLoss) != math.Float64bits(want.TestLoss) {
+		t.Fatalf("TrainResult %+v, over the split signals %+v", res, want)
+	}
+	if !finite(res.TrainLoss) || !finite(res.TestLoss) {
+		t.Fatalf("non-finite losses %+v", res)
+	}
+	p, q := f().(Stateful), g().(Stateful)
+	for i := 0; i < 100; i++ {
+		if !bytes.Equal(p.Snapshot(), q.Snapshot()) {
+			t.Fatalf("step %d: the factories' predictors differ", i)
+		}
+		v := zones[1][200+i]
+		p.Observe(v)
+		q.Observe(v)
+		if got := p.Predict(); !finite(got) || got != q.Predict() {
+			t.Fatalf("step %d: predicted %v and %v", i, got, q.Predict())
+		}
 	}
 }

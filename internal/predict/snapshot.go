@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"mmogdc/internal/checkpoint"
+	"mmogdc/internal/neural"
 )
 
 // Stateful is a Predictor whose full forecasting state can be
@@ -281,20 +282,22 @@ func (p *Neural) Restore(data []byte) error { return restore(p, data) }
 
 func (p *Neural) state(c *checkpoint.Codec) {
 	checkpoint.Expect(c, kindNeural, "snapshot kind")
-	checkpoint.Expect(c, p.cfg.Window, "neural snapshot window")
+	checkpoint.Expect(c, neural.Inputs, "neural snapshot window")
 	checkpoint.Expect(c, p.cfg.Capacity, "neural snapshot capacity")
 	checkpoint.Expect(c, p.cfg.OutputScale, "neural snapshot output scale")
 	checkpoint.Expect(c, false, "neural snapshot direct output") // always residual
-	q, w := *p, p.cfg.Window
-	c.F64s(&q.window)
-	c.Int(&q.seen)
-	c.F64s(&q.prevIn)
-	c.F64(&q.prevLast)
-	c.Bool(&q.havePre)
+	const w = neural.Inputs
+	window, seen, prevIn, prevLast := p.window[:min(p.seen, w)], p.seen, p.prevIn[:], p.prevLast
+	havePre := seen >= w // the window is full and smoothed
+	c.F64s(&window)
+	c.Int(&seen)
+	c.F64s(&prevIn)
+	c.F64(&prevLast)
+	c.Bool(&havePre)
 	// Observe fills the window one sample per observation and smooths
 	// it once it is full; any other combination would make Predict read
 	// before the window's start.
-	if q.seen < 0 || len(q.window) != min(q.seen, w) || q.havePre != (len(q.window) == w) || len(q.prevIn) != w {
+	if seen < 0 || len(window) != min(seen, w) || havePre != (len(window) == w) || len(prevIn) != w {
 		c.Failf("inconsistent neural snapshot")
 	}
 	var net []byte
@@ -309,9 +312,8 @@ func (p *Neural) state(c *checkpoint.Codec) {
 		c.Failf("%w", err)
 		return
 	}
-	p.window = append(p.window[:0], q.window...)
-	p.seen = q.seen
-	copy(p.prevIn, q.prevIn)
-	p.prevLast = q.prevLast
-	p.havePre = q.havePre
+	copy(p.window[:], window)
+	p.seen = seen
+	copy(p.prevIn[:], prevIn)
+	p.prevLast = prevLast
 }

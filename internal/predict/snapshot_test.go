@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"mmogdc/internal/checkpoint"
 	"mmogdc/internal/neural"
 	"mmogdc/internal/xrand"
 )
@@ -163,19 +164,36 @@ var inconsistentNeuralWindows = []struct {
 	{6, -1, true},
 }
 
-// neuralSnapshotWith snapshots a paper-configured neural predictor that
-// has observed a ramp, with its window cut to window samples and its
-// seen and havePre overwritten.
-func neuralSnapshotWith(window, seen int, havePre bool) []byte {
+// rampedNeural is a paper-configured neural predictor that has observed
+// and predicted a 30-step ramp.
+func rampedNeural() *Neural {
 	p := MustNeural(PaperNeuralConfig(1))
 	for i := 0; i < 30; i++ {
 		p.Observe(float64(100 + 10*i))
 		p.Predict()
 	}
-	p.window = p.window[:window]
-	p.seen = seen
-	p.havePre = havePre
-	return p.Snapshot()
+	return p
+}
+
+// neuralSnapshotWith writes rampedNeural's snapshot in Neural.state's
+// layout, with its window cut to window samples and the observation
+// count and the smoothed-window flag replaced by seen and havePre.
+func neuralSnapshotWith(window, seen int, havePre bool) []byte {
+	p := rampedNeural()
+	c := checkpoint.NewWriter()
+	checkpoint.Expect(c, kindNeural, "")
+	checkpoint.Expect(c, neural.Inputs, "")
+	checkpoint.Expect(c, p.cfg.Capacity, "")
+	checkpoint.Expect(c, p.cfg.OutputScale, "")
+	checkpoint.Expect(c, false, "")
+	w, prevIn, net := p.window[:window], p.prevIn[:], p.net.Snapshot()
+	c.F64s(&w)
+	c.Int(&seen)
+	c.F64s(&prevIn)
+	c.F64(&p.prevLast)
+	c.Bool(&havePre)
+	c.Bytes(&net)
+	return c.Data()
 }
 
 // TestSnapshotRejectsInconsistentNeuralWindow ensures a neural snapshot
@@ -191,6 +209,9 @@ func TestSnapshotRejectsInconsistentNeuralWindow(t *testing.T) {
 	q := MustNeural(PaperNeuralConfig(1))
 	if err := q.Restore(neuralSnapshotWith(4, 4, false)); err != nil {
 		t.Fatalf("a half-full window was refused: %v", err)
+	}
+	if !bytes.Equal(neuralSnapshotWith(6, 30, true), rampedNeural().Snapshot()) {
+		t.Fatal("neuralSnapshotWith writes another layout than Snapshot")
 	}
 }
 
