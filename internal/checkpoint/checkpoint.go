@@ -107,7 +107,8 @@ func (c *Codec) Reading() bool { return c.reading }
 // Data returns the payload a writer has written.
 func (c *Codec) Data() []byte { return c.b }
 
-// Err returns a reader's first error, if any. A writer's is nil.
+// Err returns the codec's first error, if any: a reader's refusal, or
+// an Abort in either direction.
 func (c *Codec) Err() error { return c.err }
 
 // Failf refuses the values a reader has just read, unless an earlier
@@ -118,9 +119,18 @@ func (c *Codec) Failf(format string, args ...any) {
 	}
 }
 
-// Close returns a reader's first error, or an error if the payload was
-// not fully consumed (a length drift between writer and reader). A
-// writer's Close is nil.
+// Abort stops a writer or a reader with err, unless an earlier error
+// stands: for a value the layout cannot carry at all, such as a
+// predictor without a state method, where Failf refuses values read.
+func (c *Codec) Abort(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+// Close returns the codec's first error, or a reader's error if the
+// payload was not fully consumed (a length drift between writer and
+// reader). Inside a Section it speaks for the section.
 func (c *Codec) Close() error {
 	if c.err == nil && c.off != len(c.b) && c.reading {
 		c.err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(c.b)-c.off)
@@ -230,6 +240,34 @@ func (c *Codec) Bytes(v *[]byte) {
 	} else if p := c.lenPrefixed(); p != nil {
 		*v = append([]byte(nil), p...)
 	}
+}
+
+// Section writes or reads a nested layout, such as a predictor's inside
+// a zone set's, as a length-prefixed section that state fills: exactly
+// the bytes Bytes writes for the payload state writes alone. A writer
+// reserves the length word, runs state on the same buffer and
+// back-patches the length. A reader refuses a length beyond the payload
+// and runs state over exactly that many bytes, so that a layout reading
+// past its section underruns at the section's end, and Commit and Close
+// inside state speak for the section; it refuses the payload unless
+// state read the whole section.
+func (c *Codec) Section(state func(*Codec)) {
+	if !c.reading {
+		at := len(c.b)
+		c.b = binary.LittleEndian.AppendUint64(c.b, 0)
+		state(c)
+		binary.LittleEndian.PutUint64(c.b[at:], uint64(len(c.b)-at-8))
+		return
+	}
+	p := c.lenPrefixed()
+	if c.err != nil {
+		return
+	}
+	outer, end := c.b, c.off
+	c.b, c.off = c.b[:end], end-len(p)
+	state(c)
+	c.Close()
+	c.b, c.off = outer, end
 }
 
 // lenPrefixed reads a length and that many bytes, refusing a length
@@ -358,28 +396,5 @@ func Expect[T int | float64 | bool | string](c *Codec, want T, what string) {
 	}
 	if got != want {
 		c.Failf("%s %#v, want %#v", what, got, want)
-	}
-}
-
-// Snapshotter is a value with a payload of its own, which Nested
-// carries inside another as a length-prefixed blob.
-type Snapshotter interface {
-	Snapshot() []byte
-	Restore(data []byte) error
-}
-
-// Nested writes s's snapshot as a length-prefixed blob, or reads the
-// payload's next blob and restores s from it, refusing the payload if
-// s refuses the blob.
-func (c *Codec) Nested(s Snapshotter) {
-	var blob []byte
-	if !c.reading {
-		blob = s.Snapshot()
-	}
-	c.Bytes(&blob)
-	if c.reading && c.err == nil {
-		if err := s.Restore(blob); err != nil {
-			c.err = err
-		}
 	}
 }

@@ -178,6 +178,167 @@ func TestReaderCloseRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// pair is a two-field layout whose reader notes whether it committed,
+// and nest is a layout around a pair's section: nested two deep, as a
+// zone set holds a neural predictor that holds its network.
+type pair struct {
+	a, b      int
+	committed bool
+}
+
+func (p *pair) state(c *Codec) {
+	c.Int(&p.a)
+	c.Int(&p.b)
+	p.committed = c.Commit()
+}
+
+type nest struct {
+	head, tail int
+	inner      pair
+}
+
+func (n *nest) state(c *Codec) {
+	c.Int(&n.head)
+	c.Section(n.inner.state)
+	c.Int(&n.tail)
+}
+
+// TestSectionMatchesBytes: a writer's section is exactly the blob Bytes
+// writes for the layout written alone, two deep too, and a reader reads
+// it back with Commit inside each section speaking for that section.
+func TestSectionMatchesBytes(t *testing.T) {
+	written := nest{head: 3, tail: -4, inner: pair{a: 5, b: 6}}
+	outer := 7
+	w := NewWriter()
+	w.Section(written.state)
+	w.Int(&outer)
+
+	blob := func(state func(*Codec)) []byte {
+		c := NewWriter()
+		state(c)
+		return c.Data()
+	}
+	innerBlob := blob(written.inner.state)
+	nestBlob := blob(func(c *Codec) {
+		c.Int(&written.head)
+		c.Bytes(&innerBlob)
+		c.Int(&written.tail)
+	})
+	old := NewWriter()
+	old.Bytes(&nestBlob)
+	old.Int(&outer)
+	if !slices.Equal(w.Data(), old.Data()) {
+		t.Fatalf("sections % x\nblobs    % x", w.Data(), old.Data())
+	}
+
+	var got nest
+	var gotOuter int
+	r := NewReader(w.Data())
+	r.Section(got.state)
+	r.Int(&gotOuter)
+	if !r.Commit() {
+		t.Fatalf("refused: %v", r.Err())
+	}
+	if got.head != 3 || got.tail != -4 || got.inner.a != 5 || got.inner.b != 6 || gotOuter != 7 {
+		t.Fatalf("read %+v and %d", got, gotOuter)
+	}
+	if !got.inner.committed {
+		t.Fatal("a layout that read its whole section did not commit")
+	}
+}
+
+// TestSectionRefusesHostileLength: a section length beyond the rest of
+// the payload is refused before the section's layout runs.
+func TestSectionRefusesHostileLength(t *testing.T) {
+	for _, n := range []uint64{17, 1 << 40, math.MaxUint64} {
+		rest := []int{1, 2}
+		w := NewWriter()
+		w.U64(&n)
+		w.Int(&rest[0])
+		w.Int(&rest[1])
+		ran := false
+		r := NewReader(w.Data())
+		r.Section(func(*Codec) { ran = true })
+		if !errors.Is(r.Err(), ErrCorrupt) || ran {
+			t.Fatalf("length %d over 16 bytes: error %v, layout ran %v", n, r.Err(), ran)
+		}
+	}
+}
+
+// TestSectionRefusesTrailingBytes: a layout that reads less than its
+// section refuses the payload, whether or not it asks to commit, and
+// one that asks does not commit.
+func TestSectionRefusesTrailingBytes(t *testing.T) {
+	three := [3]int{1, 2, 3}
+	w := NewWriter()
+	w.Section(func(c *Codec) {
+		for i := range three {
+			c.Int(&three[i])
+		}
+	})
+
+	var a, b int
+	r := NewReader(w.Data())
+	r.Section(func(c *Codec) {
+		c.Int(&a)
+		c.Int(&b)
+	})
+	if r.Err() == nil {
+		t.Fatal("a section with 8 unread bytes accepted")
+	}
+	var p pair
+	r = NewReader(w.Data())
+	r.Section(p.state)
+	if p.committed || r.Close() == nil {
+		t.Fatalf("8 unread bytes in a section: committed %v, error %v", p.committed, r.Err())
+	}
+}
+
+// TestSectionUnderrunsAtItsEnd: a layout that reads past its section
+// underruns at the section's end and never reads the outer payload's
+// next field.
+func TestSectionUnderrunsAtItsEnd(t *testing.T) {
+	one, next := 1, 99
+	w := NewWriter()
+	w.Section(func(c *Codec) { c.Int(&one) })
+	w.Int(&next)
+
+	p := pair{a: -1, b: -2}
+	r := NewReader(w.Data())
+	r.Section(p.state)
+	if p.a != 1 || p.b != -2 || p.committed {
+		t.Fatalf("a 1-word section read as %+v", p)
+	}
+	if !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("reading past the section: %v", r.Err())
+	}
+	got := -3
+	r.Int(&got)
+	if got != -3 || r.Commit() {
+		t.Fatalf("the outer payload went on reading after the underrun: %d", got)
+	}
+}
+
+// TestAbortStopsBothDirections: Abort records its error in a writer,
+// where Failf does not, and does not replace a reader's first error.
+func TestAbortStopsBothDirections(t *testing.T) {
+	boom := errors.New("no state method")
+	w := NewWriter()
+	w.Failf("ignored")
+	w.Abort(boom)
+	if w.Err() != boom || w.Close() != boom {
+		t.Fatalf("writer error %v, want %v", w.Err(), boom)
+	}
+	r := NewReader(nil)
+	var i int
+	r.Int(&i)
+	first := r.Err()
+	r.Abort(boom)
+	if first == nil || r.Err() != first {
+		t.Fatalf("reader error %v, want the underrun %v", r.Err(), first)
+	}
+}
+
 func TestSealOpenDetectsDamage(t *testing.T) {
 	payload := []byte("the operator's precious state")
 	blob := Seal(payload)

@@ -35,7 +35,8 @@ var ErrStopped = fmt.Errorf("core: run stopped after requested tick")
 // snapshot serializes the state after tick doneTick completed.
 func (e *engine) snapshot(doneTick int) ([]byte, error) {
 	c := checkpoint.NewWriter()
-	if err := e.state(c, &doneTick); err != nil {
+	e.state(c, &doneTick)
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return c.Data(), nil
@@ -52,35 +53,29 @@ func (e *engine) snapshot(doneTick int) ([]byte, error) {
 func (e *engine) restore(payload []byte) (int, error) {
 	c := checkpoint.NewReader(payload)
 	var doneTick int
-	err := e.state(c, &doneTick)
-	if err == nil {
-		err = c.Close()
-	}
-	if err != nil {
+	e.state(c, &doneTick)
+	if err := c.Close(); err != nil {
 		return 0, fmt.Errorf("core: resume: %w", err)
 	}
 	return doneTick, nil
 }
 
-// state writes or reads the core-run@2 layout, section by section. The
-// error is one a reader cannot record as a refusal of what it read: a
-// zone predictor that cannot be snapshotted, or a live lease missing
-// from every book.
-func (e *engine) state(c *checkpoint.Codec, doneTick *int) error {
+// state writes or reads the core-run@2 layout, section by section. It
+// aborts the codec on what a reader cannot record as a refusal of what
+// it read: a zone predictor that cannot be snapshotted, or a live lease
+// missing from every book.
+func (e *engine) state(c *checkpoint.Codec, doneTick *int) {
 	e.fingerprint(c)
 	e.scores(c, doneTick)
 	e.resilience(c, *doneTick)
 	books, read := e.centerBooks(c)
-	if err := e.zoneStates(c, books); err != nil {
-		return err
-	}
+	e.zoneStates(c, books)
 	e.tail(c)
 	if c.Commit() {
 		for ci, dc := range e.cfg.Centers {
 			dc.Adopt(read[ci], books[ci])
 		}
 	}
-	return nil
 }
 
 // fingerprint ties a checkpoint to the run it was taken from: the
@@ -239,12 +234,13 @@ func (e *engine) centerBooks(c *checkpoint.Codec) (books [][]*datacenter.Lease, 
 	return books, read
 }
 
-// zoneStates carries each zone's predictor state, LOCF sample, step
-// state (backoff and parked failover), and lease list as (center,
-// position) references into the books — zone lease order also fixes
-// float summation order. A reader refuses a mismatched predictor
-// presence and references that dangle or fall outside the books.
-func (e *engine) zoneStates(c *checkpoint.Codec, books [][]*datacenter.Lease) error {
+// zoneStates carries each zone's predictor state (in a section of its
+// own), LOCF sample, step state (backoff and parked failover), and
+// lease list as (center, position) references into the books — zone
+// lease order also fixes float summation order. A reader refuses a
+// mismatched predictor presence and references that dangle or fall
+// outside the books.
+func (e *engine) zoneStates(c *checkpoint.Codec, books [][]*datacenter.Lease) {
 	var pos map[*datacenter.Lease][2]int
 	if !c.Reading() {
 		pos = map[*datacenter.Lease][2]int{}
@@ -260,9 +256,10 @@ func (e *engine) zoneStates(c *checkpoint.Codec, books [][]*datacenter.Lease) er
 		if z.predictor != nil && c.Err() == nil {
 			st, ok := z.predictor.(predict.Stateful)
 			if !ok {
-				return fmt.Errorf("zone %s predictor %T is not snapshotable", z.tag, z.predictor)
+				c.Abort(fmt.Errorf("zone %s predictor %T is not snapshotable", z.tag, z.predictor))
+				return
 			}
-			c.Nested(st)
+			c.Section(st.State)
 		}
 		c.F64(&z.lastObs)
 		z.step.State(c)
@@ -279,7 +276,8 @@ func (e *engine) zoneStates(c *checkpoint.Codec, books [][]*datacenter.Lease) er
 					// pruned yet; it contributes nothing and is dropped
 					// from the snapshot (pruning does the same next tick).
 					if !l.Released() {
-						return fmt.Errorf("zone %s holds a live lease missing from every center", z.tag)
+						c.Abort(fmt.Errorf("zone %s holds a live lease missing from every center", z.tag))
+						return
 					}
 					continue
 				}
@@ -304,7 +302,6 @@ func (e *engine) zoneStates(c *checkpoint.Codec, books [][]*datacenter.Lease) er
 		}
 		z.step.SetLeases(leases)
 	}
-	return nil
 }
 
 // tail carries the fault plan's grant-stream cursor, the brownout and

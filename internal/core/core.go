@@ -399,7 +399,7 @@ func newEngine(cfg Config, decisions *ecosystem.DecisionLog) (*engine, error) {
 			z := &e.zones[i]
 			peak := 0.0
 			for _, v := range z.group.Load.Values {
-				if v > peak {
+				if v > peak && !missing(v) {
 					peak = v
 				}
 			}
@@ -702,9 +702,9 @@ func (e *engine) observeZone(i, w int) {
 	}
 	raw := z.group.Load.At(e.curTick)
 	loadVal := raw
-	if e.plan.DropSample(z.idx, e.curTick) || math.IsNaN(raw) {
+	if gap := missing(raw); gap || e.plan.DropSample(z.idx, e.curTick) {
 		pt.dropped = true
-		if math.IsNaN(raw) {
+		if gap {
 			// The sample is missing from the trace itself; the
 			// carried-forward observation is the best load estimate
 			// available for scoring.
@@ -730,6 +730,10 @@ func (e *engine) observeZone(i, w int) {
 	have := z.step.AllocAt(e.curNow.Add(e.dt))
 	pt.need = want.Sub(have).ClampNonNegative()
 }
+
+// missing reports a trace sample that is a monitoring dropout: NaN, or
+// an infinite value no entity count can take.
+func missing(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
 // dropped counts tick t's monitoring dropouts and reports them in
 // canonical zone order. Workers only flag their zones' partials: the

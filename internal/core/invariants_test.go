@@ -30,6 +30,38 @@ func (p *nanPredictor) Predict() float64 {
 	}
 }
 
+// TestInfiniteSampleIsADropout: a trace sample of +Inf or -Inf is a
+// monitoring dropout, as a NaN one is. With the neural predictor, whose
+// online training an infinite sample would turn NaN, and in static
+// mode, whose peak sizing it would make infinite, the run's Result
+// equals the NaN run's, one dropped sample included.
+func TestInfiniteSampleIsADropout(t *testing.T) {
+	run := func(sample float64, static bool) *Result {
+		t.Helper()
+		ds := syntheticDataset(2, 300, 900)
+		ds.Groups[0].Load.Values[200] = sample
+		res, err := Run(Config{
+			Centers: fineCenters(40),
+			Static:  static,
+			Workloads: []Workload{{Game: testGame(), Dataset: ds,
+				Predictor: predict.NewNeural(predict.NeuralConfig{Seed: 1, Capacity: 1000})}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, static := range []bool{false, true} {
+		want := run(math.NaN(), static)
+		if want.Resilience.DroppedSamples != 1 {
+			t.Fatalf("static %v: %d dropped samples, want 1", static, want.Resilience.DroppedSamples)
+		}
+		for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+			assertResultsEqual(t, want, run(inf, static))
+		}
+	}
+}
+
 func TestMisbehavingPredictorDoesNotPoisonMetrics(t *testing.T) {
 	ds := syntheticDataset(2, 60, 900)
 	res, err := Run(Config{

@@ -247,6 +247,19 @@ func (d *Daemon) newGame(spec GameSpec, hot HotConfig) (*game, error) {
 			return nil, err
 		}
 		g.op = op
+		// A fresh game checkpoints its tick 0 at once, so that a crash
+		// before its first cadence checkpoint still restarts through
+		// FromSnapshot, which releases the leases the crashed run
+		// acquired instead of leaving them held by no game.
+		if g.mgr != nil {
+			payload, err := op.Snapshot()
+			if err == nil {
+				err = g.mgr.Save(0, payload)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
 	}
 	ticks := g.op.Metrics().Ticks
 	g.tick.Store(int64(ticks))

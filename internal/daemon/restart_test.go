@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mmogdc/internal/operator"
 	"mmogdc/internal/slo"
 )
 
@@ -97,6 +98,49 @@ func TestCrashRestartReportsLostLeases(t *testing.T) {
 	}
 	drain(t, d2)
 	drain(t, d) // cleanup: stop the abandoned daemon's workers
+}
+
+// A crash before the first cadence checkpoint restarts from the tick-0
+// checkpoint the fresh game wrote, so the restart over the same matcher
+// releases the crashed run's leases as orphans instead of leaving them
+// held by no game.
+func TestCrashBeforeFirstCheckpointReleasesLeases(t *testing.T) {
+	dir := t.TempDir()
+	m := testMatcher()
+	hot := fastHot()
+	hot.CheckpointEvery = 100
+	mutate := func(c *Config) {
+		c.CheckpointDir = dir
+		c.Matcher = m
+		c.Hot = hot
+	}
+	d := newTestDaemon(t, mutate)
+	srv := httptest.NewServer(d.Handler())
+	for i := 0; i < 3; i++ {
+		postObserve(t, srv.URL, "g1", []float64{200, 100}).Body.Close()
+	}
+	waitTicks(t, d, "g1", 3)
+	crash(d)
+	srv.Close()
+	held := 0
+	for _, c := range m.Centers() {
+		held += len(c.LeasesByTag("g1"))
+	}
+	if held == 0 {
+		t.Fatal("the crashed run holds no lease")
+	}
+
+	d2 := newTestDaemon(t, mutate)
+	defer drain(t, d2)
+	tick, rec, ok := d2.Reconciliation("g1")
+	if !ok || tick != 0 || rec != (operator.Reconciliation{Orphaned: held}) {
+		t.Fatalf("restart reconciled tick %d %+v (restored %v), want tick 0 and %d orphans", tick, rec, ok, held)
+	}
+	for _, c := range m.Centers() {
+		if n := len(c.LeasesByTag("g1")); n != 0 {
+			t.Fatalf("%s still holds %d leases of the crashed run", c.Name, n)
+		}
+	}
 }
 
 func TestDrainDeadlineThenRecovery(t *testing.T) {

@@ -114,7 +114,7 @@ func TestFitMatchesIndexedReference(t *testing.T) {
 			if !sameResult(got, want) {
 				t.Fatalf("%s: Fit %+v, reference %+v", name, got, want)
 			}
-			if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
+			if !bytes.Equal(save(&a), save(&b)) {
 				t.Fatalf("%s: snapshot differs from the reference's", name)
 			}
 			if fmt.Sprint(train, ts) != before {

@@ -42,8 +42,8 @@ type MLP struct {
 	out float64
 	// fwd reports that in, h and out hold the forward pass of in under
 	// the current weights. Forward sets it; every weight update and
-	// Restore clear it, so TrainClipped can reuse the pass Predict just
-	// ran.
+	// every restore by State clear it, so TrainClipped can reuse the
+	// pass Predict just ran.
 	fwd bool
 }
 

@@ -205,15 +205,15 @@ func TestTrainReuseMatchesRecompute(t *testing.T) {
 			x[i] = math.Copysign(0, -math.Copysign(1, x[i]))
 		default: // restore another network's state into both
 			other.TrainClipped(y, []float64{r.Norm(0, 0.5)}, 0.05, 0.5, 0)
-			snap := other.Snapshot()
-			if err := a.Restore(snap); err != nil {
+			snap := save(&other)
+			if err := load(&a, snap); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Restore(snap); err != nil {
+			if err := load(&b, snap); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
+		if !bytes.Equal(save(&a), save(&b)) {
 			t.Fatalf("step %d: weights diverged from the recomputing clone", step)
 		}
 	}

@@ -159,24 +159,9 @@ func (m *refMLP) Clone() *refMLP {
 	}
 }
 
-func (m *refMLP) Snapshot() []byte {
-	c := checkpoint.NewWriter()
-	m.state(c)
-	return c.Data()
-}
-
-func (m *refMLP) Restore(data []byte) error {
-	c := checkpoint.NewReader(data)
-	m.state(c)
-	if err := c.Close(); err != nil {
-		return fmt.Errorf("neural: %w", err)
-	}
-	return nil
-}
-
-// state writes or reads the snapshot layout: per layer, each neuron's
+// State writes or reads the snapshot layout: per layer, each neuron's
 // weight row and its momentum, then the biases and their momentum.
-func (m *refMLP) state(c *checkpoint.Codec) {
+func (m *refMLP) State(c *checkpoint.Codec) {
 	checkpoint.Expect(c, "mlp", "snapshot kind")
 	sizes := m.sizes
 	c.Ints(&sizes)
@@ -230,9 +215,9 @@ func sameSnapshot(t *testing.T, a, b []byte) bool {
 
 // TestKernelMatchesReference drives the (6,3,1) kernel beside a (6,3,1)
 // refMLP drawn from the same seed through 1,000 seeded walks of 200
-// steps. Each step is a Forward, a TrainClipped, a Clone, a Snapshot or
-// a Restore (of an earlier snapshot, or of one cut short, which both
-// must refuse). Inputs and targets include ±0, subnormals, ±1e308, ±Inf
+// steps. Each step is a Forward, a TrainClipped, a Clone, a State write
+// or a State read (of an earlier snapshot, or of one cut short, which
+// both must refuse). Inputs and targets include ±0, subnormals, ±1e308, ±Inf
 // and NaN; learning rates, momenta and clips include 0, -0, negative
 // and subnormal values. Every output, loss and snapshot must be equal
 // bit for bit, NaN compared only as NaN.
@@ -257,8 +242,8 @@ func TestKernelMatchesReference(t *testing.T) {
 		rate := func() float64 { return rates[r.Intn(len(rates))] }
 		k := NewMLP(xrand.New(uint64(walk)))
 		ref := newRefMLP(xrand.New(uint64(walk)), Inputs, Hidden, 1)
-		saved := k.Snapshot()
-		if !bytes.Equal(saved, ref.Snapshot()) {
+		saved := save(&k)
+		if !bytes.Equal(saved, save(ref)) {
 			t.Fatalf("walk %d: NewMLP drew other weights than the reference", walk)
 		}
 		x := make([]float64, Inputs)
@@ -308,8 +293,8 @@ func TestKernelMatchesReference(t *testing.T) {
 			case op < 75: // Clone
 				k, ref = k.Clone(), ref.Clone()
 			case op < 90: // Snapshot
-				snap := k.Snapshot()
-				if !sameSnapshot(t, snap, ref.Snapshot()) {
+				snap := save(&k)
+				if !sameSnapshot(t, snap, save(ref)) {
 					t.Fatalf("%s: snapshot differs from the reference's", where())
 				}
 				if r.Bool(0.5) {
@@ -320,13 +305,13 @@ func TestKernelMatchesReference(t *testing.T) {
 				if r.Bool(0.3) {
 					data = saved[:r.Intn(len(saved))]
 				}
-				ek, er := k.Restore(data), ref.Restore(data)
+				ek, er := load(&k, data), load(ref, data)
 				if (ek == nil) != (er == nil) || (ek == nil) != (len(data) == len(saved)) {
 					t.Fatalf("%s: Restore of %d of %d bytes: %v, reference %v", where(), len(data), len(saved), ek, er)
 				}
 			}
 		}
-		if !sameSnapshot(t, k.Snapshot(), ref.Snapshot()) {
+		if !sameSnapshot(t, save(&k), save(ref)) {
 			t.Fatalf("walk %d: final snapshot differs from the reference's", walk)
 		}
 	}

@@ -22,7 +22,8 @@ const payloadKind = "mmogdc/operator@3"
 // saves it atomically on disk.
 func (o *Operator) Snapshot() ([]byte, error) {
 	c := checkpoint.NewWriter()
-	if _, err := o.state(c); err != nil {
+	o.state(c)
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("operator: %w", err)
 	}
 	return c.Data(), nil
@@ -34,25 +35,26 @@ type leaseRecord struct {
 	lease  datacenter.Lease
 }
 
-// state writes or reads the operator@3 layout. A reader restores the
-// zone predictors once the load buffer that fixes their count is read,
-// and returns the checkpointed lease records for FromSnapshot to
-// reconcile; a writer writes the live leases straight from the book,
-// and returns an error if a zone predictor cannot be snapshotted.
-func (o *Operator) state(c *checkpoint.Codec) ([]leaseRecord, error) {
+// state writes or reads the operator@3 layout. A writer writes the
+// zone set in place and the live leases straight from the book; it
+// aborts if a zone predictor cannot be written. A reader keeps the zone
+// section as bytes and restores the zone predictors from it once the
+// load buffer that fixes their count is read, and returns the
+// checkpointed lease records for FromSnapshot to reconcile.
+func (o *Operator) state(c *checkpoint.Codec) []leaseRecord {
 	checkpoint.Expect(c, payloadKind, "checkpoint kind")
 	checkpoint.Expect(c, o.cfg.Game.Name, "checkpoint game")
 	nz, zones := -1, []byte(nil)
 	if o.zones != nil {
 		nz = o.zones.Len()
-		var err error
-		if zones, err = o.zones.Snapshot(); err != nil {
-			return nil, err
-		}
 	}
 	c.Int(&nz)
-	if nz >= 0 {
+	switch {
+	case nz < 0: // no zone set before the first observation
+	case c.Reading():
 		c.Bytes(&zones)
+	default:
+		c.Section(o.zones.State)
 	}
 	c.Int(&o.ticks)
 	c.F64(&o.shortfallSum)
@@ -73,7 +75,9 @@ func (o *Operator) state(c *checkpoint.Codec) ([]leaseRecord, error) {
 	}
 	if c.Reading() && nz >= 0 && c.Err() == nil {
 		o.zones = predict.NewZoneSet(o.cfg.Predictor, nz)
-		if err := o.zones.Restore(zones); err != nil {
+		r := checkpoint.NewReader(zones)
+		o.zones.State(r)
+		if err := r.Close(); err != nil {
 			c.Failf("%w", err)
 		}
 		o.cleanBuf = make([]float64, nz)
@@ -100,7 +104,7 @@ func (o *Operator) state(c *checkpoint.Codec) ([]leaseRecord, error) {
 			c.Str(&name)
 			l.State(c)
 		}
-		return nil, nil
+		return nil
 	}
 	// Records are appended as they are read: a corrupt count must not
 	// size an allocation the payload cannot back.
@@ -111,7 +115,7 @@ func (o *Operator) state(c *checkpoint.Codec) ([]leaseRecord, error) {
 		r.lease.State(c)
 		recs = append(recs, r)
 	}
-	return recs, nil
+	return recs
 }
 
 // Reconciliation reports how a restored operator's checkpointed lease
@@ -141,11 +145,8 @@ func FromSnapshot(cfg Config, payload []byte) (*Operator, *Reconciliation, error
 		return nil, nil, err
 	}
 	c := checkpoint.NewReader(payload)
-	recs, err := o.state(c)
-	if err == nil {
-		err = c.Close()
-	}
-	if err != nil {
+	recs := o.state(c)
+	if err := c.Close(); err != nil {
 		return nil, nil, fmt.Errorf("operator: %w", err)
 	}
 

@@ -273,19 +273,45 @@ func TestFromSnapshotRejectsCorruptLeaseCount(t *testing.T) {
 	}
 }
 
-// FuzzOperatorFromSnapshot feeds corrupt payloads to the restore path:
-// every input must either restore an operator that can snapshot and
-// observe again, or return an error — never panic. The seed corpus
-// (testdata/fuzz) holds a real mid-run snapshot and the negative
-// lease-count payload that used to panic.
+// FuzzOperatorFromSnapshot feeds corrupt payloads to the restore path.
+// Every input must be refused with an error, never a panic, or restore
+// an operator that observes again and whose snapshot p1 is a fixed
+// point: restored over a fresh matcher, p1 snapshots to p1 again.
+// Leases a fresh matcher cannot adopt become tombstones, which Snapshot
+// leaves out. The seed corpus (testdata/fuzz) holds a real mid-run
+// snapshot and the negative lease-count payload that used to panic;
+// beside them, the pinned operator@3 payload cut inside its zone
+// section, and with its first predictor's section length one off
+// either way.
 func FuzzOperatorFromSnapshot(f *testing.F) {
+	pin, err := os.ReadFile(filepath.Join("testdata", "operator3-faulted.payload"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The zone section's length word follows the kind, the game name and
+	// the zone count; the first predictor's follows the set's zone count.
+	at := 8 + len(payloadKind) + 8 + len("ckpt") + 8
+	f.Add(pin[:at+8+int(binary.LittleEndian.Uint64(pin[at:]))/2])
+	for _, d := range []uint64{1, math.MaxUint64} { // +1, -1
+		p := slices.Clone(pin)
+		binary.LittleEndian.PutUint64(p[at+16:], binary.LittleEndian.Uint64(p[at+16:])+d)
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		op, _, err := FromSnapshot(checkpointConfig(testMatcher(20)), payload)
 		if err != nil {
 			return
 		}
-		if _, err := op.Snapshot(); err != nil {
+		p1, err := op.Snapshot()
+		if err != nil {
 			t.Fatalf("restored operator cannot snapshot: %v", err)
+		}
+		again, _, err := FromSnapshot(checkpointConfig(testMatcher(20)), p1)
+		if err != nil {
+			t.Fatalf("a restored operator's snapshot was refused: %v", err)
+		}
+		if p2, err := again.Snapshot(); err != nil || !bytes.Equal(p2, p1) {
+			t.Fatalf("restoring a restored operator's snapshot changed it (%v)", err)
 		}
 		if n := op.ZoneCount(); n > 0 {
 			// A valid restore keeps provisioning; the error, if any, is

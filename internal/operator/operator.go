@@ -75,8 +75,8 @@ type Operator struct {
 	events       int
 	lastForecast []float64
 	// lastLoads carries the last monitoring sample that arrived per
-	// zone; NaN samples are carried forward (LOCF) so a monitoring
-	// dropout never poisons the predictors.
+	// zone; NaN and infinite samples are carried forward (LOCF) so a
+	// monitoring dropout never poisons the predictors.
 	lastLoads []float64
 	cleanBuf  []float64
 	// droppedSamples counts the samples carried forward.
@@ -123,8 +123,8 @@ type Metrics struct {
 	// Events counts ticks whose shortfall exceeded 1% of the
 	// session's machines.
 	Events int
-	// DroppedSamples counts monitoring samples (NaN/invalid) carried
-	// forward instead of observed.
+	// DroppedSamples counts monitoring samples (NaN or infinite)
+	// carried forward instead of observed.
 	DroppedSamples int
 	// Failovers counts ticks that re-acquired capacity lost to a
 	// failed or degraded center, excluding that center from the retry.
@@ -145,8 +145,8 @@ const defaultTick = 2 * time.Minute
 // toward the forecast for the next snapshot, one two-minute tick
 // later. The zone count is fixed by the first call.
 //
-// Observe degrades gracefully under faults: NaN samples (monitoring
-// dropouts) are replaced by each zone's last observation so the
+// Observe degrades gracefully under faults: NaN and infinite samples
+// (monitoring dropouts) are replaced by each zone's last observation so the
 // predictors keep a coherent history; leases that vanish before their
 // expiry (their center failed) trigger a same-tick failover that
 // excludes the failed centers from the re-acquisition; and injected
@@ -199,10 +199,11 @@ func (o *Operator) ObserveUntil(now, next, deadline time.Time, parent obs.SpanID
 	// game on the same centers may run behind it.
 	o.step.Expire(now)
 
-	// Carry the last observation forward across monitoring dropouts.
+	// Carry the last observation forward across monitoring dropouts:
+	// a NaN or infinite sample is no entity count.
 	clean := o.cleanBuf[:0]
 	for i, v := range zoneLoads {
-		if math.IsNaN(v) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
 			o.droppedSamples++
 			o.oo.droppedSample(o.ticks, i)
 			v = o.lastLoads[i]

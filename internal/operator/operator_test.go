@@ -130,13 +130,16 @@ func TestOperatorZoneCountFixedByFirstObserve(t *testing.T) {
 	}
 }
 
+// TestOperatorCarriesForwardDroppedSamples: NaN, +Inf and -Inf samples
+// are each a monitoring dropout, carried forward and counted.
 func TestOperatorCarriesForwardDroppedSamples(t *testing.T) {
 	op := testOperator(t, 10)
 	now := t0
+	dropouts := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	for i := 0; i < 10; i++ {
 		loads := []float64{800, 600}
 		if i >= 5 && i < 8 {
-			loads[0] = math.NaN() // zone 0's monitoring drops out
+			loads[0] = dropouts[i-5] // zone 0's monitoring drops out
 		}
 		if err := op.Observe(now, loads); err != nil {
 			t.Fatal(err)
@@ -148,11 +151,11 @@ func TestOperatorCarriesForwardDroppedSamples(t *testing.T) {
 		t.Fatalf("dropped samples = %d, want 3", m.DroppedSamples)
 	}
 	// The carried-forward value keeps the forecast and scoring sane.
-	if f := op.Forecast(); math.IsNaN(f[0]) || math.Abs(f[0]-800) > 1e-9 {
+	if f := op.Forecast(); !(math.Abs(f[0]-800) <= 1e-9) {
 		t.Fatalf("forecast after dropout = %v", f)
 	}
-	if math.IsNaN(m.AvgShortfall) || math.IsNaN(m.AvgOverPct) {
-		t.Fatal("dropout poisoned the metrics with NaN")
+	if !(math.Abs(m.AvgShortfall) < math.Inf(1)) || !(math.Abs(m.AvgOverPct) < math.Inf(1)) {
+		t.Fatalf("dropout poisoned the metrics: shortfall %v, over-allocation %v", m.AvgShortfall, m.AvgOverPct)
 	}
 	if m.AvgShortfall > 0.1 {
 		t.Fatalf("steady-load shortfall with dropouts = %v", m.AvgShortfall)

@@ -128,7 +128,7 @@ func TestPretrainSharedMatchesCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f().(Stateful).Snapshot(); !bytes.Equal(got, snap) {
+	if got := save(f().(Stateful)); !bytes.Equal(got, snap) {
 		t.Errorf("the pretrained predictor's %d-byte snapshot differs from the committed %d bytes", len(got), len(snap))
 	}
 }
@@ -164,7 +164,7 @@ func TestFactoryWalkMatchesCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Snapshot(); !bytes.Equal(got, want) {
+	if got := save(p); !bytes.Equal(got, want) {
 		t.Errorf("the walked predictor's %d-byte snapshot differs from the committed %d bytes", len(got), len(want))
 	}
 }
@@ -221,7 +221,7 @@ func TestPretrainSharedSkipsNonFinite(t *testing.T) {
 	}
 	p, q := f().(Stateful), g().(Stateful)
 	for i := 0; i < 100; i++ {
-		if !bytes.Equal(p.Snapshot(), q.Snapshot()) {
+		if !bytes.Equal(save(p), save(q)) {
 			t.Fatalf("step %d: the factories' predictors differ", i)
 		}
 		v := zones[1][200+i]

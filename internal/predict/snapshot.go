@@ -1,15 +1,18 @@
-// Snapshot/Restore support: every predictor in this package is
-// Stateful, so the online provisioning operator (internal/operator)
-// and the batch engine (internal/core) can checkpoint their forecast
-// state and resume after a crash on the uninterrupted trajectory.
+// State support: every predictor in this package is Stateful, so the
+// online provisioning operator (internal/operator) and the batch engine
+// (internal/core) can checkpoint their forecast state and resume after
+// a crash on the uninterrupted trajectory.
 //
 // The contract is exact: for any predictor p and fresh q built by the
-// same factory, q.Restore(p.Snapshot()) followed by identical Observe
-// calls on both must keep q.Predict() bit-identical to p.Predict()
-// forever (TestSnapshotRoundTripEquivalence pins this per type).
-// Snapshots carry a kind tag and the configuration constants that the
-// factory fixes; Restore validates both, so a checkpoint can never be
-// loaded into a differently configured predictor silently.
+// same factory, q.State reading what p.State wrote, followed by
+// identical Observe calls on both, must keep q.Predict() bit-identical
+// to p.Predict() forever (TestSnapshotRoundTripEquivalence pins this
+// per type). A payload carries a kind tag and the configuration
+// constants that the factory fixes, and a reader checks both, so a
+// checkpoint can never be loaded into a differently configured
+// predictor silently. Each State reads into a copy of the predictor
+// that it commits only once its whole payload has been read, so a
+// refused payload leaves the predictor as it was.
 package predict
 
 import (
@@ -24,12 +27,11 @@ import (
 // implement it.
 type Stateful interface {
 	Predictor
-	// Snapshot serializes the predictor's complete state.
-	Snapshot() []byte
-	// Restore re-establishes a state captured by Snapshot on a
-	// predictor built by the same factory. It fails on kind or
-	// configuration mismatches and on corrupt data.
-	Restore(data []byte) error
+	// State writes the predictor's complete state to a checkpoint
+	// writer, or re-establishes it from a reader over a payload that
+	// a predictor built by the same factory wrote. A reader refuses
+	// kind or configuration mismatches and corrupt data.
+	State(c *checkpoint.Codec)
 }
 
 // kind tags keep a snapshot from being restored into the wrong type.
@@ -45,76 +47,24 @@ const (
 	kindNeural    = "neural"
 )
 
-// stater is the one state method a predictor's Snapshot and Restore
-// both run: it hands each field to the codec in layout order, kind tag
-// and configuration first, checks what a reader read, and commits only
-// a whole payload (checkpoint.Codec.Commit), so a refused snapshot
-// leaves the predictor as it was.
-type stater interface {
-	state(c *checkpoint.Codec)
-}
-
-// snapshot runs a predictor's state method over a writer. It inlines
-// into each Snapshot, where the call is to a concrete method, so the
-// writer stays on the stack.
-func snapshot(p stater) []byte {
-	c := checkpoint.NewWriter()
-	p.state(c)
-	return c.Data()
-}
-
-// restore runs a predictor's state method over a reader of data.
-func restore(p stater, data []byte) error {
-	c := checkpoint.NewReader(data)
-	p.state(c)
-	if err := c.Close(); err != nil {
-		return fmt.Errorf("predict: %w", err)
-	}
-	return nil
-}
-
-// Snapshot serializes every zone predictor's state. It fails if any
-// predictor in the set is not Stateful (all predictors built by this
-// package are).
-func (z *ZoneSet) Snapshot() ([]byte, error) {
-	c := checkpoint.NewWriter()
-	if err := z.state(c); err != nil {
-		return nil, err
-	}
-	return c.Data(), nil
-}
-
-// Restore re-establishes a state captured by Snapshot on a ZoneSet
-// built by the same factory with the same zone count. On error the
-// set may be partially restored and must be discarded.
-func (z *ZoneSet) Restore(data []byte) error {
-	c := checkpoint.NewReader(data)
-	if err := z.state(c); err != nil {
-		return err
-	}
-	return c.Close()
-}
-
-// state carries the zone count and each zone's snapshot, nested.
-func (z *ZoneSet) state(c *checkpoint.Codec) error {
+// State carries the zone count and each zone's state, each in a
+// section of its own. It aborts the codec if a predictor in the set is
+// not Stateful (all predictors built by this package are). A refused
+// payload may leave the set partially restored; it must be discarded.
+func (z *ZoneSet) State(c *checkpoint.Codec) {
 	checkpoint.Expect(c, len(z.ps), "predict: snapshot zones")
 	for i, p := range z.ps {
 		s, ok := p.(Stateful)
 		if !ok {
-			return fmt.Errorf("predict: zone %d predictor %T is not snapshotable", i, p)
+			c.Abort(fmt.Errorf("predict: zone %d predictor %T is not snapshotable", i, p))
+			return
 		}
-		c.Nested(s)
+		c.Section(s.State)
 	}
-	return nil
 }
 
-// Snapshot implements Stateful.
-func (p *LastValue) Snapshot() []byte { return snapshot(p) }
-
-// Restore implements Stateful.
-func (p *LastValue) Restore(data []byte) error { return restore(p, data) }
-
-func (p *LastValue) state(c *checkpoint.Codec) {
+// State implements Stateful.
+func (p *LastValue) State(c *checkpoint.Codec) {
 	checkpoint.Expect(c, kindLastValue, "snapshot kind")
 	q := *p
 	c.F64(&q.last)
@@ -123,13 +73,8 @@ func (p *LastValue) state(c *checkpoint.Codec) {
 	}
 }
 
-// Snapshot implements Stateful.
-func (p *Average) Snapshot() []byte { return snapshot(p) }
-
-// Restore implements Stateful.
-func (p *Average) Restore(data []byte) error { return restore(p, data) }
-
-func (p *Average) state(c *checkpoint.Codec) {
+// State implements Stateful.
+func (p *Average) State(c *checkpoint.Codec) {
 	checkpoint.Expect(c, kindAverage, "snapshot kind")
 	q := *p
 	c.F64(&q.sum)
@@ -139,13 +84,8 @@ func (p *Average) state(c *checkpoint.Codec) {
 	}
 }
 
-// Snapshot implements Stateful.
-func (p *MovingAverage) Snapshot() []byte { return snapshot(p) }
-
-// Restore implements Stateful.
-func (p *MovingAverage) Restore(data []byte) error { return restore(p, data) }
-
-func (p *MovingAverage) state(c *checkpoint.Codec) {
+// State implements Stateful.
+func (p *MovingAverage) State(c *checkpoint.Codec) {
 	checkpoint.Expect(c, kindMovingAvg, "snapshot kind")
 	checkpoint.Expect(c, p.window, "snapshot window")
 	q := *p
@@ -162,13 +102,8 @@ func (p *MovingAverage) state(c *checkpoint.Codec) {
 	}
 }
 
-// Snapshot implements Stateful.
-func (p *ExpSmoothing) Snapshot() []byte { return snapshot(p) }
-
-// Restore implements Stateful.
-func (p *ExpSmoothing) Restore(data []byte) error { return restore(p, data) }
-
-func (p *ExpSmoothing) state(c *checkpoint.Codec) {
+// State implements Stateful.
+func (p *ExpSmoothing) State(c *checkpoint.Codec) {
 	checkpoint.Expect(c, kindExpSmooth, "snapshot kind")
 	checkpoint.Expect(c, p.alpha, "snapshot alpha")
 	q := *p
@@ -179,13 +114,8 @@ func (p *ExpSmoothing) state(c *checkpoint.Codec) {
 	}
 }
 
-// Snapshot implements Stateful.
-func (p *Holt) Snapshot() []byte { return snapshot(p) }
-
-// Restore implements Stateful.
-func (p *Holt) Restore(data []byte) error { return restore(p, data) }
-
-func (p *Holt) state(c *checkpoint.Codec) {
+// State implements Stateful.
+func (p *Holt) State(c *checkpoint.Codec) {
 	checkpoint.Expect(c, kindHolt, "snapshot kind")
 	checkpoint.Expect(c, p.alpha, "snapshot alpha")
 	checkpoint.Expect(c, p.beta, "snapshot beta")
@@ -198,13 +128,8 @@ func (p *Holt) state(c *checkpoint.Codec) {
 	}
 }
 
-// Snapshot implements Stateful.
-func (p *SlidingWindowMedian) Snapshot() []byte { return snapshot(p) }
-
-// Restore implements Stateful.
-func (p *SlidingWindowMedian) Restore(data []byte) error { return restore(p, data) }
-
-func (p *SlidingWindowMedian) state(c *checkpoint.Codec) {
+// State implements Stateful.
+func (p *SlidingWindowMedian) State(c *checkpoint.Codec) {
 	checkpoint.Expect(c, kindMedian, "snapshot kind")
 	checkpoint.Expect(c, p.window, "snapshot window")
 	q := *p
@@ -220,13 +145,8 @@ func (p *SlidingWindowMedian) state(c *checkpoint.Codec) {
 	}
 }
 
-// Snapshot implements Stateful.
-func (p *AR) Snapshot() []byte { return snapshot(p) }
-
-// Restore implements Stateful.
-func (p *AR) Restore(data []byte) error { return restore(p, data) }
-
-func (p *AR) state(c *checkpoint.Codec) {
+// State implements Stateful.
+func (p *AR) State(c *checkpoint.Codec) {
 	checkpoint.Expect(c, kindAR, "snapshot kind")
 	checkpoint.Expect(c, p.order, "AR snapshot order")
 	checkpoint.Expect(c, p.refitInterval, "AR snapshot refit interval")
@@ -251,13 +171,8 @@ func (p *AR) state(c *checkpoint.Codec) {
 	}
 }
 
-// Snapshot implements Stateful.
-func (p *SeasonalNaive) Snapshot() []byte { return snapshot(p) }
-
-// Restore implements Stateful.
-func (p *SeasonalNaive) Restore(data []byte) error { return restore(p, data) }
-
-func (p *SeasonalNaive) state(c *checkpoint.Codec) {
+// State implements Stateful.
+func (p *SeasonalNaive) State(c *checkpoint.Codec) {
 	checkpoint.Expect(c, kindSeasonal, "snapshot kind")
 	checkpoint.Expect(c, p.period, "snapshot period")
 	q := *p
@@ -272,15 +187,10 @@ func (p *SeasonalNaive) state(c *checkpoint.Codec) {
 	}
 }
 
-// Snapshot implements Stateful. Beyond the sliding window it includes
-// the network weights and momentum buffers, so a restored predictor's
-// online training continues bit-identically.
-func (p *Neural) Snapshot() []byte { return snapshot(p) }
-
-// Restore implements Stateful.
-func (p *Neural) Restore(data []byte) error { return restore(p, data) }
-
-func (p *Neural) state(c *checkpoint.Codec) {
+// State implements Stateful. Beyond the sliding window it carries the
+// network weights and momentum buffers in a section of their own, so a
+// restored predictor's online training continues bit-identically.
+func (p *Neural) State(c *checkpoint.Codec) {
 	checkpoint.Expect(c, kindNeural, "snapshot kind")
 	checkpoint.Expect(c, neural.Inputs, "neural snapshot window")
 	checkpoint.Expect(c, p.cfg.Capacity, "neural snapshot capacity")
@@ -300,20 +210,15 @@ func (p *Neural) state(c *checkpoint.Codec) {
 	if seen < 0 || len(window) != min(seen, w) || havePre != (len(window) == w) || len(prevIn) != w {
 		c.Failf("inconsistent neural snapshot")
 	}
-	var net []byte
-	if !c.Reading() {
-		net = p.net.Snapshot()
+	// A reader reads the network into this copy, which only the
+	// predictor's own commit applies.
+	net := p.net
+	c.Section(net.State)
+	if c.Commit() {
+		p.net = net
+		copy(p.window[:], window)
+		p.seen = seen
+		copy(p.prevIn[:], prevIn)
+		p.prevLast = prevLast
 	}
-	c.Bytes(&net)
-	if !c.Commit() {
-		return
-	}
-	if err := p.net.Restore(net); err != nil {
-		c.Failf("%w", err)
-		return
-	}
-	copy(p.window[:], window)
-	p.seen = seen
-	copy(p.prevIn[:], prevIn)
-	p.prevLast = prevLast
 }

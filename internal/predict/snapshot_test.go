@@ -14,6 +14,21 @@ import (
 	"mmogdc/internal/xrand"
 )
 
+// save returns the payload v's state method writes.
+func save(v interface{ State(*checkpoint.Codec) }) []byte {
+	c := checkpoint.NewWriter()
+	v.State(c)
+	return c.Data()
+}
+
+// load reads data into v with its state method, refusing data unless v
+// read all of it.
+func load(v interface{ State(*checkpoint.Codec) }, data []byte) error {
+	c := checkpoint.NewReader(data)
+	v.State(c)
+	return c.Close()
+}
+
 // snapshotFactories enumerates every predictor factory in the package,
 // including a pretrained shared-network neural factory, so the
 // round-trip property below covers each concrete type end to end.
@@ -69,7 +84,7 @@ func TestSnapshotRoundTripEquivalence(t *testing.T) {
 					p.Observe(obs())
 				}
 				q := f().(Stateful)
-				if err := q.Restore(p.Snapshot()); err != nil {
+				if err := load(q, save(p)); err != nil {
 					t.Fatalf("seed %d: restore: %v", seed, err)
 				}
 				if pb, qb := math.Float64bits(p.Predict()), math.Float64bits(q.Predict()); pb != qb {
@@ -100,7 +115,7 @@ func TestSnapshotRejectsWrongKind(t *testing.T) {
 			continue
 		}
 		q := f().(Stateful)
-		if err := q.Restore(holt.Snapshot()); err == nil {
+		if err := load(q, save(holt)); err == nil {
 			t.Fatalf("%s accepted a holt snapshot", name)
 		}
 	}
@@ -124,7 +139,7 @@ func TestSnapshotRejectsConfigMismatch(t *testing.T) {
 			p.Observe(float64(j))
 		}
 		q := c.b().(Stateful)
-		if err := q.Restore(p.Snapshot()); err == nil {
+		if err := load(q, save(p)); err == nil {
 			t.Fatalf("case %d (%T): config mismatch accepted", i, p)
 		}
 	}
@@ -138,12 +153,12 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 		for j := 0; j < 30; j++ {
 			p.Observe(float64(j % 7))
 		}
-		snap := p.Snapshot()
+		snap := save(p)
 		q := f().(Stateful)
-		if err := q.Restore(snap[:len(snap)-3]); err == nil {
+		if err := load(q, snap[:len(snap)-3]); err == nil {
 			t.Fatalf("%s accepted a truncated snapshot", name)
 		}
-		if err := q.Restore(append(append([]byte(nil), snap...), 0)); err == nil {
+		if err := load(q, append(append([]byte(nil), snap...), 0)); err == nil {
 			t.Fatalf("%s accepted a padded snapshot", name)
 		}
 	}
@@ -186,13 +201,13 @@ func neuralSnapshotWith(window, seen int, havePre bool) []byte {
 	checkpoint.Expect(c, p.cfg.Capacity, "")
 	checkpoint.Expect(c, p.cfg.OutputScale, "")
 	checkpoint.Expect(c, false, "")
-	w, prevIn, net := p.window[:window], p.prevIn[:], p.net.Snapshot()
+	w, prevIn := p.window[:window], p.prevIn[:]
 	c.F64s(&w)
 	c.Int(&seen)
 	c.F64s(&prevIn)
 	c.F64(&p.prevLast)
 	c.Bool(&havePre)
-	c.Bytes(&net)
+	c.Section(p.net.State)
 	return c.Data()
 }
 
@@ -202,15 +217,15 @@ func neuralSnapshotWith(window, seen int, havePre bool) []byte {
 func TestSnapshotRejectsInconsistentNeuralWindow(t *testing.T) {
 	for _, c := range inconsistentNeuralWindows {
 		q := MustNeural(PaperNeuralConfig(1))
-		if err := q.Restore(neuralSnapshotWith(c.window, c.seen, c.havePre)); err == nil {
+		if err := load(q, neuralSnapshotWith(c.window, c.seen, c.havePre)); err == nil {
 			t.Errorf("window %d, seen %d, havePre %v: restored", c.window, c.seen, c.havePre)
 		}
 	}
 	q := MustNeural(PaperNeuralConfig(1))
-	if err := q.Restore(neuralSnapshotWith(4, 4, false)); err != nil {
+	if err := load(q, neuralSnapshotWith(4, 4, false)); err != nil {
 		t.Fatalf("a half-full window was refused: %v", err)
 	}
-	if !bytes.Equal(neuralSnapshotWith(6, 30, true), rampedNeural().Snapshot()) {
+	if !bytes.Equal(neuralSnapshotWith(6, 30, true), save(rampedNeural())) {
 		t.Fatal("neuralSnapshotWith writes another layout than Snapshot")
 	}
 }
@@ -236,7 +251,7 @@ func TestNeuralRestoreIntoUsedPredictor(t *testing.T) {
 		p.Predict()
 		q.Predict()
 	}
-	if err := p.Restore(q.Snapshot()); err != nil {
+	if err := load(p, save(q)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
@@ -262,7 +277,7 @@ func FuzzNeuralRestore(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := MustNeural(PaperNeuralConfig(1))
-		if err := p.Restore(data); err != nil {
+		if err := load(p, data); err != nil {
 			return
 		}
 		p.Predict()
@@ -270,12 +285,12 @@ func FuzzNeuralRestore(f *testing.F) {
 			p.Observe(float64(100 + (i*37)%900))
 			p.Predict()
 		}
-		snap := p.Snapshot()
+		snap := save(p)
 		q := MustNeural(PaperNeuralConfig(1))
-		if err := q.Restore(snap); err != nil {
+		if err := load(q, snap); err != nil {
 			t.Fatalf("a restored predictor's snapshot was refused: %v", err)
 		}
-		if !bytes.Equal(q.Snapshot(), snap) {
+		if !bytes.Equal(save(q), snap) {
 			t.Fatal("Snapshot -> Restore -> Snapshot changed the bytes")
 		}
 	})
@@ -297,12 +312,9 @@ func TestZoneSetSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := z.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := save(z)
 	w := NewZoneSet(f, 5)
-	if err := w.Restore(snap); err != nil {
+	if err := load(w, snap); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
@@ -320,7 +332,7 @@ func TestZoneSetSnapshotRoundTrip(t *testing.T) {
 	}
 
 	wrong := NewZoneSet(f, 4)
-	if err := wrong.Restore(snap); err == nil || !strings.Contains(err.Error(), "zones") {
+	if err := load(wrong, snap); err == nil || !strings.Contains(err.Error(), "zones") {
 		t.Fatalf("zone-count mismatch: %v", err)
 	}
 }
@@ -355,15 +367,39 @@ func TestPredictorWriterMatchesCommitted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := pinnedPredictor(fs[kind]).Snapshot(); !bytes.Equal(got, want) {
+		if got := save(pinnedPredictor(fs[kind])); !bytes.Equal(got, want) {
 			t.Errorf("%s: snapshot is %d bytes, differs from the committed %d", kind, len(got), len(want))
 		}
 		q := fs[kind]().(Stateful)
-		if err := q.Restore(want); err != nil {
+		if err := load(q, want); err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if !bytes.Equal(q.Snapshot(), want) {
+		if !bytes.Equal(save(q), want) {
 			t.Errorf("%s: the restored predictor's snapshot differs from the file it restored", kind)
+		}
+	}
+}
+
+// TestRefusedPayloadLeavesPredictor restores into each kind's pinned
+// predictor the payload of another walk, padded by one byte: every
+// value and section reads, and only the predictor's own last check
+// refuses it. The predictor must be left as it was — the neural one's
+// network too, which its section read before the refusal.
+func TestRefusedPayloadLeavesPredictor(t *testing.T) {
+	fs := snapshotFactories(t)
+	for _, kind := range kinds {
+		other := fs[kind]().(Stateful)
+		for i := 0; i < 40; i++ {
+			other.Observe(float64(90 + 7*(i%11)))
+			other.Predict()
+		}
+		p := pinnedPredictor(fs[kind])
+		before := save(p)
+		if err := load(p, append(save(other), 0)); err == nil {
+			t.Fatalf("%s: a padded payload restored", kind)
+		}
+		if !bytes.Equal(save(p), before) {
+			t.Errorf("%s: a refused payload changed the predictor", kind)
 		}
 	}
 }
@@ -377,7 +413,7 @@ func TestPredictorWriterMatchesCommitted(t *testing.T) {
 func FuzzPredictorRestore(f *testing.F) {
 	fs := snapshotFactories(f)
 	for i, kind := range kinds {
-		snap := pinnedPredictor(fs[kind]).Snapshot()
+		snap := save(pinnedPredictor(fs[kind]))
 		f.Add(uint8(i), snap)
 		f.Add(uint8(i), snap[:len(snap)-3])
 		f.Add(uint8(i), append(slices.Clip(snap), 0))
@@ -385,9 +421,9 @@ func FuzzPredictorRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, k uint8, data []byte) {
 		kind := kinds[int(k)%len(kinds)]
 		p := pinnedPredictor(fs[kind])
-		before := p.Snapshot()
-		if err := p.Restore(data); err != nil {
-			if !bytes.Equal(p.Snapshot(), before) {
+		before := save(p)
+		if err := load(p, data); err != nil {
+			if !bytes.Equal(save(p), before) {
 				t.Fatalf("%s: a refused payload (%v) changed the predictor", kind, err)
 			}
 			return
@@ -397,12 +433,12 @@ func FuzzPredictorRestore(f *testing.F) {
 			p.Observe(float64(100 + (i*37)%900))
 			p.Predict()
 		}
-		snap := p.Snapshot()
+		snap := save(p)
 		q := fs[kind]().(Stateful)
-		if err := q.Restore(snap); err != nil {
+		if err := load(q, snap); err != nil {
 			t.Fatalf("%s: a restored predictor's snapshot was refused: %v", kind, err)
 		}
-		if !bytes.Equal(q.Snapshot(), snap) {
+		if !bytes.Equal(save(q), snap) {
 			t.Fatalf("%s: Snapshot -> Restore -> Snapshot changed the bytes", kind)
 		}
 	})
