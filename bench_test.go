@@ -247,13 +247,11 @@ func BenchmarkMLPTrainingEra(b *testing.B) {
 		}
 		rows[i].Target = r.Float64()
 	}
-	target := make([]float64, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := range rows {
-			target[0] = rows[k].Target
-			m.TrainClipped(rows[k].In[:], target, 0.01, 0.5, 0)
+			m.TrainClipped(&rows[k].In, rows[k].Target, 0.01, 0.5, 0)
 		}
 	}
 }

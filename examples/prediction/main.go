@@ -28,8 +28,7 @@ func main() {
 	collected := zonesOf(emulator.Run(collectCfg))
 
 	// Offline phase 2 — era-based training on the pooled sub-zone
-	// samples, with the polynomial preprocessor and the convergence
-	// criterion of Section IV-C.
+	// samples, with the convergence criterion of Section IV-C.
 	ncfg := predict.PaperNeuralConfig(7)
 	ncfg.Degree = -1 // raw windows suit the emulator's zone signals
 	neural, report := predict.PretrainShared(ncfg, collected, 0.8, predict.PaperTrainConfig(11))

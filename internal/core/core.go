@@ -361,8 +361,12 @@ func newEngine(cfg Config, decisions *ecosystem.DecisionLog) (*engine, error) {
 	if cfg.FailoverBudgetPerTick < 0 {
 		return nil, fmt.Errorf("core: FailoverBudgetPerTick must be >= 0, got %d", cfg.FailoverBudgetPerTick)
 	}
-	if cfg.BrownoutReserveFrac < 0 || cfg.BrownoutReserveFrac >= 1 {
-		return nil, fmt.Errorf("core: BrownoutReserveFrac must be in [0,1), got %v", cfg.BrownoutReserveFrac)
+	// The negated range tests also reject NaN.
+	if f := cfg.BrownoutReserveFrac; !(f >= 0 && f < 1) {
+		return nil, fmt.Errorf("core: BrownoutReserveFrac must be in [0,1), got %v", f)
+	}
+	if m := cfg.SafetyMargin; !(m > -1 && m <= math.MaxFloat64) {
+		return nil, fmt.Errorf("core: SafetyMargin must be finite and > -1, got %v", m)
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {

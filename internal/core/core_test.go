@@ -68,6 +68,38 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Workloads: mixed, Centers: fineCenters(10)}); err == nil {
 		t.Error("length mismatch should error")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name    string
+		reserve float64
+		margin  float64
+		valid   bool
+	}{
+		{"reserve 0.99", 0.99, 0, true},
+		{"reserve 1", 1, 0, false},
+		{"reserve negative", -0.1, 0, false},
+		{"reserve NaN", nan, 0, false},
+		{"reserve +Inf", inf, 0, false},
+		{"reserve -Inf", -inf, 0, false},
+		{"margin 0.1", 0, 0.1, true},
+		{"margin -0.5", 0, -0.5, true},
+		{"margin -1", 0, -1, false},
+		{"margin NaN", 0, nan, false},
+		{"margin +Inf", 0, inf, false},
+		{"margin -Inf", 0, -inf, false},
+	} {
+		_, err := Run(Config{
+			Workloads: []Workload{{Game: testGame(), Dataset: syntheticDataset(1, 10, 100),
+				Predictor: predict.NewLastValue()}},
+			Centers:             fineCenters(10),
+			Brownout:            true,
+			BrownoutReserveFrac: tc.reserve,
+			SafetyMargin:        tc.margin,
+		})
+		if (err == nil) != tc.valid {
+			t.Errorf("%s: Run error %v, want valid=%v", tc.name, err, tc.valid)
+		}
+	}
 }
 
 func TestStaticNeverUnderAllocates(t *testing.T) {

@@ -199,7 +199,7 @@ func (h HotConfig) Validate() error {
 		{"fault_partial_prob", h.FaultPartialProb},
 		{"fault_dropout_prob", h.FaultDropoutProb},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("daemon: %s must be in [0,1], got %v", p.name, p.v)
 		}
 	}

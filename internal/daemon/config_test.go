@@ -41,6 +41,16 @@ func TestHotConfigValidateDurations(t *testing.T) {
 		{"delay 200ms", func(h *HotConfig) { h.ObserveDelayMS = 200 }, true},
 		{"delay 2^62 wraps to 0", func(h *HotConfig) { h.ObserveDelayMS = 1 << 62 }, false},
 		{"delay negative", func(h *HotConfig) { h.ObserveDelayMS = -1 }, false},
+		{"reject 1", func(h *HotConfig) { h.FaultRejectProb = 1 }, true},
+		{"reject NaN", func(h *HotConfig) { h.FaultRejectProb = math.NaN() }, false},
+		{"reject +Inf", func(h *HotConfig) { h.FaultRejectProb = math.Inf(1) }, false},
+		{"reject -Inf", func(h *HotConfig) { h.FaultRejectProb = math.Inf(-1) }, false},
+		{"partial NaN", func(h *HotConfig) { h.FaultPartialProb = math.NaN() }, false},
+		{"partial +Inf", func(h *HotConfig) { h.FaultPartialProb = math.Inf(1) }, false},
+		{"partial -Inf", func(h *HotConfig) { h.FaultPartialProb = math.Inf(-1) }, false},
+		{"dropout NaN", func(h *HotConfig) { h.FaultDropoutProb = math.NaN() }, false},
+		{"dropout +Inf", func(h *HotConfig) { h.FaultDropoutProb = math.Inf(1) }, false},
+		{"dropout -Inf", func(h *HotConfig) { h.FaultDropoutProb = math.Inf(-1) }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := DefaultHot()

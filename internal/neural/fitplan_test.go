@@ -2,7 +2,6 @@ package neural
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"mmogdc/internal/xrand"
@@ -113,88 +112,47 @@ func sameFloat(a, b float64) bool {
 
 // TestFitPlanMatchesElimination slides a window along a seeded random
 // walk, salted with special values and random bit patterns, and checks
-// the shared plan's coefficients and PolySmoother's output against the
-// full elimination bit for bit (NaN payloads aside): 1M windows over ten
-// shapes.
+// each degree's plan coefficients and Smooth's output against the full
+// elimination bit for bit (NaN payloads aside): 600,000 windows,
+// 100,000 at each degree from 0 to 5.
 func TestFitPlanMatchesElimination(t *testing.T) {
-	shapes := []struct{ n, deg int }{
-		{6, 0}, {6, 1}, {6, 2}, {6, 3}, {6, 4}, {6, 5}, {12, 3}, {1, 0}, {2, 1}, {3, 2},
-	}
 	const windows = 100_000
-	for si, sh := range shapes {
-		r := xrand.New(uint64(si + 1))
+	for deg := range plans {
+		r := xrand.New(uint64(deg + 1))
 		var ref polyScratch
-		p := &PolySmoother{Degree: sh.deg}
-		k := sh.deg + 1
-		rhs, coef := make([]float64, k), make([]float64, k)
-		y := make([]float64, sh.n)
-		got := make([]float64, sh.n)
+		var y, got, coef [Inputs]float64
 		level := 0.5
 		for w := 0; w < windows; w++ {
-			copy(y, y[1:])
+			copy(y[:], y[1:])
 			switch c := r.Intn(100); {
 			case c < 80:
 				level += r.Norm(0, 0.05)
-				y[sh.n-1] = level
+				y[Inputs-1] = level
 			case c < 90:
-				y[sh.n-1] = fitSpecials[r.Intn(len(fitSpecials))]
+				y[Inputs-1] = fitSpecials[r.Intn(len(fitSpecials))]
 			case c < 95:
-				y[sh.n-1] = math.Float64frombits(r.Uint64())
+				y[Inputs-1] = math.Float64frombits(r.Uint64())
 			default:
-				y[sh.n-1] = level * 1e-310
+				y[Inputs-1] = level * 1e-310
 			}
-			want := ref.fit(y, sh.deg)
-			plan := planFor(sh.n, k).solve(y, rhs, coef)
+			want := ref.fit(y[:], deg)
+			plan := plans[deg].solve(&y, &coef)
+			if len(plan) != len(want) {
+				t.Fatalf("deg=%d: %d coefficients, elimination %d", deg, len(plan), len(want))
+			}
 			for i := range want {
 				if !sameFloat(plan[i], want[i]) {
-					t.Fatalf("n=%d deg=%d window %d %v: coef[%d] = %v, elimination %v",
-						sh.n, sh.deg, w, y, i, plan[i], want[i])
+					t.Fatalf("deg=%d window %d %v: coef[%d] = %v, elimination %v",
+						deg, w, y, i, plan[i], want[i])
 				}
 			}
-			p.ProcessInto(got, y)
+			Smooth(&got, &y, deg)
 			for i := range got {
 				if v := polyval(want, float64(i)); !sameFloat(got[i], v) {
-					t.Fatalf("n=%d deg=%d window %d %v: smoothed[%d] = %v, elimination %v",
-						sh.n, sh.deg, w, y, i, got[i], v)
+					t.Fatalf("deg=%d window %d %v: smoothed[%d] = %v, elimination %v",
+						deg, w, y, i, got[i], v)
 				}
 			}
 		}
 	}
-}
-
-// TestFitPlansSharedAcrossGoroutines has smoothers on several
-// goroutines look up, build and share plans at once, over more shapes
-// than the cache holds, so the race detector sees every access to the
-// shared plans and the cache's restart.
-func TestFitPlansSharedAcrossGoroutines(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			r := xrand.New(seed)
-			var ref polyScratch
-			for rep := 0; rep < 3; rep++ {
-				for n := 1; n <= 12; n++ {
-					for deg := 0; deg < n; deg++ {
-						p := &PolySmoother{Degree: deg}
-						y := make([]float64, n)
-						got := make([]float64, n)
-						for i := range y {
-							y[i] = r.Float64()
-						}
-						p.ProcessInto(got, y)
-						want := ref.fit(y, deg)
-						for i := range got {
-							if v := polyval(want, float64(i)); !sameFloat(got[i], v) {
-								t.Errorf("n=%d deg=%d: smoothed[%d] = %v, elimination %v", n, deg, i, got[i], v)
-								return
-							}
-						}
-					}
-				}
-			}
-		}(uint64(g + 1))
-	}
-	wg.Wait()
 }

@@ -36,7 +36,7 @@ func refFit(m *MLP, train, test []Row, cfg TrainConfig) TrainResult {
 		var trainLoss float64
 		for _, idx := range order {
 			r := &train[idx]
-			trainLoss += m.TrainClipped(r.In[:], []float64{r.Target}, lr, c.Momentum, c.ErrorClip)
+			trainLoss += m.TrainClipped(&r.In, r.Target, lr, c.Momentum, c.ErrorClip)
 		}
 		trainLoss /= float64(len(train))
 		testLoss := trainLoss

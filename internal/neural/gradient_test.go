@@ -21,7 +21,7 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 	)
 	for trial := 0; trial < 5; trial++ {
 		m := NewMLP(xrand.New(uint64(trial + 1)))
-		in := make([]float64, Inputs)
+		var in [Inputs]float64
 		for i := range in {
 			in[i] = r.Norm(0, 1)
 		}
@@ -29,7 +29,7 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 
 		// loss(w) with the current network weights.
 		loss := func(net *MLP) float64 {
-			d := net.Forward(in) - target
+			d := net.Forward(&in) - target
 			return d * d
 		}
 
@@ -52,7 +52,7 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 		// weight by -lr * dLoss'/dw where the implementation's error
 		// signal is (out - target), i.e. half of d(Σ(out-t)²)/d(out).
 		before := m.Clone()
-		m.TrainClipped(in, []float64{target}, lr, 0, 0)
+		m.TrainClipped(&in, target, lr, 0, 0)
 		bp, mp := params(&before), params(&m)
 		for p := range mp {
 			applied := (*bp[p] - *mp[p]) / lr
@@ -88,13 +88,13 @@ func params(m *MLP) []*float64 {
 // update magnitude on an outlier target.
 func TestTrainClippedBoundsGradient(t *testing.T) {
 	mkNet := func() MLP { return NewMLP(xrand.New(7)) }
-	in := []float64{0.5, -0.5, 0.25, 0, -0.25, 0.5}
-	outlier := []float64{1000}
+	in := [Inputs]float64{0.5, -0.5, 0.25, 0, -0.25, 0.5}
+	const outlier = 1000
 
 	free := mkNet()
 	clipped := mkNet()
-	free.TrainClipped(in, outlier, 0.001, 0, 0)
-	clipped.TrainClipped(in, outlier, 0.001, 0, 0.5)
+	free.TrainClipped(&in, outlier, 0.001, 0, 0)
+	clipped.TrainClipped(&in, outlier, 0.001, 0, 0.5)
 
 	// Compare how far each network moved its weights.
 	move := func(m *MLP) float64 {

@@ -4,13 +4,13 @@
 // layers — trained by error backpropagation with momentum over
 // "training eras", each era presenting all training sets in sequence,
 // adjusting the weights, and testing against held-out test sets until
-// a convergence criterion is fulfilled. The package also provides the
-// polynomial signal preprocessors the paper couples with the network
-// to remove unwanted noise from the input signal.
+// a convergence criterion is fulfilled. The package also provides
+// Smooth, the polynomial smoothing the paper couples with the network
+// to remove unwanted noise from its six-sample input window, and the
+// Normalizer that maps a signal into the network's working range.
 package neural
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -65,24 +65,10 @@ func NewMLP(r *xrand.Rand) MLP {
 	return m
 }
 
-// Forward runs inference on an input of Inputs values, panicking on any
-// other width.
-func (m *MLP) Forward(in []float64) float64 {
-	return m.forward(inputs(in))
-}
-
-// inputs returns in as an array, panicking on any other width.
-func inputs(in []float64) *[Inputs]float64 {
-	if len(in) != Inputs {
-		panic(fmt.Sprintf("neural: input size %d, want %d", len(in), Inputs))
-	}
-	return (*[Inputs]float64)(in)
-}
-
-// forward is Forward on an array. Each hidden neuron's sum starts at
-// its bias and adds its weighted inputs in index order; the three sums
-// advance side by side, so their additions overlap.
-func (m *MLP) forward(in *[Inputs]float64) float64 {
+// Forward runs inference on one input window. Each hidden neuron's sum
+// starts at its bias and adds its weighted inputs in index order; the
+// three sums advance side by side, so their additions overlap.
+func (m *MLP) Forward(in *[Inputs]float64) float64 {
 	m.in = *in
 	w := &m.w1
 	s0, s1, s2 := m.b1[0], m.b1[1], m.b1[2]
@@ -102,30 +88,21 @@ func (m *MLP) forward(in *[Inputs]float64) float64 {
 }
 
 // TrainClipped runs one backpropagation step on a single (input,
-// target) example, the target one value, and returns the pre-update
-// squared error. With clip > 0 the error driving the weight update is
-// clamped to ±clip (Huber-style; clip <= 0 disables clipping).
-// Clipping bounds the influence of heavy-tailed outliers, moving the
-// regression from the conditional mean toward the conditional median —
-// which is what the prediction-error metric (mean absolute error)
-// rewards. The returned loss is the unclipped squared error.
+// target) example and returns the pre-update squared error. With
+// clip > 0 the error driving the weight update is clamped to ±clip
+// (Huber-style; clip <= 0 disables clipping). Clipping bounds the
+// influence of heavy-tailed outliers, moving the regression from the
+// conditional mean toward the conditional median — which is what the
+// prediction-error metric (mean absolute error) rewards. The returned
+// loss is the unclipped squared error.
 //
 // When the last Forward ran on bit-identical input under the current
 // weights (the online predictor trains on the window it predicted from
 // one step earlier), its activations are reused instead of recomputed:
 // the same operations on the same bits give the same values.
-func (m *MLP) TrainClipped(in, target []float64, lr, momentum, clip float64) float64 {
-	x := inputs(in)
-	if len(target) != 1 {
-		panic(fmt.Sprintf("neural: target size %d, want 1", len(target)))
-	}
-	return m.step(x, target[0], lr, momentum, clip)
-}
-
-// step is TrainClipped on an array and a scalar target.
-func (m *MLP) step(in *[Inputs]float64, target, lr, momentum, clip float64) float64 {
+func (m *MLP) TrainClipped(in *[Inputs]float64, target, lr, momentum, clip float64) float64 {
 	if !m.fwd || !sameBits(in, &m.in) {
-		m.forward(in)
+		m.Forward(in)
 	}
 	m.fwd = false
 	g := m.out - target
@@ -288,7 +265,7 @@ func (m *MLP) Fit(train, test []Row, cfg TrainConfig) TrainResult {
 		lr := c.LearningRate / (1 + c.LRDecay*float64(era))
 		var trainLoss float64
 		for k := range rows {
-			trainLoss += m.step(&rows[k].In, rows[k].Target, lr, c.Momentum, c.ErrorClip)
+			trainLoss += m.TrainClipped(&rows[k].In, rows[k].Target, lr, c.Momentum, c.ErrorClip)
 		}
 		trainLoss /= float64(len(rows))
 		testLoss := trainLoss
@@ -319,7 +296,7 @@ func (m *MLP) Loss(rows []Row) float64 {
 	}
 	var total float64
 	for k := range rows {
-		d := m.forward(&rows[k].In) - rows[k].Target
+		d := m.Forward(&rows[k].In) - rows[k].Target
 		total += d * d
 	}
 	return total / float64(len(rows))

@@ -10,34 +10,24 @@ import (
 
 func TestForwardDeterministic(t *testing.T) {
 	m1, m2 := NewMLP(xrand.New(5)), NewMLP(xrand.New(5))
-	in := []float64{0.1, -0.2, 0.3, 0.4, -0.5, 0.6}
-	if o1, o2 := m1.Forward(in), m2.Forward(in); o1 != o2 {
+	in := [Inputs]float64{0.1, -0.2, 0.3, 0.4, -0.5, 0.6}
+	if o1, o2 := m1.Forward(&in), m2.Forward(&in); o1 != o2 {
 		t.Fatalf("same-seed networks disagree: %v and %v", o1, o2)
 	}
 }
 
-func TestForwardPanicsOnBadInput(t *testing.T) {
-	m := NewMLP(xrand.New(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong-size input did not panic")
-		}
-	}()
-	m.Forward([]float64{1, 2})
-}
-
 func TestTrainReducesLossOnLinearFunction(t *testing.T) {
 	m := NewMLP(xrand.New(7))
-	f := func(x []float64) float64 { return 0.3*x[0] - 0.2*x[3] + 0.1*x[5] + 0.1 }
+	f := func(x *[Inputs]float64) float64 { return 0.3*x[0] - 0.2*x[3] + 0.1*x[5] + 0.1 }
 	r := xrand.New(8)
-	x := make([]float64, Inputs)
+	var x [Inputs]float64
 	var first, last float64
 	const steps = 4000
 	for i := 0; i < steps; i++ {
 		for k := range x {
 			x[k] = r.Float64()
 		}
-		loss := m.TrainClipped(x, []float64{f(x)}, 0.05, 0.5, 0)
+		loss := m.TrainClipped(&x, f(&x), 0.05, 0.5, 0)
 		if i < 100 {
 			first += loss
 		}
@@ -71,20 +61,10 @@ func TestTrainLearnsNonlinearFunction(t *testing.T) {
 		t.Fatalf("XOR loss after %d eras = %v", res.Eras, res.TrainLoss)
 	}
 	for _, r := range data {
-		if out := m.Forward(r.In[:]); math.Abs(out-r.Target) > 0.3 {
+		if out := m.Forward(&r.In); math.Abs(out-r.Target) > 0.3 {
 			t.Errorf("XOR(%v) = %v, want %v", r.In[:2], out, r.Target)
 		}
 	}
-}
-
-func TestTrainPanicsOnBadTarget(t *testing.T) {
-	m := NewMLP(xrand.New(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong-size target did not panic")
-		}
-	}()
-	m.TrainClipped(make([]float64, Inputs), []float64{1, 2}, 0.1, 0, 0)
 }
 
 func TestFitConvergence(t *testing.T) {
@@ -128,17 +108,17 @@ func TestLossEmpty(t *testing.T) {
 
 func TestCloneIndependent(t *testing.T) {
 	m := NewMLP(xrand.New(17))
-	in := []float64{0.4, -0.1, 0.2, 0, 0.3, -0.6}
-	before := m.Forward(in)
+	in := [Inputs]float64{0.4, -0.1, 0.2, 0, 0.3, -0.6}
+	before := m.Forward(&in)
 	c := m.Clone()
 	// Training the clone must not affect the original.
 	for i := 0; i < 100; i++ {
-		c.TrainClipped(in, []float64{2}, 0.1, 0.5, 0)
+		c.TrainClipped(&in, 2, 0.1, 0.5, 0)
 	}
-	if after := m.Forward(in); before != after {
+	if after := m.Forward(&in); before != after {
 		t.Fatal("training the clone changed the original")
 	}
-	if c.Forward(in) == before {
+	if c.Forward(&in) == before {
 		t.Fatal("clone did not learn")
 	}
 }
@@ -155,9 +135,8 @@ func TestTrainReuseMatchesRecompute(t *testing.T) {
 	a := NewMLP(xrand.New(1))
 	b := a.Clone()
 	other := NewMLP(xrand.New(2))
-	x := make([]float64, 6)
-	y := make([]float64, 6)
-	fill := func(v []float64) {
+	var x, y [Inputs]float64
+	fill := func(v *[Inputs]float64) {
 		for i := range v {
 			v[i] = r.Float64()
 			if r.Bool(0.1) {
@@ -165,38 +144,37 @@ func TestTrainReuseMatchesRecompute(t *testing.T) {
 			}
 		}
 	}
-	fill(x)
-	target := []float64{0}
+	fill(&x)
 	var reused, recomputed int
 	for step := 0; step < 20000; step++ {
 		switch k := r.Intn(100); {
 		case k < 30: // Predict on a new window
-			fill(x)
-			oa, ob := a.Forward(x), b.Forward(x)
+			fill(&x)
+			oa, ob := a.Forward(&x), b.Forward(&x)
 			if math.Float64bits(oa) != math.Float64bits(ob) {
 				t.Fatalf("step %d: Forward %v, recomputing clone %v", step, oa, ob)
 			}
 		case k < 65: // Observe: train on the current window
-			target[0] = r.Norm(0, 0.5)
+			target := r.Norm(0, 0.5)
 			clip := 0.25 * float64(r.Intn(2))
-			if a.fwd && sameBits((*[Inputs]float64)(x), &a.in) {
+			if a.fwd && sameBits(&x, &a.in) {
 				reused++
 			} else {
 				recomputed++
 			}
 			b.fwd = false
-			la := a.TrainClipped(x, target, 0.05, 0.5, clip)
-			lb := b.TrainClipped(x, target, 0.05, 0.5, clip)
+			la := a.TrainClipped(&x, target, 0.05, 0.5, clip)
+			lb := b.TrainClipped(&x, target, 0.05, 0.5, clip)
 			if math.Float64bits(la) != math.Float64bits(lb) {
 				t.Fatalf("step %d: loss %v, recomputing clone %v", step, la, lb)
 			}
 		case k < 75: // a Forward on another input
-			fill(y)
-			a.Forward(y)
-			b.Forward(y)
+			fill(&y)
+			a.Forward(&y)
+			b.Forward(&y)
 		case k < 82: // a Loss on another input
-			fill(y)
-			s := []Row{{In: [Inputs]float64(y), Target: 0.1}}
+			fill(&y)
+			s := []Row{{In: y, Target: 0.1}}
 			if la, lb := a.Loss(s), b.Loss(s); math.Float64bits(la) != math.Float64bits(lb) {
 				t.Fatalf("step %d: Loss %v, recomputing clone %v", step, la, lb)
 			}
@@ -204,7 +182,7 @@ func TestTrainReuseMatchesRecompute(t *testing.T) {
 			i := r.Intn(len(x))
 			x[i] = math.Copysign(0, -math.Copysign(1, x[i]))
 		default: // restore another network's state into both
-			other.TrainClipped(y, []float64{r.Norm(0, 0.5)}, 0.05, 0.5, 0)
+			other.TrainClipped(&y, r.Norm(0, 0.5), 0.05, 0.5, 0)
 			snap := save(&other)
 			if err := load(&a, snap); err != nil {
 				t.Fatal(err)
@@ -225,19 +203,18 @@ func TestTrainReuseMatchesRecompute(t *testing.T) {
 
 func BenchmarkForward631(b *testing.B) {
 	m := NewMLP(xrand.New(1))
-	in := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
+	in := [Inputs]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Forward(in)
+		_ = m.Forward(&in)
 	}
 }
 
 func BenchmarkTrain631(b *testing.B) {
 	m := NewMLP(xrand.New(1))
-	in := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
-	target := []float64{0.35}
+	in := [Inputs]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.TrainClipped(in, target, 0.05, 0.5, 0)
+		_ = m.TrainClipped(&in, 0.35, 0.05, 0.5, 0)
 	}
 }

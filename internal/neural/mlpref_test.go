@@ -246,7 +246,7 @@ func TestKernelMatchesReference(t *testing.T) {
 		if !bytes.Equal(saved, save(ref)) {
 			t.Fatalf("walk %d: NewMLP drew other weights than the reference", walk)
 		}
-		x := make([]float64, Inputs)
+		var x [Inputs]float64
 		fill := func() {
 			for i := range x {
 				x[i] = value()
@@ -260,7 +260,7 @@ func TestKernelMatchesReference(t *testing.T) {
 				if r.Bool(0.7) {
 					fill()
 				}
-				got, want := k.Forward(x), ref.Forward(x)[0]
+				got, want := k.Forward(&x), ref.Forward(x[:])[0]
 				if !sameFloat(got, want) {
 					t.Fatalf("%s: Forward %v, reference %v", where(), got, want)
 				}
@@ -279,13 +279,13 @@ func TestKernelMatchesReference(t *testing.T) {
 						x[i] = -x[i]
 					}
 				}
-				if k.fwd && sameBits((*[Inputs]float64)(x), &k.in) {
+				if k.fwd && sameBits(&x, &k.in) {
 					reused++
 				}
-				target := []float64{value()}
+				target := value()
 				lr, momentum, clip := rate(), rate(), rate()
-				got := k.TrainClipped(x, target, lr, momentum, clip)
-				want := ref.TrainClipped(x, target, lr, momentum, clip)
+				got := k.TrainClipped(&x, target, lr, momentum, clip)
+				want := ref.TrainClipped(x[:], []float64{target}, lr, momentum, clip)
 				if !sameFloat(got, want) {
 					t.Fatalf("%s: TrainClipped(lr %v, momentum %v, clip %v) loss %v, reference %v",
 						where(), lr, momentum, clip, got, want)

@@ -3,112 +3,72 @@ package neural
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
-// Preprocessor transforms a raw input window before it reaches the
-// network. The paper attaches "several signal preprocessors based on
-// polynomial functions which have the purpose of removing the
-// unwanted noise from the processed signal".
-type Preprocessor interface {
-	// ProcessInto writes the de-noised window into dst, which must have
-	// the same length as window and must not alias it. Implementations
-	// may reuse internal scratch across calls, so a Preprocessor is not
-	// safe for concurrent use.
-	ProcessInto(dst, window []float64)
-}
-
-// Identity passes the window through unchanged.
-type Identity struct{}
-
-// ProcessInto implements Preprocessor.
-func (Identity) ProcessInto(dst, window []float64) {
-	copy(dst, window)
-}
-
-// PolySmoother least-squares-fits a polynomial of the configured
-// degree to the window and writes out the fitted values — a zero-delay
-// smoothing filter (Savitzky–Golay style, full-window variant). The
-// fit is recomputed per call, but only its window-dependent part: the
-// rest comes from a fitPlan shared by every smoother of the same
-// window length and degree.
-type PolySmoother struct {
-	// Degree of the fitted polynomial; 2 works well for the 6-sample
-	// windows the paper uses.
-	Degree int
-
-	plan *fitPlan
-	// scratch holds the right-hand side and the coefficients of the
-	// current fit, k each.
-	scratch []float64
-}
-
-// ProcessInto implements Preprocessor. It allocates only on the first
-// call and when the window length or the degree changes.
-func (p *PolySmoother) ProcessInto(dst, window []float64) {
-	n := len(window)
-	deg := p.Degree
-	if deg < 0 {
-		deg = 0
-	}
-	if deg >= n {
-		// Not enough points to constrain the fit; pass through.
-		copy(dst, window)
+// Smooth least-squares-fits a polynomial of the given degree to the
+// window and writes the fitted values into dst: a zero-delay smoothing
+// filter (Savitzky–Golay style, full-window variant), the paper's
+// "signal preprocessors based on polynomial functions which have the
+// purpose of removing the unwanted noise from the processed signal".
+// Degree 2 works well for the paper's six-sample windows. A negative
+// degree copies the window, and so does one of Inputs or more, which
+// the samples cannot constrain. Only the fit's window-dependent part is
+// computed per call; the rest comes from the degree's plan.
+func Smooth(dst, window *[Inputs]float64, degree int) {
+	if degree < 0 || degree >= Inputs {
+		*dst = *window
 		return
 	}
-	k := deg + 1
-	if p.plan == nil || p.plan.n != n || p.plan.k != k {
-		p.plan = planFor(n, k)
-		p.scratch = make([]float64, 2*k)
-	}
-	coef := p.plan.solve(window, p.scratch[:k], p.scratch[k:])
-	for i := 0; i < n; i++ {
-		dst[i] = polyval(coef, float64(i))
+	var coef [Inputs]float64
+	c := plans[degree].solve(window, &coef)
+	for i := range dst {
+		dst[i] = polyval(c, float64(i))
 	}
 }
 
 // fitPlan is the window-independent part of the least-squares fit of
-// y[i] ~ poly(i), of degree k-1 over n samples, by the normal
-// equations with Gaussian elimination and partial pivoting. The
-// normal-equation matrix A[r][c] = Σ i^(r+c) depends only on n and k,
-// and so do the pivot choices and elimination multipliers it leads
-// to; only the right-hand side T[m] = Σ i^m·y[i] depends on y. A plan
-// is immutable once built, so every smoother shares it.
+// y[i] ~ poly(i), of degree k-1 over the Inputs samples of a window, by
+// the normal equations with Gaussian elimination and partial pivoting.
+// The normal-equation matrix A[r][c] = Σ i^(r+c) depends only on k, and
+// so do the pivot choices and elimination multipliers it leads to; only
+// the right-hand side T[m] = Σ i^m·y[i] depends on y.
 type fitPlan struct {
-	n, k int
-	// pow[m*n+i] is i^m, formed by repeated multiplication: row m is
-	// the weights of T[m].
-	pow []float64
+	k int
+	// pow[m][i] is i^m, formed by repeated multiplication: row m is the
+	// weights of T[m].
+	pow [Inputs][Inputs]float64
 	// piv[col] is the row swapped into row col before col is
 	// eliminated.
-	piv []int
+	piv [Inputs]int
 	// mult[col*k+r] is the multiplier that eliminates column col from
 	// row r > col.
-	mult []float64
+	mult [Inputs * Inputs]float64
 	// u[r*k+c] is the reduced matrix; its upper triangle is used.
-	u []float64
+	u [Inputs * Inputs]float64
 }
+
+// plans[d] is the plan of degree d, built once and read-only after.
+var plans = func() (ps [Inputs]fitPlan) {
+	for d := range ps {
+		ps[d] = newFitPlan(d + 1)
+	}
+	return ps
+}()
 
 // newFitPlan runs the elimination on the matrix columns alone, in the
 // operation order of the full solve.
-func newFitPlan(n, k int) *fitPlan {
-	pl := &fitPlan{
-		n: n, k: k,
-		pow:  make([]float64, n*k),
-		piv:  make([]int, k),
-		mult: make([]float64, k*k),
-		u:    make([]float64, k*k),
-	}
+func newFitPlan(k int) fitPlan {
+	pl := fitPlan{k: k}
 	cells := make([]float64, k*k)
 	// Power sums S_m = sum(i^m).
 	s := make([]float64, 2*k-1)
-	for i := 0; i < n; i++ {
+	for i := 0; i < Inputs; i++ {
 		x := float64(i)
 		pw := 1.0
 		for m := 0; m < 2*k-1; m++ {
 			s[m] += pw
 			if m < k {
-				pl.pow[m*n+i] = pw
+				pl.pow[m][i] = pw
 			}
 			pw *= x
 		}
@@ -148,19 +108,20 @@ func newFitPlan(n, k int) *fitPlan {
 	return pl
 }
 
-// solve fits y (length n) and returns the k coefficients, written into
-// coef; rhs is k floats of scratch. It replays the plan's swaps and
-// multipliers on the right-hand side alone, through the full
-// elimination's operations in its order and expression shapes
-// (x += p*y, x -= f*y, so a compiler that fuses multiply-adds fuses the
-// same ones): every coefficient is bit-equal to the full elimination's,
-// infinite and subnormal samples included, and NaN where it is NaN.
-func (pl *fitPlan) solve(y, rhs, coef []float64) []float64 {
-	k, n := pl.k, pl.n
-	for m := range rhs {
-		pw := pl.pow[m*n:][:n]
+// solve fits y and returns its k coefficients, written into coef. It
+// replays the plan's swaps and multipliers on the right-hand side
+// alone, through the full elimination's operations in its order and
+// expression shapes (x += p*y, x -= f*y, so a compiler that fuses
+// multiply-adds fuses the same ones): every coefficient is bit-equal to
+// the full elimination's, infinite and subnormal samples included, and
+// NaN where it is NaN.
+func (pl *fitPlan) solve(y, coef *[Inputs]float64) []float64 {
+	k := pl.k
+	var rhs [Inputs]float64
+	for m := 0; m < k; m++ {
+		pw := &pl.pow[m]
 		var sum float64
-		for i, yi := range y[:n] {
+		for i, yi := range y {
 			sum += pw[i] * yi
 		}
 		rhs[m] = sum
@@ -186,34 +147,7 @@ func (pl *fitPlan) solve(y, rhs, coef []float64) []float64 {
 		}
 		coef[r] = sum / pl.u[r*k+r]
 	}
-	return coef
-}
-
-// maxFitPlans bounds the shared plans; a full cache starts over. A
-// predictor uses one window length and degree.
-const maxFitPlans = 64
-
-// fitPlans holds the plans built so far, keyed by (n, k).
-var fitPlans struct {
-	sync.Mutex
-	m map[[2]int]*fitPlan
-}
-
-// planFor returns the shared plan for n samples and k coefficients,
-// building it on first use.
-func planFor(n, k int) *fitPlan {
-	fitPlans.Lock()
-	defer fitPlans.Unlock()
-	key := [2]int{n, k}
-	if pl := fitPlans.m[key]; pl != nil {
-		return pl
-	}
-	if len(fitPlans.m) >= maxFitPlans || fitPlans.m == nil {
-		fitPlans.m = make(map[[2]int]*fitPlan)
-	}
-	pl := newFitPlan(n, k)
-	fitPlans.m[key] = pl
-	return pl
+	return coef[:k]
 }
 
 // polyval evaluates the polynomial (Horner).

@@ -8,36 +8,25 @@ import (
 	"mmogdc/internal/xrand"
 )
 
-// process runs p over in into a fresh slice.
-func process(p Preprocessor, in []float64) []float64 {
-	out := make([]float64, len(in))
-	p.ProcessInto(out, in)
-	return out
-}
-
 func TestIdentity(t *testing.T) {
-	in := []float64{1, 2, 3}
-	out := process(Identity{}, in)
-	for i := range in {
-		if out[i] != in[i] {
-			t.Fatalf("identity changed the window: %v", out)
-		}
-	}
-	out[0] = 99
-	if in[0] == 99 {
-		t.Fatal("identity aliases its input")
+	// A negative degree passes the window through.
+	in := [Inputs]float64{1, -2, 3, 0.5, 8, -13}
+	var out [Inputs]float64
+	Smooth(&out, &in, -1)
+	if out != in {
+		t.Fatalf("identity changed the window: %v", out)
 	}
 }
 
 func TestPolySmootherReproducesPolynomial(t *testing.T) {
 	// A window that already is a degree-2 polynomial must pass through
 	// (numerically) unchanged.
-	in := make([]float64, 8)
+	var in, out [Inputs]float64
 	for i := range in {
 		x := float64(i)
 		in[i] = 3 + 2*x - 0.5*x*x
 	}
-	out := process(&PolySmoother{Degree: 2}, in)
+	Smooth(&out, &in, 2)
 	for i := range in {
 		if math.Abs(out[i]-in[i]) > 1e-6 {
 			t.Fatalf("poly window distorted at %d: %v != %v", i, out[i], in[i])
@@ -47,18 +36,19 @@ func TestPolySmootherReproducesPolynomial(t *testing.T) {
 
 func TestPolySmootherRemovesNoise(t *testing.T) {
 	r := xrand.New(3)
-	base := make([]float64, 12)
-	noisy := make([]float64, 12)
-	for i := range base {
-		x := float64(i)
-		base[i] = 100 + 10*x
-		noisy[i] = base[i] + r.Norm(0, 8)
-	}
-	out := process(&PolySmoother{Degree: 1}, noisy)
+	var base, noisy, out [Inputs]float64
 	var rawErr, smoothErr float64
-	for i := range base {
-		rawErr += math.Abs(noisy[i] - base[i])
-		smoothErr += math.Abs(out[i] - base[i])
+	for w := 0; w < 100; w++ {
+		for i := range base {
+			x := float64(i)
+			base[i] = 100 + 10*x
+			noisy[i] = base[i] + r.Norm(0, 8)
+		}
+		Smooth(&out, &noisy, 1)
+		for i := range base {
+			rawErr += math.Abs(noisy[i] - base[i])
+			smoothErr += math.Abs(out[i] - base[i])
+		}
 	}
 	if smoothErr >= rawErr {
 		t.Fatalf("smoothing did not reduce noise: %v >= %v", smoothErr, rawErr)
@@ -66,18 +56,20 @@ func TestPolySmootherRemovesNoise(t *testing.T) {
 }
 
 func TestPolySmootherDegreeTooHigh(t *testing.T) {
-	in := []float64{5, 6}
-	out := process(&PolySmoother{Degree: 5}, in)
-	for i := range in {
-		if out[i] != in[i] {
-			t.Fatalf("over-parameterized fit should pass through, got %v", out)
+	in := [Inputs]float64{5, 6, 4, 9, 1, 7}
+	for _, deg := range []int{Inputs, Inputs + 1, 100} {
+		var out [Inputs]float64
+		Smooth(&out, &in, deg)
+		if out != in {
+			t.Fatalf("degree %d: over-parameterized fit should pass through, got %v", deg, out)
 		}
 	}
 }
 
 func TestPolySmootherConstantWindow(t *testing.T) {
-	in := []float64{4, 4, 4, 4, 4, 4}
-	out := process(&PolySmoother{Degree: 2}, in)
+	in := [Inputs]float64{4, 4, 4, 4, 4, 4}
+	var out [Inputs]float64
+	Smooth(&out, &in, 2)
 	for i := range in {
 		if math.Abs(out[i]-4) > 1e-9 {
 			t.Fatalf("constant window distorted: %v", out)
@@ -85,33 +77,14 @@ func TestPolySmootherConstantWindow(t *testing.T) {
 	}
 }
 
-func TestPolySmootherNegativeDegree(t *testing.T) {
-	in := []float64{1, 5, 9}
-	out := process(&PolySmoother{Degree: -1}, in)
-	// Degree clamps to 0: the mean.
-	want := 5.0
-	for i := range out {
-		if math.Abs(out[i]-want) > 1e-9 {
-			t.Fatalf("degree-0 fit = %v, want all %v", out, want)
-		}
-	}
-}
-
-func TestPolySmootherLengthPreserved(t *testing.T) {
-	err := quick.Check(func(raw []float64, degRaw uint8) bool {
-		in := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e9 {
-				continue
-			}
-			in = append(in, v)
-		}
-		deg := int(degRaw % 4)
-		out := process(&PolySmoother{Degree: deg}, in)
-		return len(out) == len(in)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+// BenchmarkSmooth times one degree-2 smooth of a six-sample window, the
+// paper predictor's preprocessing of every observation.
+func BenchmarkSmooth(b *testing.B) {
+	in := [Inputs]float64{0.1, 0.25, 0.2, 0.4, 0.35, 0.6}
+	var out [Inputs]float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Smooth(&out, &in, 2)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestMLPRestoreRefusals(t *testing.T) {
 	r := xrand.New(3)
 	train := func(m *MLP) {
 		for i := 0; i < 50; i++ {
-			m.TrainClipped([]float64{0.1, 0.2, 0.3, 0.4, 0.5, float64(i) / 50}, []float64{0.3}, 0.05, 0.5, 0)
+			m.TrainClipped(&[Inputs]float64{0.1, 0.2, 0.3, 0.4, 0.5, float64(i) / 50}, 0.3, 0.05, 0.5, 0)
 		}
 	}
 	net, twin, donor := NewMLP(xrand.New(1)), NewMLP(xrand.New(1)), NewMLP(xrand.New(2))
@@ -127,7 +127,7 @@ func TestMLPRestoreRefusals(t *testing.T) {
 	}
 	bad = append(bad, refusal{"padded by a byte", append(slices.Clip(valid), 0)})
 
-	in := make([]float64, 6)
+	var in [Inputs]float64
 	for _, b := range bad {
 		name := b.name
 		if err := load(&net, b.data); err == nil {
@@ -136,7 +136,7 @@ func TestMLPRestoreRefusals(t *testing.T) {
 		for i := range in {
 			in[i] = r.Float64()
 		}
-		got, want := net.Forward(in), twin.Forward(in)
+		got, want := net.Forward(&in), twin.Forward(&in)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: Forward after the refusal %v, untouched twin %v", name, got, want)
 		}

@@ -16,8 +16,9 @@ type NeuralConfig struct {
 	Capacity float64
 	// LearningRate drives the online weight updates.
 	LearningRate float64
-	// Degree of the polynomial de-noising preprocessor; negative
-	// disables preprocessing.
+	// Degree of the polynomial de-noising (neural.Smooth); a negative
+	// degree, or one of neural.Inputs or more, feeds the network the raw
+	// window.
 	Degree int
 	// OutputScale multiplies training targets (and divides network
 	// outputs) so the regression target has a healthy magnitude even
@@ -56,8 +57,8 @@ func (c NeuralConfig) withDefaults() NeuralConfig {
 
 // Neural is the paper's neural-network-based predictor: a (6,3,1)
 // multi-layer perceptron over a sliding window of the last six
-// samples, de-noised by a polynomial preprocessor and normalized by
-// the signal capacity. Deployment is online: every new observation
+// samples, de-noised by a polynomial smoother and normalized by the
+// signal capacity. Deployment is online: every new observation
 // also provides a training example (previous window -> actual value),
 // so the network keeps adapting to the signal — the online analogue of
 // the paper's offline data-collection and training-era phases, which
@@ -70,7 +71,6 @@ func (c NeuralConfig) withDefaults() NeuralConfig {
 type Neural struct {
 	cfg  NeuralConfig
 	net  neural.MLP
-	pre  neural.Preprocessor
 	norm neural.Normalizer
 	// window is the normalized history, oldest first: its first
 	// min(seen, neural.Inputs) entries hold the samples seen.
@@ -83,8 +83,6 @@ type Neural struct {
 	// is full.
 	prevIn   [neural.Inputs]float64
 	prevLast float64
-	// target is the one-value training target.
-	target [1]float64
 }
 
 // NewNeural returns a neural predictor factory.
@@ -110,13 +108,7 @@ func newNeural(cfg NeuralConfig) *Neural {
 	if err != nil {
 		panic(err)
 	}
-	var pre neural.Preprocessor = neural.Identity{}
-	if c.Degree >= 0 {
-		// Pointer receiver: ProcessInto reuses the smoother's solver
-		// scratch, so each Neural owns its preprocessor exclusively.
-		pre = &neural.PolySmoother{Degree: c.Degree}
-	}
-	return &Neural{cfg: c, pre: pre, norm: norm}
+	return &Neural{cfg: c, norm: norm}
 }
 
 // Name implements Predictor.
@@ -129,8 +121,8 @@ func (p *Neural) Observe(v float64) {
 	// should have predicted it. Training starts one sample after the
 	// window first fills.
 	if p.seen > neural.Inputs {
-		p.target[0] = (nv - p.prevLast) * p.cfg.OutputScale
-		p.net.TrainClipped(p.prevIn[:], p.target[:], p.cfg.OnlineLearningRate, onlineMomentum, p.cfg.ErrorClip)
+		target := (nv - p.prevLast) * p.cfg.OutputScale
+		p.net.TrainClipped(&p.prevIn, target, p.cfg.OnlineLearningRate, onlineMomentum, p.cfg.ErrorClip)
 	}
 	if p.seen >= neural.Inputs {
 		copy(p.window[:], p.window[1:])
@@ -142,7 +134,7 @@ func (p *Neural) Observe(v float64) {
 		p.seen++
 	}
 	if p.seen >= neural.Inputs {
-		p.pre.ProcessInto(p.prevIn[:], p.window[:])
+		neural.Smooth(&p.prevIn, &p.window, p.cfg.Degree)
 		p.prevLast = p.window[neural.Inputs-1]
 	}
 }
@@ -156,7 +148,7 @@ func (p *Neural) Predict() float64 {
 		// Window not yet full: fall back to the last value.
 		return p.norm.Denorm(p.window[p.seen-1])
 	}
-	return p.norm.Denorm(p.net.Forward(p.prevIn[:])/p.cfg.OutputScale + p.prevLast)
+	return p.norm.Denorm(p.net.Forward(&p.prevIn)/p.cfg.OutputScale + p.prevLast)
 }
 
 // pretrain trains the network offline on the examples of every signal,
@@ -190,7 +182,7 @@ func (p *Neural) pretrain(signals [][]float64, trainFraction float64, cfg neural
 			}
 			rows = append(rows, neural.Row{})
 			r := &rows[len(rows)-1]
-			p.pre.ProcessInto(r.In[:], raw[:])
+			neural.Smooth(&r.In, &raw, p.cfg.Degree)
 			r.Target = (p.norm.Norm(v) - p.norm.Norm(signal[t-1])) * p.cfg.OutputScale
 		}
 	}

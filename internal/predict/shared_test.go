@@ -133,12 +133,15 @@ func TestPretrainSharedMatchesCommitted(t *testing.T) {
 	}
 }
 
-// walkedFactoryPredictor pretrains on six synthetic zones and returns a
-// factory predictor after a 200-step seeded random walk of Observe and
-// Predict, with the factory.
-func walkedFactoryPredictor(t *testing.T) (Stateful, Factory) {
+// walkedFactoryPredictor pretrains PaperNeuralConfig(3) with the given
+// smoothing degree on six synthetic zones and returns a factory
+// predictor after a 200-step seeded random walk of Observe and Predict,
+// with the factory.
+func walkedFactoryPredictor(t *testing.T, degree int) (Stateful, Factory) {
 	t.Helper()
-	f, res := PretrainShared(PaperNeuralConfig(3), syntheticZones(6, 300, 9), 0.8, PaperTrainConfig(5))
+	cfg := PaperNeuralConfig(3)
+	cfg.Degree = degree
+	f, res := PretrainShared(cfg, syntheticZones(6, 300, 9), 0.8, PaperTrainConfig(5))
 	if res.Eras == 0 {
 		t.Fatal("no training eras ran")
 	}
@@ -159,7 +162,7 @@ func walkedFactoryPredictor(t *testing.T) (Stateful, Factory) {
 // testdata/pretrain-walk200.snap, written by the factory that cloned
 // the weights into a freshly drawn predictor.
 func TestFactoryWalkMatchesCommitted(t *testing.T) {
-	p, _ := walkedFactoryPredictor(t)
+	p, _ := walkedFactoryPredictor(t, 2)
 	want, err := os.ReadFile(filepath.Join("testdata", "pretrain-walk200.snap"))
 	if err != nil {
 		t.Fatal(err)
@@ -169,12 +172,27 @@ func TestFactoryWalkMatchesCommitted(t *testing.T) {
 	}
 }
 
+// TestRawFactoryWalkMatchesCommitted pins the raw-window path that
+// mmogd, examples/live and Fig. 5 run (Degree = -1, no smoothing, in
+// pretraining and online): after walkedFactoryPredictor's walk the
+// predictor must snapshot to testdata/pretrain-walk200-raw.snap.
+func TestRawFactoryWalkMatchesCommitted(t *testing.T) {
+	p, _ := walkedFactoryPredictor(t, -1)
+	want, err := os.ReadFile(filepath.Join("testdata", "pretrain-walk200-raw.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := save(p); !bytes.Equal(got, want) {
+		t.Errorf("the walked predictor's %d-byte snapshot differs from the committed %d bytes", len(got), len(want))
+	}
+}
+
 // TestFactoryAllocs pins the allocations of one factory call: the
-// predictor and its smoother, with the network inside the predictor.
+// predictor, with the network inside it.
 func TestFactoryAllocs(t *testing.T) {
-	_, f := walkedFactoryPredictor(t)
-	if n := testing.AllocsPerRun(100, func() { f() }); n != 2 {
-		t.Fatalf("a factory call makes %v allocations, want 2", n)
+	_, f := walkedFactoryPredictor(t, 2)
+	if n := testing.AllocsPerRun(100, func() { f() }); n != 1 {
+		t.Fatalf("a factory call makes %v allocations, want 1", n)
 	}
 }
 

@@ -2,8 +2,8 @@
 # Machine-readable benchmark snapshot, gated: run the core-engine,
 # neural pretraining, checkpoint, and observability-overhead
 # benchmarks beside the reference kernel (a workload that calls no
-# mmogdc code), the (6,3,1) network's forward pass and training step,
-# the matcher walk
+# mmogdc code), the (6,3,1) network's forward pass and training step
+# and the polynomial smoothing of its input window, the matcher walk
 # at 10, 130 and 1000 centers, the provisioning step's steady-state
 # Prune + AllocAt, its tick with a lease ending (both rescan) and its
 # Acquire with decision provenance on, one Observe + Predict step of
@@ -41,7 +41,7 @@ go test -run '^$' -bench 'StepSteadyState|StepRescan|StepProvenance' -benchtime 
     ./internal/provision/ >> "$d/bench.out"
 go test -run '^$' -bench '^BenchmarkPredict' -benchtime 200000x -benchmem . \
     >> "$d/bench.out"
-go test -run '^$' -bench '^Benchmark(Forward|Train)631$' -benchtime 200000x -benchmem \
+go test -run '^$' -bench '^Benchmark((Forward|Train)631|Smooth)$' -benchtime 200000x -benchmem \
     ./internal/neural/ >> "$d/bench.out"
 go test -run '^$' -bench '^BenchmarkDaemonObserve$' -benchtime 20000x -benchmem \
     ./internal/daemon/ >> "$d/bench.out"
