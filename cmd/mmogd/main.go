@@ -142,7 +142,7 @@ func run() int {
 		ExplainDepth:  *explainN,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "daemon:", err)
+		fmt.Fprintln(os.Stderr, err) // daemon.New names itself
 		return 2
 	}
 	for _, spec := range specs {

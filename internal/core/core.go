@@ -41,10 +41,6 @@ import (
 	"mmogdc/internal/trace"
 )
 
-// SignificantUnderPct is the |Υ| threshold (in percent) above which an
-// under-allocation is disruptive (Section V).
-const SignificantUnderPct = 1.0
-
 // Workload is one MMOG operated on the ecosystem: a game design (the
 // update model and latency tolerance), the population trace of its
 // server groups, and the predictor driving its requests.
@@ -756,7 +752,7 @@ func (e *engine) dropped(t int) {
 // worker count — and scores the tick.
 func (e *engine) reduce(t int, now time.Time) {
 	e.dropped(t)
-	var alloc, load, shortfall [datacenter.NumResources]float64
+	var alloc, load, shortfall datacenter.Vector
 	for i := range e.zones {
 		z := &e.zones[i]
 		a, l := e.partials[i].alloc, e.partials[i].load
@@ -772,42 +768,23 @@ func (e *engine) reduce(t int, now time.Time) {
 			e.gameShort[z.gameIdx] += d
 		}
 	}
-	// M in Equation 2 is the number of machines participating in the
-	// game session: the machine-equivalents the allocation occupies (one
-	// machine provides one CPU unit).
-	machines := math.Ceil(alloc[datacenter.CPU])
-	if machines < 1 {
-		machines = 1
-	}
-	event := false
-	worstUnder := 0.0
-	for r := 0; r < int(datacenter.NumResources); r++ {
-		if load[r] > 0 {
-			e.overSum[r] += (alloc[r]/load[r] - 1) * 100
+	s := provision.ScoreTick(alloc, load, shortfall)
+	for r := range s.Over {
+		if s.Loaded[r] {
+			e.overSum[r] += s.Over[r]
 			e.overTicks[r]++
 		}
-		u := shortfall[r] / machines * 100
-		e.underSum[r] += u
-		if u < -SignificantUnderPct {
-			event = true
-		}
-		if u < worstUnder {
-			worstUnder = u
-		}
+		e.underSum[r] += s.Under[r]
 	}
 	res := e.res
-	if event {
+	if s.Event {
 		res.Events++
-		e.ro.breach(t, worstUnder)
+		e.ro.breach(t, s.Worst)
 	}
-	e.tracker.serviceHealthy(t, !event)
+	e.tracker.serviceHealthy(t, !s.Event)
 	res.CumEvents = append(res.CumEvents, res.Events)
-	if load[datacenter.CPU] > 0 {
-		res.OverPct = append(res.OverPct, (alloc[datacenter.CPU]/load[datacenter.CPU]-1)*100)
-	} else {
-		res.OverPct = append(res.OverPct, 0)
-	}
-	res.UnderPct = append(res.UnderPct, shortfall[datacenter.CPU]/machines*100)
+	res.OverPct = append(res.OverPct, s.Over[datacenter.CPU])
+	res.UnderPct = append(res.UnderPct, s.Under[datacenter.CPU])
 	res.Ticks++
 	e.allocCPU, e.loadCPU = alloc[datacenter.CPU], load[datacenter.CPU]
 
@@ -816,11 +793,7 @@ func (e *engine) reduce(t int, now time.Time) {
 	// exactly when it has a term); the accumulators reset in place.
 	for gi := range e.gameAlloc {
 		if e.gameShort[gi] < 0 {
-			m := math.Ceil(e.gameAlloc[gi])
-			if m < 1 {
-				m = 1
-			}
-			e.gameUnder[gi] += e.gameShort[gi] / m * 100
+			e.gameUnder[gi] += e.gameShort[gi] / provision.Machines(e.gameAlloc[gi]) * 100
 		}
 		e.gameAlloc[gi], e.gameShort[gi] = 0, 0
 	}

@@ -10,6 +10,7 @@ import (
 	"mmogdc/internal/geo"
 	"mmogdc/internal/mmog"
 	"mmogdc/internal/predict"
+	"mmogdc/internal/provision"
 	"mmogdc/internal/series"
 	"mmogdc/internal/trace"
 )
@@ -346,7 +347,7 @@ func TestFailureAtTickZeroFiresBeforeBootstrap(t *testing.T) {
 	}
 	// After recovery at tick 10 the operator re-acquires within a
 	// tick; tick 12 (UnderPct[11]) is healthy again.
-	if res.UnderPct[11] < -SignificantUnderPct {
+	if res.UnderPct[11] < -provision.SignificantUnderPct {
 		t.Fatalf("post-recovery under-allocation = %v, want healed", res.UnderPct[11])
 	}
 	if centers[0].Offline() {

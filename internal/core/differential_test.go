@@ -10,19 +10,23 @@ import (
 	"mmogdc/internal/faults"
 	"mmogdc/internal/geo"
 	"mmogdc/internal/mmog"
+	"mmogdc/internal/obs"
 	"mmogdc/internal/operator"
 	"mmogdc/internal/predict"
 	"mmogdc/internal/trace"
 )
 
 // TestCoreAndOperatorDecideAlike is the differential test of the two
-// engines' shared provisioning step: one single-group trace runs
-// through core.Run and through an operator with one zone, on
+// engines' shared provisioning step and scorer: one single-group trace
+// runs through core.Run and through an operator with one zone, on
 // identically built centers, under the same fault plan: its scheduled
 // outages, injected rejections and partial grants. Every matcher decision
 // must match record for record — candidates, dispositions, CPU, unmet
 // CPU — at operator tick = core tick + 1 (the operator counts the
-// snapshot it just scored), and so must the acquisition counters.
+// snapshot it just scored), and so must the acquisition counters. The
+// operator's snapshot k scores what core's tick k scores: after it, the
+// operator's event count and mean CPU over-allocation equal core's up
+// to tick k, bit for bit, and so does every breach event it records.
 func TestCoreAndOperatorDecideAlike(t *testing.T) {
 	ds := trace.Generate(trace.Config{Seed: 5, Days: 1, Regions: []trace.Region{
 		{ID: 0, Name: "Europe", Location: geo.London, Groups: 1},
@@ -61,11 +65,13 @@ func TestCoreAndOperatorDecideAlike(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coreLog := ecosystem.NewDecisionLog(2 * samples)
+			coreObs, opObs := breachObs(samples), breachObs(samples)
 			res, err := run(Config{
 				Workloads: []Workload{{Game: game, Dataset: ds, Predictor: tc.pred}},
 				Centers:   centers(),
 				Faults:    &fcfg,
 				Workers:   1,
+				Obs:       coreObs,
 			}, coreLog)
 			if err != nil {
 				t.Fatal(err)
@@ -78,13 +84,14 @@ func TestCoreAndOperatorDecideAlike(t *testing.T) {
 			m.SetDecisionLog(opLog)
 			op, err := operator.New(operator.Config{
 				Game: game, Origin: region.Location, Predictor: tc.pred,
-				Matcher: m,
+				Matcher: m, Obs: opObs,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Core acquires on ticks 0..samples-2 (the last tick is only
 			// scored), so the operator observes the same samples.
+			overSum := 0.0
 			for k := 0; k < samples-1; k++ {
 				// Recoveries first, as core applies them.
 				for _, o := range plan.RecoveriesAt(k) {
@@ -96,6 +103,24 @@ func TestCoreAndOperatorDecideAlike(t *testing.T) {
 				now := group.Load.Start.Add(time.Duration(k) * group.Load.Tick)
 				if err := op.Observe(now, []float64{group.Load.At(k)}); err != nil {
 					t.Fatal(err)
+				}
+				if k == 0 {
+					continue // neither engine scores its first observation
+				}
+				overSum += res.OverPct[k-1]
+				om, mean := op.Metrics(), overSum/float64(k)
+				if om.Events != res.CumEvents[k-1] || math.Float64bits(om.AvgOverPct) != math.Float64bits(mean) {
+					t.Fatalf("tick %d: operator scores %d events and %v%% over-allocation, core %d and %v%%",
+						k, om.Events, om.AvgOverPct, res.CumEvents[k-1], mean)
+				}
+			}
+			cb, ob := breaches(t, coreObs, samples-1), breaches(t, opObs, samples-1)
+			if len(cb) != len(ob) || len(cb) == 0 {
+				t.Fatalf("core records %d breaches before its last tick, operator %d", len(cb), len(ob))
+			}
+			for i := range cb {
+				if cb[i].Tick != ob[i].Tick || math.Float64bits(cb[i].Value) != math.Float64bits(ob[i].Value) {
+					t.Fatalf("breach %d: core %+v, operator %+v", i, cb[i], ob[i])
 				}
 			}
 
@@ -132,4 +157,28 @@ func TestCoreAndOperatorDecideAlike(t *testing.T) {
 			}
 		})
 	}
+}
+
+// breachObs is an observability bundle whose recorder keeps every event
+// of a one-group run of the given length.
+func breachObs(samples int) *obs.Obs {
+	o := obs.New()
+	o.Recorder = obs.NewRecorder(16 * samples)
+	return o
+}
+
+// breaches returns the breach events o recorded before tick end; it
+// fails if the recorder dropped any event.
+func breaches(t *testing.T, o *obs.Obs, end int) []obs.Event {
+	t.Helper()
+	if n := o.Recorder.Dropped(); n > 0 {
+		t.Fatalf("the recorder dropped %d events", n)
+	}
+	var out []obs.Event
+	for _, e := range o.Recorder.Events() {
+		if e.Kind == obs.EventBreach && e.Tick < end {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -5,12 +5,50 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"mmogdc/internal/geo"
+	"mmogdc/internal/mmog"
+	"mmogdc/internal/predict"
 	"mmogdc/internal/slo"
 )
+
+// TestNewErrorsNameTheDaemonOnce: an error New returns begins with
+// exactly one "daemon: ", whether New's own check refuses the config or
+// a package it calls fails, so cmd/mmogd prints it as it is.
+func TestNewErrorsNameTheDaemonOnce(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"refused hot config", func(c *Config) { c.Hot.TickSeconds = math.NaN() }},
+		{"checkpoint directory under a regular file", func(c *Config) { c.CheckpointDir = filepath.Join(file, "ckpt") }},
+	} {
+		cfg := Config{
+			Games:     []GameSpec{{Name: "g1", Genre: mmog.GenreMMORPG, Origin: geo.London}},
+			Predictor: predict.NewLastValue(),
+			Matcher:   testMatcher(),
+			Hot:       fastHot(),
+		}
+		tc.mutate(&cfg)
+		d, err := New(cfg)
+		if err == nil {
+			drain(t, d)
+			t.Fatalf("%s: New accepted it", tc.name)
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "daemon: ") || strings.Count(msg, "daemon: ") != 1 {
+			t.Errorf("%s: %q does not name the daemon exactly once", tc.name, msg)
+		}
+	}
+}
 
 // TestHotConfigValidateDurations pins the duration knobs to values a
 // time.Duration represents: a tick that truncates to 0 or overflows,

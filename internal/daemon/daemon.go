@@ -133,7 +133,8 @@ type Daemon struct {
 
 // New validates cfg, restores any checkpointed state, installs the
 // grant-fault injector on the matcher, and starts one ingest worker
-// per game. The daemon is live (but unreachable) until Serve.
+// per game. The daemon is live (but unreachable) until Serve. Every
+// error it returns begins with "daemon: ".
 func New(cfg Config) (*Daemon, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -164,7 +165,7 @@ func New(cfg Config) (*Daemon, error) {
 	for _, spec := range cfg.Games {
 		g, err := d.newGame(spec, hot)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("daemon: game %q: %w", spec.Name, err)
 		}
 		d.games[spec.Name] = g
 		d.order = append(d.order, spec.Name)
@@ -173,7 +174,7 @@ func New(cfg Config) (*Daemon, error) {
 	// them needs d.order for the default-game resolution, so it happens
 	// after the games exist and before any worker can evaluate.
 	if err := d.rebuildSLO(hot); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("daemon: %w", err)
 	}
 	for _, name := range d.order {
 		d.wg.Add(1)

@@ -190,8 +190,8 @@ func TestReloadInvalidKeepsActiveConfig(t *testing.T) {
 // 1800 after 20 of 40 steady observations (four zones of 900
 // entities). Each observation must then lease for the instant of the
 // next one, 1800 s on, as a daemon started at 1800 s does: the two
-// must count the same disruptive ticks (only the cold start) and the
-// same shortfall. Sized for the startup tick instead, the hour-long
+// must count the same disruptive ticks (none, as the cold start is not
+// scored) and the same shortfall. Sized for the startup tick instead, the hour-long
 // leases run out before the next observation on every second tick.
 func TestTickReloadMovesRequestHorizon(t *testing.T) {
 	run := func(before, after float64) (events int, shortfall float64) {

@@ -8,6 +8,7 @@ import (
 	"mmogdc/internal/datacenter"
 	"mmogdc/internal/faults"
 	"mmogdc/internal/predict"
+	"mmogdc/internal/provision"
 	"mmogdc/internal/stats"
 )
 
@@ -116,7 +117,7 @@ func Ext08Failure(o Options) (string, error) {
 	// disruption threshold.
 	recovery := 0
 	for i := failAt - 1; i < len(failed.UnderPct); i++ {
-		if failed.UnderPct[i] < -core.SignificantUnderPct {
+		if failed.UnderPct[i] < -provision.SignificantUnderPct {
 			recovery = i - (failAt - 1) + 1
 		} else if i > failAt+2 {
 			break

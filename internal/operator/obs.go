@@ -51,7 +51,7 @@ func newOpObs(o *obs.Obs, game string) *opObs {
 		ticks: r.Counter("mmogdc_operator_ticks_total",
 			"Monitoring snapshots the operator ingested.", g),
 		disruptive: r.Counter("mmogdc_operator_disruptive_ticks_total",
-			"Ticks whose shortfall exceeded 1% of the session's machines.", g),
+			"Scored ticks whose under-allocation fell below -1% on any resource.", g),
 		droppedSamples: r.Counter("mmogdc_operator_dropped_samples_total",
 			"Monitoring samples lost and carried forward (LOCF).", g),
 		allocCPU: r.Gauge("mmogdc_operator_allocated_cpu_units",
@@ -161,8 +161,8 @@ func (oo *opObs) tick(have, load float64) {
 	oo.loadCPU.Set(load)
 }
 
-// disruptiveTick records one snapshot whose shortfall breached the 1%
-// threshold, with the breach magnitude for post-run episode detection.
+// disruptiveTick records one snapshot with a significant
+// under-allocation, with its worst Υ for post-run episode detection.
 func (oo *opObs) disruptiveTick(tick int, underPct float64) {
 	if oo == nil {
 		return

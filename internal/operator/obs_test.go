@@ -12,15 +12,17 @@ import (
 )
 
 // TestObsBridgesMetrics drives an operator with monitoring dropouts
-// enabled and checks the registry counters land on exactly the values
-// Metrics reports, and that enabling obs changes no metric.
+// enabled, on an ecosystem that covers the load and on one that starves
+// it, and checks the registry counters and the recorder's breach events
+// land on exactly the values Metrics reports, and that enabling obs
+// changes no metric.
 func TestObsBridgesMetrics(t *testing.T) {
-	run := func(o *obs.Obs) Metrics {
+	run := func(o *obs.Obs, machines int) Metrics {
 		op, err := New(Config{
 			Game:      mmog.NewGame("op", mmog.GenreMMORPG),
 			Origin:    geo.London,
 			Predictor: predict.NewLastValue(),
-			Matcher:   testMatcher(10),
+			Matcher:   testMatcher(machines),
 			Obs:       o,
 		})
 		if err != nil {
@@ -40,49 +42,61 @@ func TestObsBridgesMetrics(t *testing.T) {
 		return op.Metrics()
 	}
 
-	plain := run(nil)
-	o := obs.New()
-	instrumented := run(o)
-	if plain != instrumented {
-		t.Fatalf("obs changed operator metrics:\n%+v\n%+v", plain, instrumented)
-	}
+	for _, tc := range []struct {
+		name     string
+		machines int
+	}{{"steady", 10}, {"starved", 0}} {
+		plain := run(nil, tc.machines)
+		o := obs.New()
+		instrumented := run(o, tc.machines)
+		if plain != instrumented {
+			t.Fatalf("%s: obs changed operator metrics:\n%+v\n%+v", tc.name, plain, instrumented)
+		}
 
-	r := o.Registry
-	g := obs.L("game", "op")
-	checks := []struct {
-		name string
-		got  int64
-		want int
-	}{
-		{"mmogdc_operator_ticks_total", r.Counter("mmogdc_operator_ticks_total", "", g).Value(), instrumented.Ticks},
-		{"mmogdc_operator_dropped_samples_total", r.Counter("mmogdc_operator_dropped_samples_total", "", g).Value(), instrumented.DroppedSamples},
-		{"mmogdc_operator_rejections_total", r.Counter("mmogdc_operator_rejections_total", "", g).Value(), instrumented.Rejections},
-		{"mmogdc_operator_retries_total", r.Counter("mmogdc_operator_retries_total", "", g).Value(), instrumented.Retries},
-		{"mmogdc_operator_failovers_total", r.Counter("mmogdc_operator_failovers_total", "", g).Value(), instrumented.Failovers},
-	}
-	for _, c := range checks {
-		if c.got != int64(c.want) {
-			t.Errorf("%s = %d, want %d (Metrics parity)", c.name, c.got, c.want)
+		r := o.Registry
+		g := obs.L("game", "op")
+		breaches, drops := 0, 0
+		for _, e := range o.Recorder.Events() {
+			switch e.Kind {
+			case obs.EventBreach:
+				breaches++
+			case obs.EventDropped:
+				drops++
+			}
 		}
-	}
-	if instrumented.DroppedSamples == 0 {
-		t.Fatal("scenario never dropped a sample")
-	}
-	if h := r.Histogram("mmogdc_operator_observe_duration_seconds", "", obs.TimeBuckets, g); h.Count() != int64(instrumented.Ticks) {
-		t.Errorf("observe duration count = %d, want %d", h.Count(), instrumented.Ticks)
-	}
-	if lg := r.Gauge("mmogdc_operator_load_cpu_units", "", g); lg.Value() <= 0 {
-		t.Errorf("load gauge = %v, want > 0", lg.Value())
-	}
-	// The recorder saw the dropouts.
-	sawDrop := false
-	for _, e := range o.Recorder.Events() {
-		if e.Kind == obs.EventDropped {
-			sawDrop = true
+		checks := []struct {
+			name string
+			got  int64
+			want int
+		}{
+			{"mmogdc_operator_ticks_total", r.Counter("mmogdc_operator_ticks_total", "", g).Value(), instrumented.Ticks},
+			{"mmogdc_operator_dropped_samples_total", r.Counter("mmogdc_operator_dropped_samples_total", "", g).Value(), instrumented.DroppedSamples},
+			{"mmogdc_operator_rejections_total", r.Counter("mmogdc_operator_rejections_total", "", g).Value(), instrumented.Rejections},
+			{"mmogdc_operator_retries_total", r.Counter("mmogdc_operator_retries_total", "", g).Value(), instrumented.Retries},
+			{"mmogdc_operator_failovers_total", r.Counter("mmogdc_operator_failovers_total", "", g).Value(), instrumented.Failovers},
+			{"mmogdc_operator_disruptive_ticks_total", r.Counter("mmogdc_operator_disruptive_ticks_total", "", g).Value(), instrumented.Events},
+			{"sla_breach events", int64(breaches), instrumented.Events},
 		}
-	}
-	if !sawDrop {
-		t.Error("flight recorder has no dropped-sample events")
+		for _, c := range checks {
+			if c.got != int64(c.want) {
+				t.Errorf("%s: %s = %d, want %d (Metrics parity)", tc.name, c.name, c.got, c.want)
+			}
+		}
+		if instrumented.DroppedSamples == 0 {
+			t.Fatalf("%s: scenario never dropped a sample", tc.name)
+		}
+		if tc.name == "starved" && instrumented.Events == 0 {
+			t.Fatal("the starved scenario never breached")
+		}
+		if h := r.Histogram("mmogdc_operator_observe_duration_seconds", "", obs.TimeBuckets, g); h.Count() != int64(instrumented.Ticks) {
+			t.Errorf("%s: observe duration count = %d, want %d", tc.name, h.Count(), instrumented.Ticks)
+		}
+		if lg := r.Gauge("mmogdc_operator_load_cpu_units", "", g); lg.Value() <= 0 {
+			t.Errorf("%s: load gauge = %v, want > 0", tc.name, lg.Value())
+		}
+		if drops == 0 {
+			t.Errorf("%s: flight recorder has no dropped-sample events", tc.name)
+		}
 	}
 }
 

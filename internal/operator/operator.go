@@ -114,14 +114,13 @@ func New(cfg Config) (*Operator, error) {
 
 // Metrics summarizes the operator's run so far.
 type Metrics struct {
-	// Ticks is the number of Observe calls handled.
+	// Ticks counts Observe calls; every one but the first is scored.
 	Ticks int
-	// AvgOverPct is the mean CPU over-allocation beyond the load.
+	// AvgOverPct is the mean CPU over-allocation Ω−100 (Equation 1).
 	AvgOverPct float64
 	// AvgShortfall is the mean unserved CPU demand in units.
 	AvgShortfall float64
-	// Events counts ticks whose shortfall exceeded 1% of the
-	// session's machines.
+	// Events counts ticks with Υ (Equation 2) below −1% on any resource.
 	Events int
 	// DroppedSamples counts monitoring samples (NaN or infinite)
 	// carried forward instead of observed.
@@ -213,28 +212,30 @@ func (o *Operator) ObserveUntil(now, next, deadline time.Time, parent obs.SpanID
 		clean = append(clean, v)
 	}
 
-	// Score the standing allocation against the actual load; the step
-	// notes leases that died early — their centers failed under us.
-	have := o.step.Prune(now)[datacenter.CPU]
-	demand := o.cfg.Game.DemandForZones(clean)
-	load := demand[datacenter.CPU]
-	if load > 0 {
-		o.overSum += (have/load - 1) * 100
-		o.overTicks++
-	}
-	if short := load - have; short > 0 {
-		o.shortfallSum += short
-		machines := have
-		if machines < 1 {
-			machines = 1
+	// Score the game as one requester from its second snapshot on (DESIGN
+	// §7, rule 5); Prune notes leases whose centers failed under us.
+	alloc := o.step.Prune(now)
+	load := o.cfg.Game.DemandForZones(clean)
+	if o.ticks > 0 {
+		var short datacenter.Vector
+		for r := range short {
+			if d := alloc[r] - load[r]; d < 0 {
+				short[r] = d
+			}
 		}
-		if u := short / machines * 100; u > 1 {
+		s := provision.ScoreTick(alloc, load, short)
+		if s.Loaded[datacenter.CPU] {
+			o.overSum += s.Over[datacenter.CPU]
+			o.overTicks++
+		}
+		o.shortfallSum -= short[datacenter.CPU]
+		if s.Event {
 			o.events++
-			o.oo.disruptiveTick(o.ticks, -u)
+			o.oo.disruptiveTick(o.ticks, s.Worst)
 		}
 	}
 	o.ticks++
-	o.oo.tick(have, load)
+	o.oo.tick(alloc[datacenter.CPU], load[datacenter.CPU])
 
 	// Forecast the next interval and lease the gap.
 	if err := o.zones.Observe(clean); err != nil {
@@ -287,8 +288,8 @@ func (o *Operator) Metrics() Metrics {
 	if o.overTicks > 0 {
 		m.AvgOverPct = o.overSum / float64(o.overTicks)
 	}
-	if o.ticks > 0 {
-		m.AvgShortfall = o.shortfallSum / float64(o.ticks)
+	if o.ticks > 1 {
+		m.AvgShortfall = o.shortfallSum / float64(o.ticks-1)
 	}
 	return m
 }

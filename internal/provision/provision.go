@@ -1,13 +1,14 @@
 // Package provision implements the per-requester provisioning step of
 // the paper's Section V loop, shared by both engines: the lease book,
 // the bounded retry backoff, failover parking under a per-tick
-// failover budget, and the matcher call with its bookkeeping.
+// failover budget, and the matcher call with its bookkeeping; and the
+// scorer of Equations (1) and (2), ScoreTick.
 //
 // A Step is one requester — a server group in core.Run, a whole game in
-// the online operator. Each tick the engine calls Prune to score the
-// standing allocation (and learn which centers dropped leases), sizes
-// the gap against AllocAt, and hands it to Acquire. Forecasting,
-// scoring, and brownout stay with the engines.
+// the online operator. Each tick the engine calls Prune for the
+// standing allocation (and to learn which centers dropped leases),
+// scores it with ScoreTick, sizes the gap against AllocAt, and hands it
+// to Acquire. Forecasting and brownout stay with the engines.
 package provision
 
 import (
@@ -491,4 +492,38 @@ func (s *Step) State(c *checkpoint.Codec) {
 	for i := range s.parked {
 		c.Str(&s.parked[i])
 	}
+}
+
+// SignificantUnderPct is the |Υ| threshold (in percent) above which an
+// under-allocation is disruptive (Section V).
+const SignificantUnderPct = 1.0
+
+// Machines is M in Equation 2: ⌈allocCPU⌉ machines of one CPU unit, ≥ 1.
+func Machines(allocCPU float64) float64 { return max(math.Ceil(allocCPU), 1) }
+
+// Score is one tick by Equations (1) and (2), per resource: Over is Ω−100
+// in percent where Loaded marks a load (Ω is undefined elsewhere), Under
+// is Υ in percent, Worst the lowest Υ or 0, and Event any Υ below −1%.
+type Score struct {
+	Over, Under datacenter.Vector
+	Loaded      [datacenter.NumResources]bool
+	Worst       float64
+	Event       bool
+}
+
+// ScoreTick scores summed α and λ and the sum of each requester's own
+// min(α−λ, 0), so no requester's surplus covers another's deficit.
+func ScoreTick(alloc, load, shortfall datacenter.Vector) (s Score) {
+	m := Machines(alloc[datacenter.CPU])
+	for r, short := range shortfall {
+		if load[r] > 0 {
+			s.Over[r], s.Loaded[r] = (alloc[r]/load[r]-1)*100, true
+		}
+		s.Under[r] = short / m * 100
+		s.Event = s.Event || s.Under[r] < -SignificantUnderPct
+		if s.Under[r] < s.Worst {
+			s.Worst = s.Under[r]
+		}
+	}
+	return s
 }
